@@ -14,7 +14,6 @@ from conftest import bench_datasets, bench_queries, bench_scale
 from repro.bench import format_table, ms, print_report
 from repro.cloud import CloudServer
 from repro.core import DataOwner, MethodConfig, SystemConfig
-from repro.matching import match_key
 from repro.workloads import generate_workload, load_dataset
 
 K = 3
@@ -69,7 +68,8 @@ def test_report_ablation_bas_engine(benchmark):
                 for query in queries:
                     answer = server.answer(query)
                     total += answer.cloud_seconds
-                    keys.append(frozenset(match_key(m) for m in answer.matches))
+                    order = sorted(query.vertex_ids())
+                    keys.append(frozenset(answer.table.project_rows(order)))
                 seconds[name] = total
                 results[name] = keys
             raw[dataset_name] = (seconds, results)

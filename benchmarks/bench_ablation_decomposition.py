@@ -14,7 +14,7 @@ from conftest import bench_datasets, bench_scale
 
 from repro.anonymize import estimator_from_outsourced
 from repro.bench import format_table, print_report
-from repro.cloud import CloudIndex, decompose_query, match_all_stars
+from repro.cloud import CloudIndex, decompose_query, match_star_table
 from repro.core import DataOwner, SystemConfig
 from repro.workloads import generate_workload, load_dataset
 
@@ -44,10 +44,10 @@ def _total_rs(published, index, queries, estimator) -> int:
     total = 0
     for query in queries:
         decomposition = decompose_query(query, estimator)
-        _, stats = match_all_stars(
-            query, decomposition.stars, index, published.upload_graph
+        total += sum(
+            len(match_star_table(query, star, index, published.upload_graph))
+            for star in decomposition.stars
         )
-        total += stats.total_results
     return total
 
 

@@ -17,9 +17,8 @@ from conftest import bench_datasets, bench_queries, bench_scale
 from repro.anonymize import estimator_from_outsourced
 from repro.bench import format_table, ms, print_report
 from repro.cloud import CloudIndex, decompose_query
-from repro.cloud.star_matching import match_star
+from repro.cloud.star_matching import match_star_table
 from repro.core import DataOwner, SystemConfig
-from repro.matching import match_key
 from repro.workloads import generate_workload, load_dataset
 
 K = 3
@@ -52,10 +51,10 @@ def _setup(dataset_name: str):
 def test_full_index_star_matching(benchmark):
     published, index, stars = _setup("Web-NotreDame")
     query, star = stars[0]
-    matches = benchmark(
-        lambda: match_star(query, star, index, published.upload_graph)
+    table = benchmark(
+        lambda: match_star_table(query, star, index, published.upload_graph)
     )
-    assert isinstance(matches, list)
+    assert table.schema == tuple(star.vertex_order)
 
 
 def test_report_ablation_index(benchmark):
@@ -69,10 +68,10 @@ def test_report_ablation_index(benchmark):
                 started = time.perf_counter()
                 keys = []
                 for query, star in stars:
-                    matches = match_star(
+                    table = match_star_table(
                         query, star, index, published.upload_graph, **flags
                     )
-                    keys.append(frozenset(match_key(m) for m in matches))
+                    keys.append(frozenset(table.rows))
                 per_config[config_name] = (time.perf_counter() - started, keys)
             raw[dataset_name] = per_config
             rows.append(

@@ -15,7 +15,7 @@ from conftest import bench_datasets, bench_scale
 from repro.bench import format_table, ms, print_report
 from repro.cloud import CloudServer
 from repro.core import DataOwner, SystemConfig
-from repro.core.protocol import encode_answer
+from repro.core.protocol import encode_answer_table
 from repro.workloads import generate_workload, load_dataset
 
 KS = (2, 3, 5)
@@ -64,9 +64,11 @@ def test_report_ablation_rin_vs_full(benchmark):
                         seconds += answer.cloud_seconds
                         order = sorted(query.vertex_ids())
                         out_bytes += len(
-                            encode_answer(answer.matches, order, answer.expanded)
+                            encode_answer_table(
+                                answer.table, order, answer.expanded
+                            )
                         )
-                        tuples += len(answer.matches)
+                        tuples += len(answer.table)
                     cell[strategy] = (seconds, out_bytes, tuples)
                 raw[(dataset_name, k)] = cell
                 rows.append(

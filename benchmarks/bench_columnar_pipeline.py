@@ -1,8 +1,7 @@
-"""Columnar pipeline A/B/C: dict vs tuple-row vs vector kernels.
+"""Columnar pipeline A/B: tuple-row vs vector kernels.
 
-Not a paper figure — this measures the representation changes behind
-the ``MatchTable`` pipeline (ISSUE 5 introduced the tuple-row tables,
-ISSUE 10 the flat int64 columns + vector kernels).  The timed segment
+Not a paper figure — this measures the layout choice inside the
+``MatchTable`` pipeline (``repro.matching.vec``).  The timed segment
 is the whole per-query pipeline downstream of decomposition, broken
 into the four phases the vectorization targets:
 
@@ -15,51 +14,49 @@ into the four phases the vectorization targets:
 * ``filter`` — Algorithm 3 (bulk CSR membership tests on the vector
   arm).
 
-Three arms, all asserted bit-identical:
+Two arms, asserted bit-identical — the two layouts production selects
+between:
 
-* ``legacy`` — the dict kernels (``match_star``,
-  ``join_star_matches_legacy``, ``expand_rin``, ``ClientFilter.filter``);
 * ``tuple``  — the table pipeline pinned to tuple rows via
   ``vec.override("rows")``;
 * ``vector`` — the table pipeline in serving (``auto``) mode: flat
   columns + numpy kernels where profitable, the tuple kernels below
   ``MIN_VECTOR_ROWS`` or without numpy.
 
-Two cells:
+Two cells, one on each side of that selection:
 
 * ``workload`` — the parallel-engine benchmark workload (DBpedia, EFF,
   k=3, |E(Q)|=6).  Label selectivity keeps candidate sets tiny there,
-  so per-query setup dominates; the gate is the regression bound
-  "vector is never slower than 0.9x legacy".
+  so ``auto`` stays on the tuple kernels; the gate is the regression
+  bound "vector is never slower than 0.9x tuple".
 * ``dense``    — a fixed-seed low-selectivity deployment where the
   join materializes tens of thousands of intermediate rows, i.e. the
-  regime the vector kernels target.  Gate: >= 6x with numpy (>= 2x on
-  the array('q') fallback, where only the storage changes).
+  regime the vector kernels target.  Gate: >= 2.5x with numpy (>= 0.9x
+  on the array('q') fallback, where only the storage changes).
 
 The report cell writes both measurements — including the per-phase
-breakdown of every arm — to ``BENCH_columnar.json`` at the repo root.
+breakdown of both arms and the host they were taken on — to
+``BENCH_columnar.json`` at the repo root.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import platform
+import subprocess
 import time
 from pathlib import Path
 from statistics import median
 
-from conftest import bench_queries
+from conftest import bench_queries, bench_scale
 
 from repro.anonymize import estimator_from_outsourced
 from repro.bench import format_table, ms, print_report
-from repro.client.expansion import expand_rin, expand_rin_table
+from repro.client.expansion import expand_rin_table
 from repro.client.filtering import ClientFilter
-from repro.cloud import (
-    CloudIndex,
-    decompose_query,
-    join_star_matches_legacy,
-    join_star_tables,
-)
-from repro.cloud.star_matching import match_star, match_star_table
+from repro.cloud import CloudIndex, decompose_query, join_star_tables
+from repro.cloud.star_matching import match_star_table
 from repro.graph import make_schema, random_attributed_graph
 from repro.kauto import build_k_automorphic_graph
 from repro.matching import vec
@@ -77,10 +74,10 @@ WORKLOAD_REPEATS = 25
 DENSE = dict(seed=7, n=200, edges_per_vertex=3, k=3, query_edges=3, labels=2)
 DENSE_BUDGET = 2_000_000
 PHASES = ("match", "join", "expand", "filter")
-#: Dense-cell gate: the vector kernels must clear 6x over the dict
-#: pipeline; without numpy only the flat storage remains, so the bar is
-#: the tuple-representation one.
-DENSE_GATE = 6.0 if vec.HAVE_NUMPY else 2.0
+#: Dense-cell gate: the vector kernels must clear 2.5x over the tuple
+#: rows (3.9x when this gate was set); without numpy only the flat
+#: storage remains, so the bar is "no regression".
+DENSE_GATE = 2.5 if vec.HAVE_NUMPY else 0.9
 WORKLOAD_GATE = 0.9
 RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_columnar.json"
 
@@ -149,48 +146,11 @@ def _dense_cells():
     ]
 
 
-def _run_legacy(cells):
-    """The dict-kernel pipeline, timed per phase."""
-    phases = dict.fromkeys(PHASES, 0.0)
-    results = []
-    clock = time.perf_counter
-    for cell in cells:
-        t0 = clock()
-        matches = {
-            star.center: match_star(
-                cell["anonymized"],
-                star,
-                cell["index"],
-                cell["data"],
-                max_results=cell["budget"],
-            )
-            for star in cell["stars"]
-        }
-        t1 = clock()
-        rin, _ = join_star_matches_legacy(
-            cell["stars"],
-            matches,
-            cell["avt"],
-            max_intermediate=cell["budget"],
-        )
-        t2 = clock()
-        candidates = expand_rin(rin, cell["client_avt"]).matches
-        t3 = clock()
-        filtered = ClientFilter(cell["graph"], cell["query"]).filter(candidates)
-        t4 = clock()
-        phases["match"] += t1 - t0
-        phases["join"] += t2 - t1
-        phases["expand"] += t3 - t2
-        phases["filter"] += t4 - t3
-        results.append(filtered.matches)
-    return phases, results
-
-
 def _run_tables(cells):
     """The table pipeline under the *active* vec mode, timed per phase.
 
-    The closing ``to_matches`` adapter (needed only to compare against
-    the dict arm) runs outside the timed phases.
+    The closing ``to_matches`` adapter (the system boundary's dict
+    form, used here to compare the arms) runs outside the timed phases.
     """
     phases = dict.fromkeys(PHASES, 0.0)
     tables = []
@@ -235,22 +195,18 @@ def _run_tuple(cells):
 
 
 def _ab(cells, repeats=REPEATS) -> dict:
-    """Interleaved rounds; speedups are medians of per-round ratios.
+    """Interleaved rounds; the speedup is the median of per-round ratios.
 
-    The three arms run back-to-back within every round (not in three
+    The two arms run back-to-back within every round (not in two
     separate windows), so slow drift — thermal throttling, frequency
     scaling, cache state — biases them equally instead of penalizing
     whichever arm runs last.  The reported speedup is the **median**
-    over rounds of the round's ``legacy/vector`` ratio: pairing the
+    over rounds of the round's ``tuple/vector`` ratio: pairing the
     ratios per round cancels the drift, and the median is robust to a
     single noisy round in a way a ratio of two best-of minima is not.
     The per-phase breakdown comes from each arm's best round.
     """
-    arms = (
-        ("legacy", _run_legacy),
-        ("tuple", _run_tuple),
-        ("vector", _run_tables),
-    )
+    arms = (("tuple", _run_tuple), ("vector", _run_tables))
     best: dict = {}
     results: dict = {}
     totals: dict = {name: [] for name, _ in arms}
@@ -262,56 +218,63 @@ def _ab(cells, repeats=REPEATS) -> dict:
                 best[name].values()
             ):
                 best[name], results[name] = phases, pass_results
-    legacy_phases, legacy_results = best["legacy"], results["legacy"]
-    tuple_phases, tuple_results = best["tuple"], results["tuple"]
-    vector_phases, vector_results = best["vector"], results["vector"]
-    assert tuple_results == legacy_results
-    assert vector_results == legacy_results
-    legacy_seconds = sum(legacy_phases.values())
-    tuple_seconds = sum(tuple_phases.values())
-    vector_seconds = sum(vector_phases.values())
+    assert results["vector"] == results["tuple"]
     return {
         "queries": len(cells),
-        "legacy_seconds": legacy_seconds,
-        "tuple_seconds": tuple_seconds,
-        "vector_seconds": vector_seconds,
+        "tuple_seconds": sum(best["tuple"].values()),
+        "vector_seconds": sum(best["vector"].values()),
         "speedup": round(
             median(
-                lg / vc
-                for lg, vc in zip(totals["legacy"], totals["vector"])
-            ),
-            3,
-        ),
-        "tuple_speedup": round(
-            median(
-                lg / tp
-                for lg, tp in zip(totals["legacy"], totals["tuple"])
+                tp / vc for tp, vc in zip(totals["tuple"], totals["vector"])
             ),
             3,
         ),
         "phases": {
-            "legacy": {p: round(legacy_phases[p], 6) for p in PHASES},
-            "tuple": {p: round(tuple_phases[p], 6) for p in PHASES},
-            "vector": {p: round(vector_phases[p], 6) for p in PHASES},
+            arm: {p: round(best[arm][p], 6) for p in PHASES}
+            for arm in ("tuple", "vector")
         },
-        "exact_matches": sum(len(r) for r in legacy_results),
+        "exact_matches": sum(len(r) for r in results["tuple"]),
         "bit_identical": True,
     }
 
 
+def _host() -> dict:
+    """Where the numbers were taken (the BENCH_*.json host block)."""
+    try:
+        import numpy
+
+        numpy_version: str | None = numpy.__version__
+    except ImportError:
+        numpy_version = None
+    try:
+        commit: str | None = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=RESULT_PATH.parent,
+            capture_output=True,
+            text=True,
+            timeout=10,
+            check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.SubprocessError):
+        commit = None
+    return {
+        "cores": len(os.sched_getaffinity(0)),
+        "python": platform.python_version(),
+        "numpy": numpy_version,
+        "scale": bench_scale(),
+        "commit": commit,
+    }
+
+
 def test_workload_bit_identical(sweep):
-    """All three arms return exactly the same R(Q, G) for every query."""
+    """Both arms return exactly the same R(Q, G) for every query."""
     cells = _workload_cells(sweep)
-    _, legacy = _run_legacy(cells)
-    assert _run_tuple(cells)[1] == legacy
-    assert _run_tables(cells)[1] == legacy
+    assert _run_tables(cells)[1] == _run_tuple(cells)[1]
 
 
 def test_dense_bit_identical():
     cells = _dense_cells()
-    _, legacy = _run_legacy(cells)
-    assert _run_tuple(cells)[1] == legacy
-    assert _run_tables(cells)[1] == legacy
+    assert _run_tables(cells)[1] == _run_tuple(cells)[1]
 
 
 def test_columnar_join_cell(benchmark):
@@ -321,8 +284,8 @@ def test_columnar_join_cell(benchmark):
     assert results and results[0]
 
 
-def test_report_columnar_vs_legacy(sweep):
-    """A/B/C report + ``BENCH_columnar.json``; the CI perf-smoke gate."""
+def test_report_tuple_vs_vector(sweep):
+    """A/B report + ``BENCH_columnar.json``; the CI perf-smoke gate."""
     measured = {
         "workload": _ab(_workload_cells(sweep), repeats=WORKLOAD_REPEATS),
         "dense": _ab(_dense_cells()),
@@ -333,7 +296,6 @@ def test_report_columnar_vs_legacy(sweep):
             [
                 name,
                 cell["queries"],
-                ms(cell["legacy_seconds"]),
                 ms(cell["tuple_seconds"]),
                 ms(cell["vector_seconds"]),
                 f"{cell['speedup']:.2f}x",
@@ -342,11 +304,10 @@ def test_report_columnar_vs_legacy(sweep):
         )
     print_report(
         format_table(
-            ["cell", "queries", "dict ms", "tuple ms", "vector ms", "speedup",
-             "exact"],
+            ["cell", "queries", "tuple ms", "vector ms", "speedup", "exact"],
             rows,
             title=(
-                "match+join+expansion+filter A/B/C — "
+                "match+join+expansion+filter A/B — "
                 f"workload: {DATASET}/{METHOD} k={K} |E(Q)|={EDGES}; "
                 f"dense: n={DENSE['n']} k={DENSE['k']} seed={DENSE['seed']}; "
                 f"best of {REPEATS}; backend={vec.backend()}"
@@ -356,7 +317,7 @@ def test_report_columnar_vs_legacy(sweep):
     phase_rows = [
         [name, arm] + [ms(cell["phases"][arm][p]) for p in PHASES]
         for name, cell in measured.items()
-        for arm in ("legacy", "tuple", "vector")
+        for arm in ("tuple", "vector")
     ]
     print_report(
         format_table(
@@ -371,8 +332,8 @@ def test_report_columnar_vs_legacy(sweep):
             {
                 "segment": "match+join+expansion+filter",
                 "repeats": REPEATS,
+                "host": _host(),
                 "backend": vec.backend(),
-                "numpy": vec.HAVE_NUMPY,
                 "bit_identical": True,
                 "speedup": measured["dense"]["speedup"],
                 "gates": {
@@ -396,7 +357,7 @@ def test_report_columnar_vs_legacy(sweep):
     )
 
     # CI perf-smoke gates: the regression bound on the selective
-    # workload (vector never below 0.9x of the dict pipeline) and the
+    # workload (auto never below 0.9x of the pinned tuple rows) and the
     # target in the dense-candidate regime the vector kernels exist for.
     assert measured["workload"]["speedup"] >= WORKLOAD_GATE, (
         f"vector arm regressed on the workload cell: {measured}"

@@ -14,7 +14,7 @@ CELLS = [(3, 6), (3, 12), (5, 6), (5, 12)]  # (k, |E(Q)|) as in the paper
 
 def test_star_matching_phase_k3_e6(benchmark, sweep):
     """Timed cell: the star matching phase alone."""
-    from repro.cloud import match_all_stars
+    from repro.cloud import match_star_table
     from repro.cloud.decomposition import decompose_query
 
     system = sweep.system("Web-NotreDame", "EFF", 3)
@@ -23,12 +23,15 @@ def test_star_matching_phase_k3_e6(benchmark, sweep):
     decomposition = decompose_query(anonymized, system.cloud.estimator)
 
     def run():
-        return match_all_stars(
-            anonymized, decomposition.stars, system.cloud.index, system.cloud.graph
-        )
+        return [
+            match_star_table(
+                anonymized, star, system.cloud.index, system.cloud.graph
+            )
+            for star in decomposition.stars
+        ]
 
-    results, stats = benchmark(run)
-    assert stats.total_results >= 0
+    tables = benchmark(run)
+    assert len(tables) == len(decomposition.stars)
 
 
 def test_report_fig18_star_matching_time(benchmark, sweep):

@@ -20,7 +20,7 @@ def test_client_phase_k3_e6(benchmark, sweep):
     answer = system.cloud.answer(system.client.prepare_query(query))
 
     def run():
-        return system.client.process_answer(query, answer.matches, answer.expanded)
+        return system.client.process_answer(query, answer.table, answer.expanded)
 
     result = benchmark(run)
     assert len(result.matches) == outcome.metrics.result_count

@@ -14,14 +14,16 @@ CELLS = [(2, 6), (2, 12), (3, 6), (3, 12), (5, 6), (5, 12)]
 
 def test_answer_encoding(benchmark, sweep):
     """Timed cell: serializing one answer for the wire."""
-    from repro.core.protocol import encode_answer
+    from repro.core.protocol import encode_answer_table
 
     system = sweep.system("Web-NotreDame", "EFF", 3)
     query = sweep.context("Web-NotreDame").workload(6, 1)[0]
     answer = system.cloud.answer(system.client.prepare_query(query))
     order = sorted(query.vertex_ids())
 
-    payload = benchmark(lambda: encode_answer(answer.matches, order, answer.expanded))
+    payload = benchmark(
+        lambda: encode_answer_table(answer.table, order, answer.expanded)
+    )
     assert len(payload) > 0
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import pytest
 
 from repro.bench import ExperimentContext
-from repro.core.metrics import AggregatedMetrics
+from repro.obs.views import AggregatedMetrics
 
 DEFAULT_SCALE = 0.25
 DEFAULT_QUERIES = 10

@@ -12,7 +12,7 @@ Run:  python examples/dynamic_social_graph.py
 """
 
 from repro.anonymize import anonymize_query, build_lct, cost_based_grouping
-from repro.client import expand_rin, filter_candidates
+from repro.client import ClientFilter, expand_rin_table
 from repro.cloud import CloudServer
 from repro.graph import compute_statistics, example_social_network
 from repro.kauto import build_k_automorphic_graph, verify_k_automorphism
@@ -38,11 +38,11 @@ def answer(release, pattern_text):
     outsourced = release.refresh_outsourced()
     cloud = CloudServer(outsourced.graph, release.avt, outsourced.block_vertices)
     cloud_answer = cloud.answer(anonymize_query(parsed.graph, release.lct))
-    expanded = expand_rin(cloud_answer.matches, release.avt)
-    result = filter_candidates(expanded.matches, release.original, parsed.graph)
+    candidates = expand_rin_table(cloud_answer.table, release.avt).table
+    exact = ClientFilter(release.original, parsed.graph).filter_table(candidates)
     oracle = find_subgraph_matches(parsed.graph, release.original)
-    assert len(result.matches) == len(oracle), "pipeline must stay exact"
-    return result.matches
+    assert len(exact.table) == len(oracle), "pipeline must stay exact"
+    return exact.table.to_matches()
 
 
 def main() -> None:
@@ -91,12 +91,12 @@ def main() -> None:
         "(the cloud re-indexed in place)"
     )
     parsed = parse_pattern(COLLEAGUE_COUPLE)
-    candidates = cloud.answer(anonymize_query(parsed.graph, release.lct))
-    expanded = expand_rin(candidates.matches, release.avt)
-    exact = filter_candidates(expanded.matches, release.original, parsed.graph)
+    rin = cloud.answer(anonymize_query(parsed.graph, release.lct)).table
+    candidates = expand_rin_table(rin, release.avt).table
+    exact = ClientFilter(release.original, parsed.graph).filter_table(candidates)
     oracle = find_subgraph_matches(parsed.graph, release.original)
-    assert len(exact.matches) == len(oracle)
-    print(f"  married colleagues now:          {len(exact.matches)}")
+    assert len(exact.table) == len(oracle)
+    print(f"  married colleagues now:          {len(exact.table)}")
 
     print("\nevery answer above was verified exact against the private graph.")
 

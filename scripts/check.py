@@ -40,8 +40,8 @@ STEPS: list[tuple[str, list[str], str | None]] = [
     (
         # picks up new rules and the checked-in .lint-baseline.json
         # automatically (cwd is the repo root); gates on severity>=error
-        "repro lint (invariants R1-R8: imports, names, locks, hot path, "
-        "deprecations, taint, async, protocol)",
+        "repro lint (invariants R1-R4, R6-R8: imports, names, locks, "
+        "hot path, taint, async, protocol)",
         [
             sys.executable,
             "-m",

@@ -24,9 +24,6 @@ metrics*.  This package machine-checks them on every commit:
     anything ``@hot_path``) must not serialize, log, ``repr()`` or
     build f-strings per loop iteration
     (:mod:`repro.analysis.rules.hot_path`).
-``R5`` no-internal-deprecated
-    ``src/`` must not use the names shimmed in :mod:`repro.compat`
-    (:mod:`repro.analysis.rules.deprecated`).
 ``R6`` privacy-taint
     Per-module taint dataflow: plaintext labels, the original graph,
     credentials and gateway-internal error text must never flow into a

@@ -43,7 +43,6 @@ LAYERS: dict[str, tuple[str, ...]] = {
         "repro.core.protocol",  # the wire the cloud legitimately sees
         "repro.outsource",  # Go + delta structures the owner uploads
         "repro.exceptions",  # shared error taxonomy (no data)
-        "repro.compat",  # deprecation shim helper (no data)
         "repro.analysis.markers",  # dependency-free lint markers
     ),
     # The serving gateway runs *on the cloud side* of the trust
@@ -65,7 +64,6 @@ LAYERS: dict[str, tuple[str, ...]] = {
         "repro.core.options",  # per-call knobs (no graph data)
         "repro.outsource",
         "repro.exceptions",
-        "repro.compat",
         "repro.analysis.markers",
     ),
 }
@@ -203,7 +201,6 @@ TAINT_SANITIZERS: dict[str, str] = {
     "anonymize_query": "query anonymization (Q -> Qo)",
     # AVT remapping: vertex ids -> alignment-table images (Section 5)
     "remap_rows": "AVT row remap",
-    "apply_to_match": "AVT match remap",
     "to_block_anchor": "AVT block anchor",
     # k-automorphism publication: G -> Gk/Go
     "build_kauto": "k-automorphic transformation",

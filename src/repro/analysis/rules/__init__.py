@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from repro.analysis.rules.async_safety import AsyncSafetyRule
 from repro.analysis.rules.canonical_names import CanonicalNamesRule
-from repro.analysis.rules.deprecated import NoInternalDeprecatedRule
 from repro.analysis.rules.hot_path import HotPathRule
 from repro.analysis.rules.lock_discipline import LockDisciplineRule
 from repro.analysis.rules.privacy_taint import PrivacyTaintRule
@@ -24,7 +23,6 @@ ALL_RULES = [
     CanonicalNamesRule,
     LockDisciplineRule,
     HotPathRule,
-    NoInternalDeprecatedRule,
     PrivacyTaintRule,
     AsyncSafetyRule,
     ProtocolInvariantsRule,
@@ -36,7 +34,6 @@ __all__ = [
     "CanonicalNamesRule",
     "HotPathRule",
     "LockDisciplineRule",
-    "NoInternalDeprecatedRule",
     "PrivacyTaintRule",
     "ProtocolInvariantsRule",
     "TrustBoundaryRule",

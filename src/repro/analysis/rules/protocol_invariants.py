@@ -33,15 +33,12 @@ from repro.core.protocol import FRAME_KINDS
 #: Keep in sync with ``DECODERS`` in ``tests/test_protocol_malformed.py``
 #: (the registry-sync test asserts exact equality with both).
 CODEC_TABLE: tuple[str, ...] = (
-    "answer",
-    "answer_batch",
     "answer_table",
     "gateway_answer",
     "gateway_hello",
     "gateway_reject",
     "gateway_request",
     "query",
-    "query_batch",
     "shard_request",
     "shard_tables",
     "trace_context",

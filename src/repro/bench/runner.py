@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass, field
 
 from repro.core.config import MethodConfig, SystemConfig
-from repro.core.metrics import AggregatedMetrics
+from repro.obs.views import AggregatedMetrics
 from repro.core.system import PrivacyPreservingSystem
 from repro.exceptions import ResultBudgetExceeded
 from repro.graph.attributed import AttributedGraph

@@ -133,7 +133,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         anonymized = client.prepare_query(query, obs=scope)
         answer = cloud.answer(anonymized, obs=scope)
         outcome = client.process_answer(
-            query, answer.results, answer.expanded, obs=scope
+            query, answer.table, answer.expanded, obs=scope
         )
     print(
         json.dumps(
@@ -201,7 +201,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
     results = []
     for query, answer in zip(queries, answers):
-        outcome = client.process_answer(query, answer.results, answer.expanded)
+        outcome = client.process_answer(query, answer.table, answer.expanded)
         results.append(
             {
                 "matches": len(outcome.matches),
@@ -490,7 +490,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 anonymized = client.prepare_query(query, obs=scope)
                 answer = cloud.answer(anonymized, obs=scope)
                 outcome = client.process_answer(
-                    query, answer.results, answer.expanded, obs=scope
+                    query, answer.table, answer.expanded, obs=scope
                 )
             obs.metrics.counter(
                 names.M_QUERIES, help="Queries answered end to end."
@@ -672,7 +672,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
             anonymized = client.prepare_query(query, obs=scope)
             answer = cloud.answer(anonymized, obs=scope)
             client.process_answer(
-                query, answer.results, answer.expanded, obs=scope
+                query, answer.table, answer.expanded, obs=scope
             )
         cloud.close()
         trace, query_id = scope.tracer.take_trace(), scope.query_id
@@ -757,7 +757,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
                     anonymized = client.prepare_query(query, obs=scope)
                     answer = cloud.answer(anonymized, obs=scope)
                     outcome = client.process_answer(
-                        query, answer.results, answer.expanded, obs=scope
+                        query, answer.table, answer.expanded, obs=scope
                     )
                 trace = scope.tracer.take_trace()
                 outcomes.append(

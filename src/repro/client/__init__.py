@@ -1,12 +1,11 @@
 """Client-side result processing (Algorithm 3)."""
 
-from repro.client.expansion import ExpansionResult, expand_rin
-from repro.client.filtering import ClientFilter, FilterResult, filter_candidates
+from repro.client.expansion import TableExpansionResult, expand_rin_table
+from repro.client.filtering import ClientFilter, TableFilterResult
 
 __all__ = [
-    "expand_rin",
-    "ExpansionResult",
+    "expand_rin_table",
+    "TableExpansionResult",
     "ClientFilter",
-    "filter_candidates",
-    "FilterResult",
+    "TableFilterResult",
 ]

@@ -16,21 +16,12 @@ from dataclasses import dataclass
 
 from repro.analysis.markers import hot_path
 from repro.kauto.avt import AlignmentVertexTable
-from repro.matching.match import Match, dedupe_matches
 from repro.matching.table import MatchTable
 
 
 @dataclass
-class ExpansionResult:
-    matches: list[Match]
-    seconds: float
-    rin_size: int
-    rout_size: int
-
-
-@dataclass
 class TableExpansionResult:
-    """Columnar counterpart of :class:`ExpansionResult`."""
+    """``R(Qo, Gk)`` as a table, with the expansion's timing and sizes."""
 
     table: MatchTable
     seconds: float
@@ -42,45 +33,24 @@ class TableExpansionResult:
 def expand_rin_table(
     rin: MatchTable, avt: AlignmentVertexTable
 ) -> TableExpansionResult:
-    """Columnar Lines 1-5: ``Rin ∪ F_1(Rin) ∪ ... ∪ F_{k-1}(Rin)``.
+    """Lines 1-5: ``R(Qo, Gk) = Rin ∪ F_1(Rin) ∪ ... ∪ F_{k-1}(Rin)``.
 
     The automorphic functions are applied as per-shift id-lookup remaps
     over the row columns — with the vector backend, one dense-LUT
     gather per column per shift and a single first-seen dedupe pass
     (see :meth:`~repro.kauto.avt.AlignmentVertexTable
     .expand_known_table`) — and dedupe keys are the row tuples
-    themselves; no per-match dict builds or ``match_key`` sorts.  The
-    surviving rows equal :func:`expand_rin` of the same matches, in
-    the same order; unknown vertex ids are dropped up front exactly as
-    there.
+    themselves.
+
+    Rows referencing vertices unknown to the AVT are dropped up front:
+    an honest cloud never produces them (every ``Go`` vertex is in the
+    AVT), so they can only come from corruption or tampering and could
+    never survive the client filter anyway.
     """
     started = time.perf_counter()
     full = avt.expand_known_table(rin)
     return TableExpansionResult(
         table=full,
-        seconds=time.perf_counter() - started,
-        rin_size=len(rin),
-        rout_size=len(full) - len(rin),
-    )
-
-
-def expand_rin(rin: list[Match], avt: AlignmentVertexTable) -> ExpansionResult:
-    """``R(Qo, Gk) = Rin ∪ F_1(Rin) ∪ ... ∪ F_{k-1}(Rin)``.
-
-    Matches referencing vertices unknown to the AVT are dropped up
-    front: an honest cloud never produces them (every ``Go`` vertex is
-    in the AVT), so they can only come from corruption or tampering and
-    could never survive the client filter anyway.
-    """
-    started = time.perf_counter()
-    usable = [match for match in rin if all(v in avt for v in match.values())]
-    expanded: list[Match] = list(usable)
-    for m in range(1, avt.k):
-        for match in usable:
-            expanded.append(avt.apply_to_match(match, m))
-    full = dedupe_matches(expanded)
-    return ExpansionResult(
-        matches=full,
         seconds=time.perf_counter() - started,
         rin_size=len(rin),
         rout_size=len(full) - len(rin),

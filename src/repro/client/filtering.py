@@ -23,27 +23,12 @@ from repro.analysis.markers import hot_path
 from repro.cloud.index import GraphCSR
 from repro.graph.attributed import AttributedGraph, VertexData
 from repro.matching import vec
-from repro.matching.match import Match
 from repro.matching.table import MatchTable, Row
 
 
 @dataclass
-class FilterResult:
-    matches: list[Match]
-    seconds: float
-    candidates: int
-    dropped_vertex: int = 0
-    dropped_edge: int = 0
-    dropped_label: int = 0
-
-    @property
-    def dropped(self) -> int:
-        return self.dropped_vertex + self.dropped_edge + self.dropped_label
-
-
-@dataclass
 class TableFilterResult:
-    """Columnar counterpart of :class:`FilterResult`."""
+    """The exact matches as a table, with the per-check drop counters."""
 
     table: MatchTable
     seconds: float
@@ -93,65 +78,22 @@ class ClientFilter:
             return True
         return n_rows >= 256 and n_rows * 4 >= self.graph.vertex_count
 
-    def filter(self, candidates: list[Match], limit: int | None = None) -> FilterResult:
-        """Keep exactly the candidates that are matches of Q over G.
-
-        ``limit`` stops the scan once that many true matches are found
-        (top-``limit`` queries pay for only part of the candidate set).
-        """
-        started = time.perf_counter()
-        graph = self.graph
-        query = self.query
-        vertex_set = self._vertex_set
-        kept: list[Match] = []
-        dropped_vertex = dropped_edge = dropped_label = 0
-
-        for match in candidates:
-            if limit is not None and len(kept) >= limit:
-                break
-            # Lines 9-12: every matched vertex must exist in G.
-            if any(v not in vertex_set for v in match.values()):
-                dropped_vertex += 1
-                continue
-            # Lines 15-18: every query edge must exist in G.
-            if any(
-                not graph.has_edge(match[q1], match[q2])
-                for q1, q2 in self._query_edges
-            ):
-                dropped_edge += 1
-                continue
-            # Lines 21-22: exact (raw) label containment against Q.
-            if any(
-                not query.vertex(q).matches(graph.vertex(v))
-                for q, v in match.items()
-            ):
-                dropped_label += 1
-                continue
-            kept.append(match)
-
-        return FilterResult(
-            matches=kept,
-            seconds=time.perf_counter() - started,
-            candidates=len(candidates),
-            dropped_vertex=dropped_vertex,
-            dropped_edge=dropped_edge,
-            dropped_label=dropped_label,
-        )
-
     @hot_path
     def filter_table(
         self, candidates: MatchTable, limit: int | None = None
     ) -> TableFilterResult:
-        """Columnar Lines 6-23: scan rows with positional checks.
+        """Lines 6-23: keep exactly the rows that are matches of Q over G.
 
         The query's edges become precomputed ``(column, column)`` index
         pairs, and the exact-label containment per column is memoized
         across rows (label groups revisit the same data vertices), so
         the per-row work is a membership test per value, a ``has_edge``
-        per query edge, and a dict hit per column.  Kept rows — and the
-        three drop counters — are identical to :meth:`filter` on the
-        dict form of the same table, with the same drop priority
-        (vertex, then edge, then label).
+        per query edge, and a dict hit per column.  A dropped row is
+        counted once, under the first check it fails (vertex, then
+        edge, then label).
+
+        ``limit`` stops the scan once that many true matches are found
+        (top-``limit`` queries pay for only part of the candidate set).
         """
         started = time.perf_counter()
         graph = self.graph
@@ -307,12 +249,3 @@ class ClientFilter:
             candidates.schema, kept_cols, int(passes.sum())
         )
         return table, dropped_vertex, dropped_edge, dropped_label
-
-
-def filter_candidates(
-    candidates: list[Match],
-    original_graph: AttributedGraph,
-    original_query: AttributedGraph,
-) -> FilterResult:
-    """One-shot convenience wrapper around :class:`ClientFilter`."""
-    return ClientFilter(original_graph, original_query).filter(candidates)

@@ -6,10 +6,7 @@ from repro.cloud.index import CloudIndex
 from repro.cloud.parallel import BACKENDS, fork_available, map_batch
 from repro.cloud.result_join import (
     JoinStats,
-    expand_star_matches,
     expand_star_table,
-    join_star_matches,
-    join_star_matches_legacy,
     join_star_tables,
 )
 from repro.cloud.server import CloudAnswer, CloudServer
@@ -20,12 +17,7 @@ from repro.cloud.sharding import (
     build_shards,
     merge_star_tables,
 )
-from repro.cloud.star_matching import (
-    StarMatchStats,
-    match_all_stars,
-    match_star,
-    match_star_table,
-)
+from repro.cloud.star_matching import StarMatchStats, match_star_table
 from repro.cloud.vertex_cover import (
     cover_cost,
     greedy_weighted_vertex_cover,
@@ -49,14 +41,9 @@ __all__ = [
     "merge_star_tables",
     "decompose_query",
     "estimate_all_stars",
-    "match_star",
     "match_star_table",
-    "match_all_stars",
     "StarMatchStats",
-    "join_star_matches",
-    "join_star_matches_legacy",
     "join_star_tables",
-    "expand_star_matches",
     "expand_star_table",
     "JoinStats",
     "minimum_weighted_vertex_cover",

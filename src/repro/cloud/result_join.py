@@ -10,23 +10,12 @@ output ``Rin`` therefore contains exactly the matches of
 matches (``Rout``) are recovered later by applying ``F_1..F_{k-1}``
 (Theorem 3), avoiding ``k-1`` redundant join passes.
 
-Two implementations share the Algorithm-2 control flow (anchor
-selection, overlap-driven join order, budget enforcement):
-
-* :func:`join_star_tables` — the **columnar** hash join the serving
-  path uses.  Star results arrive as
-  :class:`~repro.matching.table.MatchTable`\\ s; join keys are extracted
-  positionally (:func:`~repro.matching.table.row_getter`), expansion is
-  the AVT's column-wise id remap, injectivity is decided from
-  precomputed per-row flags plus one ``isdisjoint`` per candidate pair
-  (no dict merges, no ``set(match.values())`` rebuilds), and dedupe
-  keys are the row tuples themselves.
-* :func:`join_star_matches_legacy` — the dict-based reference path,
-  kept for the ablation/A-B benchmarks.  It produces results equal to
-  the columnar path (same matches, same order).
-
-The public dict API :func:`join_star_matches` is a thin boundary
-adapter over the columnar kernel.
+:func:`join_star_tables` is a columnar hash join.  Star results
+arrive as :class:`~repro.matching.table.MatchTable`\\ s; join keys are
+extracted positionally (:func:`~repro.matching.table.row_getter`),
+expansion is the AVT's column-wise id remap, injectivity is decided
+from precomputed per-row flags plus one ``isdisjoint`` per candidate
+pair, and dedupe keys are the row tuples themselves.
 """
 
 from __future__ import annotations
@@ -39,7 +28,6 @@ from repro.analysis.markers import hot_path
 from repro.exceptions import QueryError, ResultBudgetExceeded
 from repro.kauto.avt import AlignmentVertexTable
 from repro.matching import vec
-from repro.matching.match import Match, dedupe_matches, is_injective
 from repro.matching.star import Star
 from repro.matching.table import MatchTable, Row, dedupe_rows, row_getter
 
@@ -58,9 +46,6 @@ class JoinStats:
     rin_size: int = 0
 
 
-# ----------------------------------------------------------------------
-# columnar kernels (serving path)
-# ----------------------------------------------------------------------
 @hot_path
 def expand_star_table(
     table: MatchTable, avt: AlignmentVertexTable
@@ -69,8 +54,7 @@ def expand_star_table(
 
     The AVT remap is a flat per-shift id lookup applied column-wise;
     under a fixed schema the row tuple is already the canonical dedupe
-    key, so no per-match sort is performed.  Output rows equal
-    :func:`expand_star_matches` of the same matches, in the same order.
+    key, so no per-match sort is performed.
 
     With the vector backend each ``F_m`` is one LUT gather over every
     column and the dedupe one first-seen pass; ids unknown to the AVT
@@ -129,7 +113,7 @@ def _hash_join_rows(
     out_schema: tuple[int, ...],
     budget: int | None,
 ) -> MatchTable:
-    """The tuple-row join kernel (reference path)."""
+    """The tuple-row join kernel."""
     left_key = row_getter([left.column_of(q) for q in shared])
     right_key = row_getter([right.column_of(q) for q in shared])
     new_vals_of = row_getter(
@@ -137,7 +121,7 @@ def _hash_join_rows(
     )
 
     # bucket the right side once: key -> [(new values, injective?), ...]
-    # in row order, so emission order matches the legacy nested loops
+    # in row order, so emission is left order then right row order
     buckets: dict[Row, list[tuple[Row, bool]]] = {}
     setdefault = buckets.setdefault
     right_rows = right.rows
@@ -191,7 +175,7 @@ def _hash_join_columns(
 ) -> MatchTable | None:
     """The flat-column join kernel, or ``None`` when inapplicable.
 
-    The legacy bucket map becomes a stable argsort of packed right
+    The tuple kernel's bucket map becomes a stable argsort of packed right
     keys plus a ``searchsorted`` range per left key; the per-pair
     injectivity test becomes per-row distinctness flags plus a chunked
     broadcast disjointness mask.  ``None`` when the key values are
@@ -284,10 +268,7 @@ def join_star_tables(
     ``star_tables`` maps each star's center to its
     :func:`~repro.cloud.star_matching.match_star_table` result; the
     output table's schema is the anchor star's columns followed by each
-    joined star's new columns in join order.  Rows (viewed as
-    query-vertex → data-vertex mappings) are identical to
-    :func:`join_star_matches_legacy` on the same inputs, in the same
-    order.
+    joined star's new columns in join order.
 
     ``expand=False`` joins the star results as-is — used by the BAS
     baseline whose star matches already range over the full ``Gk``
@@ -351,154 +332,6 @@ def join_star_tables(
             break
 
     rin = current.deduped()
-    stats.rin_size = len(rin)
-    stats.seconds = time.perf_counter() - started
-    return rin, stats
-
-
-def join_star_matches(
-    stars: list[Star],
-    star_matches: dict[int, list[Match]],
-    avt: AlignmentVertexTable,
-    expand: bool = True,
-    max_intermediate: int | None = None,
-    expand_anchor: bool = False,
-) -> tuple[list[Match], JoinStats]:
-    """Algorithm 2 with the dict-based ``Match`` API (boundary adapter).
-
-    Tabulates each star's matches (columns in ``star.vertex_order``),
-    runs the columnar :func:`join_star_tables`, and converts the result
-    back to fresh dicts.  Output matches — and their order — equal
-    :func:`join_star_matches_legacy`; only the internal representation
-    differs.  See :func:`join_star_tables` for the parameter and
-    concurrency contracts.
-    """
-    if not stars:
-        raise QueryError("cannot join an empty decomposition")
-    missing = [s.center for s in stars if s.center not in star_matches]
-    if missing:
-        raise QueryError(f"star matches missing for centers {missing}")
-    tables = {
-        star.center: MatchTable.from_matches(
-            star_matches[star.center], star.vertex_order
-        )
-        for star in stars
-    }
-    rin, stats = join_star_tables(
-        stars,
-        tables,
-        avt,
-        expand=expand,
-        max_intermediate=max_intermediate,
-        expand_anchor=expand_anchor,
-    )
-    return rin.to_matches(), stats
-
-
-# ----------------------------------------------------------------------
-# dict-based reference path (ablation / A-B benchmarks)
-# ----------------------------------------------------------------------
-def expand_star_matches(
-    matches: list[Match],
-    avt: AlignmentVertexTable,
-) -> list[Match]:
-    """``R(S, Gk) = ∪_m F_m(R(S, Go))`` (Lines 5-8 of Algorithm 2)."""
-    return dedupe_matches(avt.expand_matches(matches))
-
-
-def _hash_join(
-    left: list[Match],
-    right: list[Match],
-    shared: tuple[int, ...],
-    budget: int | None = None,
-) -> list[Match]:
-    """Natural join on the ``shared`` query vertices, injective only.
-
-    With no shared vertices this degenerates to a cross product (still
-    injectivity-filtered); connected queries never hit that path.
-    ``budget`` caps the output size (quota enforcement).
-    """
-    out: list[Match] = []
-
-    def emit(merged: Match) -> None:
-        out.append(merged)
-        if budget is not None and len(out) > budget:
-            raise ResultBudgetExceeded("result join", len(out), budget)
-
-    if not shared:
-        for lm in left:
-            for rm in right:
-                merged = {**lm, **rm}
-                if is_injective(merged):
-                    emit(merged)
-        return out
-
-    buckets: dict[tuple[int, ...], list[Match]] = {}
-    for rm in right:
-        key = tuple(rm[q] for q in shared)
-        buckets.setdefault(key, []).append(rm)
-
-    for lm in left:
-        key = tuple(lm[q] for q in shared)
-        for rm in buckets.get(key, ()):
-            merged = {**lm, **rm}
-            # Lines 10-12: drop matches where two query vertices share a
-            # data vertex (subgraph isomorphism is injective).
-            if is_injective(merged):
-                emit(merged)
-    return out
-
-
-def join_star_matches_legacy(
-    stars: list[Star],
-    star_matches: dict[int, list[Match]],
-    avt: AlignmentVertexTable,
-    expand: bool = True,
-    max_intermediate: int | None = None,
-    expand_anchor: bool = False,
-) -> tuple[list[Match], JoinStats]:
-    """Algorithm 2, dict-based reference implementation.
-
-    The original per-match implementation: one dict per candidate, dict
-    merges per join row, ``match_key`` sorts for dedupe.  Kept for the
-    columnar A/B benchmark and as an executable specification — its
-    output is the ground truth :func:`join_star_matches` must equal.
-    See :func:`join_star_tables` for the parameter semantics.
-    """
-    if not stars:
-        raise QueryError("cannot join an empty decomposition")
-    missing = [s.center for s in stars if s.center not in star_matches]
-    if missing:
-        raise QueryError(f"star matches missing for centers {missing}")
-    stats = JoinStats()
-    started = time.perf_counter()
-
-    remaining = sorted(stars, key=lambda s: (len(star_matches[s.center]), s.center))
-    anchor = remaining.pop(0)
-    stats.anchor_center = anchor.center
-    current: list[Match] = [dict(m) for m in star_matches[anchor.center]]
-    if expand and expand_anchor:
-        current = expand_star_matches(current, avt)
-    covered: set[int] = set(anchor.vertex_order)
-    stats.intermediate_sizes.append(len(current))
-
-    while remaining:
-        overlapping = [s for s in remaining if s.overlaps(covered)]
-        pool = overlapping or remaining  # disconnected fallback: cross join
-        nxt = min(pool, key=lambda s: (len(star_matches[s.center]), s.center))
-        remaining.remove(nxt)
-
-        right = star_matches[nxt.center]
-        if expand:
-            right = expand_star_matches(right, avt)
-        shared = tuple(sorted(covered & set(nxt.vertex_order)))
-        current = _hash_join(current, right, shared, budget=max_intermediate)
-        covered |= set(nxt.vertex_order)
-        stats.intermediate_sizes.append(len(current))
-        if not current:
-            break
-
-    rin = dedupe_matches(current)
     stats.rin_size = len(rin)
     stats.seconds = time.perf_counter() - started
     return rin, stats

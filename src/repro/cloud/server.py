@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.anonymize.cost_model import (
@@ -31,7 +31,6 @@ from repro.cloud.index import CloudIndex
 from repro.cloud.parallel import map_batch, validate_backend
 from repro.cloud.result_join import JoinStats, join_star_tables
 from repro.cloud.star_matching import StarMatchStats, match_star_table
-from repro.compat import warn_renamed
 from repro.graph.attributed import AttributedGraph
 from repro.graph.stats import compute_statistics
 from repro.kauto.avt import AlignmentVertexTable
@@ -43,91 +42,42 @@ from repro.obs.tracing import NullSpan, NullTracer, Span, Trace
 from repro.outsource.delta import GoDelta
 
 
-@dataclass(init=False)
+@dataclass
 class CloudAnswer:
     """Everything the cloud returns for one query, with telemetry.
 
-    The result set is carried natively as a columnar
+    The result set is a columnar
     :class:`~repro.matching.table.MatchTable` (``table``); the
-    dict-form :attr:`matches` view is materialized lazily on first
-    access, so serving paths that stay columnar (the system pipeline,
-    the CLI) never pay the conversion.  Constructing with ``matches``
-    only (no table) remains supported for the dict-based engines.
+    dict-form :attr:`matches` view is a read-only convenience for the
+    system boundary, materialized on first access, so the serving path
+    (the system pipeline, the gateway, the CLI) never pays the
+    conversion.
 
     ``cloud_seconds`` is the wall time of the cloud-side pipeline (the
     ``cloud.answer`` span's duration); ``trace``, when the caller
     passed a recording :class:`~repro.obs.Observability`, holds every
-    span the answer produced.  The pre-redesign ``total_seconds`` name
-    still works (field *and* constructor keyword) but emits a
-    :class:`DeprecationWarning`.
+    span the answer produced.
     """
 
+    table: MatchTable
     expanded: bool
     decomposition: Decomposition
     decomposition_seconds: float
     star_stats: StarMatchStats
     join_stats: JoinStats
     cloud_seconds: float
-    trace: Trace | None
-    table: MatchTable | None
-
-    def __init__(
-        self,
-        matches: list[Match] | None = None,
-        expanded: bool = False,
-        decomposition: Decomposition | None = None,
-        decomposition_seconds: float = 0.0,
-        star_stats: StarMatchStats | None = None,
-        join_stats: JoinStats | None = None,
-        cloud_seconds: float | None = None,
-        trace: Trace | None = None,
-        total_seconds: float | None = None,
-        table: MatchTable | None = None,
-    ) -> None:
-        if total_seconds is not None:
-            warn_renamed(
-                "CloudAnswer(total_seconds=...)", "CloudAnswer(cloud_seconds=...)"
-            )
-            if cloud_seconds is None:
-                cloud_seconds = total_seconds
-        if matches is None and table is None:
-            raise ValueError("CloudAnswer needs matches or a table")
-        self._matches = matches
-        self.table = table
-        self.expanded = expanded
-        self.decomposition = (
-            decomposition if decomposition is not None else Decomposition(stars=[])
-        )
-        self.decomposition_seconds = decomposition_seconds
-        self.star_stats = star_stats if star_stats is not None else StarMatchStats()
-        self.join_stats = join_stats if join_stats is not None else JoinStats()
-        self.cloud_seconds = 0.0 if cloud_seconds is None else cloud_seconds
-        self.trace = trace
+    trace: Trace | None = None
+    _matches: list[Match] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def matches(self) -> list[Match]:
         """Dict-form results (lazily converted from :attr:`table`)."""
         matches = self._matches
         if matches is None:
-            assert self.table is not None  # enforced by __init__
             matches = self._matches = self.table.to_matches()
         return matches
-
-    @property
-    def results(self) -> "MatchTable | list[Match]":
-        """The preferred result payload: columnar when available.
-
-        Feed this to :meth:`repro.core.query_client.QueryClient.
-        process_answer` — it accepts either form and stays columnar
-        end-to-end when given the table.
-        """
-        return self.table if self.table is not None else self.matches
-
-    @property
-    def total_seconds(self) -> float:
-        """Deprecated alias of :attr:`cloud_seconds`."""
-        warn_renamed("CloudAnswer.total_seconds", "CloudAnswer.cloud_seconds")
-        return self.cloud_seconds
 
     @property
     def rs_size(self) -> int:
@@ -426,7 +376,9 @@ class CloudServer:
         if obs.enabled:
             self.latency_window.observe(elapsed)
         return CloudAnswer(
-            matches=matches,
+            # schema = the sorted query vertex ids: the wire order, so
+            # encoding the answer is a straight row copy
+            table=MatchTable.from_matches(matches, sorted(query.vertex_ids())),
             expanded=True,
             decomposition=Decomposition(stars=[]),
             decomposition_seconds=0.0,

@@ -10,28 +10,19 @@ Centers are restricted to the indexed vertex set (block ``B1`` for the
 optimized method) while leaves may land anywhere in ``Go`` — exactly
 the shape of ``Rin``'s anchored matches.
 
-Two implementations share the candidate-generation logic:
-
-* :func:`match_star_table` — the **columnar** kernel the serving path
-  uses.  Leaf assignment is an iterative backtracking loop writing
-  into a reusable row buffer; the center's neighbour list is sorted
-  once per center (not once per depth), per-leaf label checks are
-  memoized across centers, and results are emitted straight into a
-  :class:`~repro.matching.table.MatchTable` (no per-match dicts).
-* :func:`match_star` — the dict-based reference path, kept for the
-  ablation benchmarks and any caller of the ``list[Match]`` API.  It
-  produces bit-identical results (same DFS emission order).
-
-Both enforce the ``max_results`` quota *inside* the leaf-assignment
-loop: a single high-degree center cannot blow past the budget before
+:func:`match_star_table` assigns leaves with an iterative backtracking
+loop writing into a reusable row buffer; the center's neighbour list
+is sorted once per center (not once per depth), per-leaf label checks
+are memoized across centers, and results are emitted straight into a
+:class:`~repro.matching.table.MatchTable` (no per-match dicts).  The
+``max_results`` quota is enforced *inside* the leaf-assignment loop: a
+single high-degree center cannot blow past the budget before
 :class:`~repro.exceptions.ResultBudgetExceeded` fires.
 """
 
 from __future__ import annotations
 
-import time
 from array import array
-from concurrent.futures import Executor
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -40,7 +31,6 @@ from repro.cloud.index import CloudIndex
 from repro.exceptions import ResultBudgetExceeded
 from repro.graph.attributed import AttributedGraph
 from repro.matching import vec
-from repro.matching.match import Match
 from repro.matching.star import Star
 from repro.matching.table import MatchTable, Row
 
@@ -114,11 +104,16 @@ def match_star_table(
     use_vbv: bool = True,
     use_lbv: bool = True,
 ) -> MatchTable:
-    """``R(S, data)`` as a columnar table (Algorithm 1, serving kernel).
+    """``R(S, data)`` as a columnar table (Algorithm 1).
 
     The table schema is ``star.vertex_order`` (center first, then the
-    sorted leaves).  Results are bit-identical to :func:`match_star`
-    (same rows, same order); only the representation differs.
+    sorted leaves).  Centers are drawn from the index; ``max_results``
+    is an optional resource quota — exceeding it raises
+    :class:`ResultBudgetExceeded` rather than exhausting cloud memory.
+    ``use_vbv`` / ``use_lbv`` disable the corresponding half of the
+    Figure 7 index (candidates then come from a linear scan / no
+    neighbourhood pruning); results are identical either way, the
+    flags exist for the index ablation benchmark.
 
     When the index carries a :class:`~repro.cloud.index.GraphCSR` for
     ``data`` (and the vec mode allows it), the per-leaf candidate
@@ -128,7 +123,7 @@ def match_star_table(
     row-major int64 buffer.  Otherwise the per-vertex memoized scan
     runs; either way the resumable-cursor enumeration below is shared,
     so the emission order (and the budget-exception point) is
-    bit-identical across all three representations.
+    bit-identical across the layouts.
     """
     schema = (star.center, *star.leaves)
 
@@ -210,12 +205,12 @@ def match_star_table(
         if use_csr:
             assert csr is not None
             # the CSR slice is already ascending — the same order the
-            # legacy path gets from sorting the neighbour set
+            # tuple path gets from sorting the neighbour set
             nbr = csr.neighbor_slice(center_candidate)
             nbrs: list[int] = []
         else:
-            # the neighbour list is sorted once per center — every
-            # depth of the legacy backtracking re-sorted the same set
+            # sorted once per center: the set is the same at every
+            # backtracking depth
             nbrs = sorted(neighbors(center_candidate))
 
         # iterative DFS with resumable cursors over the per-leaf
@@ -295,153 +290,3 @@ def match_star_table(
     if use_csr:
         return MatchTable.from_flat_rows(schema, out_buf, 1 + leaf_count)
     return MatchTable(schema, rows)
-
-
-def match_star(
-    query: AttributedGraph,
-    star: Star,
-    index: CloudIndex,
-    data: AttributedGraph,
-    max_results: int | None = None,
-    use_vbv: bool = True,
-    use_lbv: bool = True,
-) -> list[Match]:
-    """``R(S, data)`` with centers drawn from the index (Algorithm 1).
-
-    The dict-based reference path: one ``Match`` dict per result.  The
-    serving pipeline uses :func:`match_star_table` instead; this
-    remains for the index/decomposition ablation benchmarks and for
-    callers of the ``list[Match]`` API.  Output is bit-identical to
-    ``match_star_table(...).to_matches()``.
-
-    ``max_results`` is an optional resource quota: exceeding it raises
-    :class:`ResultBudgetExceeded` rather than exhausting cloud memory
-    (enforced per emitted match, inside the backtracking).
-
-    ``use_vbv`` / ``use_lbv`` disable the corresponding half of the
-    Figure 7 index (candidates then come from a linear scan / no
-    neighbourhood pruning).  Results are identical either way; the
-    flags exist for the index ablation benchmark.
-    """
-    candidates = _center_candidates(query, star, index, data, use_vbv)
-    if candidates is None:
-        return []
-    query_mask = _query_mask(query, star, index, use_lbv)
-    if query_mask is None:
-        return []
-
-    leaf_order = _leaf_order(query, star)
-    leaf_vertices = [query.vertex(leaf) for leaf in leaf_order]
-    results: list[Match] = []
-    for center_candidate in candidates:
-        if star.leaves and not index.neighborhood_supports(
-            center_candidate, query_mask
-        ):
-            continue
-        if data.degree(center_candidate) < len(star.leaves):
-            continue
-        # hoisted: sorted once per center (the set is the same at every
-        # backtracking depth) and the used-set is maintained
-        # incrementally instead of rebuilt per call
-        sorted_neighbors = sorted(data.neighbors(center_candidate))
-        _assign_leaves(
-            leaf_vertices,
-            0,
-            sorted_neighbors,
-            leaf_order,
-            {star.center: center_candidate},
-            {center_candidate},
-            data,
-            results,
-            max_results,
-        )
-    return results
-
-
-def _assign_leaves(
-    leaf_vertices: list,
-    depth: int,
-    sorted_neighbors: list[int],
-    leaf_order: list[int],
-    partial: Match,
-    used: set[int],
-    data: AttributedGraph,
-    results: list[Match],
-    max_results: int | None,
-) -> None:
-    if depth == len(leaf_order):
-        results.append(dict(partial))
-        # quota enforced per emitted match: a single high-degree center
-        # cannot overshoot the budget before the check fires
-        if max_results is not None and len(results) > max_results:
-            raise ResultBudgetExceeded(
-                "star matching", len(results), max_results
-            )
-        return
-    leaf = leaf_order[depth]
-    leaf_vertex = leaf_vertices[depth]
-    for candidate in sorted_neighbors:
-        if candidate in used:
-            continue
-        if not leaf_vertex.matches(data.vertex(candidate)):
-            continue
-        partial[leaf] = candidate
-        used.add(candidate)
-        _assign_leaves(
-            leaf_vertices,
-            depth + 1,
-            sorted_neighbors,
-            leaf_order,
-            partial,
-            used,
-            data,
-            results,
-            max_results,
-        )
-        used.discard(candidate)
-        del partial[leaf]
-
-
-def match_all_stars(
-    query: AttributedGraph,
-    stars: list[Star],
-    index: CloudIndex,
-    data: AttributedGraph,
-    max_results: int | None = None,
-    executor: Executor | None = None,
-) -> tuple[dict[int, list[Match]], StarMatchStats]:
-    """Run Algorithm 1 for every star; returns results keyed by center.
-
-    With an ``executor`` the stars of the decomposition are matched
-    concurrently: each ``match_star`` call reads only the immutable
-    query/index/graph, so independent stars are embarrassingly
-    parallel.  Results are gathered **in star order**, making the
-    output bit-identical to the serial loop regardless of completion
-    order; the first star exception (e.g.
-    :class:`~repro.exceptions.ResultBudgetExceeded`) is re-raised as in
-    the serial path.
-    """
-    stats = StarMatchStats()
-    started = time.perf_counter()
-    results: dict[int, list[Match]] = {}
-    if executor is not None and len(stars) > 1:
-        futures = [
-            (
-                star,
-                executor.submit(
-                    match_star, query, star, index, data, max_results=max_results
-                ),
-            )
-            for star in stars
-        ]
-        for star, future in futures:
-            results[star.center] = future.result()
-    else:
-        for star in stars:
-            results[star.center] = match_star(
-                query, star, index, data, max_results=max_results
-            )
-    for star in stars:
-        stats.result_sizes[star.center] = len(results[star.center])
-    stats.seconds = time.perf_counter() - started
-    return results, stats

@@ -14,31 +14,27 @@ from repro.core.config import (
     SystemConfig,
 )
 from repro.core.data_owner import DataOwner, PublishedData
-from repro.core.metrics import (
-    AggregatedMetrics,
-    BatchMetrics,
-    PublishMetrics,
-    QueryMetrics,
-    format_percent,
-)
 from repro.obs import (
     MetricsRegistry,
     Observability,
     Trace,
     Tracer,
 )
+from repro.obs.views import (
+    AggregatedMetrics,
+    BatchMetrics,
+    PublishMetrics,
+    QueryMetrics,
+    format_percent,
+)
 from repro.core.protocol import (
     NetworkChannel,
     TransferRecord,
-    decode_answer,
-    decode_answer_batch,
+    decode_answer_table,
     decode_query,
-    decode_query_batch,
     decode_upload,
-    encode_answer,
-    encode_answer_batch,
+    encode_answer_table,
     encode_query,
-    encode_query_batch,
     encode_upload,
 )
 from repro.core.options import DEFAULT_OPTIONS, QueryOptions
@@ -74,10 +70,6 @@ __all__ = [
     "decode_upload",
     "encode_query",
     "decode_query",
-    "encode_answer",
-    "decode_answer",
-    "encode_query_batch",
-    "decode_query_batch",
-    "encode_answer_batch",
-    "decode_answer_batch",
+    "encode_answer_table",
+    "decode_answer_table",
 ]

@@ -1,17 +1,9 @@
-"""Per-call query options: one keyword-only dataclass instead of kwarg soup.
+"""Per-call query options: one frozen, keyword-only dataclass.
 
-Before the API consolidation, tuning knobs for a query run were threaded
-through ``PrivacyPreservingSystem.query``/``query_batch`` as a growing
-pile of positional/keyword arguments (``limit``, ``max_workers``,
-``backend``, ...) that the CLI and benchmarks had to mirror argument by
-argument.  :class:`QueryOptions` gathers them into a single frozen,
-keyword-only value that travels from the caller through
-``PrivacyPreservingSystem.submit`` and the gateway without the
-intermediate layers knowing each field.
-
-The legacy keywords still work on ``query``/``query_batch`` but emit a
-:class:`DeprecationWarning` via :mod:`repro.compat`; the library itself
-always passes ``QueryOptions`` (R5: no internal shim use).
+:class:`QueryOptions` is the only way to tune a query run: one value
+travels from the caller through ``PrivacyPreservingSystem.submit``
+(and its ``query``/``query_batch`` delegates) and the gateway without
+the intermediate layers knowing each field.
 """
 
 from __future__ import annotations
@@ -21,12 +13,6 @@ from typing import Any
 
 from repro.cloud.parallel import validate_backend
 from repro.exceptions import ConfigError
-
-#: Wire modes for the answer leg: ``"table"`` frames the columnar
-#: :class:`~repro.matching.table.MatchTable` directly (the default,
-#: byte-identical to the dict encoding), ``"dict"`` forces the legacy
-#: per-match document path.
-WIRE_MODES = ("table", "dict")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -44,8 +30,6 @@ class QueryOptions:
     star_workers:
         Per-call override for the cloud's intra-query star-matching
         parallelism (``None`` = the deployed engine's configuration).
-    wire:
-        Answer framing mode, one of :data:`WIRE_MODES`.
     trace:
         ``False`` disables span/metric recording for this call even
         when the system has observability attached.
@@ -55,8 +39,7 @@ class QueryOptions:
         Explain needs the spans, so ``explain=True`` with
         ``trace=False`` is a configuration error.
     max_results:
-        Cap on returned matches per query (``None`` = unlimited);
-        replaces the old ``limit`` keyword.
+        Cap on returned matches per query (``None`` = unlimited).
     shards:
         Expected shard count; validated against the deployed topology
         so a caller scripted for a 4-shard deployment fails loudly on
@@ -66,7 +49,6 @@ class QueryOptions:
     backend: str = "thread"
     workers: int | None = None
     star_workers: int | None = None
-    wire: str = "table"
     trace: bool = True
     explain: bool = False
     max_results: int | None = None
@@ -78,10 +60,6 @@ class QueryOptions:
             raise ConfigError(
                 "explain=True requires trace=True (the report is derived "
                 "from the query's spans)"
-            )
-        if self.wire not in WIRE_MODES:
-            raise ConfigError(
-                f"wire must be one of {WIRE_MODES}, got {self.wire!r}"
             )
         if self.workers is not None and self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")

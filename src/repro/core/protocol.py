@@ -21,7 +21,6 @@ from repro.exceptions import GraphError, ProtocolError
 from repro.graph.attributed import AttributedGraph
 from repro.graph.io import graph_from_dict, graph_to_dict
 from repro.kauto.avt import AlignmentVertexTable
-from repro.matching.match import Match, matches_to_rows, rows_to_matches
 from repro.matching.star import Star
 from repro.matching.table import MatchTable
 from repro.obs import Observability, names
@@ -194,43 +193,15 @@ def decode_query(payload: bytes) -> AttributedGraph:
         raise ProtocolError(f"malformed query message: {exc}") from exc
 
 
-def encode_answer(
-    matches: list[Match],
-    query_order: list[int],
-    expanded: bool,
-) -> bytes:
-    """The cloud's answer: ``Rin`` rows (or full candidates for BAS)."""
-    return json.dumps(
-        {
-            "order": query_order,
-            "rows": matches_to_rows(matches, query_order),
-            "expanded": expanded,
-        },
-        separators=(",", ":"),
-    ).encode("utf-8")
-
-
-def decode_answer(payload: bytes) -> tuple[list[Match], bool]:
-    try:
-        data = json.loads(payload.decode("utf-8"))
-        matches = rows_to_matches(data["rows"], data["order"])
-        return matches, bool(data["expanded"])
-    except _DECODE_ERRORS as exc:
-        raise ProtocolError(f"malformed answer message: {exc}") from exc
-
-
 def encode_answer_table(
     table: MatchTable,
     query_order: list[int],
     expanded: bool,
 ) -> bytes:
-    """Columnar :func:`encode_answer`: frame a result table directly.
+    """The cloud's answer: ``Rin`` rows (or full candidates for BAS).
 
-    The payload is **byte-identical** to
-    ``encode_answer(table.to_matches(), query_order, expanded)`` — the
-    rows are already tabular, so the dict detour (and its per-match
-    key lookups) is skipped; the columns are just re-ordered to
-    ``query_order``.
+    One row per match, columns re-ordered to ``query_order`` — compact
+    and measurable in bytes for the communication experiments.
     """
     return json.dumps(
         {
@@ -243,11 +214,11 @@ def encode_answer_table(
 
 
 def decode_answer_table(payload: bytes) -> tuple[MatchTable, bool]:
-    """Columnar :func:`decode_answer`: the rows stay tabular.
+    """Inverse of :func:`encode_answer_table`; the rows stay tabular.
 
-    The table's schema is the message's ``order``; width-mismatched
-    rows are a :class:`ProtocolError` (the dict decoder silently
-    truncated them — tabular framing is stricter by construction).
+    The table's schema is the message's ``order``; a row of the wrong
+    width, or any cell that is not exactly an ``int``, is a
+    :class:`ProtocolError` (see :meth:`MatchTable.from_rows`).
     """
     try:
         data = json.loads(payload.decode("utf-8"))
@@ -255,71 +226,6 @@ def decode_answer_table(payload: bytes) -> tuple[MatchTable, bool]:
         return table, bool(data["expanded"])
     except _DECODE_ERRORS as exc:
         raise ProtocolError(f"malformed answer message: {exc}") from exc
-
-
-def roundtrip_answer_size(matches: list[Match], query_order: list[int]) -> int:
-    """Byte size of an answer without keeping the encoding around."""
-    return len(encode_answer(matches, query_order, expanded=False))
-
-
-# ----------------------------------------------------------------------
-# batched messages (one wire round-trip for a whole workload)
-# ----------------------------------------------------------------------
-def encode_query_batch(queries: list[AttributedGraph]) -> bytes:
-    """A multi-query payload: the client ships a workload in one message.
-
-    The batch engine (``query_batch``) answers its elements
-    concurrently; framing them together saves per-message latency on
-    the simulated wire and keeps the batch atomic for accounting.
-    """
-    return json.dumps(
-        {"queries": [graph_to_dict(query) for query in queries]},
-        sort_keys=True,
-    ).encode("utf-8")
-
-
-def decode_query_batch(payload: bytes) -> list[AttributedGraph]:
-    try:
-        data = json.loads(payload.decode("utf-8"))
-        queries = data["queries"]
-        if not isinstance(queries, list):
-            raise ValueError("'queries' must be a list")
-        return [graph_from_dict(entry) for entry in queries]
-    except _DECODE_ERRORS as exc:
-        raise ProtocolError(f"malformed query batch message: {exc}") from exc
-
-
-def encode_answer_batch(
-    answers: list[tuple[list[Match], list[int], bool]],
-) -> bytes:
-    """Batched answers: one ``(matches, query_order, expanded)`` per query."""
-    return json.dumps(
-        {
-            "answers": [
-                {
-                    "order": order,
-                    "rows": matches_to_rows(matches, order),
-                    "expanded": expanded,
-                }
-                for matches, order, expanded in answers
-            ]
-        },
-        separators=(",", ":"),
-    ).encode("utf-8")
-
-
-def decode_answer_batch(payload: bytes) -> list[tuple[list[Match], bool]]:
-    try:
-        data = json.loads(payload.decode("utf-8"))
-        answers = data["answers"]
-        if not isinstance(answers, list):
-            raise ValueError("'answers' must be a list")
-        return [
-            (rows_to_matches(entry["rows"], entry["order"]), bool(entry["expanded"]))
-            for entry in answers
-        ]
-    except _DECODE_ERRORS as exc:
-        raise ProtocolError(f"malformed answer batch message: {exc}") from exc
 
 
 # ----------------------------------------------------------------------

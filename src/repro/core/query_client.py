@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 from repro.anonymize.lct import LabelCorrespondenceTable
 from repro.anonymize.query_anonymizer import anonymize_query
-from repro.client.expansion import expand_rin, expand_rin_table
+from repro.client.expansion import expand_rin_table
 from repro.client.filtering import ClientFilter
-from repro.compat import warn_renamed
 from repro.graph.attributed import AttributedGraph
 from repro.kauto.avt import AlignmentVertexTable
 from repro.matching.match import Match
@@ -29,43 +28,19 @@ from repro.obs import Observability, names
 from repro.obs.audit import register_live_false_positive_ratio
 
 
-@dataclass(init=False)
+@dataclass
 class ClientOutcome:
-    """Final results of one query plus the client-side timings.
-
-    ``client_seconds`` (expansion + filtering) replaces the old
-    ``seconds`` property, which still works but emits a
-    :class:`DeprecationWarning` — the new name says *whose* seconds
-    these are, matching ``CloudAnswer.cloud_seconds``.
-    """
+    """Final results of one query plus the client-side timings."""
 
     matches: list[Match]
-    expansion_seconds: float
-    filter_seconds: float
-    candidate_count: int
-
-    def __init__(
-        self,
-        matches: list[Match],
-        expansion_seconds: float = 0.0,
-        filter_seconds: float = 0.0,
-        candidate_count: int = 0,
-    ) -> None:
-        self.matches = matches
-        self.expansion_seconds = expansion_seconds
-        self.filter_seconds = filter_seconds
-        self.candidate_count = candidate_count
+    expansion_seconds: float = 0.0
+    filter_seconds: float = 0.0
+    candidate_count: int = 0
 
     @property
     def client_seconds(self) -> float:
         """Total client-side wall seconds (expansion + filtering)."""
         return self.expansion_seconds + self.filter_seconds
-
-    @property
-    def seconds(self) -> float:
-        """Deprecated alias of :attr:`client_seconds`."""
-        warn_renamed("ClientOutcome.seconds", "ClientOutcome.client_seconds")
-        return self.client_seconds
 
 
 class QueryClient:
@@ -110,19 +85,16 @@ class QueryClient:
     def process_answer(
         self,
         query: AttributedGraph,
-        matches: "list[Match] | MatchTable",
+        matches: MatchTable,
         already_expanded: bool,
         limit: int | None = None,
         obs: Observability | None = None,
     ) -> ClientOutcome:
         """Algorithm 3: expand ``Rin`` (if needed) and filter against G.
 
-        ``matches`` may be the dict-form list or a columnar
-        :class:`~repro.matching.table.MatchTable` (what the system's
-        serving path decodes off the wire); the columnar form runs the
-        tabular expansion/filter kernels and converts only the final
-        exact results back to dicts.  Outcomes are identical either
-        way.
+        ``matches`` is the :class:`~repro.matching.table.MatchTable`
+        decoded off the wire; expansion and filtering stay tabular and
+        only the final exact results are converted to dicts.
 
         ``limit`` returns at most that many exact matches (any subset
         of R(Q, G); useful for "find me a few examples" queries).
@@ -130,26 +102,20 @@ class QueryClient:
         if obs is None:
             obs = self.obs
         tracer = obs.tracer
-        candidates: "list[Match] | MatchTable"
         if already_expanded:
             candidates = matches
             expansion_seconds = 0.0
         else:
             with tracer.span(names.CLIENT_EXPAND, rin_size=len(matches)) as span:
-                if isinstance(matches, MatchTable):
-                    candidates = expand_rin_table(matches, self.avt).table
-                else:
-                    candidates = expand_rin(matches, self.avt).matches
+                candidates = expand_rin_table(matches, self.avt).table
                 span.set(candidates=len(candidates))
             expansion_seconds = span.duration
         with tracer.span(names.CLIENT_FILTER) as span:
-            client_filter = ClientFilter(self.graph, query)
-            if isinstance(candidates, MatchTable):
-                exact = client_filter.filter_table(
-                    candidates, limit=limit
-                ).table.to_matches()
-            else:
-                exact = client_filter.filter(candidates, limit=limit).matches
+            exact = (
+                ClientFilter(self.graph, query)
+                .filter_table(candidates, limit=limit)
+                .table.to_matches()
+            )
             span.set(
                 candidates=len(candidates),
                 results=len(exact),

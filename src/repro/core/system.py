@@ -31,21 +31,18 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.client.expansion import expand_rin, expand_rin_table
+from repro.client.expansion import expand_rin_table
 from repro.cloud.parallel import effective_workers, map_batch
 from repro.cloud.server import CloudServer
 from repro.cloud.sharding import ShardedCloud
-from repro.compat import warn_renamed
 from repro.core.config import SystemConfig
 from repro.core.data_owner import DataOwner, PublishedData
 from repro.core.options import DEFAULT_OPTIONS, QueryOptions
 from repro.core.protocol import (
     NetworkChannel,
-    decode_answer,
     decode_answer_table,
     decode_query,
     decode_upload,
-    encode_answer,
     encode_answer_table,
     encode_query,
     encode_upload,
@@ -405,7 +402,6 @@ class PrivacyPreservingSystem:
     def query(
         self,
         query: AttributedGraph,
-        limit: int | None = None,
         obs: Observability | None = None,
         *,
         options: QueryOptions | None = None,
@@ -413,25 +409,13 @@ class PrivacyPreservingSystem:
         """Answer ``query`` exactly, through the privacy pipeline.
 
         A thin delegate of :meth:`submit` for the common one-query
-        case.  Pass tuning knobs via ``options``; the old ``limit``
-        keyword still works but is deprecated in favor of
-        ``QueryOptions(max_results=...)``.
+        case; tuning knobs travel in ``options``.
 
         The query runs on a fresh per-query recording scope forked from
         ``obs`` (default: the system scope) — its spans become
         ``outcome.trace`` and the registry aggregates accumulate on the
         shared :class:`~repro.obs.MetricsRegistry`.
         """
-        if limit is not None:
-            if options is not None:
-                raise ConfigError(
-                    "pass QueryOptions or the legacy limit keyword, not both"
-                )
-            warn_renamed(
-                "PrivacyPreservingSystem.query(limit=...)",
-                "QueryOptions(max_results=...)",
-            )
-            options = DEFAULT_OPTIONS.evolve(max_results=limit)
         return self.submit([query], options=options, obs=obs).outcomes[0]
 
     def _run_one(
@@ -475,58 +459,32 @@ class PrivacyPreservingSystem:
             else:
                 answer = self.cloud.answer(cloud_query, obs=scope)
 
+            # the result set stays tabular from the cloud join to the
+            # client filter; dicts are only materialized for the final
+            # (small) exact results.
             order = sorted(query.vertex_ids())
             table, expanded = answer.table, answer.expanded
-            if options.wire == "dict":
-                # forced legacy framing: the dict fallback below reads
-                # answer.matches (a lazy view over the table).
-                table = None
-            if table is not None:
-                # columnar serving path: the result set stays tabular
-                # from the cloud join to the client filter; dicts are
-                # only materialized for the final (small) exact results.
-                if self.config.expansion_site == "cloud" and not expanded:
-                    # Section 4.2.2: the expansion step may run in the
-                    # cloud to spare the client, at higher communication
-                    # cost.
-                    with tracer.span(
-                        names.CLOUD_EXPAND, rin_size=len(table)
-                    ) as span:
-                        expansion = expand_rin_table(table, self.cloud.avt)
-                        table, expanded = expansion.table, True
-                        span.set(candidates=len(table))
+            if self.config.expansion_site == "cloud" and not expanded:
+                # Section 4.2.2: the expansion step may run in the
+                # cloud to spare the client, at higher communication
+                # cost.
+                with tracer.span(
+                    names.CLOUD_EXPAND, rin_size=len(table)
+                ) as span:
+                    table = expand_rin_table(table, self.cloud.avt).table
+                    expanded = True
+                    span.set(candidates=len(table))
 
-                # wire: ship the answer
-                with tracer.span(names.ENCODE_ANSWER) as span:
-                    answer_payload = encode_answer_table(
-                        table, order, expanded
-                    )
-                    span.set(bytes=len(answer_payload))
-                self.channel.transmit("answer", answer_payload, obs=scope)
+            # wire: ship the answer
+            with tracer.span(names.ENCODE_ANSWER) as span:
+                answer_payload = encode_answer_table(table, order, expanded)
+                span.set(bytes=len(answer_payload))
+            self.channel.transmit("answer", answer_payload, obs=scope)
 
-                with tracer.span(names.DECODE_ANSWER):
-                    received: Any
-                    received, already_expanded = decode_answer_table(
-                        answer_payload
-                    )
-            else:
-                # dict-based fallback (e.g. the direct-engine ablation)
-                matches, expanded = answer.matches, expanded
-                if self.config.expansion_site == "cloud" and not expanded:
-                    with tracer.span(
-                        names.CLOUD_EXPAND, rin_size=len(matches)
-                    ) as span:
-                        dict_expansion = expand_rin(matches, self.cloud.avt)
-                        matches, expanded = dict_expansion.matches, True
-                        span.set(candidates=len(matches))
-
-                with tracer.span(names.ENCODE_ANSWER) as span:
-                    answer_payload = encode_answer(matches, order, expanded)
-                    span.set(bytes=len(answer_payload))
-                self.channel.transmit("answer", answer_payload, obs=scope)
-
-                with tracer.span(names.DECODE_ANSWER):
-                    received, already_expanded = decode_answer(answer_payload)
+            with tracer.span(names.DECODE_ANSWER):
+                received, already_expanded = decode_answer_table(
+                    answer_payload
+                )
 
             # client: expand (if needed) + filter
             outcome = self.client.process_answer(
@@ -570,9 +528,6 @@ class PrivacyPreservingSystem:
     def query_batch(
         self,
         queries: list[AttributedGraph],
-        max_workers: int | None = None,
-        backend: str | None = None,
-        limit: int | None = None,
         obs: Observability | None = None,
         *,
         options: QueryOptions | None = None,
@@ -595,36 +550,8 @@ class PrivacyPreservingSystem:
         each outcome), or ``"serial"`` (the plain loop — the baseline
         ``benchmarks/bench_parallel_engine.py`` measures against).
 
-        The legacy ``max_workers``/``backend``/``limit`` keywords still
-        work but are deprecated in favor of ``options``.
-
         ``obs`` overrides the system scope for the whole batch; pass
         ``Observability.disabled()`` (or ``QueryOptions(trace=False)``)
         to serve the batch with tracing fully off.
         """
-        legacy: dict[str, Any] = {}
-        if max_workers is not None:
-            warn_renamed(
-                "PrivacyPreservingSystem.query_batch(max_workers=...)",
-                "QueryOptions(workers=...)",
-            )
-            legacy["workers"] = max_workers
-        if backend is not None:
-            warn_renamed(
-                "PrivacyPreservingSystem.query_batch(backend=...)",
-                "QueryOptions(backend=...)",
-            )
-            legacy["backend"] = backend
-        if limit is not None:
-            warn_renamed(
-                "PrivacyPreservingSystem.query_batch(limit=...)",
-                "QueryOptions(max_results=...)",
-            )
-            legacy["max_results"] = limit
-        if legacy:
-            if options is not None:
-                raise ConfigError(
-                    "pass QueryOptions or the legacy keywords, not both"
-                )
-            options = DEFAULT_OPTIONS.evolve(**legacy)
         return self.submit(queries, options=options, obs=obs)

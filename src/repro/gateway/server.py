@@ -563,10 +563,7 @@ class QueryGateway:
         for query in queries:
             answer = self.cloud.answer(query, obs=scope)
             order = sorted(query.vertex_ids())
-            table = answer.table
-            if table is None:
-                table = MatchTable.from_matches(answer.matches, order)
-            expanded = answer.expanded
+            table, expanded = answer.table, answer.expanded
             if self.expansion_site == "cloud" and not expanded:
                 # the same three-step kernel as the client's Rin
                 # expansion (known rows -> AVT expansion -> dedupe),

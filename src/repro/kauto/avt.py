@@ -131,14 +131,6 @@ class AlignmentVertexTable:
             out[q] = rows[row][(block + shift) % self._k]
         return out
 
-    def expand_matches(self, matches: Iterable[Match]) -> list[Match]:
-        """Union of ``F_m(matches)`` for all m in 0..k-1."""
-        expanded: list[Match] = []
-        for m in range(self._k):
-            for match in matches:
-                expanded.append(self.apply_to_match(match, m))
-        return expanded
-
     # ------------------------------------------------------------------
     # columnar (row) kernels
     # ------------------------------------------------------------------
@@ -179,8 +171,7 @@ class AlignmentVertexTable:
     def expand_rows(self, rows: Sequence[Row]) -> list[Row]:
         """``rows ∪ F_1(rows) ∪ ... ∪ F_{k-1}(rows)`` (duplicates kept).
 
-        The columnar counterpart of :meth:`expand_matches`: identical
-        output order (all of ``F_0``, then all of ``F_1``, ...).
+        Output order: all of ``F_0``, then all of ``F_1``, ...
         """
         out: list[Row] = list(rows)
         luts = self._remap_luts()

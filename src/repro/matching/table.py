@@ -1,12 +1,12 @@
 """Columnar match tables — the hot-path result representation.
 
-The dict-based :data:`~repro.matching.match.Match` API is convenient at
-the system boundary, but the per-query inner loops (Algorithm 1's star
-matching, Algorithm 2's join, the AVT expansion, Algorithm 3's client
-filter) touch millions of candidate matches per query; materializing
-each one as a fresh ``dict[int, int]`` makes the per-row constant
-factor — allocation, hashing, ``match_key`` re-sorting — the dominant
-cost of the pipeline.
+Every result set between Algorithm 1's star matching and Algorithm 3's
+client filter is a :class:`MatchTable`; the dict-based
+:data:`~repro.matching.match.Match` form exists only at the system
+boundary (``QueryOutcome.matches``, ``CloudAnswer.matches``).  The
+per-query inner loops touch millions of candidate matches, and one
+``dict[int, int]`` per candidate would make allocation, hashing and
+``match_key`` re-sorting the dominant cost of the pipeline.
 
 A :class:`MatchTable` stores a result set *columnar*: a fixed
 ``schema`` (the query vertex ids, in a canonical order) shared by every
@@ -25,9 +25,7 @@ row, plus flat tuple rows holding only the data vertex ids.  That buys
   (the parallel batched engine's read-only contract holds for free).
 
 Conversion to and from the dict form lives at the boundary
-(:meth:`MatchTable.from_matches` / :meth:`MatchTable.to_matches`);
-``CloudAnswer.matches``, ``QueryOutcome.matches`` and the star-cache
-wire format are unchanged and bit-identical to the dict pipeline.
+(:meth:`MatchTable.from_matches` / :meth:`MatchTable.to_matches`).
 """
 
 from __future__ import annotations
@@ -226,17 +224,31 @@ class MatchTable:
     def from_rows(
         cls, schema: Iterable[int], rows: Iterable[Sequence[int]]
     ) -> "MatchTable":
-        """Validated construction: rows are re-tupled and width-checked."""
+        """Validated construction from untrusted (decoded) data.
+
+        Rows are re-tupled and width-checked, and every cell must be
+        exactly an ``int`` — ``bool``/``float``/``str``/nested-list
+        cells off a hostile frame would otherwise flow into the client
+        filter as vertex ids (or crash it unhashable).  Raises
+        ``ValueError``; the protocol decoders wrap it.
+        """
         table = cls(schema)
         width = len(table.schema)
         out: list[Row] = []
+        append = out.append
         for row in rows:
             tup = tuple(row)
             if len(tup) != width:
                 raise ValueError(
                     f"row width {len(tup)} does not match schema width {width}"
                 )
-            out.append(tup)
+            for value in tup:
+                if type(value) is not int:
+                    raise ValueError(
+                        f"{type(value).__name__} cell is not an integer "
+                        "vertex id"
+                    )
+            append(tup)
         table.rows = out
         return table
 

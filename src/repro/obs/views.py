@@ -1,4 +1,4 @@
-"""Legacy metric records, redesigned as *views* over spans/counters.
+"""Metric records, computed as *views* over spans/counters.
 
 Historically these four dataclasses were hand-threaded through four
 different call paths, each assignment a chance to drift from what the
@@ -7,8 +7,7 @@ substrate: :meth:`QueryMetrics.from_trace` and
 :meth:`PublishMetrics.from_trace` read the named spans of
 :mod:`repro.obs.names` (durations, byte counts, candidate counts) and
 produce the exact field surface the benchmark harness has always
-printed.  The classes remain plain dataclasses — picklable, stable,
-and importable from their historical home ``repro.core.metrics``.
+printed.  The classes remain plain dataclasses — picklable and stable.
 
 Field names mirror the quantities the paper reports so the benchmark
 harness can print paper-shaped tables directly (see

@@ -32,11 +32,11 @@ def decode_upload(payload):
         raise ProtocolError(f"malformed upload message: {exc}") from exc
 
 
-def encode_answer(rows):
+def encode_answer_table(rows):
     return {"rows": rows}
 
 
-def decode_answer(payload):
+def decode_answer_table(payload):
     try:
         return payload["rows"]
     except _DECODE_ERRORS as exc:

@@ -1,0 +1,259 @@
+"""The dict oracle: Algorithms 1-3 and the answer codec on ``dict`` matches.
+
+The library computes every result set as a
+:class:`~repro.matching.table.MatchTable`.  This module is the
+independent reference the equivalence suites compare it against: one
+straightforward ``dict[int, int]``-per-match implementation of each
+algorithm and of the answer frame, kept deliberately naive (recursive
+backtracking, dict merges, ``match_key`` dedupe).  Row *order* matters
+as much as row content — the table kernels promise the same emission
+order, the same budget-exception point and the same wire bytes — so
+the loops below must not be reordered.
+
+Set-level exactness (``R(Q, G)``) is checked elsewhere against the VF2
+matcher in :mod:`repro.matching.isomorphism`; this oracle pins the
+pipeline's intermediate results.  Tests import it; nothing under
+``src/`` does.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+
+from repro.cloud.index import CloudIndex
+from repro.cloud.result_join import JoinStats
+from repro.cloud.star_matching import (
+    _center_candidates,
+    _leaf_order,
+    _query_mask,
+)
+from repro.exceptions import QueryError, ResultBudgetExceeded
+from repro.graph.attributed import AttributedGraph
+from repro.kauto.avt import AlignmentVertexTable
+from repro.matching.match import (
+    Match,
+    dedupe_matches,
+    is_injective,
+    matches_to_rows,
+    rows_to_matches,
+)
+from repro.matching.star import Star
+
+
+# ----------------------------------------------------------------------
+# Algorithm 1: star matching
+# ----------------------------------------------------------------------
+def match_star(
+    query: AttributedGraph,
+    star: Star,
+    index: CloudIndex,
+    data: AttributedGraph,
+    max_results: int | None = None,
+    use_vbv: bool = True,
+    use_lbv: bool = True,
+) -> list[Match]:
+    """``R(S, data)`` with centers drawn from the index, one dict each.
+
+    Shares candidate generation (VBV centers, LBV mask, leaf order)
+    with :func:`repro.cloud.star_matching.match_star_table`; the leaf
+    assignment is the textbook recursion.  ``max_results`` raises
+    :class:`ResultBudgetExceeded` per emitted match.
+    """
+    candidates = _center_candidates(query, star, index, data, use_vbv)
+    if candidates is None:
+        return []
+    query_mask = _query_mask(query, star, index, use_lbv)
+    if query_mask is None:
+        return []
+
+    leaf_order = _leaf_order(query, star)
+    leaf_vertices = [query.vertex(leaf) for leaf in leaf_order]
+    results: list[Match] = []
+
+    def assign(depth: int, partial: Match, used: set[int], neighbors: list[int]) -> None:
+        if depth == len(leaf_order):
+            results.append(dict(partial))
+            if max_results is not None and len(results) > max_results:
+                raise ResultBudgetExceeded(
+                    "star matching", len(results), max_results
+                )
+            return
+        leaf = leaf_order[depth]
+        for candidate in neighbors:
+            if candidate in used:
+                continue
+            if not leaf_vertices[depth].matches(data.vertex(candidate)):
+                continue
+            partial[leaf] = candidate
+            used.add(candidate)
+            assign(depth + 1, partial, used, neighbors)
+            used.discard(candidate)
+            del partial[leaf]
+
+    for center in candidates:
+        if star.leaves and not index.neighborhood_supports(center, query_mask):
+            continue
+        if data.degree(center) < len(star.leaves):
+            continue
+        assign(0, {star.center: center}, {center}, sorted(data.neighbors(center)))
+    return results
+
+
+# ----------------------------------------------------------------------
+# Algorithm 2: result join
+# ----------------------------------------------------------------------
+def _expand_star_matches(
+    matches: list[Match], avt: AlignmentVertexTable
+) -> list[Match]:
+    """``R(S, Gk) = ∪_m F_m(R(S, Go))`` (Lines 5-8)."""
+    return dedupe_matches(
+        [avt.apply_to_match(match, m) for m in range(avt.k) for match in matches]
+    )
+
+
+def _hash_join(
+    left: list[Match],
+    right: list[Match],
+    shared: tuple[int, ...],
+    budget: int | None,
+) -> list[Match]:
+    """Natural join on ``shared`` query vertices, injective merges only
+    (Lines 10-12); no shared vertices degenerates to a cross product."""
+    buckets: dict[tuple[int, ...], list[Match]] = {}
+    for rm in right:
+        buckets.setdefault(tuple(rm[q] for q in shared), []).append(rm)
+    out: list[Match] = []
+    for lm in left:
+        for rm in buckets.get(tuple(lm[q] for q in shared), ()):
+            merged = {**lm, **rm}
+            if is_injective(merged):
+                out.append(merged)
+                if budget is not None and len(out) > budget:
+                    raise ResultBudgetExceeded("result join", len(out), budget)
+    return out
+
+
+def join_star_matches(
+    stars: list[Star],
+    star_matches: dict[int, list[Match]],
+    avt: AlignmentVertexTable,
+    expand: bool = True,
+    max_intermediate: int | None = None,
+    expand_anchor: bool = False,
+) -> tuple[list[Match], JoinStats]:
+    """Algorithm 2 on dict matches; parameters as
+    :func:`repro.cloud.result_join.join_star_tables`."""
+    if not stars:
+        raise QueryError("cannot join an empty decomposition")
+    missing = [s.center for s in stars if s.center not in star_matches]
+    if missing:
+        raise QueryError(f"star matches missing for centers {missing}")
+    stats = JoinStats()
+
+    remaining = sorted(stars, key=lambda s: (len(star_matches[s.center]), s.center))
+    anchor = remaining.pop(0)
+    stats.anchor_center = anchor.center
+    current: list[Match] = [dict(m) for m in star_matches[anchor.center]]
+    if expand and expand_anchor:
+        current = _expand_star_matches(current, avt)
+    covered: set[int] = set(anchor.vertex_order)
+    stats.intermediate_sizes.append(len(current))
+
+    while remaining:
+        overlapping = [s for s in remaining if s.overlaps(covered)]
+        pool = overlapping or remaining  # disconnected fallback: cross join
+        nxt = min(pool, key=lambda s: (len(star_matches[s.center]), s.center))
+        remaining.remove(nxt)
+
+        right = star_matches[nxt.center]
+        if expand:
+            right = _expand_star_matches(right, avt)
+        shared = tuple(sorted(covered & set(nxt.vertex_order)))
+        current = _hash_join(current, right, shared, max_intermediate)
+        covered |= set(nxt.vertex_order)
+        stats.intermediate_sizes.append(len(current))
+        if not current:
+            break
+
+    rin = dedupe_matches(current)
+    stats.rin_size = len(rin)
+    return rin, stats
+
+
+# ----------------------------------------------------------------------
+# Algorithm 3: client expansion + filter
+# ----------------------------------------------------------------------
+def expand_rin(rin: list[Match], avt: AlignmentVertexTable) -> list[Match]:
+    """``R(Qo, Gk) = Rin ∪ F_1(Rin) ∪ ... ∪ F_{k-1}(Rin)`` (Lines 1-5).
+
+    Matches referencing vertices unknown to the AVT are dropped first.
+    """
+    usable = [match for match in rin if all(v in avt for v in match.values())]
+    return dedupe_matches(
+        [avt.apply_to_match(match, m) for m in range(avt.k) for match in usable]
+    )
+
+
+@dataclass
+class FilterResult:
+    matches: list[Match]
+    dropped_vertex: int = 0
+    dropped_edge: int = 0
+    dropped_label: int = 0
+
+
+def filter_candidates(
+    candidates: list[Match],
+    graph: AttributedGraph,
+    query: AttributedGraph,
+    limit: int | None = None,
+) -> FilterResult:
+    """Keep exactly the candidates that match ``query`` over ``graph``
+    (Lines 6-23); ``limit`` stops after that many true matches."""
+    vertex_set = graph.vertex_id_set()
+    query_edges = list(query.edges())
+    result = FilterResult(matches=[])
+    for match in candidates:
+        if limit is not None and len(result.matches) >= limit:
+            break
+        # Lines 9-12: every matched vertex must exist in G.
+        if any(v not in vertex_set for v in match.values()):
+            result.dropped_vertex += 1
+        # Lines 15-18: every query edge must exist in G.
+        elif any(
+            not graph.has_edge(match[q1], match[q2]) for q1, q2 in query_edges
+        ):
+            result.dropped_edge += 1
+        # Lines 21-22: exact (raw) label containment against Q.
+        elif any(
+            not query.vertex(q).matches(graph.vertex(v)) for q, v in match.items()
+        ):
+            result.dropped_label += 1
+        else:
+            result.matches.append(match)
+    return result
+
+
+# ----------------------------------------------------------------------
+# answer codec
+# ----------------------------------------------------------------------
+def encode_answer(
+    matches: list[Match], query_order: list[int], expanded: bool
+) -> bytes:
+    """The answer frame built from dicts; the table codec's bytes must
+    equal this."""
+    return json.dumps(
+        {
+            "order": query_order,
+            "rows": matches_to_rows(matches, query_order),
+            "expanded": expanded,
+        },
+        separators=(",", ":"),
+    ).encode("utf-8")
+
+
+def decode_answer(payload: bytes) -> tuple[list[Match], bool]:
+    """Inverse of :func:`encode_answer`, for well-formed frames only."""
+    data = json.loads(payload.decode("utf-8"))
+    return rows_to_matches(data["rows"], data["order"]), bool(data["expanded"])

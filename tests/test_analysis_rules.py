@@ -35,7 +35,7 @@ from repro.obs import names
 
 REPO = Path(__file__).resolve().parent.parent
 FIXTURES = REPO / "tests" / "data" / "lint_fixtures"
-RULE_IDS = ("R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8")
+RULE_IDS = ("R1", "R2", "R3", "R4", "R6", "R7", "R8")
 
 
 def fixture(name: str) -> Path:
@@ -109,12 +109,6 @@ def test_r4_rows_loop_sub_check():
     found = findings_for("r4_rows_violation.py", "R4")
     assert {f.line for f in found} == {9, 17, 25}
     assert all("iterates a .rows attribute" in f.message for f in found)
-
-
-def test_r5_ignores_canonical_total_seconds_receivers():
-    assert findings_for("r5_clean.py", "R5") == []
-    found = findings_for("r5_violation.py", "R5")
-    assert {f.line for f in found} == {6, 10}
 
 
 def _by_line(found: list[Finding]) -> dict[int, Finding]:

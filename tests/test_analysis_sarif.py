@@ -182,7 +182,7 @@ def test_sarif_empty_result_validates_and_keeps_rule_catalog():
     assert doc["runs"][0]["results"] == []
     rules = doc["runs"][0]["tool"]["driver"]["rules"]
     assert [r["id"] for r in rules] == [
-        "R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8",
+        "R1", "R2", "R3", "R4", "R6", "R7", "R8",
     ]
 
 

@@ -10,7 +10,7 @@ from repro.bench import (
     format_table,
     ms,
 )
-from repro.core.metrics import AggregatedMetrics, QueryMetrics
+from repro.obs.views import AggregatedMetrics, QueryMetrics
 from repro.workloads import load_dataset
 
 

@@ -2,8 +2,21 @@
 
 import pytest
 
-from repro.client import ClientFilter, expand_rin, filter_candidates
+from repro.client import ClientFilter, expand_rin_table
 from repro.kauto import AlignmentVertexTable
+from repro.matching import MatchTable
+
+
+def expand_rin(rin, avt):
+    """``expand_rin_table`` over hand-written dict matches."""
+    schema = sorted(rin[0]) if rin else ()
+    return expand_rin_table(MatchTable.from_matches(rin, schema), avt)
+
+
+def filter_candidates(candidates, graph, query):
+    """``ClientFilter.filter_table`` over hand-written dict candidates."""
+    table = MatchTable.from_matches(candidates, sorted(query.vertex_ids()))
+    return ClientFilter(graph, query).filter_table(table)
 
 
 class TestExpandRin:
@@ -12,7 +25,7 @@ class TestExpandRin:
         avt = pipe.transform.avt
         anchor = avt.first_block()[0]
         result = expand_rin([{0: anchor}], avt)
-        assert len(result.matches) == avt.k
+        assert len(result.table) == avt.k
         assert result.rin_size == 1
         assert result.rout_size == avt.k - 1
 
@@ -20,11 +33,11 @@ class TestExpandRin:
         avt = AlignmentVertexTable([[0, 1]])
         # both matches map to each other under F1 -> expansion collapses
         result = expand_rin([{5: 0}, {5: 1}], avt)
-        assert len(result.matches) == 2
+        assert len(result.table) == 2
 
     def test_empty_rin(self, figure1_pipeline):
         result = expand_rin([], figure1_pipeline.transform.avt)
-        assert result.matches == []
+        assert len(result.table) == 0
         assert result.rout_size == 0
 
 
@@ -35,7 +48,7 @@ class TestFiltering:
         noise_id = max(pipe.graph.vertex_ids()) + 1
         fake = {q: noise_id + i for i, q in enumerate(pipe.query.vertex_ids())}
         result = filter_candidates([fake], pipe.graph, pipe.query)
-        assert result.matches == []
+        assert len(result.table) == 0
         assert result.dropped_vertex == 1
 
     def test_real_noise_vertices_dropped(self, figure1_graph):
@@ -51,7 +64,7 @@ class TestFiltering:
         query = AttributedGraph()
         query.add_vertex(0, transform.gk.vertex(noise_id).vertex_type)
         result = filter_candidates([{0: noise_id}], figure1_graph, query)
-        assert result.matches == []
+        assert len(result.table) == 0
         assert result.dropped_vertex == 1
 
     def test_noise_edge_dropped(self, figure1_pipeline):
@@ -73,7 +86,7 @@ class TestFiltering:
         query.add_vertex(1, pipe.graph.vertex(v).vertex_type)
         query.add_edge(0, 1)
         result = filter_candidates([{0: u, 1: v}], pipe.graph, query)
-        assert result.matches == []
+        assert len(result.table) == 0
         assert result.dropped_edge == 1
 
     def test_generalized_label_false_positive_dropped(self, figure1_pipeline):
@@ -82,14 +95,14 @@ class TestFiltering:
         # label groups agree but the raw labels do not.
         candidate = {0: 5, 1: 2, 2: 6, 3: 4, 4: 0}
         result = filter_candidates([candidate], pipe.graph, pipe.query)
-        assert result.matches == []
+        assert len(result.table) == 0
         assert result.dropped_label == 1
 
     def test_true_match_kept(self, figure1_pipeline):
         pipe = figure1_pipeline
         true_match = {0: 4, 1: 0, 2: 6, 3: 5, 4: 2}
         result = filter_candidates([true_match], pipe.graph, pipe.query)
-        assert result.matches == [true_match]
+        assert result.table.to_matches() == [true_match]
         assert result.dropped == 0
 
     def test_counters_add_up(self, figure1_pipeline):
@@ -100,9 +113,9 @@ class TestFiltering:
             {0: 5, 1: 2, 2: 6, 3: 4, 4: 0},  # label false positive
             {q: noise_id + i for i, q in enumerate(pipe.query.vertex_ids())},
         ]
-        result = ClientFilter(pipe.graph, pipe.query).filter(candidates)
+        result = filter_candidates(candidates, pipe.graph, pipe.query)
         assert result.candidates == 3
-        assert len(result.matches) + result.dropped == 3
+        assert len(result.table) + result.dropped == 3
 
 
 class TestEndToEndClientStage:
@@ -113,4 +126,4 @@ class TestEndToEndClientStage:
         pipe = figure1_pipeline
         candidates = find_subgraph_matches(pipe.qo, pipe.transform.gk)
         result = filter_candidates(candidates, pipe.graph, pipe.query)
-        assert {match_key(m) for m in result.matches} == pipe.oracle
+        assert {match_key(m) for m in result.table.to_matches()} == pipe.oracle

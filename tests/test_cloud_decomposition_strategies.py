@@ -6,6 +6,7 @@ from repro.anonymize import estimator_from_outsourced
 from repro.cloud import (
     CloudServer,
     decompose_query,
+    expand_star_table,
     greedy_weighted_vertex_cover,
     is_vertex_cover,
 )
@@ -65,7 +66,10 @@ class TestStrategyPlumbing:
         )
         answer = server.answer(pipe.qo)
         expanded = {
-            match_key(m) for m in pipe.transform.avt.expand_matches(answer.matches)
+            match_key(m)
+            for m in expand_star_table(
+                answer.table, pipe.transform.avt
+            ).to_matches()
         }
         direct = {
             match_key(m) for m in find_subgraph_matches(pipe.qo, pipe.transform.gk)

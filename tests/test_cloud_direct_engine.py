@@ -3,7 +3,9 @@
 import pytest
 
 from repro.cloud import CloudServer
-from repro.matching import find_subgraph_matches, match_key
+from repro.core.protocol import decode_answer_table, encode_answer_table
+from repro.core.query_client import QueryClient
+from repro.matching import MatchTable, find_subgraph_matches, match_key
 
 
 @pytest.fixture
@@ -69,12 +71,33 @@ class TestDirectEngine:
             )
 
     def test_client_filter_recovers_exact_results(self, bas_servers):
-        from repro.client import filter_candidates
+        from repro.client import ClientFilter
 
         pipe, _, direct = bas_servers
         answer = direct.answer(pipe.qo)
-        got = {
-            match_key(m)
-            for m in filter_candidates(answer.matches, pipe.graph, pipe.query).matches
-        }
-        assert got == pipe.oracle
+        exact = ClientFilter(pipe.graph, pipe.query).filter_table(answer.table)
+        assert {match_key(m) for m in exact.table.to_matches()} == pipe.oracle
+
+    def test_answer_table_schema_is_sorted_query_vertices(self, bas_servers):
+        pipe, _, direct = bas_servers
+        answer = direct.answer(pipe.qo)
+        assert isinstance(answer.table, MatchTable)
+        assert answer.table.schema == tuple(sorted(pipe.qo.vertex_ids()))
+        assert answer.matches == answer.table.to_matches()
+
+    def test_wire_round_trip_matches_stars_engine(self, bas_servers):
+        """Both engines' answers survive the one answer codec and the
+        client's Algorithm 3 with the same exact matches."""
+        pipe, stars, direct = bas_servers
+        client = QueryClient(pipe.graph, pipe.lct, pipe.transform.avt)
+        order = sorted(pipe.qo.vertex_ids())
+
+        def through_the_wire(server):
+            answer = server.answer(pipe.qo)
+            table, expanded = decode_answer_table(
+                encode_answer_table(answer.table, order, answer.expanded)
+            )
+            outcome = client.process_answer(pipe.query, table, expanded)
+            return {match_key(m) for m in outcome.matches}
+
+        assert through_the_wire(direct) == through_the_wire(stars) == pipe.oracle

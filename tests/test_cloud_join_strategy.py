@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cloud import CloudServer
+from repro.cloud import CloudServer, expand_star_table
 from repro.matching import find_subgraph_matches, match_key
 
 
@@ -39,7 +39,9 @@ class TestFullJoinStrategy:
         # Rin expanded through the AVT gives the same set
         expanded_rin = {
             match_key(m)
-            for m in pipe.transform.avt.expand_matches(rin_answer.matches)
+            for m in expand_star_table(
+                rin_answer.table, pipe.transform.avt
+            ).to_matches()
         }
         assert expanded_rin == direct
 

@@ -5,13 +5,25 @@ import pytest
 from repro.cloud import (
     CloudIndex,
     decompose_query,
-    expand_star_matches,
-    join_star_matches,
-    match_all_stars,
+    expand_star_table,
+    join_star_tables,
+    match_star_table,
 )
 from repro.anonymize import estimator_from_outsourced
 from repro.exceptions import QueryError
-from repro.matching import find_subgraph_matches, match_key, star_of
+from repro.matching import MatchTable, find_subgraph_matches, match_key, star_of
+
+
+def join_star_matches(stars, star_matches, avt, **kwargs):
+    """``join_star_tables`` driven with hand-written dict matches."""
+    tables = {
+        star.center: MatchTable.from_matches(
+            star_matches[star.center], star.vertex_order
+        )
+        for star in stars
+    }
+    rin, stats = join_star_tables(stars, tables, avt, **kwargs)
+    return rin.to_matches(), stats
 
 
 @pytest.fixture
@@ -22,21 +34,26 @@ def joined(figure1_pipeline):
         pipe.outsourced.block_vertices, pipe.outsourced.graph, pipe.transform.k
     )
     decomposition = decompose_query(pipe.qo, estimator)
-    star_matches, _ = match_all_stars(
-        pipe.qo, decomposition.stars, index, pipe.outsourced.graph
+    star_tables = {
+        star.center: match_star_table(pipe.qo, star, index, pipe.outsourced.graph)
+        for star in decomposition.stars
+    }
+    rin, stats = join_star_tables(
+        decomposition.stars, star_tables, pipe.transform.avt
     )
-    rin, stats = join_star_matches(decomposition.stars, star_matches, pipe.transform.avt)
-    return pipe, decomposition, rin, stats
+    return pipe, decomposition, rin.to_matches(), stats
 
 
 class TestExpandStarMatches:
     def test_expansion_matches_definition(self, figure1_pipeline):
         pipe = figure1_pipeline
         avt = pipe.transform.avt
-        matches = [{0: avt.first_block()[0]}]
-        expanded = expand_star_matches(matches, avt)
+        table = MatchTable((0,), [(avt.first_block()[0],)])
+        expanded = expand_star_table(table, avt)
         assert len(expanded) == avt.k
-        assert {m[0] for m in expanded} == set(avt.symmetric_group(avt.first_block()[0]))
+        assert {row[0] for row in expanded.rows} == set(
+            avt.symmetric_group(avt.first_block()[0])
+        )
 
 
 class TestJoinProducesRin:
@@ -44,7 +61,11 @@ class TestJoinProducesRin:
         """Rin ∪ F_m(Rin) must equal R(Qo, Gk) computed directly."""
         pipe, _, rin, _ = joined
         avt = pipe.transform.avt
-        expanded = {match_key(m) for m in avt.expand_matches(rin)}
+        expanded = {
+            match_key(avt.apply_to_match(m, shift))
+            for shift in range(avt.k)
+            for m in rin
+        }
         direct = {
             match_key(m) for m in find_subgraph_matches(pipe.qo, pipe.transform.gk)
         }

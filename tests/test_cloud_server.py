@@ -1,7 +1,7 @@
 """Unit tests for the CloudServer facade (estimators, accounting)."""
 
 
-from repro.cloud import CloudServer
+from repro.cloud import CloudServer, expand_star_table
 from repro.graph import AttributedGraph
 from repro.matching import find_subgraph_matches, match_key
 
@@ -92,7 +92,9 @@ class TestAnswerShapes:
         answer = server.answer(pipe.qo)
         expanded = {
             match_key(m)
-            for m in pipe.transform.avt.expand_matches(answer.matches)
+            for m in expand_star_table(
+                answer.table, pipe.transform.avt
+            ).to_matches()
         }
         direct = {
             match_key(m) for m in find_subgraph_matches(pipe.qo, pipe.transform.gk)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cloud import CloudIndex, match_all_stars, match_star
+from repro.cloud import CloudIndex, CloudServer, match_star_table
 from repro.matching import (
     Star,
     find_subgraph_matches,
@@ -10,6 +10,10 @@ from repro.matching import (
     star_as_graph,
     star_of,
 )
+
+
+def match_star(query, star, index, data):
+    return match_star_table(query, star, index, data).to_matches()
 
 
 @pytest.fixture
@@ -84,9 +88,14 @@ class TestMatchStar:
 
 class TestMatchAllStars:
     def test_stats_track_sizes(self, cloud_setup):
-        pipe, index = cloud_setup
+        pipe, _ = cloud_setup
         stars = [star_of(pipe.qo, 1), star_of(pipe.qo, 4)]
-        results, stats = match_all_stars(pipe.qo, stars, index, pipe.outsourced.graph)
+        server = CloudServer(
+            pipe.outsourced.graph,
+            pipe.transform.avt,
+            pipe.outsourced.block_vertices,
+        )
+        results, stats = server._match_stars(pipe.qo, stars)
         assert set(results) == {1, 4}
         assert stats.result_sizes == {c: len(results[c]) for c in results}
         assert stats.total_results == sum(len(m) for m in results.values())

@@ -1,13 +1,13 @@
 """Equivalence suite: the columnar pipeline is bit-identical to the
-dict pipeline.
+dict oracle.
 
 Every columnar kernel (Algorithm 1 star matching, the Algorithm 2 join
 with and without anchor expansion, the AVT row expansion, the
 Algorithm 3 client filter) is checked against its dict-based reference
-implementation over randomly generated graphs, queries, ``k`` and
-decompositions — same results, same order, same telemetry.  Budget and
-empty-decomposition edge cases of the columnar path are covered at the
-end.
+implementation in :mod:`tests.oracle` over randomly generated graphs,
+queries, ``k`` and decompositions — same results, same order, same
+telemetry.  Budget and empty-decomposition edge cases of the columnar
+path are covered at the end.
 """
 
 from __future__ import annotations
@@ -20,24 +20,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.anonymize import estimator_from_outsourced
-from repro.client.expansion import expand_rin, expand_rin_table
+from repro.client.expansion import expand_rin_table
 from repro.client.filtering import ClientFilter
 from repro.cloud import (
     CloudIndex,
     CloudServer,
     ShardedCloud,
     decompose_query,
-    join_star_matches,
-    join_star_matches_legacy,
     join_star_tables,
-    match_all_stars,
-    match_star,
     match_star_table,
 )
 from repro.cloud.cache import leaf_role_order, roles_to_table, table_to_roles
 from repro.core.protocol import (
     NetworkChannel,
-    encode_answer,
     encode_answer_table,
     encode_shard_tables,
 )
@@ -47,6 +42,13 @@ from repro.kauto import build_k_automorphic_graph
 from repro.matching import MatchTable, star_of, vec
 from repro.outsource import build_outsourced_graph
 from repro.workloads import random_walk_query
+from tests.oracle import (
+    encode_answer,
+    expand_rin,
+    filter_candidates,
+    join_star_matches,
+    match_star,
+)
 
 #: The representation arms: tuple reference kernels, ``array('q')``
 #: storage with tuple kernels, and (when installed) the numpy vector
@@ -98,6 +100,27 @@ def deployment(
         index=index,
         stars=decomposition.stars,
     )
+
+
+def oracle_star_matches(dep: SimpleNamespace) -> dict[int, list]:
+    """The dict oracle's ``R(S, Go)`` for every star of ``dep``."""
+    return {
+        star.center: match_star(
+            dep.query, star, dep.index, dep.outsourced.graph
+        )
+        for star in dep.stars
+    }
+
+
+def table_join(dep: SimpleNamespace, star_matches: dict[int, list], **kwargs):
+    """``join_star_tables`` over the tabulated ``star_matches``."""
+    tables = {
+        star.center: MatchTable.from_matches(
+            star_matches[star.center], star.vertex_order
+        )
+        for star in dep.stars
+    }
+    return join_star_tables(dep.stars, tables, dep.avt, **kwargs)
 
 
 class TestStarMatchingEquivalence:
@@ -159,16 +182,14 @@ class TestJoinEquivalence:
     @given(**PARAMS, expand_anchor=st.booleans())
     def test_join_bit_identical(self, seed, n, k, edges, expand_anchor):
         dep = deployment(seed, n, k, edges)
-        star_matches, _ = match_all_stars(
-            dep.query, dep.stars, dep.index, dep.outsourced.graph
-        )
-        legacy, legacy_stats = join_star_matches_legacy(
+        star_matches = oracle_star_matches(dep)
+        legacy, legacy_stats = join_star_matches(
             dep.stars, star_matches, dep.avt, expand_anchor=expand_anchor
         )
-        columnar, stats = join_star_matches(
-            dep.stars, star_matches, dep.avt, expand_anchor=expand_anchor
+        columnar, stats = table_join(
+            dep, star_matches, expand_anchor=expand_anchor
         )
-        assert columnar == legacy  # same matches, same order
+        assert columnar.to_matches() == legacy  # same matches, same order
         assert stats.anchor_center == legacy_stats.anchor_center
         assert stats.intermediate_sizes == legacy_stats.intermediate_sizes
         assert stats.rin_size == legacy_stats.rin_size
@@ -178,16 +199,12 @@ class TestJoinEquivalence:
     def test_unexpanded_join_bit_identical(self, seed, n, k, edges):
         """The BAS-style join (``expand=False``) agrees as well."""
         dep = deployment(seed, n, k, edges)
-        star_matches, _ = match_all_stars(
-            dep.query, dep.stars, dep.index, dep.outsourced.graph
-        )
-        legacy, _ = join_star_matches_legacy(
+        star_matches = oracle_star_matches(dep)
+        legacy, _ = join_star_matches(
             dep.stars, star_matches, dep.avt, expand=False
         )
-        columnar, _ = join_star_matches(
-            dep.stars, star_matches, dep.avt, expand=False
-        )
-        assert columnar == legacy
+        columnar, _ = table_join(dep, star_matches, expand=False)
+        assert columnar.to_matches() == legacy
 
 
 class TestClientEquivalence:
@@ -195,24 +212,24 @@ class TestClientEquivalence:
     @given(**PARAMS)
     def test_expansion_and_filter_bit_identical(self, seed, n, k, edges):
         dep = deployment(seed, n, k, edges)
-        star_matches, _ = match_all_stars(
-            dep.query, dep.stars, dep.index, dep.outsourced.graph
+        rin, _ = join_star_matches(
+            dep.stars, oracle_star_matches(dep), dep.avt
         )
-        rin, _ = join_star_matches_legacy(dep.stars, star_matches, dep.avt)
         schema = tuple(sorted(dep.query.vertex_ids()))
         rin_table = MatchTable.from_matches(rin, schema)
 
         legacy_exp = expand_rin(rin, dep.avt)
         table_exp = expand_rin_table(rin_table, dep.avt)
-        assert table_exp.table.to_matches() == legacy_exp.matches
-        assert table_exp.rin_size == legacy_exp.rin_size
-        assert table_exp.rout_size == legacy_exp.rout_size
+        assert table_exp.table.to_matches() == legacy_exp
+        assert table_exp.rin_size == len(rin)
+        assert table_exp.rout_size == len(legacy_exp) - len(rin)
 
-        flt = ClientFilter(dep.graph, dep.query)
-        legacy_fr = flt.filter(legacy_exp.matches)
-        table_fr = flt.filter_table(table_exp.table)
+        legacy_fr = filter_candidates(legacy_exp, dep.graph, dep.query)
+        table_fr = ClientFilter(dep.graph, dep.query).filter_table(
+            table_exp.table
+        )
         assert table_fr.table.to_matches() == legacy_fr.matches
-        assert table_fr.candidates == legacy_fr.candidates
+        assert table_fr.candidates == len(legacy_exp)
         assert table_fr.dropped_vertex == legacy_fr.dropped_vertex
         assert table_fr.dropped_edge == legacy_fr.dropped_edge
         assert table_fr.dropped_label == legacy_fr.dropped_label
@@ -221,16 +238,17 @@ class TestClientEquivalence:
     @given(**PARAMS, limit=st.integers(0, 5))
     def test_filter_limit_agrees(self, seed, n, k, edges, limit):
         dep = deployment(seed, n, k, edges)
-        star_matches, _ = match_all_stars(
-            dep.query, dep.stars, dep.index, dep.outsourced.graph
+        rin, _ = join_star_matches(
+            dep.stars, oracle_star_matches(dep), dep.avt
         )
-        rin, _ = join_star_matches_legacy(dep.stars, star_matches, dep.avt)
         schema = tuple(sorted(dep.query.vertex_ids()))
-        candidates = expand_rin(rin, dep.avt).matches
+        candidates = expand_rin(rin, dep.avt)
         table = MatchTable.from_matches(candidates, schema)
         flt = ClientFilter(dep.graph, dep.query)
         assert flt.filter_table(table, limit=limit).table.to_matches() == (
-            flt.filter(candidates, limit=limit).matches
+            filter_candidates(
+                candidates, dep.graph, dep.query, limit=limit
+            ).matches
         )
 
 
@@ -247,11 +265,9 @@ class TestServerEquivalence:
             dep.outsourced.block_vertices,
         )
         answer = server.answer(dep.query)
-        assert answer.table is not None
-        star_matches, _ = match_all_stars(
-            dep.query, dep.stars, dep.index, dep.outsourced.graph
+        legacy, _ = join_star_matches(
+            dep.stars, oracle_star_matches(dep), dep.avt
         )
-        legacy, _ = join_star_matches_legacy(dep.stars, star_matches, dep.avt)
         assert answer.table.to_matches() == legacy
         assert answer.matches == legacy  # the lazy dict view agrees
 
@@ -273,9 +289,9 @@ class TestAvtRowKernels:
                 for match, row in zip(matches, rows)
             ]
         expanded = avt.expand_rows(rows)
-        assert [dict(enumerate(row)) for row in expanded] == (
-            avt.expand_matches(matches)
-        )
+        assert [dict(enumerate(row)) for row in expanded] == [
+            avt.apply_to_match(match, m) for m in range(k) for match in matches
+        ]
         noisy = rows + [(max(vids) + 10_000, vids[0])]
         assert avt.known_rows(noisy) == rows
 
@@ -393,21 +409,20 @@ def table_pipeline(dep: SimpleNamespace) -> SimpleNamespace:
 
 
 def dict_reference(dep: SimpleNamespace) -> SimpleNamespace:
-    """The dict-kernel pipeline (never touches the vec shim)."""
-    star_matches, _ = match_all_stars(
-        dep.query, dep.stars, dep.index, dep.outsourced.graph
+    """The dict-oracle pipeline (never touches the vec shim)."""
+    rin, stats = join_star_matches(
+        dep.stars, oracle_star_matches(dep), dep.avt
     )
-    rin, stats = join_star_matches_legacy(dep.stars, star_matches, dep.avt)
     expanded = expand_rin(rin, dep.avt)
-    filtered = ClientFilter(dep.graph, dep.query).filter(expanded.matches)
+    filtered = filter_candidates(expanded, dep.graph, dep.query)
     order = sorted(dep.query.vertex_ids())
     return SimpleNamespace(
         rin_matches=rin,
         rin_size=stats.rin_size,
         intermediate_sizes=stats.intermediate_sizes,
         answer_frame=encode_answer(rin, list(order), True),
-        expanded_matches=expanded.matches,
-        rout_size=expanded.rout_size,
+        expanded_matches=expanded,
+        rout_size=len(expanded) - len(rin),
         filtered_matches=filtered.matches,
         drop_counters=(
             filtered.dropped_vertex,

@@ -4,19 +4,16 @@ import pytest
 
 from repro.core import (
     NetworkChannel,
-    decode_answer,
-    decode_answer_batch,
+    decode_answer_table,
     decode_query,
-    decode_query_batch,
     decode_upload,
-    encode_answer,
-    encode_answer_batch,
+    encode_answer_table,
     encode_query,
-    encode_query_batch,
     encode_upload,
 )
 from repro.exceptions import ProtocolError
 from repro.graph import AttributedGraph
+from repro.matching import MatchTable
 
 
 class TestChannel:
@@ -89,75 +86,26 @@ class TestQueryMessageEdgeCases:
         assert decoded.vertex(1).vertex_type == "café"
 
 
-class TestBatchMessages:
-    """Multi-query payloads: the wire framing of `query_batch`."""
-
-    def test_query_batch_round_trip(self, figure1_pipeline):
-        queries = [figure1_pipeline.qo, unicode_query(), AttributedGraph()]
-        decoded = decode_query_batch(encode_query_batch(queries))
-        assert len(decoded) == 3
-        for original, back in zip(queries, decoded):
-            assert back.structure_equal(original)
-
-    def test_empty_batch_round_trip(self):
-        assert decode_query_batch(encode_query_batch([])) == []
-
-    def test_answer_batch_round_trip(self):
-        answers = [
-            ([{0: 5, 1: 7}, {0: 6, 1: 8}], [0, 1], False),
-            ([], [0], True),
-            ([{0: 1, 1: 2, 2: 3}], [0, 1, 2], True),
-        ]
-        decoded = decode_answer_batch(encode_answer_batch(answers))
-        assert decoded == [
-            ([{0: 5, 1: 7}, {0: 6, 1: 8}], False),
-            ([], True),
-            ([{0: 1, 1: 2, 2: 3}], True),
-        ]
-
-    def test_batch_under_load_round_trip(self, figure1_pipeline):
-        """A large multi-query payload survives encode/decode intact."""
-        queries = [figure1_pipeline.qo, unicode_query()] * 16
-        decoded = decode_query_batch(encode_query_batch(queries))
-        assert len(decoded) == 32
-        assert all(
-            back.structure_equal(original)
-            for original, back in zip(queries, decoded)
-        )
-
-    def test_malformed_query_batch_rejected(self):
-        with pytest.raises(ProtocolError):
-            decode_query_batch(b"not json")
-        with pytest.raises(ProtocolError):
-            decode_query_batch(b'{"nope": []}')
-        with pytest.raises(ProtocolError):
-            decode_query_batch(b'{"queries": 3}')
-
-    def test_malformed_answer_batch_rejected(self):
-        with pytest.raises(ProtocolError):
-            decode_answer_batch(b'{"answers": "oops"}')
-        with pytest.raises(ProtocolError):
-            decode_answer_batch(b'{"answers": [{"rows": []}]}')
-
-
 class TestAnswerMessage:
     def test_round_trip(self):
-        matches = [{0: 5, 1: 7}, {0: 6, 1: 8}]
-        payload = encode_answer(matches, [0, 1], expanded=False)
-        decoded, expanded = decode_answer(payload)
-        assert decoded == matches
+        table = MatchTable((0, 1), [(5, 7), (6, 8)])
+        payload = encode_answer_table(table, [0, 1], expanded=False)
+        decoded, expanded = decode_answer_table(payload)
+        assert decoded == table
         assert expanded is False
 
     def test_expanded_flag_survives(self):
-        payload = encode_answer([], [0], expanded=True)
-        _, expanded = decode_answer(payload)
+        payload = encode_answer_table(MatchTable((0,)), [0], expanded=True)
+        _, expanded = decode_answer_table(payload)
         assert expanded is True
 
     def test_answer_size_grows_with_matches(self):
-        small = encode_answer([{0: 1}], [0], expanded=False)
-        big = encode_answer([{0: i} for i in range(100)], [0], expanded=False)
+        small = encode_answer_table(MatchTable((0,), [(1,)]), [0], expanded=False)
+        big = encode_answer_table(
+            MatchTable((0,), [(i,) for i in range(100)]), [0], expanded=False
+        )
         assert len(big) > len(small)
 
     def test_malformed_rejected(self):
         with pytest.raises(ProtocolError):
-            decode_answer(b'{"rows": "oops"}')
+            decode_answer_table(b'{"rows": "oops"}')

@@ -46,7 +46,7 @@ class TestRoundTrip:
         client = QueryClient(original_graph, lct, client_avt)
         query = example_query()
         answer = cloud.answer(client.prepare_query(query))
-        outcome = client.process_answer(query, answer.matches, answer.expanded)
+        outcome = client.process_answer(query, answer.table, answer.expanded)
         oracle = {match_key(m) for m in find_subgraph_matches(query, original_graph)}
         assert {match_key(m) for m in outcome.matches} == oracle
 

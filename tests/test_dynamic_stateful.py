@@ -97,7 +97,7 @@ class DynamicReleaseMachine(RuleBasedStateMachine):
         if not hasattr(self, "release"):
             return
         from repro.anonymize import anonymize_query
-        from repro.client import expand_rin, filter_candidates
+        from repro.client import ClientFilter, expand_rin_table
         from repro.cloud import CloudServer
         from repro.matching import find_subgraph_matches, match_key
         from repro.workloads import random_walk_query
@@ -111,11 +111,9 @@ class DynamicReleaseMachine(RuleBasedStateMachine):
             outsourced.graph, self.release.avt, outsourced.block_vertices
         )
         answer = cloud.answer(anonymize_query(query, self.lct))
-        expanded = expand_rin(answer.matches, self.release.avt)
-        got = {
-            match_key(m)
-            for m in filter_candidates(expanded.matches, original, query).matches
-        }
+        candidates = expand_rin_table(answer.table, self.release.avt).table
+        exact = ClientFilter(original, query).filter_table(candidates).table
+        got = {match_key(m) for m in exact.to_matches()}
         oracle = {match_key(m) for m in find_subgraph_matches(query, original)}
         assert got == oracle
 

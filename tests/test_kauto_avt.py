@@ -80,8 +80,8 @@ class TestMatchMapping:
         assert avt3.apply_to_match(match, 1) == {0: 1, 1: 12}
 
     def test_expand_matches_covers_all_shifts(self, avt3):
-        expanded = avt3.expand_matches([{0: 0}])
-        assert {m[0] for m in expanded} == {0, 1, 2}
+        expanded = avt3.expand_rows([(0,)])
+        assert {row[0] for row in expanded} == {0, 1, 2}
         assert len(expanded) == 3
 
 

@@ -25,17 +25,15 @@ def release(figure1):
 def pipeline_exact(release, query, original):
     """Run the full pipeline on the current release state."""
     from repro.anonymize import anonymize_query
-    from repro.client import expand_rin, filter_candidates
+    from repro.client import ClientFilter, expand_rin_table
     from repro.cloud import CloudServer
 
     outsourced = release.refresh_outsourced()
     cloud = CloudServer(outsourced.graph, release.avt, outsourced.block_vertices)
     answer = cloud.answer(anonymize_query(query, release.lct))
-    expanded = expand_rin(answer.matches, release.avt)
-    got = {
-        match_key(m)
-        for m in filter_candidates(expanded.matches, original, query).matches
-    }
+    candidates = expand_rin_table(answer.table, release.avt).table
+    exact = ClientFilter(original, query).filter_table(candidates).table
+    got = {match_key(m) for m in exact.to_matches()}
     oracle = {match_key(m) for m in find_subgraph_matches(query, original)}
     return got == oracle
 

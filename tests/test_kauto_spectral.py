@@ -79,7 +79,7 @@ class TestSpectralInsideTransform:
             build_lct,
             cost_based_grouping,
         )
-        from repro.client import expand_rin, filter_candidates
+        from repro.client import ClientFilter, expand_rin_table
         from repro.cloud import CloudServer
         from repro.graph import compute_statistics
         from repro.kauto import build_k_automorphic_graph
@@ -96,11 +96,9 @@ class TestSpectralInsideTransform:
         outsourced = build_outsourced_graph(transform.gk, transform.avt)
         cloud = CloudServer(outsourced.graph, transform.avt, outsourced.block_vertices)
         answer = cloud.answer(anonymize_query(figure1_query, lct))
-        expanded = expand_rin(answer.matches, transform.avt)
-        got = {
-            match_key(m)
-            for m in filter_candidates(expanded.matches, graph, figure1_query).matches
-        }
+        candidates = expand_rin_table(answer.table, transform.avt).table
+        exact = ClientFilter(graph, figure1_query).filter_table(candidates).table
+        got = {match_key(m) for m in exact.to_matches()}
         oracle = {
             match_key(m) for m in find_subgraph_matches(figure1_query, graph)
         }

@@ -10,15 +10,22 @@ without it:
 * **completeness needs honesty** — a cloud that *omits* results causes
   silent under-reporting; the client cannot detect omission (this is
   the documented limit of the threat model).
+
+Tampered answers enter the client the way a decoded frame does —
+through :meth:`MatchTable.from_rows` — so a cell that is not a vertex
+id at all is a typed error before the filter ever sees it.
 """
 
+import json
 import random
 
 import pytest
 
 from repro import PrivacyPreservingSystem, SystemConfig
+from repro.core.protocol import decode_answer_table
+from repro.exceptions import ProtocolError
 from repro.graph import example_query, example_social_network
-from repro.matching import find_subgraph_matches, match_key
+from repro.matching import MatchTable, find_subgraph_matches, match_key
 
 
 @pytest.fixture(scope="module")
@@ -31,8 +38,16 @@ def deployment():
     return graph, system, query, oracle, answer
 
 
+def received(query, matches):
+    """``matches`` as the client decodes them off the wire."""
+    order = sorted(query.vertex_ids())
+    return MatchTable.from_rows(order, [[m[q] for q in order] for m in matches])
+
+
 def client_output(system, query, matches, expanded=False):
-    outcome = system.client.process_answer(query, matches, expanded)
+    outcome = system.client.process_answer(
+        query, received(query, matches), expanded
+    )
     return {match_key(m) for m in outcome.matches}
 
 
@@ -61,7 +76,7 @@ class TestSoundnessAgainstTampering:
     def test_duplicated_rows_do_not_duplicate_results(self, deployment):
         graph, system, query, oracle, answer = deployment
         outcome = system.client.process_answer(
-            query, answer.matches * 3, already_expanded=False
+            query, received(query, answer.matches * 3), already_expanded=False
         )
         assert {match_key(m) for m in outcome.matches} == oracle
         assert len(outcome.matches) == len(oracle)
@@ -79,6 +94,19 @@ class TestSoundnessAgainstTampering:
             {q: rng.randrange(0, 20) for q in query.vertex_ids()} for _ in range(200)
         ]
         assert client_output(system, query, fabricated) <= oracle
+
+    @pytest.mark.parametrize("cell", [[1], True, 1.5, "a", None])
+    def test_non_integer_cells_are_a_typed_error(self, deployment, cell):
+        """A cell that is not exactly an int never reaches the filter."""
+        graph, system, query, oracle, answer = deployment
+        order = sorted(query.vertex_ids())
+        rows = [[m[q] for q in order] for m in answer.matches]
+        rows.append([cell] + rows[0][1:])
+        with pytest.raises(ValueError, match="is not an integer vertex id"):
+            MatchTable.from_rows(order, rows)
+        frame = json.dumps({"order": order, "rows": rows, "expanded": False})
+        with pytest.raises(ProtocolError, match="malformed answer message"):
+            decode_answer_table(frame.encode("utf-8"))
 
 
 class TestCompletenessNeedsHonesty:

@@ -12,12 +12,7 @@ from repro.cloud.cache import (
     star_signature,
     table_to_roles,
 )
-from repro.core.protocol import (
-    decode_answer,
-    decode_answer_table,
-    encode_answer,
-    encode_answer_table,
-)
+from repro.core.protocol import decode_answer_table, encode_answer_table
 from repro.exceptions import ProtocolError
 from repro.matching import (
     MatchTable,
@@ -28,6 +23,7 @@ from repro.matching import (
     star_of,
     vec,
 )
+from tests.oracle import decode_answer, encode_answer
 
 
 class TestRowGetter:

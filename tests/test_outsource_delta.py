@@ -131,7 +131,7 @@ class TestGoDelta:
 
 class TestCloudServerDelta:
     def test_server_applies_delta_and_stays_exact(self, live, figure1_query):
-        from repro.client import expand_rin, filter_candidates
+        from repro.client import ClientFilter, expand_rin_table
         from repro.matching import find_subgraph_matches
 
         release, outsourced, _ = live
@@ -148,13 +148,11 @@ class TestCloudServerDelta:
 
         anonymized = anonymize_query(figure1_query, release.lct)
         answer = server.answer(anonymized)
-        expanded = expand_rin(answer.matches, release.avt)
-        got = {
-            match_key(m)
-            for m in filter_candidates(
-                expanded.matches, release.original, figure1_query
-            ).matches
-        }
+        candidates = expand_rin_table(answer.table, release.avt).table
+        exact = ClientFilter(release.original, figure1_query).filter_table(
+            candidates
+        ).table
+        got = {match_key(m) for m in exact.to_matches()}
         oracle = {
             match_key(m)
             for m in find_subgraph_matches(figure1_query, release.original)

@@ -174,7 +174,7 @@ class TestStarMatchingEquivalence:
         randomized published graphs and stars."""
         from repro.anonymize import anonymize_query, build_lct, cost_based_grouping
         from repro.cloud import CloudIndex
-        from repro.cloud.star_matching import match_star
+        from repro.cloud.star_matching import match_star_table
         from repro.graph import compute_statistics
         from repro.matching import star_as_graph, star_of
         from repro.outsource import build_outsourced_graph
@@ -196,7 +196,12 @@ class TestStarMatchingEquivalence:
 
         for center in anonymized.vertex_ids():
             star = star_of(anonymized, center)
-            got = {match_key(m) for m in match_star(anonymized, star, index, outsourced.graph)}
+            got = {
+                match_key(m)
+                for m in match_star_table(
+                    anonymized, star, index, outsourced.graph
+                ).to_matches()
+            }
             want = {
                 match_key(m)
                 for m in find_subgraph_matches(

@@ -23,28 +23,22 @@ from hypothesis import strategies as st
 
 from repro.core.protocol import (
     TraceContext,
-    decode_answer,
-    decode_answer_batch,
     decode_answer_table,
     decode_gateway_answer,
     decode_gateway_hello,
     decode_gateway_reject,
     decode_gateway_request,
     decode_query,
-    decode_query_batch,
     decode_shard_request,
     decode_shard_tables,
     decode_trace_context,
     decode_upload,
-    encode_answer,
-    encode_answer_batch,
     encode_answer_table,
     encode_gateway_answer,
     encode_gateway_hello,
     encode_gateway_reject,
     encode_gateway_request,
     encode_query,
-    encode_query_batch,
     encode_shard_request,
     encode_shard_tables,
     encode_trace_context,
@@ -65,15 +59,14 @@ def wire():
     transform = build_k_automorphic_graph(graph, 2, seed=0)
     outsourced = build_outsourced_graph(transform.gk, transform.avt)
     table = MatchTable((0, 1), [(3, 4), (5, 6)])
-    matches = [{0: 3, 1: 4}]
     stars = [Star(center=0, leaves=(1, 2))]
     return {
         "upload": encode_upload(outsourced.graph, transform.avt),
         "query": encode_query(graph),
-        "answer": encode_answer(matches, [0, 1], expanded=True),
+        "answer": encode_answer_table(
+            MatchTable((0, 1), [(3, 4)]), [0, 1], expanded=True
+        ),
         "answer_table": encode_answer_table(table, [0, 1], expanded=False),
-        "query_batch": encode_query_batch([graph, graph]),
-        "answer_batch": encode_answer_batch([(matches, [0, 1], True)]),
         "shard_request": encode_shard_request(graph, stars),
         "shard_tables": encode_shard_tables({0: table}),
         "gateway_hello": encode_gateway_hello("alice", "secret"),
@@ -93,10 +86,7 @@ def wire():
 DECODERS = {
     "upload": decode_upload,
     "query": decode_query,
-    "answer": decode_answer,
     "answer_table": decode_answer_table,
-    "query_batch": decode_query_batch,
-    "answer_batch": decode_answer_batch,
     "shard_request": decode_shard_request,
     "shard_tables": decode_shard_tables,
     "gateway_hello": decode_gateway_hello,
@@ -106,58 +96,108 @@ DECODERS = {
     "trace_context": decode_trace_context,
 }
 
-#: Field corruptions per message type: (path, replacement) pairs.  The
-#: path indexes into the decoded JSON object; the replacement is a
-#: wrong-typed value the decoder must reject as ProtocolError.
-WRONG_TYPED: dict[str, list[tuple[tuple, object]]] = {
-    "upload": [(("graph",), 7), (("avt",), "nope"), (("graph", "vertices"), 1)],
-    "query": [(("vertices",), "x"), (("edges",), {"a": 1})],
-    "answer": [(("rows",), 5), (("order",), None), (("rows",), [1])],
-    "answer_table": [(("rows",), 5), (("rows",), [[1]]), (("order",), 3)],
-    "query_batch": [(("queries",), 5), (("queries",), [7])],
-    "answer_batch": [(("answers",), "x"), (("answers",), [None])],
+#: Payload kinds under test: one per codec, plus ``answer`` — the
+#: system's (expanded) answer leg, which the table codec frames too:
+#: there is one answer codec per frame kind.
+KINDS = {**DECODERS, "answer": decode_answer_table}
+
+
+def _answer_entry(rows: list) -> list[dict]:
+    """A one-entry gateway ``answers`` list carrying ``rows``."""
+    return [{"order": [0, 1], "rows": rows, "expanded": True}]
+
+
+#: Non-integer cells a hostile answer frame may carry: each must be a
+#: ProtocolError at decode time, never a vertex id in the client filter.
+BAD_CELLS = {
+    "nested-list-cell": [[[1], [2]]],
+    "bool-cell": [[True, 2]],
+    "float-cell": [[1.5, 2]],
+    "string-cell": [["a", 2]],
+}
+
+#: Field corruptions per message type: (id, path, replacement) triples.
+#: The path indexes into the decoded JSON object; the replacement is a
+#: wrong-typed value the decoder must reject as ProtocolError.  The
+#: test id is ``<kind>-<id>``, spelled out because pytest's default
+#: (the case's position in the flattened list) would rename every
+#: later case whenever one is added or dropped; the ``pathN`` ids are
+#: those historical positions.
+WRONG_TYPED: dict[str, list[tuple[str, tuple, object]]] = {
+    "upload": [
+        ("path41-7", ("graph",), 7),
+        ("path42-nope", ("avt",), "nope"),
+        ("path43-1", ("graph", "vertices"), 1),
+    ],
+    "query": [
+        ("path27-x", ("vertices",), "x"),
+        ("path28-value28", ("edges",), {"a": 1}),
+    ],
+    "answer": [
+        ("path0-5", ("rows",), 5),
+        ("path1-None", ("order",), None),
+        ("path2-value2", ("rows",), [1]),
+    ],
+    "answer_table": [
+        ("path5-5", ("rows",), 5),
+        ("path6-value6", ("rows",), [[1]]),
+        ("path7-3", ("order",), 3),
+        *((name, ("rows",), rows) for name, rows in BAD_CELLS.items()),
+    ],
     "shard_request": [
-        (("stars",), 5),
-        (("stars",), [None]),
-        (("stars",), [{"center": "x", "leaves": None}]),
-        (("query",), []),
+        ("path31-5", ("stars",), 5),
+        ("path32-value32", ("stars",), [None]),
+        ("path33-value33", ("stars",), [{"center": "x", "leaves": None}]),
+        ("path34-value34", ("query",), []),
         # a corrupted embedded trace context fails the whole frame —
         # it must never silently degrade to an untraced request.
-        (("ctx",), 5),
-        (("ctx",), {"q": 1, "p": 0}),
+        ("path35-5", ("ctx",), 5),
+        ("path36-value36", ("ctx",), {"q": 1, "p": 0}),
     ],
     "shard_tables": [
-        (("tables",), 5),
-        (("tables",), [None]),
-        (("tables",), [{"center": None, "schema": 1, "rows": 2}]),
-        (("tables",), [{"center": 0, "schema": [0, 1], "rows": [[1]]}]),
+        ("path37-5", ("tables",), 5),
+        ("path38-value38", ("tables",), [None]),
+        (
+            "path39-value39",
+            ("tables",),
+            [{"center": None, "schema": 1, "rows": 2}],
+        ),
+        (
+            "path40-value40",
+            ("tables",),
+            [{"center": 0, "schema": [0, 1], "rows": [[1]]}],
+        ),
     ],
     "gateway_hello": [
-        (("client_id",), 5),
-        (("client_id",), ""),
-        (("token",), 7),
+        ("path14-5", ("client_id",), 5),
+        ("path15-", ("client_id",), ""),
+        ("path16-7", ("token",), 7),
     ],
     "gateway_request": [
-        (("id",), 5),
-        (("queries",), 5),
-        (("queries",), []),
-        (("queries",), [7]),
-        (("ctx",), []),
-        (("ctx",), {"q": "x", "p": -1}),
+        ("path21-5", ("id",), 5),
+        ("path22-5", ("queries",), 5),
+        ("path23-value23", ("queries",), []),
+        ("path24-value24", ("queries",), [7]),
+        ("path25-value25", ("ctx",), []),
+        ("path26-value26", ("ctx",), {"q": "x", "p": -1}),
     ],
     "gateway_answer": [
-        (("id",), 5),
-        (("answers",), 5),
-        (("answers",), [None]),
-        (("answers",), [{"order": [0, 1], "rows": [[1]], "expanded": True}]),
-        (("trace",), 5),
-        (("trace",), {"spans": [7]}),
+        ("path8-5", ("id",), 5),
+        ("path9-5", ("answers",), 5),
+        ("path10-value10", ("answers",), [None]),
+        ("path11-value11", ("answers",), _answer_entry([[1]])),
+        ("path12-5", ("trace",), 5),
+        ("path13-value13", ("trace",), {"spans": [7]}),
+        *(
+            (name, ("answers",), _answer_entry(rows))
+            for name, rows in BAD_CELLS.items()
+        ),
     ],
     "gateway_reject": [
-        (("id",), 9),
-        (("code",), 5),
-        (("code",), ""),
-        (("message",), None),
+        ("path17-9", ("id",), 9),
+        ("path18-5", ("code",), 5),
+        ("path19-", ("code",), ""),
+        ("path20-None", ("message",), None),
     ],
 }
 
@@ -198,27 +238,27 @@ def assert_protocol_error(decoder, payload: bytes) -> None:
 
 
 class TestCorruptionFamilies:
-    @pytest.mark.parametrize("kind", sorted(DECODERS))
+    @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_truncated_payload(self, wire, kind):
         payload = wire[kind]
-        assert_protocol_error(DECODERS[kind], payload[: len(payload) // 2])
+        assert_protocol_error(KINDS[kind], payload[: len(payload) // 2])
 
-    @pytest.mark.parametrize("kind", sorted(DECODERS))
+    @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_invalid_utf8(self, wire, kind):
-        assert_protocol_error(DECODERS[kind], b"\xff\xfe\x00garbage")
+        assert_protocol_error(KINDS[kind], b"\xff\xfe\x00garbage")
 
-    @pytest.mark.parametrize("kind", sorted(DECODERS))
+    @pytest.mark.parametrize("kind", sorted(KINDS))
     @pytest.mark.parametrize(
         "payload", [b"[]", b'"text"', b"42", b"null", b"true"]
     )
     def test_non_object_json(self, wire, kind, payload):
-        assert_protocol_error(DECODERS[kind], payload)
+        assert_protocol_error(KINDS[kind], payload)
 
-    @pytest.mark.parametrize("kind", sorted(DECODERS))
+    @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_empty_object(self, wire, kind):
-        assert_protocol_error(DECODERS[kind], b"{}")
+        assert_protocol_error(KINDS[kind], b"{}")
 
-    @pytest.mark.parametrize("kind", sorted(DECODERS))
+    @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_missing_fields(self, wire, kind):
         # dropping an *optional* field may legally still decode; what
         # must never happen is a raw KeyError escaping the envelope.
@@ -226,26 +266,26 @@ class TestCorruptionFamilies:
         for field in data:
             payload = drop_field(wire[kind], field)
             try:
-                DECODERS[kind](payload)
+                KINDS[kind](payload)
             except ProtocolError as exc:
                 assert exc.__cause__ is not None
             except RAW_ERRORS as exc:  # pragma: no cover
                 pytest.fail(
-                    f"{DECODERS[kind].__name__} leaked "
+                    f"{KINDS[kind].__name__} leaked "
                     f"{type(exc).__name__} on missing {field!r}"
                 )
 
     @pytest.mark.parametrize(
         "kind,path,value",
         [
-            (kind, path, value)
+            pytest.param(kind, path, value, id=f"{kind}-{case}")
             for kind, cases in sorted(WRONG_TYPED.items())
-            for path, value in cases
+            for case, path, value in cases
         ],
     )
     def test_wrong_typed_fields(self, wire, kind, path, value):
         assert_protocol_error(
-            DECODERS[kind], corrupt(wire[kind], path, value)
+            KINDS[kind], corrupt(wire[kind], path, value)
         )
 
 

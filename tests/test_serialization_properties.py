@@ -7,16 +7,16 @@ from hypothesis import strategies as st
 
 from repro.anonymize import LabelCorrespondenceTable
 from repro.core.protocol import (
-    decode_answer,
+    decode_answer_table,
     decode_query,
     decode_upload,
-    encode_answer,
+    encode_answer_table,
     encode_query,
     encode_upload,
 )
 from repro.graph import AttributedGraph, graph_from_json, graph_to_json
 from repro.kauto import AlignmentVertexTable
-from repro.matching import matches_to_rows, rows_to_matches
+from repro.matching import MatchTable, matches_to_rows, rows_to_matches
 
 # ----------------------------------------------------------------------
 # strategies
@@ -94,10 +94,12 @@ class TestProtocolRoundTrips:
         matches = [
             {q: data.draw(st.integers(0, 10_000)) for q in order} for _ in range(rows)
         ]
-        decoded, decoded_expanded = decode_answer(
-            encode_answer(matches, order, expanded)
+        decoded, decoded_expanded = decode_answer_table(
+            encode_answer_table(
+                MatchTable.from_matches(matches, order), order, expanded
+            )
         )
-        assert decoded == matches
+        assert decoded.to_matches() == matches
         assert decoded_expanded == expanded
 
 
