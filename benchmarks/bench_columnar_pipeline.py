@@ -42,14 +42,11 @@ breakdown of both arms and the host they were taken on — to
 from __future__ import annotations
 
 import json
-import os
-import platform
-import subprocess
 import time
 from pathlib import Path
 from statistics import median
 
-from conftest import bench_queries, bench_scale
+from conftest import bench_host, bench_queries
 
 from repro.anonymize import estimator_from_outsourced
 from repro.bench import format_table, ms, print_report
@@ -238,34 +235,6 @@ def _ab(cells, repeats=REPEATS) -> dict:
     }
 
 
-def _host() -> dict:
-    """Where the numbers were taken (the BENCH_*.json host block)."""
-    try:
-        import numpy
-
-        numpy_version: str | None = numpy.__version__
-    except ImportError:
-        numpy_version = None
-    try:
-        commit: str | None = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=RESULT_PATH.parent,
-            capture_output=True,
-            text=True,
-            timeout=10,
-            check=True,
-        ).stdout.strip()
-    except (OSError, subprocess.SubprocessError):
-        commit = None
-    return {
-        "cores": len(os.sched_getaffinity(0)),
-        "python": platform.python_version(),
-        "numpy": numpy_version,
-        "scale": bench_scale(),
-        "commit": commit,
-    }
-
-
 def test_workload_bit_identical(sweep):
     """Both arms return exactly the same R(Q, G) for every query."""
     cells = _workload_cells(sweep)
@@ -332,7 +301,7 @@ def test_report_tuple_vs_vector(sweep):
             {
                 "segment": "match+join+expansion+filter",
                 "repeats": REPEATS,
-                "host": _host(),
+                "host": bench_host(),
                 "backend": vec.backend(),
                 "bit_identical": True,
                 "speedup": measured["dense"]["speedup"],

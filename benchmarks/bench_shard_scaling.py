@@ -7,8 +7,8 @@ serving-sized) answers a fixed random-walk query:
 
 * ``single``  — the paper's :class:`~repro.cloud.server.CloudServer`;
 * ``shards=N`` — :class:`~repro.cloud.sharding.ShardedCloud` over the
-  same graph, scattering the star plan with the ``thread`` and
-  fork-``process`` backends.
+  same graph, scattering the star plan with the ``serial`` loop and
+  the fork-``process`` backend.
 
 The cell is *scan-bound* star matching: selective labels keep the
 emitted tables small while every candidate center's neighbourhood is
@@ -22,26 +22,24 @@ cell measures.
 
 Assertions: every arm is *bit-identical* to the single server (same
 rows, same order — the merge-by-global-center-position guarantee), and
-— at full scale (``REPRO_BENCH_SCALE >= 1``) on hosts with >= 2 usable
-cores — a >= 1.5x star-phase gain at 4 shards with the thread or
-process backend.  The report cell always writes
-``BENCH_sharding.json`` at the repo root (the CI shard-scaling smoke
-uploads it).
+— at full scale (``REPRO_BENCH_SCALE >= 1``) on hosts with >= 4 usable
+cores, the host ROADMAP item 3 asks its verdict from — a >= 1.5x
+star-phase gain at 4 shards with the process backend.  The report cell
+always writes ``BENCH_sharding.json`` at the repo root, host block
+included (the CI shard-scaling smoke uploads it).
 """
 
 from __future__ import annotations
 
 import json
-import os
-import time
 from pathlib import Path
 
 import pytest
-from conftest import bench_scale
+from conftest import bench_host, bench_scale
 
 from repro.bench import format_table, ms, print_report
 from repro.cloud import CloudServer, ShardedCloud
-from repro.cloud.parallel import fork_available
+from repro.cloud.parallel import BACKENDS
 from repro.graph import make_schema, random_attributed_graph
 from repro.kauto import AlignmentVertexTable
 from repro.workloads import random_walk_query
@@ -53,15 +51,9 @@ CELL = dict(seed=7, n=20_000, edges_per_vertex=12, labels=6, query_edges=2)
 MIN_VERTICES = 2_000
 SHARD_COUNTS = (1, 2, 4)
 GATE_SHARDS = 4
+GATE_CORES = 4
 REPEATS = 3
 RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_sharding.json"
-
-
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 def _cell_vertices() -> int:
@@ -131,11 +123,8 @@ def test_shard_counts_bit_identical(deployment):
         query
     )
     assert expected.table.rows, "cell must produce matches to compare"
-    backends = ["serial", "thread"] + (
-        ["process"] if fork_available() else []
-    )
     for shards in SHARD_COUNTS:
-        for backend in backends:
+        for backend in BACKENDS:
             with _sharded(deployment, shards, backend) as cloud:
                 _assert_identical(cloud.answer(query), expected)
 
@@ -143,8 +132,7 @@ def test_shard_counts_bit_identical(deployment):
 def test_shard_scatter_cell(benchmark, deployment):
     """Timed cell: one warm scatter-gather answer at 4 shards."""
     graph, avt, centers, query = deployment
-    backend = "process" if fork_available() else "thread"
-    with _sharded(deployment, GATE_SHARDS, backend) as cloud:
+    with _sharded(deployment, GATE_SHARDS, "process") as cloud:
         cloud.answer(query)  # warm the persistent pool
         answer = benchmark(lambda: cloud.answer(query))
         assert answer.table.rows
@@ -167,9 +155,8 @@ def test_report_shard_scaling(deployment):
             len(expected.table),
         ]
     ]
-    backends = ["thread"] + (["process"] if fork_available() else [])
     for shards in SHARD_COUNTS:
-        for backend in backends:
+        for backend in BACKENDS:
             with _sharded(deployment, shards, backend) as cloud:
                 answer = cloud.answer(query)
                 _assert_identical(answer, expected)
@@ -206,15 +193,18 @@ def test_report_shard_scaling(deployment):
         )
     )
 
-    gate_arms = [a for a in arms if a["shards"] == GATE_SHARDS]
-    best = max(a["speedup"] for a in gate_arms)
+    best = max(
+        a["speedup"]
+        for a in arms
+        if a["shards"] == GATE_SHARDS and a["backend"] == "process"
+    )
+    host = bench_host()
     RESULT_PATH.write_text(
         json.dumps(
             {
                 "segment": "star matching (scatter-gather)",
                 "repeats": REPEATS,
-                "scale": bench_scale(),
-                "cores": _usable_cores(),
+                "host": host,
                 "bit_identical": True,
                 "speedup": best,
                 "cell": {**CELL, "n": _cell_vertices()},
@@ -226,8 +216,11 @@ def test_report_shard_scaling(deployment):
         + "\n"
     )
 
-    if _usable_cores() < 2:
-        pytest.skip("single-core host: no parallel speedup to assert")
+    if host["cores"] < GATE_CORES:
+        pytest.skip(
+            f"{host['cores']}-core host: the shard-scaling verdict needs "
+            f">= {GATE_CORES} cores"
+        )
     if bench_scale() < 1.0:
         pytest.skip(
             "cell scaled below gating size (set REPRO_BENCH_SCALE=1 "

@@ -19,7 +19,10 @@ Environment knobs:
 from __future__ import annotations
 
 import os
+import platform
+import subprocess
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import pytest
 
@@ -64,6 +67,34 @@ def bench_queries() -> int:
         return int(os.environ.get("REPRO_BENCH_QUERIES", DEFAULT_QUERIES))
     except ValueError:
         return DEFAULT_QUERIES
+
+
+def bench_host() -> dict:
+    """Where the numbers were taken (the BENCH_*.json host block)."""
+    try:
+        import numpy
+
+        numpy_version: str | None = numpy.__version__
+    except ImportError:
+        numpy_version = None
+    try:
+        commit: str | None = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=Path(__file__).resolve().parent,
+            capture_output=True,
+            text=True,
+            timeout=10,
+            check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.SubprocessError):
+        commit = None
+    return {
+        "cores": len(os.sched_getaffinity(0)),
+        "python": platform.python_version(),
+        "numpy": numpy_version,
+        "scale": bench_scale(),
+        "commit": commit,
+    }
 
 
 METHODS = ["EFF", "RAN", "FSIM", "BAS"]

@@ -11,8 +11,8 @@ Commands
     Answer a query graph (JSON) through a previously published
     deployment, using the original graph for client-side filtering.
 ``batch``
-    Answer a whole workload of query graphs concurrently through the
-    parallel batched engine (``--workers``, ``--backend``).
+    Answer a whole workload of query graphs through the batched
+    engine (``--backend serial|process``, ``--workers``).
 ``serve``
     Answer a workload through a deployment while exposing ``/metrics``,
     ``/healthz``, ``/readyz`` and ``/traces`` over HTTP (with optional
@@ -50,8 +50,9 @@ import json
 import sys
 from pathlib import Path
 
+from repro.cloud.parallel import BACKENDS
 from repro.cloud.server import CloudServer
-from repro.cloud.sharding import ShardedCloud
+from repro.cloud.sharding import build_cloud
 from repro.core.config import MethodConfig, SystemConfig
 from repro.core.data_owner import DataOwner
 from repro.core.query_client import QueryClient
@@ -157,7 +158,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
-    """Serve a workload of queries through the parallel batched engine."""
+    """Serve a workload of queries through the batched engine."""
     import time
 
     from repro.cloud.parallel import effective_workers
@@ -168,28 +169,16 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     lct, client_avt = load_client_side(args.deployment)
 
     obs = Observability()
-    cloud: CloudServer | ShardedCloud
-    if args.shards > 1:
-        cloud = ShardedCloud(
-            cloud_graph,
-            cloud_avt,
-            centers,
-            shards=args.shards,
-            expand_in_cloud=expand,
-            star_cache_size=args.star_cache,
-            backend=args.shard_backend,
-            obs=obs if args.trace else None,
-        )
-    else:
-        cloud = CloudServer(
-            cloud_graph,
-            cloud_avt,
-            centers,
-            expand_in_cloud=expand,
-            star_cache_size=args.star_cache,
-            star_workers=args.star_workers,
-            obs=obs if args.trace else None,
-        )
+    cloud = build_cloud(
+        cloud_graph,
+        cloud_avt,
+        centers,
+        shards=args.shards,
+        shard_backend=args.shard_backend,
+        expand_in_cloud=expand,
+        star_cache_size=args.star_cache,
+        obs=obs if args.trace else None,
+    )
     client = QueryClient(graph, lct, client_avt, obs=obs if args.trace else None)
 
     anonymized = [client.prepare_query(query) for query in queries]
@@ -401,27 +390,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         lct, client_avt = load_client_side(args.deployment)
         component_obs = Observability(record=False, registry=obs.metrics)
-        cloud: CloudServer | ShardedCloud
-        if args.shards > 1:
-            cloud = ShardedCloud(
-                cloud_graph,
-                cloud_avt,
-                centers,
-                shards=args.shards,
-                expand_in_cloud=expand,
-                star_cache_size=args.star_cache,
-                backend=args.shard_backend,
-                obs=component_obs,
-            )
-        else:
-            cloud = CloudServer(
-                cloud_graph,
-                cloud_avt,
-                centers,
-                expand_in_cloud=expand,
-                star_cache_size=args.star_cache,
-                obs=component_obs,
-            )
+        cloud = build_cloud(
+            cloud_graph,
+            cloud_avt,
+            centers,
+            shards=args.shards,
+            shard_backend=args.shard_backend,
+            expand_in_cloud=expand,
+            star_cache_size=args.star_cache,
+            obs=component_obs,
+        )
         client = QueryClient(graph, lct, client_avt, obs=component_obs)
         if args.gateway_port is not None:
             from repro.gateway import (
@@ -653,20 +631,14 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         )
         obs = Observability()
         scope = obs.for_query()
-        cloud: CloudServer | ShardedCloud
-        if args.shards > 1:
-            cloud = ShardedCloud(
-                cloud_graph,
-                cloud_avt,
-                centers,
-                shards=args.shards,
-                expand_in_cloud=expand,
-                backend=args.shard_backend,
-            )
-        else:
-            cloud = CloudServer(
-                cloud_graph, cloud_avt, centers, expand_in_cloud=expand
-            )
+        cloud = build_cloud(
+            cloud_graph,
+            cloud_avt,
+            centers,
+            shards=args.shards,
+            shard_backend=args.shard_backend,
+            expand_in_cloud=expand,
+        )
         with scope.tracer.span(names.QUERY) as root:
             root.set(query_edges=query.edge_count)
             anonymized = client.prepare_query(query, obs=scope)
@@ -884,6 +856,22 @@ def _cmd_datasets(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_shard_options(parser: argparse.ArgumentParser) -> None:
+    """``--shards`` / ``--shard-backend``: the cloud topology options."""
+    parser.add_argument(
+        "--shards",
+        type=int,
+        default=1,
+        help="partition the cloud graph over N shard servers (1 = single)",
+    )
+    parser.add_argument(
+        "--shard-backend",
+        default="serial",
+        choices=BACKENDS,
+        help="scatter backend of the sharded cloud",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -915,19 +903,19 @@ def build_parser() -> argparse.ArgumentParser:
     query.set_defaults(func=_cmd_query)
 
     batch = sub.add_parser(
-        "batch", help="answer a workload of queries concurrently"
+        "batch", help="answer a workload of queries in one batch"
     )
     batch.add_argument("deployment", help="deployment directory from 'publish'")
     batch.add_argument("graph", help="original graph JSON (client side)")
     batch.add_argument("queries", nargs="+", help="query graph JSON file(s)")
     batch.add_argument(
-        "--workers", type=int, default=None, help="pool width (default: one per core)"
+        "--workers", type=int, default=None, help="process pool width (default: one per core)"
     )
     batch.add_argument(
         "--backend",
-        default="thread",
-        choices=["serial", "thread", "process"],
-        help="worker pool backend (serial = the baseline loop)",
+        default="serial",
+        choices=BACKENDS,
+        help="batch backend (serial = the plain loop, process = fork pool)",
     )
     batch.add_argument(
         "--star-cache",
@@ -935,24 +923,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=256,
         help="shared star-match LRU capacity (0 disables)",
     )
-    batch.add_argument(
-        "--star-workers",
-        type=int,
-        default=0,
-        help="per-query star matching pool width (0/1 = serial)",
-    )
-    batch.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="partition the cloud graph over N shard servers (1 = single)",
-    )
-    batch.add_argument(
-        "--shard-backend",
-        default="thread",
-        choices=["serial", "thread", "process"],
-        help="scatter backend of the sharded cloud",
-    )
+    _add_shard_options(batch)
     batch.add_argument(
         "--repeat",
         type=int,
@@ -1048,18 +1019,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=256,
         help="shared star-match LRU capacity (0 disables)",
     )
-    serve.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="partition the cloud graph over N shard servers (1 = single)",
-    )
-    serve.add_argument(
-        "--shard-backend",
-        default="thread",
-        choices=["serial", "thread", "process"],
-        help="scatter backend of the sharded cloud",
-    )
+    _add_shard_options(serve)
     serve.add_argument(
         "--gateway-port",
         type=int,
@@ -1132,18 +1092,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     explain.add_argument("graph", help="original graph JSON (client side)")
     explain.add_argument("query", help="query graph JSON")
-    explain.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="local mode: partition the cloud over N shards (1 = single)",
-    )
-    explain.add_argument(
-        "--shard-backend",
-        default="thread",
-        choices=["serial", "thread", "process"],
-        help="local mode: scatter backend of the sharded cloud",
-    )
+    _add_shard_options(explain)  # local mode only; --port ignores them
     explain.add_argument("--host", default="127.0.0.1")
     explain.add_argument(
         "--port",

@@ -14,6 +14,7 @@ from repro.cloud.sharding import (
     CloudShard,
     ShardCacheView,
     ShardedCloud,
+    build_cloud,
     build_shards,
     merge_star_tables,
 )
@@ -37,6 +38,7 @@ __all__ = [
     "ShardedCloud",
     "CloudShard",
     "ShardCacheView",
+    "build_cloud",
     "build_shards",
     "merge_star_tables",
     "decompose_query",

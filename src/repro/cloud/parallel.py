@@ -8,18 +8,15 @@ once, sharing one immutable VBV/LBV index and one (locked)
 :meth:`repro.cloud.server.CloudServer.query_batch` and
 :meth:`repro.core.system.PrivacyPreservingSystem.query_batch`:
 
-* ``backend="serial"`` — a plain loop (the baseline the benchmarks
-  compare against, and the fallback for 0/1 workers or 0/1 tasks);
-* ``backend="thread"`` — a bounded :class:`ThreadPoolExecutor`.  All
-  workers share the index and the star cache, so repeated star shapes
-  across the batch hit warm entries;
+* ``backend="serial"`` — a plain loop (the default: the fastest arm
+  on small queries, and the fallback for 0/1 workers or 0/1 tasks);
 * ``backend="process"`` — a fork-based :class:`ProcessPoolExecutor`
   for CPU-bound workloads on multi-core clouds.  The server is
   inherited copy-on-write by the forked workers (never pickled); only
   the per-task payloads and answers cross the pipe.  Falls back to
-  ``thread`` where fork is unavailable (e.g. Windows/macOS-spawn).
+  the serial loop where fork is unavailable (e.g. Windows/macOS-spawn).
 
-All backends return results **in input order** and re-raise the first
+Both backends return results **in input order** and re-raise the first
 task exception (e.g. :class:`repro.exceptions.ResultBudgetExceeded`),
 so callers observe exactly the semantics of the serial loop.
 """
@@ -30,13 +27,13 @@ import itertools
 import multiprocessing
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 #: Default pool width when ``max_workers`` is not given: every core,
 #: but never fewer than 2 so ``query_batch()`` exercises the concurrent
@@ -154,41 +151,37 @@ def map_batch(
     fn: Callable[[T], R],
     items: Sequence[T] | Iterable[T],
     max_workers: int | None = None,
-    backend: str = "thread",
+    backend: str = "serial",
 ) -> list[R]:
     """Apply ``fn`` to every item; results in input order.
 
     The workhorse of ``query_batch``.  ``backend``/``max_workers``
     choose the pool; degenerate cases (one item, one worker, serial
-    backend) run the plain loop so the parallel path is *bit-identical*
-    to it by construction.
+    backend, no fork on this platform) run the plain loop so the
+    parallel path is *bit-identical* to it by construction.
     """
     validate_backend(backend)
     items = list(items)
     workers = effective_workers(max_workers, len(items))
-    if backend == "serial" or workers <= 1 or len(items) <= 1:
+    if (
+        backend == "serial"
+        or workers <= 1
+        or len(items) <= 1
+        or not fork_available()
+    ):
         return [fn(item) for item in items]
 
-    if backend == "process":
-        if not fork_available():  # pragma: no cover - non-fork platforms
-            backend = "thread"
-        else:
-            token = next(_FORK_TOKENS)
-            with _FORK_LOCK:
-                _FORK_REGISTRY[token] = fn
-            try:
-                context = multiprocessing.get_context("fork")
-                with ProcessPoolExecutor(
-                    max_workers=workers, mp_context=context
-                ) as pool:
-                    return list(
-                        pool.map(_call_registered, itertools.repeat(token), items)
-                    )
-            finally:
-                with _FORK_LOCK:
-                    _FORK_REGISTRY.pop(token, None)
-
-    with ThreadPoolExecutor(
-        max_workers=workers, thread_name_prefix="repro-batch"
-    ) as pool:
-        return list(pool.map(fn, items))
+    token = next(_FORK_TOKENS)
+    with _FORK_LOCK:
+        _FORK_REGISTRY[token] = fn
+    try:
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(
+            max_workers=workers, mp_context=context
+        ) as pool:
+            return list(
+                pool.map(_call_registered, itertools.repeat(token), items)
+            )
+    finally:
+        with _FORK_LOCK:
+            _FORK_REGISTRY.pop(token, None)

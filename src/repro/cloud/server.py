@@ -9,9 +9,7 @@ decompose → star-match → join pipeline of Section 4.2.1.
 
 from __future__ import annotations
 
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -28,6 +26,7 @@ from repro.cloud.cache import (
 )
 from repro.cloud.decomposition import decompose_query
 from repro.cloud.index import CloudIndex
+from repro.analysis.markers import hot_path
 from repro.cloud.parallel import map_batch, validate_backend
 from repro.cloud.result_join import JoinStats, join_star_tables
 from repro.cloud.star_matching import StarMatchStats, match_star_table
@@ -85,6 +84,48 @@ class CloudAnswer:
         return self.star_stats.total_results
 
 
+@hot_path
+def match_plan(
+    query: AttributedGraph,
+    stars: Sequence[Star],
+    index: CloudIndex,
+    graph: AttributedGraph,
+    cache: StarMatchCache,
+    max_results: int | None,
+    tracer: NullTracer,
+) -> dict[int, MatchTable]:
+    """Algorithm 1 for every star of one plan, through the LRU cache.
+
+    The one cached star loop of the cloud: the single server runs it
+    over the whole of ``Go``, every shard of a
+    :class:`~repro.cloud.sharding.ShardedCloud` over its slice.  Tables
+    are columnar (schema ``(center, *leaves)``); the cache keeps its
+    role-form rows, so a hit re-labels them for this star
+    (:func:`~repro.cloud.cache.roles_to_table`) and equivalent stars —
+    of this query or of others — are matched once.  Each miss runs the
+    kernel under its own ``cloud.star_match`` span.
+    """
+    results: dict[int, MatchTable] = {}
+    use_cache = cache.capacity > 0
+    for star in stars:
+        if use_cache:
+            signature = star_signature(query, star)
+            role_order = leaf_role_order(query, star)
+            roles = cache.get(signature)
+            if roles is not None:
+                results[star.center] = roles_to_table(roles, star, role_order)
+                continue
+        with tracer.span(names.CLOUD_STAR_MATCH, center=star.center) as span:
+            table = match_star_table(
+                query, star, index, graph, max_results=max_results
+            )
+            span.set(results=len(table))
+        if use_cache:
+            cache.put(signature, table_to_roles(table, star, role_order))
+        results[star.center] = table
+    return results
+
+
 class CloudServer:
     """Honest-but-curious cloud: stores published data, answers queries.
 
@@ -102,12 +143,6 @@ class CloudServer:
         functions before the join (the ``Rin`` pipeline).  ``False``
         (BAS) -> the star matches already range over the published
         graph in full and are joined directly.
-    star_workers:
-        Width of the per-query star-matching pool: the independent
-        stars of one decomposition are matched concurrently on a
-        shared :class:`ThreadPoolExecutor`.  ``0``/``1`` (default)
-        keeps the paper's serial loop; the parallel path returns
-        bit-identical match sets (stars are gathered in plan order).
     obs:
         The :class:`~repro.obs.Observability` scope the server reports
         into.  Default: a measure-only scope (span durations fill the
@@ -116,6 +151,12 @@ class CloudServer:
         for full traces, or ``Observability.disabled()`` for a no-op
         hot path (telemetry fields then read ``0.0``).  The star-cache
         hit/miss counters are exported as pull-gauges on its registry.
+
+    :class:`~repro.cloud.sharding.ShardedCloud` subclasses this server
+    and replaces exactly two stages — how the index is built
+    (:meth:`_build_index`) and how the star tables of one plan are
+    produced (:meth:`_match_stars`); everything else on this class is
+    the one pipeline both topologies run.
     """
 
     def __init__(
@@ -129,7 +170,6 @@ class CloudServer:
         star_cache_size: int = 0,
         decomposition_strategy: str = "optimal",
         engine: str = "stars",
-        star_workers: int = 0,
         obs: Observability | None = None,
     ) -> None:
         if join_strategy not in ("rin", "full"):
@@ -160,28 +200,19 @@ class CloudServer:
         # quantifies what the star framework buys.
         self.engine = engine
         self._direct_matcher = None  #: guarded by _state_lock
-        # optional LRU over star match sets, keyed by the star's
+        # capacity of the LRU over star match sets, keyed by the star's
         # canonical constraint signature — different queries sharing a
-        # star shape reuse its R(S, Go).  0 disables caching.  The
-        # cache is internally locked, so one instance is shared by all
-        # concurrent queries of a batch.
-        self.star_cache = StarMatchCache(star_cache_size)
-        if star_workers < 0:
-            raise ValueError("star_workers must be >= 0")
-        self.star_workers = star_workers
-        # per-query star pool, built lazily.  _star_pool_pid detects
-        # forked children (process batch backend), whose inherited pool
-        # threads do not survive the fork and must be rebuilt before
-        # first use.
-        self._star_pool: ThreadPoolExecutor | None = None  #: guarded by _state_lock
-        self._star_pool_pid: int | None = None  #: guarded by _state_lock
+        # star shape reuse its R(S, Go).  0 disables caching.  A cache
+        # is internally locked, so one instance is shared by all
+        # concurrent queries.
+        self.star_cache_size = star_cache_size
         self._state_lock = threading.Lock()
         self.obs = obs if obs is not None else Observability.measuring()
         with self.obs.tracer.span(names.CLOUD_INDEX_BUILD) as span:
-            self.index = CloudIndex.build(graph, self.center_vertices)
+            self._build_index()
             span.set(
-                index_bytes=self.index.size_bytes(),
-                build_seconds=self.index.build_seconds,
+                index_bytes=self.index_size_bytes(),
+                build_seconds=self.index_build_seconds(),
             )
         self.estimator = self._build_estimator()
         # pull-style gauges: the cache already counts hits/misses under
@@ -207,6 +238,14 @@ class CloudServer:
             help="Cloud-side answer seconds over the SLO window.",
         )
 
+    def _build_index(self) -> None:
+        """Index the stored graph and start an empty star cache.
+
+        Runs at construction and again after every :meth:`apply_delta`.
+        """
+        self.index = CloudIndex.build(self.graph, self.center_vertices)
+        self.star_cache = StarMatchCache(self.star_cache_size)
+
     def _build_estimator(self) -> StarCardinalityEstimator:
         if self.expand_in_cloud:
             return estimator_from_outsourced(
@@ -224,10 +263,7 @@ class CloudServer:
     # query answering
     # ------------------------------------------------------------------
     def answer(
-        self,
-        query: AttributedGraph,
-        obs: Observability | None = None,
-        star_workers: int | None = None,
+        self, query: AttributedGraph, obs: Observability | None = None
     ) -> CloudAnswer:
         """Run the full cloud pipeline on an anonymized query ``Qo``.
 
@@ -236,10 +272,6 @@ class CloudServer:
         passes each query's private recording scope here so the spans
         land in that query's trace.  Every timing the answer reports is
         a span duration; no hand-rolled ``perf_counter`` pairs remain.
-
-        ``star_workers`` overrides the configured intra-query star
-        parallelism for this one call (``QueryOptions.star_workers``);
-        results stay bit-identical either way.
         """
         if obs is None:
             obs = self.obs
@@ -255,10 +287,7 @@ class CloudServer:
                 decompose_span.set(stars=len(decomposition.stars))
 
             star_tables, star_stats = self._match_stars(
-                query,
-                decomposition.stars,
-                tracer=tracer,
-                star_workers=star_workers,
+                query, decomposition.stars, obs, root
             )
             full_join = self.join_strategy == "full"
             with tracer.span(names.CLOUD_JOIN) as join_span:
@@ -313,19 +342,18 @@ class CloudServer:
         self,
         queries: list[AttributedGraph],
         max_workers: int | None = None,
-        backend: str = "thread",
+        backend: str = "serial",
     ) -> list[CloudAnswer]:
-        """Answer a workload of anonymized queries concurrently.
+        """Answer a workload of anonymized queries; results in input order.
 
-        A bounded worker pool (``max_workers``, default: one per core)
-        services the batch; every worker shares the immutable VBV/LBV
-        index and the thread-safe :class:`StarMatchCache`, so repeated
-        star shapes across the workload hit warm entries.  Answers come
-        back **in input order** and are bit-identical to running
-        :meth:`answer` in a serial loop (``backend="serial"`` *is* that
-        loop).  ``backend="process"`` forks workers for CPU-bound
-        batches on multi-core hosts; cache/counter updates then stay in
-        the children (the parent's cache is untouched).
+        ``backend="serial"`` (default) is a loop of :meth:`answer`
+        calls sharing the index and the :class:`StarMatchCache`, so
+        repeated star shapes across the workload hit warm entries.
+        ``backend="process"`` forks a bounded pool (``max_workers``,
+        default: one per core) for CPU-bound batches on multi-core
+        hosts; answers are bit-identical to the serial loop, and
+        cache/counter updates then stay in the children (the parent's
+        cache is untouched).
 
         The first query exception (e.g.
         :class:`~repro.exceptions.ResultBudgetExceeded`) propagates,
@@ -387,194 +415,33 @@ class CloudServer:
             cloud_seconds=elapsed,
         )
 
-    def _star_executor(self) -> ThreadPoolExecutor | None:
-        """The shared per-query star pool (lazy; fork-aware)."""
-        if self.star_workers <= 1:
-            return None
-        pid = os.getpid()
-        with self._state_lock:
-            if self._star_pool is None or self._star_pool_pid != pid:
-                # a forked child inherits a pool object whose worker
-                # threads died with the fork; build a fresh one
-                self._star_pool = ThreadPoolExecutor(
-                    max_workers=self.star_workers,
-                    thread_name_prefix="repro-stars",
-                )
-                self._star_pool_pid = pid
-            return self._star_pool
-
-    def _star_executor_for(
-        self, star_workers: int | None
-    ) -> tuple[ThreadPoolExecutor | None, ThreadPoolExecutor | None]:
-        """Resolve a per-call worker override to ``(executor, transient)``.
-
-        ``None`` (or the configured value) reuses the shared lazy pool;
-        a differing override builds a transient pool the caller must
-        shut down (returned as the second element).
-        """
-        if star_workers is None or star_workers == self.star_workers:
-            return self._star_executor(), None
-        if star_workers <= 1:
-            return None, None
-        pool = ThreadPoolExecutor(
-            max_workers=star_workers, thread_name_prefix="repro-stars-call"
-        )
-        return pool, pool
-
-    def _match_one_star(self, query: AttributedGraph, star: Star) -> MatchTable:
-        return match_star_table(
-            query,
-            star,
-            self.index,
-            self.graph,
-            max_results=self.max_intermediate_results,
-        )
-
-    def _match_one_star_traced(
-        self,
-        query: AttributedGraph,
-        star: Star,
-        tracer: NullTracer,
-        parent: "Span | NullSpan",
-    ) -> MatchTable:
-        """One star under its own span; ``parent`` re-attaches the span
-        to the ``cloud.star_matching`` span opened on the submitting
-        thread (pool threads have no implicit span stack)."""
-        with tracer.span(
-            names.CLOUD_STAR_MATCH, parent=parent, center=star.center
-        ) as span:
-            table = self._match_one_star(query, star)
-            span.set(results=len(table))
-        return table
-
     def _match_stars(
         self,
         query: AttributedGraph,
         stars: Sequence[Star],
-        tracer: NullTracer | None = None,
-        star_workers: int | None = None,
+        obs: Observability,
+        root: "Span | NullSpan",
     ) -> tuple[dict[int, MatchTable], StarMatchStats]:
-        """Algorithm 1 for every star, through the optional LRU cache.
+        """The star tables of one plan, keyed by star center.
 
-        Results are columnar :class:`~repro.matching.table.MatchTable`
-        instances (schema ``(center, *leaves)``); the cache keeps its
-        role-form tuple wire format, now written/read through the
-        columnar codec (:func:`~repro.cloud.cache.table_to_roles` /
-        :func:`~repro.cloud.cache.roles_to_table`).
-
-        With ``star_workers > 1`` the cache misses of one decomposition
-        are matched concurrently on the shared star pool; hits, puts
-        and result assembly stay on the calling thread.  Both paths
-        produce bit-identical results: equivalent stars within one
-        query resolve through the same role-form round-trip, and
-        results are assembled in plan (star) order.
-
-        Every computed (cache-missed) star emits a ``cloud.star_match``
-        span under the enclosing ``cloud.star_matching`` span — on the
-        executor path the per-star spans are parented explicitly, since
-        pool threads do not inherit the caller's span stack.
+        The stage a topology supplies.  Here: :func:`match_plan` over
+        the whole stored graph.  ``root`` is the enclosing
+        ``cloud.answer`` span, for topology attributes.
         """
-        if tracer is None:
-            tracer = self.obs.tracer
+        tracer = obs.tracer
         stats = StarMatchStats()
-        use_cache = self.star_cache.capacity > 0
-        executor, transient = self._star_executor_for(star_workers)
-        results: dict[int, MatchTable] = {}
-
-        try:
-            return self._match_stars_on(
-                query, stars, tracer, executor, use_cache, stats, results
-            )
-        finally:
-            if transient is not None:
-                transient.shutdown(wait=True)
-
-    def _match_stars_on(
-        self,
-        query: AttributedGraph,
-        stars: Sequence[Star],
-        tracer: NullTracer,
-        executor: ThreadPoolExecutor | None,
-        use_cache: bool,
-        stats: StarMatchStats,
-        results: dict[int, MatchTable],
-    ) -> tuple[dict[int, MatchTable], StarMatchStats]:
         with tracer.span(
             names.CLOUD_STAR_MATCHING, stars=len(stars)
         ) as matching_span:
-            if executor is None:
-                for star in stars:
-                    if use_cache:
-                        signature = star_signature(query, star)
-                        role_order = leaf_role_order(query, star)
-                        roles = self.star_cache.get(signature)
-                        if roles is None:
-                            table = self._match_one_star_traced(
-                                query, star, tracer, matching_span
-                            )
-                            self.star_cache.put(
-                                signature,
-                                table_to_roles(table, star, role_order),
-                            )
-                        else:
-                            table = roles_to_table(roles, star, role_order)
-                    else:
-                        table = self._match_one_star_traced(
-                            query, star, tracer, matching_span
-                        )
-                    results[star.center] = table
-            else:
-                # resolve cache hits up front; fan the misses out,
-                # deduped by signature so equivalent stars are computed
-                # once (as the serial put-then-hit sequence guarantees)
-                pending: list[tuple] = []  # (star, signature, role_order)
-                computed: dict[tuple, object] = {}  # signature -> future
-                for star in stars:
-                    if not use_cache:
-                        pending.append((star, None, None))
-                        continue
-                    signature = star_signature(query, star)
-                    role_order = leaf_role_order(query, star)
-                    roles = self.star_cache.get(signature)
-                    if roles is None:
-                        pending.append((star, signature, role_order))
-                    else:
-                        results[star.center] = roles_to_table(
-                            roles, star, role_order
-                        )
-                futures = []
-                for star, signature, role_order in pending:
-                    if signature is not None and signature in computed:
-                        futures.append((star, signature, role_order, None))
-                        continue
-                    future = executor.submit(
-                        self._match_one_star_traced,
-                        query,
-                        star,
-                        tracer,
-                        matching_span,
-                    )
-                    if signature is not None:
-                        computed[signature] = (star, role_order, future)
-                    futures.append((star, signature, role_order, future))
-                for star, signature, role_order, future in futures:
-                    if signature is None:
-                        results[star.center] = future.result()
-                        continue
-                    rep_star, rep_order, rep_future = computed[signature]
-                    table = rep_future.result()
-                    roles = table_to_roles(table, rep_star, rep_order)
-                    self.star_cache.put(signature, roles)
-                    if star is rep_star:
-                        results[star.center] = table
-                    else:
-                        # an equivalent star of the same query: re-label
-                        # the representative's roles, like a cache hit
-                        results[star.center] = roles_to_table(
-                            roles, star, role_order
-                        )
-                results = {star.center: results[star.center] for star in stars}
-
+            results = match_plan(
+                query,
+                stars,
+                self.index,
+                self.graph,
+                self.star_cache,
+                self.max_intermediate_results,
+                tracer,
+            )
             for star in stars:
                 stats.result_sizes[star.center] = len(results[star.center])
             matching_span.set(rs_size=stats.total_results)
@@ -593,7 +460,6 @@ class CloudServer:
         for ``Go`` deployments (``expand_in_cloud=True``); a BAS cloud
         stores ``Gk`` verbatim and is re-uploaded instead.
         """
-        from repro.kauto.avt import AlignmentVertexTable
         from repro.outsource.delta import apply_go_delta
         from repro.outsource.outsourced_graph import OutsourcedGraph
 
@@ -608,9 +474,8 @@ class CloudServer:
             rows = [list(row) for row in self.avt.rows()]
             rows.extend(delta.added_avt_rows)
             self.avt = AlignmentVertexTable(rows)
-        self.index = CloudIndex.build(self.graph, self.center_vertices)
+        self._build_index()
         self.estimator = self._build_estimator()
-        self.star_cache.clear()
         # R3 fix: this invalidation used to race with _answer_direct's
         # lazy build — a concurrent query could re-publish a matcher
         # over the *old* graph after the delta was applied.
@@ -618,11 +483,10 @@ class CloudServer:
             self._direct_matcher = None
 
     def close(self) -> None:
-        """Shut down the per-query star pool (idempotent)."""
-        with self._state_lock:
-            pool, self._star_pool, self._star_pool_pid = self._star_pool, None, None
-        if pool is not None:
-            pool.shutdown(wait=True)
+        """Release what the server holds beyond memory (idempotent).
+
+        Nothing on a single server; a sharded one drains its fork pool.
+        """
 
     def __enter__(self) -> "CloudServer":
         return self

@@ -26,11 +26,12 @@ position) with a deterministic DFS row block per center.  Shard-local
 center lists preserve the global order, so gathering is a stable merge
 of the per-shard tables keyed by each row's global center position —
 followed by a defensive dedupe — and reproduces the single-server
-table exactly, rows and order.  The central join, budget enforcement
-and telemetry then run the very same code as
-:class:`~repro.cloud.server.CloudServer`, making
-:meth:`ShardedCloud.answer` bit-identical to the single-server path
-for every shard count and scatter backend.
+table exactly, rows and order.  Decomposition, the central join,
+budget enforcement and telemetry are not re-implemented here at all:
+:class:`ShardedCloud` *is* a :class:`~repro.cloud.server.CloudServer`
+that overrides how the index is built and how one plan's star tables
+are produced, making :meth:`ShardedCloud.answer` bit-identical to the
+single-server path for every shard count and scatter backend.
 
 **Wire format.**  With a :class:`~repro.core.protocol.NetworkChannel`
 attached, scatter/gather really crosses the simulated wire: one
@@ -38,28 +39,18 @@ attached, scatter/gather really crosses the simulated wire: one
 one :func:`~repro.core.protocol.encode_shard_tables` frame per shard
 back, all byte-accounted under the ``shard_query``/``shard_answer``
 directions.  Without a channel (the default) the handoff is in-memory
-and only the scatter backend (serial/thread/fork-process via
-:func:`~repro.cloud.parallel.map_batch`) is exercised.
+and only the scatter backend (the serial loop, or a warm fork pool) is
+exercised.
 """
 
 from __future__ import annotations
 
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.analysis.markers import hot_path
-from repro.anonymize.cost_model import (
-    StarCardinalityEstimator,
-    estimator_from_outsourced,
-)
-from repro.cloud.cache import (
-    StarMatchCache,
-    leaf_role_order,
-    roles_to_table,
-    star_signature,
-    table_to_roles,
-)
-from repro.cloud.decomposition import decompose_query
+from repro.cloud.cache import StarMatchCache
 from repro.cloud.index import CloudIndex
 from repro.cloud.parallel import (
     PersistentProcessPool,
@@ -68,9 +59,8 @@ from repro.cloud.parallel import (
     map_batch,
     validate_backend,
 )
-from repro.cloud.result_join import join_star_tables
-from repro.cloud.server import CloudAnswer
-from repro.cloud.star_matching import StarMatchStats, match_star_table
+from repro.cloud.server import CloudServer, match_plan
+from repro.cloud.star_matching import StarMatchStats
 from repro.core.protocol import (
     NetworkChannel,
     TraceContext,
@@ -81,16 +71,12 @@ from repro.core.protocol import (
 )
 from repro.exceptions import ResultBudgetExceeded
 from repro.graph.attributed import AttributedGraph
-from repro.graph.stats import compute_statistics
 from repro.kauto.avt import AlignmentVertexTable
 from repro.kauto.partition import partition_graph
 from repro.matching.star import Star
 from repro.matching.table import MatchTable, Row, dedupe_rows
-from repro.obs import Observability, SlidingWindow, names
-from repro.obs.tracing import NullTracer, Trace, Tracer
-from repro.outsource.delta import GoDelta
-
-import threading
+from repro.obs import NULL_TRACER, Observability, names
+from repro.obs.tracing import NullSpan, Span, Trace, Tracer
 
 
 @dataclass
@@ -112,6 +98,28 @@ class CloudShard:
 
     def index_size_bytes(self) -> int:
         return self.index.size_bytes()
+
+    def match(
+        self,
+        query: AttributedGraph,
+        stars: Sequence[Star],
+        max_results: int | None,
+    ) -> dict[int, MatchTable]:
+        """The plan's star tables over this shard's slice of ``Go``.
+
+        The same cached star loop the single server runs.  Untraced:
+        the coordinator records one ``cloud.shard_match`` span per
+        shard, not one per star.
+        """
+        return match_plan(
+            query,
+            stars,
+            self.index,
+            self.graph,
+            self.cache,
+            max_results,
+            NULL_TRACER,
+        )
 
 
 def halo_vertices(graph: AttributedGraph, centers: Sequence[int]) -> set[int]:
@@ -240,12 +248,23 @@ class ShardCacheView:
         return sum(len(cache) for cache in self._caches())
 
 
-class ShardedCloud:
+#: One scatter task: (shard position, query, star plan, trace-context doc).
+ScatterPayload = tuple[int, AttributedGraph, tuple[Star, ...], dict | None]
+#: Its reply: the shard's star tables and, when traced, the child's trace doc.
+ScatterReply = tuple[dict[int, MatchTable], dict | None]
+
+
+class ShardedCloud(CloudServer):
     """Scatter-gather coordinator over ``N`` :class:`CloudShard` servers.
 
-    Construction mirrors :class:`~repro.cloud.server.CloudServer` (the
-    coordinator still holds the full published graph — it is the data
-    the owner uploaded; the shards are the cloud's *internal* layout),
+    A :class:`~repro.cloud.server.CloudServer` (the coordinator still
+    holds the full published graph — it is the data the owner uploaded;
+    the shards are the cloud's *internal* layout) that overrides two
+    stages of the pipeline: :meth:`_build_index` partitions the graph
+    into shard servers, and :meth:`_match_stars` scatters the plan to
+    them and merges the gathered tables.  Decomposition, join, budget,
+    telemetry, ``query_batch`` and ``apply_delta`` are inherited.
+    Construction takes the server's parameters (the stars engine only)
     plus:
 
     shards:
@@ -253,15 +272,13 @@ class ShardedCloud:
         candidate center are dropped; ``len(cloud.shards)`` is the
         effective count.
     backend / max_workers:
-        How star-match requests are scattered:
-        :func:`~repro.cloud.parallel.map_batch` semantics
-        (``serial``/``thread``/``process``).  The fork-process backend
-        scatters through a persistent
-        :class:`~repro.cloud.parallel.PersistentProcessPool` — children
-        inherit the shard state copy-on-write at first use and stay
-        warm across answers (so per-shard cache updates live in the
-        children, and the page-faulting cost of the inherited heap is
-        paid once, not per query).
+        How star-match requests are scattered: ``"serial"`` (default)
+        visits the shards in a loop; ``"process"`` scatters through a
+        persistent :class:`~repro.cloud.parallel.PersistentProcessPool`
+        — children inherit the shard state copy-on-write at first use
+        and stay warm across answers (so per-shard cache updates live
+        in the children, and the page-faulting cost of the inherited
+        heap is paid once, not per query).
     channel:
         Optional :class:`~repro.core.protocol.NetworkChannel`.  When
         given, every scatter/gather really encodes, transmits and
@@ -284,7 +301,7 @@ class ShardedCloud:
         join_strategy: str = "rin",
         star_cache_size: int = 0,
         decomposition_strategy: str = "optimal",
-        backend: str = "thread",
+        backend: str = "serial",
         max_workers: int | None = None,
         channel: NetworkChannel | None = None,
         partition_seed: int = 0,
@@ -292,72 +309,62 @@ class ShardedCloud:
     ) -> None:
         if shards < 1:
             raise ValueError("shards must be >= 1")
-        if join_strategy not in ("rin", "full"):
-            raise ValueError("join_strategy must be 'rin' or 'full'")
-        if decomposition_strategy not in ("optimal", "greedy"):
-            raise ValueError("decomposition_strategy must be 'optimal' or 'greedy'")
         validate_backend(backend)
-        self.graph = graph
-        self.avt = avt
-        self.center_vertices = list(center_vertices)
         self.shard_count = shards
-        self.expand_in_cloud = expand_in_cloud
-        self.max_intermediate_results = max_intermediate_results
-        self.join_strategy = join_strategy
-        self.star_cache_size = star_cache_size
-        self.decomposition_strategy = decomposition_strategy
         self.backend = backend
         self.max_workers = max_workers
         self.channel = channel
         self.partition_seed = partition_seed
-        self._state_lock = threading.Lock()
+        self._shards: list[CloudShard] = []  #: guarded by _state_lock
         # persistent fork pool of the process backend: forked lazily on
         # the first process scatter and reused across answers so the
         # children's copy-on-write faulting of the shard heap is paid
-        # once, not per query.  Swapped out whenever the shard state it
-        # snapshotted changes (apply_delta) and torn down by close().
+        # once, not per query.  Dropped (under the lock that swaps the
+        # shards) whenever the state it snapshotted changes, when a
+        # child dies, and by close().
         self._scatter_pool: PersistentProcessPool | None = None  #: guarded by _state_lock
-        self._scatter_pool_version = -1  #: guarded by _state_lock
-        self._shard_version = 0  #: guarded by _state_lock
-        self.obs = obs if obs is not None else Observability.measuring()
-        with self.obs.tracer.span(names.CLOUD_INDEX_BUILD) as span:
-            self._shards = build_shards(  #: guarded by _state_lock
-                graph,
-                self.center_vertices,
-                shards,
-                star_cache_size=star_cache_size,
-                seed=partition_seed,
-            )
-            span.set(
-                shards=len(self._shards),
-                index_bytes=sum(s.index_size_bytes() for s in self._shards),
-                build_seconds=sum(s.index.build_seconds for s in self._shards),
-            )
-        self._center_position = {
-            vid: i for i, vid in enumerate(self.center_vertices)
-        }
-        self.estimator = self._build_estimator()
-        self.star_cache = ShardCacheView(self._shard_caches)
-        self.obs.metrics.register_callback(
-            names.M_CACHE_HITS,
-            lambda: float(self.star_cache.hits),
-            help="Star-cache hits across all shards (or since clear).",
-        )
-        self.obs.metrics.register_callback(
-            names.M_CACHE_MISSES,
-            lambda: float(self.star_cache.misses),
-            help="Star-cache misses across all shards (or since clear).",
-        )
-        self.latency_window = SlidingWindow(capacity=1024)
-        self.latency_window.register(
-            self.obs.metrics,
-            names.W_CLOUD_WINDOW,
-            help="Cloud-side answer seconds over the SLO window.",
+        # the CloudServer cache surface, aggregated over the shards
+        self.star_cache = ShardCacheView(self._shard_caches)  # type: ignore[assignment]
+        super().__init__(
+            graph,
+            avt,
+            center_vertices,
+            expand_in_cloud=expand_in_cloud,
+            max_intermediate_results=max_intermediate_results,
+            join_strategy=join_strategy,
+            star_cache_size=star_cache_size,
+            decomposition_strategy=decomposition_strategy,
+            obs=obs,
         )
 
     # ------------------------------------------------------------------
-    # shard state accessors
+    # shard state
     # ------------------------------------------------------------------
+    def _build_index(self) -> None:
+        """Partition the stored graph into shard servers.
+
+        Each shard gets its own index and (empty) star cache, so a
+        rebuild after :meth:`apply_delta` invalidates every cache
+        wholesale.  A scatter pool forked over the previous shards is
+        drained: its children hold the old graph copy-on-write and
+        would answer against it forever.
+        """
+        rebuilt = build_shards(
+            self.graph,
+            self.center_vertices,
+            self.shard_count,
+            star_cache_size=self.star_cache_size,
+            seed=self.partition_seed,
+        )
+        self._center_position = {
+            vid: i for i, vid in enumerate(self.center_vertices)
+        }
+        with self._state_lock:
+            self._shards = rebuilt
+            stale, self._scatter_pool = self._scatter_pool, None
+        if stale is not None:
+            stale.close()
+
     @property
     def shards(self) -> list[CloudShard]:
         """A snapshot of the current shard servers."""
@@ -368,171 +375,12 @@ class ShardedCloud:
         with self._state_lock:
             return [shard.cache for shard in self._shards]
 
-    def _build_estimator(self) -> StarCardinalityEstimator:
-        # identical to CloudServer._build_estimator: decomposition must
-        # pick the same star plan the single server would.
-        if self.expand_in_cloud:
-            return estimator_from_outsourced(
-                self.center_vertices, self.graph, self.avt.k
-            )
-        stats = compute_statistics(self.graph)
-        return StarCardinalityEstimator(
-            block_stats=stats,
-            gk_vertex_count=self.graph.vertex_count,
-            average_degree=self.graph.average_degree(),
-            k=1,
-        )
-
-    # ------------------------------------------------------------------
-    # query answering
-    # ------------------------------------------------------------------
-    def answer(
-        self, query: AttributedGraph, obs: Observability | None = None
-    ) -> CloudAnswer:
-        """The full scatter-gather pipeline on an anonymized query ``Qo``.
-
-        Bit-identical to single-server
-        :meth:`~repro.cloud.server.CloudServer.answer`: same
-        decomposition, same star tables (same rows, same order), same
-        join, same budget trips, same telemetry fields.
-        """
-        if obs is None:
-            obs = self.obs
-        tracer = obs.tracer
-        with self._state_lock:
-            shards = list(self._shards)
-
-        with tracer.span(names.CLOUD_ANSWER) as root:
-            with tracer.span(names.CLOUD_DECOMPOSE) as decompose_span:
-                decomposition = decompose_query(
-                    query, self.estimator, strategy=self.decomposition_strategy
-                )
-                decompose_span.set(stars=len(decomposition.stars))
-
-            star_tables, star_stats, shard_results = self._scatter_gather(
-                query, decomposition.stars, shards, tracer, obs
-            )
-            full_join = self.join_strategy == "full"
-            with tracer.span(names.CLOUD_JOIN) as join_span:
-                rin_table, join_stats = join_star_tables(
-                    decomposition.stars,
-                    star_tables,
-                    self.avt,
-                    expand=self.expand_in_cloud,
-                    max_intermediate=self.max_intermediate_results,
-                    expand_anchor=full_join,
-                )
-                join_span.set(
-                    rin_size=join_stats.rin_size,
-                    intermediate_peak=max(
-                        join_stats.intermediate_sizes, default=0
-                    ),
-                )
-            root.set(
-                rs_size=star_stats.total_results,
-                rin_size=join_stats.rin_size,
-                matches=len(rin_table),
-                expanded=not self.expand_in_cloud or full_join,
-                shards=len(shards),
-            )
-
-        metrics = obs.metrics
-        metrics.counter(
-            names.M_STAR_MATCHES,
-            help="Star matches (|RS|) produced across all queries.",
-        ).inc(star_stats.total_results)
-        metrics.counter(
-            names.M_SHARD_MATCHES,
-            help="Per-shard star matches gathered (pre-merge).",
-        ).inc(shard_results)
-        metrics.gauge(
-            names.M_INTERMEDIATE_PEAK,
-            help="Largest join intermediate seen by any query.",
-        ).set_max(max(join_stats.intermediate_sizes, default=0))
-        metrics.histogram(
-            names.M_CLOUD_SECONDS,
-            help="Cloud-side wall seconds per query.",
-        ).observe(root.duration)
-        if obs.enabled:
-            self.latency_window.observe(root.duration)
-
-        return CloudAnswer(
-            table=rin_table,
-            expanded=not self.expand_in_cloud or full_join,
-            decomposition=decomposition,
-            decomposition_seconds=decompose_span.duration,
-            star_stats=star_stats,
-            join_stats=join_stats,
-            cloud_seconds=root.duration,
-        )
-
-    def query_batch(
-        self,
-        queries: list[AttributedGraph],
-        max_workers: int | None = None,
-        backend: str = "thread",
-    ) -> list[CloudAnswer]:
-        """Answer a workload concurrently; results in input order.
-
-        Each query runs the full scatter-gather of :meth:`answer`; the
-        shard indexes are shared read-only and each shard's cache is
-        internally locked, so batch workers overlap freely.  Nesting a
-        ``process`` batch over a ``process`` scatter is legal (each
-        forked batch child scatters over its inherited shard copies).
-        """
-        validate_backend(backend)
-        return map_batch(self.answer, list(queries), max_workers, backend)
-
     # ------------------------------------------------------------------
     # scatter / gather
     # ------------------------------------------------------------------
-    @hot_path
-    def _match_on_shard(
-        self, shard: CloudShard, query: AttributedGraph, stars: Sequence[Star]
-    ) -> dict[int, MatchTable]:
-        """Match every star of the plan against one shard (Algorithm 1).
-
-        The per-shard replica of the single server's cached star loop:
-        misses run the columnar kernel over the shard graph/index,
-        hits re-label the shard cache's role-form rows.
-        """
-        results: dict[int, MatchTable] = {}
-        use_cache = shard.cache.capacity > 0
-        for star in stars:
-            if use_cache:
-                signature = star_signature(query, star)
-                role_order = leaf_role_order(query, star)
-                roles = shard.cache.get(signature)
-                if roles is None:
-                    table = match_star_table(
-                        query,
-                        star,
-                        shard.index,
-                        shard.graph,
-                        max_results=self.max_intermediate_results,
-                    )
-                    shard.cache.put(
-                        signature, table_to_roles(table, star, role_order)
-                    )
-                else:
-                    table = roles_to_table(roles, star, role_order)
-            else:
-                table = match_star_table(
-                    query,
-                    star,
-                    shard.index,
-                    shard.graph,
-                    max_results=self.max_intermediate_results,
-                )
-            results[star.center] = table
-        return results
-
     def _make_scatter_worker(
         self, shards: list[CloudShard]
-    ) -> Callable[
-        [tuple[int, AttributedGraph, tuple[Star, ...], dict | None]],
-        tuple[dict[int, MatchTable], dict | None],
-    ]:
+    ) -> Callable[[ScatterPayload], ScatterReply]:
         """The fixed callable a persistent scatter pool is bound to.
 
         Captures an explicit shard snapshot rather than reading
@@ -545,14 +393,13 @@ class ShardedCloud:
         coordinator absorbs it under its ``cloud.star_matching`` span,
         making fork-child work visible in the stitched trace.
         """
+        budget = self.max_intermediate_results
 
-        def run(
-            payload: tuple[int, AttributedGraph, tuple[Star, ...], dict | None]
-        ) -> tuple[dict[int, MatchTable], dict | None]:
+        def run(payload: ScatterPayload) -> ScatterReply:
             position, query, stars, ctx_doc = payload
             shard = shards[position]
             if ctx_doc is None:
-                return self._match_on_shard(shard, query, list(stars)), None
+                return shard.match(query, stars, budget), None
             context = TraceContext.from_doc(ctx_doc)
             child_tracer = Tracer(query_id=context.query_id)
             with child_tracer.span(
@@ -560,54 +407,62 @@ class ShardedCloud:
                 shard=shard.shard_id,
                 ctx_parent=context.parent_span_id,
             ) as span:
-                tables = self._match_on_shard(shard, query, list(stars))
+                tables = shard.match(query, stars, budget)
                 span.set(results=sum(len(t) for t in tables.values()))
             return tables, child_tracer.take_trace().to_dict()
 
         return run
 
-    def _ensure_scatter_pool(self, workers: int) -> PersistentProcessPool:
-        """The warm fork pool for the current shard state (lazily forked).
+    def _process_scatter_pool(
+        self, shard_count: int
+    ) -> PersistentProcessPool | None:
+        """The warm fork pool to scatter over, or ``None`` for the loop.
 
-        A pool snapshotted against stale shard state (after
-        :meth:`apply_delta`) is replaced — its children hold the old
-        copy-on-write graph and would answer against it forever.
+        ``None`` whenever forking cannot pay or cannot happen: serial
+        backend, one shard, one worker, no fork on this platform.  The
+        pool is forked lazily, over the shards current at that moment.
         """
-        stale: PersistentProcessPool | None = None
+        if self.backend != "process" or shard_count <= 1:
+            return None
+        workers = effective_workers(self.max_workers, shard_count)
+        if workers <= 1 or not fork_available():
+            return None
         with self._state_lock:
-            pool = self._scatter_pool
-            if (
-                pool is not None
-                and self._scatter_pool_version == self._shard_version
-            ):
-                return pool
-            stale = pool
-            pool = PersistentProcessPool(
-                self._make_scatter_worker(list(self._shards)), workers
-            )
-            self._scatter_pool = pool
-            self._scatter_pool_version = self._shard_version
-        if stale is not None:
-            stale.close()
-        return pool
+            if self._scatter_pool is None:
+                self._scatter_pool = PersistentProcessPool(
+                    self._make_scatter_worker(list(self._shards)), workers
+                )
+            return self._scatter_pool
 
-    def _scatter_gather(
+    def _discard_scatter_pool(self, pool: PersistentProcessPool) -> None:
+        """Drop ``pool`` (a child died); the next answer forks afresh."""
+        with self._state_lock:
+            if self._scatter_pool is pool:
+                self._scatter_pool = None
+        pool.close()
+
+    def _match_stars(
         self,
         query: AttributedGraph,
         stars: Sequence[Star],
-        shards: list[CloudShard],
-        tracer: NullTracer,
         obs: Observability,
-    ) -> tuple[dict[int, MatchTable], StarMatchStats, int]:
+        root: "Span | NullSpan",
+    ) -> tuple[dict[int, MatchTable], StarMatchStats]:
         """Scatter the star plan, gather and merge the shard tables.
 
-        Returns the merged per-star tables (single-server identical),
-        the :class:`StarMatchStats`, and the raw pre-merge shard result
-        count (the ``shard_star_matches_total`` increment).
+        Returns the merged per-star tables — the single server's,
+        rows and order — and their :class:`StarMatchStats`; the raw
+        pre-merge shard result count goes to the
+        ``shard_star_matches_total`` counter.
         """
+        tracer = obs.tracer
         stats = StarMatchStats()
         star_list = list(stars)
         channel = self.channel
+        budget = self.max_intermediate_results
+        with self._state_lock:
+            shards = list(self._shards)
+        root.set(shards=len(shards))
 
         with tracer.span(
             names.CLOUD_STAR_MATCHING, stars=len(star_list), shards=len(shards)
@@ -622,106 +477,94 @@ class ShardedCloud:
                     parent_span_id=matching_span.span_id,
                 )
             with tracer.span(names.CLOUD_SCATTER, shards=len(shards)) as scatter:
-                payload: bytes | None = None
                 if channel is not None:
-                    payload = encode_shard_request(
+                    request = encode_shard_request(
                         query, star_list, context=context
                     )
                     for _ in shards:
-                        channel.transmit("shard_query", payload, obs=obs)
-                    scatter.set(bytes=len(payload) * len(shards))
+                        channel.transmit("shard_query", request, obs=obs)
+                    scatter.set(bytes=len(request) * len(shards))
 
+            per_shard: list[dict[int, MatchTable]] | None = None
             if channel is not None:
-                request = payload
 
                 def run_shard_wire(position: int) -> bytes:
+                    # positions, not shards, cross the fork pipe
                     shard = shards[position]
                     with tracer.span(
                         names.CLOUD_SHARD_MATCH,
                         parent=matching_span,
                         shard=shard.shard_id,
                     ) as span:
-                        assert request is not None
                         shard_query, shard_stars, shard_ctx = (
                             decode_shard_request(request)
                         )
                         if shard_ctx is not None:
                             span.set(ctx_parent=shard_ctx.parent_span_id)
-                        tables = self._match_on_shard(
-                            shard, shard_query, shard_stars
-                        )
+                        tables = shard.match(shard_query, shard_stars, budget)
                         span.set(
                             results=sum(len(t) for t in tables.values())
                         )
                     return encode_shard_tables(tables)
 
-                replies = map_batch(
+                per_shard = []
+                for reply in map_batch(
                     run_shard_wire,
-                    list(range(len(shards))),
+                    range(len(shards)),
                     self.max_workers,
                     self.backend,
-                )
-                per_shard: list[dict[int, MatchTable]] = []
-                for reply in replies:
+                ):
                     channel.transmit("shard_answer", reply, obs=obs)
                     per_shard.append(decode_shard_tables(reply))
             else:
-                workers = effective_workers(self.max_workers, len(shards))
-                if (
-                    self.backend == "process"
-                    and workers > 1
-                    and len(shards) > 1
-                    and fork_available()
-                ):
+                pool = self._process_scatter_pool(len(shards))
+                if pool is not None:
                     # warm persistent children; when tracing, each
                     # child records its shard-match span on a private
                     # tracer and ships the trace back for absorption
                     # under the star-matching span (fresh local ids —
                     # child counters all start at 1 and would collide).
-                    pool = self._ensure_scatter_pool(workers)
                     ctx_doc = context.to_doc() if context is not None else None
-                    shipped = pool.map(
-                        [
-                            (position, query, tuple(star_list), ctx_doc)
-                            for position in range(len(shards))
-                        ]
-                    )
-                    per_shard = []
-                    for tables, trace_doc in shipped:
-                        per_shard.append(tables)
-                        if trace_doc is not None:
-                            tracer.absorb(
-                                Trace.from_dict(trace_doc),
-                                parent=matching_span,
-                            )
-                else:
-
-                    def run_shard(position: int) -> dict[int, MatchTable]:
-                        shard = shards[position]
-                        with tracer.span(
-                            names.CLOUD_SHARD_MATCH,
-                            parent=matching_span,
-                            shard=shard.shard_id,
-                        ) as span:
-                            tables = self._match_on_shard(
-                                shard, query, star_list
-                            )
-                            span.set(
-                                results=sum(len(t) for t in tables.values())
-                            )
-                        return tables
-
-                    per_shard = map_batch(
-                        run_shard,
-                        list(range(len(shards))),
-                        self.max_workers,
-                        self.backend,
-                    )
+                    try:
+                        shipped = pool.map(
+                            [
+                                (position, query, tuple(star_list), ctx_doc)
+                                for position in range(len(shards))
+                            ]
+                        )
+                    except BrokenProcessPool:
+                        # a child died (OOM kill, crash).  The pool is
+                        # unusable for good: drop it, answer this plan
+                        # through the loop below — bit-identical by
+                        # construction — and let the next answer fork
+                        # a fresh pool.
+                        self._discard_scatter_pool(pool)
+                    else:
+                        per_shard = []
+                        for tables, trace_doc in shipped:
+                            per_shard.append(tables)
+                            if trace_doc is not None:
+                                tracer.absorb(
+                                    Trace.from_dict(trace_doc),
+                                    parent=matching_span,
+                                )
+            if per_shard is None:
+                per_shard = []
+                for shard in shards:
+                    with tracer.span(
+                        names.CLOUD_SHARD_MATCH,
+                        parent=matching_span,
+                        shard=shard.shard_id,
+                    ) as span:
+                        tables = shard.match(query, star_list, budget)
+                        span.set(
+                            results=sum(len(t) for t in tables.values())
+                        )
+                    per_shard.append(tables)
 
             with tracer.span(names.CLOUD_GATHER) as gather_span:
                 results: dict[int, MatchTable] = {}
                 shard_results = 0
-                budget = self.max_intermediate_results
                 for star in star_list:
                     tables = [
                         shard_tables[star.center]
@@ -747,52 +590,11 @@ class ShardedCloud:
                 )
             matching_span.set(rs_size=stats.total_results)
         stats.seconds = matching_span.duration
-        return results, stats, shard_results
-
-    # ------------------------------------------------------------------
-    # maintenance
-    # ------------------------------------------------------------------
-    def apply_delta(self, delta: GoDelta) -> None:
-        """Apply an owner delta and rebuild every shard.
-
-        Same contract as
-        :meth:`~repro.cloud.server.CloudServer.apply_delta`: graph and
-        AVT update, indexes rebuild, caches invalidate (the rebuild
-        replaces them wholesale).  ``Go`` deployments only.
-        """
-        from repro.outsource.delta import apply_go_delta
-        from repro.outsource.outsourced_graph import OutsourcedGraph
-
-        if not self.expand_in_cloud:
-            raise ValueError("deltas apply to Go deployments only")
-        outsourced = OutsourcedGraph(
-            graph=self.graph, block_vertices=self.center_vertices
-        )
-        apply_go_delta(outsourced, delta)
-        self.center_vertices = outsourced.block_vertices
-        if delta.added_avt_rows:
-            rows = [list(row) for row in self.avt.rows()]
-            rows.extend(delta.added_avt_rows)
-            self.avt = AlignmentVertexTable(rows)
-        self.estimator = self._build_estimator()
-        self._center_position = {
-            vid: i for i, vid in enumerate(self.center_vertices)
-        }
-        rebuilt = build_shards(
-            self.graph,
-            self.center_vertices,
-            self.shard_count,
-            star_cache_size=self.star_cache_size,
-            seed=self.partition_seed,
-        )
-        with self._state_lock:
-            self._shards = rebuilt
-            self._shard_version += 1
-            stale, self._scatter_pool = self._scatter_pool, None
-        if stale is not None:
-            # children hold the pre-delta graph copy-on-write; drain
-            # them so the next process scatter forks fresh state.
-            stale.close()
+        obs.metrics.counter(
+            names.M_SHARD_MATCHES,
+            help="Per-shard star matches gathered (pre-merge).",
+        ).inc(shard_results)
+        return results, stats
 
     def close(self) -> None:
         """Tear down the persistent scatter pool (if one was forked)."""
@@ -800,12 +602,6 @@ class ShardedCloud:
             stale, self._scatter_pool = self._scatter_pool, None
         if stale is not None:
             stale.close()
-
-    def __enter__(self) -> "ShardedCloud":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # accounting
@@ -819,3 +615,47 @@ class ShardedCloud:
         """Summed shard index build time (they build sequentially)."""
         with self._state_lock:
             return sum(shard.index.build_seconds for shard in self._shards)
+
+
+def build_cloud(
+    graph: AttributedGraph,
+    avt: AlignmentVertexTable,
+    center_vertices: list[int],
+    *,
+    shards: int = 1,
+    shard_backend: str = "serial",
+    partition_seed: int = 0,
+    expand_in_cloud: bool = True,
+    max_intermediate_results: int | None = None,
+    star_cache_size: int = 0,
+    obs: Observability | None = None,
+) -> CloudServer:
+    """Stand up the cloud of one deployment.
+
+    The one place that maps a shard count to a topology: the paper's
+    single :class:`~repro.cloud.server.CloudServer`, or — for
+    ``shards > 1`` — a :class:`ShardedCloud` scattering over
+    ``shard_backend``.  Answers are bit-identical either way.
+    """
+    if shards > 1:
+        return ShardedCloud(
+            graph,
+            avt,
+            center_vertices,
+            shards=shards,
+            expand_in_cloud=expand_in_cloud,
+            max_intermediate_results=max_intermediate_results,
+            star_cache_size=star_cache_size,
+            backend=shard_backend,
+            partition_seed=partition_seed,
+            obs=obs,
+        )
+    return CloudServer(
+        graph,
+        avt,
+        center_vertices,
+        expand_in_cloud=expand_in_cloud,
+        max_intermediate_results=max_intermediate_results,
+        star_cache_size=star_cache_size,
+        obs=obs,
+    )

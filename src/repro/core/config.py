@@ -81,22 +81,17 @@ class SystemConfig:
     # LRU cache of star match sets in the cloud, keyed by the star's
     # constraint signature; entries are reused across queries sharing
     # star shapes.  0 (default) disables caching.  The cache is
-    # internally locked, so it is safe to share across the worker pool
-    # of `query_batch`.
+    # internally locked, so it is safe to share between the concurrent
+    # callers of a serving gateway.
     star_cache_size: int = 0
-    # width of the cloud's per-query star-matching pool: independent
-    # stars of one decomposition are matched concurrently.  0/1
-    # (default) keeps the paper's serial loop; results are bit-identical
-    # either way.
-    star_workers: int = 0
     # number of cloud shards: 1 (default) deploys the paper's single
     # CloudServer; N > 1 deploys a ShardedCloud that partitions Go over
     # N shard servers and scatter-gathers each query.  Answers are
     # bit-identical at every shard count.
     shards: int = 1
-    # scatter backend of the sharded cloud ("serial", "thread" or
-    # "process"); ignored when shards == 1.
-    shard_backend: str = "thread"
+    # scatter backend of the sharded cloud ("serial" or "process");
+    # ignored when shards == 1.
+    shard_backend: str = "serial"
     # -- serving telemetry (repro.obs.events / repro.obs.windows) -------
     # JSONL event-log destination.  None (default) disables structured
     # event logging entirely; a path makes PrivacyPreservingSystem
@@ -144,8 +139,6 @@ class SystemConfig:
             raise ConfigError("max_intermediate_results must be >= 0 or None")
         if self.star_cache_size < 0:
             raise ConfigError("star_cache_size must be >= 0")
-        if self.star_workers < 0:
-            raise ConfigError("star_workers must be >= 0")
         if not isinstance(self.shards, int) or isinstance(self.shards, bool):
             raise ConfigError(f"shards must be an int, got {self.shards!r}")
         if self.shards < 1:
@@ -153,9 +146,9 @@ class SystemConfig:
         # validated against a literal so importing repro.core.config
         # does not pull the whole cloud package; must stay in sync with
         # repro.cloud.parallel.BACKENDS (pinned by tests).
-        if self.shard_backend not in ("serial", "thread", "process"):
+        if self.shard_backend not in ("serial", "process"):
             raise ConfigError(
-                "shard_backend must be 'serial', 'thread' or 'process', "
+                "shard_backend must be 'serial' or 'process', "
                 f"got {self.shard_backend!r}"
             )
         if self.event_log_level not in ("debug", "info"):

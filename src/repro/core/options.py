@@ -22,14 +22,12 @@ class QueryOptions:
     Parameters
     ----------
     backend:
-        Batch execution backend (``"serial"``, ``"thread"``,
-        ``"process"``); single-query submits degenerate to serial
+        Batch execution backend: ``"serial"`` (default, the plain
+        loop) or ``"process"`` (a fork pool, for CPU-bound batches on
+        multi-core hosts); single-query submits run serially
         regardless.
     workers:
         Batch worker cap (``None`` = backend default).
-    star_workers:
-        Per-call override for the cloud's intra-query star-matching
-        parallelism (``None`` = the deployed engine's configuration).
     trace:
         ``False`` disables span/metric recording for this call even
         when the system has observability attached.
@@ -46,9 +44,8 @@ class QueryOptions:
         a mismatched single-server system.  ``None`` skips the check.
     """
 
-    backend: str = "thread"
+    backend: str = "serial"
     workers: int | None = None
-    star_workers: int | None = None
     trace: bool = True
     explain: bool = False
     max_results: int | None = None
@@ -63,10 +60,6 @@ class QueryOptions:
             )
         if self.workers is not None and self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.star_workers is not None and self.star_workers < 1:
-            raise ConfigError(
-                f"star_workers must be >= 1, got {self.star_workers}"
-            )
         if self.max_results is not None and self.max_results < 0:
             raise ConfigError(
                 f"max_results must be >= 0, got {self.max_results}"

@@ -34,7 +34,7 @@ from typing import Any
 from repro.client.expansion import expand_rin_table
 from repro.cloud.parallel import effective_workers, map_batch
 from repro.cloud.server import CloudServer
-from repro.cloud.sharding import ShardedCloud
+from repro.cloud.sharding import build_cloud
 from repro.core.config import SystemConfig
 from repro.core.data_owner import DataOwner, PublishedData
 from repro.core.options import DEFAULT_OPTIONS, QueryOptions
@@ -161,7 +161,7 @@ class PrivacyPreservingSystem:
         self,
         owner: DataOwner,
         published: PublishedData,
-        cloud: CloudServer | ShardedCloud,
+        cloud: CloudServer,
         client: QueryClient,
         config: SystemConfig,
         channel: NetworkChannel,
@@ -253,34 +253,21 @@ class PrivacyPreservingSystem:
         cloud_graph, cloud_avt = decode_upload(payload)
 
         with tracer.span(names.CLOUD_INDEX_BUILD) as span:
-            cloud: CloudServer | ShardedCloud
-            if config.shards > 1:
-                # sharded deployment: Go partitioned over N shard
-                # servers behind a scatter-gather coordinator; answers
-                # stay bit-identical to the single-server pipeline.
-                cloud = ShardedCloud(
-                    cloud_graph,
-                    cloud_avt,
-                    published.center_vertices,
-                    shards=config.shards,
-                    expand_in_cloud=published.expand_in_cloud,
-                    max_intermediate_results=config.max_intermediate_results,
-                    star_cache_size=config.star_cache_size,
-                    backend=config.shard_backend,
-                    partition_seed=config.seed,
-                    obs=component_obs,
-                )
-            else:
-                cloud = CloudServer(
-                    cloud_graph,
-                    cloud_avt,
-                    published.center_vertices,
-                    expand_in_cloud=published.expand_in_cloud,
-                    max_intermediate_results=config.max_intermediate_results,
-                    star_cache_size=config.star_cache_size,
-                    star_workers=config.star_workers,
-                    obs=component_obs,
-                )
+            # shards == 1: the paper's single server; N > 1: Go
+            # partitioned over N shard servers behind a scatter-gather
+            # coordinator, answers bit-identical to the single server.
+            cloud = build_cloud(
+                cloud_graph,
+                cloud_avt,
+                published.center_vertices,
+                shards=config.shards,
+                shard_backend=config.shard_backend,
+                partition_seed=config.seed,
+                expand_in_cloud=published.expand_in_cloud,
+                max_intermediate_results=config.max_intermediate_results,
+                star_cache_size=config.star_cache_size,
+                obs=component_obs,
+            )
             span.set(
                 index_bytes=cloud.index_size_bytes(),
                 build_seconds=cloud.index_build_seconds(),
@@ -320,10 +307,10 @@ class PrivacyPreservingSystem:
         the serving gateway — routes through here; the wire, trace and
         cache plumbing lives in this one method.  A single-element
         workload runs inline (no batch span, exactly the per-query
-        trace shape of :meth:`query`); larger workloads fan out over
-        the ``options.backend`` worker pool with a ``batch`` span and
-        event wrapping the run.  Outcomes come back in submission
-        order, bit-identical to a serial loop.
+        trace shape of :meth:`query`); larger workloads run on the
+        ``options.backend`` backend (the serial loop, or a fork pool)
+        with a ``batch`` span and event wrapping the run.  Outcomes
+        come back in submission order, bit-identical to a serial loop.
 
         ``obs`` overrides the system scope; ``options.trace=False``
         forces the disabled scope regardless (raw-throughput serving).
@@ -448,16 +435,7 @@ class PrivacyPreservingSystem:
             # cloud: decompose, star-match, join
             with tracer.span(names.DECODE_QUERY):
                 cloud_query = decode_query(query_payload)
-            if options.star_workers is not None and isinstance(
-                self.cloud, CloudServer
-            ):
-                # per-call intra-query parallelism override; sharded
-                # deployments keep their per-shard configuration.
-                answer = self.cloud.answer(
-                    cloud_query, obs=scope, star_workers=options.star_workers
-                )
-            else:
-                answer = self.cloud.answer(cloud_query, obs=scope)
+            answer = self.cloud.answer(cloud_query, obs=scope)
 
             # the result set stays tabular from the cloud join to the
             # client filter; dicts are only materialized for the final
@@ -532,23 +510,19 @@ class PrivacyPreservingSystem:
         *,
         options: QueryOptions | None = None,
     ) -> BatchOutcome:
-        """Answer a workload of queries through a bounded worker pool.
+        """Answer a workload of queries, in submission order.
 
         A thin delegate of :meth:`submit`: every query runs the full
         pipeline — anonymize, encode, decompose, star-match, join,
-        decode, expand, filter — on one of ``options.workers`` workers
-        (default: one per core).  The cloud's VBV/LBV index is shared
-        read-only and the star cache is shared through its lock, so
-        repeated star shapes across the batch are matched once.
-        Outcomes come back **in submission order** with match sets
-        bit-identical to a serial loop of :meth:`query` calls.
-
-        ``QueryOptions.backend`` is ``"thread"`` (default; shares the
-        cache), ``"process"`` (fork-based, for CPU-bound batches on
-        multi-core hosts; cache/channel/registry updates stay in the
-        children — per-query *traces* still come back, pickled inside
-        each outcome), or ``"serial"`` (the plain loop — the baseline
-        ``benchmarks/bench_parallel_engine.py`` measures against).
+        decode, expand, filter.  ``QueryOptions.backend`` is
+        ``"serial"`` (default: the plain loop; the star cache is shared,
+        so repeated star shapes across the batch are matched once) or
+        ``"process"`` (``options.workers`` forked workers, default one
+        per core, for CPU-bound batches on multi-core hosts;
+        cache/channel/registry updates stay in the children — per-query
+        *traces* still come back, pickled inside each outcome).  Match
+        sets are bit-identical to a loop of :meth:`query` calls either
+        way.
 
         ``obs`` overrides the system scope for the whole batch; pass
         ``Observability.disabled()`` (or ``QueryOptions(trace=False)``)

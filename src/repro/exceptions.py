@@ -89,3 +89,9 @@ class ResultBudgetExceeded(ReproError):
         self.stage = stage
         self.size = size
         self.budget = budget
+
+    def __reduce__(self) -> tuple:
+        # the default reduce replays ``args`` (the one formatted message)
+        # into this three-argument constructor; raised in a fork child,
+        # that fails to unpickle in the parent and breaks the whole pool
+        return type(self), (self.stage, self.size, self.budget)

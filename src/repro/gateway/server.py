@@ -3,9 +3,8 @@
 :class:`QueryGateway` listens on a TCP socket (``asyncio.start_server``
 on a dedicated background thread), speaks the length-prefixed frame
 envelope of :mod:`repro.core.protocol`, and dispatches anonymized
-queries into a :class:`~repro.cloud.server.CloudServer` or
-:class:`~repro.cloud.sharding.ShardedCloud` through a bounded thread
-pool.  Per request it runs, in order:
+queries into a :class:`~repro.cloud.server.CloudServer` (single or
+sharded) through a bounded thread pool.  Per request it runs, in order:
 
 1. the middleware chain's ``on_request`` hooks (auth, rate limit,
    privacy budget — any may refuse),
@@ -33,7 +32,6 @@ from typing import Iterable, Sequence
 
 from repro.cloud.parallel import DEFAULT_MAX_WORKERS
 from repro.cloud.server import CloudServer
-from repro.cloud.sharding import ShardedCloud
 from repro.core.protocol import (
     FRAME_HEADER,
     MAX_TRACE_PAYLOAD,
@@ -132,7 +130,7 @@ class QueryGateway:
 
     def __init__(
         self,
-        cloud: CloudServer | ShardedCloud,
+        cloud: CloudServer,
         *,
         host: str = "127.0.0.1",
         port: int = 0,

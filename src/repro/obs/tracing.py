@@ -20,8 +20,8 @@ Three tracer grades cover the whole cost/fidelity spectrum:
 Thread-safety: each thread nests spans on its own ``threading.local``
 stack; the completed-span buffer is appended under a lock.  A span may
 be parented explicitly (``tracer.span(name, parent=span)``) which is
-how the per-star spans of ``star_workers > 1`` attach to the
-``cloud.star_matching`` span that was opened on the submitting thread.
+how per-shard spans attach to the ``cloud.star_matching`` span, and
+gateway dispatch work to the span opened on the event loop.
 
 Fork-awareness (the ``process`` batch backend): a tracer detects that
 it is running in a forked child (pid change) and resets its buffer and

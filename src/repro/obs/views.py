@@ -196,7 +196,7 @@ class BatchMetrics:
     (format it with :func:`format_percent`, never ``%``-style).
     """
 
-    backend: str = "thread"
+    backend: str = "serial"
     worker_count: int = 1
     wall_seconds: float = 0.0
     per_query: list[QueryMetrics] = field(default_factory=list)

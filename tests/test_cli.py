@@ -40,7 +40,7 @@ class TestPublishAndQuery:
         assert len(query_out["matches"]) == 2
         assert query_out["candidates"] >= 2
 
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_publish_then_batch(self, tmp_path, capsys, backend):
         graph, _ = example_social_network()
         graph_path = tmp_path / "g.json"
@@ -76,8 +76,9 @@ class TestPublishAndQuery:
         assert batch_out["wall_seconds"] >= 0
         assert len(batch_out["per_query"]) == 4
         assert all(entry["matches"] == 2 for entry in batch_out["per_query"])
-        # the repeated workload must warm the shared star cache
-        assert batch_out["cache"]["hits"] > 0
+        # the repeated workload must warm the shared star cache; fork
+        # children warm their own copies, invisible to the parent
+        assert (batch_out["cache"]["hits"] > 0) == (backend == "serial")
 
     def test_publish_with_method(self, tmp_path, capsys):
         graph, _ = example_social_network()
@@ -284,7 +285,7 @@ class TestTraceExport:
         assert out["cache"]["hit_rate"] is None
         assert out["cache"]["hit_rate_text"] == "n/a"
 
-    def test_batch_thread_backend_reports_numeric_hit_rate(
+    def test_batch_serial_backend_reports_numeric_hit_rate(
         self, tmp_path, capsys
     ):
         graph_path, query_path, deployment = self._deployment(tmp_path, capsys)
@@ -304,6 +305,31 @@ class TestTraceExport:
         out = json.loads(capsys.readouterr().out)
         assert out["cache"]["hit_rate"] is not None
         assert out["cache"]["hit_rate_text"].endswith("%")
+
+
+class TestRemovedThreadTier:
+    """The removed values and flag are refused by argparse itself."""
+
+    @pytest.mark.parametrize(
+        "flags,complaint",
+        [
+            (["--backend", "thread"], "invalid choice: 'thread'"),
+            (["--shard-backend", "thread"], "invalid choice: 'thread'"),
+            (["--star-workers", "2"], "unrecognized arguments: --star-workers"),
+        ],
+    )
+    def test_batch_rejects(self, capsys, flags, complaint):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["batch", "dep", "g.json", "q.json", *flags])
+        assert exit_info.value.code == 2
+        assert complaint in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["serve", "explain"])
+    def test_shard_backend_choices_are_shared(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "dep", "g.json", "q.json", "--shard-backend", "thread"])
+        assert exit_info.value.code == 2
+        assert "'serial', 'process'" in capsys.readouterr().err
 
 
 class TestProfile:

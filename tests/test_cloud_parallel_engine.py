@@ -1,14 +1,18 @@
-"""Tests for the parallel batched query engine (ISSUE 1).
+"""Tests for the batched query engine (ISSUE 1, reduced by ISSUE 14).
 
-Covers: per-query parallel star matching, `CloudServer.query_batch`,
-`PrivacyPreservingSystem.query_batch` + `BatchMetrics`, exception
-propagation, and a deterministic thread-safety stress test of
-concurrent queries sharing one star cache.
+Covers: the serial/process backends of `map_batch`,
+`CloudServer.query_batch`, `PrivacyPreservingSystem.query_batch` +
+`BatchMetrics`, exception propagation, and thread-safety stress tests
+of concurrent callers (the gateway's dispatch threads) sharing one
+server and one star cache.
 """
 
 from __future__ import annotations
 
+import os
+import signal
 import threading
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -21,14 +25,16 @@ from repro import (
 )
 from repro.cloud import CloudServer, fork_available
 from repro.cloud.parallel import (
+    BACKENDS,
     PersistentProcessPool,
     effective_workers,
     map_batch,
     validate_backend,
 )
-from repro.exceptions import ResultBudgetExceeded
+from repro.exceptions import ConfigError, ResultBudgetExceeded
 from repro.graph import example_query, example_social_network
 from repro.matching import match_key
+from repro.obs import names
 from repro.workloads import generate_workload, load_dataset
 
 
@@ -62,19 +68,28 @@ class TestPoolHelpers:
         assert effective_workers(None, 100) >= 2
 
     def test_validate_backend(self):
-        for backend in ("serial", "thread", "process"):
+        assert BACKENDS == ("serial", "process")
+        for backend in BACKENDS:
             assert validate_backend(backend) == backend
         with pytest.raises(ValueError):
             validate_backend("gpu")
 
+    def test_thread_backend_is_gone_at_every_level(self):
+        """The removed value fails typed, naming the two that remain."""
+        remaining = r"serial.*process"
+        with pytest.raises(ValueError, match=remaining):
+            validate_backend("thread")
+        with pytest.raises(ValueError, match=remaining):
+            QueryOptions(backend="thread")
+        with pytest.raises(ConfigError, match=remaining):
+            SystemConfig(shard_backend="thread")
+
     def test_map_batch_preserves_order(self):
         items = list(range(20))
-        assert map_batch(lambda x: x * x, items, 4, "thread") == [
-            x * x for x in items
-        ]
-        assert map_batch(lambda x: x + 1, items, 4, "serial") == [
-            x + 1 for x in items
-        ]
+        for backend in BACKENDS:
+            assert map_batch(lambda x: x * x, items, 4, backend) == [
+                x * x for x in items
+            ]
 
     def test_map_batch_propagates_exceptions(self):
         def boom(x):
@@ -82,8 +97,9 @@ class TestPoolHelpers:
                 raise ValueError("task 3 failed")
             return x
 
-        with pytest.raises(ValueError, match="task 3 failed"):
-            map_batch(boom, list(range(6)), 3, "thread")
+        for backend in BACKENDS:
+            with pytest.raises(ValueError, match="task 3 failed"):
+                map_batch(boom, list(range(6)), 3, backend)
 
 
 @pytest.mark.skipif(not fork_available(), reason="fork start method required")
@@ -116,38 +132,32 @@ class TestPersistentProcessPool:
         with pytest.raises(RuntimeError, match="closed"):
             pool.map([3])
 
+    def test_close_works_on_a_broken_pool(self):
+        pool = PersistentProcessPool(lambda x: x, 2)
+        assert pool.map([1, 2]) == [1, 2]
+        children = list(pool._pool._processes.values())
+        os.kill(children[0].pid, signal.SIGKILL)
+        children[0].join(timeout=10)
+        with pytest.raises(BrokenProcessPool):
+            pool.map([3, 4])
+        pool.close()
+        assert pool.closed
+        assert not any(child.is_alive() for child in children)
+
 
 class TestParallelStarMatching:
-    """star_workers > 1 must be bit-identical to the serial loop."""
+    """The intra-query star pool is gone: one serial star loop remains.
 
-    @pytest.mark.parametrize("cache_size", [0, 64])
-    def test_parallel_stars_bit_identical(self, dataset_workload, cache_size):
-        dataset, workload = dataset_workload
-        serial = build_system(dataset, workload, star_cache_size=cache_size)
-        parallel = build_system(
-            dataset, workload, star_cache_size=cache_size, star_workers=4
-        )
-        for query in workload:
-            a = [match_key(m) for m in serial.query(query).matches]
-            b = [match_key(m) for m in parallel.query(query).matches]
-            assert a == b
-
-    def test_parallel_stars_on_running_example(self):
-        graph, schema = example_social_network()
-        serial = PrivacyPreservingSystem.setup(graph, schema, SystemConfig(k=2))
-        parallel = PrivacyPreservingSystem.setup(
-            graph, schema, SystemConfig(k=2, star_workers=3)
-        )
-        query = example_query()
-        assert [match_key(m) for m in parallel.query(query).matches] == [
-            match_key(m) for m in serial.query(query).matches
-        ]
+    ``star_workers`` never reached 1.0x on any workload
+    (docs/performance.md, "Thread tier"), so the knob was removed at
+    every level; the loop that remains still matches equivalent stars
+    once.
+    """
 
     def test_equivalent_stars_still_share_cache_entries(self):
-        """Deduped fan-out: one query's equivalent stars compute once."""
         graph, schema = example_social_network()
         system = PrivacyPreservingSystem.setup(
-            graph, schema, SystemConfig(k=2, star_cache_size=32, star_workers=4)
+            graph, schema, SystemConfig(k=2, star_cache_size=32)
         )
         query = example_query()
         system.query(query)
@@ -156,9 +166,20 @@ class TestParallelStarMatching:
         hits_after, _ = system.cloud.star_cache.counters()
         assert hits_after > hits_before
 
-    def test_star_workers_validation(self):
-        with pytest.raises(Exception):
-            SystemConfig(k=2, star_workers=-1)
+    def test_star_workers_validation(self, figure1_pipeline):
+        """The removed knob is rejected wherever it used to be accepted."""
+        pipe = figure1_pipeline
+        with pytest.raises(TypeError):
+            SystemConfig(k=2, star_workers=2)
+        with pytest.raises(TypeError):
+            QueryOptions(star_workers=2)
+        with pytest.raises(TypeError):
+            CloudServer(
+                pipe.outsourced.graph,
+                pipe.transform.avt,
+                pipe.outsourced.block_vertices,
+                star_workers=2,
+            )
 
 
 class TestCloudQueryBatch:
@@ -172,10 +193,11 @@ class TestCloudQueryBatch:
         )
         queries = [pipe.qo] * 6
         expected = [[match_key(m) for m in server.answer(q).matches] for q in queries]
-        threaded = server.query_batch(queries, max_workers=4, backend="thread")
-        assert [[match_key(m) for m in a.matches] for a in threaded] == expected
-        serial = server.query_batch(queries, backend="serial")
-        assert [[match_key(m) for m in a.matches] for a in serial] == expected
+        for backend in BACKENDS:
+            answers = server.query_batch(queries, max_workers=4, backend=backend)
+            assert [[match_key(m) for m in a.matches] for a in answers] == expected
+        default = server.query_batch(queries)
+        assert [[match_key(m) for m in a.matches] for a in default] == expected
 
     @pytest.mark.skipif(not fork_available(), reason="fork start method unavailable")
     def test_process_backend_matches(self, figure1_pipeline):
@@ -185,13 +207,14 @@ class TestCloudQueryBatch:
             pipe.transform.avt,
             pipe.outsourced.block_vertices,
             star_cache_size=32,
-            star_workers=2,  # exercises the fork-aware pool rebuild
         )
         queries = [pipe.qo] * 4
         expected = [[match_key(m) for m in server.answer(q).matches] for q in queries]
+        hits, misses = server.star_cache.counters()
         answers = server.query_batch(queries, max_workers=2, backend="process")
         assert [[match_key(m) for m in a.matches] for a in answers] == expected
-        server.close()
+        # the children own their cache copies: the parent's is untouched
+        assert server.star_cache.counters() == (hits, misses)
 
     def test_unknown_backend_rejected(self, figure1_pipeline):
         pipe = figure1_pipeline
@@ -211,8 +234,9 @@ class TestCloudQueryBatch:
             pipe.outsourced.block_vertices,
             max_intermediate_results=0,
         )
-        with pytest.raises(ResultBudgetExceeded):
-            server.query_batch([pipe.qo] * 3, max_workers=2, backend="thread")
+        for backend in BACKENDS:
+            with pytest.raises(ResultBudgetExceeded):
+                server.query_batch([pipe.qo] * 3, max_workers=2, backend=backend)
 
     def test_close_is_idempotent(self, figure1_pipeline):
         pipe = figure1_pipeline
@@ -220,7 +244,6 @@ class TestCloudQueryBatch:
             pipe.outsourced.graph,
             pipe.transform.avt,
             pipe.outsourced.block_vertices,
-            star_workers=2,
         ) as server:
             server.answer(pipe.qo)
         server.close()  # second close must be a no-op
@@ -230,15 +253,13 @@ class TestSystemQueryBatch:
     def test_batch_outcome_shape_and_metrics(self, dataset_workload):
         dataset, workload = dataset_workload
         system = build_system(dataset, workload, star_cache_size=64)
-        batch = system.query_batch(
-            workload, options=QueryOptions(workers=4, backend="thread")
-        )
+        batch = system.query_batch(workload, options=QueryOptions(workers=4))
         assert isinstance(batch, BatchOutcome)
         assert len(batch.outcomes) == len(workload)
         metrics = batch.metrics
-        assert metrics.backend == "thread"
+        assert metrics.backend == "serial"  # the default
         assert metrics.query_count == len(workload)
-        assert metrics.worker_count == min(4, len(workload))
+        assert metrics.worker_count == 1  # the serial loop ignores workers
         assert metrics.wall_seconds > 0
         assert metrics.throughput_qps > 0
         assert len(metrics.per_query) == len(workload)
@@ -252,13 +273,14 @@ class TestSystemQueryBatch:
         dataset, workload = dataset_workload
         system = build_system(dataset, workload, star_cache_size=64)
         serial = [system.query(q) for q in workload]
-        batch = system.query_batch(
-            workload, options=QueryOptions(workers=4, backend="thread")
-        )
-        assert match_lists(batch.outcomes) == match_lists(serial)
-        # submission order: per-query metrics line up with the inputs
-        for query, outcome in zip(workload, batch.outcomes):
-            assert outcome.metrics.query_edges == query.edge_count
+        for backend in BACKENDS:
+            batch = system.query_batch(
+                workload, options=QueryOptions(workers=4, backend=backend)
+            )
+            assert match_lists(batch.outcomes) == match_lists(serial)
+            # submission order: per-query metrics line up with the inputs
+            for query, outcome in zip(workload, batch.outcomes):
+                assert outcome.metrics.query_edges == query.edge_count
 
     @pytest.mark.parametrize("method", ["EFF", "BAS"])
     def test_methods_agree_across_backends(self, dataset_workload, method):
@@ -276,10 +298,10 @@ class TestSystemQueryBatch:
                 workload, options=QueryOptions(backend="serial")
             ).outcomes
         )
-        threaded = system.query_batch(
-            workload, options=QueryOptions(workers=3, backend="thread")
+        forked = system.query_batch(
+            workload, options=QueryOptions(workers=3, backend="process")
         )
-        assert match_lists(threaded.outcomes) == expected
+        assert match_lists(forked.outcomes) == expected
 
     @pytest.mark.skipif(not fork_available(), reason="fork start method unavailable")
     def test_process_backend_reports_unshared_cache(self, dataset_workload):
@@ -294,6 +316,8 @@ class TestSystemQueryBatch:
             workload[:4], options=QueryOptions(workers=2, backend="process")
         )
         assert match_lists(batch.outcomes) == expected[:4]
+        assert batch.metrics.backend == "process"
+        assert batch.metrics.worker_count == 2
         assert batch.metrics.cache_shared is False
         assert batch.metrics.cache_hit_rate is None
 
@@ -319,21 +343,41 @@ class TestSharedCacheStress:
     """Concurrent queries hammering one cache must be deterministic."""
 
     def test_stress_batches_are_deterministic(self, dataset_workload):
+        """Raw threads through ``system.query``: what the gateway does."""
         dataset, workload = dataset_workload
         system = build_system(dataset, workload, star_cache_size=8)
         # small LRU + repeated workload = constant eviction churn under
-        # concurrency; every run must still return identical matches
+        # concurrency; every thread must still see identical matches
         stress = (workload * 3)[: max(12, len(workload))]
-        reference = match_lists(
-            system.query_batch(
-                stress, options=QueryOptions(backend="serial")
-            ).outcomes
+        serial = system.query_batch(
+            stress, options=QueryOptions(backend="serial")
+        ).outcomes
+        reference = match_lists(serial)
+        stars = sum(
+            outcome.trace.attr(names.CLOUD_DECOMPOSE, "stars")
+            for outcome in serial
         )
-        for round_ in range(3):
-            batch = system.query_batch(
-                stress, options=QueryOptions(workers=4, backend="thread")
-            )
-            assert match_lists(batch.outcomes) == reference, f"round {round_}"
+        system.cloud.star_cache.clear()
+        diverged: list[int] = []
+        barrier = threading.Barrier(4)
+
+        def worker(thread_id: int) -> None:
+            barrier.wait()
+            got = match_lists([system.query(query) for query in stress])
+            if got != reference:  # pragma: no cover - failure path
+                diverged.append(thread_id)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not diverged
+        # one cache lookup per star per query: the locked counters must
+        # not lose an update under contention
+        hits, misses = system.cloud.star_cache.counters()
+        assert hits > 0 and misses > 0
+        assert hits + misses == 4 * stars
 
     def test_raw_threads_share_one_server(self, figure1_pipeline):
         """Belt and braces: hand-rolled threads, no pool abstraction."""

@@ -10,6 +10,7 @@ from repro.matching import (
     star_as_graph,
     star_of,
 )
+from repro.obs import NULL_SPAN
 
 
 def match_star(query, star, index, data):
@@ -95,7 +96,9 @@ class TestMatchAllStars:
             pipe.transform.avt,
             pipe.outsourced.block_vertices,
         )
-        results, stats = server._match_stars(pipe.qo, stars)
+        results, stats = server._match_stars(
+            pipe.qo, stars, server.obs, NULL_SPAN
+        )
         assert set(results) == {1, 4}
         assert stats.result_sizes == {c: len(results[c]) for c in results}
         assert stats.total_results == sum(len(m) for m in results.values())

@@ -87,8 +87,6 @@ class TestSystemConfig:
         with pytest.raises(ConfigError):
             SystemConfig(star_cache_size=-1)
         with pytest.raises(ConfigError):
-            SystemConfig(star_workers=-1)
-        with pytest.raises(ConfigError):
             SystemConfig(max_intermediate_results=-1)
 
     def test_zero_budget_is_legal(self):

@@ -17,7 +17,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.cloud import CloudServer, ShardedCloud, fork_available
+from repro.cloud import build_cloud, fork_available
 from repro.core.protocol import (
     FRAME_HEADER,
     decode_frame_header,
@@ -74,16 +74,12 @@ def dep():
 
 
 def make_cloud(dep, shards: int = 1, backend: str = "serial"):
-    if shards == 1:
-        return CloudServer(
-            dep.outsourced.graph, dep.avt, dep.outsourced.block_vertices
-        )
-    return ShardedCloud(
+    return build_cloud(
         dep.outsourced.graph,
         dep.avt,
         dep.outsourced.block_vertices,
         shards=shards,
-        backend=backend,
+        shard_backend=backend,
     )
 
 
@@ -324,7 +320,6 @@ class TestCoalescer:
 TOPOLOGIES = [
     ("serial", 1),
     ("serial", 4),
-    ("thread", 4),
     pytest.param(
         "process",
         4,

@@ -12,6 +12,9 @@ and the aggregate cache/telemetry surfaces are covered alongside.
 
 from __future__ import annotations
 
+import os
+import signal
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -19,6 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cloud import CloudServer, ShardedCloud, build_shards, fork_available
+from repro.cloud.parallel import BACKENDS
 from repro.cloud.sharding import halo_vertices, merge_star_tables
 from repro.core.config import SystemConfig
 from repro.core.protocol import NetworkChannel
@@ -95,7 +99,7 @@ class TestBitIdentity:
         cloud = sharded(dep, shards, backend="serial")
         assert_answers_identical(reference, cloud.answer(dep.query))
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_every_backend_identical(self, backend):
         dep = deployment(7, 40, 2, 3)
         reference = single_server(dep).answer(dep.query)
@@ -120,9 +124,24 @@ class TestBitIdentity:
         queries = [dep.query] * 3
         cloud = sharded(dep, 2)
         serial = [cloud.answer(query) for query in queries]
-        batched = cloud.query_batch(queries, backend="thread")
-        for one, other in zip(serial, batched):
-            assert_answers_identical(one, other)
+        for backend in BACKENDS:
+            batched = cloud.query_batch(queries, backend=backend)
+            for one, other in zip(serial, batched):
+                assert_answers_identical(one, other)
+
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_telemetry_fields_equal_single_server(self, shards):
+        """The inherited answer body reports what the single server does."""
+        dep = deployment(7, 40, 2, 3)
+        reference = single_server(dep).answer(dep.query)
+        answer = sharded(dep, shards).answer(dep.query)
+        assert answer.rs_size == reference.rs_size
+        assert answer.expanded == reference.expanded
+        assert answer.decomposition == reference.decomposition
+        # everything Algorithm 2 reports but its wall time
+        assert replace(answer.join_stats, seconds=0.0) == replace(
+            reference.join_stats, seconds=0.0
+        )
 
 
 class TestShardStructure:
@@ -275,6 +294,8 @@ class TestSystemPlumbing:
             SystemConfig(shards=True)
         with pytest.raises(ConfigError):
             SystemConfig(shard_backend="gpu")
+        with pytest.raises(ConfigError, match="'serial' or 'process'"):
+            SystemConfig(shard_backend="thread")
         assert SystemConfig(shards=4, shard_backend="process").shards == 4
 
     def test_config_backends_stay_in_sync_with_parallel(self):
@@ -346,12 +367,36 @@ class TestPersistentScatterPool:
             assert cloud._scatter_pool is pool
         assert pool.closed
 
-    def test_serial_and_thread_backends_never_fork(self):
+    def test_serial_backend_never_forks(self):
         dep = deployment(7, 32, 2, 2)
-        for backend in ("serial", "thread"):
-            with sharded(dep, 2, backend=backend) as cloud:
-                cloud.answer(dep.query)
-                assert cloud._scatter_pool is None
+        with sharded(dep, 2, backend="serial") as cloud:
+            cloud.answer(dep.query)
+            assert cloud._scatter_pool is None
+
+    def test_killed_child_is_survived_and_replaced(self):
+        """A dead fork child must not brick the deployment."""
+        dep = deployment(7, 40, 2, 3)
+        reference = single_server(dep).answer(dep.query)
+        cloud = sharded(dep, 4, backend="process")
+        try:
+            assert_answers_identical(reference, cloud.answer(dep.query))
+            broken = cloud._scatter_pool
+            children = list(broken._pool._processes.values())
+            os.kill(children[0].pid, signal.SIGKILL)
+            children[0].join(timeout=10)
+            # the answer that meets the broken pool is still served —
+            # through the serial scatter — and the pool is dropped
+            assert_answers_identical(reference, cloud.answer(dep.query))
+            assert broken.closed
+            assert cloud._scatter_pool is None
+            # the next one forks a fresh pool and runs on it
+            assert_answers_identical(reference, cloud.answer(dep.query))
+            fresh = cloud._scatter_pool
+            assert fresh is not None and not fresh.closed
+            children += list(fresh._pool._processes.values())
+        finally:
+            cloud.close()
+        assert not any(child.is_alive() for child in children)
 
     def test_apply_delta_replaces_stale_pool(self):
         from repro.anonymize import (
