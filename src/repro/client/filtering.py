@@ -42,41 +42,51 @@ class TableFilterResult:
         return self.dropped_vertex + self.dropped_edge + self.dropped_label
 
 
-class ClientFilter:
-    """Precomputed hash structures over the original ``G`` and ``Q``."""
+class LazyGraphCSR:
+    """The :class:`GraphCSR` of one graph, built on the first :meth:`get`.
 
-    def __init__(self, original_graph: AttributedGraph, original_query: AttributedGraph):
+    ``None`` (numpy missing, ids too sparse) is remembered like a built
+    CSR, so an ineligible graph is probed once.  Unlocked on purpose:
+    threads racing the first call each build an equal CSR and the flag
+    is set only after the result is stored.
+    """
+
+    def __init__(self, graph: AttributedGraph) -> None:
+        self._graph = graph
+        self._built = False
+        self._csr: GraphCSR | None = None
+
+    def get(self) -> GraphCSR | None:
+        if not self._built:
+            self._csr = GraphCSR.build(self._graph)
+            self._built = True
+        return self._csr
+
+
+#: Candidate tables below this many rows stay on the tuple scan: the
+#: bulk kernel's fixed numpy cost exceeds the per-row saving.
+BULK_FILTER_MIN_ROWS = 256
+
+
+class ClientFilter:
+    """The Algorithm-3 filter of one query ``Q`` over the original ``G``.
+
+    ``csr`` is the CSR of ``G`` for the bulk kernel; the
+    :class:`~repro.core.query_client.QueryClient` that owns ``G``
+    passes its own so it is built once per client, not once per query
+    (a standalone filter builds one on its first bulk scan).
+    """
+
+    def __init__(
+        self,
+        original_graph: AttributedGraph,
+        original_query: AttributedGraph,
+        csr: LazyGraphCSR | None = None,
+    ):
         self.graph = original_graph
         self.query = original_query
-        self._vertex_set = original_graph.vertex_id_set()
         self._query_edges = list(original_query.edges())
-        # CSR over G for the bulk filter kernel: built lazily on the
-        # first vectorized scan (None = unbuilt, False = ineligible).
-        self._csr: GraphCSR | None | bool = None
-
-    def _graph_csr(self) -> GraphCSR | None:
-        """The (lazily built) CSR of ``G``, or ``None`` if ineligible."""
-        cached = self._csr
-        if cached is False:
-            return None
-        if isinstance(cached, GraphCSR):
-            return cached
-        built = GraphCSR.build(self.graph)
-        self._csr = built if built is not None else False
-        return built
-
-    def _bulk_pays_off(self, n_rows: int) -> bool:
-        """Whether the bulk kernel amortizes its CSR build for ``n_rows``.
-
-        A filter instance lives for one query, so building the O(V+E)
-        CSR of ``G`` only pays when the candidate table is large
-        relative to the graph; a selective workload stays on the tuple
-        scan.  An already-built CSR (earlier call on this instance) and
-        the pinned-numpy test mode skip the cost model.
-        """
-        if isinstance(self._csr, GraphCSR) or vec.mode() == "numpy":
-            return True
-        return n_rows >= 256 and n_rows * 4 >= self.graph.vertex_count
+        self._csr = csr if csr is not None else LazyGraphCSR(original_graph)
 
     @hot_path
     def filter_table(
@@ -98,7 +108,7 @@ class ClientFilter:
         started = time.perf_counter()
         graph = self.graph
         query = self.query
-        vertex_set = self._vertex_set
+        vertex_ids = graph.vertex_id_view()
         has_edge = graph.has_edge
         data_vertex = graph.vertex
         column_of = candidates.column_of
@@ -107,8 +117,8 @@ class ClientFilter:
         ]
         query_vertices = [query.vertex(q) for q in candidates.schema]
 
-        if vec.vectorize(len(candidates)) and self._bulk_pays_off(
-            len(candidates)
+        if vec.vectorize(len(candidates)) and (
+            len(candidates) >= BULK_FILTER_MIN_ROWS or vec.mode() == "numpy"
         ):
             bulk = self._filter_columns(
                 candidates, edge_pairs, query_vertices, limit
@@ -142,7 +152,7 @@ class ClientFilter:
             # Lines 9-12: every matched vertex must exist in G.
             ok = True
             for v in row:
-                if v not in vertex_set:
+                if v not in vertex_ids:
                     ok = False
                     break
             if not ok:
@@ -201,7 +211,7 @@ class ClientFilter:
         — exactly the rows the tuple loop would have visited.  Returns
         ``None`` when the CSR or the flat columns are unavailable.
         """
-        csr = self._graph_csr()
+        csr = self._csr.get()
         if csr is None or not candidates.schema:
             return None
         cols_raw = candidates.as_columns()

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from repro.anonymize.lct import LabelCorrespondenceTable
 from repro.anonymize.query_anonymizer import anonymize_query
 from repro.client.expansion import expand_rin_table
-from repro.client.filtering import ClientFilter
+from repro.client.filtering import ClientFilter, LazyGraphCSR
+from repro.exceptions import ProtocolError
 from repro.graph.attributed import AttributedGraph
 from repro.kauto.avt import AlignmentVertexTable
 from repro.matching.match import Match
@@ -50,6 +51,11 @@ class QueryClient:
     unless overridden); :class:`~repro.core.system.
     PrivacyPreservingSystem` passes a per-query recording scope to
     :meth:`prepare_query` / :meth:`process_answer` instead.
+
+    ``original_graph`` is the ``G`` the deployment was published from
+    and is read as a snapshot: the client keeps one CSR of it for the
+    bulk filter kernel, so a changed ``G`` needs a new client (as it
+    needs a new publication).
     """
 
     def __init__(
@@ -63,6 +69,10 @@ class QueryClient:
         self.lct = lct
         self.avt = avt
         self.obs = obs if obs is not None else Observability.measuring()
+        # the CSR of G behind the bulk filter kernel: built by the first
+        # query whose candidate table is large enough to want it, then
+        # shared by every later ClientFilter of this client
+        self._graph_csr = LazyGraphCSR(original_graph)
         # export the Algorithm-3 filter effectiveness as a live pull
         # gauge: false_positives / candidates over everything this
         # client has filtered (shows up on /metrics as
@@ -98,9 +108,19 @@ class QueryClient:
 
         ``limit`` returns at most that many exact matches (any subset
         of R(Q, G); useful for "find me a few examples" queries).
+
+        A table whose schema is not exactly ``query``'s vertex set can
+        only come from a confused or hostile cloud and raises
+        :class:`~repro.exceptions.ProtocolError`.
         """
         if obs is None:
             obs = self.obs
+        if set(matches.schema) != set(query.vertex_ids()):
+            raise ProtocolError(
+                "answer schema is not the query's vertex set "
+                f"({len(matches.schema)} columns for "
+                f"{query.vertex_count} query vertices)"
+            )
         tracer = obs.tracer
         if already_expanded:
             candidates = matches
@@ -112,7 +132,7 @@ class QueryClient:
             expansion_seconds = span.duration
         with tracer.span(names.CLIENT_FILTER) as span:
             exact = (
-                ClientFilter(self.graph, query)
+                ClientFilter(self.graph, query, self._graph_csr)
                 .filter_table(candidates, limit=limit)
                 .table.to_matches()
             )

@@ -17,7 +17,7 @@ The label-containment semantics of subgraph matching (Definition 2:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, KeysView, Mapping
 
 from repro.exceptions import GraphError
 
@@ -184,6 +184,12 @@ class AttributedGraph:
 
     def vertex_id_set(self) -> set[int]:
         return set(self._vertices)
+
+    def vertex_id_view(self) -> KeysView[int]:
+        """A live, read-only view of the vertex ids: O(1) to take, and
+        ``v in view`` is a C-level dict probe (``v in graph`` pays a
+        Python-level call per test, which shows in per-cell loops)."""
+        return self._vertices.keys()
 
     # ------------------------------------------------------------------
     # structure helpers

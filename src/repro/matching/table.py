@@ -131,8 +131,8 @@ class MatchTable:
 
     The two are interchangeable: reading :attr:`rows` on a
     flat-column table materializes the tuple rows (as Python ints, so
-    hashing, JSON framing and the cache codecs are bit-identical to
-    the tuple pipeline) and the table stays rows-backed from then on.
+    hashing and the cache codecs are bit-identical to the tuple
+    pipeline) and the table stays rows-backed from then on.
     The constructor **trusts** its arguments on the hot path — rows
     must already be tuples of the schema's width (use
     :meth:`from_rows` for validated construction from untrusted data).
@@ -228,9 +228,10 @@ class MatchTable:
 
         Rows are re-tupled and width-checked, and every cell must be
         exactly an ``int`` — ``bool``/``float``/``str``/nested-list
-        cells off a hostile frame would otherwise flow into the client
-        filter as vertex ids (or crash it unhashable).  Raises
-        ``ValueError``; the protocol decoders wrap it.
+        cells would otherwise flow into the client filter as vertex
+        ids (or crash it unhashable).  Raises ``ValueError``.  (Wire
+        frames carry packed column bytes and are validated by the
+        protocol decoders instead.)
         """
         table = cls(schema)
         width = len(table.schema)

@@ -18,7 +18,9 @@ pipeline's intermediate results.  Tests import it; nothing under
 
 from __future__ import annotations
 
+import binascii
 import json
+import struct
 from dataclasses import dataclass
 
 from repro.cloud.index import CloudIndex
@@ -31,13 +33,7 @@ from repro.cloud.star_matching import (
 from repro.exceptions import QueryError, ResultBudgetExceeded
 from repro.graph.attributed import AttributedGraph
 from repro.kauto.avt import AlignmentVertexTable
-from repro.matching.match import (
-    Match,
-    dedupe_matches,
-    is_injective,
-    matches_to_rows,
-    rows_to_matches,
-)
+from repro.matching.match import Match, dedupe_matches, is_injective
 from repro.matching.star import Star
 
 
@@ -238,6 +234,45 @@ def filter_candidates(
 # ----------------------------------------------------------------------
 # answer codec
 # ----------------------------------------------------------------------
+#: ``struct`` format character per cell width in bytes.
+_STRUCT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
+
+
+def pack_matches(matches: list[Match], order: list[int]) -> dict:
+    """The packed-column ``rows`` object of a table frame, from dicts.
+
+    Column-major in ``order``, little-endian signed cells of the
+    narrowest width (1/2/4/8 bytes) that holds every value, base64.
+    Written against the format's description, with ``struct`` where
+    the library uses ``array``/numpy.
+    """
+    cells = [match[q] for q in order for match in matches]
+    width = next(
+        w
+        for w in _STRUCT_CODES
+        if all(-(2 ** (8 * w - 1)) <= c <= 2 ** (8 * w - 1) - 1 for c in cells)
+    )
+    raw = struct.pack(f"<{len(cells)}{_STRUCT_CODES[width]}", *cells)
+    return {
+        "n": len(matches),
+        "w": width,
+        "cols": binascii.b2a_base64(raw, newline=False).decode("ascii"),
+    }
+
+
+def unpack_matches(packed: dict, order: list[int]) -> list[Match]:
+    """Inverse of :func:`pack_matches`, for well-formed objects only."""
+    n = packed["n"]
+    raw = binascii.a2b_base64(packed["cols"])
+    cells = struct.unpack(
+        f"<{n * len(order)}{_STRUCT_CODES[packed['w']]}", raw
+    )
+    return [
+        {q: cells[column * n + row] for column, q in enumerate(order)}
+        for row in range(n)
+    ]
+
+
 def encode_answer(
     matches: list[Match], query_order: list[int], expanded: bool
 ) -> bytes:
@@ -246,7 +281,7 @@ def encode_answer(
     return json.dumps(
         {
             "order": query_order,
-            "rows": matches_to_rows(matches, query_order),
+            "rows": pack_matches(matches, query_order),
             "expanded": expanded,
         },
         separators=(",", ":"),
@@ -256,4 +291,4 @@ def encode_answer(
 def decode_answer(payload: bytes) -> tuple[list[Match], bool]:
     """Inverse of :func:`encode_answer`, for well-formed frames only."""
     data = json.loads(payload.decode("utf-8"))
-    return rows_to_matches(data["rows"], data["order"]), bool(data["expanded"])
+    return unpack_matches(data["rows"], data["order"]), bool(data["expanded"])

@@ -4,7 +4,7 @@ import pytest
 
 from repro.client import ClientFilter, expand_rin_table
 from repro.kauto import AlignmentVertexTable
-from repro.matching import MatchTable
+from repro.matching import MatchTable, vec
 
 
 def expand_rin(rin, avt):
@@ -17,6 +17,16 @@ def filter_candidates(candidates, graph, query):
     """``ClientFilter.filter_table`` over hand-written dict candidates."""
     table = MatchTable.from_matches(candidates, sorted(query.vertex_ids()))
     return ClientFilter(graph, query).filter_table(table)
+
+
+def find_candidates(pipe) -> MatchTable:
+    """``R(Qo, Gk)`` of the running example as the client receives it."""
+    from repro.matching import find_subgraph_matches
+
+    return MatchTable.from_matches(
+        find_subgraph_matches(pipe.qo, pipe.transform.gk),
+        sorted(pipe.query.vertex_ids()),
+    )
 
 
 class TestExpandRin:
@@ -127,3 +137,48 @@ class TestEndToEndClientStage:
         candidates = find_subgraph_matches(pipe.qo, pipe.transform.gk)
         result = filter_candidates(candidates, pipe.graph, pipe.query)
         assert {match_key(m) for m in result.table.to_matches()} == pipe.oracle
+
+
+class TestFixedPerQueryCost:
+    """The filter's set-up is O(|Q|): nothing proportional to V(G) per query."""
+
+    def test_filter_setup_never_copies_the_vertex_set(
+        self, figure1_pipeline, monkeypatch
+    ):
+        pipe = figure1_pipeline
+        monkeypatch.setattr(
+            type(pipe.graph),
+            "vertex_id_set",
+            lambda self: pytest.fail("ClientFilter copied V(G)"),
+        )
+        candidates = find_candidates(pipe)
+        result = ClientFilter(pipe.graph, pipe.query).filter_table(candidates)
+        assert len(result.table) == len(pipe.oracle)
+
+    @pytest.mark.skipif(not vec.HAVE_NUMPY, reason="the bulk kernel needs numpy")
+    def test_query_client_builds_the_csr_of_g_once(
+        self, figure1_pipeline, monkeypatch
+    ):
+        from repro.cloud.index import GraphCSR
+        from repro.core.query_client import QueryClient
+
+        pipe = figure1_pipeline
+        builds = []
+        build = GraphCSR.build
+        monkeypatch.setattr(
+            GraphCSR,
+            "build",
+            staticmethod(lambda graph: builds.append(graph) or build(graph)),
+        )
+        client = QueryClient(pipe.graph, pipe.lct, pipe.transform.avt)
+        candidates = find_candidates(pipe)
+        with vec.override("numpy"):
+            outcomes = [
+                client.process_answer(pipe.query, candidates, True)
+                for _ in range(3)
+            ]
+            # a standalone filter still builds its own
+            ClientFilter(pipe.graph, pipe.query).filter_table(candidates)
+        assert builds == [pipe.graph, pipe.graph]
+        for outcome in outcomes:
+            assert len(outcome.matches) == len(pipe.oracle)

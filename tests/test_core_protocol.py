@@ -1,5 +1,9 @@
 """Unit tests for the wire protocol and network accounting."""
 
+import base64
+import json
+from array import array
+
 import pytest
 
 from repro.core import (
@@ -11,9 +15,19 @@ from repro.core import (
     encode_query,
     encode_upload,
 )
+from repro.core import protocol
+from repro.core.protocol import (
+    decode_gateway_answer,
+    decode_shard_tables,
+    encode_gateway_answer,
+    encode_shard_tables,
+)
 from repro.exceptions import ProtocolError
 from repro.graph import AttributedGraph
-from repro.matching import MatchTable
+from repro.matching import MatchTable, vec
+from tests import oracle
+
+ARMS = ("auto", "rows", "flat") + (("numpy",) if vec.HAVE_NUMPY else ())
 
 
 class TestChannel:
@@ -109,3 +123,153 @@ class TestAnswerMessage:
     def test_malformed_rejected(self):
         with pytest.raises(ProtocolError):
             decode_answer_table(b'{"rows": "oops"}')
+
+
+def packed(payload: bytes) -> dict:
+    """The ``rows`` object of an answer frame."""
+    return json.loads(payload)["rows"]
+
+
+class TestPackedRows:
+    """The packed-column ``rows`` field shared by all three table frames."""
+
+    @pytest.mark.parametrize(
+        "cell,width",
+        [
+            (0, 1),
+            (127, 1),
+            (128, 2),
+            (-128, 1),
+            (-129, 2),
+            (32_767, 2),
+            (32_768, 4),
+            (-32_769, 4),
+            (2**31 - 1, 4),
+            (2**31, 8),
+            (-(2**31) - 1, 8),
+            (2**63 - 1, 8),
+            (-(2**63), 8),
+        ],
+    )
+    @pytest.mark.parametrize("arm", ARMS)
+    def test_width_is_the_narrowest_that_holds_every_cell(
+        self, arm, cell, width
+    ):
+        table = MatchTable((0, 1), [(1, 2), (cell, 3)])
+        with vec.override(arm):
+            payload = encode_answer_table(table, [0, 1], False)
+            decoded, _ = decode_answer_table(payload)
+        assert packed(payload)["w"] == width
+        assert packed(payload)["n"] == 2
+        assert decoded == table
+        assert payload == oracle.encode_answer(table.to_matches(), [0, 1], False)
+
+    @pytest.mark.parametrize("cell", [2**63, -(2**63) - 1, 10**30])
+    @pytest.mark.parametrize("arm", ARMS)
+    def test_cell_beyond_int64_is_a_typed_error_at_encode(self, arm, cell):
+        table = MatchTable((0,), [(1,), (cell,)])
+        with vec.override(arm), pytest.raises(ProtocolError, match="64-bit"):
+            encode_answer_table(table, [0], False)
+
+    @pytest.mark.parametrize("arm", ARMS)
+    def test_empty_table(self, arm):
+        with vec.override(arm):
+            payload = encode_answer_table(MatchTable((3, 4)), [3, 4], True)
+            decoded, expanded = decode_answer_table(payload)
+        assert packed(payload) == {"n": 0, "w": 1, "cols": ""}
+        assert decoded.schema == (3, 4) and decoded.rows == [] and expanded
+
+    def test_rows_without_columns_are_refused_both_ways(self):
+        with pytest.raises(ProtocolError, match="rows without columns"):
+            encode_answer_table(MatchTable((), [(), ()]), [], False)
+        with pytest.raises(ProtocolError, match="rows without columns"):
+            decode_answer_table(
+                b'{"order":[],"rows":{"n":2,"w":1,"cols":""},"expanded":false}'
+            )
+        decoded, _ = decode_answer_table(
+            encode_answer_table(MatchTable(()), [], False)
+        )
+        assert decoded.schema == () and len(decoded) == 0
+
+    @pytest.mark.parametrize("arm", ARMS)
+    def test_order_reorders_the_columns(self, arm):
+        table = MatchTable((5, 7, 9), [(i, 100 + i, 1000 + i) for i in range(80)])
+        with vec.override(arm):
+            payload = encode_answer_table(table, [9, 5, 7], False)
+            decoded, _ = decode_answer_table(payload)
+        assert decoded.schema == (9, 5, 7)
+        assert decoded.rows == [(1000 + i, i, 100 + i) for i in range(80)]
+        raw = base64.b64decode(packed(payload)["cols"])
+        # column-major, little-endian: column 9 first, then 5, then 7
+        assert raw[:4] == (1000).to_bytes(2, "little") + (1001).to_bytes(2, "little")
+        assert len(raw) == 80 * 3 * 2
+
+    @pytest.mark.parametrize("n_rows", [1, 63, 64, 300])
+    def test_every_input_layout_and_arm_packs_the_same_bytes(self, n_rows):
+        rows = [(i, 70_000 - i, -i) for i in range(n_rows)]
+        schema = (0, 1, 2)
+        layouts = {
+            "rows": lambda: MatchTable(schema, list(rows)),
+            "flat": lambda: MatchTable.from_columns(
+                schema, [array("q", col) for col in zip(*rows)], n_rows
+            ),
+        }
+        if vec.HAVE_NUMPY:
+            layouts["ndarray"] = lambda: MatchTable.from_columns(
+                schema,
+                [vec.np.array(col, dtype=vec.np.int64) for col in zip(*rows)],
+                n_rows,
+            )
+        expected = oracle.encode_answer(
+            [dict(zip(schema, row)) for row in rows], [2, 0, 1], False
+        )
+        for arm in ARMS:
+            for name, build in layouts.items():
+                with vec.override(arm):
+                    payload = encode_answer_table(build(), [2, 0, 1], False)
+                    decoded, _ = decode_answer_table(payload)
+                assert payload == expected, (arm, name)
+                assert decoded.rows == [(c, a, b) for a, b, c in rows], (arm, name)
+
+    def test_large_tables_decode_to_columns_and_small_ones_to_rows(self):
+        big = MatchTable((0,), [(i,) for i in range(vec.MIN_VECTOR_ROWS)])
+        small = MatchTable((0,), [(i,) for i in range(vec.MIN_VECTOR_ROWS - 1)])
+        decoded_big, _ = decode_answer_table(encode_answer_table(big, [0], False))
+        decoded_small, _ = decode_answer_table(
+            encode_answer_table(small, [0], False)
+        )
+        assert decoded_big.is_columnar() == vec.HAVE_NUMPY
+        assert not decoded_small.is_columnar()
+        assert decoded_big == big and decoded_small == small
+
+    def test_big_endian_hosts_byteswap_to_the_same_wire_bytes(self, monkeypatch):
+        """Forcing the flag on this host swaps twice: the round trip must
+        hold, and the wire bytes are the native cells byte-reversed."""
+        table = MatchTable((0, 1), [(1, 300), (-2, 40_000)])
+        with vec.override("rows"):
+            native = encode_answer_table(table, [0, 1], False)
+            monkeypatch.setattr(protocol, "_BYTESWAP", not protocol._BYTESWAP)
+            swapped = encode_answer_table(table, [0, 1], False)
+            decoded, _ = decode_answer_table(swapped)
+        assert decoded == table
+        cells = array("i")
+        cells.frombytes(base64.b64decode(packed(native)["cols"]))
+        cells.byteswap()
+        assert base64.b64decode(packed(swapped)["cols"]) == cells.tobytes()
+
+    def test_all_three_frames_carry_the_same_rows_object(self):
+        table = MatchTable((0, 1), [(i, 500 + i) for i in range(70)])
+        matches = table.to_matches()
+        rows = oracle.pack_matches(matches, [0, 1])
+        assert packed(encode_answer_table(table, [0, 1], True)) == rows
+        gateway = json.loads(encode_gateway_answer("r", [(table, [0, 1], True)]))
+        assert gateway["answers"] == [
+            json.loads(oracle.encode_answer(matches, [0, 1], True))
+        ]
+        shard = json.loads(encode_shard_tables({0: table}))
+        assert shard["tables"] == [{"center": 0, "schema": [0, 1], "rows": rows}]
+        _, answers, _ = decode_gateway_answer(
+            encode_gateway_answer("r", [(table, [0, 1], True)])
+        )
+        assert answers == [(table, True)]
+        assert decode_shard_tables(encode_shard_tables({0: table})) == {0: table}

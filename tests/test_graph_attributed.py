@@ -48,6 +48,15 @@ class TestVertexOperations:
         with pytest.raises(GraphError):
             graph.neighbors(42)
 
+    def test_vertex_id_view_is_live_and_read_only(self):
+        g = AttributedGraph()
+        g.add_vertex(1, "person")
+        view = g.vertex_id_view()
+        assert 1 in view and 2 not in view
+        g.add_vertex(2, "person")
+        assert 2 in view and set(view) == g.vertex_id_set()
+        assert not hasattr(view, "add")
+
     def test_set_vertex_labels_replaces(self):
         graph = AttributedGraph()
         graph.add_vertex(0, "person", {"gender": ["male"]})

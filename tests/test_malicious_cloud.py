@@ -11,18 +11,21 @@ without it:
   silent under-reporting; the client cannot detect omission (this is
   the documented limit of the threat model).
 
-Tampered answers enter the client the way a decoded frame does —
-through :meth:`MatchTable.from_rows` — so a cell that is not a vertex
-id at all is a typed error before the filter ever sees it.
+Tampered answers enter the client the way a real one does — encoded as
+a packed-column frame and decoded by :func:`decode_answer_table` — so a
+frame that is not a table of integers over the query's vertices is a
+typed error before the filter ever sees it.
 """
 
+import base64
 import json
 import random
+from array import array
 
 import pytest
 
 from repro import PrivacyPreservingSystem, SystemConfig
-from repro.core.protocol import decode_answer_table
+from repro.core.protocol import decode_answer_table, encode_answer_table
 from repro.exceptions import ProtocolError
 from repro.graph import example_query, example_social_network
 from repro.matching import MatchTable, find_subgraph_matches, match_key
@@ -41,7 +44,32 @@ def deployment():
 def received(query, matches):
     """``matches`` as the client decodes them off the wire."""
     order = sorted(query.vertex_ids())
-    return MatchTable.from_rows(order, [[m[q] for q in order] for m in matches])
+    table, _ = decode_answer_table(
+        encode_answer_table(MatchTable.from_matches(matches, order), order, False)
+    )
+    return table
+
+
+def tampered_frame(query, matches, cells: list[int]) -> bytes:
+    """An honest answer frame whose column bytes were rewritten in flight.
+
+    ``cells`` overwrite the tail of the (column-major) cell block; the
+    block is re-packed as 8-byte cells so any id fits, and ``n``/``w``
+    are kept consistent — the frame is well-formed, only its content
+    lies.
+    """
+    order = sorted(query.vertex_ids())
+    frame = json.loads(
+        encode_answer_table(MatchTable.from_matches(matches, order), order, False)
+    )
+    rows = frame["rows"]
+    honest = array({1: "b", 2: "h", 4: "i", 8: "q"}[rows["w"]])
+    honest.frombytes(base64.b64decode(rows["cols"]))
+    block = array("q", honest)
+    block[len(block) - len(cells) :] = array("q", cells)
+    rows["w"] = 8
+    rows["cols"] = base64.b64encode(block.tobytes()).decode("ascii")
+    return json.dumps(frame).encode("utf-8")
 
 
 def client_output(system, query, matches, expanded=False):
@@ -94,6 +122,64 @@ class TestSoundnessAgainstTampering:
             {q: rng.randrange(0, 20) for q in query.vertex_ids()} for _ in range(200)
         ]
         assert client_output(system, query, fabricated) <= oracle
+
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            pytest.param([10_000, 10_001], id="outside-the-avt"),
+            pytest.param([-1, -7], id="negative"),
+            pytest.param([2**31, 2**31 + 5], id="beyond-packed-id-limit"),
+            pytest.param([2**63 - 1, -(2**63)], id="int64-extremes"),
+        ],
+    )
+    @pytest.mark.parametrize("copies", [1, 200])
+    def test_tampered_column_bytes_are_dropped(self, deployment, cells, copies):
+        """Out-of-AVT, negative and huge ids written into the column
+        bytes are dropped — never crashed on, never returned.  ``copies``
+        = 200 pushes the table onto the vector decode/expand/filter arm."""
+        graph, system, query, oracle, answer = deployment
+        payload = tampered_frame(query, answer.matches * copies, cells)
+        table, expanded = decode_answer_table(payload)
+        assert len(table) == len(answer.matches) * copies
+        outcome = system.client.process_answer(query, table, expanded)
+        assert {match_key(m) for m in outcome.matches} <= oracle
+        for match in outcome.matches:
+            assert not set(match.values()) & set(cells)
+
+    @pytest.mark.parametrize(
+        "order",
+        [
+            pytest.param(["a", "b", "c", "d", "e"], id="strings"),
+            pytest.param([1.5, True, 2, 3, 4], id="float-and-bool"),
+            pytest.param([0, 1, 2, 3, 3], id="duplicate"),
+        ],
+    )
+    def test_a_schema_that_is_not_distinct_ints_is_a_typed_error(
+        self, deployment, order
+    ):
+        graph, system, query, oracle, answer = deployment
+        honest = sorted(query.vertex_ids())
+        frame = json.loads(encode_answer_table(answer.table, honest, False))
+        assert len(order) == len(honest)
+        frame["order"] = order
+        with pytest.raises(ProtocolError, match="malformed answer message"):
+            decode_answer_table(json.dumps(frame).encode("utf-8"))
+
+    def test_a_schema_that_is_not_the_querys_vertex_set_is_a_typed_error(
+        self, deployment
+    ):
+        """A well-formed table over the wrong vertices used to die in the
+        filter with a raw KeyError."""
+        graph, system, query, oracle, answer = deployment
+        order = sorted(query.vertex_ids())
+        for wrong in (order[:-1], [q + 100 for q in order], order + [99]):
+            rows = [tuple(range(len(wrong)))]
+            table, _ = decode_answer_table(
+                encode_answer_table(MatchTable(wrong, rows), wrong, False)
+            )
+            for expanded in (False, True):
+                with pytest.raises(ProtocolError, match="query's vertex set"):
+                    system.client.process_answer(query, table, expanded)
 
     @pytest.mark.parametrize("cell", [[1], True, 1.5, "a", None])
     def test_non_integer_cells_are_a_typed_error(self, deployment, cell):

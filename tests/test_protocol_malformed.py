@@ -107,8 +107,9 @@ def _answer_entry(rows: list) -> list[dict]:
     return [{"order": [0, 1], "rows": rows, "expanded": True}]
 
 
-#: Non-integer cells a hostile answer frame may carry: each must be a
-#: ProtocolError at decode time, never a vertex id in the client filter.
+#: Pre-packing (list-of-rows) ``rows`` values with non-integer cells:
+#: each must be a ProtocolError at decode time like every other row
+#: list, never a vertex id in the client filter.
 BAD_CELLS = {
     "nested-list-cell": [[[1], [2]]],
     "bool-cell": [[True, 2]],
@@ -201,6 +202,62 @@ WRONG_TYPED: dict[str, list[tuple[str, tuple, object]]] = {
     ],
 }
 
+#: Where each table-carrying frame keeps its ``(schema, rows)`` pair:
+#: (path to the object holding both, name of the schema key).
+TABLE_SITES: dict[str, tuple[tuple, str]] = {
+    "answer_table": ((), "order"),
+    "gateway_answer": (("answers", 0), "order"),
+    "shard_tables": (("tables", 0), "schema"),
+}
+
+_A_KB = "A" * 1024
+
+#: Hostile ``rows`` objects against the valid one ``{"n": 2, "w": 1,
+#: "cols": "AwUEBg=="}`` (two columns, four one-byte cells): every one
+#: must be a ProtocolError before any per-row storage is allocated.
+HOSTILE_ROWS: dict[str, object] = {
+    "old-format-list": [[3, 4], [5, 6]],
+    "old-format-empty-list": [],
+    "null": None,
+    "string": "AwUEBg==",
+    "missing-n": {"w": 1, "cols": "AwUEBg=="},
+    "missing-w": {"n": 2, "cols": "AwUEBg=="},
+    "missing-cols": {"n": 2, "w": 1},
+    "non-alphabet-base64": {"n": 2, "w": 1, "cols": "Aw*EBg=="},
+    "whitespace-in-base64": {"n": 2, "w": 1, "cols": "AwUE Bg=="},
+    "unpadded-base64": {"n": 2, "w": 1, "cols": "AwUEBg"},
+    "overpadded-base64": {"n": 2, "w": 1, "cols": "AwUEBg==="},
+    "cols-not-a-string": {"n": 2, "w": 1, "cols": [3, 5, 4, 6]},
+    "one-byte-short": {"n": 2, "w": 1, "cols": "AwUE"},
+    "one-byte-long": {"n": 2, "w": 1, "cols": "AwUEBgc="},
+    "w-0": {"n": 2, "w": 0, "cols": "AwUEBg=="},
+    "w-3": {"n": 2, "w": 3, "cols": "AwUEBg=="},
+    "w-16": {"n": 2, "w": 16, "cols": "AwUEBg=="},
+    "w-true": {"n": 2, "w": True, "cols": "AwUEBg=="},
+    "w-string": {"n": 1, "w": "2", "cols": "AwUEBg=="},
+    "w-float": {"n": 1, "w": 2.0, "cols": "AwUEBg=="},
+    "n-negative": {"n": -2, "w": 1, "cols": "AwUEBg=="},
+    "n-true": {"n": True, "w": 2, "cols": "AwUEBg=="},
+    "n-float": {"n": 2.0, "w": 1, "cols": "AwUEBg=="},
+    "n-string": {"n": "2", "w": 1, "cols": "AwUEBg=="},
+    "n-lies-high": {"n": 10**12, "w": 1, "cols": "AwUEBg=="},
+    "n-lies-low": {"n": 1, "w": 1, "cols": "AwUEBg=="},
+    "width-lies": {"n": 2, "w": 2, "cols": "AwUEBg=="},
+    "kilobyte-for-two-rows": {"n": 2, "w": 1, "cols": _A_KB},
+}
+
+#: Hostile schemas (the ``order`` / ``schema`` field beside ``rows``).
+HOSTILE_SCHEMAS: dict[str, object] = {
+    "strings": ["a", "b"],
+    "float-and-bool": [1.5, True],
+    "bools": [False, True],
+    "duplicate": [0, 0],
+    "nested": [[0], [1]],
+    "dict": {"0": 0, "1": 1},
+    "string": "01",
+    "null": None,
+}
+
 #: Exceptions that must never escape a decoder (the raw errors the
 #: envelope wraps).  ProtocolError is a ReproError, so the assertion
 #: below checks the *concrete* type, not just inheritance.
@@ -287,6 +344,52 @@ class TestCorruptionFamilies:
         assert_protocol_error(
             KINDS[kind], corrupt(wire[kind], path, value)
         )
+
+
+def with_table_field(payload: bytes, kind: str, field: str, value: object) -> bytes:
+    """``payload`` with ``field`` of its (first) table replaced."""
+    path, schema_key = TABLE_SITES[kind]
+    key = schema_key if field == "schema" else field
+    return corrupt(payload, (*path, key), value)
+
+
+class TestHostilePackedFrames:
+    """The packed-column ``rows`` object under attack, in all three frames."""
+
+    @pytest.mark.parametrize("kind", sorted(TABLE_SITES))
+    def test_the_valid_rows_object_is_what_the_cases_deviate_from(self, wire, kind):
+        path, _ = TABLE_SITES[kind]
+        target = json.loads(wire[kind])
+        for key in path:
+            target = target[key]
+        assert target["rows"] == {"n": 2, "w": 1, "cols": "AwUEBg=="}
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_ROWS))
+    @pytest.mark.parametrize("kind", sorted(TABLE_SITES))
+    def test_hostile_rows_object(self, wire, kind, case):
+        assert_protocol_error(
+            DECODERS[kind],
+            with_table_field(wire[kind], kind, "rows", HOSTILE_ROWS[case]),
+        )
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_SCHEMAS))
+    @pytest.mark.parametrize("kind", sorted(TABLE_SITES))
+    def test_hostile_schema(self, wire, kind, case):
+        assert_protocol_error(
+            DECODERS[kind],
+            with_table_field(wire[kind], kind, "schema", HOSTILE_SCHEMAS[case]),
+        )
+
+    @pytest.mark.parametrize("n", [1, 10**12, 10**30])
+    @pytest.mark.parametrize("kind", sorted(TABLE_SITES))
+    def test_a_lying_n_with_an_empty_schema_allocates_nothing(self, wire, kind, n):
+        """No column carries the row count, so ``n`` alone would size the
+        table: it must be refused, not materialized as ``n`` empty rows."""
+        payload = with_table_field(wire[kind], kind, "schema", [])
+        payload = with_table_field(
+            payload, kind, "rows", {"n": n, "w": 1, "cols": ""}
+        )
+        assert_protocol_error(DECODERS[kind], payload)
 
 
 class TestFuzz:

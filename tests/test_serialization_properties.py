@@ -103,6 +103,32 @@ class TestProtocolRoundTrips:
         assert decoded_expanded == expanded
 
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        order=st.lists(st.integers(-5, 50), max_size=5, unique=True),
+        n_rows=st.integers(0, 90),
+        bits=st.sampled_from([3, 7, 8, 15, 16, 31, 32, 63]),
+        expanded=st.booleans(),
+        data=st.data(),
+    )
+    def test_answer_table_packed_columns(self, order, n_rows, bits, expanded, data):
+        """``decode(encode(t)) == t`` for any int64 table, on either side
+        of the vector threshold and at every cell width."""
+        if not order:
+            n_rows = 0
+        cell = st.integers(-(2**bits), 2**bits - 1)
+        rows = [
+            tuple(data.draw(cell) for _ in order) for _ in range(n_rows)
+        ]
+        table = MatchTable(order, rows)
+        shuffled = data.draw(st.permutations(order))
+        decoded, decoded_expanded = decode_answer_table(
+            encode_answer_table(table, shuffled, expanded)
+        )
+        assert decoded == table.projected(shuffled)
+        assert decoded_expanded == expanded
+
+
 class TestTabularRoundTrip:
     @settings(max_examples=40, deadline=None)
     @given(
