@@ -1,12 +1,15 @@
 """Client-side match expansion (Lines 1-5 of Algorithm 3).
 
 The cloud ships ``Rin`` — the matches of ``R(Qo, Gk)`` anchored in
-block ``B1``.  The client recovers the rest, ``Rout``, by mapping every
-``Rin`` match through the automorphic functions ``F_1 .. F_{k-1}``
-(Theorem 3 guarantees this yields exactly ``R(Qo, Gk)``).  The paper
-notes this step can equally run in the cloud, trading client CPU for
-communication volume — :class:`repro.core.system.PrivacyPreservingSystem`
-exposes that choice.
+block ``B1``.  The rest, ``Rout``, is its images under the automorphic
+functions ``F_1 .. F_{k-1}`` (Theorem 3 guarantees this yields exactly
+``R(Qo, Gk)``).  A client answering a query does not build that table:
+:meth:`repro.client.filtering.ClientFilter.filter_rin` checks one image
+at a time and keeps only the exact matches.  :func:`expand_rin_table`
+materializes it for whoever needs the whole of it — the paper notes the
+step can equally run in the cloud, trading client CPU for communication
+volume, and :class:`repro.core.system.PrivacyPreservingSystem` exposes
+that choice.
 """
 
 from __future__ import annotations
@@ -35,17 +38,12 @@ def expand_rin_table(
 ) -> TableExpansionResult:
     """Lines 1-5: ``R(Qo, Gk) = Rin ∪ F_1(Rin) ∪ ... ∪ F_{k-1}(Rin)``.
 
-    The automorphic functions are applied as per-shift id-lookup remaps
-    over the row columns — with the vector backend, one dense-LUT
-    gather per column per shift and a single first-seen dedupe pass
-    (see :meth:`~repro.kauto.avt.AlignmentVertexTable
-    .expand_known_table`) — and dedupe keys are the row tuples
-    themselves.
-
-    Rows referencing vertices unknown to the AVT are dropped up front:
-    an honest cloud never produces them (every ``Go`` vertex is in the
-    AVT), so they can only come from corruption or tampering and could
-    never survive the client filter anyway.
+    A timed :meth:`~repro.kauto.avt.AlignmentVertexTable
+    .expand_known_table`: rows referencing vertices unknown to the AVT
+    are dropped up front (an honest cloud never produces them — every
+    ``Go`` vertex is in the AVT — and they could never survive the
+    client filter anyway), repeated rows are dropped, and the ``k``
+    images are concatenated in shift order.
     """
     started = time.perf_counter()
     full = avt.expand_known_table(rin)

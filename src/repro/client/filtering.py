@@ -18,17 +18,23 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Any, Iterable, Sequence
 
 from repro.analysis.markers import hot_path
 from repro.cloud.index import GraphCSR
 from repro.graph.attributed import AttributedGraph, VertexData
+from repro.kauto.avt import AlignmentVertexTable
 from repro.matching import vec
 from repro.matching.table import MatchTable, Row
 
 
 @dataclass
 class TableFilterResult:
-    """The exact matches as a table, with the per-check drop counters."""
+    """The exact matches as a table, with the per-check drop counters.
+
+    ``anchored``: :meth:`ClientFilter.filter_rin` streamed the ``k``
+    images of an anchored ``Rin``; ``seconds`` then times the checks only.
+    """
 
     table: MatchTable
     seconds: float
@@ -36,6 +42,7 @@ class TableFilterResult:
     dropped_vertex: int = 0
     dropped_edge: int = 0
     dropped_label: int = 0
+    anchored: bool = False
 
     @property
     def dropped(self) -> int:
@@ -63,18 +70,161 @@ class LazyGraphCSR:
         return self._csr
 
 
-#: Candidate tables below this many rows stay on the tuple scan: the
-#: bulk kernel's fixed numpy cost exceeds the per-row saving.
+#: ``filter_table`` keeps smaller candidate tables on the tuple loop: with
+#: the CSR built, the cascade wins from ~150 flat-column (~600 tuple) rows.
 BULK_FILTER_MIN_ROWS = 256
+
+
+class _Scan:
+    """One query's three checks, fed one block of candidates at a time.
+
+    The single definition of Lines 6-23 per arm: the tuple loop, or
+    with the CSR of ``G`` the column cascade.  What no block changes
+    (query edges as column pairs, per-column label memo or sorted
+    candidate ids) is set up once; keeps and drop counters accumulate.
+    A dropped row is counted once, under the first check it fails
+    (vertex, then edge, then label), and ``limit`` ends the scan
+    *after* the row producing the limit-th keep: later rows reach no
+    counter.
+    """
+
+    def __init__(
+        self,
+        owner: "ClientFilter",
+        schema: tuple[int, ...],
+        limit: int | None,
+        csr: GraphCSR | None,
+    ) -> None:
+        self.graph = owner.graph
+        self.schema = schema
+        self.limit = limit
+        self.csr = csr
+        self.kept: list[Any] = []  # rows, or one column list per block
+        self.count = 0
+        self.dropped_vertex = self.dropped_edge = self.dropped_label = 0
+        column = {q: i for i, q in enumerate(schema)}
+        self.edge_pairs = [(column[q1], column[q2]) for q1, q2 in owner._query_edges]
+        query_vertices = [owner.query.vertex(q) for q in schema]
+        if csr is not None:
+            self.label_ids = [csr.candidate_array(qv) for qv in query_vertices]
+        else:
+            # the label check depends only on (query vertex, data
+            # vertex), never on the row: memoized across the scan
+            self.label_checks: list[tuple[int, VertexData, dict[int, bool]]] = [
+                (i, qv, {}) for i, qv in enumerate(query_vertices)
+            ]
+
+    @property
+    def full(self) -> bool:
+        return self.limit is not None and self.count >= self.limit
+
+    def feed(self, block: Any) -> None:
+        """Check one block: tuple rows, or ndarray columns given a CSR."""
+        (self._feed_rows if self.csr is None else self._feed_columns)(block)
+
+    @hot_path
+    def _feed_rows(self, rows: Iterable[Row]) -> None:
+        vertex_ids = self.graph.vertex_id_view()
+        has_edge = self.graph.has_edge
+        data_vertex = self.graph.vertex
+        edge_pairs = self.edge_pairs
+        label_checks = self.label_checks
+        limit = self.limit
+        kept = self.kept
+        append = kept.append
+        dropped_vertex = dropped_edge = dropped_label = 0
+        for row in rows:
+            if limit is not None and len(kept) >= limit:
+                break
+            # Lines 9-12: every matched vertex must exist in G.
+            for v in row:
+                if v not in vertex_ids:
+                    dropped_vertex += 1
+                    break
+            else:
+                # Lines 15-18: every query edge must exist in G.
+                for c1, c2 in edge_pairs:
+                    if not has_edge(row[c1], row[c2]):
+                        dropped_edge += 1
+                        break
+                else:
+                    # Lines 21-22: exact (raw) label containment against Q.
+                    for i, query_vertex, memo in label_checks:
+                        v = row[i]
+                        hit = memo.get(v)
+                        if hit is None:
+                            hit = query_vertex.matches(data_vertex(v))
+                            memo[v] = hit
+                        if not hit:
+                            dropped_label += 1
+                            break
+                    else:
+                        append(row)
+        self.count = len(kept)
+        self.dropped_vertex += dropped_vertex
+        self.dropped_edge += dropped_edge
+        self.dropped_label += dropped_label
+
+    @hot_path
+    def _feed_columns(self, cols: Sequence[Any]) -> None:
+        """The checks as a cascade: each runs on the last one's survivors.
+
+        Vertex existence is a bounds-guarded flag gather over every
+        column; its survivors are ids of ``G``, so a query edge is an
+        unguarded packed-key lookup in the CSR's sorted edge array and
+        a label check a lookup in the query vertex's sorted candidate
+        ids.  The counters are differences of survivor counts.
+        """
+        np, csr = vec.np, self.csr
+        if csr is None or self.full:
+            return
+        alive = vec.bounded_flags(csr.exists, cols[0])
+        for col in cols[1:]:
+            alive &= vec.bounded_flags(csr.exists, col)
+        in_graph = alive = np.flatnonzero(alive)
+        for c1, c2 in self.edge_pairs:
+            alive = alive[csr.edge_flags(cols[c1][alive], cols[c2][alive])]
+        connected = alive
+        for col, ids in zip(cols, self.label_ids):
+            alive = alive[vec.isin_sorted(col[alive], ids)]
+        scanned = len(cols[0])
+        if self.limit is not None and self.count + len(alive) >= self.limit:
+            alive = alive[: self.limit - self.count]
+            scanned = int(alive[-1]) + 1
+            in_graph = in_graph[: np.searchsorted(in_graph, scanned)]
+            connected = connected[: np.searchsorted(connected, scanned)]
+        self.dropped_vertex += scanned - len(in_graph)
+        self.dropped_edge += len(in_graph) - len(connected)
+        self.dropped_label += len(connected) - len(alive)
+        self.kept.append([col[alive] for col in cols])
+        self.count += len(alive)
+
+    def result(self, seconds: float, candidates: int) -> TableFilterResult:
+        if self.csr is None or not self.kept:
+            table = MatchTable(self.schema, self.kept)
+        else:
+            table = MatchTable.from_columns(
+                self.schema,
+                [vec.np.concatenate(parts) for parts in zip(*self.kept)],
+                self.count,
+            )
+        return TableFilterResult(
+            table=table,
+            seconds=seconds,
+            candidates=candidates,
+            dropped_vertex=self.dropped_vertex,
+            dropped_edge=self.dropped_edge,
+            dropped_label=self.dropped_label,
+        )
 
 
 class ClientFilter:
     """The Algorithm-3 filter of one query ``Q`` over the original ``G``.
 
-    ``csr`` is the CSR of ``G`` for the bulk kernel; the
+    ``csr`` is the CSR of ``G`` for the column cascade; the
     :class:`~repro.core.query_client.QueryClient` that owns ``G``
     passes its own so it is built once per client, not once per query
-    (a standalone filter builds one on its first bulk scan).
+    (a standalone filter builds one on its first column scan).
     """
 
     def __init__(
@@ -94,168 +244,53 @@ class ClientFilter:
     ) -> TableFilterResult:
         """Lines 6-23: keep exactly the rows that are matches of Q over G.
 
-        The query's edges become precomputed ``(column, column)`` index
-        pairs, and the exact-label containment per column is memoized
-        across rows (label groups revisit the same data vertices), so
-        the per-row work is a membership test per value, a ``has_edge``
-        per query edge, and a dict hit per column.  A dropped row is
-        counted once, under the first check it fails (vertex, then
-        edge, then label).
-
-        ``limit`` stops the scan once that many true matches are found
-        (top-``limit`` queries pay for only part of the candidate set).
+        The one-block call of :class:`_Scan` — the column cascade when
+        the table is large enough to be worth numpy and ``G`` has a
+        CSR, the tuple loop otherwise.  ``limit`` stops the scan once
+        that many true matches are found (top-``limit`` queries pay for
+        only part of the candidate set).
         """
         started = time.perf_counter()
-        graph = self.graph
-        query = self.query
-        vertex_ids = graph.vertex_id_view()
-        has_edge = graph.has_edge
-        data_vertex = graph.vertex
-        column_of = candidates.column_of
-        edge_pairs = [
-            (column_of(q1), column_of(q2)) for q1, q2 in self._query_edges
-        ]
-        query_vertices = [query.vertex(q) for q in candidates.schema]
-
-        if vec.vectorize(len(candidates)) and (
+        cols = None
+        if candidates.schema and vec.vectorize(len(candidates)) and (
             len(candidates) >= BULK_FILTER_MIN_ROWS or vec.mode() == "numpy"
         ):
-            bulk = self._filter_columns(
-                candidates, edge_pairs, query_vertices, limit
-            )
-            if bulk is not None:
-                table, dropped_vertex, dropped_edge, dropped_label = bulk
-                return TableFilterResult(
-                    table=table,
-                    seconds=time.perf_counter() - started,
-                    candidates=len(candidates),
-                    dropped_vertex=dropped_vertex,
-                    dropped_edge=dropped_edge,
-                    dropped_label=dropped_label,
-                )
-
-        # (column, query vertex, memo) per schema column: the label
-        # check depends only on (query vertex, data vertex), never on
-        # the row, so it is cached across the whole scan.
-        label_checks: list[tuple[int, VertexData, dict[int, bool]]] = [
-            (i, qv, {}) for i, qv in enumerate(query_vertices)
-        ]
-
-        kept: list[Row] = []
-        append = kept.append
-        dropped_vertex = dropped_edge = dropped_label = 0
-
-        candidate_rows = candidates.rows
-        for row in candidate_rows:
-            if limit is not None and len(kept) >= limit:
-                break
-            # Lines 9-12: every matched vertex must exist in G.
-            ok = True
-            for v in row:
-                if v not in vertex_ids:
-                    ok = False
-                    break
-            if not ok:
-                dropped_vertex += 1
-                continue
-            # Lines 15-18: every query edge must exist in G.
-            for c1, c2 in edge_pairs:
-                if not has_edge(row[c1], row[c2]):
-                    ok = False
-                    break
-            if not ok:
-                dropped_edge += 1
-                continue
-            # Lines 21-22: exact (raw) label containment against Q.
-            for i, query_vertex, memo in label_checks:
-                v = row[i]
-                hit = memo.get(v)
-                if hit is None:
-                    hit = query_vertex.matches(data_vertex(v))
-                    memo[v] = hit
-                if not hit:
-                    ok = False
-                    break
-            if not ok:
-                dropped_label += 1
-                continue
-            append(row)
-
-        return TableFilterResult(
-            table=MatchTable(candidates.schema, kept),
-            seconds=time.perf_counter() - started,
-            candidates=len(candidates),
-            dropped_vertex=dropped_vertex,
-            dropped_edge=dropped_edge,
-            dropped_label=dropped_label,
-        )
+            cols = candidates.as_columns()
+        csr = self._csr.get() if cols is not None else None
+        scan = _Scan(self, candidates.schema, limit, csr)
+        if csr is None or cols is None:
+            scan.feed(candidates.rows)
+        else:
+            scan.feed([vec.as_ndarray(col) for col in cols])
+        return scan.result(time.perf_counter() - started, len(candidates))
 
     @hot_path
-    def _filter_columns(
-        self,
-        candidates: MatchTable,
-        edge_pairs: list[tuple[int, int]],
-        query_vertices: list[VertexData],
-        limit: int | None,
-    ) -> tuple[MatchTable, int, int, int] | None:
-        """The bulk column kernel behind :meth:`filter_table`.
+    def filter_rin(
+        self, rin: MatchTable, avt: AlignmentVertexTable, limit: int | None = None
+    ) -> TableFilterResult:
+        """Algorithm 3 as one pass: the exact matches straight from ``Rin``.
 
-        Each of the three checks becomes one boolean mask over all
-        rows: vertex existence is a bounds-guarded flag gather, the
-        edge checks are packed-key membership tests against the CSR's
-        sorted edge array, and the exact-label check is a sorted-
-        membership test against each query vertex's precomputed
-        candidate-id array.  Drop counters come from priority-masked
-        combinations (vertex, then edge, then label) and ``limit``
-        truncates the scan at the row that produced the limit-th keep
-        — exactly the rows the tuple loop would have visited.  Returns
-        ``None`` when the CSR or the flat columns are unavailable.
+        The table, candidate count and counters of ``filter_table(
+        avt.expand_known_table(rin), limit)`` without ever holding
+        ``R(Qo, Gk)``: the known,
+        distinct rows of ``Rin`` go through one ``F_m`` at a time and
+        each image is checked and cut down to its survivors before the
+        next is gathered.  That needs the ``k`` images to be disjoint,
+        which :meth:`~repro.kauto.avt.AlignmentVertexTable.anchored_rin`
+        establishes; an unanchored ``Rin`` takes the composition.
         """
-        csr = self._csr.get()
-        if csr is None or not candidates.schema:
-            return None
-        cols_raw = candidates.as_columns()
-        if cols_raw is None:
-            return None
-        np = vec.np
-        cols = [vec.as_ndarray(col) for col in cols_raw]
-
-        vflags = csr.vertex_flags()
-        vert_ok = vec.bounded_flags(vflags, cols[0])
-        for col in cols[1:]:
-            vert_ok &= vec.bounded_flags(vflags, col)
-
-        edge_ok = np.ones(len(candidates), dtype=bool)
-        for c1, c2 in edge_pairs:
-            edge_ok &= csr.edge_flags(cols[c1], cols[c2])
-
-        label_ok = np.ones(len(candidates), dtype=bool)
-        for col, query_vertex in zip(cols, query_vertices):
-            label_ok &= vec.isin_sorted(
-                col, csr.candidate_array(query_vertex)
-            )
-
-        passes = vert_ok & edge_ok & label_ok
-        prefix = len(passes)
-        if limit is not None:
-            # the tuple loop stops *after* the row producing the
-            # limit-th keep: rows past it contribute to no counter
-            if limit <= 0:
-                prefix = 0
-            else:
-                hits = np.flatnonzero(passes)
-                if len(hits) >= limit:
-                    prefix = int(hits[limit - 1]) + 1
-        if prefix < len(passes):
-            vert_ok = vert_ok[:prefix]
-            edge_ok = edge_ok[:prefix]
-            label_ok = label_ok[:prefix]
-            passes = passes[:prefix]
-        dropped_vertex = int((~vert_ok).sum())
-        dropped_edge = int((vert_ok & ~edge_ok).sum())
-        dropped_label = int((vert_ok & edge_ok & ~label_ok).sum())
-        kept_cols = [col[:prefix][passes] for col in cols]
-        table = MatchTable.from_columns(
-            candidates.schema, kept_cols, int(passes.sum())
-        )
-        return table, dropped_vertex, dropped_edge, dropped_label
+        known, anchored = avt.anchored_rin(rin)
+        if not anchored:
+            return self.filter_table(avt.expand_known_table(known), limit)
+        csr = self._csr.get() if known.is_columnar() else None
+        scan = _Scan(self, known.schema, limit, csr)
+        checking = 0.0
+        for block in avt.images(known, columns=csr is not None):
+            started = time.perf_counter()
+            scan.feed(block)
+            checking += time.perf_counter() - started
+            if scan.full:
+                break
+        result = scan.result(checking, len(known) * avt.k)
+        result.anchored = True
+        return result

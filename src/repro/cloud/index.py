@@ -53,6 +53,7 @@ class GraphCSR:
     source: AttributedGraph
     ids: Any  # sorted vertex ids, int64
     pos: Any  # dense id -> row LUT (-1 = unknown vertex)
+    exists: Any  # dense id -> is a vertex (bounds-guarded reads)
     indptr: Any
     indices: Any  # neighbor ids, ascending within each row slice
     edge_keys: Any  # sorted packed min*stride+max keys
@@ -112,6 +113,7 @@ class GraphCSR:
             source=graph,
             ids=ids_arr,
             pos=pos,
+            exists=pos >= 0,
             indptr=indptr,
             indices=indices,
             edge_keys=edge_keys,
@@ -161,24 +163,17 @@ class GraphCSR:
         return out
 
     @hot_path
-    def vertex_flags(self) -> Any:
-        """A dense ``id -> exists`` boolean array (bounds-guarded reads)."""
-        return self.pos >= 0
-
-    @hot_path
     def edge_flags(self, u_col: Any, v_col: Any) -> Any:
         """Bulk ``has_edge``: a boolean mask over aligned id columns.
 
-        Unknown or out-of-range ids read ``False``, like the dict
-        adjacency's ``.get`` fallback on the tuple path.
+        Every id must be a vertex of the graph (callers test
+        :attr:`exists` first): the packed keys are formed unguarded.
         """
         np = vec.np
-        bound = self.stride
-        valid = (u_col >= 0) & (u_col < bound) & (v_col >= 0) & (v_col < bound)
-        lo = np.minimum(u_col, v_col)
-        hi = np.maximum(u_col, v_col)
-        keys = np.where(valid, lo * bound + hi, -1)
-        return valid & vec.isin_sorted(keys, self.edge_keys)
+        keys = np.minimum(u_col, v_col)
+        keys *= self.stride
+        keys += np.maximum(u_col, v_col)
+        return vec.isin_sorted(keys, self.edge_keys)
 
 
 @dataclass

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from repro.anonymize.lct import LabelCorrespondenceTable
 from repro.anonymize.query_anonymizer import anonymize_query
-from repro.client.expansion import expand_rin_table
 from repro.client.filtering import ClientFilter, LazyGraphCSR
 from repro.exceptions import ProtocolError
 from repro.graph.attributed import AttributedGraph
@@ -54,7 +53,7 @@ class QueryClient:
 
     ``original_graph`` is the ``G`` the deployment was published from
     and is read as a snapshot: the client keeps one CSR of it for the
-    bulk filter kernel, so a changed ``G`` needs a new client (as it
+    column filter kernel, so a changed ``G`` needs a new client (as it
     needs a new publication).
     """
 
@@ -69,7 +68,7 @@ class QueryClient:
         self.lct = lct
         self.avt = avt
         self.obs = obs if obs is not None else Observability.measuring()
-        # the CSR of G behind the bulk filter kernel: built by the first
+        # the CSR of G behind the column filter kernel: built by the first
         # query whose candidate table is large enough to want it, then
         # shared by every later ClientFilter of this client
         self._graph_csr = LazyGraphCSR(original_graph)
@@ -103,8 +102,12 @@ class QueryClient:
         """Algorithm 3: expand ``Rin`` (if needed) and filter against G.
 
         ``matches`` is the :class:`~repro.matching.table.MatchTable`
-        decoded off the wire; expansion and filtering stay tabular and
-        only the final exact results are converted to dicts.
+        decoded off the wire.  An unexpanded ``Rin`` goes through
+        :meth:`~repro.client.filtering.ClientFilter.filter_rin`, which
+        expands and checks one ``F_m`` image at a time and never holds
+        ``R(Qo, Gk)``; ``client.expand`` then times its prep and
+        gathers and ``client.filter`` its checks plus the conversion of
+        the exact results to dicts.
 
         ``limit`` returns at most that many exact matches (any subset
         of R(Q, G); useful for "find me a few examples" queries).
@@ -122,40 +125,48 @@ class QueryClient:
                 f"{query.vertex_count} query vertices)"
             )
         tracer = obs.tracer
-        if already_expanded:
-            candidates = matches
-            expansion_seconds = 0.0
-        else:
-            with tracer.span(names.CLIENT_EXPAND, rin_size=len(matches)) as span:
-                candidates = expand_rin_table(matches, self.avt).table
-                span.set(candidates=len(candidates))
-            expansion_seconds = span.duration
+        client_filter = ClientFilter(self.graph, query, self._graph_csr)
+        expand_span = None
+        if not already_expanded:
+            with tracer.span(
+                names.CLIENT_EXPAND, rin_size=len(matches)
+            ) as expand_span:
+                result = client_filter.filter_rin(matches, self.avt, limit)
+                expand_span.set(candidates=result.candidates)
         with tracer.span(names.CLIENT_FILTER) as span:
-            exact = (
-                ClientFilter(self.graph, query, self._graph_csr)
-                .filter_table(candidates, limit=limit)
-                .table.to_matches()
-            )
+            if already_expanded:
+                result = client_filter.filter_table(matches, limit=limit)
+            exact = result.table.to_matches()
             span.set(
-                candidates=len(candidates),
+                candidates=result.candidates,
                 results=len(exact),
-                dropped=len(candidates) - len(exact),
+                dropped=result.candidates - len(exact),
+                dropped_vertex=result.dropped_vertex,
+                dropped_edge=result.dropped_edge,
+                dropped_label=result.dropped_label,
+                anchored=result.anchored,
             )
+        expansion_seconds = 0.0
+        if expand_span is not None:
+            # the single pass interleaves gathers and checks per block:
+            # the checks' share of the first span belongs to the second
+            expand_span.cede(result.seconds, span)
+            expansion_seconds = expand_span.duration
         outcome = ClientOutcome(
             matches=exact,
             expansion_seconds=expansion_seconds,
             filter_seconds=span.duration,
-            candidate_count=len(candidates),
+            candidate_count=result.candidates,
         )
         metrics = obs.metrics
         metrics.counter(
             names.M_CANDIDATES,
             help="Candidate matches the client inspected across all queries.",
-        ).inc(len(candidates))
+        ).inc(result.candidates)
         metrics.counter(
             names.M_FALSE_POSITIVES,
             help="Candidates rejected by the client-side filter.",
-        ).inc(len(candidates) - len(exact))
+        ).inc(result.candidates - len(exact))
         metrics.counter(
             names.M_MATCHES,
             help="Exact matches returned to clients across all queries.",

@@ -49,11 +49,12 @@ class AlignmentVertexTable:
         # assignment is atomic under the GIL).
         self._luts: list[dict[int, int]] | None = None
         # Dense per-shift int64 gather LUTs (``_vluts[0][m][vid]`` ==
-        # ``F_m(vid)``, -1 = unknown) plus a membership flag array; the
-        # vectorized expansion applies ``F_m`` to a whole column as one
+        # ``F_m(vid)``, -1 = unknown) plus two flag arrays, membership
+        # in the AVT and membership in block ``B1``; the vectorized
+        # expansion applies ``F_m`` to a whole column as one
         # fancy-indexing gather.  ``False`` = ineligible (no numpy, or
         # the id space is negative/too sparse); ``None`` = not built yet.
-        self._vluts: tuple[list[Any], Any] | None | bool = None
+        self._vluts: tuple[list[Any], Any, Any] | None | bool = None
 
     # ------------------------------------------------------------------
     # shape
@@ -164,8 +165,8 @@ class AlignmentVertexTable:
         shift = m % self._k
         if shift == 0:
             return list(rows)
-        lut = self._remap_luts()[shift]
-        return [tuple(lut[v] for v in row) for row in rows]
+        remap = self._remap_luts()[shift].__getitem__
+        return [tuple(map(remap, row)) for row in rows]
 
     @hot_path
     def expand_rows(self, rows: Sequence[Row]) -> list[Row]:
@@ -175,9 +176,9 @@ class AlignmentVertexTable:
         """
         out: list[Row] = list(rows)
         luts = self._remap_luts()
-        for m in range(1, self._k):
-            lut = luts[m]
-            out.extend(tuple(lut[v] for v in row) for row in rows)
+        for lut in luts[1:]:
+            remap = lut.__getitem__
+            out.extend(tuple(map(remap, row)) for row in rows)
         return out
 
     @hot_path
@@ -189,14 +190,15 @@ class AlignmentVertexTable:
     # ------------------------------------------------------------------
     # vectorized (flat-column) kernels
     # ------------------------------------------------------------------
-    def _vector_luts(self) -> tuple[list[Any], Any] | None:
-        """Dense gather LUTs ``(luts, in_avt)``, or ``None`` if ineligible.
+    def _vector_luts(self) -> tuple[list[Any], Any, Any] | None:
+        """Dense LUTs ``(luts, in_avt, in_b1)``, or ``None`` if ineligible.
 
         ``luts[m]`` is an int64 array with ``luts[m][vid] == F_m(vid)``
-        and -1 for ids not in the AVT; ``in_avt`` is the matching
-        boolean membership array.  Built once (the AVT is immutable);
-        ineligible when numpy is absent or the id space is negative or
-        too sparse for a dense array.
+        and -1 for ids not in the AVT; ``in_avt`` and ``in_b1`` are the
+        matching boolean membership arrays of the AVT and of its first
+        block.  Built once (the AVT is immutable); ineligible when
+        numpy is absent or the id space is negative or too sparse for
+        a dense array.
         """
         cached = self._vluts
         if cached is False:
@@ -215,7 +217,7 @@ class AlignmentVertexTable:
             vec.dense_lut(lut.items(), size, -1) for lut in self._remap_luts()
         ]
         flags = vec.membership_flags(self._position, size)
-        built = (luts, flags)
+        built = (luts, flags, vec.membership_flags(self.first_block(), size))
         self._vluts = built
         return built
 
@@ -236,7 +238,7 @@ class AlignmentVertexTable:
         if cols is None:
             return None
         np = vec.np
-        luts, _ = built
+        luts = built[0]
         nd_cols = [vec.as_ndarray(col) for col in cols]
         out_cols: list[Any] = []
         for col in nd_cols:
@@ -252,41 +254,111 @@ class AlignmentVertexTable:
         )
 
     @hot_path
-    def expand_known_table(self, table: MatchTable) -> MatchTable:
-        """Known rows → ``F_0..F_{k-1}`` expansion → dedupe, as a table.
+    def anchored_rin(self, table: MatchTable) -> tuple[MatchTable, bool]:
+        """The known, distinct rows of ``table`` and whether they are anchored.
 
-        The three-step kernel shared by the client's Rin expansion and
-        the gateway's cloud-side expansion.  Vectorized when the vec
-        mode and the LUTs allow: the known-row filter is a bulk
-        membership gather, each ``F_m`` a column gather, the dedupe a
-        single first-seen pass.  Rows are identical (same order) to
-        ``dedupe_rows(self.expand_rows(self.known_rows(table.rows)))``.
+        The part of Algorithm 3's expansion that only needs ``|Rin|``
+        rows: drop rows with an id unknown to the AVT, drop repeated
+        rows (first occurrence kept), then test whether some column
+        lies wholly in block ``B1``.  If one does, ``F_m`` maps that
+        column wholly into block ``m`` and, being a bijection, keeps
+        distinct rows distinct — so the ``k`` images of the result are
+        pairwise disjoint and duplicate-free (Theorem 3's argument)
+        and their concatenation needs no dedupe.  Every honest ``Rin``
+        is anchored; one that is not is corrupt or hostile.
+
+        Vectorized (a flat-column result over ndarrays) when the vec
+        mode and the LUTs allow, else the result is rows-backed.
         """
         if table.schema and vec.vectorize(len(table)):
             built = self._vector_luts()
             cols = table.as_columns() if built is not None else None
             if built is not None and cols is not None:
-                np = vec.np
-                luts, flags = built
-                nd_cols = [vec.as_ndarray(col) for col in cols]
-                known = vec.bounded_flags(flags, nd_cols[0])
-                for col in nd_cols[1:]:
+                _, flags, in_b1 = built
+                kept = [vec.as_ndarray(col) for col in cols]
+                known = vec.bounded_flags(flags, kept[0])
+                for col in kept[1:]:
                     known &= vec.bounded_flags(flags, col)
-                kept = [col[known] for col in nd_cols]
-                out_cols = [
-                    np.concatenate(
-                        [col]
-                        + [luts[m][col] for m in range(1, self._k)]
-                    )
-                    for col in kept
-                ]
-                expanded = MatchTable.from_columns(
-                    table.schema, out_cols, len(kept[0]) * self._k
+                if not known.all():
+                    kept = [col[known] for col in kept]
+                first = vec.first_seen_row_indices(kept)
+                if len(first) < len(kept[0]):
+                    kept = [col[first] for col in kept]
+                anchored = any(bool(in_b1[col].all()) for col in kept)
+                return (
+                    MatchTable.from_columns(table.schema, kept, len(first)),
+                    anchored,
                 )
-                return expanded.deduped()
-        usable = self.known_rows(table.rows)
+        rows = dedupe_rows(self.known_rows(table.rows))
+        position = self._position
+        for c in range(len(table.schema)):
+            for row in rows:
+                if position[row[c]][1]:
+                    break  # this column leaves B1: try the next
+            else:
+                return MatchTable(table.schema, rows), True
+        return MatchTable(table.schema, rows), False
+
+    @hot_path
+    def images(self, rin: MatchTable, columns: bool) -> Iterator[Any]:
+        """``F_0(rin), .., F_{k-1}(rin)``, one block at a time.
+
+        ``rin`` is :meth:`anchored_rin`'s result.  With ``columns`` (it
+        must then be flat-column) a block is a list of ndarrays, and
+        every ``F_m`` image is gathered into the same buffers: take
+        what you keep before asking for the next block.  Otherwise a
+        block is a list of tuple rows.
+        """
+        if columns:
+            built = self._vector_luts()
+            cols = rin.columns()
+            assert built is not None and cols is not None
+            yield cols
+            np = vec.np
+            out = [np.empty_like(col) for col in cols]
+            for lut in built[0][1:]:
+                for col, buf in zip(cols, out):
+                    # ids are known, hence in range: "clip" only spares
+                    # numpy the copy of ``buf`` that "raise" would make
+                    np.take(lut, col, out=buf, mode="clip")
+                yield out
+        else:
+            rows = rin.rows
+            yield rows
+            for m in range(1, self._k):
+                yield self.remap_rows(rows, m)
+
+    @hot_path
+    def expand_known_table(self, table: MatchTable) -> MatchTable:
+        """Known rows → ``F_0..F_{k-1}`` expansion → dedupe, as a table.
+
+        The three-step kernel shared by the client's Rin expansion and
+        the gateway's cloud-side expansion.  Known-row filter and
+        dedupe run on ``table`` itself (:meth:`anchored_rin`); an
+        anchored table's ``k`` images are then just concatenated, and
+        only an unanchored one pays a dedupe of the whole expansion.
+        Vectorized when the vec mode and the LUTs allow.  Rows are
+        identical (same order) to
+        ``dedupe_rows(self.expand_rows(self.known_rows(table.rows)))``.
+        """
+        rin, anchored = self.anchored_rin(table)
+        cols = rin.columns()
+        built = self._vector_luts() if cols is not None else None
+        if cols is not None and built is not None:
+            luts = built[0]
+            out_cols = [
+                vec.np.concatenate(
+                    [col] + [luts[m][col] for m in range(1, self._k)]
+                )
+                for col in cols
+            ]
+            expanded = MatchTable.from_columns(
+                table.schema, out_cols, len(rin) * self._k
+            )
+            return expanded if anchored else expanded.deduped()
+        rows = self.expand_rows(rin.rows)
         return MatchTable(
-            table.schema, dedupe_rows(self.expand_rows(usable))
+            table.schema, rows if anchored else dedupe_rows(rows)
         )
 
     def to_block_anchor(self, vid: int) -> tuple[int, int]:

@@ -22,7 +22,6 @@ from repro.matching.star import Decomposition, Star, star_as_graph, star_of
 from repro.matching.table import (
     MatchTable,
     Row,
-    RowInterner,
     dedupe_rows,
     row_getter,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "rows_to_matches",
     "MatchTable",
     "Row",
-    "RowInterner",
     "dedupe_rows",
     "row_getter",
     "iter_subgraph_matches",

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from array import array
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.analysis.markers import hot_path
 from repro.matching import vec
@@ -86,35 +86,6 @@ def dedupe_rows(rows: Iterable[Row]) -> list[Row]:
             add(row)
             append(row)
     return out
-
-
-class RowInterner:
-    """Share one tuple object per distinct row.
-
-    Expansion multiplies every row ``k`` ways and different star tables
-    of one workload repeat the same anchored rows; interning collapses
-    the duplicates to a single object so later set operations hash each
-    distinct row once and equality checks short-circuit on identity.
-    """
-
-    __slots__ = ("_pool",)
-
-    def __init__(self) -> None:
-        self._pool: dict[Row, Row] = {}
-
-    @hot_path
-    def intern(self, row: Row) -> Row:
-        """The canonical shared instance of ``row``."""
-        return self._pool.setdefault(row, row)
-
-    @hot_path
-    def intern_all(self, rows: Iterable[Row]) -> list[Row]:
-        """Intern every row, preserving order (duplicates kept)."""
-        setdefault = self._pool.setdefault
-        return [setdefault(row, row) for row in rows]
-
-    def __len__(self) -> int:
-        return len(self._pool)
 
 
 class MatchTable:
@@ -363,7 +334,3 @@ class MatchTable:
                 self.schema, [col[keep] for col in nd_cols], len(keep)
             )
         return MatchTable(self.schema, dedupe_rows(self.rows))
-
-    def interned(self, interner: RowInterner) -> "MatchTable":
-        """A new table whose rows are shared through ``interner``."""
-        return MatchTable(self.schema, interner.intern_all(self.rows))

@@ -214,17 +214,17 @@ def first_seen_row_indices(cols: Sequence[Any]) -> Any:
     ``dedupe_rows`` keeps them (first-seen order).
 
     When every value is a non-negative id small enough to pack all
-    columns into one 63-bit key, the dedupe is a single stable argsort
-    of that int64 key (an order of magnitude faster than sorting rows
-    lexicographically); otherwise a stable ``lexsort`` over the raw
-    columns does the same job for arbitrary values.
+    columns into one 63-bit key, the dedupe is a single argsort of
+    that int64 key (an order of magnitude faster than sorting rows
+    lexicographically); otherwise a ``lexsort`` over the raw columns
+    does the same job for arbitrary values.
     """
     width = len(cols)
     n = len(cols[0]) if width else 0
     if n == 0:
         return np.empty(0, dtype=np.int64)
     if width == 1:
-        order = np.argsort(cols[0], kind="stable")
+        order = np.argsort(cols[0])
         sorted_cols = [cols[0][order]]
     else:
         order = None
@@ -235,23 +235,23 @@ def first_seen_row_indices(cols: Sequence[Any]) -> Any:
                 key = cols[0]
                 for col in cols[1:]:
                     key = key * stride + col
-                order = np.argsort(key, kind="stable")
+                order = np.argsort(key)
                 sorted_cols = [key[order]]
         if order is None:
-            # lexsort keys run least-significant first and the sort is
-            # stable, so equal rows keep their original order
+            # lexsort keys run least-significant first
             order = np.lexsort(cols[::-1])
             sorted_cols = [col[order] for col in cols]
-    is_first = np.empty(n, dtype=bool)
-    is_first[0] = True
     changed = sorted_cols[0][1:] != sorted_cols[0][:-1]
     for col in sorted_cols[1:]:
         changed |= col[1:] != col[:-1]
-    is_first[1:] = changed
-    # within an equal-run the stable sort keeps original order, so the
-    # run's head is the earliest occurrence; re-sorting the heads
+    starts = np.flatnonzero(changed)
+    if len(starts) == n - 1:
+        return np.arange(n, dtype=np.int64)  # every row distinct
+    starts += 1
+    # the sort need not be stable: the earliest occurrence of a row is
+    # the smallest index in its equal-run, and re-sorting those minima
     # restores first-seen order
-    first = order[is_first]
+    first = np.minimum.reduceat(order, np.concatenate(([0], starts)))
     first.sort()
     return first
 
@@ -290,8 +290,11 @@ def bounded_lookup(lut: Any, col: Any, default: int) -> Any:
 @hot_path
 def bounded_flags(flags: Any, col: Any) -> Any:
     """``flags[col]`` with out-of-range ids reading ``False``."""
-    valid = (col >= 0) & (col < len(flags))
-    return valid & flags[np.where(valid, col, 0)]
+    # one unsigned compare covers both bounds: a negative int64 id
+    # reads as an id past 2**63
+    valid = col.view(np.uint64) < len(flags)
+    valid &= np.take(flags, col, mode="clip")
+    return valid
 
 
 @hot_path

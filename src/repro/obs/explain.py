@@ -91,6 +91,12 @@ class ExplainReport:
     matches: int = 0
     candidates: int = 0
     results: int = 0
+    # -- client filter: candidates dropped per Algorithm-3 check, and
+    # whether Rin was anchored in B1 (streamed) or took the fallback
+    dropped_vertex: int = 0
+    dropped_edge: int = 0
+    dropped_label: int = 0
+    anchored: bool = False
     cache_hits: int = 0
     cache_misses: int = 0
     # -- wire ----------------------------------------------------------
@@ -153,6 +159,10 @@ class ExplainReport:
             matches=int(cattrs.get("matches", 0)),
             candidates=int(trace.attr(names.CLIENT_FILTER, "candidates", 0)),
             results=int(trace.attr(names.CLIENT_FILTER, "results", 0)),
+            dropped_vertex=int(trace.attr(names.CLIENT_FILTER, "dropped_vertex", 0)),
+            dropped_edge=int(trace.attr(names.CLIENT_FILTER, "dropped_edge", 0)),
+            dropped_label=int(trace.attr(names.CLIENT_FILTER, "dropped_label", 0)),
+            anchored=bool(trace.attr(names.CLIENT_FILTER, "anchored", False)),
             cache_hits=int(
                 trace.attr(names.CLOUD_STAR_MATCHING, "cache_hits", 0)
             ),
@@ -180,6 +190,10 @@ class ExplainReport:
             "matches": self.matches,
             "candidates": self.candidates,
             "results": self.results,
+            "dropped_vertex": self.dropped_vertex,
+            "dropped_edge": self.dropped_edge,
+            "dropped_label": self.dropped_label,
+            "anchored": self.anchored,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "bytes_by_direction": dict(self.bytes_by_direction),
@@ -217,6 +231,9 @@ class ExplainReport:
             f"  sizes: |RS|={self.rs_size}  |Rin|={self.rin_size}  "
             f"matches={self.matches}  candidates={self.candidates}  "
             f"results={self.results}",
+            f"  client: dropped vertex={self.dropped_vertex}  "
+            f"edge={self.dropped_edge}  label={self.dropped_label}  "
+            f"rin={'anchored' if self.anchored else 'unanchored or pre-expanded'}",
             f"  cache: {self.cache_hits} hit(s) / "
             f"{self.cache_misses} miss(es)",
         ]

@@ -61,6 +61,18 @@ class Span:
         self.attributes.update(attrs)
         return self
 
+    def cede(self, seconds: float, to: "Span | NullSpan") -> None:
+        """Hand the last ``seconds`` of this closed span to ``to``.
+
+        For two phases that interleave inside one timed block: ``to``
+        must be the closed span that started where this one ended, so
+        the pair still tiles the same wall interval afterwards.
+        """
+        self.duration -= seconds
+        if isinstance(to, Span):
+            to.started_at -= seconds
+            to.duration += seconds
+
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)
 
@@ -87,6 +99,9 @@ class NullSpan:
 
     def set(self, **attrs: Any) -> "NullSpan":
         return self
+
+    def cede(self, seconds: float, to: "Span | NullSpan") -> None:
+        return None
 
     def __enter__(self) -> "NullSpan":
         return self

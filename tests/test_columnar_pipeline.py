@@ -36,10 +36,12 @@ from repro.core.protocol import (
     encode_answer_table,
     encode_shard_tables,
 )
+from repro.core.query_client import QueryClient
 from repro.exceptions import QueryError, ResultBudgetExceeded
 from repro.graph import AttributedGraph, make_schema, random_attributed_graph
 from repro.kauto import build_k_automorphic_graph
 from repro.matching import MatchTable, star_of, vec
+from repro.obs import Observability, names
 from repro.outsource import build_outsourced_graph
 from repro.workloads import random_walk_query
 from tests.oracle import (
@@ -250,6 +252,202 @@ class TestClientEquivalence:
                 candidates, dep.graph, dep.query, limit=limit
             ).matches
         )
+
+
+def single_pass(dep: SimpleNamespace, rin: list, limit: int | None = None):
+    """``QueryClient.process_answer`` on ``rin``, as the oracle's terms.
+
+    Returns ``(matches, candidate_count, counters, anchored)`` — the
+    counters and the anchoring verdict read back from the
+    ``client.filter`` span, where the single pass publishes them.
+    """
+    obs = Observability()
+    client = QueryClient(dep.graph, None, dep.avt, obs=obs)  # no LCT needed here
+    table = MatchTable.from_matches(rin, sorted(dep.query.vertex_ids()))
+    outcome = client.process_answer(dep.query, table, False, limit=limit)
+    trace = obs.tracer.trace()
+    expand, checks = trace.first(names.CLIENT_EXPAND), trace.first(names.CLIENT_FILTER)
+    # two shares of one pass, still in order and never negative
+    assert expand.duration >= 0.0 and checks.duration >= 0.0
+    assert checks.started_at >= expand.started_at + expand.duration - 1e-9
+    assert (outcome.expansion_seconds, outcome.filter_seconds) == (
+        expand.duration, checks.duration
+    )
+    attrs = checks.attributes
+    assert expand.attributes["candidates"] == attrs["candidates"]
+    assert attrs["candidates"] == outcome.candidate_count
+    assert attrs["results"] == len(outcome.matches)
+    counters = tuple(attrs[f"dropped_{c}"] for c in ("vertex", "edge", "label"))
+    return outcome.matches, outcome.candidate_count, counters, attrs["anchored"]
+
+
+def oracle_pass(dep: SimpleNamespace, rin: list, limit: int | None = None):
+    """The same four facts from ``tests.oracle`` (``anchored`` excepted)."""
+    candidates = expand_rin(rin, dep.avt)
+    result = filter_candidates(candidates, dep.graph, dep.query, limit=limit)
+    counters = (result.dropped_vertex, result.dropped_edge, result.dropped_label)
+    return result.matches, len(candidates), counters
+
+
+def honest_rin(dep: SimpleNamespace) -> list:
+    return join_star_matches(dep.stars, oracle_star_matches(dep), dep.avt)[0]
+
+
+def hostile_rins(dep: SimpleNamespace) -> dict[str, list]:
+    """Answers no honest cloud sends, each built from the honest ``Rin``."""
+    rin = honest_rin(dep)
+    assert rin, "the fixture deployment must have candidates"
+    order = sorted(dep.query.vertex_ids())
+    top = max(dep.avt.vertex_ids())
+
+    def with_cell(value: int) -> list:
+        return rin[:2] + [{**rin[0], order[-1]: value}] + rin[2:]
+
+    return {
+        "duplicated": [m for m in rin for _ in range(3)] + rin,
+        # Rin ∪ F_1(Rin): no column stays inside B1, and F_m of the
+        # second half collides with other blocks' images of the first
+        "unanchored": rin + [dep.avt.apply_to_match(m, 1) for m in rin],
+        "unknown-id": with_cell(top + 7),
+        "negative-id": with_cell(-3),
+        "id-2**31": with_cell(2**31),
+        "id-2**40": with_cell(2**40),
+        "empty": [],
+    }
+
+
+class TestSinglePassClient:
+    """``process_answer`` never builds ``R(Qo, Gk)`` and still equals the
+    oracle's expand-then-filter in matches, order and every count."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("arm", ARMS + ("auto",))
+    def test_honest_rin_equals_the_oracle(self, arm, k):
+        kept = 0
+        for seed in range(6):
+            dep = deployment(seed, 36, k, 3)
+            rin = honest_rin(dep)
+            with vec.override(arm):
+                matches, candidates, counters, anchored = single_pass(dep, rin)
+            assert (matches, candidates, counters) == oracle_pass(dep, rin)
+            assert anchored and candidates == k * len(rin)
+            kept += len(matches)
+        assert kept, "no seed produced an exact match: nothing was compared"
+
+    @pytest.mark.parametrize(
+        "kind",
+        ["duplicated", "unanchored", "unknown-id", "negative-id", "id-2**31",
+         "id-2**40", "empty"],
+    )
+    @pytest.mark.parametrize("arm", ARMS + ("auto",))
+    def test_hostile_rin_equals_the_oracle(self, arm, kind):
+        dep = deployment(5, 36, 3, 3)
+        rin = hostile_rins(dep)[kind]
+        with vec.override(arm):
+            matches, candidates, counters, anchored = single_pass(dep, rin)
+        assert (matches, candidates, counters) == oracle_pass(dep, rin)
+        assert anchored == (kind != "unanchored")
+        if kind == "unanchored":
+            distinct = len({tuple(sorted(m.items())) for m in rin})
+            assert candidates < dep.avt.k * distinct  # blocks really collide
+
+    @pytest.mark.parametrize("arm", ARMS + ("auto",))
+    def test_width_one_schema(self, arm):
+        dep = deployment(5, 36, 3, 3)
+        vid = next(iter(dep.graph.vertex_ids()))
+        query = AttributedGraph()
+        query.add_vertex(7, dep.graph.vertex(vid).vertex_type)
+        dep.query = query
+        rin = [{7: v} for v in dep.avt.first_block()]
+        for hostile in (rin, rin + rin[:3], rin + [{7: -1}, {7: 2**31}]):
+            with vec.override(arm):
+                got = single_pass(dep, hostile)
+            assert got[:3] == oracle_pass(dep, hostile)
+            assert got[0]
+
+    @pytest.mark.parametrize("arm", ARMS + ("auto",))
+    def test_limit_returns_the_oracles_prefix(self, arm):
+        dep, keeps = next(
+            (d, keeps)
+            for d in (deployment(seed, 36, 3, 2) for seed in range(40))
+            for keeps in [per_block_keeps(d)]
+            if keeps[0] and sum(keeps[1:])
+        )
+        rin = honest_rin(dep)
+        for limit in (0, 1, keeps[0], keeps[0] + 1, 10**6):
+            with vec.override(arm):
+                got = single_pass(dep, rin, limit)
+            assert got[:3] == oracle_pass(dep, rin, limit)
+            assert len(got[0]) == min(limit, sum(keeps))
+
+    @pytest.mark.parametrize("arm", ARMS)
+    def test_only_an_unanchored_rin_takes_the_composition(self, arm, monkeypatch):
+        """The fallback is the public ``filter_table(expand_known_table(..))``,
+        reached by the anchoring guard and by nothing else."""
+        dep = deployment(5, 36, 3, 3)
+        calls = []
+        real = type(dep.avt).expand_known_table
+        monkeypatch.setattr(
+            type(dep.avt),
+            "expand_known_table",
+            lambda avt, table: calls.append(len(table)) or real(avt, table),
+        )
+        rins = hostile_rins(dep)
+        with vec.override(arm):
+            for kind in ("duplicated", "unknown-id", "empty"):
+                single_pass(dep, rins[kind])
+            assert calls == []
+            single_pass(dep, rins["unanchored"])
+        assert len(calls) == 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        cells=st.lists(
+            st.tuples(*[st.integers(-2, 45)] * 3), min_size=0, max_size=90
+        ),
+        anchor=st.booleans(),
+        arm=st.sampled_from(ARMS + ("auto",)),
+        limit=st.none() | st.integers(0, 6),
+    )
+    def test_single_pass_equals_the_public_composition(
+        self, cells, anchor, arm, limit
+    ):
+        """On any table at all — ids outside the AVT (0..41 here),
+        repeats, rows anchored or not — ``filter_rin`` is
+        ``filter_table`` of ``expand_known_table``."""
+        dep = TOY
+        if anchor:  # pull the middle column into B1
+            b1 = dep.avt.first_block()
+            cells = [(a, b1[b % len(b1)], c) for a, b, c in cells]
+        table = MatchTable(tuple(sorted(dep.query.vertex_ids())), list(cells))
+        flt = ClientFilter(dep.graph, dep.query)
+        with vec.override(arm):
+            composed = flt.filter_table(dep.avt.expand_known_table(table), limit)
+            streamed = flt.filter_rin(table, dep.avt, limit)
+        assert streamed.anchored == dep.avt.anchored_rin(table)[1]
+        assert streamed.table.rows == composed.table.rows
+        assert streamed.candidates == composed.candidates
+        assert (streamed.dropped_vertex, streamed.dropped_edge, streamed.dropped_label) == (
+            composed.dropped_vertex, composed.dropped_edge, composed.dropped_label
+        )
+
+
+def per_block_keeps(dep: SimpleNamespace) -> list[int]:
+    """Exact matches contributed by each ``F_m`` image of the honest Rin."""
+    rin = honest_rin(dep)
+    return [
+        len(
+            filter_candidates(
+                [dep.avt.apply_to_match(m, shift) for m in rin], dep.graph, dep.query
+            ).matches
+        )
+        for shift in range(dep.avt.k)
+    ]
+
+
+#: A published toy graph (40 vertices, k=3) and a 2-edge path query over
+#: it, for the property test above.
+TOY = deployment(11, 40, 3, 2)
 
 
 class TestServerEquivalence:

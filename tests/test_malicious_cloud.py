@@ -28,7 +28,7 @@ from repro import PrivacyPreservingSystem, SystemConfig
 from repro.core.protocol import decode_answer_table, encode_answer_table
 from repro.exceptions import ProtocolError
 from repro.graph import example_query, example_social_network
-from repro.matching import MatchTable, find_subgraph_matches, match_key
+from repro.matching import MatchTable, find_subgraph_matches, match_key, vec
 
 
 @pytest.fixture(scope="module")
@@ -103,11 +103,21 @@ class TestSoundnessAgainstTampering:
 
     def test_duplicated_rows_do_not_duplicate_results(self, deployment):
         graph, system, query, oracle, answer = deployment
-        outcome = system.client.process_answer(
-            query, received(query, answer.matches * 3), already_expanded=False
+        honest = system.client.process_answer(
+            query, received(query, answer.matches), already_expanded=False
         )
-        assert {match_key(m) for m in outcome.matches} == oracle
-        assert len(outcome.matches) == len(oracle)
+        # the single pass dedupes Rin itself, before any F_m image is
+        # taken: neither the results nor the candidate count may grow,
+        # on the tuple loop or (forced onto this small table) the cascade
+        for arm in ("rows", "flat") + (("numpy",) if vec.HAVE_NUMPY else ()):
+            with vec.override(arm):
+                outcome = system.client.process_answer(
+                    query, received(query, answer.matches * 3), already_expanded=False
+                )
+            assert outcome.matches == honest.matches
+            assert outcome.candidate_count == honest.candidate_count
+        assert {match_key(m) for m in honest.matches} == oracle
+        assert len(honest.matches) == len(oracle)
 
     def test_out_of_range_ids_filtered(self, deployment):
         graph, system, query, oracle, answer = deployment

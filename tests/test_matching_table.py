@@ -16,7 +16,6 @@ from repro.core.protocol import decode_answer_table, encode_answer_table
 from repro.exceptions import ProtocolError
 from repro.matching import (
     MatchTable,
-    RowInterner,
     Star,
     dedupe_rows,
     row_getter,
@@ -165,22 +164,6 @@ class TestFlatColumnStorage:
             {1: 11, 2: 21},
             {1: 12, 2: 22},
         ]
-
-
-class TestRowInterner:
-    def test_duplicates_share_one_object(self):
-        interner = RowInterner()
-        a = interner.intern((1, 2))
-        b = interner.intern((1, 2))
-        assert a is b
-        assert len(interner) == 1
-
-    def test_intern_all_preserves_order(self):
-        interner = RowInterner()
-        rows = [(1,), (2,), (1,)]
-        out = interner.intern_all(rows)
-        assert out == rows
-        assert out[0] is out[2]
 
 
 class TestCacheCodecEquivalence:

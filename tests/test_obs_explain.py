@@ -37,7 +37,10 @@ def _stitched_trace() -> Trace:
         with tracer.span(names.NETWORK_GATEWAY_ANSWER) as na:
             na.set(bytes=340)
         with tracer.span(names.CLIENT_FILTER) as filt:
-            filt.set(candidates=4, results=2, dropped=2)
+            filt.set(
+                candidates=4, results=2, dropped=2,
+                dropped_vertex=0, dropped_edge=1, dropped_label=1, anchored=True,
+            )
     trace = tracer.take_trace()
     # shard lanes arrive from fork children (other pids), absorbed in
     # arbitrary order — from_trace must sort them by shard index
@@ -75,6 +78,8 @@ class TestFromTrace:
         assert report.rs_size == 9 and report.rin_size == 4
         assert report.matches == 4
         assert report.candidates == 4 and report.results == 2
+        assert (report.dropped_vertex, report.dropped_edge, report.dropped_label) == (0, 1, 1)
+        assert report.anchored is True
         assert report.cache_hits == 1 and report.cache_misses == 2
 
     def test_bytes_per_direction(self):
@@ -135,6 +140,7 @@ class TestRenderers:
         assert "shard 0: results=6  pid=7001" in text
         assert "shard 1: results=3  pid=7002" in text
         assert "1 hit(s) / 2 miss(es)" in text
+        assert "dropped vertex=0  edge=1  label=1  rin=anchored" in text
 
     def test_json_round_trips(self):
         report = ExplainReport.from_trace(_stitched_trace())
@@ -172,6 +178,11 @@ class TestQueryOptionsSurface:
         assert report is not None
         assert report.query_id == outcome.query_id
         assert report.results == len(outcome.matches)
+        assert report.anchored  # the honest cloud's Rin streams
+        assert (
+            report.dropped_vertex + report.dropped_edge + report.dropped_label
+            == report.candidates - report.results
+        )
         assert report.total_seconds > 0.0
         # the report survives the outcome's own dict round trip
         restored = type(outcome).from_dict(outcome.to_dict())

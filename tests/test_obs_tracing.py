@@ -23,6 +23,19 @@ class TestSpan:
         span.set(bytes=17)
         assert Span.from_dict(span.to_dict()) == span
 
+    def test_cede_keeps_two_adjacent_spans_tiling_their_interval(self):
+        """Two phases that interleaved inside the first span's block:
+        the second's share moves over, the shared boundary moves back."""
+        first = Span("gather", started_at=1.0, duration=0.75)
+        second = Span("check", started_at=1.75, duration=0.25)
+        first.cede(0.5, second)
+        assert (first.started_at, first.duration) == (1.0, 0.25)
+        assert (second.started_at, second.duration) == (1.25, 0.75)
+        first.cede(0.125, NULL_SPAN)  # a disabled scope's span takes nothing
+        assert first.duration == 0.125
+        assert NULL_SPAN.cede(1.0, second) is None
+        assert (NULL_SPAN.duration, second.duration) == (0.0, 0.75)
+
 
 class TestRecordingTracer:
     def test_nesting_assigns_parent_and_depth(self):
