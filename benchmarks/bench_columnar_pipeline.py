@@ -32,7 +32,7 @@ Two cells, one on each side of that selection:
 * ``dense``    — a fixed-seed low-selectivity deployment where the
   join materializes tens of thousands of intermediate rows, i.e. the
   regime the vector kernels target.  Gate: >= 2.5x with numpy (>= 0.9x
-  on the array('q') fallback, where only the storage changes).
+  without it, where ``auto`` is the tuple arm itself).
 
 The report cell writes both measurements — including the per-phase
 breakdown of both arms and the host they were taken on — to
@@ -72,8 +72,8 @@ DENSE = dict(seed=7, n=200, edges_per_vertex=3, k=3, query_edges=3, labels=2)
 DENSE_BUDGET = 2_000_000
 PHASES = ("match", "join", "expand", "filter")
 #: Dense-cell gate: the vector kernels must clear 2.5x over the tuple
-#: rows (3.9x when this gate was set); without numpy only the flat
-#: storage remains, so the bar is "no regression".
+#: rows (3.9x when this gate was set); without numpy both arms are the
+#: tuple arm, so the bar is "no regression".
 DENSE_GATE = 2.5 if vec.HAVE_NUMPY else 0.9
 WORKLOAD_GATE = 0.9
 RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_columnar.json"

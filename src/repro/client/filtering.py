@@ -261,7 +261,7 @@ class ClientFilter:
         if csr is None or cols is None:
             scan.feed(candidates.rows)
         else:
-            scan.feed([vec.as_ndarray(col) for col in cols])
+            scan.feed(cols)
         return scan.result(time.perf_counter() - started, len(candidates))
 
     @hot_path

@@ -72,7 +72,8 @@ _FORK_REGISTRY: dict[int, Callable] = {}  #: guarded by _FORK_LOCK
 # R3 (lock discipline): concurrent process-backend batches — two
 # ShardedCloud answers, or a sharded answer inside a process batch —
 # register and pop tokens from different threads; the registry dict is
-# shared module state and every parent-side mutation holds this lock.
+# shared module state and every parent-side mutation (all of them in
+# PersistentProcessPool) holds this lock.
 _FORK_LOCK = threading.Lock()
 _FORK_TOKENS = itertools.count(1)
 
@@ -87,8 +88,8 @@ def _call_registered(token: int, payload: Any) -> Any:  # pragma: no cover - run
 class PersistentProcessPool:
     """A long-lived fork pool bound to one registered callable.
 
-    :func:`map_batch` builds a fresh ``ProcessPoolExecutor`` per call,
-    so every batch repays the fork *plus* the copy-on-write faulting of
+    :func:`map_batch` opens and closes one of these per call, so
+    every batch repays the fork *plus* the copy-on-write faulting of
     the inherited heap — refcount updates dirty every object page a
     worker touches, which for a graph-scanning task costs about as much
     as the scan itself.  Callers that scatter over the same immutable
@@ -97,9 +98,9 @@ class PersistentProcessPool:
     share of the heap once, and stay warm for every later call.
 
     The callable is parked in the fork registry *before* the pool is
-    created — exactly like ``map_batch``'s process branch — and stays
-    registered for the pool's lifetime (popped by :meth:`close`).  Per
-    call only the payload items and results cross the pipe.
+    created and stays registered for the pool's lifetime (popped by
+    :meth:`close`).  Per call only the payload items and results cross
+    the pipe.
     """
 
     def __init__(self, fn: Callable[[Any], Any], max_workers: int) -> None:
@@ -171,17 +172,5 @@ def map_batch(
     ):
         return [fn(item) for item in items]
 
-    token = next(_FORK_TOKENS)
-    with _FORK_LOCK:
-        _FORK_REGISTRY[token] = fn
-    try:
-        context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=context
-        ) as pool:
-            return list(
-                pool.map(_call_registered, itertools.repeat(token), items)
-            )
-    finally:
-        with _FORK_LOCK:
-            _FORK_REGISTRY.pop(token, None)
+    with PersistentProcessPool(fn, workers) as pool:
+        return pool.map(items)

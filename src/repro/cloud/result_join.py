@@ -182,9 +182,9 @@ def _hash_join_columns(
     negative or too wide for a collision-free packed int64 key (the
     tuple kernel then runs).
     """
-    lcols_raw = left.as_columns()
-    rcols_raw = right.as_columns()
-    if lcols_raw is None or rcols_raw is None:
+    lcols = left.as_columns()
+    rcols = right.as_columns()
+    if lcols is None or rcols is None:
         return None
     np = vec.np
     nl, nr = len(left), len(right)
@@ -194,8 +194,6 @@ def _hash_join_columns(
         return MatchTable.from_columns(
             out_schema, [np.empty(0, dtype=np.int64) for _ in range(width)], 0
         )
-    lcols = [vec.as_ndarray(col) for col in lcols_raw]
-    rcols = [vec.as_ndarray(col) for col in rcols_raw]
     lk_cols = [lcols[left.column_of(q)] for q in shared]
     rk_cols = [rcols[right.column_of(q)] for q in shared]
 
@@ -261,7 +259,6 @@ def join_star_tables(
     avt: AlignmentVertexTable,
     expand: bool = True,
     max_intermediate: int | None = None,
-    expand_anchor: bool = False,
 ) -> tuple[MatchTable, JoinStats]:
     """Algorithm 2 over columnar star tables: join into ``Rin``.
 
@@ -273,17 +270,12 @@ def join_star_tables(
     ``expand=False`` joins the star results as-is — used by the BAS
     baseline whose star matches already range over the full ``Gk``
     (its index covers every ``Gk`` vertex), so the output is the whole
-    ``R(Qo, Gk)`` rather than ``Rin``.
+    ``R(Qo, Gk)`` rather than ``Rin``.  Fed :func:`expand_star_table`
+    outputs, it is the *straightforward* strategy the paper describes
+    before ``Rin`` (``benchmarks/bench_ablation_rin.py``).
 
     ``max_intermediate`` is the cloud's per-query result quota: a join
     step growing past it raises :class:`ResultBudgetExceeded`.
-
-    ``expand_anchor=True`` selects the *straightforward* strategy the
-    paper describes before introducing ``Rin``: every star (anchor
-    included) is expanded to ``R(S_i, Gk)`` and the join computes the
-    whole ``R(Qo, Gk)`` directly — k times more anchor tuples enter the
-    join.  Kept as an ablation baseline (see
-    ``benchmarks/bench_ablation_rin.py``).
 
     Concurrency contract (relied on by the parallel batched engine):
     ``star_tables`` is **read-only** — no input table or row is ever
@@ -308,8 +300,6 @@ def join_star_tables(
     anchor = remaining.pop(0)
     stats.anchor_center = anchor.center
     current = star_tables[anchor.center]
-    if expand and expand_anchor:
-        current = expand_star_table(current, avt)
     covered: set[int] = set(current.schema)
     stats.intermediate_sizes.append(len(current))
 

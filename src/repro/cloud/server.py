@@ -9,7 +9,6 @@ decompose → star-match → join pipeline of Section 4.2.1.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -166,47 +165,24 @@ class CloudServer:
         center_vertices: list[int],
         expand_in_cloud: bool = True,
         max_intermediate_results: int | None = None,
-        join_strategy: str = "rin",
         star_cache_size: int = 0,
         decomposition_strategy: str = "optimal",
-        engine: str = "stars",
         obs: Observability | None = None,
     ) -> None:
-        if join_strategy not in ("rin", "full"):
-            raise ValueError("join_strategy must be 'rin' or 'full'")
         if decomposition_strategy not in ("optimal", "greedy"):
             raise ValueError("decomposition_strategy must be 'optimal' or 'greedy'")
-        if engine not in ("stars", "direct"):
-            raise ValueError("engine must be 'stars' or 'direct'")
-        if engine == "direct" and expand_in_cloud:
-            raise ValueError(
-                "the direct engine matches over the stored graph verbatim; "
-                "it applies to full-Gk (BAS) deployments only"
-            )
         self.graph = graph
         self.avt = avt
         self.center_vertices = list(center_vertices)
         self.expand_in_cloud = expand_in_cloud
         self.max_intermediate_results = max_intermediate_results
-        # "rin": Algorithm 2's optimization — the anchor star stays in
-        # B1 and Rin is returned.  "full": the straightforward strategy
-        # (every star expanded, R(Qo, Gk) computed outright); kept for
-        # the ablation study.
-        self.join_strategy = join_strategy
         self.decomposition_strategy = decomposition_strategy
-        # "stars": the paper's decompose → match → join pipeline.
-        # "direct": plain subgraph matching over the stored graph with
-        # the bitset engine — an ablation baseline for BAS that
-        # quantifies what the star framework buys.
-        self.engine = engine
-        self._direct_matcher = None  #: guarded by _state_lock
         # capacity of the LRU over star match sets, keyed by the star's
         # canonical constraint signature — different queries sharing a
         # star shape reuse its R(S, Go).  0 disables caching.  A cache
         # is internally locked, so one instance is shared by all
         # concurrent queries.
         self.star_cache_size = star_cache_size
-        self._state_lock = threading.Lock()
         self.obs = obs if obs is not None else Observability.measuring()
         with self.obs.tracer.span(names.CLOUD_INDEX_BUILD) as span:
             self._build_index()
@@ -275,8 +251,6 @@ class CloudServer:
         """
         if obs is None:
             obs = self.obs
-        if self.engine == "direct":
-            return self._answer_direct(query, obs)
         tracer = obs.tracer
 
         with tracer.span(names.CLOUD_ANSWER) as root:
@@ -289,7 +263,6 @@ class CloudServer:
             star_tables, star_stats = self._match_stars(
                 query, decomposition.stars, obs, root
             )
-            full_join = self.join_strategy == "full"
             with tracer.span(names.CLOUD_JOIN) as join_span:
                 rin_table, join_stats = join_star_tables(
                     decomposition.stars,
@@ -297,7 +270,6 @@ class CloudServer:
                     self.avt,
                     expand=self.expand_in_cloud,
                     max_intermediate=self.max_intermediate_results,
-                    expand_anchor=full_join,
                 )
                 join_span.set(
                     rin_size=join_stats.rin_size,
@@ -309,7 +281,7 @@ class CloudServer:
                 rs_size=star_stats.total_results,
                 rin_size=join_stats.rin_size,
                 matches=len(rin_table),
-                expanded=not self.expand_in_cloud or full_join,
+                expanded=not self.expand_in_cloud,
             )
 
         metrics = obs.metrics
@@ -330,7 +302,7 @@ class CloudServer:
 
         return CloudAnswer(
             table=rin_table,
-            expanded=not self.expand_in_cloud or full_join,
+            expanded=not self.expand_in_cloud,
             decomposition=decomposition,
             decomposition_seconds=decompose_span.duration,
             star_stats=star_stats,
@@ -361,59 +333,6 @@ class CloudServer:
         """
         validate_backend(backend)
         return map_batch(self.answer, list(queries), max_workers, backend)
-
-    def _answer_direct(
-        self, query: AttributedGraph, obs: Observability
-    ) -> CloudAnswer:
-        """Plain bitset subgraph matching over the stored graph."""
-        from repro.matching.bitset import BitsetMatcher
-
-        with obs.tracer.span(names.CLOUD_ANSWER, engine="direct") as root:
-            # R3 (lock discipline): every _direct_matcher access happens
-            # under _state_lock — concurrent batch queries must neither
-            # race to build two matchers nor observe apply_delta()'s
-            # invalidation mid-build.  The lock is held across the lazy
-            # build; later queries pay one uncontended acquire.
-            with self._state_lock:
-                matcher = self._direct_matcher
-                if matcher is None:
-                    matcher = self._direct_matcher = BitsetMatcher(self.graph)
-            matches = matcher.find_matches(query)
-            root.set(
-                rs_size=len(matches),
-                rin_size=len(matches),
-                matches=len(matches),
-            )
-        elapsed = root.duration
-        # The direct engine matches the whole query as one pseudo-star,
-        # so its result set *is* |RS|.  Reporting result_sizes under the
-        # sentinel key -1 (no query vertex is negative) keeps rs_size,
-        # the span attribute above and the M_STAR_MATCHES counter
-        # consistent with the stars engine — they all used to read 0
-        # here, under-counting every direct-engine query.
-        stats = StarMatchStats(seconds=elapsed, result_sizes={-1: len(matches)})
-        join_stats = JoinStats(seconds=0.0, rin_size=len(matches))
-        obs.metrics.counter(
-            names.M_STAR_MATCHES,
-            help="Star matches (|RS|) produced across all queries.",
-        ).inc(len(matches))
-        obs.metrics.histogram(
-            names.M_CLOUD_SECONDS,
-            help="Cloud-side wall seconds per query.",
-        ).observe(elapsed)
-        if obs.enabled:
-            self.latency_window.observe(elapsed)
-        return CloudAnswer(
-            # schema = the sorted query vertex ids: the wire order, so
-            # encoding the answer is a straight row copy
-            table=MatchTable.from_matches(matches, sorted(query.vertex_ids())),
-            expanded=True,
-            decomposition=Decomposition(stars=[]),
-            decomposition_seconds=0.0,
-            star_stats=stats,
-            join_stats=join_stats,
-            cloud_seconds=elapsed,
-        )
 
     def _match_stars(
         self,
@@ -476,11 +395,6 @@ class CloudServer:
             self.avt = AlignmentVertexTable(rows)
         self._build_index()
         self.estimator = self._build_estimator()
-        # R3 fix: this invalidation used to race with _answer_direct's
-        # lazy build — a concurrent query could re-publish a matcher
-        # over the *old* graph after the delta was applied.
-        with self._state_lock:
-            self._direct_matcher = None
 
     def close(self) -> None:
         """Release what the server holds beyond memory (idempotent).

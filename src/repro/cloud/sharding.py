@@ -45,6 +45,7 @@ exercised.
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -264,8 +265,7 @@ class ShardedCloud(CloudServer):
     into shard servers, and :meth:`_match_stars` scatters the plan to
     them and merges the gathered tables.  Decomposition, join, budget,
     telemetry, ``query_batch`` and ``apply_delta`` are inherited.
-    Construction takes the server's parameters (the stars engine only)
-    plus:
+    Construction takes the server's parameters plus:
 
     shards:
         Requested shard count.  Shards whose partition block holds no
@@ -298,7 +298,6 @@ class ShardedCloud(CloudServer):
         shards: int = 2,
         expand_in_cloud: bool = True,
         max_intermediate_results: int | None = None,
-        join_strategy: str = "rin",
         star_cache_size: int = 0,
         decomposition_strategy: str = "optimal",
         backend: str = "serial",
@@ -315,6 +314,8 @@ class ShardedCloud(CloudServer):
         self.max_workers = max_workers
         self.channel = channel
         self.partition_seed = partition_seed
+        # created before super().__init__(): its _build_index() takes it
+        self._state_lock = threading.Lock()
         self._shards: list[CloudShard] = []  #: guarded by _state_lock
         # persistent fork pool of the process backend: forked lazily on
         # the first process scatter and reused across answers so the
@@ -331,7 +332,6 @@ class ShardedCloud(CloudServer):
             center_vertices,
             expand_in_cloud=expand_in_cloud,
             max_intermediate_results=max_intermediate_results,
-            join_strategy=join_strategy,
             star_cache_size=star_cache_size,
             decomposition_strategy=decomposition_strategy,
             obs=obs,

@@ -61,32 +61,19 @@ def _leaf_order(query: AttributedGraph, star: Star) -> list[int]:
 
 
 def _center_candidates(
-    query: AttributedGraph,
-    star: Star,
-    index: CloudIndex,
-    data: AttributedGraph,
-    use_vbv: bool,
+    query: AttributedGraph, star: Star, index: CloudIndex
 ) -> Iterable[int] | None:
-    """Candidate centers from the VBV (or a linear scan); ``None`` = empty."""
-    center_vertex = query.vertex(star.center)
-    if use_vbv:
-        center_mask = index.candidate_center_mask(center_vertex)
-        if not center_mask:
-            return None
-        return index.candidates_from_mask(center_mask)
-    return (
-        vid
-        for vid in index.indexed_vertices
-        if center_vertex.matches(data.vertex(vid))
-    )
+    """Candidate centers from the VBV; ``None`` = empty."""
+    center_mask = index.candidate_center_mask(query.vertex(star.center))
+    if not center_mask:
+        return None
+    return index.candidates_from_mask(center_mask)
 
 
 def _query_mask(
-    query: AttributedGraph, star: Star, index: CloudIndex, use_lbv: bool
+    query: AttributedGraph, star: Star, index: CloudIndex
 ) -> int | None:
     """The LBV neighbourhood mask for the star's leaves; ``None`` = empty."""
-    if not use_lbv:
-        return 0  # every vertex trivially supports the empty mask
     leaf_vertices = [query.vertex(leaf) for leaf in star.leaves]
     mask = index.query_neighbor_mask(leaf_vertices)
     if mask < 0 and star.leaves:
@@ -101,8 +88,6 @@ def match_star_table(
     index: CloudIndex,
     data: AttributedGraph,
     max_results: int | None = None,
-    use_vbv: bool = True,
-    use_lbv: bool = True,
 ) -> MatchTable:
     """``R(S, data)`` as a columnar table (Algorithm 1).
 
@@ -110,10 +95,6 @@ def match_star_table(
     sorted leaves).  Centers are drawn from the index; ``max_results``
     is an optional resource quota — exceeding it raises
     :class:`ResultBudgetExceeded` rather than exhausting cloud memory.
-    ``use_vbv`` / ``use_lbv`` disable the corresponding half of the
-    Figure 7 index (candidates then come from a linear scan / no
-    neighbourhood pruning); results are identical either way, the
-    flags exist for the index ablation benchmark.
 
     When the index carries a :class:`~repro.cloud.index.GraphCSR` for
     ``data`` (and the vec mode allows it), the per-leaf candidate
@@ -127,10 +108,10 @@ def match_star_table(
     """
     schema = (star.center, *star.leaves)
 
-    candidate_iter = _center_candidates(query, star, index, data, use_vbv)
+    candidate_iter = _center_candidates(query, star, index)
     if candidate_iter is None:
         return MatchTable(schema, [])
-    query_mask = _query_mask(query, star, index, use_lbv)
+    query_mask = _query_mask(query, star, index)
     if query_mask is None:
         return MatchTable(schema, [])
     candidates = list(candidate_iter)

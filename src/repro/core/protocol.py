@@ -244,7 +244,7 @@ def _pack_rows(table: MatchTable, order: Sequence[int]) -> dict[str, Any]:
     cols = table.as_columns() if n and vec.vectorize(n) else None
     if cols is not None:
         np = vec.np
-        picked = [vec.as_ndarray(cols[table.column_of(q)]) for q in order]
+        picked = [cols[table.column_of(q)] for q in order]
         width = _cell_width(
             min(int(col.min()) for col in picked),
             max(int(col.max()) for col in picked),

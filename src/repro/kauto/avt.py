@@ -239,9 +239,8 @@ class AlignmentVertexTable:
             return None
         np = vec.np
         luts = built[0]
-        nd_cols = [vec.as_ndarray(col) for col in cols]
         out_cols: list[Any] = []
-        for col in nd_cols:
+        for col in cols:
             parts = [col]
             for m in range(1, self._k):
                 mapped = vec.bounded_lookup(luts[m], col, -1)
@@ -272,10 +271,9 @@ class AlignmentVertexTable:
         """
         if table.schema and vec.vectorize(len(table)):
             built = self._vector_luts()
-            cols = table.as_columns() if built is not None else None
-            if built is not None and cols is not None:
+            kept = table.as_columns() if built is not None else None
+            if built is not None and kept is not None:
                 _, flags, in_b1 = built
-                kept = [vec.as_ndarray(col) for col in cols]
                 known = vec.bounded_flags(flags, kept[0])
                 for col in kept[1:]:
                     known &= vec.bounded_flags(flags, col)

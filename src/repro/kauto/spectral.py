@@ -12,7 +12,7 @@ Uses scipy's sparse eigensolver; falls back to a balanced index split
 for components too small for the solver.
 
 numpy and scipy are optional dependencies of the package (the matching
-pipeline degrades to ``array('q')`` kernels without them — see
+pipeline degrades to its tuple-row kernels without them — see
 :mod:`repro.matching.vec`); this module stays importable either way and
 raises :class:`~repro.exceptions.PartitionError` at call time when the
 solver stack is missing.

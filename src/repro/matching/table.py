@@ -96,9 +96,9 @@ class MatchTable:
 
     * **tuple rows** — a list of equally wide tuples of data vertex
       ids (the reference layout every consumer understands), or
-    * **flat columns** — one int64 vector per column
-      (:mod:`repro.matching.vec`: ``array('q')`` or an ndarray), which
-      is what the vectorized kernels produce and consume.
+    * **flat columns** — one int64 ndarray per column
+      (:mod:`repro.matching.vec`), which is what the vectorized kernels
+      produce and consume; without numpy every table is rows-backed.
 
     The two are interchangeable: reading :attr:`rows` on a
     flat-column table materializes the tuple rows (as Python ints, so
@@ -168,9 +168,9 @@ class MatchTable:
         """Flat column vectors of this table, converting if needed.
 
         Rows-backed tables are converted (without caching, so a later
-        ``rows.extend`` cannot go stale); ``None`` means the rows are
-        not representable as int64 (untrusted decoded values) and the
-        caller must stay on the tuple path.
+        ``rows.extend`` cannot go stale); ``None`` — numpy absent or
+        pinned off, or rows not representable as int64 (untrusted
+        decoded values) — means the caller must stay on the tuple path.
         """
         if self._cols is not None:
             return self._cols
@@ -244,7 +244,7 @@ class MatchTable:
     def from_flat_rows(
         cls, schema: Iterable[int], buf: array, width: int
     ) -> "MatchTable":
-        """A flat-column table from a row-major ``array('q')`` buffer."""
+        """A flat-column table from a row-major ``array('q')`` buffer (numpy-only)."""
         if width == 0:
             return cls(tuple(schema), [])
         length, rem = divmod(len(buf), width)
@@ -328,9 +328,8 @@ class MatchTable:
         """A new table with duplicate rows dropped (first-seen order)."""
         cols = self._cols
         if cols is not None and vec.vectorize(self._length):
-            nd_cols = [vec.as_ndarray(col) for col in cols]
-            keep = vec.first_seen_row_indices(nd_cols)
+            keep = vec.first_seen_row_indices(cols)
             return MatchTable.from_columns(
-                self.schema, [col[keep] for col in nd_cols], len(keep)
+                self.schema, [col[keep] for col in cols], len(keep)
             )
         return MatchTable(self.schema, dedupe_rows(self.rows))

@@ -1,4 +1,4 @@
-"""The vector backend shim: flat int64 columns, with or without numpy.
+"""The vector backend shim: int64 ndarray columns when numpy is there.
 
 Every vectorized kernel in the pipeline (AVT LUT gathers, the columnar
 hash join, the client filter's bulk membership tests, CSR candidate
@@ -7,19 +7,17 @@ single point of policy:
 
 * **numpy is optional.**  If it is not installed — or disabled via the
   ``REPRO_NO_NUMPY`` environment variable — :data:`np` is ``None`` and
-  :func:`vectorize` never answers ``True``, so every kernel falls back
-  to its tuple-row reference implementation.  Results are bit-identical
-  either way; only the constant factor changes.
-* **Storage degrades separately from kernels.**  Without numpy,
-  :class:`~repro.matching.table.MatchTable` still stores flat
-  ``array('q')`` columns (8 bytes per value, no per-row tuple or boxed
-  int objects); the kernels simply materialize tuple rows lazily at
-  the point a hash-based operation needs them.
-* **Tests pin the arm.**  :func:`override` forces one of the three
-  representations — ``"rows"`` (tuple kernels), ``"flat"``
-  (``array('q')`` storage, tuple kernels), ``"numpy"`` (vector
-  kernels) — so the equivalence suite can run the same workload
-  through every arm and compare bytes.
+  :func:`vectorize` never answers ``True``, so every table stays on
+  tuple rows and every kernel runs its tuple-row reference
+  implementation.  Results are bit-identical either way; only the
+  constant factor changes.
+* **Two layouts, two arms.**  A
+  :class:`~repro.matching.table.MatchTable` holds tuple rows or int64
+  ndarray columns; the tuple kernels read the former, the vector
+  kernels the latter, and one size threshold picks between them.
+* **Tests pin the arm.**  :func:`override` forces ``"rows"`` (tuple
+  kernels) or ``"numpy"`` (vector kernels) so the equivalence suite
+  can run the same workload through both arms and compare bytes.
 
 The auto mode applies vector kernels only from
 :data:`MIN_VECTOR_ROWS` rows upward: below that the numpy call
@@ -39,7 +37,7 @@ from repro.analysis.markers import hot_path
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.matching.table import Row
 
-#: A flat int64 vector: ``array('q')`` or a 1-D int64 ``ndarray``.
+#: A flat int64 vector: a 1-D int64 ``ndarray``.
 Flat = Any
 
 np: Any = None
@@ -67,7 +65,7 @@ DENSE_LUT_LIMIT = 1 << 22
 #: Vertex ids must fit a packed ``(u, v)`` 63-bit edge/join key.
 PACKED_ID_LIMIT = 1 << 31
 
-_MODES = ("auto", "numpy", "flat", "rows")
+_MODES = ("auto", "numpy", "rows")
 _mode = "auto"
 
 
@@ -77,24 +75,17 @@ def mode() -> str:
 
 
 def backend() -> str:
-    """The active storage backend: ``"numpy"`` or ``"flat"``."""
-    if _mode == "flat" or _mode == "rows":
-        return "flat"
-    return "numpy" if HAVE_NUMPY else "flat"
-
-
-def rows_only() -> bool:
-    """True when the override pins the tuple-row reference arm."""
-    return _mode == "rows"
+    """The arm bulk tables run on: ``"numpy"`` or ``"rows"``."""
+    return "numpy" if HAVE_NUMPY and _mode != "rows" else "rows"
 
 
 def vectorize(n_rows: int) -> bool:
     """Whether the numpy kernels should run for an ``n_rows`` input.
 
     ``True`` only when numpy is importable *and* the mode allows it:
-    always under ``override("numpy")``, never under ``"flat"``/
-    ``"rows"``, and from :data:`MIN_VECTOR_ROWS` rows upward in auto
-    mode (below that the tuple kernels win on constant factor).
+    always under ``override("numpy")``, never under ``"rows"``, and
+    from :data:`MIN_VECTOR_ROWS` rows upward in auto mode (below that
+    the tuple kernels win on constant factor).
     """
     if not HAVE_NUMPY:
         return False
@@ -109,8 +100,7 @@ def vectorize(n_rows: int) -> bool:
 def override(new_mode: str) -> Iterator[None]:
     """Pin the representation arm (tests and the A/B benchmark).
 
-    ``"rows"`` disables flat storage and vector kernels entirely,
-    ``"flat"`` forces ``array('q')`` storage with tuple kernels, and
+    ``"rows"`` disables column storage and vector kernels entirely and
     ``"numpy"`` forces the vector kernels regardless of input size
     (raises if numpy is unavailable).  Process-global — meant for
     single-threaded test/bench scopes, not the serving path (which
@@ -130,72 +120,54 @@ def override(new_mode: str) -> Iterator[None]:
 
 
 # ----------------------------------------------------------------------
-# flat construction / conversion
+# column construction / conversion
 # ----------------------------------------------------------------------
-def flat_of(values: Iterable[int]) -> Flat:
-    """A flat vector of ``values`` in the active storage backend."""
-    if backend() == "numpy":
-        return np.fromiter(values, dtype=np.int64)
-    return array("q", values)
-
-
-def as_ndarray(flat: Flat) -> Any:
-    """``flat`` as an int64 ndarray (zero-copy for both storages)."""
-    if isinstance(flat, array):
-        if len(flat) == 0:
-            return np.empty(0, dtype=np.int64)
-        return np.frombuffer(flat, dtype=np.int64)
-    return flat
-
-
-def entry_count(flat: Flat) -> int:
-    return len(flat)
+def as_ndarray(buf: array) -> Any:
+    """An ``array('q')`` buffer as an int64 ndarray (zero-copy)."""
+    if len(buf) == 0:
+        return np.empty(0, dtype=np.int64)
+    return np.frombuffer(buf, dtype=np.int64)
 
 
 def ints(flat: Flat) -> list[int]:
     """``flat`` as a list of Python ints (numpy scalars unboxed)."""
-    if isinstance(flat, array):
-        return flat.tolist()
     return flat.tolist()
 
 
 @hot_path
 def columns_from_rows(rows: Sequence["Row"], width: int) -> list[Flat] | None:
-    """Flat per-column vectors of ``rows``, or ``None`` if unrepresentable.
+    """Per-column vectors of ``rows``, or ``None`` if unrepresentable.
 
-    ``None`` signals a value outside int64 (possible on decoded,
-    untrusted tables) — the caller stays on the tuple-row path.
+    ``None`` — numpy absent or pinned off, or a value outside int64
+    (possible on decoded, untrusted tables) — means the caller stays
+    on the tuple-row path.
     """
+    if backend() != "numpy":
+        return None
     try:
-        if backend() == "numpy":
-            if not rows:
-                return [np.empty(0, dtype=np.int64) for _ in range(width)]
-            mat = np.array(rows, dtype=np.int64)
-            if mat.ndim != 2 or mat.shape[1] != width:
-                return None
-            return [np.ascontiguousarray(mat[:, i]) for i in range(width)]
-        cols = [array("q", (row[i] for row in rows)) for i in range(width)]
-        return cols
+        if not rows:
+            return [np.empty(0, dtype=np.int64) for _ in range(width)]
+        mat = np.array(rows, dtype=np.int64)
+        if mat.ndim != 2 or mat.shape[1] != width:
+            return None
+        return [np.ascontiguousarray(mat[:, i]) for i in range(width)]
     except (OverflowError, TypeError, ValueError):
         return None
 
 
 @hot_path
 def columns_from_flat_rows(buf: array, width: int) -> list[Flat]:
-    """Split a row-major ``array('q')`` emission buffer into columns."""
-    if backend() == "numpy":
-        mat = as_ndarray(buf)
-        return [np.ascontiguousarray(mat[i::width]) for i in range(width)]
-    return [buf[i::width] for i in range(width)]
+    """Split a row-major ``array('q')`` emission buffer into columns (numpy-only)."""
+    mat = as_ndarray(buf)
+    return [np.ascontiguousarray(mat[i::width]) for i in range(width)]
 
 
 @hot_path
 def rows_from_columns(cols: Sequence[Flat], length: int) -> list["Row"]:
-    """Materialize tuple rows from flat columns (the boundary adapter).
+    """Materialize tuple rows from columns (the boundary adapter).
 
-    Values come out as Python ints whatever the storage — the wire
-    codecs and dict adapters downstream require JSON-serializable
-    (and hash-compatible) ints.
+    Values come out as Python ints — the wire codecs and dict adapters
+    downstream require JSON-serializable (and hash-compatible) ints.
     """
     if not cols:
         return [() for _ in range(length)]

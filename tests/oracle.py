@@ -53,13 +53,24 @@ def match_star(
 
     Shares candidate generation (VBV centers, LBV mask, leaf order)
     with :func:`repro.cloud.star_matching.match_star_table`; the leaf
-    assignment is the textbook recursion.  ``max_results`` raises
+    assignment is the textbook recursion.  ``use_vbv=False`` /
+    ``use_lbv=False`` answer without that half of the Figure 7 index —
+    same results, by the index's contract.  ``max_results`` raises
     :class:`ResultBudgetExceeded` per emitted match.
     """
-    candidates = _center_candidates(query, star, index, data, use_vbv)
+    if use_vbv:
+        candidates = _center_candidates(query, star, index)
+    else:  # no VBV: a linear label scan of the indexed vertices
+        center_vertex = query.vertex(star.center)
+        candidates = [
+            vid
+            for vid in index.indexed_vertices
+            if center_vertex.matches(data.vertex(vid))
+        ]
     if candidates is None:
         return []
-    query_mask = _query_mask(query, star, index, use_lbv)
+    # no LBV: every vertex trivially supports the empty mask
+    query_mask = _query_mask(query, star, index) if use_lbv else 0
     if query_mask is None:
         return []
 

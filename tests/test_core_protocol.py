@@ -27,7 +27,7 @@ from repro.graph import AttributedGraph
 from repro.matching import MatchTable, vec
 from tests import oracle
 
-ARMS = ("auto", "rows", "flat") + (("numpy",) if vec.HAVE_NUMPY else ())
+ARMS = ("auto", "rows") + (("numpy",) if vec.HAVE_NUMPY else ())
 
 
 class TestChannel:
@@ -208,12 +208,7 @@ class TestPackedRows:
     def test_every_input_layout_and_arm_packs_the_same_bytes(self, n_rows):
         rows = [(i, 70_000 - i, -i) for i in range(n_rows)]
         schema = (0, 1, 2)
-        layouts = {
-            "rows": lambda: MatchTable(schema, list(rows)),
-            "flat": lambda: MatchTable.from_columns(
-                schema, [array("q", col) for col in zip(*rows)], n_rows
-            ),
-        }
+        layouts = {"rows": lambda: MatchTable(schema, list(rows))}
         if vec.HAVE_NUMPY:
             layouts["ndarray"] = lambda: MatchTable.from_columns(
                 schema,

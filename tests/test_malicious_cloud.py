@@ -109,7 +109,7 @@ class TestSoundnessAgainstTampering:
         # the single pass dedupes Rin itself, before any F_m image is
         # taken: neither the results nor the candidate count may grow,
         # on the tuple loop or (forced onto this small table) the cascade
-        for arm in ("rows", "flat") + (("numpy",) if vec.HAVE_NUMPY else ()):
+        for arm in ("rows",) + (("numpy",) if vec.HAVE_NUMPY else ()):
             with vec.override(arm):
                 outcome = system.client.process_answer(
                     query, received(query, answer.matches * 3), already_expanded=False

@@ -24,6 +24,10 @@ from repro.matching import (
 )
 from tests.oracle import decode_answer, encode_answer
 
+needs_numpy = pytest.mark.skipif(
+    not vec.HAVE_NUMPY, reason="column storage is int64 ndarrays"
+)
+
 
 class TestRowGetter:
     def test_multi_column(self):
@@ -85,13 +89,18 @@ class TestMatchTable:
         assert list(table) == [(10, 20), (11, 21)]
 
 
+def int64_columns(rows):
+    return [vec.np.array(col, dtype=vec.np.int64) for col in zip(*rows)]
+
+
 class TestFlatColumnStorage:
     """The flat-column physical layout behind the same MatchTable API."""
 
     def _columnar(self):
-        cols = [vec.flat_of([10, 11, 12]), vec.flat_of([20, 21, 22])]
+        cols = int64_columns([(10, 20), (11, 21), (12, 22)])
         return MatchTable.from_columns((1, 2), cols, 3)
 
+    @needs_numpy
     def test_from_columns_is_columnar_until_rows_read(self):
         table = self._columnar()
         assert table.is_columnar()
@@ -109,6 +118,7 @@ class TestFlatColumnStorage:
         assert not table.is_columnar()
         assert table.rows == [(), (), (), ()]
 
+    @needs_numpy
     def test_from_flat_rows_row_major(self):
         buf = array("q", [10, 20, 11, 21, 12, 22])
         table = MatchTable.from_flat_rows((1, 2), buf, 2)
@@ -119,6 +129,7 @@ class TestFlatColumnStorage:
         with pytest.raises(ValueError):
             MatchTable.from_flat_rows((1, 2), array("q", [10, 20, 11]), 2)
 
+    @needs_numpy
     def test_as_columns_converts_without_caching(self):
         table = MatchTable((1, 2), [(10, 20), (11, 21)])
         cols = table.as_columns()
@@ -137,27 +148,40 @@ class TestFlatColumnStorage:
         table = MatchTable((1,), [("nope",)])  # untrusted decoded value
         assert table.as_columns() is None
 
+    def test_as_columns_none_on_the_tuple_arm(self):
+        """No numpy, or numpy pinned off: "stay on the tuple path"."""
+        with vec.override("rows"):
+            assert MatchTable((1, 2), [(10, 20)]).as_columns() is None
+            assert vec.backend() == "rows"
+
+    def test_unknown_mode_rejected(self):
+        for name in ("flat", "columns", ""):  # "flat" was retired
+            with pytest.raises(ValueError, match="unknown vec mode"):
+                with vec.override(name):
+                    pass
+        assert vec.mode() == "auto"
+
+    @needs_numpy
     def test_projected_preserves_columnar_layout(self):
         table = self._columnar()
         swapped = table.projected((2, 1))
         assert swapped.is_columnar()
         assert swapped.rows == [(20, 10), (21, 11), (22, 12)]
 
+    @needs_numpy
     def test_project_rows_from_columns(self):
         table = self._columnar()
         assert table.project_rows([2]) == [(20,), (21,), (22,)]
 
+    @needs_numpy
     def test_deduped_matches_row_kernel(self):
         rows = [(3, 1), (1, 2), (3, 1), (2, 2), (1, 2)]
         reference = MatchTable((1, 2), list(rows)).deduped().rows
-        cols = [vec.flat_of(c) for c in zip(*rows)]
-        table = MatchTable.from_columns((1, 2), cols, len(rows))
-        if vec.HAVE_NUMPY:
-            with vec.override("numpy"):
-                assert table.deduped().rows == reference
-        else:
+        table = MatchTable.from_columns((1, 2), int64_columns(rows), len(rows))
+        with vec.override("numpy"):
             assert table.deduped().rows == reference
 
+    @needs_numpy
     def test_to_matches_from_columns(self):
         assert self._columnar().to_matches() == [
             {1: 10, 2: 20},

@@ -113,12 +113,6 @@ class TestBitIdentity:
             cloud = sharded(dep, 3, partition_seed=seed)
             assert_answers_identical(reference, cloud.answer(dep.query))
 
-    def test_full_join_strategy_identical(self):
-        dep = deployment(11, 32, 2, 2)
-        reference = single_server(dep, join_strategy="full").answer(dep.query)
-        cloud = sharded(dep, 2, join_strategy="full")
-        assert_answers_identical(reference, cloud.answer(dep.query))
-
     def test_query_batch_matches_serial_answers(self):
         dep = deployment(5, 32, 2, 2)
         queries = [dep.query] * 3
