@@ -176,6 +176,14 @@ class GraphCSR:
         return vec.isin_sorted(keys, self.edge_keys)
 
 
+def _bit_vector(positions: Iterable[int], size: int) -> int:
+    """The ``size``-bit integer with exactly ``positions`` set."""
+    raw = bytearray((size + 7) // 8)
+    for p in positions:
+        raw[p >> 3] |= 1 << (p & 7)
+    return int.from_bytes(raw, "little")
+
+
 @dataclass
 class CloudIndex:
     """VBV/LBV tables over the indexed (candidate-center) vertices."""
@@ -209,34 +217,37 @@ class CloudIndex:
         vertices = list(indexed_vertices)
         position = {vid: p for p, vid in enumerate(vertices)}
 
-        type_bits: dict[str, int] = {}
-        vbv: dict[GroupBitKey, int] = {}
-        group_bit: dict[GroupBitKey, int] = {}
-
-        def bit_of(key: GroupBitKey) -> int:
-            if key not in group_bit:
-                group_bit[key] = len(group_bit)
-            return group_bit[key]
-
+        # collect bit positions first and build each vector once: OR-ing
+        # a |indexed|-bit integer per vertex per group is quadratic
+        type_at: dict[str, list[int]] = {}
+        group_at: dict[GroupBitKey, list[int]] = {}
         for vid in vertices:
             data = graph.vertex(vid)
-            mask = 1 << position[vid]
-            type_bits[data.vertex_type] = type_bits.get(data.vertex_type, 0) | mask
+            type_at.setdefault(data.vertex_type, []).append(position[vid])
             for attr, groups in data.labels.items():
                 for group in groups:
-                    key = (attr, group)
-                    bit_of(key)
-                    vbv[key] = vbv.get(key, 0) | mask
+                    group_at.setdefault((attr, group), []).append(position[vid])
+        type_bits = {t: _bit_vector(at, len(vertices)) for t, at in type_at.items()}
+        vbv = {key: _bit_vector(at, len(vertices)) for key, at in group_at.items()}
+        group_bit = {key: bit for bit, key in enumerate(group_at)}
 
-        # group bits must also exist for groups only seen on neighbours
+        # group bits must also exist for groups only seen on neighbours;
+        # vertices sharing a label map (an upload profile) share its mask
+        map_masks: dict[int, int] = {}
         lbv: dict[int, int] = {}
         for vid in vertices:
             neighbor_mask = 0
             for nbr in graph.neighbors(vid):
-                nbr_data = graph.vertex(nbr)
-                for attr, groups in nbr_data.labels.items():
-                    for group in groups:
-                        neighbor_mask |= 1 << bit_of((attr, group))
+                labels = graph.vertex(nbr).labels
+                mask = map_masks.get(id(labels))
+                if mask is None:
+                    mask = 0
+                    for attr, groups in labels.items():
+                        for group in groups:
+                            bit = group_bit.setdefault((attr, group), len(group_bit))
+                            mask |= 1 << bit
+                    map_masks[id(labels)] = mask
+                neighbor_mask |= mask
             lbv[vid] = neighbor_mask
 
         index = cls(

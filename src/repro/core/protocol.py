@@ -17,13 +17,15 @@ import struct
 import sys
 import threading
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import attrgetter
 from typing import Any, Sequence
 
 from repro.analysis.markers import hot_path
-from repro.exceptions import GraphError, ProtocolError
-from repro.graph.attributed import AttributedGraph
+from repro.exceptions import GraphError, ProtocolError, VerificationError
+from repro.graph.attributed import AttributedGraph, VertexData
 from repro.graph.io import graph_from_dict, graph_to_dict
 from repro.kauto.avt import AlignmentVertexTable
 from repro.matching import vec
@@ -45,7 +47,9 @@ MAX_TRACE_PAYLOAD = 4 * 1024 * 1024
 #: traps exactly this tuple and re-raises :class:`ProtocolError`, so a
 #: bad shard reply (or any other frame) can never surface as a raw
 #: ``TypeError``/``AttributeError`` in the engine.
-_DECODE_ERRORS = (KeyError, ValueError, TypeError, AttributeError, GraphError)
+_DECODE_ERRORS = (
+    KeyError, ValueError, TypeError, AttributeError, GraphError, VerificationError
+)
 
 
 @dataclass
@@ -170,19 +174,85 @@ class NetworkChannel:
 # message encodings
 # ----------------------------------------------------------------------
 def encode_upload(graph: AttributedGraph, avt: AlignmentVertexTable) -> bytes:
-    """The data owner's one-time upload: published graph + AVT."""
+    """The data owner's one-time upload: published graph + AVT.
+
+    The distinct ``(type, label groups)`` pairs travel once, as plain
+    JSON ``profiles``; the ``(id, profile)`` vertex rows, the edges and
+    the AVT rows are packed tables (:func:`_pack_rows`), so only
+    integers are inside base64.  Same graph, same bytes, however built.
+    """
+    profile_of: dict[tuple[str, frozenset[Any]], int] = {}
+    profiles: list[dict[str, Any]] = []
+    ids: list[int] = []  # the vertex table: id, profile
+    picks: list[int] = []
+    lows: list[int] = []  # the edge table: low end, high end, ascending
+    highs: list[int] = []
+    for data in sorted(graph.vertices(), key=attrgetter("vertex_id")):
+        key = (data.vertex_type, frozenset(data.labels.items()))
+        index = profile_of.get(key)
+        if index is None:
+            index = profile_of[key] = len(profiles)
+            labels = {a: sorted(v) for a, v in data.labels.items()}
+            profiles.append({"type": data.vertex_type, "labels": labels})
+        ids.append(data.vertex_id)
+        picks.append(index)
+        above = sorted(graph.neighbors(data.vertex_id))
+        del above[: bisect_right(above, data.vertex_id)]
+        lows += [data.vertex_id] * len(above)
+        highs += above
     return json.dumps(
-        {"graph": graph_to_dict(graph), "avt": avt.to_dict()},
+        {
+            "graph": {
+                "name": graph.name,
+                "profiles": profiles,
+                "vertices": _pack_table([ids, picks]),
+                "edges": _pack_table([lows, highs]),
+            },
+            "avt": {"k": avt.k, "rows": _pack_table(list(zip(*avt.rows())))},
+        },
         sort_keys=True,
+        separators=(",", ":"),
     ).encode("utf-8")
 
 
+def _profile(entry: Any) -> VertexData:
+    """One ``profiles`` entry as the vertex payload its vertices share."""
+    vertex_type, labels = entry["type"], entry["labels"]
+    if type(vertex_type) is not str:
+        raise ValueError("profile 'type' must be a string")
+    if not isinstance(labels, dict) or not all(
+        type(groups) is list and {*map(type, groups)} <= {str}
+        for groups in labels.values()
+    ):
+        raise ValueError("profile 'labels' must map attributes to string lists")
+    return VertexData(-1, vertex_type).with_labels(labels)
+
+
 def decode_upload(payload: bytes) -> tuple[AttributedGraph, AlignmentVertexTable]:
+    """Inverse of :func:`encode_upload` for untrusted input: anything but
+    a well-typed frame holding a simple graph (distinct ids, known
+    profiles, no self loop, dangling or repeated edge) and a valid AVT
+    is a :class:`ProtocolError`."""
     try:
         data = json.loads(payload.decode("utf-8"))
-        return graph_from_dict(data["graph"]), AlignmentVertexTable.from_dict(
-            data["avt"]
-        )
+        doc, avt_doc = data["graph"], data["avt"]
+        if type(doc["name"]) is not str:
+            raise ValueError("graph 'name' must be a string")
+        profiles = [_profile(entry) for entry in doc["profiles"]]
+        graph = AttributedGraph(doc["name"])
+        for vid, index in _unpack_rows([0, 1], doc["vertices"]).rows:
+            if not 0 <= index < len(profiles):
+                raise ValueError(f"vertex {vid} names unknown profile {index}")
+            graph.add_vertex_like(vid, profiles[index])
+        edges = _unpack_rows([0, 1], doc["edges"]).rows
+        if len(graph.add_edges(edges)) != len(edges):
+            raise ValueError("duplicate edge")
+        k = avt_doc["k"]
+        # a row holds k cells of at least a byte each
+        if type(k) is not int or not 0 < k <= len(payload):
+            raise ValueError("'k' must be a positive integer")
+        avt = AlignmentVertexTable(_unpack_rows(list(range(k)), avt_doc["rows"]).rows)
+        return graph, avt
     except _DECODE_ERRORS as exc:
         raise ProtocolError(f"malformed upload message: {exc}") from exc
 
@@ -258,6 +328,19 @@ def _pack_rows(table: MatchTable, order: Sequence[int]) -> dict[str, Any]:
             packed.byteswap()
         raw = packed.tobytes()
     return {"n": n, "w": width, "cols": base64.b64encode(raw).decode("ascii")}
+
+
+def _pack_table(columns: Sequence[Sequence[int]]) -> dict[str, Any]:
+    """Integer columns through :func:`_pack_rows`: schema = column numbers."""
+    schema = range(len(columns))
+    n = len(columns[0])
+    if vec.vectorize(n):
+        try:
+            cols = [vec.as_ndarray(array("q", column)) for column in columns]
+        except OverflowError as exc:
+            raise ProtocolError(f"cannot encode table: {exc}") from exc
+        return _pack_rows(MatchTable.from_columns(schema, cols, n), schema)
+    return _pack_rows(MatchTable(schema, list(zip(*columns))), schema)
 
 
 @hot_path

@@ -101,10 +101,23 @@ class AttributedGraph:
         self._adj[vertex_id] = set()
         return data
 
+    def add_vertex_like(self, vertex_id: int, like: VertexData) -> None:
+        """Add a vertex with ``like``'s type, sharing its frozen label map."""
+        if vertex_id in self._vertices:
+            raise GraphError(f"vertex {vertex_id} already exists")
+        self._vertices[vertex_id] = VertexData(vertex_id, like.vertex_type, like.labels)
+        self._adj[vertex_id] = set()
+
     def set_vertex_labels(self, vertex_id: int, labels: LabelMap) -> None:
         """Replace the label sets of an existing vertex."""
         old = self.vertex(vertex_id)
         self._vertices[vertex_id] = old.with_labels(labels)
+
+    def set_shared_labels(self, vertex_ids: Iterable[int], labels: LabelMap) -> None:
+        """:meth:`set_vertex_labels` for several vertices, which share the frozen map."""
+        frozen = _freeze_labels(labels)
+        for vid in vertex_ids:
+            self._vertices[vid] = VertexData(vid, self.vertex(vid).vertex_type, frozen)
 
     def add_edge(self, u: int, v: int) -> bool:
         """Add undirected edge (u, v); returns False if it already existed."""
@@ -118,6 +131,29 @@ class AttributedGraph:
         self._adj[v].add(u)
         self._edge_count += 1
         return True
+
+    def add_edges(self, pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+        """:meth:`add_edge` over ``pairs``; returns the edges that were
+        new, as ``(min, max)``, in the order given.  A bad pair raises
+        with the pairs before it applied, as the loop would leave them.
+        """
+        adj = self._adj
+        added: list[tuple[int, int]] = []
+        try:
+            for u, v in pairs:
+                if u == v:
+                    raise GraphError(f"self loop on vertex {u} is not allowed")
+                try:
+                    nbrs_u, nbrs_v = adj[u], adj[v]
+                except KeyError:
+                    raise GraphError(f"edge ({u}, {v}) references a missing vertex") from None
+                if v not in nbrs_u:
+                    nbrs_u.add(v)
+                    nbrs_v.add(u)
+                    added.append((u, v) if u < v else (v, u))
+        finally:
+            self._edge_count += len(added)
+        return added
 
     def remove_edge(self, u: int, v: int) -> None:
         if v not in self._adj.get(u, ()):
@@ -242,6 +278,25 @@ class AttributedGraph:
             for nbr in self._adj[vid] & keep:
                 if nbr > vid:
                     sub.add_edge(vid, nbr)
+        return sub
+
+    def incident_subgraph(self, core: Iterable[int], name: str = "") -> "AttributedGraph":
+        """``core``, its one-hop neighbours and every edge with an end in
+        ``core`` (none between two neighbours).  Vertices come in
+        ``core``'s order, then the neighbours ascending; payloads are shared.
+        """
+        core = list(core)
+        inside = set(core)
+        fringe = sorted(set().union(*map(self.neighbors, core)) - inside)
+        sub = AttributedGraph(name or f"{self.name}[incident]")
+        for vid in core:
+            sub._adj[vid] = set(self._adj[vid])
+        for vid in fringe:
+            sub._adj[vid] = self._adj[vid] & inside
+        sub._vertices = {vid: self._vertices[vid] for vid in sub._adj}
+        # an edge inside ``core`` sits in two of these sets, a
+        # core-to-neighbour edge in one on each side
+        sub._edge_count = sum(map(len, sub._adj.values())) // 2
         return sub
 
     def copy(self, name: str = "") -> "AttributedGraph":

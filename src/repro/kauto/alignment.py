@@ -17,7 +17,7 @@ module
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import defaultdict, deque
 
 from repro.graph.attributed import AttributedGraph
 from repro.kauto.avt import AlignmentVertexTable
@@ -38,10 +38,10 @@ def bfs_order(graph: AttributedGraph, vertices: list[int]) -> list[int]:
     for seed in seeds:
         if seed in seen:
             continue
-        queue = [seed]
+        queue = deque([seed])
         seen.add(seed)
         while queue:
-            u = queue.pop(0)
+            u = queue.popleft()
             order.append(u)
             for v in sorted(graph.neighbors(u)):
                 if v in member and v not in seen:
@@ -132,22 +132,14 @@ def align_blocks(
     block.  Mutates ``graph`` in place and returns the added (noise)
     edges.
     """
-    k = avt.k
+    where = avt.positions()
     patterns: set[tuple[int, int]] = set()
     for u, v in graph.edges():
-        if u not in avt or v not in avt:
-            continue
-        row_u, block_u = avt.position(u)
-        row_v, block_v = avt.position(v)
-        if block_u == block_v:
-            patterns.add((min(row_u, row_v), max(row_u, row_v)))
+        at_u, at_v = where.get(u), where.get(v)
+        if at_u is not None and at_v is not None and at_u[1] == at_v[1]:
+            i, j = at_u[0], at_v[0]
+            patterns.add((i, j) if i < j else (j, i))
 
-    added: list[tuple[int, int]] = []
-    for i, j in sorted(patterns):
-        row_i = avt.row(i)
-        row_j = avt.row(j)
-        for b in range(k):
-            u, v = row_i[b], row_j[b]
-            if graph.add_edge(u, v):
-                added.append((min(u, v), max(u, v)))
-    return added
+    return graph.add_edges(
+        pair for i, j in sorted(patterns) for pair in zip(avt.row(i), avt.row(j))
+    )

@@ -12,7 +12,7 @@ and therefore reveal nothing beyond what ``Gk`` itself would.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.analysis.markers import hot_path
 from repro.exceptions import VerificationError
@@ -88,6 +88,10 @@ class AlignmentVertexTable:
 
     def __contains__(self, vid: int) -> bool:
         return vid in self._position
+
+    def positions(self) -> Mapping[int, tuple[int, int]]:
+        """``vid -> (row, block)``, read-only: :meth:`position` for per-edge loops."""
+        return self._position
 
     def position(self, vid: int) -> tuple[int, int]:
         """(row, block) of ``vid``."""

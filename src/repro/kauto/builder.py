@@ -142,12 +142,11 @@ def _unify_row_labels(gk: AttributedGraph, avt: AlignmentVertexTable) -> None:
     groups": L(v) := L(v) ∪ L(F1(v)) ∪ ... ∪ L(Fk-1(v)).
     """
     for row in avt.rows():
-        union: dict[str, set[str]] = {}
-        for vid in row:
-            for attr, values in gk.vertex(vid).labels.items():
-                union.setdefault(attr, set()).update(values)
-        if not union:
+        maps = [gk.vertex(vid).labels for vid in row]
+        if all(labels == maps[0] for labels in maps[1:]):
             continue
-        frozen = {attr: sorted(values) for attr, values in union.items()}
-        for vid in row:
-            gk.set_vertex_labels(vid, frozen)
+        union: dict[str, set[str]] = {}
+        for labels in maps:
+            for attr, values in labels.items():
+                union.setdefault(attr, set()).update(values)
+        gk.set_shared_labels(row, union)

@@ -25,16 +25,14 @@ def copy_crossing_edges(
     orbit (``F`` is cyclic of order k).
     """
     k = avt.k
-    crossing = [
-        (u, v)
-        for u, v in graph.edges()
-        if u in avt and v in avt and avt.block_of(u) != avt.block_of(v)
-    ]
-    added: list[tuple[int, int]] = []
-    for u, v in crossing:
-        for m in range(1, k):
-            fu = avt.apply(u, m)
-            fv = avt.apply(v, m)
-            if graph.add_edge(fu, fv):
-                added.append((min(fu, fv), max(fu, fv)))
-    return added
+    where = avt.positions()
+    crossing = []
+    for u, v in graph.edges():
+        at_u, at_v = where.get(u), where.get(v)
+        if at_u is not None and at_v is not None and at_u[1] != at_v[1]:
+            crossing.append((avt.row(at_u[0]), at_u[1], avt.row(at_v[0]), at_v[1]))
+    return graph.add_edges(
+        (row_u[(block_u + m) % k], row_v[(block_v + m) % k])
+        for row_u, block_u, row_v, block_v in crossing
+        for m in range(1, k)
+    )

@@ -24,7 +24,9 @@ the k-automorphism builder with noise vertices.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
 
 from repro.exceptions import PartitionError
 from repro.graph.attributed import AttributedGraph
@@ -281,26 +283,20 @@ def balance_types(
     k = len(blocks)
     if k <= 1:
         return [sorted(block) for block in blocks]
-    blocks = [list(block) for block in blocks]
-    block_of: dict[int, int] = {}
-    for index, block in enumerate(blocks):
-        for vid in block:
-            block_of[vid] = index
+    block_of = {vid: index for index, block in enumerate(blocks) for vid in block}
+    # neighbours inside the vertex's own block, kept current under moves
+    internal = {
+        vid: sum(1 for n in graph.neighbors(vid) if block_of.get(n) == home)
+        for vid, home in block_of.items()
+    }
+    # type -> block -> the vertices of that type there
+    pools: dict[str, list[set[int]]] = defaultdict(lambda: [set() for _ in range(k)])
+    for vid, home in block_of.items():
+        pools[graph.vertex(vid).vertex_type][home].add(vid)
 
-    by_type: dict[str, list[int]] = {}
-    for vid in block_of:
-        by_type.setdefault(graph.vertex(vid).vertex_type, []).append(vid)
-
-    def internal_degree(vid: int) -> int:
-        home = block_of[vid]
-        return sum(1 for n in graph.neighbors(vid) if block_of.get(n) == home)
-
-    for vertex_type, members in by_type.items():
-        counts = [0] * k
-        for vid in members:
-            counts[block_of[vid]] += 1
-        floor = len(members) // k
-        remainder = len(members) - floor * k
+    for pool in pools.values():
+        counts = [len(members) for members in pool]
+        floor, remainder = divmod(sum(counts), k)
         # fixed quotas: the blocks that already hold the most vertices
         # of this type keep the +1 shares (fewest moves needed)
         initially_largest = sorted(range(k), key=lambda b: (-counts[b], b))
@@ -309,24 +305,25 @@ def balance_types(
             for rank, b in enumerate(initially_largest)
         }
         while True:
-            over = [b for b in range(k) if counts[b] > quota[b]]
-            under = [b for b in range(k) if counts[b] < quota[b]]
+            over = [b for b in range(k) if len(pool[b]) > quota[b]]
+            under = [b for b in range(k) if len(pool[b]) < quota[b]]
             if not over or not under:
                 break
             source = over[0]
             destination = under[0]
-            movable = [
-                vid
-                for vid in blocks[source]
-                if graph.vertex(vid).vertex_type == vertex_type
-            ]
-            mover = min(movable, key=lambda vid: (internal_degree(vid), vid))
-            blocks[source].remove(mover)
-            blocks[destination].append(mover)
+            mover = min(pool[source], key=lambda vid: (internal[vid], vid))
+            pool[source].remove(mover)
+            pool[destination].add(mover)
             block_of[mover] = destination
-            counts[source] -= 1
-            counts[destination] += 1
-    return [sorted(block) for block in blocks]
+            internal[mover] = 0
+            for n in graph.neighbors(mover):
+                home = block_of.get(n)
+                if home == source:
+                    internal[n] -= 1
+                elif home == destination:
+                    internal[n] += 1
+                    internal[mover] += 1
+    return [sorted(chain.from_iterable(pool[b] for pool in pools.values())) for b in range(k)]
 
 
 def cut_size(graph: AttributedGraph, blocks: list[list[int]]) -> int:

@@ -50,27 +50,11 @@ def build_outsourced_graph(
 ) -> OutsourcedGraph:
     """Extract ``Go`` from ``Gk`` per Definition 5."""
     block = avt.first_block()
-    block_set = set(block)
-    neighbor_set: set[int] = set()
-    for vid in block:
-        neighbor_set |= gk.neighbors(vid)
-    neighbor_set -= block_set
-
-    go = AttributedGraph(f"{gk.name}-outsourced")
-    for vid in block:
-        data = gk.vertex(vid)
-        go.add_vertex(vid, data.vertex_type, data.labels)
-    for vid in sorted(neighbor_set):
-        data = gk.vertex(vid)
-        go.add_vertex(vid, data.vertex_type, data.labels)
-    for vid in block:
-        for nbr in gk.neighbors(vid):
-            if not go.has_edge(vid, nbr):
-                go.add_edge(vid, nbr)
+    go = gk.incident_subgraph(block, f"{gk.name}-outsourced")
     return OutsourcedGraph(
         graph=go,
-        block_vertices=list(block),
-        neighbor_vertices=sorted(neighbor_set),
+        block_vertices=block,
+        neighbor_vertices=list(go.vertex_ids())[len(block) :],
     )
 
 
@@ -89,10 +73,7 @@ def recover_gk(outsourced: OutsourcedGraph, avt: AlignmentVertexTable) -> Attrib
             gk.add_vertex(vid, anchor.vertex_type, anchor.labels)
     for m in range(avt.k):
         f_m = avt.function(m)
-        for u, v in go.edges():
-            fu, fv = f_m(u), f_m(v)
-            if not gk.has_edge(fu, fv):
-                gk.add_edge(fu, fv)
+        gk.add_edges((f_m(u), f_m(v)) for u, v in go.edges())
     return gk
 
 

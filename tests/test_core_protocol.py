@@ -2,7 +2,9 @@
 
 import base64
 import json
+import random
 from array import array
+from pathlib import Path
 
 import pytest
 
@@ -23,11 +25,31 @@ from repro.core.protocol import (
     encode_shard_tables,
 )
 from repro.exceptions import ProtocolError
-from repro.graph import AttributedGraph
+from repro.graph import AttributedGraph, example_social_network
+from repro.kauto import AlignmentVertexTable, build_k_automorphic_graph
 from repro.matching import MatchTable, vec
+from repro.outsource import build_outsourced_graph
+from repro.workloads import load_dataset
 from tests import oracle
 
 ARMS = ("auto", "rows") + (("numpy",) if vec.HAVE_NUMPY else ())
+
+UPLOAD_GOLDEN = Path(__file__).parent / "data" / "upload_golden.json"
+
+
+def example_upload():
+    """``(Go, AVT)`` of the running example at k = 2, seed 0."""
+    graph, _ = example_social_network()
+    transform = build_k_automorphic_graph(graph, 2, seed=0)
+    return build_outsourced_graph(transform.gk, transform.avt).graph, transform.avt
+
+
+def dataset_upload(name):
+    """``(Go, AVT)`` of a few-hundred-vertex dataset analogue at k = 3."""
+    transform = build_k_automorphic_graph(
+        load_dataset(name, scale=0.15, seed=4).graph, 3, seed=4
+    )
+    return build_outsourced_graph(transform.gk, transform.avt).graph, transform.avt
 
 
 class TestChannel:
@@ -63,6 +85,85 @@ class TestUploadMessage:
     def test_malformed_rejected(self):
         with pytest.raises(ProtocolError):
             decode_upload(b'{"nope": 1}')
+
+    def test_frame_is_the_committed_golden_bytes(self):
+        """``tests/data/upload_golden.json``: the running example at
+        k = 2, seed 0.  The numpy leg and the tuple-row leg of CI both
+        compare against this one file, which is how they prove to emit
+        the same upload."""
+        graph, avt = example_upload()
+        assert encode_upload(graph, avt) == UPLOAD_GOLDEN.read_bytes()
+
+    def test_frame_anatomy(self):
+        """A profile table of plain strings, three packed integer tables."""
+        graph, avt = example_upload()
+        frame = json.loads(encode_upload(graph, avt))
+        assert sorted(frame) == ["avt", "graph"]
+        assert sorted(frame["graph"]) == ["edges", "name", "profiles", "vertices"]
+        assert sorted(frame["avt"]) == ["k", "rows"]
+        tables = (frame["graph"]["vertices"], frame["graph"]["edges"], frame["avt"]["rows"])
+        for table, rows in zip(tables, (graph.vertex_count, graph.edge_count, avt.row_count)):
+            assert sorted(table) == ["cols", "n", "w"] and table["n"] == rows
+        profiles = {
+            (entry["type"], tuple((a, tuple(g)) for a, g in entry["labels"].items()))
+            for entry in frame["graph"]["profiles"]
+        }
+        assert len(profiles) == len(frame["graph"]["profiles"])
+        assert profiles == {
+            (
+                data.vertex_type,
+                tuple((a, tuple(sorted(g))) for a, g in sorted(data.labels.items())),
+            )
+            for data in graph.vertices()
+        }
+
+    @pytest.mark.parametrize("dataset", ["UK-2002", "DBpedia"])
+    def test_round_trip_and_bytes_on_a_dataset_go(self, dataset):
+        """Past the vector threshold: every arm packs the same bytes, the
+        bytes ignore the order the graph was built in, and the decoded
+        graph is the one that was sent."""
+        graph, avt = dataset_upload(dataset)
+        assert graph.edge_count > 4 * vec.MIN_VECTOR_ROWS
+        payload = encode_upload(graph, avt)
+        for arm in ARMS:
+            with vec.override(arm):
+                assert encode_upload(graph, avt) == payload
+                decoded, decoded_avt = decode_upload(payload)
+            assert decoded.structure_equal(graph)
+            assert decoded.name == graph.name
+            assert decoded.edge_count == graph.edge_count
+            assert list(decoded.vertex_ids()) == sorted(graph.vertex_ids())
+            assert list(decoded_avt.rows()) == list(avt.rows())
+
+        shuffled = AttributedGraph(graph.name)
+        rng = random.Random(7)
+        vertices = list(graph.vertices())
+        rng.shuffle(vertices)
+        for data in vertices:
+            shuffled.add_vertex(data.vertex_id, data.vertex_type, data.labels)
+        edges = [pair[:: rng.choice((1, -1))] for pair in graph.edges()]
+        rng.shuffle(edges)
+        assert len(shuffled.add_edges(edges)) == graph.edge_count
+        assert encode_upload(shuffled, avt) == payload
+
+    def test_profile_mates_share_one_label_map(self):
+        graph, avt = dataset_upload("UK-2002")
+        decoded, _ = decode_upload(encode_upload(graph, avt))
+        maps: dict = {}
+        for data in decoded.vertices():
+            key = (data.vertex_type, frozenset(data.labels.items()))
+            assert maps.setdefault(key, data.labels) is data.labels
+        assert len(maps) < decoded.vertex_count
+
+    def test_an_id_past_64_bits_is_a_protocol_error_on_every_arm(self):
+        graph = AttributedGraph("wide")
+        for vid in range(2 * vec.MIN_VECTOR_ROWS):
+            graph.add_vertex(vid, "t")
+        graph.add_vertex(1 << 70, "t")
+        avt = AlignmentVertexTable([[0, 1]])
+        for arm in ARMS:
+            with vec.override(arm), pytest.raises(ProtocolError):
+                encode_upload(graph, avt)
 
 
 class TestQueryMessage:

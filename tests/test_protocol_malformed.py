@@ -15,7 +15,9 @@ decoder either succeeds or raises ``ProtocolError`` — never a raw
 
 from __future__ import annotations
 
+import base64
 import json
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -45,7 +47,7 @@ from repro.core.protocol import (
     encode_upload,
 )
 from repro.exceptions import ProtocolError, ReproError
-from repro.graph import example_social_network
+from repro.graph import example_social_network, graph_to_dict
 from repro.kauto import build_k_automorphic_graph
 from repro.matching import MatchTable
 from repro.matching.star import Star
@@ -117,6 +119,17 @@ BAD_CELLS = {
     "string-cell": [["a", 2]],
 }
 
+
+def packed(*columns: list[int]) -> dict:
+    """A packed-column object of one-byte cells, by hand (not by the codec)."""
+    raw = bytes(cell & 0xFF for cell in chain(*columns))
+    return {
+        "n": len(columns[0]),
+        "w": 1,
+        "cols": base64.b64encode(raw).decode("ascii"),
+    }
+
+
 #: Field corruptions per message type: (id, path, replacement) triples.
 #: The path indexes into the decoded JSON object; the replacement is a
 #: wrong-typed value the decoder must reject as ProtocolError.  The
@@ -129,6 +142,31 @@ WRONG_TYPED: dict[str, list[tuple[str, tuple, object]]] = {
         ("path41-7", ("graph",), 7),
         ("path42-nope", ("avt",), "nope"),
         ("path43-1", ("graph", "vertices"), 1),
+        # a bad AVT used to escape as a raw VerificationError; the valid
+        # rows are (4, 5), (0, 2), (1, 3), (6, 7)
+        ("avt-duplicate-vertex", ("avt", "rows"), packed([4, 0, 1, 6], [5, 2, 3, 4])),
+        ("avt-ragged-row", ("avt", "rows"), {"n": 4, "w": 1, "cols": "BAABBgUCAw=="}),
+        ("avt-k-not-the-row-width", ("avt", "k"), 3),
+        ("avt-empty", ("avt", "rows"), {"n": 0, "w": 1, "cols": ""}),
+        ("avt-k-zero", ("avt", "k"), 0),
+        ("avt-k-negative", ("avt", "k"), -2),
+        ("avt-k-true", ("avt", "k"), True),
+        ("avt-k-float", ("avt", "k"), 2.0),
+        ("avt-k-string", ("avt", "k"), "2"),
+        ("avt-k-astronomic", ("avt", "k"), 10**12),
+        # vertex payloads: a type is a string, label groups are lists
+        # of strings (a bare string would be frozen letter by letter)
+        ("profile-type-int", ("graph", "profiles", 0, "type"), 5),
+        ("profile-type-null", ("graph", "profiles", 0, "type"), None),
+        ("profile-labels-list", ("graph", "profiles", 0, "labels"), ["male"]),
+        ("profile-labels-null", ("graph", "profiles", 0, "labels"), None),
+        ("profile-groups-bare-string", ("graph", "profiles", 0, "labels"), {"gender": "male"}),
+        ("profile-groups-of-ints", ("graph", "profiles", 0, "labels"), {"gender": [1]}),
+        ("profile-groups-nested", ("graph", "profiles", 0, "labels"), {"gender": [["male"]]}),
+        ("profile-not-an-object", ("graph", "profiles", 0), "person"),
+        ("profiles-int", ("graph", "profiles"), 5),
+        ("profiles-object", ("graph", "profiles"), {"type": "person", "labels": {}}),
+        ("graph-name-int", ("graph", "name"), 5),
     ],
     "query": [
         ("path27-x", ("vertices",), "x"),
@@ -202,13 +240,20 @@ WRONG_TYPED: dict[str, list[tuple[str, tuple, object]]] = {
     ],
 }
 
-#: Where each table-carrying frame keeps its ``(schema, rows)`` pair:
-#: (path to the object holding both, name of the schema key).
-TABLE_SITES: dict[str, tuple[tuple, str]] = {
-    "answer_table": ((), "order"),
-    "gateway_answer": (("answers", 0), "order"),
-    "shard_tables": (("tables", 0), "schema"),
+#: Where each packed table sits: ``site -> (kind, path to the object
+#: holding it, its key there, the key of its schema beside it)``.  An
+#: upload's three tables have no schema field: their columns are
+#: numbered, two of them in this fixture (id/profile, low/high, k = 2).
+TABLE_SITES: dict[str, tuple[str, tuple, str, str | None]] = {
+    "answer_table": ("answer_table", (), "rows", "order"),
+    "gateway_answer": ("gateway_answer", ("answers", 0), "rows", "order"),
+    "shard_tables": ("shard_tables", ("tables", 0), "rows", "schema"),
+    "upload-graph.vertices": ("upload", ("graph",), "vertices", None),
+    "upload-graph.edges": ("upload", ("graph",), "edges", None),
+    "upload-avt.rows": ("upload", ("avt",), "rows", None),
 }
+SCHEMA_SITES = sorted(site for site, entry in TABLE_SITES.items() if entry[3])
+UPLOAD_SITES = sorted(site for site, entry in TABLE_SITES.items() if not entry[3])
 
 _A_KB = "A" * 1024
 
@@ -346,42 +391,58 @@ class TestCorruptionFamilies:
         )
 
 
-def with_table_field(payload: bytes, kind: str, field: str, value: object) -> bytes:
-    """``payload`` with ``field`` of its (first) table replaced."""
-    path, schema_key = TABLE_SITES[kind]
-    key = schema_key if field == "schema" else field
+def with_table_field(payload: bytes, site: str, field: str, value: object) -> bytes:
+    """``payload`` with ``field`` of the table at ``site`` replaced."""
+    _, path, rows_key, schema_key = TABLE_SITES[site]
+    key = schema_key if field == "schema" else rows_key
     return corrupt(payload, (*path, key), value)
 
 
-class TestHostilePackedFrames:
-    """The packed-column ``rows`` object under attack, in all three frames."""
+def site_case(wire, site: str, field: str, value: object):
+    """``(decoder, corrupted payload)`` for one hostile table field."""
+    kind = TABLE_SITES[site][0]
+    return DECODERS[kind], with_table_field(wire[kind], site, field, value)
 
-    @pytest.mark.parametrize("kind", sorted(TABLE_SITES))
+
+class TestHostilePackedFrames:
+    """The packed-column ``rows`` object under attack, wherever one travels."""
+
+    @pytest.mark.parametrize("kind", SCHEMA_SITES)
     def test_the_valid_rows_object_is_what_the_cases_deviate_from(self, wire, kind):
-        path, _ = TABLE_SITES[kind]
+        _, path, rows_key, _ = TABLE_SITES[kind]
         target = json.loads(wire[kind])
         for key in path:
             target = target[key]
-        assert target["rows"] == {"n": 2, "w": 1, "cols": "AwUEBg=="}
+        assert target[rows_key] == {"n": 2, "w": 1, "cols": "AwUEBg=="}
+
+    @pytest.mark.parametrize("site", UPLOAD_SITES)
+    def test_the_upload_tables_are_two_one_byte_columns_too(self, wire, site):
+        """So every hostile case deviates from them as it does from the
+        answer's ``rows``: none happens to be a valid table here."""
+        _, path, rows_key, _ = TABLE_SITES[site]
+        target = json.loads(wire["upload"])
+        for key in path:
+            target = target[key]
+        table = target[rows_key]
+        assert table["w"] == 1 and table["n"] > 2
+        assert len(base64.b64decode(table["cols"])) == 2 * table["n"]
 
     @pytest.mark.parametrize("case", sorted(HOSTILE_ROWS))
     @pytest.mark.parametrize("kind", sorted(TABLE_SITES))
     def test_hostile_rows_object(self, wire, kind, case):
         assert_protocol_error(
-            DECODERS[kind],
-            with_table_field(wire[kind], kind, "rows", HOSTILE_ROWS[case]),
+            *site_case(wire, kind, "rows", HOSTILE_ROWS[case])
         )
 
     @pytest.mark.parametrize("case", sorted(HOSTILE_SCHEMAS))
-    @pytest.mark.parametrize("kind", sorted(TABLE_SITES))
+    @pytest.mark.parametrize("kind", SCHEMA_SITES)
     def test_hostile_schema(self, wire, kind, case):
         assert_protocol_error(
-            DECODERS[kind],
-            with_table_field(wire[kind], kind, "schema", HOSTILE_SCHEMAS[case]),
+            *site_case(wire, kind, "schema", HOSTILE_SCHEMAS[case])
         )
 
     @pytest.mark.parametrize("n", [1, 10**12, 10**30])
-    @pytest.mark.parametrize("kind", sorted(TABLE_SITES))
+    @pytest.mark.parametrize("kind", SCHEMA_SITES)
     def test_a_lying_n_with_an_empty_schema_allocates_nothing(self, wire, kind, n):
         """No column carries the row count, so ``n`` alone would size the
         table: it must be refused, not materialized as ``n`` empty rows."""
@@ -390,6 +451,60 @@ class TestHostilePackedFrames:
             payload, kind, "rows", {"n": n, "w": 1, "cols": ""}
         )
         assert_protocol_error(DECODERS[kind], payload)
+
+    @pytest.mark.parametrize("site", UPLOAD_SITES)
+    def test_a_lying_n_with_an_empty_column_block_allocates_nothing(self, wire, site):
+        assert_protocol_error(
+            *site_case(wire, site, "rows", {"n": 10**12, "w": 1, "cols": ""})
+        )
+
+
+#: Well-typed uploads that describe no simple graph.  The fixture's
+#: vertices are 0, 1, 2, 4, 6, 7 over four profiles and its edges
+#: (0,1) (0,4) (0,6) (0,7) (1,4) (1,6) (2,6).
+_IDS, _PROFILES = [0, 1, 2, 4, 6, 7], [0, 1, 0, 2, 3, 3]
+_LOWS, _HIGHS = [0, 0, 0, 0, 1, 1, 2], [1, 4, 6, 7, 4, 6, 6]
+NO_SIMPLE_GRAPH: dict[str, tuple[str, dict]] = {
+    "profile-index-negative": ("vertices", packed(_IDS, [0, 1, 0, 2, 3, -1])),
+    "profile-index-past-the-table": ("vertices", packed(_IDS, [0, 1, 0, 2, 3, 4])),
+    "duplicate-vertex-id": ("vertices", packed([0, 1, 2, 4, 6, 6], _PROFILES)),
+    "self-loop": ("edges", packed(_LOWS + [4], _HIGHS + [4])),
+    "edge-endpoint-is-no-vertex": ("edges", packed(_LOWS + [2], _HIGHS + [3])),
+    "duplicate-edge": ("edges", packed(_LOWS + [1], _HIGHS + [6])),
+    "duplicate-edge-reversed": ("edges", packed(_LOWS + [6], _HIGHS + [1])),
+}
+
+
+class TestUploadSemantics:
+    """Refused by the decoder, before any server is built on them."""
+
+    def test_the_cases_deviate_from_the_valid_tables(self, wire):
+        graph = json.loads(wire["upload"])["graph"]
+        assert graph["vertices"] == packed(_IDS, _PROFILES)
+        assert graph["edges"] == packed(_LOWS, _HIGHS)
+        assert len(graph["profiles"]) == 4
+
+    @pytest.mark.parametrize("case", sorted(NO_SIMPLE_GRAPH))
+    def test_no_simple_graph(self, wire, case):
+        key, table = NO_SIMPLE_GRAPH[case]
+        assert_protocol_error(
+            decode_upload, corrupt(wire["upload"], ("graph", key), table)
+        )
+
+    def test_the_list_of_pairs_upload_format_is_refused(self):
+        """What ``encode_upload`` emitted before the tables were packed."""
+        graph, _ = example_social_network()
+        transform = build_k_automorphic_graph(graph, 2, seed=0)
+        outsourced = build_outsourced_graph(transform.gk, transform.avt)
+        old_format = json.dumps(
+            {
+                "graph": graph_to_dict(outsourced.graph),
+                "avt": transform.avt.to_dict(),
+            },
+            sort_keys=True,
+        ).encode("utf-8")
+        assert b'"edges": [[' in old_format and b'{"id": ' in old_format
+        assert_protocol_error(decode_upload, old_format)
 
 
 class TestFuzz:
