@@ -175,13 +175,16 @@ def estimator_from_outsourced(
 ) -> StarCardinalityEstimator:
     """Build the estimator the cloud uses, from ``Go`` and ``B1``.
 
-    Statistics are computed over the ``B1``-induced part of ``Go``
-    only; degrees are taken from ``Go`` (complete for ``B1`` vertices).
+    Statistics are those of the ``B1``-induced part of ``Go``, counted
+    in place; degrees are taken from ``Go`` (complete for ``B1`` vertices).
     """
-    from repro.graph.stats import compute_statistics
+    from repro.graph.stats import vertex_statistics
 
-    block_graph = outsourced_graph.induced_subgraph(block_vertices, name="B1")
-    stats = compute_statistics(block_graph)
+    inside = set(block_vertices)
+    stats = vertex_statistics(
+        map(outsourced_graph.vertex, inside),
+        sum(len(outsourced_graph.neighbors(v) & inside) for v in inside) // 2,
+    )
     members = list(block_vertices)
     if members:
         avg_degree = sum(outsourced_graph.degree(v) for v in members) / len(members)

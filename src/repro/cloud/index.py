@@ -100,12 +100,11 @@ class GraphCSR:
                     label_lists.setdefault((attr, group), []).append(vid)
         indices = np.asarray(flat_neighbors, dtype=np.int64)
 
-        edge_keys = np.fromiter(
-            (u * stride + v for u, v in graph.edges()),
-            dtype=np.int64,
-            count=graph.edge_count,
-        )
-        edge_keys.sort()
+        # each edge once, from its lower end: rows and row slices both
+        # ascend, so the packed keys come out sorted
+        rows = np.repeat(ids_arr, np.diff(indptr))
+        lower = rows < indices
+        edge_keys = rows[lower] * stride + indices[lower]
 
         # ids were walked in ascending order, so every inverted list is
         # already sorted and unique

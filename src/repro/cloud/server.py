@@ -9,6 +9,7 @@ decompose → star-match → join pipeline of Section 4.2.1.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -193,15 +194,17 @@ class CloudServer:
         self.estimator = self._build_estimator()
         # pull-style gauges: the cache already counts hits/misses under
         # its own lock, so the registry reads them at snapshot time
-        # instead of double-counting on the hot path.
+        # instead of double-counting on the hot path — through a weak
+        # proxy: server -> obs -> registry -> callback must not loop back.
+        server = weakref.proxy(self)
         self.obs.metrics.register_callback(
             names.M_CACHE_HITS,
-            lambda: float(self.star_cache.hits),
+            lambda: float(server.star_cache.hits),
             help="Star-cache hits since server start (or last clear).",
         )
         self.obs.metrics.register_callback(
             names.M_CACHE_MISSES,
-            lambda: float(self.star_cache.misses),
+            lambda: float(server.star_cache.misses),
             help="Star-cache misses since server start (or last clear).",
         )
         # sliding-window SLO view of the cloud phase: quantiles are

@@ -46,6 +46,7 @@ exercised.
 from __future__ import annotations
 
 import threading
+import weakref
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -324,8 +325,10 @@ class ShardedCloud(CloudServer):
         # shards) whenever the state it snapshotted changes, when a
         # child dies, and by close().
         self._scatter_pool: PersistentProcessPool | None = None  #: guarded by _state_lock
-        # the CloudServer cache surface, aggregated over the shards
-        self.star_cache = ShardCacheView(self._shard_caches)  # type: ignore[assignment]
+        # the CloudServer cache surface, aggregated over the shards (read
+        # through a weak proxy: a bound method here would be a cycle)
+        cloud = weakref.proxy(self)
+        self.star_cache = ShardCacheView(lambda: cloud._shard_caches())  # type: ignore[assignment]
         super().__init__(
             graph,
             avt,

@@ -26,10 +26,12 @@ and traces then read empty.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import gc
 import time
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterator
 
 from repro.client.expansion import expand_rin_table
 from repro.cloud.parallel import effective_workers, map_batch
@@ -154,6 +156,24 @@ class BatchOutcome:
         )
 
 
+@contextlib.contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Cyclic collector off for the block; back on only if it was on.
+
+    A deployment is ~1e5 long-lived containers and no cycle, so every
+    collection while it is built scans a growing heap to free nothing
+    (docs/performance.md, "Collector and refinement"); a dropped one
+    dies by refcount all the same (``tests/test_no_cyclic_garbage.py``).
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 class PrivacyPreservingSystem:
     """A fully wired owner/cloud/client deployment."""
 
@@ -231,65 +251,67 @@ class PrivacyPreservingSystem:
         what the wire carried.  The whole run is traced into one
         publish-side trace (``publish`` + upload/index spans), exposed
         as ``system.published.trace`` / ``system.publish_metrics``.
+        Runs with the cyclic collector paused (:func:`_collector_paused`).
         """
-        obs = obs if obs is not None else Observability()
-        scope = obs.for_query()
-        tracer = scope.tracer
-        channel = channel or NetworkChannel()
-        # components default to measure-only scopes that share the
-        # system registry: standalone calls on them stay cheap, while
-        # system-driven calls receive the per-query recording scope.
-        component_obs = Observability(record=False, registry=obs.metrics)
+        with _collector_paused():
+            obs = obs if obs is not None else Observability()
+            scope = obs.for_query()
+            tracer = scope.tracer
+            channel = channel or NetworkChannel()
+            # components default to measure-only scopes that share the
+            # system registry: standalone calls on them stay cheap, while
+            # system-driven calls receive the per-query recording scope.
+            component_obs = Observability(record=False, registry=obs.metrics)
 
-        owner = DataOwner(graph, schema, sample_workload, obs=component_obs)
-        published = owner.publish(config, obs=scope)
+            owner = DataOwner(graph, schema, sample_workload, obs=component_obs)
+            published = owner.publish(config, obs=scope)
 
-        with tracer.span(names.ENCODE_UPLOAD) as span:
-            payload = encode_upload(
-                published.upload_graph, published.transform.avt
+            with tracer.span(names.ENCODE_UPLOAD) as span:
+                payload = encode_upload(
+                    published.upload_graph, published.transform.avt
+                )
+                span.set(bytes=len(payload))
+            channel.transmit("upload", payload, obs=scope)
+            cloud_graph, cloud_avt = decode_upload(payload)
+
+            with tracer.span(names.CLOUD_INDEX_BUILD) as span:
+                # shards == 1: the paper's single server; N > 1: Go
+                # partitioned over N shard servers behind a scatter-gather
+                # coordinator, answers bit-identical to the single server.
+                cloud = build_cloud(
+                    cloud_graph,
+                    cloud_avt,
+                    published.center_vertices,
+                    shards=config.shards,
+                    shard_backend=config.shard_backend,
+                    partition_seed=config.seed,
+                    expand_in_cloud=published.expand_in_cloud,
+                    max_intermediate_results=config.max_intermediate_results,
+                    star_cache_size=config.star_cache_size,
+                    obs=component_obs,
+                )
+                span.set(
+                    index_bytes=cloud.index_size_bytes(),
+                    build_seconds=cloud.index_build_seconds(),
+                )
+            client = QueryClient(
+                graph, published.lct, published.transform.avt, obs=component_obs
             )
-            span.set(bytes=len(payload))
-        channel.transmit("upload", payload, obs=scope)
-        cloud_graph, cloud_avt = decode_upload(payload)
 
-        with tracer.span(names.CLOUD_INDEX_BUILD) as span:
-            # shards == 1: the paper's single server; N > 1: Go
-            # partitioned over N shard servers behind a scatter-gather
-            # coordinator, answers bit-identical to the single server.
-            cloud = build_cloud(
-                cloud_graph,
-                cloud_avt,
-                published.center_vertices,
-                shards=config.shards,
-                shard_backend=config.shard_backend,
-                partition_seed=config.seed,
-                expand_in_cloud=published.expand_in_cloud,
-                max_intermediate_results=config.max_intermediate_results,
-                star_cache_size=config.star_cache_size,
-                obs=component_obs,
+            trace = tracer.take_trace() if tracer.recording else None
+            published.trace = trace
+            published.metrics = PublishMetrics.from_trace(trace)
+
+            return cls(
+                owner,
+                published,
+                cloud,
+                client,
+                config,
+                channel,
+                published.metrics,
+                obs=obs,
             )
-            span.set(
-                index_bytes=cloud.index_size_bytes(),
-                build_seconds=cloud.index_build_seconds(),
-            )
-        client = QueryClient(
-            graph, published.lct, published.transform.avt, obs=component_obs
-        )
-
-        trace = tracer.take_trace() if tracer.recording else None
-        published.trace = trace
-        published.metrics = PublishMetrics.from_trace(trace)
-
-        return cls(
-            owner,
-            published,
-            cloud,
-            client,
-            config,
-            channel,
-            published.metrics,
-            obs=obs,
-        )
 
     # ------------------------------------------------------------------
     # querying

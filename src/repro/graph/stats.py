@@ -18,7 +18,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.graph.attributed import AttributedGraph
+from repro.graph.attributed import AttributedGraph, VertexData
 
 # A label coordinate is (vertex_type, attribute, label).  Raw labels and
 # group ids share this shape, so one statistics class serves both.
@@ -73,15 +73,21 @@ class GraphStatistics:
 
 def compute_statistics(graph: AttributedGraph) -> GraphStatistics:
     """One pass over ``graph`` computing type and label counts."""
+    return vertex_statistics(graph.vertices(), graph.edge_count)
+
+
+def vertex_statistics(vertices: Iterable[VertexData], edge_count: int) -> GraphStatistics:
+    """The same for a graph given as its vertices and its edge count."""
     type_counts: Counter[str] = Counter()
     label_counts: Counter[LabelKey] = Counter()
-    for data in graph.vertices():
+    for data in vertices:
         type_counts[data.vertex_type] += 1
         for attr, label in data.label_items():
             label_counts[(data.vertex_type, attr, label)] += 1
+    count = sum(type_counts.values())
     return GraphStatistics(
-        vertex_count=graph.vertex_count,
-        average_degree=graph.average_degree(),
+        vertex_count=count,
+        average_degree=2.0 * edge_count / count if count else 0.0,
         type_counts=dict(type_counts),
         label_counts=dict(label_counts),
     )

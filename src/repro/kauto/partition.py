@@ -112,11 +112,12 @@ def _coarsen(level: _Level, rng: random.Random) -> _Level | None:
     }
     for u, nbrs in level.adj.items():
         cu = coarse_of[u]
+        row = coarse_adj[cu]
         for v, w in nbrs.items():
             cv = coarse_of[v]
             if cu == cv:
                 continue
-            coarse_adj[cu][cv] = coarse_adj[cu].get(cv, 0) + w
+            row[cv] = row.get(cv, 0) + w
     # Each fine edge (u, v) contributes once to coarse_adj[cu][cv] (seen
     # from u) and once to the symmetric slot coarse_adj[cv][cu] (seen
     # from v), so the directional weights are already correct.
@@ -166,33 +167,42 @@ def _refine(
     tolerance: float,
 ) -> None:
     """Greedy boundary FM refinement, in place."""
+    weight = level.vertex_weight
     part_weight = [0] * k
     for u, p in assignment.items():
-        part_weight[p] += level.vertex_weight[u]
+        part_weight[p] += weight[u]
     total = sum(part_weight)
     max_weight = (1.0 + tolerance) * total / k if k else 0.0
+    # toward[u][p]: u's edge weight into part p — built once, kept
+    # current by each move (only the mover's neighbours change)
+    toward: dict[int, list[int]] = {}
+    for u, nbrs in level.adj.items():
+        row = toward[u] = [0] * k
+        for v, w in nbrs.items():
+            row[assignment[v]] += w
 
     for _ in range(passes):
         moved = 0
         for u, nbrs in level.adj.items():
             current = assignment[u]
-            # edge weight toward each part
-            toward = [0] * k
-            for v, w in nbrs.items():
-                toward[assignment[v]] += w
+            row = toward[u]
+            here = row[current]
+            if max(row) <= here:
+                continue  # no part pulls harder than its own
             best_part, best_gain = current, 0
             for p in range(k):
-                if p == current:
-                    continue
-                gain = toward[p] - toward[current]
-                if gain > best_gain:
-                    if part_weight[p] + level.vertex_weight[u] <= max_weight:
-                        best_part, best_gain = p, gain
+                gain = row[p] - here
+                if gain > best_gain and part_weight[p] + weight[u] <= max_weight:
+                    best_part, best_gain = p, gain
             if best_part != current:
-                part_weight[current] -= level.vertex_weight[u]
-                part_weight[best_part] += level.vertex_weight[u]
+                part_weight[current] -= weight[u]
+                part_weight[best_part] += weight[u]
                 assignment[u] = best_part
                 moved += 1
+                for v, w in nbrs.items():
+                    pulled = toward[v]
+                    pulled[current] -= w
+                    pulled[best_part] += w
         if moved == 0:
             break
 

@@ -28,6 +28,7 @@ report as a summary table.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable
 
@@ -362,15 +363,17 @@ def register_live_false_positive_ratio(
     every scrape, so ``/metrics`` shows the current ratio without
     re-auditing.
     """
+    # the callback is stored in the registry it reads: hold it weakly
+    live = weakref.proxy(registry)
 
     def live_ratio() -> float:
-        counter = registry.get(names.M_CANDIDATES)
+        counter = live.get(names.M_CANDIDATES)
         if counter is None or counter.kind != "counter":
             return 0.0
         candidates = counter.total
         if candidates <= 0:
             return 0.0
-        dropped = registry.counter(names.M_FALSE_POSITIVES).total
+        dropped = live.counter(names.M_FALSE_POSITIVES).total
         return dropped / candidates
 
     registry.register_callback(

@@ -25,9 +25,18 @@ from repro.kauto import (
     validate_partition,
     verify_k_automorphism,
 )
+from repro.kauto import partition as partition_module
 from repro.kauto.alignment import align_blocks, bfs_order, build_avt
 from repro.kauto.edge_copy import copy_crossing_edges
-from repro.kauto.partition import balance_types
+from repro.kauto.partition import (
+    _coarsen,
+    _heavy_edge_matching,
+    _Level,
+    _level_from_graph,
+    _refine,
+    balance_types,
+)
+from repro.matching import vec
 from repro.outsource import build_outsourced_graph, recover_gk
 from repro.workloads import load_dataset
 
@@ -83,6 +92,75 @@ def reference_balance_types(graph, blocks):
             counts[source] -= 1
             counts[destination] += 1
     return [sorted(block) for block in blocks]
+
+
+def _reference_refine(level, assignment, k, passes, tolerance):
+    """``_refine`` as it was: every vertex's row recomputed in every pass."""
+    part_weight = [0] * k
+    for u, p in assignment.items():
+        part_weight[p] += level.vertex_weight[u]
+    total = sum(part_weight)
+    max_weight = (1.0 + tolerance) * total / k if k else 0.0
+
+    for _ in range(passes):
+        moved = 0
+        for u, nbrs in level.adj.items():
+            current = assignment[u]
+            # edge weight toward each part
+            toward = [0] * k
+            for v, w in nbrs.items():
+                toward[assignment[v]] += w
+            best_part, best_gain = current, 0
+            for p in range(k):
+                if p == current:
+                    continue
+                gain = toward[p] - toward[current]
+                if gain > best_gain:
+                    if part_weight[p] + level.vertex_weight[u] <= max_weight:
+                        best_part, best_gain = p, gain
+            if best_part != current:
+                part_weight[current] -= level.vertex_weight[u]
+                part_weight[best_part] += level.vertex_weight[u]
+                assignment[u] = best_part
+                moved += 1
+        if moved == 0:
+            break
+
+
+def _reference_coarsen(level, rng):
+    """``_coarsen`` as it was: the coarse row looked up afresh per edge."""
+    partner = _heavy_edge_matching(level, rng)
+    coarse_of = {}
+    members = {}
+    next_id = 0
+    for u in level.adj:
+        if u in coarse_of:
+            continue
+        v = partner[u]
+        cid = next_id
+        next_id += 1
+        coarse_of[u] = cid
+        group = [u]
+        if v != u and v not in coarse_of:
+            coarse_of[v] = cid
+            group.append(v)
+        members[cid] = group
+    if next_id > 0.95 * level.vertex_count:
+        return None
+
+    coarse_adj = {cid: {} for cid in members}
+    coarse_weight = {
+        cid: sum(level.vertex_weight[u] for u in group)
+        for cid, group in members.items()
+    }
+    for u, nbrs in level.adj.items():
+        cu = coarse_of[u]
+        for v, w in nbrs.items():
+            cv = coarse_of[v]
+            if cu == cv:
+                continue
+            coarse_adj[cu][cv] = coarse_adj[cu].get(cv, 0) + w
+    return _Level(adj=coarse_adj, vertex_weight=coarse_weight, members=members)
 
 
 def reference_bfs_order(graph, vertices):
@@ -212,6 +290,24 @@ def typed_graphs_with_blocks(draw):
     return graph, blocks
 
 
+@st.composite
+def weighted_levels(draw):
+    """A symmetric weighted level (as coarsening leaves them), a part
+    count and a random starting assignment."""
+    n = draw(st.integers(5, 60))
+    k = draw(st.integers(2, 6))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    order = list(range(n))
+    rng.shuffle(order)  # dict order is the visiting order: not sorted
+    adj = {u: {} for u in order}
+    for _ in range(draw(st.integers(0, 4 * n))):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            adj[u][v] = adj[v][u] = rng.randint(1, 9)
+    level = _Level(adj=adj, vertex_weight={u: rng.randint(1, 4) for u in order})
+    return level, k, {u: rng.randrange(k) for u in order}
+
+
 def generalized(name, scale, seed, theta=2):
     """A dataset analogue with label groups in place of labels."""
     from repro.core.config import SystemConfig
@@ -266,6 +362,54 @@ class TestBalanceTypes:
         before = [list(block) for block in blocks]
         balance_types(small_graph, blocks)
         assert blocks == before
+
+
+class TestRefine:
+    """The incremental-gain ``_refine`` makes the moves the rescan made."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        case=weighted_levels(),
+        tolerance=st.sampled_from([0.0, 0.1, 0.5]),
+        passes=st.integers(1, 4),
+    )
+    def test_equals_the_rescanning_reference(self, case, tolerance, passes):
+        level, k, start = case
+        ours, theirs = dict(start), dict(start)
+        _refine(level, ours, k, passes, tolerance)
+        _reference_refine(level, theirs, k, passes, tolerance)
+        assert ours == theirs
+        assert list(ours) == list(start)  # moved in place, order kept
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 6])
+    def test_partition_graph_gives_the_reference_blocks(
+        self, publish_input, k, monkeypatch
+    ):
+        graph, _ = publish_input
+        blocks = partition_graph(graph, k, seed=3)
+        monkeypatch.setattr(partition_module, "_refine", _reference_refine)
+        assert partition_graph(graph, k, seed=3) == blocks
+        validate_partition(graph, blocks, k)
+
+
+class TestCoarsen:
+    def test_levels_equal_the_reference_down_to_dict_order(self, publish_input):
+        graph, _ = publish_input
+        level = _level_from_graph(graph)
+        for depth in range(6):
+            coarser = _coarsen(level, random.Random(depth))
+            expected = _reference_coarsen(level, random.Random(depth))
+            if expected is None:
+                assert coarser is None
+                break
+            assert coarser == expected
+            # refinement visits in dict order: insertion order is output
+            assert list(coarser.adj) == list(expected.adj)
+            assert [list(row) for row in coarser.adj.values()] == [
+                list(row) for row in expected.adj.values()
+            ]
+            assert list(coarser.members.items()) == list(expected.members.items())
+            level = coarser
 
 
 # ----------------------------------------------------------------------
@@ -466,3 +610,73 @@ class TestIndexTables:
         graph.add_edge(0, 2)
         self.check(graph, [0])
         assert CloudIndex.build(graph, [0]).group_bit[("a", "g0")] == 0
+
+
+# ----------------------------------------------------------------------
+# what the cloud derives from Go: CSR edge keys, estimator statistics
+# ----------------------------------------------------------------------
+needs_numpy = pytest.mark.skipif(
+    not vec.HAVE_NUMPY, reason="GraphCSR is built only with numpy"
+)
+
+
+class TestDerivedFromGo:
+    @pytest.fixture(scope="class")
+    def outsourced(self, publish_input):
+        """``(Go, k)`` of the e2e workloads' shapes, at small scale."""
+        graph, k = publish_input
+        result = build_k_automorphic_graph(graph, k, seed=3)
+        return build_outsourced_graph(result.gk, result.avt), k
+
+    @needs_numpy
+    def test_edge_keys_equal_the_sorted_per_edge_keys(self, outsourced):
+        from repro.cloud.index import GraphCSR
+
+        np = vec.np
+        go = outsourced[0].graph
+        csr = GraphCSR.build(go)
+        expected = np.fromiter(
+            (u * csr.stride + v for u, v in go.edges()),
+            dtype=np.int64,
+            count=go.edge_count,
+        )
+        expected.sort()
+        assert csr.edge_keys.dtype == expected.dtype
+        assert np.array_equal(csr.edge_keys, expected)
+
+    @needs_numpy
+    def test_edge_keys_of_an_edgeless_and_an_empty_graph(self):
+        from repro.cloud.index import GraphCSR
+
+        lonely = AttributedGraph("lonely")
+        lonely.add_vertex(3, "t")
+        for graph in (lonely, AttributedGraph("empty")):
+            keys = GraphCSR.build(graph).edge_keys
+            assert len(keys) == 0 and keys.dtype.kind == "i" and keys.itemsize == 8
+
+    def test_estimator_statistics_equal_the_induced_subgraph_s(self, outsourced):
+        """Field for field, and in the same first-seen key order."""
+        from repro.anonymize.cost_model import estimator_from_outsourced
+        from repro.graph import compute_statistics
+
+        (go, k) = outsourced
+        estimator = estimator_from_outsourced(go.block_vertices, go.graph, k)
+        expected = compute_statistics(
+            go.graph.induced_subgraph(go.block_vertices, name="B1")
+        )
+        assert estimator.block_stats == expected
+        assert list(estimator.block_stats.type_counts.items()) == list(
+            expected.type_counts.items()
+        )
+        assert list(estimator.block_stats.label_counts.items()) == list(
+            expected.label_counts.items()
+        )
+        assert estimator.gk_vertex_count == k * len(go.block_vertices)
+
+    def test_estimator_of_an_empty_block(self):
+        from repro.anonymize.cost_model import estimator_from_outsourced
+
+        estimator = estimator_from_outsourced([], AttributedGraph("empty"), 2)
+        assert estimator.block_stats.vertex_count == 0
+        assert estimator.block_stats.average_degree == 0.0
+        assert estimator.average_degree == 0.0
