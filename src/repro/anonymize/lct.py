@@ -29,10 +29,14 @@ def group_id(vertex_type: str, attribute: str, index: int) -> str:
 class LabelCorrespondenceTable:
     """Bidirectional mapping between raw labels and label groups."""
 
-    def __init__(self, theta: int):
+    def __init__(self, theta: int, strategy: str | None = None):
         if theta < 1:
             raise AnonymizationError("theta must be >= 1")
         self.theta = theta
+        #: name of the grouping strategy that formed the groups (EFF, RAN,
+        #: FSIM); ``None`` for a table assembled by hand.  Saved with the
+        #: table, so a reloaded deployment can say which method it runs.
+        self.strategy = strategy
         self._group_of: dict[GroupKey, str] = {}
         self._members: dict[str, tuple[GroupKey, ...]] = {}
 
@@ -151,6 +155,7 @@ class LabelCorrespondenceTable:
     def to_dict(self) -> dict[str, Any]:
         return {
             "theta": self.theta,
+            "strategy": self.strategy,
             "groups": {
                 gid: [list(key) for key in keys]
                 for gid, keys in sorted(self._members.items())
@@ -159,7 +164,7 @@ class LabelCorrespondenceTable:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "LabelCorrespondenceTable":
-        lct = cls(data["theta"])
+        lct = cls(data["theta"], data.get("strategy"))
         for gid, keys in data["groups"].items():
             if not keys:
                 raise AnonymizationError(f"group {gid!r} is empty")

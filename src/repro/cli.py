@@ -51,21 +51,29 @@ import sys
 from pathlib import Path
 
 from repro.cloud.parallel import BACKENDS
-from repro.cloud.server import CloudServer
-from repro.cloud.sharding import build_cloud
 from repro.core.config import MethodConfig, SystemConfig
 from repro.core.data_owner import DataOwner
+from repro.core.options import QueryOptions
 from repro.core.query_client import QueryClient
 from repro.core.storage import load_client_side, load_cloud_side, save_published
+from repro.core.system import PrivacyPreservingSystem
+from repro.exceptions import ReproError
 from repro.graph.generators import example_query, example_social_network, schema_from_graph
 from repro.graph.io import load_graph, save_graph
 from repro.obs import Observability, Trace, export_json, format_percent, names
 from repro.workloads.datasets import DATASETS, load_dataset
 
 
-def _cmd_demo(args: argparse.Namespace) -> int:
-    from repro.core.system import PrivacyPreservingSystem
+def _merged(*traces: Trace | None) -> Trace:
+    """One trace holding the spans of all of ``traces`` (``None`` skipped)."""
+    merged = Trace()
+    for trace in traces:
+        if trace is not None:
+            merged.extend(trace)
+    return merged
 
+
+def _cmd_demo(args: argparse.Namespace) -> int:
     graph, schema = example_social_network()
     obs = Observability()
     system = PrivacyPreservingSystem.setup(
@@ -81,12 +89,11 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         print("  " + ", ".join(f"q{q}->v{v}" for q, v in sorted(match.items())))
     print(f"end-to-end: {outcome.metrics.total_seconds * 1000:.2f} ms")
     if args.trace:
-        trace = Trace()
-        if system.published.trace is not None:
-            trace.extend(system.published.trace)
-        if outcome.trace is not None:
-            trace.extend(outcome.trace)
-        export_json(args.trace, trace=trace, registry=obs.metrics)
+        export_json(
+            args.trace,
+            trace=_merged(system.published.trace, outcome.trace),
+            registry=obs.metrics,
+        )
         print(f"trace written to {args.trace}")
     return 0
 
@@ -119,128 +126,92 @@ def _cmd_publish(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    graph = load_graph(args.graph)
-    query = load_graph(args.query)
-    cloud_graph, cloud_avt, centers, expand = load_cloud_side(args.deployment)
-    lct, client_avt = load_client_side(args.deployment)
-
     obs = Observability()
-    scope = obs.for_query()
-    cloud = CloudServer(cloud_graph, cloud_avt, centers, expand_in_cloud=expand)
-    client = QueryClient(graph, lct, client_avt)
-
-    with scope.tracer.span(names.QUERY) as root:
-        root.set(query_edges=query.edge_count)
-        anonymized = client.prepare_query(query, obs=scope)
-        answer = cloud.answer(anonymized, obs=scope)
-        outcome = client.process_answer(
-            query, answer.table, answer.expanded, obs=scope
-        )
+    system = PrivacyPreservingSystem.load(
+        args.deployment, load_graph(args.graph), obs=obs
+    )
+    outcome = system.submit([load_graph(args.query)]).outcomes[0]
     print(
         json.dumps(
             {
                 "matches": [
                     {str(q): v for q, v in sorted(m.items())} for m in outcome.matches
                 ],
-                "candidates": outcome.candidate_count,
-                names.M_CLOUD_SECONDS: answer.cloud_seconds,
-                names.M_CLIENT_SECONDS: outcome.client_seconds,
+                "candidates": outcome.metrics.candidate_count,
+                names.M_CLOUD_SECONDS: outcome.metrics.cloud_seconds,
+                names.M_CLIENT_SECONDS: outcome.metrics.client_seconds,
             },
             indent=2,
         )
     )
     if args.trace:
-        export_json(
-            args.trace, trace=scope.tracer.take_trace(), registry=obs.metrics
-        )
+        export_json(args.trace, trace=outcome.trace, registry=obs.metrics)
         print(f"trace written to {args.trace}", file=sys.stderr)
     return 0
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
     """Serve a workload of queries through the batched engine."""
-    import time
-
-    from repro.cloud.parallel import effective_workers
-
-    graph = load_graph(args.graph)
-    queries = [load_graph(path) for path in args.queries] * args.repeat
-    cloud_graph, cloud_avt, centers, expand = load_cloud_side(args.deployment)
-    lct, client_avt = load_client_side(args.deployment)
-
     obs = Observability()
-    cloud = build_cloud(
-        cloud_graph,
-        cloud_avt,
-        centers,
+    system = PrivacyPreservingSystem.load(
+        args.deployment,
+        load_graph(args.graph),
+        obs=obs,
         shards=args.shards,
         shard_backend=args.shard_backend,
-        expand_in_cloud=expand,
         star_cache_size=args.star_cache,
-        obs=obs if args.trace else None,
     )
-    client = QueryClient(graph, lct, client_avt, obs=obs if args.trace else None)
-
-    anonymized = [client.prepare_query(query) for query in queries]
-    started = time.perf_counter()
-    answers = cloud.query_batch(
-        anonymized, max_workers=args.workers, backend=args.backend
-    )
-    wall_seconds = time.perf_counter() - started
-
-    results = []
-    for query, answer in zip(queries, answers):
-        outcome = client.process_answer(query, answer.table, answer.expanded)
-        results.append(
-            {
-                "matches": len(outcome.matches),
-                "candidates": outcome.candidate_count,
-                names.M_CLOUD_SECONDS: answer.cloud_seconds,
-            }
+    try:
+        batch = system.submit(
+            [load_graph(path) for path in args.queries] * args.repeat,
+            options=QueryOptions(backend=args.backend, workers=args.workers),
         )
-    hits, misses = cloud.star_cache.counters()
-    # with the process backend the children own the cache copies: the
-    # parent-side counters read zero, so the rate is unknowable here —
-    # report it as None / "n/a" instead of a misleading 0.0%.
-    cache_shared = args.backend != "process"
-    hit_total = hits + misses
-    hit_rate = (
-        (hits / hit_total if hit_total else 0.0) if cache_shared else None
-    )
+    finally:
+        system.cloud.close()
+    metrics = batch.metrics
     print(
         json.dumps(
             {
-                "queries": len(queries),
-                "backend": args.backend,
-                "workers": effective_workers(args.workers, len(queries)),
-                "wall_seconds": wall_seconds,
-                "throughput_qps": len(queries) / wall_seconds if wall_seconds else 0.0,
+                "queries": metrics.query_count,
+                "backend": metrics.backend,
+                "workers": metrics.worker_count,
+                "wall_seconds": metrics.wall_seconds,
+                "throughput_qps": metrics.throughput_qps,
                 "cache": {
-                    "hits": hits,
-                    "misses": misses,
-                    "hit_rate": hit_rate,
-                    "hit_rate_text": format_percent(hit_rate),
+                    "hits": metrics.cache_hits,
+                    "misses": metrics.cache_misses,
+                    "hit_rate": metrics.cache_hit_rate,
+                    "hit_rate_text": format_percent(metrics.cache_hit_rate),
                 },
-                "per_query": results,
+                "per_query": [
+                    {
+                        "matches": len(outcome.matches),
+                        "candidates": outcome.metrics.candidate_count,
+                        names.M_CLOUD_SECONDS: outcome.metrics.cloud_seconds,
+                    }
+                    for outcome in batch.outcomes
+                ],
             },
             indent=2,
         )
     )
     if args.trace:
-        export_json(args.trace, trace=obs.tracer.take_trace(), registry=obs.metrics)
+        export_json(
+            args.trace,
+            trace=_merged(batch.trace, *(o.trace for o in batch.outcomes)),
+            registry=obs.metrics,
+        )
         print(f"trace written to {args.trace}", file=sys.stderr)
     if args.prometheus:
         from repro.obs import write_prometheus
 
         write_prometheus(obs.metrics, args.prometheus)
         print(f"metrics written to {args.prometheus}", file=sys.stderr)
-    cloud.close()
     return 0
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     """Trace + cProfile a demo workload; print the per-phase summary."""
-    from repro.core.system import PrivacyPreservingSystem
     from repro.obs import format_summary
 
     graph, schema = example_social_network()
@@ -251,13 +222,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         SystemConfig(k=args.k, method=MethodConfig.from_name(args.method)),
         obs=obs,
     )
-    merged = Trace()
-    if system.published.trace is not None:
-        merged.extend(system.published.trace)
-    for _ in range(args.queries):
-        outcome = system.query(example_query())
-        if outcome.trace is not None:
-            merged.extend(outcome.trace)
+    merged = _merged(
+        system.published.trace,
+        *(system.query(example_query()).trace for _ in range(args.queries)),
+    )
     print(format_summary(merged, obs.metrics, title="profile: demo workload"))
     for span in merged:
         profile = span.attributes.get("profile")
@@ -271,6 +239,18 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         export_json(args.trace, trace=merged, registry=obs.metrics)
         print(f"\ntrace written to {args.trace}")
     return 0
+
+
+def _served_gk(cloud_graph, avt, centers, expand):
+    """The ``Gk`` a cloud half stands for: itself (BAS), or ``Go``
+    closed under the automorphic functions of the AVT."""
+    if not expand:
+        return cloud_graph
+    from repro.outsource import OutsourcedGraph, recover_gk
+
+    return recover_gk(
+        OutsourcedGraph(graph=cloud_graph, block_vertices=centers), avt
+    )
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -290,15 +270,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     """
     from repro.attacks import degree_attack, neighborhood_attack
     from repro.kauto.verify import verify_k_automorphism
-    from repro.outsource import OutsourcedGraph, recover_gk
 
     cloud_graph, avt, centers, expand = load_cloud_side(args.deployment)
-    if expand:
-        # Go deployment: rebuild Gk from Go + AVT before verifying
-        outsourced = OutsourcedGraph(graph=cloud_graph, block_vertices=centers)
-        gk = recover_gk(outsourced, avt)
-    else:
-        gk = cloud_graph
+    gk = _served_gk(cloud_graph, avt, centers, expand)
     verify_k_automorphism(gk, avt)
 
     sample = sorted(gk.vertex_ids())[:: max(1, gk.vertex_count // args.sample)][
@@ -331,40 +305,31 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+def _write_port_file(path: str | None, port: int) -> None:
+    """Tell a harness which port the OS assigned (``--port 0``)."""
+    if path:
+        target = Path(path)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(str(port), encoding="utf-8")
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Serve a deployment with live telemetry exposition.
 
-    Loads a published deployment, stands up the cloud + client halves,
-    starts the :class:`~repro.obs.serve.TelemetryServer` (``/metrics``,
-    ``/healthz``, ``/readyz``, ``/traces``), then answers the workload:
+    Starts the :class:`~repro.obs.serve.TelemetryServer` (``/metrics``,
+    ``/healthz``, ``/readyz``, ``/traces``), loads the published
+    deployment into one system, then answers the workload through it:
     query-graph files (optionally ``--repeat``-ed) or, with no files,
     one JSON graph document per stdin line.  ``--linger`` keeps the
     endpoint up after the workload drains so scrapers can collect.
     """
     import time
 
-    from repro.obs import (
-        EventLog,
-        SlidingWindow,
-        TelemetryServer,
-        TraceRing,
-        names,
-    )
+    from repro.obs import TelemetryServer, TraceRing
     from repro.obs.audit import build_audit
 
-    graph = load_graph(args.graph)
     obs = Observability()
-    if args.events:
-        obs.events = EventLog(
-            args.events, level=args.event_level, sample_rate=args.sample_rate
-        )
     state = {"ready": False, "served": 0}
-    window = SlidingWindow(capacity=args.window)
-    window.register(
-        obs.metrics,
-        names.W_QUERY_WINDOW,
-        help="End-to-end query seconds over the SLO window.",
-    )
     ring = TraceRing(capacity=args.trace_ring)
     telemetry = TelemetryServer(
         obs.metrics,
@@ -377,30 +342,24 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
     ).start()
-    gateway = None
+    system = gateway = None
     try:
-        if args.port_file:
-            port_file = Path(args.port_file)
-            port_file.parent.mkdir(parents=True, exist_ok=True)
-            port_file.write_text(str(telemetry.port), encoding="utf-8")
+        _write_port_file(args.port_file, telemetry.port)
         print(f"telemetry listening on {telemetry.url}", file=sys.stderr)
 
-        cloud_graph, cloud_avt, centers, expand = load_cloud_side(
-            args.deployment
-        )
-        lct, client_avt = load_client_side(args.deployment)
-        component_obs = Observability(record=False, registry=obs.metrics)
-        cloud = build_cloud(
-            cloud_graph,
-            cloud_avt,
-            centers,
+        system = PrivacyPreservingSystem.load(
+            args.deployment,
+            load_graph(args.graph),
+            obs=obs,
             shards=args.shards,
             shard_backend=args.shard_backend,
-            expand_in_cloud=expand,
             star_cache_size=args.star_cache,
-            obs=component_obs,
+            slo_window_size=args.window,
+            event_log_path=args.events,
+            event_log_level=args.event_level,
+            event_sample_rate=args.sample_rate,
         )
-        client = QueryClient(graph, lct, client_avt, obs=component_obs)
+        cloud = system.cloud
         if args.gateway_port is not None:
             from repro.gateway import (
                 AdmissionPolicy,
@@ -430,12 +389,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 obs=obs,
                 traces=ring,
             ).start()
-            if args.gateway_port_file:
-                gateway_port_file = Path(args.gateway_port_file)
-                gateway_port_file.parent.mkdir(parents=True, exist_ok=True)
-                gateway_port_file.write_text(
-                    str(gateway.port), encoding="utf-8"
-                )
+            _write_port_file(args.gateway_port_file, gateway.port)
             print(
                 f"gateway listening on {gateway.host}:{gateway.port}",
                 file=sys.stderr,
@@ -444,11 +398,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # next to the latency metrics (per-query filter counts feed the
         # live ratio callback QueryClient registers).
         build_audit(
-            cloud_avt,
-            lct,
-            theta=lct.theta,
-            gk_edges=cloud_graph.edge_count if not expand else 0,
-            outsourced_edges=cloud_graph.edge_count,
+            cloud.avt,
+            system.client.lct,
+            theta=system.config.theta,
+            gk_edges=0 if cloud.expand_in_cloud else cloud.graph.edge_count,
+            outsourced_edges=cloud.graph.edge_count,
             registry=obs.metrics,
         ).register(obs.metrics)
         state["ready"] = True  # index built: /readyz flips to 200
@@ -457,58 +411,31 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 "serve",
                 deployment=str(args.deployment),
                 url=telemetry.url,
-                k=cloud_avt.k,
+                k=system.config.k,
             )
-
-        def answer_one(query) -> None:
-            scope = obs.for_query()
-            tracer = scope.tracer
-            with tracer.span(names.QUERY) as root:
-                root.set(query_edges=query.edge_count)
-                anonymized = client.prepare_query(query, obs=scope)
-                answer = cloud.answer(anonymized, obs=scope)
-                outcome = client.process_answer(
-                    query, answer.table, answer.expanded, obs=scope
-                )
-            obs.metrics.counter(
-                names.M_QUERIES, help="Queries answered end to end."
-            ).inc()
-            obs.metrics.histogram(
-                names.M_QUERY_SECONDS,
-                help="End-to-end wall seconds per query "
-                "(excl. simulated wire).",
-            ).observe(root.duration)
-            window.observe(root.duration)
-            trace = tracer.take_trace()
-            ring.push(
-                trace,
-                query_id=scope.query_id,
-                matches=len(outcome.matches),
-            )
-            if obs.events.enabled:
-                obs.events.emit_query(
-                    trace, scope.query_id, matches=len(outcome.matches)
-                )
-            state["served"] += 1
 
         if args.queries:
-            for query_graph in [
-                load_graph(path) for path in args.queries
-            ] * args.repeat:
-                answer_one(query_graph)
+            queries = [load_graph(path) for path in args.queries] * args.repeat
         elif not sys.stdin.isatty():
             from repro.graph.io import graph_from_json
 
-            for line in sys.stdin:
-                line = line.strip()
-                if line:
-                    answer_one(graph_from_json(line))
+            queries = (graph_from_json(line) for line in sys.stdin if line.strip())
+        else:
+            queries = ()
+        for query in queries:
+            outcome = system.submit([query]).outcomes[0]
+            ring.push(
+                outcome.trace,
+                query_id=outcome.query_id,
+                matches=len(outcome.matches),
+            )
+            state["served"] += 1
 
         summary = {
             "deployment": str(args.deployment),
             "url": telemetry.url,
             "queries_served": state["served"],
-            "window": window.snapshot(),
+            "window": system.query_window.snapshot(),
             "events_emitted": obs.events.emitted,
         }
         print(json.dumps(summary, indent=2), file=sys.stderr)
@@ -518,12 +445,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             time.sleep(args.linger)
-        cloud.close()
         return 0
     finally:
         if gateway is not None:
             gateway.stop()
         telemetry.stop()
+        if system is not None:
+            system.cloud.close()
         obs.events.close()
 
 
@@ -595,14 +523,13 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
     graph = load_graph(args.graph)
     query = load_graph(args.query)
-    lct, client_avt = load_client_side(args.deployment)
-    client = QueryClient(graph, lct, client_avt)
 
     trace: Trace | None
     if args.port is not None:
         from repro.exceptions import GatewayError, GatewayRejected
         from repro.gateway import SyncGatewayClient
 
+        client = QueryClient(graph, *load_client_side(args.deployment))
         anonymized = client.prepare_query(query)
         try:
             with SyncGatewayClient(
@@ -624,32 +551,23 @@ def _cmd_explain(args: argparse.Namespace) -> int:
             return 1
         for table, expanded in traced.answers:
             client.process_answer(query, table, expanded)
-        trace, query_id = traced.trace, traced.query_id
+        trace = traced.trace
+        report = ExplainReport.from_trace(trace, query_id=traced.query_id)
     else:
-        cloud_graph, cloud_avt, centers, expand = load_cloud_side(
-            args.deployment
-        )
-        obs = Observability()
-        scope = obs.for_query()
-        cloud = build_cloud(
-            cloud_graph,
-            cloud_avt,
-            centers,
+        system = PrivacyPreservingSystem.load(
+            args.deployment,
+            graph,
             shards=args.shards,
             shard_backend=args.shard_backend,
-            expand_in_cloud=expand,
         )
-        with scope.tracer.span(names.QUERY) as root:
-            root.set(query_edges=query.edge_count)
-            anonymized = client.prepare_query(query, obs=scope)
-            answer = cloud.answer(anonymized, obs=scope)
-            client.process_answer(
-                query, answer.table, answer.expanded, obs=scope
-            )
-        cloud.close()
-        trace, query_id = scope.tracer.take_trace(), scope.query_id
+        try:
+            outcome = system.submit(
+                [query], options=QueryOptions(explain=True)
+            ).outcomes[0]
+        finally:
+            system.cloud.close()
+        trace, report = outcome.trace, outcome.explain
 
-    report = ExplainReport.from_trace(trace, query_id=query_id)
     if args.json:
         print(report.to_json())
     else:
@@ -679,8 +597,6 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     outcomes = []
     if args.deployment is None:
         # demo mode: the paper's running example, end to end
-        from repro.core.system import PrivacyPreservingSystem
-
         graph, schema = example_social_network()
         system = PrivacyPreservingSystem.setup(
             graph,
@@ -693,59 +609,29 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         report = audit_system(system, outcomes=outcomes)
         title = "privacy audit: running example"
     else:
-        cloud_graph, cloud_avt, centers, expand = load_cloud_side(
-            args.deployment
-        )
-        lct, client_avt = load_client_side(args.deployment)
-        if expand:
-            # Go deployment: the cloud holds the outsourced subgraph;
-            # recover Gk through the AVT for the full symmetric size.
-            from repro.outsource import OutsourcedGraph, recover_gk
-
-            outsourced = OutsourcedGraph(
-                graph=cloud_graph, block_vertices=centers
-            )
-            gk_edges = recover_gk(outsourced, cloud_avt).edge_count
-        else:
-            gk_edges = cloud_graph.edge_count
         if args.graph and args.queries:
-            graph = load_graph(args.graph)
-            component_obs = Observability(record=False, registry=obs.metrics)
-            cloud = CloudServer(
-                cloud_graph,
-                cloud_avt,
-                centers,
-                expand_in_cloud=expand,
-                obs=component_obs,
+            system = PrivacyPreservingSystem.load(
+                args.deployment, load_graph(args.graph), obs=obs
             )
-            client = QueryClient(graph, lct, client_avt, obs=component_obs)
-            from repro.core.system import QueryOutcome
-            from repro.obs import QueryMetrics
-
-            for path in args.queries:
-                query = load_graph(path)
-                scope = obs.for_query()
-                with scope.tracer.span(names.QUERY):
-                    anonymized = client.prepare_query(query, obs=scope)
-                    answer = cloud.answer(anonymized, obs=scope)
-                    outcome = client.process_answer(
-                        query, answer.table, answer.expanded, obs=scope
-                    )
-                trace = scope.tracer.take_trace()
-                outcomes.append(
-                    QueryOutcome(
-                        matches=outcome.matches,
-                        metrics=QueryMetrics.from_trace(trace),
-                        trace=trace,
-                        query_id=scope.query_id,
-                    )
-                )
-            cloud.close()
+            cloud = system.cloud
+            try:
+                outcomes = system.submit(
+                    [load_graph(path) for path in args.queries]
+                ).outcomes
+            finally:
+                cloud.close()
+            cloud_graph, avt, lct = cloud.graph, cloud.avt, system.client.lct
+            centers, expand = cloud.center_vertices, cloud.expand_in_cloud
+        else:
+            cloud_graph, avt, centers, expand = load_cloud_side(
+                args.deployment
+            )
+            lct, _ = load_client_side(args.deployment)
         report = build_audit(
-            cloud_avt,
+            avt,
             lct,
             theta=lct.theta,
-            gk_edges=gk_edges,
+            gk_edges=_served_gk(cloud_graph, avt, centers, expand).edge_count,
             outsourced_edges=cloud_graph.edge_count,
             outcomes=outcomes,
             registry=obs.metrics if outcomes else None,
@@ -1225,7 +1111,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        # a typed failure (bad query, unreadable deployment, tripped
+        # budget) is the user's to fix, not a crash: one line, status 2
+        print(f"repro: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via tests on main()

@@ -12,8 +12,8 @@ Cached entries store matches in *role form* (center, then leaves in
 signature order) so they can be re-labeled to any query's vertex ids on
 a hit.
 
-The cache is safe to share between the worker threads of the parallel
-batched engine (:meth:`repro.cloud.server.CloudServer.query_batch`):
+The cache is safe to share between concurrent callers of one server
+(the gateway's dispatch threads):
 every operation holds an internal lock, and entries are defensively
 copied on both :meth:`StarMatchCache.put` and
 :meth:`StarMatchCache.get`, so no caller ever holds a reference to the

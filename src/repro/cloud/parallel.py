@@ -4,9 +4,8 @@ The cloud of the paper answers each ``Qo`` serially.  A production
 deployment serves a *workload*: many anonymized queries in flight at
 once, sharing one immutable VBV/LBV index and one (locked)
 :class:`repro.cloud.cache.StarMatchCache`.  This module centralizes the
-``concurrent.futures`` mechanics used by both
-:meth:`repro.cloud.server.CloudServer.query_batch` and
-:meth:`repro.core.system.PrivacyPreservingSystem.query_batch`:
+``concurrent.futures`` mechanics behind
+:meth:`repro.core.system.PrivacyPreservingSystem.submit`:
 
 * ``backend="serial"`` — a plain loop (the default: the fastest arm
   on small queries, and the fallback for 0/1 workers or 0/1 tasks);
@@ -36,7 +35,7 @@ R = TypeVar("R")
 BACKENDS = ("serial", "process")
 
 #: Default pool width when ``max_workers`` is not given: every core,
-#: but never fewer than 2 so ``query_batch()`` exercises the concurrent
+#: but never fewer than 2 so a batch ``submit`` exercises the concurrent
 #: path even on single-core hosts (correctness there is what the stress
 #: tests pin down; speed needs real cores).
 DEFAULT_MAX_WORKERS = max(2, os.cpu_count() or 1)
@@ -156,7 +155,7 @@ def map_batch(
 ) -> list[R]:
     """Apply ``fn`` to every item; results in input order.
 
-    The workhorse of ``query_batch``.  ``backend``/``max_workers``
+    The workhorse of a batch ``submit``.  ``backend``/``max_workers``
     choose the pool; degenerate cases (one item, one worker, serial
     backend, no fork on this platform) run the plain loop so the
     parallel path is *bit-identical* to it by construction.

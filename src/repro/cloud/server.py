@@ -27,7 +27,6 @@ from repro.cloud.cache import (
 from repro.cloud.decomposition import decompose_query
 from repro.cloud.index import CloudIndex
 from repro.analysis.markers import hot_path
-from repro.cloud.parallel import map_batch, validate_backend
 from repro.cloud.result_join import JoinStats, join_star_tables
 from repro.cloud.star_matching import StarMatchStats, match_star_table
 from repro.graph.attributed import AttributedGraph
@@ -312,30 +311,6 @@ class CloudServer:
             join_stats=join_stats,
             cloud_seconds=root.duration,
         )
-
-    def query_batch(
-        self,
-        queries: list[AttributedGraph],
-        max_workers: int | None = None,
-        backend: str = "serial",
-    ) -> list[CloudAnswer]:
-        """Answer a workload of anonymized queries; results in input order.
-
-        ``backend="serial"`` (default) is a loop of :meth:`answer`
-        calls sharing the index and the :class:`StarMatchCache`, so
-        repeated star shapes across the workload hit warm entries.
-        ``backend="process"`` forks a bounded pool (``max_workers``,
-        default: one per core) for CPU-bound batches on multi-core
-        hosts; answers are bit-identical to the serial loop, and
-        cache/counter updates then stay in the children (the parent's
-        cache is untouched).
-
-        The first query exception (e.g.
-        :class:`~repro.exceptions.ResultBudgetExceeded`) propagates,
-        matching the serial loop's behavior.
-        """
-        validate_backend(backend)
-        return map_batch(self.answer, list(queries), max_workers, backend)
 
     def _match_stars(
         self,

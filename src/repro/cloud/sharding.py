@@ -209,7 +209,7 @@ def merge_star_tables(
 class ShardCacheView:
     """CloudServer-compatible facade over the per-shard star caches.
 
-    ``PrivacyPreservingSystem.query_batch`` and the CLI read
+    ``PrivacyPreservingSystem.submit`` reads
     ``cloud.star_cache.counters()``; this view aggregates the shard
     caches behind the same surface.  It reads through a callable so a
     post-:meth:`ShardedCloud.apply_delta` rebuild is reflected
@@ -265,7 +265,7 @@ class ShardedCloud(CloudServer):
     stages of the pipeline: :meth:`_build_index` partitions the graph
     into shard servers, and :meth:`_match_stars` scatters the plan to
     them and merges the gathered tables.  Decomposition, join, budget,
-    telemetry, ``query_batch`` and ``apply_delta`` are inherited.
+    telemetry and ``apply_delta`` are inherited.
     Construction takes the server's parameters plus:
 
     shards:

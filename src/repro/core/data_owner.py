@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.anonymize import build_lct
+from repro.anonymize import STRATEGIES, build_lct
 from repro.anonymize.lct import LabelCorrespondenceTable
 from repro.anonymize.query_anonymizer import star_workload_statistics
 from repro.core.config import SystemConfig
@@ -107,6 +107,10 @@ class DataOwner:
                 workload_stats=workload_stats,
                 seed=config.seed,
                 obs=obs,
+            )
+            grouping = config.method.strategy
+            lct.strategy = next(
+                (name for name, fn in STRATEGIES.items() if fn is grouping), None
             )
             lct.verify(allow_small_groups=config.allow_small_label_groups)
         return lct, span.duration

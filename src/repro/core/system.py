@@ -31,8 +31,10 @@ import functools
 import gc
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Iterator
 
+from repro.anonymize.lct import LabelCorrespondenceTable
 from repro.client.expansion import expand_rin_table
 from repro.cloud.parallel import effective_workers, map_batch
 from repro.cloud.server import CloudServer
@@ -50,10 +52,12 @@ from repro.core.protocol import (
     encode_upload,
 )
 from repro.core.query_client import QueryClient
-from repro.exceptions import ConfigError
+from repro.core.storage import load_client_side, load_cloud_side
+from repro.exceptions import ConfigError, ProtocolError
 from repro.graph.attributed import AttributedGraph
 from repro.graph.schema import GraphSchema
 from repro.graph.validation import validate_query
+from repro.kauto.avt import AlignmentVertexTable
 from repro.matching.match import Match
 from repro.obs import (
     BatchMetrics,
@@ -174,13 +178,28 @@ def _collector_paused() -> Iterator[None]:
             gc.enable()
 
 
+def _component_scope(obs: Observability) -> Observability:
+    """The measure-only scope the owner, cloud and client default to.
+
+    It shares the system registry: standalone calls on a component stay
+    cheap, while system-driven calls receive the per-query recording
+    scope.
+    """
+    return Observability(record=False, registry=obs.metrics)
+
+
 class PrivacyPreservingSystem:
-    """A fully wired owner/cloud/client deployment."""
+    """A fully wired owner/cloud/client deployment.
+
+    Comes to be in one of two ways: :meth:`setup` publishes a graph,
+    :meth:`load` reloads a saved deployment (no owner, nothing
+    published: ``owner`` and ``published`` are ``None``).
+    """
 
     def __init__(
         self,
-        owner: DataOwner,
-        published: PublishedData,
+        owner: DataOwner | None,
+        published: PublishedData | None,
         cloud: CloudServer,
         client: QueryClient,
         config: SystemConfig,
@@ -220,7 +239,11 @@ class PrivacyPreservingSystem:
                 names.W_QUERY_WINDOW,
                 help="End-to-end query seconds over the SLO window.",
             )
-        if self.obs.events.enabled and published.trace is not None:
+        if (
+            self.obs.events.enabled
+            and published is not None
+            and published.trace is not None
+        ):
             # one "publish" record so the event log is self-describing:
             # every later query event refers back to this deployment.
             self.obs.events.emit(
@@ -232,7 +255,7 @@ class PrivacyPreservingSystem:
             )
 
     # ------------------------------------------------------------------
-    # setup
+    # standing a deployment up: publish it (setup) or reload it (load)
     # ------------------------------------------------------------------
     @classmethod
     def setup(
@@ -258,12 +281,10 @@ class PrivacyPreservingSystem:
             scope = obs.for_query()
             tracer = scope.tracer
             channel = channel or NetworkChannel()
-            # components default to measure-only scopes that share the
-            # system registry: standalone calls on them stay cheap, while
-            # system-driven calls receive the per-query recording scope.
-            component_obs = Observability(record=False, registry=obs.metrics)
 
-            owner = DataOwner(graph, schema, sample_workload, obs=component_obs)
+            owner = DataOwner(
+                graph, schema, sample_workload, obs=_component_scope(obs)
+            )
             published = owner.publish(config, obs=scope)
 
             with tracer.span(names.ENCODE_UPLOAD) as span:
@@ -274,44 +295,126 @@ class PrivacyPreservingSystem:
             channel.transmit("upload", payload, obs=scope)
             cloud_graph, cloud_avt = decode_upload(payload)
 
-            with tracer.span(names.CLOUD_INDEX_BUILD) as span:
-                # shards == 1: the paper's single server; N > 1: Go
-                # partitioned over N shard servers behind a scatter-gather
-                # coordinator, answers bit-identical to the single server.
-                cloud = build_cloud(
+            return cls._stand_up(
+                graph,
+                (
                     cloud_graph,
                     cloud_avt,
                     published.center_vertices,
-                    shards=config.shards,
-                    shard_backend=config.shard_backend,
-                    partition_seed=config.seed,
-                    expand_in_cloud=published.expand_in_cloud,
-                    max_intermediate_results=config.max_intermediate_results,
-                    star_cache_size=config.star_cache_size,
-                    obs=component_obs,
-                )
-                span.set(
-                    index_bytes=cloud.index_size_bytes(),
-                    build_seconds=cloud.index_build_seconds(),
-                )
-            client = QueryClient(
-                graph, published.lct, published.transform.avt, obs=component_obs
-            )
-
-            trace = tracer.take_trace() if tracer.recording else None
-            published.trace = trace
-            published.metrics = PublishMetrics.from_trace(trace)
-
-            return cls(
-                owner,
-                published,
-                cloud,
-                client,
+                    published.expand_in_cloud,
+                ),
+                (published.lct, published.transform.avt),
                 config,
                 channel,
-                published.metrics,
-                obs=obs,
+                obs,
+                scope,
+                owner,
+                published,
             )
+
+    @classmethod
+    def load(
+        cls,
+        directory: str | Path,
+        graph: AttributedGraph,
+        *,
+        obs: Observability | None = None,
+        channel: NetworkChannel | None = None,
+        **serving: Any,
+    ) -> "PrivacyPreservingSystem":
+        """Stand up the deployment :func:`~repro.core.storage.save_published`
+        wrote to ``directory``, with ``graph`` as the client's original.
+
+        The other way a system comes to be: publish once, serve from
+        any process.  Nothing is published here, so ``owner`` and
+        ``published`` are ``None`` and ``publish_metrics`` holds only
+        the index build.  The config states what the artefacts
+        determine — ``k`` from the AVT, ``theta`` and the grouping
+        strategy from the LCT, BAS from a cloud half that is ``Gk``;
+        ``serving`` supplies the :class:`SystemConfig` fields a saved
+        deployment leaves open (``shards``, ``shard_backend``,
+        ``star_cache_size``, the telemetry fields).  Runs with the
+        cyclic collector paused, as :meth:`setup` does.
+        """
+        with _collector_paused():
+            _, avt, _, expand_in_cloud = cloud_half = load_cloud_side(directory)
+            lct, _ = client_half = load_client_side(directory)
+            if lct.strategy is None:
+                raise ProtocolError(
+                    f"the deployment in {directory} does not name its label "
+                    "grouping strategy (saved by an older release): re-publish it"
+                )
+            config = SystemConfig(
+                k=avt.k,
+                theta=lct.theta,
+                method=lct.strategy if expand_in_cloud else "BAS",
+                **serving,
+            )
+            obs = obs if obs is not None else Observability()
+            return cls._stand_up(
+                graph,
+                cloud_half,
+                client_half,
+                config,
+                channel or NetworkChannel(),
+                obs,
+                obs.for_query(),
+            )
+
+    @classmethod
+    def _stand_up(
+        cls,
+        graph: AttributedGraph,
+        cloud_half: tuple[AttributedGraph, AlignmentVertexTable, list[int], bool],
+        client_half: tuple[LabelCorrespondenceTable, AlignmentVertexTable],
+        config: SystemConfig,
+        channel: NetworkChannel,
+        obs: Observability,
+        scope: Observability,
+        owner: DataOwner | None = None,
+        published: PublishedData | None = None,
+    ) -> "PrivacyPreservingSystem":
+        """Index the cloud half, wire the client, construct the system.
+
+        The tail :meth:`setup` and :meth:`load` share; the halves have
+        the shapes ``load_cloud_side`` / ``load_client_side`` return.
+        ``scope`` is the recording scope of the run: its trace (the
+        publish spans, when there are any, plus the index build) becomes
+        ``publish_metrics``.
+        """
+        cloud_graph, cloud_avt, center_vertices, expand_in_cloud = cloud_half
+        component_obs = _component_scope(obs)
+        tracer = scope.tracer
+        with tracer.span(names.CLOUD_INDEX_BUILD) as span:
+            # shards == 1: the paper's single server; N > 1: Go
+            # partitioned over N shard servers behind a scatter-gather
+            # coordinator, answers bit-identical to the single server.
+            cloud = build_cloud(
+                cloud_graph,
+                cloud_avt,
+                center_vertices,
+                shards=config.shards,
+                shard_backend=config.shard_backend,
+                partition_seed=config.seed,
+                expand_in_cloud=expand_in_cloud,
+                max_intermediate_results=config.max_intermediate_results,
+                star_cache_size=config.star_cache_size,
+                obs=component_obs,
+            )
+            span.set(
+                index_bytes=cloud.index_size_bytes(),
+                build_seconds=cloud.index_build_seconds(),
+            )
+        client = QueryClient(graph, *client_half, obs=component_obs)
+
+        trace = tracer.take_trace() if tracer.recording else None
+        metrics = PublishMetrics.from_trace(trace)
+        if published is not None:
+            published.trace = trace
+            published.metrics = metrics
+        return cls(
+            owner, published, cloud, client, config, channel, metrics, obs=obs
+        )
 
     # ------------------------------------------------------------------
     # querying
@@ -325,9 +428,10 @@ class PrivacyPreservingSystem:
     ) -> BatchOutcome:
         """The single query entry point: answer ``queries`` under ``options``.
 
-        Every way into the system — :meth:`query`, :meth:`query_batch`,
-        the serving gateway — routes through here; the wire, trace and
-        cache plumbing lives in this one method.  A single-element
+        Every way into a system, published or loaded — :meth:`query`,
+        :meth:`query_batch`, each local ``repro`` command — routes
+        through here; the wire, trace and cache plumbing lives in this
+        one method.  A single-element
         workload runs inline (no batch span, exactly the per-query
         trace shape of :meth:`query`); larger workloads run on the
         ``options.backend`` backend (the serial loop, or a fork pool)

@@ -13,30 +13,34 @@ for components too small for the solver.
 
 numpy and scipy are optional dependencies of the package (the matching
 pipeline degrades to its tuple-row kernels without them — see
-:mod:`repro.matching.vec`); this module stays importable either way and
-raises :class:`~repro.exceptions.PartitionError` at call time when the
-solver stack is missing.
+:mod:`repro.matching.vec`) and only this partitioner needs scipy, so
+the solver stack is imported on use: ``import repro`` never loads it,
+and a call without it raises
+:class:`~repro.exceptions.PartitionError`.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-try:  # pragma: no cover - exercised by the no-numpy CI leg
-    import numpy as np
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.linalg import eigsh
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    np = None  # type: ignore[assignment]
-    csr_matrix: Any = None
-    eigsh: Any = None
-
 from repro.exceptions import PartitionError
 from repro.graph.attributed import AttributedGraph
 from repro.kauto.partition import _level_from_graph, _refine
 
-#: Whether the sparse eigensolver stack (numpy + scipy) is importable.
-HAVE_SPECTRAL: bool = np is not None
+
+def _solver_stack() -> tuple[Any, Any, Any]:
+    """``(numpy, csr_matrix, eigsh)``, or ``PartitionError`` without them."""
+    try:
+        import numpy
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.linalg import eigsh
+    except ImportError as exc:  # pragma: no cover - the no-numpy CI leg
+        raise PartitionError(
+            "spectral partitioning requires numpy and scipy "
+            "(install the package's 'fast' extra); the multilevel "
+            "partitioner has no such dependency"
+        ) from exc
+    return numpy, csr_matrix, eigsh
 
 
 def fiedler_order(graph: AttributedGraph, vertices: list[int]) -> list[int]:
@@ -61,6 +65,7 @@ def fiedler_order(graph: AttributedGraph, vertices: list[int]) -> list[int]:
                 cols.append(index[nbr])
     if not rows:
         return list(vertices)
+    np, csr_matrix, eigsh = _solver_stack()
     data = np.ones(len(rows))
     adjacency = csr_matrix((data, (rows, cols)), shape=(n, n))
     degrees = np.asarray(adjacency.sum(axis=1)).ravel()
@@ -91,12 +96,7 @@ def spectral_partition(
     balance_tolerance: float = 0.10,
 ) -> list[list[int]]:
     """Recursive spectral bisection into ``k`` blocks + FM polish."""
-    if not HAVE_SPECTRAL:
-        raise PartitionError(
-            "spectral partitioning requires numpy and scipy "
-            "(install the package's 'fast' extra); the multilevel "
-            "partitioner has no such dependency"
-        )
+    _solver_stack()  # fail before any work when the stack is missing
     if k < 1:
         raise PartitionError("k must be >= 1")
     vertices = sorted(graph.vertex_ids())

@@ -33,6 +33,7 @@ from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.anonymize.lct import LabelCorrespondenceTable
+from repro.exceptions import ConfigError
 from repro.kauto.avt import AlignmentVertexTable
 from repro.obs import names
 from repro.obs.registry import MetricsRegistry
@@ -339,8 +340,17 @@ def audit_system(
     system: "PrivacyPreservingSystem",
     outcomes: Iterable["QueryOutcome"] = (),
 ) -> PrivacyAuditReport:
-    """Audit a live :class:`PrivacyPreservingSystem` deployment."""
+    """Audit a live, published :class:`PrivacyPreservingSystem`.
+
+    A loaded system keeps no ``Gk``: audit it from its artefacts with
+    :func:`build_audit`, as ``repro audit <deployment>`` does.
+    """
     published = system.published
+    if published is None:
+        raise ConfigError(
+            "audit_system needs a system that published its graph; "
+            "audit a loaded deployment from its artefacts (build_audit)"
+        )
     return build_audit(
         published.transform.avt,
         published.lct,

@@ -148,10 +148,9 @@ class TestVerify:
         published.remove_edge(*edge)
         _save(published, published_path)
 
-        from repro.exceptions import VerificationError
-
-        with pytest.raises(VerificationError):
-            main(["verify", str(deployment)])
+        # a typed failure is one line on stderr and status 2, not a traceback
+        assert main(["verify", str(deployment)]) == 2
+        assert "repro: VerificationError:" in capsys.readouterr().err
 
 
 class TestDatasets:
@@ -575,3 +574,200 @@ class TestParser:
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+def publish_files(tmp_path, capsys, graph, queries, *flags):
+    """Publish ``graph`` through the CLI; returns (deployment, graph
+    path, query paths) as the strings the commands take."""
+    graph_path = tmp_path / "g.json"
+    save_graph(graph, graph_path)
+    query_paths = []
+    for index, query in enumerate(queries):
+        query_paths.append(str(tmp_path / f"q{index}.json"))
+        save_graph(query, query_paths[-1])
+    deployment = tmp_path / "dep"
+    assert main(["publish", str(graph_path), str(deployment), *flags]) == 0
+    capsys.readouterr()
+    return str(deployment), str(graph_path), query_paths
+
+
+def dbpedia_quarter():
+    from repro.workloads import generate_workload, load_dataset
+
+    dataset = load_dataset("DBpedia", scale=0.25)
+    return dataset.graph, generate_workload(dataset.graph, 3, 3, seed=2)
+
+
+class TestEveryLocalCommandGoesThroughSubmit:
+    """What a command prints is what ``system.submit`` answers on the
+    same directory: there is no second pipeline to disagree with."""
+
+    @pytest.fixture(
+        params=[
+            lambda: (example_social_network()[0], [example_query()]),
+            dbpedia_quarter,
+        ],
+        ids=["running-example", "dbpedia-quarter"],
+    )
+    def case(self, request, tmp_path, capsys):
+        from repro.core.system import PrivacyPreservingSystem
+
+        graph, queries = request.param()
+        dep, graph_path, query_paths = publish_files(tmp_path, capsys, graph, queries)
+        expected = PrivacyPreservingSystem.load(dep, graph).submit(queries).matches
+        assert all(expected)
+        return dep, graph_path, query_paths, expected
+
+    def test_query(self, case, capsys):
+        dep, graph_path, query_paths, expected = case
+        for path, matches in zip(query_paths, expected):
+            assert main(["query", dep, graph_path, path]) == 0
+            printed = json.loads(capsys.readouterr().out)["matches"]
+            assert [{int(q): v for q, v in m.items()} for m in printed] == matches
+
+    @pytest.mark.parametrize("shards", ["1", "2"])
+    def test_batch(self, case, capsys, shards):
+        dep, graph_path, query_paths, expected = case
+        assert main(["batch", dep, graph_path, *query_paths, "--shards", shards]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert [entry["matches"] for entry in printed["per_query"]] == [
+            len(matches) for matches in expected
+        ]
+
+    def test_serve(self, case, tmp_path, capsys):
+        dep, graph_path, query_paths, expected = case
+        events_path = tmp_path / "events.jsonl"
+        assert (
+            main(["serve", dep, graph_path, *query_paths, "--events", str(events_path)])
+            == 0
+        )
+        events = [json.loads(line) for line in events_path.read_text().splitlines()]
+        assert [e["matches"] for e in events if e["event"] == "query"] == [
+            len(matches) for matches in expected
+        ]
+
+    @pytest.mark.parametrize("shards", ["1", "2"])
+    def test_explain(self, case, capsys, shards):
+        dep, graph_path, query_paths, expected = case
+        for path, matches in zip(query_paths, expected):
+            assert main(["explain", dep, graph_path, path, "--json", "--shards", shards]) == 0
+            assert json.loads(capsys.readouterr().out)["results"] == len(matches)
+
+    def test_audit(self, case, capsys):
+        dep, graph_path, query_paths, expected = case
+        assert (
+            main(["audit", dep, "--graph", graph_path, "--queries", *query_paths, "--json"])
+            == 0
+        )
+        printed = json.loads(capsys.readouterr().out)
+        assert [entry["results"] for entry in printed["per_query"]] == [
+            len(matches) for matches in expected
+        ]
+
+
+class TestTypedErrorsAreOneLine:
+    """A ``ReproError`` leaves ``main`` as ``repro: <Type>: <message>``
+    on stderr and status 2; anything else still propagates."""
+
+    @pytest.fixture
+    def files(self, tmp_path, capsys):
+        from repro.graph import AttributedGraph
+
+        disconnected = AttributedGraph()
+        disconnected.add_vertex(0, "person")
+        disconnected.add_vertex(1, "person")
+        return publish_files(
+            tmp_path,
+            capsys,
+            example_social_network()[0],
+            [example_query(), disconnected, AttributedGraph()],
+        )
+
+    @pytest.mark.parametrize("command", ["query", "batch", "explain"])
+    @pytest.mark.parametrize("bad", [1, 2], ids=["disconnected", "empty"])
+    def test_a_bad_query(self, files, capsys, command, bad):
+        dep, graph_path, query_paths = files
+        assert main([command, dep, graph_path, query_paths[bad]]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro: QueryError: ")
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("command", ["query", "batch", "explain"])
+    def test_a_missing_deployment(self, files, tmp_path, capsys, command):
+        _, graph_path, query_paths = files
+        assert main([command, str(tmp_path / "nowhere"), graph_path, query_paths[0]]) == 2
+        assert capsys.readouterr().err.startswith("repro: ProtocolError: ")
+
+    def test_other_exceptions_still_propagate(self, files):
+        dep, _, query_paths = files
+        with pytest.raises(OSError):
+            main(["query", dep, "no-such-graph.json", query_paths[0]])
+
+
+class TestTheCloudIsClosedOnFailure:
+    def test_batch_drains_the_fork_pool_when_a_query_trips_the_budget(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.cloud.parallel import fork_available
+        from repro.core.system import PrivacyPreservingSystem
+
+        if not fork_available():
+            pytest.skip("fork unavailable")
+        dep, graph_path, query_paths = publish_files(
+            tmp_path, capsys, example_social_network()[0], [example_query()]
+        )
+        load = PrivacyPreservingSystem.load
+        clouds, pools = [], []
+
+        def load_with_a_budget_that_tightens(*args, **kwargs):
+            system = load(*args, **kwargs)
+            cloud = system.cloud
+            cloud.max_workers = 2  # a one-core host would scatter serially
+            answer = cloud.answer
+
+            def answer_then_tighten(query, obs=None):
+                answered = answer(query, obs=obs)
+                pools.append(cloud._scatter_pool)
+                cloud.max_intermediate_results = 0
+                return answered
+
+            cloud.answer = answer_then_tighten
+            clouds.append(cloud)
+            return system
+
+        monkeypatch.setattr(
+            PrivacyPreservingSystem, "load", load_with_a_budget_that_tightens
+        )
+        assert (
+            main(
+                [
+                    "batch", dep, graph_path, *query_paths * 2,
+                    "--shards", "2", "--shard-backend", "process",
+                ]
+            )
+            == 2
+        )
+        assert capsys.readouterr().err.startswith("repro: ResultBudgetExceeded: ")
+        assert len(pools) == 1 and pools[0] is not None  # the first query forked
+        assert clouds[0]._scatter_pool is None
+
+
+def test_importing_the_cli_does_not_import_scipy():
+    """Only the spectral partitioner needs scipy, and it imports it on
+    use: no ``repro`` process pays for it at start-up."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    pytest.importorskip("scipy")
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import repro.cli, sys; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), *sys.path]))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"

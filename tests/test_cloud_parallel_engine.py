@@ -1,7 +1,7 @@
 """Tests for the batched query engine (ISSUE 1, reduced by ISSUE 14).
 
-Covers: the serial/process backends of `map_batch`,
-`CloudServer.query_batch`, `PrivacyPreservingSystem.query_batch` +
+Covers: the serial/process backends of `map_batch` (also over a bare
+`CloudServer.answer`), `PrivacyPreservingSystem.query_batch` +
 `BatchMetrics`, exception propagation, and thread-safety stress tests
 of concurrent callers (the gateway's dispatch threads) sharing one
 server and one star cache.
@@ -194,9 +194,9 @@ class TestCloudQueryBatch:
         queries = [pipe.qo] * 6
         expected = [[match_key(m) for m in server.answer(q).matches] for q in queries]
         for backend in BACKENDS:
-            answers = server.query_batch(queries, max_workers=4, backend=backend)
+            answers = map_batch(server.answer, queries, 4, backend)
             assert [[match_key(m) for m in a.matches] for a in answers] == expected
-        default = server.query_batch(queries)
+        default = map_batch(server.answer, queries)
         assert [[match_key(m) for m in a.matches] for a in default] == expected
 
     @pytest.mark.skipif(not fork_available(), reason="fork start method unavailable")
@@ -211,7 +211,7 @@ class TestCloudQueryBatch:
         queries = [pipe.qo] * 4
         expected = [[match_key(m) for m in server.answer(q).matches] for q in queries]
         hits, misses = server.star_cache.counters()
-        answers = server.query_batch(queries, max_workers=2, backend="process")
+        answers = map_batch(server.answer, queries, 2, "process")
         assert [[match_key(m) for m in a.matches] for a in answers] == expected
         # the children own their cache copies: the parent's is untouched
         assert server.star_cache.counters() == (hits, misses)
@@ -224,7 +224,7 @@ class TestCloudQueryBatch:
             pipe.outsourced.block_vertices,
         )
         with pytest.raises(ValueError):
-            server.query_batch([pipe.qo], backend="quantum")
+            map_batch(server.answer, [pipe.qo], backend="quantum")
 
     def test_budget_exceeded_propagates_from_batch(self, figure1_pipeline):
         pipe = figure1_pipeline
@@ -236,7 +236,7 @@ class TestCloudQueryBatch:
         )
         for backend in BACKENDS:
             with pytest.raises(ResultBudgetExceeded):
-                server.query_batch([pipe.qo] * 3, max_workers=2, backend=backend)
+                map_batch(server.answer, [pipe.qo] * 3, 2, backend)
 
     def test_close_is_idempotent(self, figure1_pipeline):
         pipe = figure1_pipeline

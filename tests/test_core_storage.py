@@ -37,6 +37,24 @@ class TestRoundTrip:
         assert lct.group_ids() == published.lct.group_ids()
         assert avt.k == published.transform.avt.k
 
+    @pytest.mark.parametrize(
+        "method,grouping",
+        [("EFF", "EFF"), ("RAN", "RAN"), ("FSIM", "FSIM"), ("BAS", "EFF")],
+    )
+    def test_the_lct_is_saved_with_the_name_of_its_grouping(
+        self, tmp_path, method, grouping
+    ):
+        """The one key ``PrivacyPreservingSystem.load`` cannot work out
+        from the artefacts themselves; the cloud half never sees it."""
+        graph, schema = example_social_network()
+        published = DataOwner(graph, schema).publish(SystemConfig(k=2, method=method))
+        save_published(published, tmp_path)
+        assert load_client_side(tmp_path)[0].strategy == grouping
+        document = json.loads((tmp_path / "client" / "lct.json").read_text())
+        assert document["strategy"] == grouping
+        for name in ("graph.json", "avt.json", "meta.json"):
+            assert "strategy" not in (tmp_path / "cloud" / name).read_text()
+
     def test_query_through_reloaded_deployment(self, deployment):
         original_graph, _, root = deployment
         cloud_graph, cloud_avt, centers, expand = load_cloud_side(root)

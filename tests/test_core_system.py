@@ -1,13 +1,20 @@
 """Integration tests for the end-to-end system facade."""
 
+import json
+from dataclasses import dataclass, field
+
 import pytest
 
 from repro import MethodConfig, PrivacyPreservingSystem, SystemConfig
 from repro.core import METHOD_NAMES
-from repro.exceptions import QueryError
+from repro.core.protocol import NetworkChannel
+from repro.core.storage import save_published
+from repro.exceptions import ProtocolError, QueryError
 from repro.graph import example_query, example_social_network
-from repro.matching import find_subgraph_matches, match_key
+from repro.kauto.dynamic import DynamicRelease
+from repro.matching import find_subgraph_matches, match_key, vec
 from repro.workloads import generate_workload, load_dataset
+from tests.test_no_cyclic_garbage import an_absent_edge
 
 
 def oracle_keys(query, graph):
@@ -146,3 +153,114 @@ class TestBehavioralShapes:
             )
             sizes.append(system.publish_metrics.index_bytes)
         assert sizes[1] < sizes[0]
+
+
+@dataclass
+class Wiretap(NetworkChannel):
+    """A channel that keeps the payloads it carried."""
+
+    payloads: list[tuple[str, bytes]] = field(default_factory=list)
+
+    def transmit(self, direction, payload, obs=None):
+        self.payloads.append((direction, bytes(payload)))
+        return super().transmit(direction, payload, obs)
+
+
+def observed(system, queries):
+    """Everything one workload shows of a system: per query the exact
+    matches, the cloud's ``Rin`` rows in order, and the ``query`` and
+    ``answer`` payload bytes."""
+    seen = []
+    for query in queries:
+        del system.channel.payloads[:]
+        matches = system.submit([query]).outcomes[0].matches
+        rin = system.cloud.answer(system.client.prepare_query(query)).table
+        seen.append(
+            (matches, rin.schema, list(rin.rows), list(system.channel.payloads))
+        )
+    return seen
+
+
+def running_example():
+    graph, schema = example_social_network()
+    return graph, schema, [example_query()]
+
+
+def dbpedia_quarter():
+    dataset = load_dataset("DBpedia", scale=0.25)
+    return dataset.graph, dataset.schema, generate_workload(dataset.graph, 4, 3, seed=2)
+
+
+@pytest.mark.parametrize("arm", ("rows",) + (("numpy",) if vec.HAVE_NUMPY else ()))
+@pytest.mark.parametrize("shards", [1, 2])
+@pytest.mark.parametrize("method", ["EFF", "BAS"])
+@pytest.mark.parametrize("deployment", [running_example, dbpedia_quarter])
+class TestLoadedEqualsPublished:
+    """``save_published`` -> ``load`` is the system that published it."""
+
+    def test_same_matches_rin_and_wire_bytes(
+        self, tmp_path, deployment, method, shards, arm
+    ):
+        graph, schema, queries = deployment()
+        with vec.override(arm):
+            published = PrivacyPreservingSystem.setup(
+                graph,
+                schema,
+                SystemConfig(k=2, method=method, shards=shards),
+                channel=Wiretap(),
+            )
+            save_published(published.published, tmp_path)
+            loaded = PrivacyPreservingSystem.load(
+                tmp_path, graph, shards=shards, channel=Wiretap()
+            )
+            assert loaded.owner is None and loaded.published is None
+            assert (loaded.config.method, loaded.config.k, loaded.config.theta) == (
+                published.config.method,
+                published.config.k,
+                published.config.theta,
+            )
+            assert observed(loaded, queries) == observed(published, queries)
+            assert all(matches for matches, *_ in observed(loaded, queries))
+
+            if method == "BAS":
+                return  # a BAS cloud stores Gk verbatim: no deltas
+            release = DynamicRelease(
+                graph.copy(), published.published.transform, published.published.lct
+            )
+            delta = release.go_delta(release.insert_edge(*an_absent_edge(release)))
+            assert not delta.is_empty
+            published.cloud.apply_delta(delta)
+            loaded.cloud.apply_delta(delta)
+            assert observed(loaded, queries) == observed(published, queries)
+
+
+class TestLoad:
+    def test_serving_fields_reach_the_config(self, tmp_path):
+        graph, schema = example_social_network()
+        system = PrivacyPreservingSystem.setup(graph, schema, SystemConfig(k=3))
+        save_published(system.published, tmp_path)
+        loaded = PrivacyPreservingSystem.load(
+            tmp_path, graph, shards=2, star_cache_size=8, slo_window_size=16
+        )
+        assert (loaded.config.k, loaded.config.shards) == (3, 2)
+        assert loaded.cloud.star_cache_size == 8
+        assert loaded.query_window.capacity == 16
+        # only load's own work is on the publish record
+        assert loaded.publish_metrics.index_bytes > 0
+        assert loaded.publish_metrics.upload_bytes == 0
+
+    def test_a_directory_that_names_no_strategy_says_republish(self, tmp_path):
+        graph, schema = example_social_network()
+        system = PrivacyPreservingSystem.setup(graph, schema, SystemConfig(k=2))
+        save_published(system.published, tmp_path)
+        lct_path = tmp_path / "client" / "lct.json"
+        document = json.loads(lct_path.read_text())
+        del document["strategy"]
+        lct_path.write_text(json.dumps(document))
+        with pytest.raises(ProtocolError, match="re-publish"):
+            PrivacyPreservingSystem.load(tmp_path, graph)
+
+    def test_a_missing_directory_is_a_protocol_error(self, tmp_path):
+        graph, _ = example_social_network()
+        with pytest.raises(ProtocolError):
+            PrivacyPreservingSystem.load(tmp_path / "nowhere", graph)

@@ -22,6 +22,7 @@ import pytest
 from repro.cloud import CloudServer
 from repro.core.config import SystemConfig
 from repro.core.options import QueryOptions
+from repro.core.storage import save_published
 from repro.core.system import PrivacyPreservingSystem
 from repro.kauto.dynamic import DynamicRelease
 from repro.obs import Observability, names
@@ -67,6 +68,14 @@ def stand_up(dataset, shards: int) -> PrivacyPreservingSystem:
     return PrivacyPreservingSystem.setup(data.graph, data.schema, config)
 
 
+def reloaded(dataset, shards: int, directory) -> PrivacyPreservingSystem:
+    """The same deployment, saved and stood up again by ``load``."""
+    save_published(stand_up(dataset, shards).published, directory)
+    return PrivacyPreservingSystem.load(
+        directory, dataset[0].graph, star_cache_size=16, shards=shards
+    )
+
+
 def an_absent_edge(release: DynamicRelease) -> tuple[int, int]:
     """Two vertices of ``G`` not adjacent in ``Gk``: a non-empty delta."""
     ids = sorted(release.original.vertex_ids())
@@ -90,6 +99,16 @@ class TestDroppedSystem:
         system.obs.metrics.snapshot()  # every pull gauge evaluated once
         holder = [system]
         del system, traced
+        assert cyclic_leftovers(holder) == []
+
+    def test_loaded_fresh_and_after_submits(self, dataset, shards, tmp_path):
+        assert cyclic_leftovers([reloaded(dataset, shards, tmp_path)]) == []
+        system = reloaded(dataset, shards, tmp_path)
+        system.submit(dataset[1][:1])
+        system.submit(dataset[1], options=QueryOptions(trace=False))
+        system.obs.metrics.snapshot()
+        holder = [system]
+        del system
         assert cyclic_leftovers(holder) == []
 
     def test_after_a_delta(self, dataset, shards):

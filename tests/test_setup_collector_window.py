@@ -1,5 +1,6 @@
-"""``PrivacyPreservingSystem.setup`` pauses the cyclic collector — once,
-in one place — and hands the caller's collector state back.
+"""``PrivacyPreservingSystem.setup`` and ``.load`` pause the cyclic
+collector — through one window, in one place — and hand the caller's
+collector state back.
 
 Why the pause is free is ``tests/test_no_cyclic_garbage.py``; what it
 buys is in docs/performance.md, "Collector and refinement".
@@ -17,6 +18,7 @@ import pytest
 
 from repro.core import system as system_module
 from repro.core.config import SystemConfig
+from repro.core.storage import save_published
 from repro.core.system import PrivacyPreservingSystem, _collector_paused
 from repro.exceptions import ReproError
 
@@ -85,6 +87,52 @@ class TestTheCallersStateComesBack:
         collector(enabled)
         with pytest.raises(RuntimeError, match="no cloud today"):
             PrivacyPreservingSystem.setup(*figure1, a_config())
+        assert gc.isenabled() is enabled
+
+
+class TestLoadRunsInTheSameWindow:
+    @pytest.fixture
+    def saved(self, figure1, tmp_path):
+        system = PrivacyPreservingSystem.setup(*figure1, a_config())
+        return save_published(system.published, tmp_path / "dep")
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_the_callers_state_comes_back(self, figure1, saved, collector, enabled):
+        collector(enabled)
+        PrivacyPreservingSystem.load(saved, figure1[0])
+        assert gc.isenabled() is enabled
+
+    def test_it_is_off_while_the_halves_load_and_the_cloud_builds(
+        self, figure1, saved, collector, monkeypatch
+    ):
+        seen = []
+
+        def spying(name):
+            real = getattr(system_module, name)
+
+            def spy(*args, **kwargs):
+                seen.append((name, gc.isenabled()))
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(system_module, name, spy)
+
+        for name in ("load_cloud_side", "load_client_side", "build_cloud"):
+            spying(name)
+        collector(True)
+        PrivacyPreservingSystem.load(saved, figure1[0])
+        assert seen == [
+            ("load_cloud_side", False),
+            ("load_client_side", False),
+            ("build_cloud", False),
+        ]
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_restored_when_the_directory_is_missing(
+        self, figure1, tmp_path, collector, enabled
+    ):
+        collector(enabled)
+        with pytest.raises(ReproError):
+            PrivacyPreservingSystem.load(tmp_path / "nowhere", figure1[0])
         assert gc.isenabled() is enabled
 
 

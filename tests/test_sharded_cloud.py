@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cloud import CloudServer, ShardedCloud, build_shards, fork_available
-from repro.cloud.parallel import BACKENDS
+from repro.cloud.parallel import BACKENDS, map_batch
 from repro.cloud.sharding import halo_vertices, merge_star_tables
 from repro.core.config import SystemConfig
 from repro.core.protocol import NetworkChannel
@@ -119,7 +119,7 @@ class TestBitIdentity:
         cloud = sharded(dep, 2)
         serial = [cloud.answer(query) for query in queries]
         for backend in BACKENDS:
-            batched = cloud.query_batch(queries, backend=backend)
+            batched = map_batch(cloud.answer, queries, backend=backend)
             for one, other in zip(serial, batched):
                 assert_answers_identical(one, other)
 
@@ -293,7 +293,7 @@ class TestSystemPlumbing:
         assert SystemConfig(shards=4, shard_backend="process").shards == 4
 
     def test_config_backends_stay_in_sync_with_parallel(self):
-        from repro.cloud.parallel import BACKENDS
+        from repro.cloud.parallel import BACKENDS, map_batch
 
         # config validates against a literal tuple to avoid importing
         # the cloud package; this pin keeps the two lists in lockstep.
