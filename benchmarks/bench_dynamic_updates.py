@@ -8,8 +8,10 @@ strategies the library offers for evolving graphs:
   shipping only the cloud-visible changes.
 
 Expected shape: per-update delta bytes are orders of magnitude below a
-re-upload and roughly independent of graph size; update application is
-micro-seconds against a full rebuild's milliseconds.
+re-upload and roughly independent of graph size; patching the bare
+graph is micro-seconds against a full rebuild's milliseconds — and the
+serving object (`CloudServer.apply_delta`, which today rebuilds its
+index and estimator) is timed beside it, so the table shows both.
 """
 
 import time
@@ -18,13 +20,14 @@ from conftest import bench_scale
 
 from repro.anonymize import build_lct, cost_based_grouping
 from repro.bench import format_table, ms, print_report
+from repro.cloud import build_cloud
 from repro.core import DataOwner, SystemConfig
 from repro.core.protocol import encode_upload
 from repro.graph import compute_statistics
 from repro.kauto import build_k_automorphic_graph, verify_k_automorphism
 from repro.kauto.dynamic import DynamicRelease
 from repro.outsource import apply_go_delta
-from repro.workloads import load_dataset
+from repro.workloads import generate_workload, load_dataset
 
 UPDATES = 20
 
@@ -67,10 +70,14 @@ def test_report_dynamic_update_cost(benchmark):
         for k in (2, 3, 5):
             dataset, release = _release("DBpedia", k)
             outsourced = release.refresh_outsourced()
+            server = build_cloud(
+                outsourced.graph.copy(), release.avt, list(outsourced.block_vertices)
+            )
             vertices = sorted(release.original.vertex_ids())
 
             delta_bytes = 0
             incremental_seconds = 0.0
+            cloud_seconds = 0.0
             applied = 0
             for i in range(UPDATES):
                 u = vertices[(7 * i) % len(vertices)]
@@ -82,10 +89,21 @@ def test_report_dynamic_update_cost(benchmark):
                 delta = release.go_delta(log)
                 apply_go_delta(outsourced, delta)
                 incremental_seconds += time.perf_counter() - started
+                started = time.perf_counter()
+                server.apply_delta(delta)
+                cloud_seconds += time.perf_counter() - started
                 delta_bytes += delta.payload_bytes()
                 applied += 1
 
             verify_k_automorphism(release.gk, release.avt)
+            # the patched server is the server of the patched Go
+            fresh = build_cloud(
+                outsourced.graph.copy(), release.avt, list(outsourced.block_vertices)
+            )
+            probe = release.lct.apply_to_graph(
+                generate_workload(dataset.graph, 4, 1, seed=k)[0]
+            )
+            assert server.answer(probe).table == fresh.answer(probe).table
 
             started = time.perf_counter()
             owner = DataOwner(release.original, dataset.schema)
@@ -102,6 +120,7 @@ def test_report_dynamic_update_cost(benchmark):
                     round(delta_bytes / max(applied, 1)),
                     full_bytes,
                     ms(incremental_seconds / max(applied, 1)),
+                    ms(cloud_seconds / max(applied, 1)),
                     ms(republish_seconds),
                 ]
             )
@@ -112,6 +131,7 @@ def test_report_dynamic_update_cost(benchmark):
                 "delta B/update",
                 "re-upload B",
                 "incremental ms/update",
+                "cloud apply ms/update",
                 "re-publish ms",
             ],
             rows,

@@ -89,7 +89,7 @@ class StarCardinalityEstimator:
     average_degree: float
     k: int
 
-    def _vertex_match_probability(self, vertex) -> float:
+    def vertex_match_probability(self, vertex) -> float:
         """P(a random Gk vertex matches query vertex ``vertex``).
 
         Type probability times the product of its label-group
@@ -104,23 +104,25 @@ class StarCardinalityEstimator:
         return p
 
     def estimate(self, star_graph: AttributedGraph, center: int) -> float:
-        """Expression 4 for a star rooted at ``center``.
+        """Expression 4 for a star rooted at ``center``."""
+        probability = self.vertex_match_probability
+        return self.star_size(
+            probability(star_graph.vertex(center)),
+            [probability(star_graph.vertex(v)) for v in star_graph.neighbors(center)],
+        )
+
+    def star_size(self, center_probability: float, leaf_probabilities) -> float:
+        """Expression 4 from the match probabilities of a star's vertices.
 
         First factor: expected number of candidate centers inside
         ``B1`` — ``(|V(Gk)|/k) * P(center matches)``.
         Second factor: the neighbour search space —
-        ``Π_leaves D(Gk) * P(leaf matches)``.
+        ``Π_leaves D(Gk) * P(leaf matches)``, multiplied in the order given.
         """
-        center_vertex = star_graph.vertex(center)
-        candidates = (self.gk_vertex_count / self.k) * self._vertex_match_probability(
-            center_vertex
-        )
+        candidates = (self.gk_vertex_count / self.k) * center_probability
         neighbour_space = 1.0
-        for leaf in star_graph.neighbors(center):
-            leaf_vertex = star_graph.vertex(leaf)
-            neighbour_space *= self.average_degree * self._vertex_match_probability(
-                leaf_vertex
-            )
+        for probability in leaf_probabilities:
+            neighbour_space *= self.average_degree * probability
         return candidates * neighbour_space
 
 

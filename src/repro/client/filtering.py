@@ -32,8 +32,8 @@ from repro.matching.table import MatchTable, Row
 class TableFilterResult:
     """The exact matches as a table, with the per-check drop counters.
 
-    ``anchored``: :meth:`ClientFilter.filter_rin` streamed the ``k``
-    images of an anchored ``Rin``; ``seconds`` then times the checks only.
+    ``anchored``: :meth:`ClientFilter.filter_rin` checked the ``k``
+    images of an anchored ``Rin`` itself; ``seconds`` then times the checks only.
     """
 
     table: MatchTable
@@ -62,12 +62,74 @@ class LazyGraphCSR:
         self._graph = graph
         self._built = False
         self._csr: GraphCSR | None = None
+        #: where the AVT's images land in this graph; ``None`` until the
+        #: first flat-column ``Rin`` (:meth:`ClientFilter.filter_rin`)
+        self.image_masks: ImageMasks | None = None
 
     def get(self) -> GraphCSR | None:
         if not self._built:
             self._csr = GraphCSR.build(self._graph)
             self._built = True
         return self._csr
+
+    def images(self, csr: GraphCSR, avt: AlignmentVertexTable) -> "ImageMasks":
+        """The :class:`ImageMasks` of ``csr`` under ``avt``, rebuilt if either differs."""
+        masks = self.image_masks
+        if masks is None or masks.csr is not csr or masks.avt is not avt:
+            masks = self.image_masks = ImageMasks(csr, avt)
+        return masks
+
+
+#: Images checked per pass over a ``Rin``: the bits of the widest mask word.
+MASK_BITS = 64
+
+
+class ImageMasks:
+    """Where the ``k`` images of every AVT id and id pair land in ``G``.
+
+    Built once per (CSR of ``G``, AVT), in AVT id space, images taken
+    :data:`MASK_BITS` at a time with masks of the narrowest unsigned
+    dtype holding them.  Per group ``(first, vmask, pair_keys, emask,
+    hmask, shift, back)``, bit ``j`` standing for ``F_m``, ``m = first +
+    j``: ``vmask[a]`` has it iff ``F_m(a) ∈ V(G)``; ``emask`` has it at the
+    packed pair ``(a, b)`` of the sorted ``pair_keys`` iff ``(F_m(a),
+    F_m(b)) ∈ E(G)``; ``hmask`` ORs ``emask`` into ≥ 8 hashed slots per pair
+    — a superset read by one gather where ``emask`` takes a binary search;
+    ``back[j]`` sends a vertex of ``G`` to its ``F_m`` pre-image, or to the
+    spare slot ``size``.
+    """
+
+    @hot_path
+    def __init__(self, csr: GraphCSR, avt: AlignmentVertexTable) -> None:
+        np = vec.np
+        luts = avt.image_luts()
+        assert luts is not None  # a flat-column anchored Rin was gathered through them
+        self.csr, self.avt, self.luts = csr, avt, luts
+        self.size = size = len(luts[0])
+        u, v = np.divmod(csr.edge_keys, csr.stride)
+        g_ids = np.arange(len(csr.exists), dtype=np.int64)
+        self.groups: list[tuple[Any, ...]] = []
+        for first in range(0, avt.k, MASK_BITS):
+            bits = min(MASK_BITS, avt.k - first)
+            dtype = vec.unsigned_dtype(bits)
+            vmask = np.zeros(size, dtype=dtype)
+            # the pair (-1) of no image: a lookup never meets an empty table
+            keys, marks, back = [np.array([-1])], [np.zeros(1, dtype=dtype)], []
+            for j in range(bits):
+                bit = np.array(1 << j, dtype=dtype)
+                vmask |= vec.bounded_flags(csr.exists, luts[first + j]) * bit
+                inverse = vec.bounded_lookup(luts[-(first + j) % avt.k], g_ids, -1)
+                inverse[inverse < 0] = size  # no pre-image in the AVT
+                back.append(inverse)
+                a, b = inverse[u], inverse[v]
+                known = np.maximum(a, b) < size
+                keys.append((np.minimum(a, b) * size + np.maximum(a, b))[known])
+                marks.append(np.full(len(keys[-1]), bit))
+            pair_keys, emask = vec.or_by_key(np.concatenate(keys), np.concatenate(marks))
+            shift = np.uint64(64 - max(3, (8 * len(pair_keys) - 1).bit_length()))
+            hmask = np.zeros(1 << (64 - int(shift)), dtype=dtype)
+            np.bitwise_or.at(hmask, vec.hash_slots(pair_keys, shift), emask)
+            self.groups.append((first, vmask, pair_keys, emask, hmask, shift, back))
 
 
 #: ``filter_table`` keeps smaller candidate tables on the tuple loop: with
@@ -199,6 +261,64 @@ class _Scan:
         self.kept.append([col[alive] for col in cols])
         self.count += len(alive)
 
+    @hot_path
+    def feed_images(self, cols: Sequence[Any], images: ImageMasks) -> None:
+        """All ``k`` images of an anchored ``Rin`` in one pass over k-bit masks.
+
+        Bit ``j`` of a row's mask says its image ``F_m`` is still a
+        candidate: the AND of its columns' ``vmask``, then of every
+        query edge's hashed pair mask, then of every query edge's exact
+        pair mask on what is left, then of its columns' label masks
+        (``F_m⁻¹`` of each query vertex's candidate ids); rows whose
+        mask reaches 0 leave.  Only surviving (row, image) pairs go
+        through ``F_m``, image-major and in row order, and the counters
+        are bit counts of the retained stage masks over the rows
+        ``limit`` lets the scan reach.
+        """
+        np = vec.np
+        n = len(cols[0])
+        for first, vmask, pair_keys, emask, hmask, shift, back in images.groups:
+            in_graph = np.take(vmask, cols[0])
+            for col in cols[1:]:
+                in_graph &= np.take(vmask, col)
+            rows = np.flatnonzero(in_graph)
+            mask = in_graph[rows]
+            for exact in (False, True):
+                for c1, c2 in self.edge_pairs:
+                    a, b = cols[c1][rows], cols[c2][rows]
+                    key = np.minimum(a, b) * images.size + np.maximum(a, b)
+                    if exact:
+                        mask &= vec.lookup_sorted(pair_keys, emask, key)
+                    else:
+                        mask &= np.take(hmask, vec.hash_slots(key, shift))
+                    live = np.flatnonzero(mask)
+                    rows, mask = rows[live], mask[live]
+            joined_rows, joined = rows, mask
+            for col, ids in zip(cols, self.label_ids):
+                labelled = np.zeros(images.size + 1, dtype=mask.dtype)
+                for j, inverse in enumerate(back):
+                    labelled[inverse[ids]] |= np.array(1 << j, dtype=mask.dtype)
+                mask = mask & np.take(labelled, col[rows])
+                live = np.flatnonzero(mask)
+                rows, mask = rows[live], mask[live]
+            for j in range(len(back)):
+                if self.full:
+                    return
+                bit = np.array(1 << j, dtype=mask.dtype)
+                take, scanned = rows[(mask & bit) != 0], n
+                if self.limit is not None and self.count + len(take) >= self.limit:
+                    take = take[: self.limit - self.count]
+                    scanned = int(take[-1]) + 1
+                alive = int(np.count_nonzero(in_graph[:scanned] & bit))
+                reached = joined[: np.searchsorted(joined_rows, scanned)]
+                connected = int(np.count_nonzero(reached & bit))
+                self.dropped_vertex += scanned - alive
+                self.dropped_edge += alive - connected
+                self.dropped_label += connected - len(take)
+                lut = images.luts[first + j]
+                self.kept.append([np.take(lut, col[take]) for col in cols])
+                self.count += len(take)
+
     def result(self, seconds: float, candidates: int) -> TableFilterResult:
         if self.csr is None or not self.kept:
             table = MatchTable(self.schema, self.kept)
@@ -272,25 +392,32 @@ class ClientFilter:
 
         The table, candidate count and counters of ``filter_table(
         avt.expand_known_table(rin), limit)`` without ever holding
-        ``R(Qo, Gk)``: the known,
-        distinct rows of ``Rin`` go through one ``F_m`` at a time and
-        each image is checked and cut down to its survivors before the
-        next is gathered.  That needs the ``k`` images to be disjoint,
-        which :meth:`~repro.kauto.avt.AlignmentVertexTable.anchored_rin`
+        ``R(Qo, Gk)``: a flat-column ``Rin`` is checked where it
+        stands, all ``k`` images at once (:meth:`_Scan.feed_images`),
+        and only the survivors go through ``F_m``; tuple rows go through
+        one ``F_m`` at a time, each image checked before the next is
+        made.  That needs the ``k`` images to be disjoint, which
+        :meth:`~repro.kauto.avt.AlignmentVertexTable.anchored_rin`
         establishes; an unanchored ``Rin`` takes the composition.
         """
         known, anchored = avt.anchored_rin(rin)
         if not anchored:
             return self.filter_table(avt.expand_known_table(known), limit)
-        csr = self._csr.get() if known.is_columnar() else None
+        cols = known.columns()
+        csr = self._csr.get() if cols is not None else None
         scan = _Scan(self, known.schema, limit, csr)
         checking = 0.0
-        for block in avt.images(known, columns=csr is not None):
+        if csr is not None and cols is not None:
             started = time.perf_counter()
-            scan.feed(block)
-            checking += time.perf_counter() - started
-            if scan.full:
-                break
+            scan.feed_images(cols, self._csr.images(csr, avt))
+            checking = time.perf_counter() - started
+        else:
+            for block in avt.images(known):
+                started = time.perf_counter()
+                scan.feed(block)
+                checking += time.perf_counter() - started
+                if scan.full:
+                    break
         result = scan.result(checking, len(known) * avt.k)
         result.anchored = True
         return result

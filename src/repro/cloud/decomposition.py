@@ -15,20 +15,35 @@ from repro.cloud.vertex_cover import (
 )
 from repro.exceptions import QueryError
 from repro.graph.attributed import AttributedGraph
-from repro.matching.star import Decomposition, star_as_graph, star_of
+from repro.matching.star import Decomposition, star_of
 
 
 def estimate_all_stars(
     query: AttributedGraph,
     estimator: StarCardinalityEstimator,
 ) -> dict[int, float]:
-    """Estimated ``|R(S(v))|`` for a star rooted at every query vertex."""
+    """Estimated ``|R(S(v))|`` for a star rooted at every query vertex.
+
+    Each ``estimator.estimate(star_as_graph(query, star_of(query, v)), v)``
+    to the last bit, without the star graphs: a vertex's match
+    probability is computed once, and a star's leaf factors are
+    multiplied in the order that graph's neighbour set iterates them
+    (a set the leaves entered in ascending order).
+    """
+    probability = {
+        v: estimator.vertex_match_probability(query.vertex(v))
+        for v in query.vertex_ids()
+    }
     estimates: dict[int, float] = {}
     for center in query.vertex_ids():
         if query.degree(center) == 0:
             continue
-        star_graph = star_as_graph(query, star_of(query, center))
-        estimates[center] = estimator.estimate(star_graph, center)
+        leaves: set[int] = set()
+        for leaf in sorted(query.neighbors(center)):
+            leaves.add(leaf)
+        estimates[center] = estimator.star_size(
+            probability[center], [probability[leaf] for leaf in leaves]
+        )
     return estimates
 
 

@@ -13,9 +13,11 @@ matches (``Rout``) are recovered later by applying ``F_1..F_{k-1}``
 :func:`join_star_tables` is a columnar hash join.  Star results
 arrive as :class:`~repro.matching.table.MatchTable`\\ s; join keys are
 extracted positionally (:func:`~repro.matching.table.row_getter`),
-expansion is the AVT's column-wise id remap, injectivity is decided
+expansion is the AVT's column-wise id remap and injectivity is decided
 from precomputed per-row flags plus one ``isdisjoint`` per candidate
-pair, and dedupe keys are the row tuples themselves.
+pair.  Nothing here dedupes: a star table is duplicate-free, the
+expansion keeps it so (:func:`expand_star_table`), and so does a
+natural join of duplicate-free tables.
 """
 
 from __future__ import annotations
@@ -29,11 +31,7 @@ from repro.exceptions import QueryError, ResultBudgetExceeded
 from repro.kauto.avt import AlignmentVertexTable
 from repro.matching import vec
 from repro.matching.star import Star
-from repro.matching.table import MatchTable, Row, dedupe_rows, row_getter
-
-#: Pairwise-disjointness checks are broadcast over (pairs × left width ×
-#: right width) boolean blocks; chunking bounds the peak allocation.
-_PAIR_CHUNK = 1 << 18
+from repro.matching.table import MatchTable, Row, row_getter
 
 
 @dataclass
@@ -52,19 +50,24 @@ def expand_star_table(
 ) -> MatchTable:
     """``R(S, Gk) = ∪_m F_m(R(S, Go))``, columnar (Lines 5-8).
 
-    The AVT remap is a flat per-shift id lookup applied column-wise;
-    under a fixed schema the row tuple is already the canonical dedupe
-    key, so no per-match sort is performed.
+    Precondition — what :func:`~repro.cloud.star_matching.match_plan`
+    yields, and any ``Rin``: the rows are distinct and some column (a
+    star's center, drawn from the indexed set) lies wholly in block
+    ``B1``.  Each ``F_m`` is a bijection that moves that column wholly
+    into block ``m``, so the ``k`` images are duplicate-free and
+    pairwise disjoint (Theorem 3; the argument of
+    :meth:`~repro.kauto.avt.AlignmentVertexTable.anchored_rin`) and are
+    concatenated, ``F_0`` first, without a dedupe.
 
     With the vector backend each ``F_m`` is one LUT gather over every
-    column and the dedupe one first-seen pass; ids unknown to the AVT
-    drop to the tuple path so its ``KeyError`` contract is preserved.
+    column; ids unknown to the AVT drop to the tuple path so its
+    ``KeyError`` contract is preserved.
     """
     if vec.vectorize(len(table)):
         expanded = avt.expand_table(table)
         if expanded is not None:
-            return expanded.deduped()
-    return MatchTable(table.schema, dedupe_rows(avt.expand_rows(table.rows)))
+            return expanded
+    return MatchTable(table.schema, avt.expand_rows(table.rows))
 
 
 @hot_path
@@ -177,8 +180,9 @@ def _hash_join_columns(
 
     The tuple kernel's bucket map becomes a stable argsort of packed right
     keys plus a ``searchsorted`` range per left key; the per-pair
-    injectivity test becomes per-row distinctness flags plus a chunked
-    broadcast disjointness mask.  ``None`` when the key values are
+    injectivity test becomes per-row distinctness flags plus one ``!=``
+    per (left column, new right column) on the gathered pair columns,
+    which are then cut down to the output.  ``None`` when the key values are
     negative or too wide for a collision-free packed int64 key (the
     tuple kernel then runs).
     """
@@ -233,24 +237,18 @@ def _hash_join_columns(
     right_idx = order_r[np.repeat(lo, counts) + within]
 
     keep = r_ok[right_idx]
-    if r_new:
-        left_mat = np.column_stack(lcols)
-        new_mat = np.column_stack(r_new)
-        for start in range(0, total, _PAIR_CHUNK):
-            chunk = slice(start, min(start + _PAIR_CHUNK, total))
-            clash = (
-                left_mat[left_idx[chunk]][:, :, None]
-                == new_mat[right_idx[chunk]][:, None, :]
-            ).any(axis=(1, 2))
-            keep[chunk] &= ~clash
+    pair_left = [col[left_idx] for col in lcols]
+    pair_new = [col[right_idx] for col in r_new]
+    for new in pair_new:
+        for old in pair_left:
+            keep &= old != new
 
     count = int(keep.sum())
     if budget is not None and count > budget:
         raise ResultBudgetExceeded("result join", budget + 1, budget)
-    kept_l = left_idx[keep]
-    kept_r = right_idx[keep]
-    out_cols = [col[kept_l] for col in lcols] + [col[kept_r] for col in r_new]
-    return MatchTable.from_columns(out_schema, out_cols, count)
+    return MatchTable.from_columns(
+        out_schema, [col[keep] for col in pair_left + pair_new], count
+    )
 
 
 def join_star_tables(
@@ -281,7 +279,8 @@ def join_star_tables(
     ``star_tables`` is **read-only** — no input table or row is ever
     mutated here, and the returned table is freshly allocated (its rows
     are immutable tuples, possibly shared with the inputs, which is
-    safe).  That makes it safe to feed this join tables that other
+    safe) unless the decomposition is a single star, whose own table
+    is then the answer.  That makes it safe to feed this join tables that other
     concurrent queries may also be holding (e.g. out of the shared
     star cache).  The join is also deterministic: star order, anchor
     choice, and bucket iteration are all keyed on sizes with vertex-id
@@ -321,7 +320,6 @@ def join_star_tables(
         if not current:
             break
 
-    rin = current.deduped()
-    stats.rin_size = len(rin)
+    stats.rin_size = len(current)
     stats.seconds = time.perf_counter() - started
-    return rin, stats
+    return current, stats

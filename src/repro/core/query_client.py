@@ -104,10 +104,10 @@ class QueryClient:
         ``matches`` is the :class:`~repro.matching.table.MatchTable`
         decoded off the wire.  An unexpanded ``Rin`` goes through
         :meth:`~repro.client.filtering.ClientFilter.filter_rin`, which
-        expands and checks one ``F_m`` image at a time and never holds
-        ``R(Qo, Gk)``; ``client.expand`` then times its prep and
-        gathers and ``client.filter`` its checks plus the conversion of
-        the exact results to dicts.
+        checks the ``k`` images of every row without ever holding
+        ``R(Qo, Gk)``; ``client.expand`` then times its prep on ``Rin``
+        (and, on tuple rows, the ``F_m`` remaps) and ``client.filter``
+        its checks plus the conversion of the exact results to dicts.
 
         ``limit`` returns at most that many exact matches (any subset
         of R(Q, G); useful for "find me a few examples" queries).
@@ -148,8 +148,8 @@ class QueryClient:
             )
         expansion_seconds = 0.0
         if expand_span is not None:
-            # the single pass interleaves gathers and checks per block:
-            # the checks' share of the first span belongs to the second
+            # the single pass ran inside the first span: the checks'
+            # share of it belongs to the second
             expand_span.cede(result.seconds, span)
             expansion_seconds = expand_span.duration
         outcome = ClientOutcome(

@@ -301,34 +301,23 @@ class AlignmentVertexTable:
                 return MatchTable(table.schema, rows), True
         return MatchTable(table.schema, rows), False
 
-    @hot_path
-    def images(self, rin: MatchTable, columns: bool) -> Iterator[Any]:
-        """``F_0(rin), .., F_{k-1}(rin)``, one block at a time.
+    def image_luts(self) -> list[Any] | None:
+        """Dense int64 arrays, ``luts[m][vid] == F_m(vid)`` and -1 for an
+        id not in the AVT (read-only), or ``None`` when ineligible (no
+        numpy, ids negative or too sparse)."""
+        built = self._vector_luts()
+        return None if built is None else built[0]
 
-        ``rin`` is :meth:`anchored_rin`'s result.  With ``columns`` (it
-        must then be flat-column) a block is a list of ndarrays, and
-        every ``F_m`` image is gathered into the same buffers: take
-        what you keep before asking for the next block.  Otherwise a
-        block is a list of tuple rows.
+    @hot_path
+    def images(self, rin: MatchTable) -> Iterator[list[Row]]:
+        """``F_0(rin), .., F_{k-1}(rin)`` as tuple rows, one image at a time.
+
+        ``rin`` is :meth:`anchored_rin`'s result.
         """
-        if columns:
-            built = self._vector_luts()
-            cols = rin.columns()
-            assert built is not None and cols is not None
-            yield cols
-            np = vec.np
-            out = [np.empty_like(col) for col in cols]
-            for lut in built[0][1:]:
-                for col, buf in zip(cols, out):
-                    # ids are known, hence in range: "clip" only spares
-                    # numpy the copy of ``buf`` that "raise" would make
-                    np.take(lut, col, out=buf, mode="clip")
-                yield out
-        else:
-            rows = rin.rows
-            yield rows
-            for m in range(1, self._k):
-                yield self.remap_rows(rows, m)
+        rows = rin.rows
+        yield rows
+        for m in range(1, self._k):
+            yield self.remap_rows(rows, m)
 
     @hot_path
     def expand_known_table(self, table: MatchTable) -> MatchTable:

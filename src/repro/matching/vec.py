@@ -280,6 +280,34 @@ def isin_sorted(values: Any, sorted_unique: Any) -> Any:
 
 
 @hot_path
+def lookup_sorted(sorted_unique: Any, values: Any, needles: Any) -> Any:
+    """``values`` at each needle's place in (non-empty) ``sorted_unique``, 0 if absent."""
+    at = np.minimum(np.searchsorted(sorted_unique, needles), len(sorted_unique) - 1)
+    return np.where(sorted_unique[at] == needles, values[at], 0)
+
+
+@hot_path
+def or_by_key(keys: Any, marks: Any) -> tuple[Any, Any]:
+    """The sorted distinct ``keys`` and, per key, the OR of its ``marks``."""
+    distinct, at = np.unique(keys, return_inverse=True)
+    merged = np.zeros(len(distinct), dtype=marks.dtype)
+    np.bitwise_or.at(merged, at, marks)
+    return distinct, merged
+
+
+@hot_path
+def hash_slots(keys: Any, shift: Any) -> Any:
+    """Multiply-shift hash of int64 ``keys`` into ``2 ** (64 - shift)`` slots."""
+    hashed = keys.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15) >> shift
+    return hashed.view(np.int64)
+
+
+def unsigned_dtype(bits: int) -> Any:
+    """The narrowest unsigned dtype holding ``bits`` bits (at most 64)."""
+    return next(np.dtype(t) for t in "BHIQ" if np.dtype(t).itemsize * 8 >= bits)
+
+
+@hot_path
 def intersect_sorted(a: Any, b: Any) -> Any:
     """Intersection of two sorted unique id arrays, sorted (numpy-only)."""
     if len(a) > len(b):

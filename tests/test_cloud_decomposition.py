@@ -65,3 +65,30 @@ class TestEstimateAllStars:
         estimates = estimate_all_stars(figure1_pipeline.qo, estimator)
         assert set(estimates) == set(figure1_pipeline.qo.vertex_ids())
         assert all(value >= 0 for value in estimates.values())
+
+    def test_equals_the_per_star_graph_estimates_bit_for_bit(self):
+        """Every estimate is ``==`` (not approx) what ``estimate`` returns
+        for the materialized star graph, in the same key order: EXPLAIN
+        and the cover's tie-breaks read both."""
+        from repro import PrivacyPreservingSystem, SystemConfig
+        from repro.matching import star_as_graph, star_of
+        from repro.workloads import generate_workload, load_dataset
+
+        data = load_dataset("DBpedia", scale=0.2, seed=3)
+        system = PrivacyPreservingSystem.setup(
+            data.graph, data.schema, SystemConfig(k=3, seed=3)
+        )
+        estimator = system.cloud.estimator
+        checked = 0
+        for edges in (4, 6, 8):
+            for query in generate_workload(data.graph, edges, 10, seed=edges):
+                qo = system.client.prepare_query(query)
+                reference = {
+                    v: estimator.estimate(star_as_graph(qo, star_of(qo, v)), v)
+                    for v in qo.vertex_ids()
+                    if qo.degree(v)
+                }
+                estimates = estimate_all_stars(qo, estimator)
+                assert list(estimates.items()) == list(reference.items())
+                checked += len(estimates)
+        assert checked > 100
