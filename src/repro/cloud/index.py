@@ -6,9 +6,14 @@ Built offline over the published graph:
   ``p`` is set iff the ``p``-th indexed vertex carries that group.
   A companion per-*vertex-type* bit vector plays the same role for
   types (the paper checks types alongside label groups).
-* **LBV** (Neighbor Label Bit Vector) — one bit vector per indexed
-  vertex, over label groups; bit ``g`` is set iff at least one
-  neighbour of the vertex carries group ``g``.
+* **LBV** (Neighbor Label Bit Vector) — Figure 7's |indexed| ×
+  |groups| bit matrix, stored by group (``nbv``): bit ``p`` of
+  ``nbv[group]`` is set iff the ``p``-th indexed vertex has a
+  neighbour carrying that group.  Line 6 of Algorithm 1 is then an AND
+  over the leaves' groups beside line 4's AND over the center's.
+* **Vertex masks** — one integer per stored vertex: its own label-group
+  bits plus a one-hot type bit above them, so "may a leaf land here"
+  (:meth:`~repro.graph.attributed.VertexData.matches`) is one AND.
 
 Bit vectors are Python integers (arbitrary-precision bitsets), so the
 bitwise AND of Algorithm 1 is a single machine-assisted operation.
@@ -16,13 +21,16 @@ bitwise AND of Algorithm 1 is a single machine-assisted operation.
 The *indexed vertices* are the candidate star centers: block ``B1``
 for the optimized method (centers of ``Rin`` matches live in ``B1``),
 or all of ``Gk`` for the BAS baseline.
+
+:class:`GraphCSR` is the client's flat companion to its own ``G``
+(Algorithm 3); the cloud does not build one.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Any, Iterable, Mapping, Sequence
 
 from repro.analysis.markers import hot_path
 from repro.graph.attributed import AttributedGraph, VertexData
@@ -30,6 +38,8 @@ from repro.matching import vec
 
 # a label-group coordinate as it appears on vertices: (attribute, group id)
 GroupBitKey = tuple[str, str]
+# vertex id -> its mask: a list over dense non-negative ids, else a dict
+VertexBits = list[int] | dict[int, int]
 
 
 @dataclass
@@ -128,17 +138,6 @@ class GraphCSR:
         )
 
     @hot_path
-    def neighbor_slice(self, vid: int) -> Any:
-        """The ascending neighbor-id array of ``vid`` (empty if unknown)."""
-        np = vec.np
-        if vid < 0 or vid >= len(self.pos):
-            return np.empty(0, dtype=np.int64)
-        row = int(self.pos[vid])
-        if row < 0:
-            return np.empty(0, dtype=np.int64)
-        return self.indices[self.indptr[row] : self.indptr[row + 1]]
-
-    @hot_path
     def candidate_array(self, query_vertex: VertexData) -> Any:
         """Sorted data-vertex ids that ``query_vertex`` can map to.
 
@@ -183,19 +182,63 @@ def _bit_vector(positions: Iterable[int], size: int) -> int:
     return int.from_bytes(raw, "little")
 
 
+def _vertex_masks(
+    graph: AttributedGraph, group_bit: dict[GroupBitKey, int]
+) -> tuple[VertexBits, dict[GroupBitKey | str, int]]:
+    """:attr:`CloudIndex.vertex_bits` and :attr:`CloudIndex.mask_bit`.
+
+    One mask per label map (the upload shares one map per profile):
+    its groups' bits, numbered as ``group_bit`` and then in first-seen
+    order; each vertex then ORs in the one-hot bit of its type, placed
+    above every group bit.
+    """
+    mask_bit: dict[GroupBitKey | str, int] = dict(group_bit)
+    maps: dict[int, Mapping[str, frozenset[str]]] = {}
+    types: dict[str, int] = {}
+    for data in graph.vertices():
+        maps[id(data.labels)] = data.labels
+        types[data.vertex_type] = 0
+    map_bits: dict[int, int] = {}
+    for key, labels in maps.items():
+        mask = 0
+        for attr, groups in labels.items():
+            for group in groups:
+                mask |= 1 << mask_bit.setdefault((attr, group), len(mask_bit))
+        map_bits[key] = mask
+    for vertex_type in types:
+        mask_bit[vertex_type] = len(mask_bit)
+        types[vertex_type] = 1 << mask_bit[vertex_type]
+    # dense ids: a list read is cheaper than a dict probe, and a leaf
+    # test is one read per neighbour (one 10 k-center, 270 k-neighbour
+    # star: 288 -> 224 ms); an absent id reads 0, which holds no need
+    # (every need has a type bit)
+    ids = graph.vertex_id_view()
+    vertex_bits: VertexBits = {}
+    if ids and min(ids) >= 0 and max(ids) < vec.DENSE_LUT_LIMIT:
+        vertex_bits = [0] * (max(ids) + 1)
+    for data in graph.vertices():
+        vertex_bits[data.vertex_id] = map_bits[id(data.labels)] | types[data.vertex_type]
+    return vertex_bits, mask_bit
+
+
 @dataclass
 class CloudIndex:
-    """VBV/LBV tables over the indexed (candidate-center) vertices."""
+    """VBV/LBV tables over the indexed (candidate-center) vertices, and
+    a label mask for every vertex of the stored graph."""
 
     indexed_vertices: list[int]
     position: dict[int, int]
     type_bits: dict[str, int]
     vbv: dict[GroupBitKey, int]
     group_bit: dict[GroupBitKey, int]
-    lbv: dict[int, int]
-    csr: GraphCSR | None = None
+    nbv: dict[GroupBitKey, int]
+    #: per stored vertex id: its groups' :attr:`mask_bit` bits | its type's
+    vertex_bits: VertexBits
+    #: a bit per label group (``group_bit``'s numbering first, then
+    #: groups no indexed vertex or neighbour carries) and, above them,
+    #: one per vertex type
+    mask_bit: dict[GroupBitKey | str, int]
     build_seconds: float = 0.0
-    _full_mask: int = field(default=0)
 
     # ------------------------------------------------------------------
     # construction
@@ -214,51 +257,67 @@ class CloudIndex:
         """
         started = time.perf_counter()
         vertices = list(indexed_vertices)
+        size = len(vertices)
         position = {vid: p for p, vid in enumerate(vertices)}
+        vertex = graph.vertex
 
         # collect bit positions first and build each vector once: OR-ing
         # a |indexed|-bit integer per vertex per group is quadratic
         type_at: dict[str, list[int]] = {}
         group_at: dict[GroupBitKey, list[int]] = {}
-        for vid in vertices:
-            data = graph.vertex(vid)
-            type_at.setdefault(data.vertex_type, []).append(position[vid])
+        for p, vid in enumerate(vertices):
+            data = vertex(vid)
+            type_at.setdefault(data.vertex_type, []).append(p)
             for attr, groups in data.labels.items():
                 for group in groups:
-                    group_at.setdefault((attr, group), []).append(position[vid])
-        type_bits = {t: _bit_vector(at, len(vertices)) for t, at in type_at.items()}
-        vbv = {key: _bit_vector(at, len(vertices)) for key, at in group_at.items()}
+                    group_at.setdefault((attr, group), []).append(p)
+        type_bits = {t: _bit_vector(at, size) for t, at in type_at.items()}
+        vbv = {key: _bit_vector(at, size) for key, at in group_at.items()}
         group_bit = {key: bit for bit, key in enumerate(group_at)}
 
-        # group bits must also exist for groups only seen on neighbours;
-        # vertices sharing a label map (an upload profile) share its mask
-        map_masks: dict[int, int] = {}
-        lbv: dict[int, int] = {}
-        for vid in vertices:
-            neighbor_mask = 0
+        # LBV by group: the indexed neighbours of each vertex, then their
+        # positions per label map (the upload shares one map per
+        # profile), then per group.  Maps are met in the order the
+        # (indexed vertex, neighbour) walk first reaches them, so groups
+        # seen only on neighbours get the later bits in that order.
+        near: dict[int, list[int]] = {}
+        for p, vid in enumerate(vertices):
             for nbr in graph.neighbors(vid):
-                labels = graph.vertex(nbr).labels
-                mask = map_masks.get(id(labels))
-                if mask is None:
-                    mask = 0
-                    for attr, groups in labels.items():
-                        for group in groups:
-                            bit = group_bit.setdefault((attr, group), len(group_bit))
-                            mask |= 1 << bit
-                    map_masks[id(labels)] = mask
-                neighbor_mask |= mask
-            lbv[vid] = neighbor_mask
+                at = near.get(nbr)
+                if at is None:
+                    near[nbr] = [p]
+                else:
+                    at.append(p)
+        map_at: dict[int, list[int]] = {}
+        maps: list[Mapping[str, frozenset[str]]] = []
+        for nbr, at in near.items():
+            labels = vertex(nbr).labels
+            seen = map_at.get(id(labels))
+            if seen is None:
+                map_at[id(labels)] = at
+                maps.append(labels)
+            else:
+                seen.extend(at)
+        nbv = dict.fromkeys(group_bit, 0)
+        for labels in maps:
+            row = _bit_vector(map_at[id(labels)], size)
+            for attr, groups in labels.items():
+                for group in groups:
+                    key = (attr, group)
+                    group_bit.setdefault(key, len(group_bit))
+                    nbv[key] = nbv.get(key, 0) | row
 
+        vertex_bits, mask_bit = _vertex_masks(graph, group_bit)
         index = cls(
             indexed_vertices=vertices,
             position=position,
             type_bits=type_bits,
             vbv=vbv,
             group_bit=group_bit,
-            lbv=lbv,
-            csr=GraphCSR.build(graph),
+            nbv=nbv,
+            vertex_bits=vertex_bits,
+            mask_bit=mask_bit,
         )
-        index._full_mask = (1 << len(vertices)) - 1
         index.build_seconds = time.perf_counter() - started
         return index
 
@@ -287,28 +346,41 @@ class CloudIndex:
             yield vertices[low.bit_length() - 1]
             mask ^= low
 
-    def query_neighbor_mask(self, leaf_vertices: Iterable[VertexData]) -> int:
-        """``LBV(v_i)`` of Algorithm 1: bits of all groups on the leaves.
+    def neighborhood_mask(self, leaf_vertices: Iterable[VertexData]) -> int:
+        """Line 6 of Algorithm 1 for every indexed vertex at once.
 
-        Returns -1 (sentinel) if a leaf carries a group that no indexed
-        vertex's neighbourhood contains — the star is unmatchable.
+        Bit ``p`` is set iff the ``p``-th indexed vertex has, for every
+        group on the leaves, a neighbour carrying it: the AND of their
+        :attr:`nbv` rows — ``-1`` (every bit) when the leaves carry no
+        group, 0 as soon as one is carried by no neighbour.
         """
-        mask = 0
+        mask = -1
         for leaf in leaf_vertices:
             for attr, groups in leaf.labels.items():
                 for group in groups:
-                    bit = self.group_bit.get((attr, group))
-                    if bit is None:
-                        return -1
-                    mask |= 1 << bit
+                    mask &= self.nbv.get((attr, group), 0)
+                    if not mask:
+                        return 0
         return mask
 
-    def neighborhood_supports(self, vid: int, query_mask: int) -> bool:
-        """Line 6 of Algorithm 1: ``LBV(va) ∧ LBV(vi) == LBV(vi)``."""
-        if query_mask < 0:
-            return False
-        have = self.lbv.get(vid, 0)
-        return (have & query_mask) == query_mask
+    def need_mask(self, query_vertex: VertexData) -> int | None:
+        """The :attr:`vertex_bits` a data vertex needs to match ``query_vertex``.
+
+        ``vertex_bits[v] & need == need`` iff ``query_vertex.matches``
+        vertex ``v``; ``None`` when no stored vertex carries its type or
+        one of its groups.
+        """
+        bit = self.mask_bit.get(query_vertex.vertex_type)
+        if bit is None:
+            return None
+        need = 1 << bit
+        for attr, groups in query_vertex.labels.items():
+            for group in groups:
+                bit = self.mask_bit.get((attr, group))
+                if bit is None:
+                    return None
+                need |= 1 << bit
+        return need
 
     # ------------------------------------------------------------------
     # accounting (Figure 13)
@@ -317,7 +389,7 @@ class CloudIndex:
         """Approximate in-memory size: both bit tables, in bytes.
 
         VBV: one |indexed|-bit vector per label group (+ per type);
-        LBV: one |groups|-bit vector per indexed vertex.  This mirrors
+        LBV: the |indexed| × |groups| bit matrix.  This mirrors
         the paper's index-size accounting, which scales with |V(Go)|.
         """
         rows = len(self.vbv) + len(self.type_bits)

@@ -29,6 +29,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import gc
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -160,6 +161,10 @@ class BatchOutcome:
         )
 
 
+#: makes a window's read-and-disable one step against another's enable
+_COLLECTOR_LOCK = threading.Lock()
+
+
 @contextlib.contextmanager
 def _collector_paused() -> Iterator[None]:
     """Cyclic collector off for the block; back on only if it was on.
@@ -168,14 +173,19 @@ def _collector_paused() -> Iterator[None]:
     collection while it is built scans a growing heap to free nothing
     (docs/performance.md, "Collector and refinement"); a dropped one
     dies by refcount all the same (``tests/test_no_cyclic_garbage.py``).
+    Overlapping windows (threads) never leave it off: a window that saw
+    it off cannot disable it after the window that saw it on has
+    enabled it again.
     """
-    was_enabled = gc.isenabled()
-    gc.disable()
+    with _COLLECTOR_LOCK:
+        was_enabled = gc.isenabled()
+        gc.disable()
     try:
         yield
     finally:
         if was_enabled:
-            gc.enable()
+            with _COLLECTOR_LOCK:
+                gc.enable()
 
 
 def _component_scope(obs: Observability) -> Observability:

@@ -30,7 +30,6 @@ Conversion to and from the dict form lives at the boundary
 
 from __future__ import annotations
 
-from array import array
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -239,20 +238,6 @@ class MatchTable:
         table._cols = cols
         table._length = length
         return table
-
-    @classmethod
-    def from_flat_rows(
-        cls, schema: Iterable[int], buf: array, width: int
-    ) -> "MatchTable":
-        """A flat-column table from a row-major ``array('q')`` buffer (numpy-only)."""
-        if width == 0:
-            return cls(tuple(schema), [])
-        length, rem = divmod(len(buf), width)
-        if rem:
-            raise ValueError("row-major buffer length not a multiple of width")
-        return cls.from_columns(
-            schema, vec.columns_from_flat_rows(buf, width), length
-        )
 
     @hot_path
     def to_matches(self) -> list[Match]:

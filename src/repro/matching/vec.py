@@ -156,13 +156,6 @@ def columns_from_rows(rows: Sequence["Row"], width: int) -> list[Flat] | None:
 
 
 @hot_path
-def columns_from_flat_rows(buf: array, width: int) -> list[Flat]:
-    """Split a row-major ``array('q')`` emission buffer into columns (numpy-only)."""
-    mat = as_ndarray(buf)
-    return [np.ascontiguousarray(mat[i::width]) for i in range(width)]
-
-
-@hot_path
 def rows_from_columns(cols: Sequence[Flat], length: int) -> list["Row"]:
     """Materialize tuple rows from columns (the boundary adapter).
 

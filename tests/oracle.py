@@ -25,11 +25,6 @@ from dataclasses import dataclass
 
 from repro.cloud.index import CloudIndex
 from repro.cloud.result_join import JoinStats
-from repro.cloud.star_matching import (
-    _center_candidates,
-    _leaf_order,
-    _query_mask,
-)
 from repro.exceptions import QueryError, ResultBudgetExceeded
 from repro.graph.attributed import AttributedGraph
 from repro.kauto.avt import AlignmentVertexTable
@@ -40,6 +35,14 @@ from repro.matching.star import Star
 # ----------------------------------------------------------------------
 # Algorithm 1: star matching
 # ----------------------------------------------------------------------
+def _leaf_order(query: AttributedGraph, star: Star) -> list[int]:
+    """Leaves with more labels first, ties by ascending query id."""
+    def key(leaf: int) -> tuple[int, int]:
+        return (-sum(len(v) for v in query.vertex(leaf).labels.values()), leaf)
+
+    return sorted(star.leaves, key=key)
+
+
 def match_star(
     query: AttributedGraph,
     star: Star,
@@ -51,31 +54,45 @@ def match_star(
 ) -> list[Match]:
     """``R(S, data)`` with centers drawn from the index, one dict each.
 
-    Shares candidate generation (VBV centers, LBV mask, leaf order)
-    with :func:`repro.cloud.star_matching.match_star_table`; the leaf
-    assignment is the textbook recursion.  ``use_vbv=False`` /
-    ``use_lbv=False`` answer without that half of the Figure 7 index —
-    same results, by the index's contract.  ``max_results`` raises
+    Only ``index.indexed_vertices`` is read from the index: every test
+    below is computed from ``data``.  Centers come in index order and
+    leaves are assigned by the textbook recursion.  ``use_vbv`` picks
+    how the centers are found — the VBV's AND, as per-group vertex sets
+    (``True``), or a linear ``matches`` scan (``False``); ``use_lbv``
+    applies line 6 — every group on every leaf carried by some
+    neighbour of the center.  Either way the results are the same, by
+    the index's contract.  ``max_results`` raises
     :class:`ResultBudgetExceeded` per emitted match.
     """
-    if use_vbv:
-        candidates = _center_candidates(query, star, index)
-    else:  # no VBV: a linear label scan of the indexed vertices
-        center_vertex = query.vertex(star.center)
-        candidates = [
+    center_vertex = query.vertex(star.center)
+    indexed = index.indexed_vertices
+    if use_vbv:  # line 4: the AND of the center's VBVs, as vertex sets
+        chosen = {
             vid
-            for vid in index.indexed_vertices
-            if center_vertex.matches(data.vertex(vid))
+            for vid in indexed
+            if data.vertex(vid).vertex_type == center_vertex.vertex_type
+        }
+        for attr, groups in center_vertex.labels.items():
+            for group in groups:
+                chosen &= {
+                    vid
+                    for vid in indexed
+                    if group in data.vertex(vid).labels.get(attr, ())
+                }
+        candidates = [vid for vid in indexed if vid in chosen]
+    else:  # no VBV: a linear label scan of the indexed vertices
+        candidates = [
+            vid for vid in indexed if center_vertex.matches(data.vertex(vid))
         ]
-    if candidates is None:
-        return []
-    # no LBV: every vertex trivially supports the empty mask
-    query_mask = _query_mask(query, star, index) if use_lbv else 0
-    if query_mask is None:
-        return []
 
     leaf_order = _leaf_order(query, star)
     leaf_vertices = [query.vertex(leaf) for leaf in leaf_order]
+    wanted = {
+        (attr, group)
+        for leaf in leaf_vertices
+        for attr, groups in leaf.labels.items()
+        for group in groups
+    }
     results: list[Match] = []
 
     def assign(depth: int, partial: Match, used: set[int], neighbors: list[int]) -> None:
@@ -99,11 +116,19 @@ def match_star(
             del partial[leaf]
 
     for center in candidates:
-        if star.leaves and not index.neighborhood_supports(center, query_mask):
+        neighbors = sorted(data.neighbors(center))
+        if use_lbv:  # line 6: some neighbour carries each leaf group
+            carried = {
+                (attr, group)
+                for nbr in neighbors
+                for attr, groups in data.vertex(nbr).labels.items()
+                for group in groups
+            }
+            if not wanted <= carried:
+                continue
+        if len(neighbors) < len(star.leaves):
             continue
-        if data.degree(center) < len(star.leaves):
-            continue
-        assign(0, {star.center: center}, {center}, sorted(data.neighbors(center)))
+        assign(0, {star.center: center}, {center}, neighbors)
     return results
 
 

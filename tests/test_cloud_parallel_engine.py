@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import signal
+import sys
 import threading
 from concurrent.futures.process import BrokenProcessPool
 
@@ -368,10 +369,19 @@ class TestSharedCacheStress:
                 diverged.append(thread_id)
 
         threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        # the stress list has more distinct stars than the cache holds, so
+        # a thread only hits what another thread put there moments before:
+        # at the default 5 ms switch interval one thread can run most of
+        # the list alone and every lookup misses
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(switch_interval)
         assert not diverged
         # one cache lookup per star per query: the locked counters must
         # not lose an update under contention

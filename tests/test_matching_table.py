@@ -1,7 +1,5 @@
 """Unit tests for the columnar MatchTable representation and codecs."""
 
-from array import array
-
 import pytest
 
 from repro.cloud.cache import (
@@ -117,17 +115,6 @@ class TestFlatColumnStorage:
         table = MatchTable.from_columns((), [], 4)
         assert not table.is_columnar()
         assert table.rows == [(), (), (), ()]
-
-    @needs_numpy
-    def test_from_flat_rows_row_major(self):
-        buf = array("q", [10, 20, 11, 21, 12, 22])
-        table = MatchTable.from_flat_rows((1, 2), buf, 2)
-        assert len(table) == 3
-        assert table.rows == [(10, 20), (11, 21), (12, 22)]
-
-    def test_from_flat_rows_rejects_ragged_buffer(self):
-        with pytest.raises(ValueError):
-            MatchTable.from_flat_rows((1, 2), array("q", [10, 20, 11]), 2)
 
     @needs_numpy
     def test_as_columns_converts_without_caching(self):

@@ -577,7 +577,15 @@ class TestIndexTables:
         assert index.vbv == vbv
         # same numbering, and the same first-seen key order
         assert list(index.group_bit.items()) == list(group_bit.items())
-        assert index.lbv == lbv
+        # the LBV is stored by group: the transpose of the per-vertex rows
+        assert index.nbv == {
+            key: sum(
+                1 << p
+                for p, vid in enumerate(centers)
+                if lbv[vid] >> bit & 1
+            )
+            for key, bit in group_bit.items()
+        }
 
     def test_equal_the_per_vertex_or_reference_on_go(self, publish_input):
         graph, k = publish_input

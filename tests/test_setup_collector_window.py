@@ -172,6 +172,50 @@ class TestOverlappingWindows:
         # tail with the collector on: slower, never wrong)
         assert gc.isenabled()
 
+    def test_an_exit_cannot_land_between_a_read_and_its_disable(
+        self, collector, monkeypatch
+    ):
+        """B's window is open; A reads the collector as off and is held
+        right there while B exits.  Were B's ``enable`` to land before
+        A's ``disable``, A (which saw it off) would leave it off for
+        good; B's exit has to wait for A's disable instead."""
+        collector(True)
+        real_isenabled = gc.isenabled
+        parked, release, b_exited = (threading.Event() for _ in range(3))
+
+        def parking_isenabled() -> bool:
+            state = real_isenabled()
+            if threading.current_thread().name == "A":
+                parked.set()
+                release.wait(timeout=10)
+            return state
+
+        def exit_b() -> None:
+            window_b.__exit__(None, None, None)
+            b_exited.set()
+
+        def open_and_close_a() -> None:
+            with _collector_paused():
+                pass
+
+        monkeypatch.setattr(gc, "isenabled", parking_isenabled)
+        window_b = _collector_paused()
+        window_b.__enter__()
+        threads = [
+            threading.Thread(target=open_and_close_a, name="A"),
+            threading.Thread(target=exit_b, name="B"),
+        ]
+        threads[0].start()
+        assert parked.wait(timeout=10)
+        threads[1].start()
+        # B's exit gets its chance to run while A is parked
+        b_exited.wait(timeout=0.2)
+        release.set()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert real_isenabled()
+
     @pytest.mark.parametrize(
         "order",
         ["A+ B+ B- A-", "A+ B+ A- B-", "A+ A- B+ B-"],
