@@ -39,9 +39,6 @@ CODEC_TABLE: tuple[str, ...] = (
     "gateway_reject",
     "gateway_request",
     "query",
-    "shard_request",
-    "shard_tables",
-    "trace_context",
     "upload",
 )
 

@@ -12,7 +12,6 @@ from repro.cloud.result_join import (
 from repro.cloud.server import CloudAnswer, CloudServer
 from repro.cloud.sharding import (
     CloudShard,
-    ShardCacheView,
     ShardedCloud,
     build_cloud,
     build_shards,
@@ -37,7 +36,6 @@ __all__ = [
     "CloudAnswer",
     "ShardedCloud",
     "CloudShard",
-    "ShardCacheView",
     "build_cloud",
     "build_shards",
     "merge_star_tables",

@@ -4,13 +4,16 @@ Different queries frequently share stars: the star of a query vertex is
 determined (up to renaming) by its type, its label groups, and the
 multiset of its leaves' (type, label groups) constraints.  A cloud
 server answering a workload can therefore reuse ``R(S, Go)`` across
-queries.  This module provides the canonical star signature and a
-small LRU cache keyed by it; :class:`repro.cloud.server.CloudServer`
-uses it when constructed with ``star_cache_size > 0``.
+queries.  This module provides the canonical star signature, the leaf
+order Algorithm 1 nests in, and a small LRU cache keyed by the
+signature; :class:`repro.cloud.server.CloudServer` puts one in front of
+its topology when constructed with ``star_cache_size > 0``.
 
 Cached entries store matches in *role form* (center, then leaves in
 signature order) so they can be re-labeled to any query's vertex ids on
-a hit.
+a hit; the re-labeled rows are then put in the order the hitting star's
+own cold run emits (:func:`in_cold_order`), so a hit is that cold run,
+rows and order.
 
 The cache is safe to share between concurrent callers of one server
 (the gateway's dispatch threads):
@@ -26,10 +29,12 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
+from typing import Callable, Sequence
 
 from repro.analysis.markers import hot_path
 from repro.graph.attributed import AttributedGraph, VertexData
-from repro.matching.match import Match
 from repro.matching.star import Star
 from repro.matching.table import MatchTable, Row, row_getter
 
@@ -59,47 +64,43 @@ def star_signature(query: AttributedGraph, star: Star) -> tuple:
     return (center, leaves)
 
 
+def leaf_order(query: AttributedGraph, star: Star) -> list[int]:
+    """The order Algorithm 1 nests a star's leaves in.
+
+    Most-constrained leaves first (more label groups), ties by lower
+    query id.  The kernel pays for it on every star, so it reads label
+    counts only: breaking ties by constraint instead cost 9 µs (+12 %)
+    of a ``selective`` query's star matching (2 cores, Python 3.11).
+    The id tie-break is not a function of the signature, which is why a
+    cache hit is re-sorted (:func:`in_cold_order`).
+    """
+    return sorted(
+        star.leaves,
+        key=lambda leaf: (
+            -sum(len(v) for v in query.vertex(leaf).labels.values()),
+            leaf,
+        ),
+    )
+
+
 def leaf_role_order(query: AttributedGraph, star: Star) -> list[int]:
-    """Leaves ordered consistently with the signature's sorted leaves."""
+    """The cache's role order: leaves by constraint, ties by query id.
+
+    Role ``i`` carries the same constraint in every star of one
+    signature, so a cached row re-labels onto any of them as a match.
+    """
     return sorted(
         star.leaves, key=lambda leaf: (vertex_constraint(query.vertex(leaf)), leaf)
     )
 
 
 @hot_path
-def matches_to_roles(
-    matches: list[Match], star: Star, role_order: list[int]
-) -> list[tuple[int, ...]]:
-    """Store matches positionally: (center image, leaf images...)."""
-    return [
-        (match[star.center], *(match[leaf] for leaf in role_order))
-        for match in matches
-    ]
-
-
-@hot_path
-def roles_to_matches(
-    roles: list[tuple[int, ...]], star: Star, role_order: list[int]
-) -> list[Match]:
-    """Re-label positional matches onto this query's vertex ids."""
-    out: list[Match] = []
-    for row in roles:
-        match: Match = {star.center: row[0]}
-        for leaf, value in zip(role_order, row[1:]):
-            match[leaf] = value
-        out.append(match)
-    return out
-
-
-@hot_path
 def table_to_roles(
     table: MatchTable, star: Star, role_order: list[int]
 ) -> list[Row]:
-    """Columnar :func:`matches_to_roles`: a column re-order, no dicts.
+    """Store a star table positionally: (center image, leaf images...).
 
-    Produces exactly the tuples ``matches_to_roles`` would produce for
-    ``table.to_matches()`` — the cache wire format is unchanged, so
-    dict-path and columnar-path servers can share cache entries.
+    A column re-order of the table's rows into ``role_order``, no dicts.
     """
     getter = row_getter(
         [table.column_of(q) for q in (star.center, *role_order)]
@@ -111,18 +112,36 @@ def table_to_roles(
 def roles_to_table(
     roles: list[Row], star: Star, role_order: list[int]
 ) -> MatchTable:
-    """Columnar :func:`roles_to_matches`: re-label onto a star table.
+    """Re-label positional rows onto this star's vertex ids.
 
     The output schema is the star's canonical column order
     ``(center, *leaves)`` — the same schema
-    :func:`~repro.cloud.star_matching.match_star_table` emits, so cache
-    hits are indistinguishable from fresh computations.
+    :func:`~repro.cloud.star_matching.match_star_table` emits; the rows
+    keep the order of the run they were stored from.
     """
     schema = (star.center, *star.leaves)
     role_schema = (star.center, *role_order)
     column = {q: i for i, q in enumerate(role_schema)}
     getter = row_getter([column[q] for q in schema])
     return MatchTable(schema, [getter(row) for row in roles])
+
+
+@hot_path
+def in_cold_order(table: MatchTable, order: list[int]) -> MatchTable:
+    """``table``'s rows in the order a cold run nesting ``order`` emits.
+
+    Algorithm 1 emits a center's rows together, centers in index order,
+    and takes each leaf's candidates in ascending id, so within a center
+    the rows ascend in their leaf values read in ``order``.  A
+    re-labeled hit keeps its source's center blocks; only rows inside a
+    block move.
+    """
+    key = row_getter([table.column_of(leaf) for leaf in order])
+    source = table.rows
+    rows: list[Row] = []
+    for _, block in groupby(source, key=itemgetter(0)):
+        rows.extend(sorted(block, key=key))
+    return MatchTable(table.schema, rows)
 
 
 @dataclass
@@ -172,6 +191,52 @@ class StarMatchCache:
             self._entries.move_to_end(signature)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
+
+    def plan_tables(
+        self,
+        query: AttributedGraph,
+        stars: Sequence[Star],
+        match: Callable[[list[Star]], dict[int, MatchTable]],
+    ) -> tuple[dict[int, MatchTable], int]:
+        """The star tables of one plan, with ``match`` run on the misses only.
+
+        Stars are grouped by signature and each group is looked up
+        once.  Of a group the cache lacks, only the first star goes to
+        ``match`` (one call for the whole plan) and its table is
+        stored; every other star is re-labeled from a stored entry and
+        put in its own cold-run order.  Every star counts once, as a hit or as the miss that matched
+        its group.  Returns the tables by star center and the hit count.
+        A disabled cache (capacity 0) hands ``match`` every star and
+        counts nothing.
+        """
+        if self.capacity <= 0:
+            return match(list(stars)), 0
+        groups: dict[tuple, list[Star]] = {}
+        for star in stars:
+            groups.setdefault(star_signature(query, star), []).append(star)
+        found = {signature: self.get(signature) for signature in groups}
+        with self._lock:
+            # the rest of a group is served by its first star's entry
+            self.hits += len(stars) - len(groups)
+        misses = [groups[s][0] for s, roles in found.items() if roles is None]
+        tables = match(misses) if misses else {}
+        for signature, group in groups.items():
+            roles = found[signature]
+            if roles is None:
+                first = group[0]
+                roles = table_to_roles(
+                    tables[first.center], first, leaf_role_order(query, first)
+                )
+                self.put(signature, roles)
+            for star in group:
+                if star.center not in tables:
+                    relabeled = roles_to_table(
+                        roles, star, leaf_role_order(query, star)
+                    )
+                    tables[star.center] = in_cold_order(
+                        relabeled, leaf_order(query, star)
+                    )
+        return tables, len(stars) - len(misses)
 
     def clear(self) -> None:
         with self._lock:

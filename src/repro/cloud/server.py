@@ -17,13 +17,7 @@ from repro.anonymize.cost_model import (
     StarCardinalityEstimator,
     estimator_from_outsourced,
 )
-from repro.cloud.cache import (
-    StarMatchCache,
-    leaf_role_order,
-    roles_to_table,
-    star_signature,
-    table_to_roles,
-)
+from repro.cloud.cache import StarMatchCache
 from repro.cloud.decomposition import decompose_query
 from repro.cloud.index import CloudIndex
 from repro.analysis.markers import hot_path
@@ -89,38 +83,26 @@ def match_plan(
     stars: Sequence[Star],
     index: CloudIndex,
     graph: AttributedGraph,
-    cache: StarMatchCache,
     max_results: int | None,
     tracer: NullTracer,
 ) -> dict[int, MatchTable]:
-    """Algorithm 1 for every star of one plan, through the LRU cache.
+    """Algorithm 1 for every star of one plan.
 
-    The one cached star loop of the cloud: the single server runs it
-    over the whole of ``Go``, every shard of a
+    The one star loop of the cloud: the single server runs it over the
+    whole of ``Go``, every shard of a
     :class:`~repro.cloud.sharding.ShardedCloud` over its slice.  Tables
-    are columnar (schema ``(center, *leaves)``); the cache keeps its
-    role-form rows, so a hit re-labels them for this star
-    (:func:`~repro.cloud.cache.roles_to_table`) and equivalent stars —
-    of this query or of others — are matched once.  Each miss runs the
-    kernel under its own ``cloud.star_match`` span.
+    are columnar (schema ``(center, *leaves)``).  Each star runs the
+    kernel under its own ``cloud.star_match`` span.  The star cache sits
+    in front of the topology (:meth:`CloudServer.answer`), so only its
+    misses get here.
     """
     results: dict[int, MatchTable] = {}
-    use_cache = cache.capacity > 0
     for star in stars:
-        if use_cache:
-            signature = star_signature(query, star)
-            role_order = leaf_role_order(query, star)
-            roles = cache.get(signature)
-            if roles is not None:
-                results[star.center] = roles_to_table(roles, star, role_order)
-                continue
         with tracer.span(names.CLOUD_STAR_MATCH, center=star.center) as span:
             table = match_star_table(
                 query, star, index, graph, max_results=max_results
             )
             span.set(results=len(table))
-        if use_cache:
-            cache.put(signature, table_to_roles(table, star, role_order))
         results[star.center] = table
     return results
 
@@ -153,9 +135,9 @@ class CloudServer:
 
     :class:`~repro.cloud.sharding.ShardedCloud` subclasses this server
     and replaces exactly two stages — how the index is built
-    (:meth:`_build_index`) and how the star tables of one plan are
-    produced (:meth:`_match_stars`); everything else on this class is
-    the one pipeline both topologies run.
+    (:meth:`_build_index`) and how the star tables the cache lacks are
+    produced (:meth:`_match_stars`); everything else on this class,
+    the star cache included, is the one pipeline both topologies run.
     """
 
     def __init__(
@@ -190,6 +172,7 @@ class CloudServer:
                 index_bytes=self.index_size_bytes(),
                 build_seconds=self.index_build_seconds(),
             )
+        self.star_cache = StarMatchCache(star_cache_size)
         self.estimator = self._build_estimator()
         # pull-style gauges: the cache already counts hits/misses under
         # its own lock, so the registry reads them at snapshot time
@@ -217,12 +200,11 @@ class CloudServer:
         )
 
     def _build_index(self) -> None:
-        """Index the stored graph and start an empty star cache.
+        """Index the stored graph.
 
         Runs at construction and again after every :meth:`apply_delta`.
         """
         self.index = CloudIndex.build(self.graph, self.center_vertices)
-        self.star_cache = StarMatchCache(self.star_cache_size)
 
     def _build_estimator(self) -> StarCardinalityEstimator:
         if self.expand_in_cloud:
@@ -262,9 +244,29 @@ class CloudServer:
                 )
                 decompose_span.set(stars=len(decomposition.stars))
 
-            star_tables, star_stats = self._match_stars(
-                query, decomposition.stars, obs, root
-            )
+            stars = decomposition.stars
+            with tracer.span(
+                names.CLOUD_STAR_MATCHING, stars=len(stars)
+            ) as matching_span:
+                star_tables, hits = self.star_cache.plan_tables(
+                    query,
+                    stars,
+                    lambda misses: self._match_stars(
+                        query, misses, obs, matching_span
+                    ),
+                )
+                star_stats = StarMatchStats(
+                    result_sizes={
+                        star.center: len(star_tables[star.center])
+                        for star in stars
+                    }
+                )
+                matching_span.set(
+                    rs_size=star_stats.total_results,
+                    cache_hits=hits,
+                    cache_misses=len(stars) - hits,
+                )
+            star_stats.seconds = matching_span.duration
             with tracer.span(names.CLOUD_JOIN) as join_span:
                 rin_table, join_stats = join_star_tables(
                     decomposition.stars,
@@ -317,33 +319,22 @@ class CloudServer:
         query: AttributedGraph,
         stars: Sequence[Star],
         obs: Observability,
-        root: "Span | NullSpan",
-    ) -> tuple[dict[int, MatchTable], StarMatchStats]:
-        """The star tables of one plan, keyed by star center.
+        span: "Span | NullSpan",
+    ) -> dict[int, MatchTable]:
+        """The star tables of ``stars`` (the cache's misses), by center.
 
         The stage a topology supplies.  Here: :func:`match_plan` over
-        the whole stored graph.  ``root`` is the enclosing
-        ``cloud.answer`` span, for topology attributes.
+        the whole stored graph.  ``span`` is the enclosing
+        ``cloud.star_matching`` span, for topology attributes.
         """
-        tracer = obs.tracer
-        stats = StarMatchStats()
-        with tracer.span(
-            names.CLOUD_STAR_MATCHING, stars=len(stars)
-        ) as matching_span:
-            results = match_plan(
-                query,
-                stars,
-                self.index,
-                self.graph,
-                self.star_cache,
-                self.max_intermediate_results,
-                tracer,
-            )
-            for star in stars:
-                stats.result_sizes[star.center] = len(results[star.center])
-            matching_span.set(rs_size=stats.total_results)
-        stats.seconds = matching_span.duration
-        return results, stats
+        return match_plan(
+            query,
+            stars,
+            self.index,
+            self.graph,
+            self.max_intermediate_results,
+            obs.tracer,
+        )
 
     # ------------------------------------------------------------------
     # maintenance
@@ -372,6 +363,9 @@ class CloudServer:
             rows.extend(delta.added_avt_rows)
             self.avt = AlignmentVertexTable(rows)
         self._build_index()
+        # a fresh cache rather than a cleared one: a query still running
+        # on the old release stores into the cache it started with
+        self.star_cache = StarMatchCache(self.star_cache_size)
         self.estimator = self._build_estimator()
 
     def close(self) -> None:

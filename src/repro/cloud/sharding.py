@@ -8,7 +8,9 @@ shards with the multilevel partitioner
 the partitioner is a pure structural algorithm run on the *published*
 graph the cloud already stores, so no owner/client secret is
 consulted), scatters each query's star plan to every shard, and joins
-the gathered per-shard tables centrally.
+the gathered per-shard tables centrally.  The coordinator's one star
+cache sits in front of the scatter: only the stars it lacks are sent,
+and a plan it holds in full scatters nothing.
 
 **Halo construction.**  A star anchored at center ``c`` touches only
 ``c`` and its direct neighbours, so shard ``i`` stores its centers
@@ -29,48 +31,32 @@ followed by a defensive dedupe — and reproduces the single-server
 table exactly, rows and order.  Decomposition, the central join,
 budget enforcement and telemetry are not re-implemented here at all:
 :class:`ShardedCloud` *is* a :class:`~repro.cloud.server.CloudServer`
-that overrides how the index is built and how one plan's star tables
-are produced, making :meth:`ShardedCloud.answer` bit-identical to the
+that overrides how the index is built and how the star tables the
+cache lacks are produced, making :meth:`ShardedCloud.answer` bit-identical to the
 single-server path for every shard count and scatter backend.
 
-**Wire format.**  With a :class:`~repro.core.protocol.NetworkChannel`
-attached, scatter/gather really crosses the simulated wire: one
-:func:`~repro.core.protocol.encode_shard_request` frame per shard out,
-one :func:`~repro.core.protocol.encode_shard_tables` frame per shard
-back, all byte-accounted under the ``shard_query``/``shard_answer``
-directions.  Without a channel (the default) the handoff is in-memory
-and only the scatter backend (the serial loop, or a warm fork pool) is
-exercised.
+The handoff between coordinator and shards is in-memory: the serial
+loop, or a warm fork pool whose pipe carries the plan out and the
+tables back.
 """
 
 from __future__ import annotations
 
 import threading
-import weakref
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.analysis.markers import hot_path
-from repro.cloud.cache import StarMatchCache
 from repro.cloud.index import CloudIndex
 from repro.cloud.parallel import (
     PersistentProcessPool,
     effective_workers,
     fork_available,
-    map_batch,
     validate_backend,
 )
 from repro.cloud.server import CloudServer, match_plan
-from repro.cloud.star_matching import StarMatchStats
-from repro.core.protocol import (
-    NetworkChannel,
-    TraceContext,
-    decode_shard_request,
-    decode_shard_tables,
-    encode_shard_request,
-    encode_shard_tables,
-)
+from repro.core.protocol import TraceContext
 from repro.exceptions import ResultBudgetExceeded
 from repro.graph.attributed import AttributedGraph
 from repro.kauto.avt import AlignmentVertexTable
@@ -83,20 +69,19 @@ from repro.obs.tracing import NullSpan, Span, Trace, Tracer
 
 @dataclass
 class CloudShard:
-    """One shard server: a slice of ``Go`` with its own index + cache.
+    """One shard server: a slice of ``Go`` with its own index.
 
     ``centers`` is this shard's subsequence of the global
     ``center_vertices`` list (global order preserved — the merge step
     depends on it); ``graph`` is the induced subgraph over the centers
-    plus their one-hop halo; ``index``/``cache`` mirror a standalone
-    :class:`~repro.cloud.server.CloudServer`'s per-server state.
+    plus their one-hop halo; ``index`` is built over it as a standalone
+    :class:`~repro.cloud.server.CloudServer` builds its own.
     """
 
     shard_id: int
     centers: list[int]
     graph: AttributedGraph
     index: CloudIndex
-    cache: StarMatchCache
 
     def index_size_bytes(self) -> int:
         return self.index.size_bytes()
@@ -107,20 +92,14 @@ class CloudShard:
         stars: Sequence[Star],
         max_results: int | None,
     ) -> dict[int, MatchTable]:
-        """The plan's star tables over this shard's slice of ``Go``.
+        """The star tables over this shard's slice of ``Go``.
 
-        The same cached star loop the single server runs.  Untraced:
-        the coordinator records one ``cloud.shard_match`` span per
-        shard, not one per star.
+        The same star loop the single server runs.  Untraced: the
+        coordinator records one ``cloud.shard_match`` span per shard,
+        not one per star.
         """
         return match_plan(
-            query,
-            stars,
-            self.index,
-            self.graph,
-            self.cache,
-            max_results,
-            NULL_TRACER,
+            query, stars, self.index, self.graph, max_results, NULL_TRACER
         )
 
 
@@ -142,7 +121,6 @@ def build_shards(
     graph: AttributedGraph,
     center_vertices: Sequence[int],
     shards: int,
-    star_cache_size: int = 0,
     seed: int = 0,
 ) -> list[CloudShard]:
     """Partition ``graph`` and stand up one :class:`CloudShard` per block.
@@ -173,7 +151,6 @@ def build_shards(
                 centers=centers,
                 graph=shard_graph,
                 index=CloudIndex.build(shard_graph, centers),
-                cache=StarMatchCache(star_cache_size),
             )
         )
     # re-assert the global invariant the merge relies on: every center
@@ -206,50 +183,6 @@ def merge_star_tables(
     return MatchTable(schema, dedupe_rows(rows))
 
 
-class ShardCacheView:
-    """CloudServer-compatible facade over the per-shard star caches.
-
-    ``PrivacyPreservingSystem.submit`` reads
-    ``cloud.star_cache.counters()``; this view aggregates the shard
-    caches behind the same surface.  It reads through a callable so a
-    post-:meth:`ShardedCloud.apply_delta` rebuild is reflected
-    immediately.
-    """
-
-    def __init__(self, caches: Callable[[], list[StarMatchCache]]) -> None:
-        self._caches = caches
-
-    @property
-    def hits(self) -> int:
-        return sum(cache.counters()[0] for cache in self._caches())
-
-    @property
-    def misses(self) -> int:
-        return sum(cache.counters()[1] for cache in self._caches())
-
-    def counters(self) -> tuple[int, int]:
-        """Aggregate ``(hits, misses)`` across every shard cache."""
-        hits = misses = 0
-        for cache in self._caches():
-            shard_hits, shard_misses = cache.counters()
-            hits += shard_hits
-            misses += shard_misses
-        return hits, misses
-
-    def clear(self) -> None:
-        for cache in self._caches():
-            cache.clear()
-
-    @property
-    def hit_rate(self) -> float:
-        hits, misses = self.counters()
-        total = hits + misses
-        return hits / total if total else 0.0
-
-    def __len__(self) -> int:
-        return sum(len(cache) for cache in self._caches())
-
-
 #: One scatter task: (shard position, query, star plan, trace-context doc).
 ScatterPayload = tuple[int, AttributedGraph, tuple[Star, ...], dict | None]
 #: Its reply: the shard's star tables and, when traced, the child's trace doc.
@@ -263,9 +196,10 @@ class ShardedCloud(CloudServer):
     holds the full published graph — it is the data the owner uploaded;
     the shards are the cloud's *internal* layout) that overrides two
     stages of the pipeline: :meth:`_build_index` partitions the graph
-    into shard servers, and :meth:`_match_stars` scatters the plan to
-    them and merges the gathered tables.  Decomposition, join, budget,
-    telemetry and ``apply_delta`` are inherited.
+    into shard servers, and :meth:`_match_stars` scatters the stars the
+    star cache lacks to them and merges the gathered tables.
+    Decomposition, the star cache, join, budget, telemetry and
+    ``apply_delta`` are inherited.
     Construction takes the server's parameters plus:
 
     shards:
@@ -277,15 +211,8 @@ class ShardedCloud(CloudServer):
         visits the shards in a loop; ``"process"`` scatters through a
         persistent :class:`~repro.cloud.parallel.PersistentProcessPool`
         — children inherit the shard state copy-on-write at first use
-        and stay warm across answers (so per-shard cache updates live
-        in the children, and the page-faulting cost of the inherited
-        heap is paid once, not per query).
-    channel:
-        Optional :class:`~repro.core.protocol.NetworkChannel`.  When
-        given, every scatter/gather really encodes, transmits and
-        decodes shard frames (byte-accounted under ``shard_query`` /
-        ``shard_answer``); ``None`` (default) hands tables over
-        in-memory.
+        and stay warm across answers (so the page-faulting cost of the
+        inherited heap is paid once, not per query).
     partition_seed:
         Seed of the multilevel partitioner (answers are bit-identical
         for every seed; the seed only shapes the shard layout).
@@ -303,7 +230,6 @@ class ShardedCloud(CloudServer):
         decomposition_strategy: str = "optimal",
         backend: str = "serial",
         max_workers: int | None = None,
-        channel: NetworkChannel | None = None,
         partition_seed: int = 0,
         obs: Observability | None = None,
     ) -> None:
@@ -313,7 +239,6 @@ class ShardedCloud(CloudServer):
         self.shard_count = shards
         self.backend = backend
         self.max_workers = max_workers
-        self.channel = channel
         self.partition_seed = partition_seed
         # created before super().__init__(): its _build_index() takes it
         self._state_lock = threading.Lock()
@@ -325,10 +250,6 @@ class ShardedCloud(CloudServer):
         # shards) whenever the state it snapshotted changes, when a
         # child dies, and by close().
         self._scatter_pool: PersistentProcessPool | None = None  #: guarded by _state_lock
-        # the CloudServer cache surface, aggregated over the shards (read
-        # through a weak proxy: a bound method here would be a cycle)
-        cloud = weakref.proxy(self)
-        self.star_cache = ShardCacheView(lambda: cloud._shard_caches())  # type: ignore[assignment]
         super().__init__(
             graph,
             avt,
@@ -346,17 +267,14 @@ class ShardedCloud(CloudServer):
     def _build_index(self) -> None:
         """Partition the stored graph into shard servers.
 
-        Each shard gets its own index and (empty) star cache, so a
-        rebuild after :meth:`apply_delta` invalidates every cache
-        wholesale.  A scatter pool forked over the previous shards is
-        drained: its children hold the old graph copy-on-write and
-        would answer against it forever.
+        Each shard gets its own index.  A scatter pool forked over the
+        previous shards is drained: its children hold the old graph
+        copy-on-write and would answer against it forever.
         """
         rebuilt = build_shards(
             self.graph,
             self.center_vertices,
             self.shard_count,
-            star_cache_size=self.star_cache_size,
             seed=self.partition_seed,
         )
         self._center_position = {
@@ -373,10 +291,6 @@ class ShardedCloud(CloudServer):
         """A snapshot of the current shard servers."""
         with self._state_lock:
             return list(self._shards)
-
-    def _shard_caches(self) -> list[StarMatchCache]:
-        with self._state_lock:
-            return [shard.cache for shard in self._shards]
 
     # ------------------------------------------------------------------
     # scatter / gather
@@ -449,155 +363,93 @@ class ShardedCloud(CloudServer):
         query: AttributedGraph,
         stars: Sequence[Star],
         obs: Observability,
-        root: "Span | NullSpan",
-    ) -> tuple[dict[int, MatchTable], StarMatchStats]:
-        """Scatter the star plan, gather and merge the shard tables.
+        span: "Span | NullSpan",
+    ) -> dict[int, MatchTable]:
+        """Scatter ``stars``, gather and merge the shard tables.
 
-        Returns the merged per-star tables — the single server's,
-        rows and order — and their :class:`StarMatchStats`; the raw
-        pre-merge shard result count goes to the
-        ``shard_star_matches_total`` counter.
+        Returns the merged per-star tables — the single server's, rows
+        and order.  Shard work parents under ``span``, the coordinator's
+        ``cloud.star_matching``; the raw pre-merge shard result count
+        goes to the ``shard_star_matches_total`` counter.
         """
         tracer = obs.tracer
-        stats = StarMatchStats()
-        star_list = list(stars)
-        channel = self.channel
         budget = self.max_intermediate_results
         with self._state_lock:
             shards = list(self._shards)
-        root.set(shards=len(shards))
+        span.set(shards=len(shards))
 
-        with tracer.span(
-            names.CLOUD_STAR_MATCHING, stars=len(star_list), shards=len(shards)
-        ) as matching_span:
-            # the propagated context: shard work (wire frames, fork
-            # children) parents under the coordinator's star-matching
-            # span; absent entirely when the call is untraced.
-            context: TraceContext | None = None
-            if tracer.recording and matching_span.span_id:
-                context = TraceContext(
-                    query_id=tracer.query_id,
-                    parent_span_id=matching_span.span_id,
-                )
-            with tracer.span(names.CLOUD_SCATTER, shards=len(shards)) as scatter:
-                if channel is not None:
-                    request = encode_shard_request(
-                        query, star_list, context=context
-                    )
-                    for _ in shards:
-                        channel.transmit("shard_query", request, obs=obs)
-                    scatter.set(bytes=len(request) * len(shards))
-
-            per_shard: list[dict[int, MatchTable]] | None = None
-            if channel is not None:
-
-                def run_shard_wire(position: int) -> bytes:
-                    # positions, not shards, cross the fork pipe
-                    shard = shards[position]
-                    with tracer.span(
-                        names.CLOUD_SHARD_MATCH,
-                        parent=matching_span,
-                        shard=shard.shard_id,
-                    ) as span:
-                        shard_query, shard_stars, shard_ctx = (
-                            decode_shard_request(request)
-                        )
-                        if shard_ctx is not None:
-                            span.set(ctx_parent=shard_ctx.parent_span_id)
-                        tables = shard.match(shard_query, shard_stars, budget)
-                        span.set(
-                            results=sum(len(t) for t in tables.values())
-                        )
-                    return encode_shard_tables(tables)
-
-                per_shard = []
-                for reply in map_batch(
-                    run_shard_wire,
-                    range(len(shards)),
-                    self.max_workers,
-                    self.backend,
-                ):
-                    channel.transmit("shard_answer", reply, obs=obs)
-                    per_shard.append(decode_shard_tables(reply))
-            else:
-                pool = self._process_scatter_pool(len(shards))
-                if pool is not None:
-                    # warm persistent children; when tracing, each
-                    # child records its shard-match span on a private
-                    # tracer and ships the trace back for absorption
-                    # under the star-matching span (fresh local ids —
-                    # child counters all start at 1 and would collide).
-                    ctx_doc = context.to_doc() if context is not None else None
-                    try:
-                        shipped = pool.map(
-                            [
-                                (position, query, tuple(star_list), ctx_doc)
-                                for position in range(len(shards))
-                            ]
-                        )
-                    except BrokenProcessPool:
-                        # a child died (OOM kill, crash).  The pool is
-                        # unusable for good: drop it, answer this plan
-                        # through the loop below — bit-identical by
-                        # construction — and let the next answer fork
-                        # a fresh pool.
-                        self._discard_scatter_pool(pool)
-                    else:
-                        per_shard = []
-                        for tables, trace_doc in shipped:
-                            per_shard.append(tables)
-                            if trace_doc is not None:
-                                tracer.absorb(
-                                    Trace.from_dict(trace_doc),
-                                    parent=matching_span,
-                                )
-            if per_shard is None:
-                per_shard = []
-                for shard in shards:
-                    with tracer.span(
-                        names.CLOUD_SHARD_MATCH,
-                        parent=matching_span,
-                        shard=shard.shard_id,
-                    ) as span:
-                        tables = shard.match(query, star_list, budget)
-                        span.set(
-                            results=sum(len(t) for t in tables.values())
-                        )
-                    per_shard.append(tables)
-
-            with tracer.span(names.CLOUD_GATHER) as gather_span:
-                results: dict[int, MatchTable] = {}
-                shard_results = 0
-                for star in star_list:
-                    tables = [
-                        shard_tables[star.center]
-                        for shard_tables in per_shard
-                        if star.center in shard_tables
+        per_shard: list[dict[int, MatchTable]] | None = None
+        pool = self._process_scatter_pool(len(shards))
+        if pool is not None:
+            # warm persistent children; when tracing, each child records
+            # its shard-match span on a private tracer and ships the
+            # trace back for absorption under the star-matching span
+            # (fresh local ids — child counters all start at 1 and would
+            # collide).
+            ctx_doc = None
+            if tracer.recording and span.span_id:
+                ctx_doc = TraceContext(
+                    query_id=tracer.query_id, parent_span_id=span.span_id
+                ).to_doc()
+            plan = tuple(stars)
+            try:
+                shipped = pool.map(
+                    [
+                        (position, query, plan, ctx_doc)
+                        for position in range(len(shards))
                     ]
-                    shard_results += sum(len(table) for table in tables)
-                    merged = merge_star_tables(
-                        star, tables, self._center_position
-                    )
-                    if budget is not None and len(merged) > budget:
-                        # a shard-local trip would already have raised in
-                        # the scatter; this catches unions that only
-                        # exceed the budget once merged — exactly the
-                        # queries the single server rejects.
-                        raise ResultBudgetExceeded(
-                            "star matching", len(merged), budget
-                        )
-                    results[star.center] = merged
-                    stats.result_sizes[star.center] = len(merged)
-                gather_span.set(
-                    rs_size=stats.total_results, shard_results=shard_results
                 )
-            matching_span.set(rs_size=stats.total_results)
-        stats.seconds = matching_span.duration
+            except BrokenProcessPool:
+                # a child died (OOM kill, crash).  The pool is unusable
+                # for good: drop it, answer this plan through the loop
+                # below — bit-identical by construction — and let the
+                # next answer fork a fresh pool.
+                self._discard_scatter_pool(pool)
+            else:
+                per_shard = []
+                for tables, trace_doc in shipped:
+                    per_shard.append(tables)
+                    if trace_doc is not None:
+                        tracer.absorb(Trace.from_dict(trace_doc), parent=span)
+        if per_shard is None:
+            per_shard = []
+            for shard in shards:
+                with tracer.span(
+                    names.CLOUD_SHARD_MATCH, parent=span, shard=shard.shard_id
+                ) as shard_span:
+                    tables = shard.match(query, stars, budget)
+                    shard_span.set(results=sum(len(t) for t in tables.values()))
+                per_shard.append(tables)
+
+        with tracer.span(names.CLOUD_GATHER) as gather_span:
+            results: dict[int, MatchTable] = {}
+            shard_results = 0
+            for star in stars:
+                tables = [
+                    shard_tables[star.center]
+                    for shard_tables in per_shard
+                    if star.center in shard_tables
+                ]
+                shard_results += sum(len(table) for table in tables)
+                merged = merge_star_tables(star, tables, self._center_position)
+                if budget is not None and len(merged) > budget:
+                    # a shard-local trip would already have raised in the
+                    # scatter; this catches unions that only exceed the
+                    # budget once merged — exactly the queries the single
+                    # server rejects.
+                    raise ResultBudgetExceeded(
+                        "star matching", len(merged), budget
+                    )
+                results[star.center] = merged
+            gather_span.set(
+                rs_size=sum(len(table) for table in results.values()),
+                shard_results=shard_results,
+            )
         obs.metrics.counter(
             names.M_SHARD_MATCHES,
             help="Per-shard star matches gathered (pre-merge).",
         ).inc(shard_results)
-        return results, stats
+        return results
 
     def close(self) -> None:
         """Tear down the persistent scatter pool (if one was forked)."""

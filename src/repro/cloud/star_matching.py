@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.markers import hot_path
+from repro.cloud.cache import leaf_order
 from repro.cloud.index import CloudIndex
 from repro.exceptions import ResultBudgetExceeded
 from repro.graph.attributed import AttributedGraph
@@ -43,18 +44,6 @@ class StarMatchStats:
     def total_results(self) -> int:
         """``|RS|`` — total star matches produced for the query."""
         return sum(self.result_sizes.values())
-
-
-def _leaf_order(query: AttributedGraph, star: Star) -> list[int]:
-    """Most-constrained leaves first: more labels, then lower query id
-    for determinism."""
-    return sorted(
-        star.leaves,
-        key=lambda leaf: (
-            -sum(len(v) for v in query.vertex(leaf).labels.values()),
-            leaf,
-        ),
-    )
 
 
 @hot_path
@@ -79,7 +68,9 @@ def match_star_table(
     a leaf iff its :attr:`~repro.cloud.index.CloudIndex.vertex_bits`
     contain the leaf's need mask, so each depth's candidate list is one
     AND per neighbour.  A group or type no vertex carries empties the
-    star before any enumeration.
+    star before any enumeration.  Depth ``i`` assigns the ``i``-th leaf
+    of :func:`~repro.cloud.cache.leaf_order`, each over candidates in
+    ascending id: the emission order the star cache reproduces on a hit.
     """
     schema = (star.center, *star.leaves)
 
@@ -90,16 +81,16 @@ def match_star_table(
         )
     if not center_mask:
         return MatchTable(schema, [])
-    leaf_order = _leaf_order(query, star)
+    order = leaf_order(query, star)
     needs: list[int] = []
-    for leaf in leaf_order:
+    for leaf in order:
         need = index.need_mask(query.vertex(leaf))
         if need is None:
             return MatchTable(schema, [])
         needs.append(need)
 
-    leaf_count = len(leaf_order)
-    leaf_cols = [schema.index(leaf) for leaf in leaf_order]
+    leaf_count = len(order)
+    leaf_cols = [schema.index(leaf) for leaf in order]
     neighbors = data.neighbors
     degree = data.degree
     bits = index.vertex_bits

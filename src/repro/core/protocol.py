@@ -29,7 +29,6 @@ from repro.graph.attributed import AttributedGraph, VertexData
 from repro.graph.io import graph_from_dict, graph_to_dict
 from repro.kauto.avt import AlignmentVertexTable
 from repro.matching import vec
-from repro.matching.star import Star
 from repro.matching.table import MatchTable
 from repro.obs import Observability, names
 from repro.obs.tracing import Trace
@@ -45,8 +44,8 @@ MAX_TRACE_PAYLOAD = 4 * 1024 * 1024
 #: truncated message can raise out of ``json.loads`` + the field
 #: accessors + the graph/AVT/table constructors.  Every ``decode_*``
 #: traps exactly this tuple and re-raises :class:`ProtocolError`, so a
-#: bad shard reply (or any other frame) can never surface as a raw
-#: ``TypeError``/``AttributeError`` in the engine.
+#: bad frame can never surface as a raw ``TypeError``/``AttributeError``
+#: in the engine.
 _DECODE_ERRORS = (
     KeyError, ValueError, TypeError, AttributeError, GraphError, VerificationError
 )
@@ -75,9 +74,8 @@ class NetworkChannel:
     bandwidth_bytes_per_sec: float = DEFAULT_BANDWIDTH_BYTES_PER_SEC
     latency_seconds: float = DEFAULT_LATENCY_SECONDS
     transfers: list[TransferRecord] = field(default_factory=list)  #: guarded by _lock
-    # R3 (lock discipline): query_batch workers transmit concurrently,
-    # and shard scatter/gather adds one message per shard per query; an
-    # unlocked append racing reset()/total_bytes() mid-batch produced
+    # R3 (lock discipline): query_batch workers transmit concurrently;
+    # an unlocked append racing reset()/total_bytes() mid-batch produced
     # torn accounting.  All transfers-ledger access goes through _lock.
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
@@ -270,7 +268,7 @@ def decode_query(payload: bytes) -> AttributedGraph:
 
 
 # ----------------------------------------------------------------------
-# packed table rows (shared by the answer, gateway-answer and shard frames)
+# packed table rows (shared by the answer and gateway-answer frames)
 # ----------------------------------------------------------------------
 # A table travels as ``{"n": N, "w": W, "cols": "<base64>"}``: the
 # columns in schema order, column-major, each N little-endian signed
@@ -435,13 +433,14 @@ def decode_answer_table(payload: bytes) -> tuple[MatchTable, bool]:
 class TraceContext:
     """The compact trace context carried across process boundaries.
 
-    A request frame optionally embeds one so the remote side (gateway,
-    shard server, fork child) can stamp its spans with the caller's
-    ``query_id`` and record which caller span logically encloses its
-    work.  ``parent_span_id`` is only meaningful within the *caller's*
-    id space — remote tracers never adopt it as a literal parent id
-    (their own counters would collide with it); stitching happens on
-    the caller via :meth:`repro.obs.tracing.Tracer.absorb`.
+    A gateway request frame optionally embeds one, and a fork child's
+    scatter task carries its document, so the remote side can stamp its
+    spans with the caller's ``query_id`` and record which caller span
+    logically encloses its work.  ``parent_span_id`` is only meaningful
+    within the *caller's* id space — remote tracers never adopt it as a
+    literal parent id (their own counters would collide with it);
+    stitching happens on the caller via
+    :meth:`repro.obs.tracing.Tracer.absorb`.
     """
 
     query_id: str
@@ -478,18 +477,6 @@ class TraceContext:
         )
 
 
-def encode_trace_context(context: TraceContext) -> bytes:
-    """Serialize a :class:`TraceContext` as a standalone payload."""
-    return json.dumps(context.to_doc(), sort_keys=True).encode("utf-8")
-
-
-def decode_trace_context(payload: bytes) -> TraceContext:
-    try:
-        return TraceContext.from_doc(json.loads(payload.decode("utf-8")))
-    except _DECODE_ERRORS as exc:
-        raise ProtocolError(f"malformed trace context message: {exc}") from exc
-
-
 def _context_from_field(data: dict[str, Any]) -> TraceContext | None:
     """Decode the optional embedded ``ctx`` field of a request frame.
 
@@ -509,93 +496,6 @@ def _trace_from_field(data: dict[str, Any]) -> Trace | None:
     if doc is None:
         return None
     return Trace.from_dict(doc)
-
-
-# ----------------------------------------------------------------------
-# shard messages (coordinator <-> shard scatter/gather)
-# ----------------------------------------------------------------------
-def encode_shard_request(
-    query: AttributedGraph,
-    stars: list[Star],
-    *,
-    context: TraceContext | None = None,
-) -> bytes:
-    """A scatter frame: the anonymized query plus its decomposition.
-
-    The coordinator decomposes once and ships the same star plan to
-    every shard; each shard matches all stars against its local
-    centers, so the frame carries no shard-specific state.  ``context``
-    optionally propagates the caller's trace context (the ``ctx`` key
-    is absent when ``None``, keeping untraced frames byte-identical to
-    the pre-context encoding).
-    """
-    doc: dict[str, Any] = {
-        "query": graph_to_dict(query),
-        "stars": [
-            {"center": star.center, "leaves": list(star.leaves)}
-            for star in stars
-        ],
-    }
-    if context is not None:
-        doc["ctx"] = context.to_doc()
-    return json.dumps(doc, sort_keys=True).encode("utf-8")
-
-
-def decode_shard_request(
-    payload: bytes,
-) -> tuple[AttributedGraph, list[Star], TraceContext | None]:
-    try:
-        data = json.loads(payload.decode("utf-8"))
-        entries = data["stars"]
-        if not isinstance(entries, list):
-            raise ValueError("'stars' must be a list")
-        stars = [
-            Star(
-                center=int(entry["center"]),
-                leaves=tuple(int(leaf) for leaf in entry["leaves"]),
-            )
-            for entry in entries
-        ]
-        return graph_from_dict(data["query"]), stars, _context_from_field(data)
-    except _DECODE_ERRORS as exc:
-        raise ProtocolError(f"malformed shard request message: {exc}") from exc
-
-
-def encode_shard_tables(tables: dict[int, MatchTable]) -> bytes:
-    """A gather frame: one shard's star tables, keyed by star center.
-
-    Each table ships with its positional schema so the coordinator can
-    merge per-shard rows without re-deriving column order; the rows are
-    packed columns (:func:`_pack_rows`), one frame per shard.
-    """
-    return json.dumps(
-        {
-            "tables": [
-                {
-                    "center": center,
-                    "schema": list(table.schema),
-                    "rows": _pack_rows(table, table.schema),
-                }
-                for center, table in tables.items()
-            ]
-        },
-        separators=(",", ":"),
-    ).encode("utf-8")
-
-
-def decode_shard_tables(payload: bytes) -> dict[int, MatchTable]:
-    try:
-        data = json.loads(payload.decode("utf-8"))
-        entries = data["tables"]
-        if not isinstance(entries, list):
-            raise ValueError("'tables' must be a list")
-        out: dict[int, MatchTable] = {}
-        for entry in entries:
-            table = _unpack_rows(entry["schema"], entry["rows"])
-            out[int(entry["center"])] = table
-        return out
-    except _DECODE_ERRORS as exc:
-        raise ProtocolError(f"malformed shard tables message: {exc}") from exc
 
 
 # ----------------------------------------------------------------------

@@ -35,7 +35,6 @@ PHASE_SPANS = (
     names.CLOUD_ANSWER,
     names.CLOUD_DECOMPOSE,
     names.CLOUD_STAR_MATCHING,
-    names.CLOUD_SCATTER,
     names.CLOUD_SHARD_MATCH,
     names.CLOUD_GATHER,
     names.CLOUD_JOIN,
@@ -152,7 +151,7 @@ class ExplainReport:
                 else ""
             ),
             stars=int(trace.attr(names.CLOUD_DECOMPOSE, "stars", 0)),
-            shards=int(cattrs.get("shards", 0)),
+            shards=int(trace.attr(names.CLOUD_STAR_MATCHING, "shards", 0)),
             dispatched=trace.first(names.GATEWAY_DISPATCH) is not None,
             rs_size=int(cattrs.get("rs_size", 0)),
             rin_size=int(cattrs.get("rin_size", 0)),

@@ -16,7 +16,8 @@ Span tree (one ``query``, client expansion site)::
     ├── cloud.answer              rs_size, rin_size
     │   ├── cloud.decompose       stars
     │   ├── cloud.star_matching   rs_size, cache_hits, cache_misses
-    │   │   └── cloud.star_match  (one per star; center, results)
+    │   │   └── cloud.star_match  (one per star the cache lacks;
+    │   │                          center, results)
     │   └── cloud.join            rin_size, intermediate_peak
     ├── cloud.expand              (expansion_site="cloud" only)
     ├── protocol.encode_answer    bytes=|payload|
@@ -78,12 +79,12 @@ CLOUD_JOIN = "cloud.join"
 CLOUD_EXPAND = "cloud.expand"
 
 # -- sharded cloud phases (repro.cloud.sharding) ------------------------
-# Under ``cloud.star_matching``, a sharded deployment replaces the
-# per-star loop with scatter -> per-shard match -> gather:
-#   cloud.scatter      shards, bytes (channel mode)
-#   cloud.shard_match  one per shard; shard, stars, results
-#   cloud.gather       rs_size, deduped
-CLOUD_SCATTER = "cloud.scatter"
+# Under ``cloud.star_matching`` (which then also carries ``shards``), a
+# sharded deployment replaces the per-star loop over the cache's misses
+# with per-shard match -> gather; a plan the cache holds in full
+# scatters nothing:
+#   cloud.shard_match  one per shard; shard, results
+#   cloud.gather       rs_size, shard_results
 CLOUD_SHARD_MATCH = "cloud.shard_match"
 CLOUD_GATHER = "cloud.gather"
 
@@ -96,8 +97,6 @@ ENCODE_UPLOAD = "protocol.encode_upload"
 NETWORK_QUERY = "network.query"
 NETWORK_ANSWER = "network.answer"
 NETWORK_UPLOAD = "network.upload"
-NETWORK_SHARD_QUERY = "network.shard_query"
-NETWORK_SHARD_ANSWER = "network.shard_answer"
 NETWORK_GATEWAY_QUERY = "network.gateway_query"
 NETWORK_GATEWAY_ANSWER = "network.gateway_answer"
 
@@ -115,8 +114,6 @@ NETWORK_SPANS = {
     "upload": NETWORK_UPLOAD,
     "query": NETWORK_QUERY,
     "answer": NETWORK_ANSWER,
-    "shard_query": NETWORK_SHARD_QUERY,
-    "shard_answer": NETWORK_SHARD_ANSWER,
     "gateway_query": NETWORK_GATEWAY_QUERY,
     "gateway_answer": NETWORK_GATEWAY_ANSWER,
 }

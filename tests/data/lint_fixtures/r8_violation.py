@@ -44,15 +44,15 @@ def decode_answer_table(payload):
         raise ProtocolError(f"bad answer frame: {exc}") from exc
 
 
-def encode_trace_context(span_id):
-    return {"span": span_id}
+def encode_gateway_hello(client_id):
+    return {"client_id": client_id}
 
 
-def decode_trace_context(payload):
+def decode_gateway_hello(payload):
     try:
-        return payload["span"]
+        return payload["client_id"]
     except _DECODE_ERRORS as exc:
-        raise ValueError(f"malformed trace: {exc}") from exc  # wrong envelope
+        raise ValueError(f"malformed hello: {exc}") from exc  # wrong envelope
 
 
 def route(kind, payload):

@@ -5,13 +5,15 @@ import pytest
 from repro import MethodConfig, PrivacyPreservingSystem, SystemConfig
 from repro.cloud.cache import (
     StarMatchCache,
+    in_cold_order,
+    leaf_order,
     leaf_role_order,
-    matches_to_roles,
-    roles_to_matches,
+    roles_to_table,
     star_signature,
+    table_to_roles,
 )
 from repro.graph import AttributedGraph, example_social_network
-from repro.matching import Star, find_subgraph_matches, match_key
+from repro.matching import MatchTable, Star, find_subgraph_matches, match_key
 from repro.workloads import generate_workload, load_dataset
 
 
@@ -44,9 +46,33 @@ class TestSignature:
         query = self.query_with_two_equivalent_stars()
         star = Star(center=0, leaves=(1, 2))
         order = leaf_role_order(query, star)
-        matches = [{0: 10, 1: 11, 2: 12}, {0: 20, 1: 21, 2: 22}]
-        roles = matches_to_roles(matches, star, order)
-        assert roles_to_matches(roles, star, order) == matches
+        table = MatchTable((0, 1, 2), [(10, 11, 12), (20, 21, 22)])
+        roles = table_to_roles(table, star, order)
+        assert roles_to_table(roles, star, order) == table
+
+    def test_a_hit_is_put_in_its_own_cold_order(self):
+        """Equal signatures, different nesting: star 0 nests its ``b``
+        leaf first, star 3 its ``c`` leaf (both unlabelled, so ids
+        decide)."""
+        query = AttributedGraph()
+        for vid, vertex_type in ((0, "a"), (1, "b"), (2, "c"), (3, "a"), (4, "c"), (5, "b")):
+            query.add_vertex(vid, vertex_type)
+        for center, leaf in ((0, 1), (0, 2), (3, 4), (3, 5)):
+            query.add_edge(center, leaf)
+        cold, hit = Star(center=0, leaves=(1, 2)), Star(center=3, leaves=(4, 5))
+        assert star_signature(query, cold) == star_signature(query, hit)
+        assert leaf_order(query, hit) == [4, 5]  # the c leaf first
+        # a cold run: centers in index order (30 before 10), and within
+        # a center ascending in (b image, c image)
+        table = MatchTable((0, 1, 2), [(30, 11, 22), (30, 12, 21), (10, 13, 23)])
+        roles = table_to_roles(table, cold, leaf_role_order(query, cold))
+        relabeled = roles_to_table(roles, hit, leaf_role_order(query, hit))
+        assert relabeled.rows == [(30, 22, 11), (30, 21, 12), (10, 23, 13)]
+        assert in_cold_order(relabeled, leaf_order(query, hit)).rows == [
+            (30, 21, 12),
+            (30, 22, 11),
+            (10, 23, 13),
+        ]
 
 
 class TestLru:

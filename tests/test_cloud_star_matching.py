@@ -96,10 +96,13 @@ class TestMatchAllStars:
             pipe.transform.avt,
             pipe.outsourced.block_vertices,
         )
-        results, stats = server._match_stars(
-            pipe.qo, stars, server.obs, NULL_SPAN
-        )
+        results = server._match_stars(pipe.qo, stars, server.obs, NULL_SPAN)
         assert set(results) == {1, 4}
-        assert stats.result_sizes == {c: len(results[c]) for c in results}
-        assert stats.total_results == sum(len(m) for m in results.values())
+        answer = server.answer(pipe.qo)
+        stats = answer.star_stats
+        assert set(stats.result_sizes) == {
+            star.center for star in answer.decomposition.stars
+        }
+        assert stats.total_results == sum(stats.result_sizes.values())
+        assert stats.total_results == answer.rs_size
         assert stats.seconds >= 0

@@ -32,11 +32,7 @@ from repro.cloud import (
     match_star_table,
 )
 from repro.cloud.cache import leaf_role_order, roles_to_table, table_to_roles
-from repro.core.protocol import (
-    NetworkChannel,
-    encode_answer_table,
-    encode_shard_tables,
-)
+from repro.core.protocol import encode_answer_table
 from repro.core.query_client import QueryClient
 from repro.exceptions import QueryError, ResultBudgetExceeded
 from repro.graph import AttributedGraph, make_schema, random_attributed_graph
@@ -576,8 +572,7 @@ def table_pipeline(dep: SimpleNamespace) -> SimpleNamespace:
     Runs star matching, the join, the AVT expansion and the client
     filter, then snapshots everything an arm could disagree on: rows,
     telemetry counters, the cache codec's role tuples (and their JSON
-    bytes), and the wire frames of both the shard scatter-gather and
-    the final answer.
+    bytes), and the answer's wire frame.
     """
     star_tables = {
         star.center: match_star_table(
@@ -597,7 +592,6 @@ def table_pipeline(dep: SimpleNamespace) -> SimpleNamespace:
     }
     return SimpleNamespace(
         star_rows={c: list(t.rows) for c, t in star_tables.items()},
-        shard_frame=encode_shard_tables(star_tables),
         roles=roles,
         roles_bytes=json.dumps(roles, separators=(",", ":")).encode("utf-8"),
         rin_rows=list(rin.rows),
@@ -669,7 +663,6 @@ def assert_arms_identical(dep: SimpleNamespace) -> None:
     for arm in ARMS[1:]:
         out = outputs[arm]
         assert out.star_rows == baseline.star_rows
-        assert out.shard_frame == baseline.shard_frame
         assert out.roles == baseline.roles
         assert out.roles_bytes == baseline.roles_bytes
         assert out.rin_rows == baseline.rin_rows
@@ -809,41 +802,32 @@ class TestThreeWayEquivalence:
                 )
                 assert len(filtered.table) == 0
                 frames.add(encode_answer_table(rin, [0], True))
-                frames.add(encode_shard_tables({0: table}))
-        assert len(frames) == 2  # one answer frame + one shard frame
+        assert len(frames) == 1
 
     @pytest.mark.parametrize("shards", [1, 4])
     def test_shard_topologies_arms_agree(self, shards):
         """1-shard and 4-shard scatter-gather return the single-server
-        answer in every arm, with identical per-message wire sizes."""
+        answer in every arm, with identical per-star result sizes."""
         dep = deployment(21, 36, 2, 3)
         reference = CloudServer(
             dep.outsourced.graph, dep.avt, dep.outsourced.block_vertices
         ).answer(dep.query)
-        wire_logs = []
         for arm in ARMS:
             with vec.override(arm):
-                channel = NetworkChannel()
                 with ShardedCloud(
                     dep.outsourced.graph,
                     dep.avt,
                     dep.outsourced.block_vertices,
                     shards=shards,
                     backend="serial",
-                    channel=channel,
                 ) as cloud:
                     answer = cloud.answer(dep.query)
                 assert answer.table.schema == reference.table.schema
                 assert answer.table.rows == reference.table.rows
-                wire_logs.append(
-                    [
-                        (record.direction, record.payload_bytes)
-                        for record in channel.transfers
-                    ]
+                assert (
+                    answer.star_stats.result_sizes
+                    == reference.star_stats.result_sizes
                 )
-        assert wire_logs, "no arms ran"
-        assert all(log == wire_logs[0] for log in wire_logs[1:])
-        assert wire_logs[0], "channel saw no shard traffic"
 
     @EQUIV
     @given(**PARAMS)

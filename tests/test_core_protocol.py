@@ -20,9 +20,7 @@ from repro.core import (
 from repro.core import protocol
 from repro.core.protocol import (
     decode_gateway_answer,
-    decode_shard_tables,
     encode_gateway_answer,
-    encode_shard_tables,
 )
 from repro.exceptions import ProtocolError
 from repro.graph import AttributedGraph, example_social_network
@@ -353,7 +351,7 @@ class TestPackedRows:
         cells.byteswap()
         assert base64.b64decode(packed(swapped)["cols"]) == cells.tobytes()
 
-    def test_all_three_frames_carry_the_same_rows_object(self):
+    def test_both_answer_frames_carry_the_same_rows_object(self):
         table = MatchTable((0, 1), [(i, 500 + i) for i in range(70)])
         matches = table.to_matches()
         rows = oracle.pack_matches(matches, [0, 1])
@@ -362,10 +360,7 @@ class TestPackedRows:
         assert gateway["answers"] == [
             json.loads(oracle.encode_answer(matches, [0, 1], True))
         ]
-        shard = json.loads(encode_shard_tables({0: table}))
-        assert shard["tables"] == [{"center": 0, "schema": [0, 1], "rows": rows}]
         _, answers, _ = decode_gateway_answer(
             encode_gateway_answer("r", [(table, [0, 1], True)])
         )
         assert answers == [(table, True)]
-        assert decode_shard_tables(encode_shard_tables({0: table})) == {0: table}

@@ -10,10 +10,15 @@ from repro.core import METHOD_NAMES
 from repro.core.protocol import NetworkChannel
 from repro.core.storage import save_published
 from repro.exceptions import ProtocolError, QueryError
-from repro.graph import example_query, example_social_network
+from repro.graph import (
+    example_query,
+    example_social_network,
+    make_schema,
+    random_attributed_graph,
+)
 from repro.kauto.dynamic import DynamicRelease
 from repro.matching import find_subgraph_matches, match_key, vec
-from repro.workloads import generate_workload, load_dataset
+from repro.workloads import generate_workload, load_dataset, random_walk_query
 from tests.test_no_cyclic_garbage import an_absent_edge
 
 
@@ -232,6 +237,39 @@ class TestLoadedEqualsPublished:
             published.cloud.apply_delta(delta)
             loaded.cloud.apply_delta(delta)
             assert observed(loaded, queries) == observed(published, queries)
+
+
+def shared_signature():
+    """Two stars of the query share a signature but not their query-id
+    leaf order (a hit used to replay the other star's rows)."""
+    schema = make_schema(2, 1, 2)
+    graph = random_attributed_graph(schema, 26, edges_per_vertex=2, seed=1666)
+    return graph, schema, [random_walk_query(graph, 4, 1667, keep_label_probability=0.5)]
+
+
+@pytest.mark.parametrize("arm", ("rows",) + (("numpy",) if vec.HAVE_NUMPY else ()))
+@pytest.mark.parametrize("shards", [1, 4])
+@pytest.mark.parametrize("method", ["EFF", "BAS"])
+@pytest.mark.parametrize("deployment", [shared_signature, dbpedia_quarter])
+def test_the_star_cache_never_shows_on_the_wire(deployment, method, shards, arm):
+    """Cache on equals cache off: matches, ``Rin`` rows in order, and the
+    ``query`` and ``answer`` payload bytes, cold and warm."""
+    graph, schema, queries = deployment()
+    with vec.override(arm):
+        systems = [
+            PrivacyPreservingSystem.setup(
+                graph,
+                schema,
+                SystemConfig(
+                    k=2, method=method, shards=shards, star_cache_size=size
+                ),
+                channel=Wiretap(),
+            )
+            for size in (0, 64)
+        ]
+        off, on = (observed(system, queries * 2) for system in systems)
+        assert on == off
+        assert systems[1].cloud.star_cache.counters()[0] > 0
 
 
 class TestLoad:

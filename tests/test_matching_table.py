@@ -4,8 +4,6 @@ import pytest
 
 from repro.cloud.cache import (
     leaf_role_order,
-    matches_to_roles,
-    roles_to_matches,
     roles_to_table,
     star_signature,
     table_to_roles,
@@ -177,8 +175,16 @@ class TestFlatColumnStorage:
         ]
 
 
+def _dict_roles(table, star, role_order):
+    """Role tuples built from the dict form: (center, leaves in order)."""
+    return [
+        (match[star.center], *(match[leaf] for leaf in role_order))
+        for match in table.to_matches()
+    ]
+
+
 class TestCacheCodecEquivalence:
-    """The columnar cache codec writes the dict codec's wire format."""
+    """The columnar cache codec stores what the dict form spells."""
 
     def _star_table(self, pipe):
         star = star_of(pipe.qo, 1)
@@ -196,11 +202,11 @@ class TestCacheCodecEquivalence:
         star, table = self._star_table(pipe)
         role_order = leaf_role_order(pipe.qo, star)
         roles = table_to_roles(table, star, role_order)
-        assert roles == matches_to_roles(table.to_matches(), star, role_order)
+        assert roles == _dict_roles(table, star, role_order)
         # role-form round trip restores the canonical star schema
         back = roles_to_table(roles, star, role_order)
         assert back == table
-        assert back.to_matches() == roles_to_matches(roles, star, role_order)
+        assert _dict_roles(back, star, role_order) == roles
 
     def test_relabeling_onto_equivalent_star(self, figure1_pipeline):
         """Roles cached for one star re-label onto another star's ids."""
@@ -210,9 +216,9 @@ class TestCacheCodecEquivalence:
         roles = table_to_roles(table, star, role_order)
         renamed = Star(center=star.center, leaves=star.leaves)
         assert star_signature(pipe.qo, renamed) == star_signature(pipe.qo, star)
-        assert roles_to_table(roles, renamed, role_order).to_matches() == (
-            roles_to_matches(roles, renamed, role_order)
-        )
+        relabeled = roles_to_table(roles, renamed, role_order)
+        assert relabeled.schema == (renamed.center, *renamed.leaves)
+        assert _dict_roles(relabeled, renamed, role_order) == roles
 
 
 class TestProtocolTableFraming:

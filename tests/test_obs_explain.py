@@ -27,11 +27,11 @@ def _stitched_trace() -> Trace:
             gw.set(status="ok")
             with tracer.span(names.GATEWAY_DISPATCH):
                 with tracer.span(names.CLOUD_ANSWER) as cloud:
-                    cloud.set(rs_size=9, rin_size=4, matches=4, shards=2)
+                    cloud.set(rs_size=9, rin_size=4, matches=4)
                     with tracer.span(names.CLOUD_DECOMPOSE) as dec:
                         dec.set(stars=3)
                     with tracer.span(names.CLOUD_STAR_MATCHING) as sm:
-                        sm.set(cache_hits=1, cache_misses=2)
+                        sm.set(cache_hits=1, cache_misses=2, shards=2)
         with tracer.span(names.NETWORK_GATEWAY_QUERY) as nq:
             nq.set(bytes=120)
         with tracer.span(names.NETWORK_GATEWAY_ANSWER) as na:

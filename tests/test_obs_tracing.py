@@ -300,7 +300,7 @@ class TestTraceStitching:
         absorbing both into the coordinator must never produce
         duplicate ids or cross-wired parent links."""
         coordinator = Tracer()
-        with coordinator.span("cloud.scatter") as parent:
+        with coordinator.span("cloud.star_matching") as parent:
             for shard in range(2):
                 child = Tracer(query_id="q-1")
                 with child.span("shard.match") as span:

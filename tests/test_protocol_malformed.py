@@ -31,9 +31,6 @@ from repro.core.protocol import (
     decode_gateway_reject,
     decode_gateway_request,
     decode_query,
-    decode_shard_request,
-    decode_shard_tables,
-    decode_trace_context,
     decode_upload,
     encode_answer_table,
     encode_gateway_answer,
@@ -41,16 +38,12 @@ from repro.core.protocol import (
     encode_gateway_reject,
     encode_gateway_request,
     encode_query,
-    encode_shard_request,
-    encode_shard_tables,
-    encode_trace_context,
     encode_upload,
 )
 from repro.exceptions import ProtocolError, ReproError
 from repro.graph import example_social_network, graph_to_dict
 from repro.kauto import build_k_automorphic_graph
 from repro.matching import MatchTable
-from repro.matching.star import Star
 from repro.outsource import build_outsourced_graph
 
 
@@ -61,7 +54,6 @@ def wire():
     transform = build_k_automorphic_graph(graph, 2, seed=0)
     outsourced = build_outsourced_graph(transform.gk, transform.avt)
     table = MatchTable((0, 1), [(3, 4), (5, 6)])
-    stars = [Star(center=0, leaves=(1, 2))]
     return {
         "upload": encode_upload(outsourced.graph, transform.avt),
         "query": encode_query(graph),
@@ -69,8 +61,6 @@ def wire():
             MatchTable((0, 1), [(3, 4)]), [0, 1], expanded=True
         ),
         "answer_table": encode_answer_table(table, [0, 1], expanded=False),
-        "shard_request": encode_shard_request(graph, stars),
-        "shard_tables": encode_shard_tables({0: table}),
         "gateway_hello": encode_gateway_hello("alice", "secret"),
         "gateway_request": encode_gateway_request("alice-1", [graph]),
         "gateway_answer": encode_gateway_answer(
@@ -79,9 +69,6 @@ def wire():
         "gateway_reject": encode_gateway_reject(
             "alice-1", "overloaded", "shedding"
         ),
-        "trace_context": encode_trace_context(
-            TraceContext(query_id="q-7", parent_span_id=3)
-        ),
     }
 
 
@@ -89,13 +76,10 @@ DECODERS = {
     "upload": decode_upload,
     "query": decode_query,
     "answer_table": decode_answer_table,
-    "shard_request": decode_shard_request,
-    "shard_tables": decode_shard_tables,
     "gateway_hello": decode_gateway_hello,
     "gateway_request": decode_gateway_request,
     "gateway_answer": decode_gateway_answer,
     "gateway_reject": decode_gateway_reject,
-    "trace_context": decode_trace_context,
 }
 
 #: Payload kinds under test: one per codec, plus ``answer`` — the
@@ -183,30 +167,6 @@ WRONG_TYPED: dict[str, list[tuple[str, tuple, object]]] = {
         ("path7-3", ("order",), 3),
         *((name, ("rows",), rows) for name, rows in BAD_CELLS.items()),
     ],
-    "shard_request": [
-        ("path31-5", ("stars",), 5),
-        ("path32-value32", ("stars",), [None]),
-        ("path33-value33", ("stars",), [{"center": "x", "leaves": None}]),
-        ("path34-value34", ("query",), []),
-        # a corrupted embedded trace context fails the whole frame —
-        # it must never silently degrade to an untraced request.
-        ("path35-5", ("ctx",), 5),
-        ("path36-value36", ("ctx",), {"q": 1, "p": 0}),
-    ],
-    "shard_tables": [
-        ("path37-5", ("tables",), 5),
-        ("path38-value38", ("tables",), [None]),
-        (
-            "path39-value39",
-            ("tables",),
-            [{"center": None, "schema": 1, "rows": 2}],
-        ),
-        (
-            "path40-value40",
-            ("tables",),
-            [{"center": 0, "schema": [0, 1], "rows": [[1]]}],
-        ),
-    ],
     "gateway_hello": [
         ("path14-5", ("client_id",), 5),
         ("path15-", ("client_id",), ""),
@@ -217,6 +177,8 @@ WRONG_TYPED: dict[str, list[tuple[str, tuple, object]]] = {
         ("path22-5", ("queries",), 5),
         ("path23-value23", ("queries",), []),
         ("path24-value24", ("queries",), [7]),
+        # a corrupted embedded trace context fails the whole frame —
+        # it must never silently degrade to an untraced request.
         ("path25-value25", ("ctx",), []),
         ("path26-value26", ("ctx",), {"q": "x", "p": -1}),
     ],
@@ -247,7 +209,6 @@ WRONG_TYPED: dict[str, list[tuple[str, tuple, object]]] = {
 TABLE_SITES: dict[str, tuple[str, tuple, str, str | None]] = {
     "answer_table": ("answer_table", (), "rows", "order"),
     "gateway_answer": ("gateway_answer", ("answers", 0), "rows", "order"),
-    "shard_tables": ("shard_tables", ("tables", 0), "rows", "schema"),
     "upload-graph.vertices": ("upload", ("graph",), "vertices", None),
     "upload-graph.edges": ("upload", ("graph",), "edges", None),
     "upload-avt.rows": ("upload", ("avt",), "rows", None),
@@ -539,7 +500,7 @@ class TestFuzz:
 
 
 class TestTraceContext:
-    """The compact codec: round trip + corruption only -> ProtocolError."""
+    """The context document: round trip + corruption only -> ProtocolError."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -551,7 +512,8 @@ class TestTraceContext:
         context = TraceContext(
             query_id=query_id, parent_span_id=parent, sampled=sampled
         )
-        assert decode_trace_context(encode_trace_context(context)) == context
+        doc = json.loads(json.dumps(context.to_doc()))
+        assert TraceContext.from_doc(doc) == context
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -565,57 +527,36 @@ class TestTraceContext:
             max_size=4,
         )
     )
-    def test_arbitrary_docs_only_raise_protocol_error(self, doc):
-        payload = json.dumps(doc).encode("utf-8")
+    def test_arbitrary_docs_only_raise_protocol_error(self, wire, doc):
+        """A request frame's ``ctx`` is where a context document arrives."""
         try:
-            decode_trace_context(payload)
+            decode_gateway_request(corrupt(wire["gateway_request"], ("ctx",), doc))
         except ProtocolError:
             pass
 
     def test_embedded_context_round_trips_on_request_frames(self, wire):
-        query, stars, none_context = decode_shard_request(
-            wire["shard_request"]
-        )
+        _, queries, none_context = decode_gateway_request(wire["gateway_request"])
         assert none_context is None
         context = TraceContext(query_id="q-9", parent_span_id=41)
-        _, _, shard_ctx = decode_shard_request(
-            encode_shard_request(query, list(stars), context=context)
-        )
-        assert shard_ctx == context
         _, _, gateway_ctx = decode_gateway_request(
-            encode_gateway_request("alice-1", [query], context=context)
+            encode_gateway_request("alice-1", queries, context=context)
         )
         assert gateway_ctx == context
 
     def test_context_field_is_strictly_optional(self, wire):
         """``context=None`` leaves the frame bytes untouched (old clients)."""
-        query, stars, _ = decode_shard_request(wire["shard_request"])
-        traced = encode_shard_request(
-            query,
-            list(stars),
+        _, queries, _ = decode_gateway_request(wire["gateway_request"])
+        traced = encode_gateway_request(
+            "alice-1",
+            queries,
             context=TraceContext(query_id="q", parent_span_id=1),
         )
         data = json.loads(traced.decode("utf-8"))
         data.pop("ctx")
-        assert (
-            json.dumps(data, sort_keys=True).encode("utf-8")
-            == encode_shard_request(query, list(stars))
-        )
+        assert json.dumps(data, sort_keys=True).encode(
+            "utf-8"
+        ) == encode_gateway_request("alice-1", queries)
 
 
-class TestShardFrameRoundTrip:
-    def test_shard_request_round_trips(self, wire):
-        query, stars, context = decode_shard_request(wire["shard_request"])
-        assert [star.center for star in stars] == [0]
-        assert stars[0].leaves == (1, 2)
-        assert query.vertex_count > 0
-        assert context is None
-
-    def test_shard_tables_round_trip(self, wire):
-        tables = decode_shard_tables(wire["shard_tables"])
-        assert set(tables) == {0}
-        assert tables[0].schema == (0, 1)
-        assert tables[0].rows == [(3, 4), (5, 6)]
-
-    def test_protocol_error_is_repro_error(self):
-        assert issubclass(ProtocolError, ReproError)
+def test_protocol_error_is_repro_error():
+    assert issubclass(ProtocolError, ReproError)

@@ -9,7 +9,7 @@ budget-exception point, not merely equivalent ones; the dict oracle
 (:mod:`tests.oracle`), which shares no code with either, must agree.
 
 The third part pins the argument the cloud no longer checks with a sort:
-what :func:`~repro.cloud.star_matching.match_plan` yields is anchored in
+what :func:`~repro.cloud.server.match_plan` yields is anchored in
 ``B1`` and duplicate-free, so its expansion and the join of such tables
 are duplicate-free too.
 """
@@ -455,7 +455,7 @@ def _assert_duplicate_free(system, query, expandable):
     cloud = system.cloud
     qo = system.client.prepare_query(query)
     stars = decompose_query(qo, cloud.estimator).stars
-    tables, _ = cloud._match_stars(qo, stars, cloud.obs, NULL_SPAN)
+    tables = cloud._match_stars(qo, stars, cloud.obs, NULL_SPAN)
     for table in tables.values():
         assert len(set(table.rows)) == len(table)
         if expandable:

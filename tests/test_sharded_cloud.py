@@ -1,13 +1,13 @@
 """Equivalence suite: the sharded cloud is bit-identical to one server.
 
 ``ShardedCloud`` partitions ``Go`` over N shard servers (each with its
-own halo, VBV/LBV index and star cache) and scatter-gathers every
-query.  These tests pin its core contract — for every shard count,
-scatter backend and wire mode, :meth:`ShardedCloud.answer` returns
-exactly what :meth:`CloudServer.answer` returns: same table schema,
-same rows, same row order, same per-star result sizes, same budget
-trips.  Structural invariants (halo completeness, center disjointness)
-and the aggregate cache/telemetry surfaces are covered alongside.
+own halo and VBV/LBV index) and scatter-gathers the stars its one star
+cache lacks.  These tests pin its core contract — for every shard
+count and scatter backend, :meth:`ShardedCloud.answer` returns exactly
+what :meth:`CloudServer.answer` returns: same table schema, same rows,
+same row order, same per-star result sizes, same budget trips.
+Structural invariants (halo completeness, center disjointness) and the
+cache/telemetry surfaces are covered alongside.
 """
 
 from __future__ import annotations
@@ -25,13 +25,14 @@ from repro.cloud import CloudServer, ShardedCloud, build_shards, fork_available
 from repro.cloud.parallel import BACKENDS, map_batch
 from repro.cloud.sharding import halo_vertices, merge_star_tables
 from repro.core.config import SystemConfig
-from repro.core.protocol import NetworkChannel
+from repro.core.options import QueryOptions
 from repro.core.system import PrivacyPreservingSystem
 from repro.exceptions import ConfigError, ResultBudgetExceeded
 from repro.graph import make_schema, random_attributed_graph
 from repro.kauto import build_k_automorphic_graph
+from repro.obs import Observability
 from repro.outsource import build_outsourced_graph
-from repro.workloads import random_walk_query
+from repro.workloads import generate_workload, load_dataset, random_walk_query
 
 EQUIV = settings(
     max_examples=10,
@@ -224,7 +225,7 @@ class TestCacheAndTelemetry:
         assert misses_after_first > 0
         second = cloud.answer(dep.query)
         hits_after_second, misses_after_second = cloud.star_cache.counters()
-        # the repeat resolves entirely from the shard caches
+        # the repeat resolves entirely from the coordinator's cache
         assert misses_after_second == misses_after_first
         assert hits_after_second > hits_after_first
         assert_answers_identical(first, second)
@@ -248,19 +249,41 @@ class TestCacheAndTelemetry:
             )
             assert cloud.index_build_seconds() > 0.0
 
-
-class TestShardWire:
-    def test_channel_mode_identical_and_byte_accounted(self):
-        dep = deployment(37, 36, 2, 3)
-        reference = single_server(dep).answer(dep.query)
-        channel = NetworkChannel()
-        cloud = sharded(dep, 2, backend="serial", channel=channel)
-        assert_answers_identical(reference, cloud.answer(dep.query))
-        directions = [record.direction for record in channel.transfers]
-        shard_count = len(cloud.shards)
-        assert directions.count("shard_query") == shard_count
-        assert directions.count("shard_answer") == shard_count
-        assert channel.total_bytes() > 0
+    def test_one_cache_surface_for_every_topology(self):
+        """Counters and EXPLAIN's cache line read alike at shards 1,
+        2-serial and 2-process; a repeated query hits every star and
+        scatters nothing."""
+        dataset = load_dataset("DBpedia", scale=0.25, seed=3)
+        workload = generate_workload(dataset.graph, 4, 6, seed=5)
+        counters = []
+        for shards, backend in ((1, "serial"), (2, "serial"), (2, "process")):
+            system = PrivacyPreservingSystem.setup(
+                dataset.graph,
+                dataset.schema,
+                SystemConfig(
+                    k=3, star_cache_size=64, shards=shards, shard_backend=backend
+                ),
+                obs=Observability(),
+            )
+            with system.cloud as cloud:
+                if shards > 1:
+                    cloud.max_workers = 2  # a one-core host would loop
+                for repeat in range(3):
+                    for query in workload:
+                        report = system.query(
+                            query, options=QueryOptions(explain=True)
+                        ).explain
+                        assert report.cache_hits + report.cache_misses == report.stars
+                        if repeat:
+                            assert report.cache_hits == report.stars
+                            assert report.per_shard == [] and report.shards == 0
+                        elif report.cache_misses and shards > 1:
+                            assert report.shards == len(cloud.shards)
+                counters.append(cloud.star_cache.counters())
+                if backend == "process" and fork_available():
+                    assert cloud._scatter_pool is not None
+        assert counters[0][0] > 0
+        assert counters == [counters[0]] * 3
 
 
 class TestSystemPlumbing:

@@ -17,15 +17,15 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import PrivacyPreservingSystem, SystemConfig
 from repro.cloud import build_cloud, decompose_query
-from repro.cloud.cache import StarMatchCache
+from repro.cloud.cache import StarMatchCache, leaf_order
 from repro.cloud.index import CloudIndex, GraphCSR, GroupBitKey, _bit_vector
 from repro.cloud.server import match_plan
-from repro.cloud.star_matching import _leaf_order, match_star_table
+from repro.cloud.star_matching import match_star_table
 from repro.exceptions import QueryError, ResultBudgetExceeded
 from repro.graph import AttributedGraph, VertexData, make_schema, random_attributed_graph
 from repro.kauto.dynamic import DynamicRelease
@@ -260,10 +260,10 @@ def _reference_match_star_table(
     if not candidates:
         return MatchTable(schema, [])
 
-    leaf_order = _leaf_order(query, star)
-    leaf_count = len(leaf_order)
-    leaf_cols = [schema.index(leaf) for leaf in leaf_order]
-    leaf_vertices = [query.vertex(leaf) for leaf in leaf_order]
+    order = leaf_order(query, star)
+    leaf_count = len(order)
+    leaf_cols = [schema.index(leaf) for leaf in order]
+    leaf_vertices = [query.vertex(leaf) for leaf in order]
 
     csr = index.csr
     # the CSR branch pays one numpy intersection per (center, leaf), so
@@ -294,7 +294,7 @@ def _reference_match_star_table(
         # centers is cheaper checking labels inline).
         use_memo = len(candidates) >= 8
         leaf_memos: list[dict[int, bool]] = (
-            [{} for _ in leaf_order] if use_memo else []
+            [{} for _ in order] if use_memo else []
         )
         rows = []
         emit = None  # type: ignore[assignment]
@@ -603,10 +603,55 @@ class TestIndexTables:
 # ----------------------------------------------------------------------
 # whole plans: the star cache, four shards, a delta
 # ----------------------------------------------------------------------
+PLAN_PARAMS = dict(
+    seed=st.integers(0, 10_000),
+    n=st.integers(12, 60),
+    k=st.integers(2, 4),
+    edges=st.integers(1, 4),
+)
+#: Two of the plan's stars share a signature but not their query-id
+#: leaf order: a hit used to replay the other star's row order.
+SHARED_SIGNATURE = dict(seed=1666, n=26, k=2, edges=4)
+
+
 def _an_absent_edge(graph):
     vertices = sorted(graph.vertex_ids())
     return next(
         (u, v) for u in vertices for v in vertices if u < v and not graph.has_edge(u, v)
+    )
+
+
+def _deployment(method, seed, n, k, edges):
+    """A published system, its graph and a random query over it."""
+    schema = make_schema(2, 1, 2)
+    graph = random_attributed_graph(schema, n, edges_per_vertex=2, seed=seed)
+    system = PrivacyPreservingSystem.setup(
+        graph, schema, SystemConfig(k=k, seed=seed, method=method)
+    )
+    try:
+        query = random_walk_query(graph, edges, seed + 1, keep_label_probability=0.5)
+    except QueryError:
+        query = random_walk_query(graph, 1, seed + 1)
+    return system, graph, query
+
+
+def _a_delta(system, graph):
+    """One inserted edge, as the ``Go`` delta the owner ships."""
+    release = DynamicRelease(
+        graph.copy(), system.published.transform, system.published.lct
+    )
+    return release.go_delta(release.insert_edge(*_an_absent_edge(release.original)))
+
+
+def _cloud_like(cloud, shards, star_cache_size=0):
+    """A cloud over a copy of ``cloud``'s stored half."""
+    return build_cloud(
+        cloud.graph.copy(),
+        cloud.avt,
+        cloud.center_vertices,
+        shards=shards,
+        expand_in_cloud=cloud.expand_in_cloud,
+        star_cache_size=star_cache_size,
     )
 
 
@@ -623,57 +668,93 @@ def _assert_plans_equal_the_parent(system, sharded, query):
     qo = system.client.prepare_query(query)
     stars = decompose_query(qo, cloud.estimator).stars
     expected = _reference_tables(qo, stars, cloud)
-    for capacity in (0, 8):
-        cache = StarMatchCache(capacity)
-        for _ in range(2):  # the second pass reads what the first cached
-            tables = match_plan(qo, stars, cloud.index, cloud.graph, cache, None, NULL_TRACER)
-            assert {c: t.rows for c, t in tables.items()} == expected
-    tables, _ = sharded._match_stars(qo, stars, sharded.obs, NULL_SPAN)
-    assert {c: t.rows for c, t in tables.items()} == expected
+
+    def one_server(misses):
+        return match_plan(qo, misses, cloud.index, cloud.graph, None, NULL_TRACER)
+
+    def four_shards(misses):
+        return sharded._match_stars(qo, misses, sharded.obs, NULL_SPAN)
+
+    for topology in (one_server, four_shards):
+        for capacity in (0, 8):
+            cache = StarMatchCache(capacity)
+            for _ in range(2):  # the second pass reads what the first cached
+                tables, _ = cache.plan_tables(qo, stars, topology)
+                assert {c: t.rows for c, t in tables.items()} == expected
 
 
 class TestPlansEqualTheParentKernel:
     @pytest.mark.parametrize("arm", ARMS)
     @pytest.mark.parametrize("method", ["EFF", "BAS"])
     @settings(EQUIV, max_examples=10)
-    @given(
-        seed=st.integers(0, 10_000),
-        n=st.integers(12, 60),
-        k=st.integers(2, 4),
-        edges=st.integers(1, 4),
-    )
+    @example(**SHARED_SIGNATURE)
+    @given(**PLAN_PARAMS)
     def test_cache_and_shards_before_and_after_a_delta(
         self, arm, method, seed, n, k, edges
     ):
         with vec.override(arm):
-            schema = make_schema(2, 1, 2)
-            graph = random_attributed_graph(schema, n, edges_per_vertex=2, seed=seed)
-            system = PrivacyPreservingSystem.setup(
-                graph, schema, SystemConfig(k=k, seed=seed, method=method)
-            )
-            try:
-                query = random_walk_query(graph, edges, seed + 1, keep_label_probability=0.5)
-            except QueryError:
-                query = random_walk_query(graph, 1, seed + 1)
-            cloud = system.cloud
-            sharded = build_cloud(
-                cloud.graph.copy(),
-                cloud.avt,
-                cloud.center_vertices,
-                shards=4,
-                expand_in_cloud=cloud.expand_in_cloud,
-                star_cache_size=8,
-            )
-            with cloud, sharded:
+            system, graph, query = _deployment(method, seed, n, k, edges)
+            with system.cloud, _cloud_like(system.cloud, 4) as sharded:
                 _assert_plans_equal_the_parent(system, sharded, query)
                 if method == "BAS":
                     return  # a BAS cloud stores Gk verbatim: no deltas
-                release = DynamicRelease(
-                    graph.copy(), system.published.transform, system.published.lct
-                )
-                delta = release.go_delta(
-                    release.insert_edge(*_an_absent_edge(release.original))
-                )
-                cloud.apply_delta(delta)
+                delta = _a_delta(system, graph)
+                system.cloud.apply_delta(delta)
                 sharded.apply_delta(delta)
                 _assert_plans_equal_the_parent(system, sharded, query)
+
+
+def _observed(cloud, qo):
+    """What a cloud answers one plan with, twice: every star table
+    (schema, rows, order) and ``Rin``."""
+    stars = decompose_query(qo, cloud.estimator).stars
+    seen = []
+    for _ in range(2):  # the second pass reads what the first cached
+        tables, _ = cloud.star_cache.plan_tables(
+            qo, stars, lambda misses: cloud._match_stars(qo, misses, cloud.obs, NULL_SPAN)
+        )
+        rin = cloud.answer(qo).table
+        seen.append(
+            (
+                {c: (t.schema, t.rows) for c, t in tables.items()},
+                rin.schema,
+                list(rin.rows),
+            )
+        )
+    return seen
+
+
+class TestCacheOnEqualsCacheOff:
+    """A cache hit is the cold run: rows and order, every table."""
+
+    @pytest.mark.parametrize("arm", ARMS)
+    @pytest.mark.parametrize("method", ["EFF", "BAS"])
+    @settings(EQUIV, max_examples=10)
+    @example(**SHARED_SIGNATURE)
+    @given(**PLAN_PARAMS)
+    def test_star_tables_and_rin_at_one_and_four_shards(
+        self, arm, method, seed, n, k, edges
+    ):
+        with vec.override(arm):
+            system, graph, query = _deployment(method, seed, n, k, edges)
+            qo = system.client.prepare_query(query)
+            clouds = [
+                _cloud_like(system.cloud, shards, size)
+                for shards in (1, 4)
+                for size in (0, 8)
+            ]
+            try:
+                reference = _observed(clouds[0], qo)
+                for cloud in clouds[1:]:
+                    assert _observed(cloud, qo) == reference
+                if method == "BAS":
+                    return  # a BAS cloud stores Gk verbatim: no deltas
+                delta = _a_delta(system, graph)
+                for cloud in clouds:
+                    cloud.apply_delta(delta)
+                reference = _observed(clouds[0], qo)
+                for cloud in clouds[1:]:
+                    assert _observed(cloud, qo) == reference
+            finally:
+                for cloud in clouds:
+                    cloud.close()
