@@ -38,8 +38,7 @@ STEPS: list[tuple[str, list[str], str | None]] = [
         "mypy",
     ),
     (
-        # picks up new rules and the checked-in .lint-baseline.json
-        # automatically (cwd is the repo root); gates on severity>=error
+        # picks up new rules automatically; gates on severity>=error
         "repro lint (invariants R1-R4, R6-R8: imports, names, locks, "
         "hot path, taint, async, protocol)",
         [

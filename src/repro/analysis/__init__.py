@@ -43,9 +43,8 @@ metrics*.  This package machine-checks them on every commit:
     (:mod:`repro.analysis.rules.protocol_invariants`).
 
 Findings carry a severity (``error``/``warning``/``info``); the exit
-code gate is ``--fail-on`` (default ``error``), known debt can be
-parked in ``.lint-baseline.json``, and reports render as text, JSON or
-SARIF 2.1.0.  Run it as ``repro lint [paths...]`` or through
+code gate is ``--fail-on`` (default ``error``), and reports render as
+text, JSON or SARIF 2.1.0.  Run it as ``repro lint [paths...]`` or through
 :func:`lint_paths`.  Suppress a finding with a ``# lint: ignore[R?]``
 comment on the flagged line; see ``docs/static-analysis.md`` for the
 full catalog and rationale.
@@ -53,11 +52,6 @@ full catalog and rationale.
 
 from __future__ import annotations
 
-from repro.analysis.baseline import (
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.engine import (
     LintResult,
     ModuleInfo,
@@ -80,16 +74,13 @@ __all__ = [
     "Rule",
     "Severity",
     "all_rules",
-    "apply_baseline",
     "get_rule",
     "hot_path",
     "iter_python_files",
     "lint_file",
     "lint_paths",
-    "load_baseline",
     "render_json",
     "render_sarif",
     "render_text",
     "rule_ids",
-    "write_baseline",
 ]

@@ -4,6 +4,8 @@ Commands
 --------
 ``demo``
     Run the paper's running example end to end and print the results.
+    ``--profile`` runs it under cProfile and adds the per-phase span
+    summary and the hottest functions of each profiled phase.
 ``publish``
     Anonymize a data graph (JSON) and write the split deployment
     (cloud/ and client/ halves) to a directory.
@@ -28,19 +30,22 @@ Commands
     the query goes through a running gateway and the report covers the
     stitched cross-process trace.
 ``audit``
-    Quantify a deployment's privacy posture: candidate sets vs ``k``,
-    label groups vs ``theta``, outsourced fraction and Algorithm 3's
-    false-positive ratio.
-``profile``
-    Run a traced (and cProfile'd) workload and print the per-phase
-    span summary plus the hottest functions of each profiled phase.
+    Re-prove a deployment's privacy: the served ``Gk`` is
+    k-automorphic, sampled structural attacks succeed with probability
+    at most ``1/k``, candidate sets vs ``k``, label groups vs
+    ``theta``, outsourced fraction and Algorithm 3's false-positive
+    ratio.  Without a deployment it audits the running example.
+``lint``
+    Check the codebase's architectural invariants (:mod:`repro.analysis`).
 ``datasets``
     Generate one of the evaluation dataset analogues to a JSON file.
 
-``demo``, ``query`` and ``batch`` accept ``--trace PATH`` to export
-the run's spans + metrics registry as a JSON trace file, and
-``--prometheus PATH`` (on ``batch``) for the Prometheus text format.
-All graphs use the JSON format of :mod:`repro.graph.io`.
+Every option is declared once, in a parent parser that each command
+taking it lists (:func:`build_parser`).  A cloud or publish option
+left unset leaves :class:`~repro.core.config.SystemConfig`'s default,
+and an option the command would ignore in the mode it runs in is a
+usage error (status 2).  All graphs use the JSON format of
+:mod:`repro.graph.io`.
 """
 
 from __future__ import annotations
@@ -49,19 +54,31 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Any
 
 from repro.cloud.parallel import BACKENDS
-from repro.core.config import MethodConfig, SystemConfig
+from repro.core.config import METHOD_NAMES, SystemConfig
 from repro.core.data_owner import DataOwner
 from repro.core.options import QueryOptions
 from repro.core.query_client import QueryClient
 from repro.core.storage import load_client_side, load_cloud_side, save_published
 from repro.core.system import PrivacyPreservingSystem
-from repro.exceptions import ReproError
+from repro.exceptions import GatewayError, GatewayRejected, ReproError
 from repro.graph.generators import example_query, example_social_network, schema_from_graph
 from repro.graph.io import load_graph, save_graph
 from repro.obs import Observability, Trace, export_json, format_percent, names
 from repro.workloads.datasets import DATASETS, load_dataset
+
+# the options that set the SystemConfig field of the same name
+PUBLISH = ("k", "theta", "method")
+SHARDS = ("shards", "shard_backend")
+TOPOLOGY = (*SHARDS, "star_cache_size")
+
+
+def _given(args: argparse.Namespace, *fields: str) -> dict[str, Any]:
+    """The ``fields`` set on the command line; an unset one is ``None``
+    and leaves the :class:`SystemConfig` default."""
+    return {f: getattr(args, f) for f in fields if getattr(args, f) is not None}
 
 
 def _merged(*traces: Trace | None) -> Trace:
@@ -73,46 +90,58 @@ def _merged(*traces: Trace | None) -> Trace:
     return merged
 
 
-def _cmd_demo(args: argparse.Namespace) -> int:
+def _example_system(
+    args: argparse.Namespace, obs: Observability
+) -> tuple[PrivacyPreservingSystem, list]:
+    """The running example published with ``--k/--theta/--method``, and
+    its example query answered ``--queries-count`` times (default once)."""
     graph, schema = example_social_network()
-    obs = Observability()
     system = PrivacyPreservingSystem.setup(
-        graph,
-        schema,
-        SystemConfig(k=args.k, method=MethodConfig.from_name(args.method)),
-        obs=obs,
+        graph, schema, SystemConfig(**_given(args, *PUBLISH)), obs=obs
     )
-    outcome = system.query(example_query())
+    count = 1 if args.queries_count is None else args.queries_count
+    return system, [system.query(example_query()) for _ in range(count)]
+
+
+def _cmd_demo(args: argparse.Namespace) -> int:
+    obs = Observability(profile=args.profile)
+    system, outcomes = _example_system(args, obs)
+    trace = _merged(system.published.trace, *(outcome.trace for outcome in outcomes))
     print(f"published: {system.publish_metrics.uploaded_edges} edges uploaded")
-    print(f"matches ({len(outcome.matches)}):")
-    for match in outcome.matches:
-        print("  " + ", ".join(f"q{q}->v{v}" for q, v in sorted(match.items())))
-    print(f"end-to-end: {outcome.metrics.total_seconds * 1000:.2f} ms")
+    for outcome in outcomes[-1:]:
+        print(f"matches ({len(outcome.matches)}):")
+        for match in outcome.matches:
+            print("  " + ", ".join(f"q{q}->v{v}" for q, v in sorted(match.items())))
+        print(f"end-to-end: {outcome.metrics.total_seconds * 1000:.2f} ms")
+    if args.profile:
+        from repro.obs import format_summary
+
+        print(format_summary(trace, obs.metrics, title="profile: demo workload"))
+        for span in trace:
+            profile = span.attributes.get("profile")
+            if not profile:
+                continue
+            print(f"\nhottest functions of '{span.name}' "
+                  f"({span.duration * 1000:.2f} ms):")
+            for line in profile:
+                print(f"  {line}")
     if args.trace:
-        export_json(
-            args.trace,
-            trace=_merged(system.published.trace, outcome.trace),
-            registry=obs.metrics,
-        )
+        export_json(args.trace, trace=trace, registry=obs.metrics)
         print(f"trace written to {args.trace}")
     return 0
 
 
 def _cmd_publish(args: argparse.Namespace) -> int:
     graph = load_graph(args.graph)
-    schema = schema_from_graph(graph)
-    owner = DataOwner(graph, schema)
-    config = SystemConfig(
-        k=args.k, theta=args.theta, method=MethodConfig.from_name(args.method)
-    )
-    published = owner.publish(config)
+    config = SystemConfig(**_given(args, *PUBLISH))
+    published = DataOwner(graph, schema_from_graph(graph)).publish(config)
     save_published(published, args.out)
     metrics = published.metrics
     print(
         json.dumps(
             {
-                "k": args.k,
-                "method": args.method,
+                "k": config.k,
+                "method": config.method.name,
                 "uploaded_vertices": metrics.uploaded_vertices,
                 "uploaded_edges": metrics.uploaded_edges,
                 "noise_edges": metrics.noise_edges,
@@ -154,20 +183,13 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     """Serve a workload of queries through the batched engine."""
     obs = Observability()
     system = PrivacyPreservingSystem.load(
-        args.deployment,
-        load_graph(args.graph),
-        obs=obs,
-        shards=args.shards,
-        shard_backend=args.shard_backend,
-        star_cache_size=args.star_cache,
+        args.deployment, load_graph(args.graph), obs=obs, **_given(args, *TOPOLOGY)
     )
-    try:
+    with system.cloud:
         batch = system.submit(
             [load_graph(path) for path in args.queries] * args.repeat,
             options=QueryOptions(backend=args.backend, workers=args.workers),
         )
-    finally:
-        system.cloud.close()
     metrics = batch.metrics
     print(
         json.dumps(
@@ -210,37 +232,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
-    """Trace + cProfile a demo workload; print the per-phase summary."""
-    from repro.obs import format_summary
-
-    graph, schema = example_social_network()
-    obs = Observability(profile=True)
-    system = PrivacyPreservingSystem.setup(
-        graph,
-        schema,
-        SystemConfig(k=args.k, method=MethodConfig.from_name(args.method)),
-        obs=obs,
-    )
-    merged = _merged(
-        system.published.trace,
-        *(system.query(example_query()).trace for _ in range(args.queries)),
-    )
-    print(format_summary(merged, obs.metrics, title="profile: demo workload"))
-    for span in merged:
-        profile = span.attributes.get("profile")
-        if not profile:
-            continue
-        print(f"\nhottest functions of '{span.name}' "
-              f"({span.duration * 1000:.2f} ms):")
-        for line in profile:
-            print(f"  {line}")
-    if args.trace:
-        export_json(args.trace, trace=merged, registry=obs.metrics)
-        print(f"\ntrace written to {args.trace}")
-    return 0
-
-
 def _served_gk(cloud_graph, avt, centers, expand):
     """The ``Gk`` a cloud half stands for: itself (BAS), or ``Go``
     closed under the automorphic functions of the AVT."""
@@ -251,58 +242,6 @@ def _served_gk(cloud_graph, avt, centers, expand):
     return recover_gk(
         OutsourcedGraph(graph=cloud_graph, block_vertices=centers), avt
     )
-
-
-def _cmd_verify(args: argparse.Namespace) -> int:
-    """Audit a deployment: re-prove the privacy guarantees on disk.
-
-    Checks everything an auditor can check from the cloud-visible half
-    alone: the k-automorphism property, and the worst structural-attack
-    success probability over a vertex sample (must be <= 1/k).
-
-    For a ``Go`` deployment the audited graph is the ``Gk`` recovered
-    through the AVT — i.e. exactly the graph the cloud can reconstruct
-    and serve.  Recovery closes the edge set under the automorphic
-    functions by construction, so for ``Go`` deployments the audit
-    attests the *served* view is k-automorphic (tampering with ``Go``
-    cannot silently weaken the bound — it only changes which symmetric
-    graph is served); a BAS deployment's ``Gk`` is checked verbatim.
-    """
-    from repro.attacks import degree_attack, neighborhood_attack
-    from repro.kauto.verify import verify_k_automorphism
-
-    cloud_graph, avt, centers, expand = load_cloud_side(args.deployment)
-    gk = _served_gk(cloud_graph, avt, centers, expand)
-    verify_k_automorphism(gk, avt)
-
-    sample = sorted(gk.vertex_ids())[:: max(1, gk.vertex_count // args.sample)][
-        : args.sample
-    ]
-    worst = 0.0
-    for target in sample:
-        worst = max(
-            worst,
-            degree_attack(gk, target).success_probability,
-            neighborhood_attack(gk, target).success_probability,
-        )
-    bound = 1.0 / avt.k
-    ok = worst <= bound + 1e-9
-    print(
-        json.dumps(
-            {
-                "k": avt.k,
-                "k_automorphism": "verified",
-                "vertices": gk.vertex_count,
-                "edges": gk.edge_count,
-                "sampled_targets": len(sample),
-                "worst_attack_probability": worst,
-                "bound": bound,
-                "ok": ok,
-            },
-            indent=2,
-        )
-    )
-    return 0 if ok else 1
 
 
 def _write_port_file(path: str | None, port: int) -> None:
@@ -340,7 +279,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         },
         traces=ring,
         host=args.host,
-        port=args.port,
+        port=args.port or 0,
     ).start()
     system = gateway = None
     try:
@@ -351,9 +290,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             args.deployment,
             load_graph(args.graph),
             obs=obs,
-            shards=args.shards,
-            shard_backend=args.shard_backend,
-            star_cache_size=args.star_cache,
+            **_given(args, *TOPOLOGY),
             slo_window_size=args.window,
             event_log_path=args.events,
             event_log_level=args.event_level,
@@ -385,7 +322,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     max_client_inflight=args.gateway_max_inflight,
                     slo_seconds=args.slo_seconds,
                 ),
-                workers=args.gateway_workers,
                 obs=obs,
                 traces=ring,
             ).start()
@@ -455,6 +391,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         obs.events.close()
 
 
+def _gateway(args: argparse.Namespace) -> Any:
+    """A session with the gateway at ``--host``/``--port``.  What it
+    raises leaves :func:`main` as one stderr line: a typed rejection
+    (auth, rate limit, shedding) with status 2, a failed transport 1."""
+    from repro.gateway import SyncGatewayClient
+
+    return SyncGatewayClient(
+        args.host,
+        args.port,
+        client_id=args.client_id,
+        token=args.token,
+        timeout=args.timeout,
+    )
+
+
 def _cmd_call(args: argparse.Namespace) -> int:
     """Query a running gateway over TCP, finishing client-side locally.
 
@@ -462,48 +413,27 @@ def _cmd_call(args: argparse.Namespace) -> int:
     the wire only ever carries anonymized queries and ``Rin`` tables),
     anonymizes each query graph, ships it to the gateway started by
     ``serve --gateway-port``, and expands + filters the returned table
-    against the original graph.  Typed gateway rejections (auth, rate
-    limit, shedding) print as errors with their reject code.
+    against the original graph.
     """
-    from repro.exceptions import GatewayError, GatewayRejected
-    from repro.gateway import SyncGatewayClient
-
-    graph = load_graph(args.graph)
+    if args.port is None:
+        args.parser.error("the following arguments are required: --port")
+    client = QueryClient(load_graph(args.graph), *load_client_side(args.deployment))
     queries = [load_graph(path) for path in args.queries]
-    lct, client_avt = load_client_side(args.deployment)
-    client = QueryClient(graph, lct, client_avt)
     results = []
-    try:
-        with SyncGatewayClient(
-            args.host,
-            args.port,
-            client_id=args.client_id,
-            token=args.token,
-            timeout=args.timeout,
-        ) as gateway:
-            for path, query in zip(args.queries, queries):
-                anonymized = client.prepare_query(query)
-                table, expanded = gateway.query(anonymized)
-                outcome = client.process_answer(query, table, expanded)
-                results.append(
-                    {
-                        "query": str(path),
-                        "matches": [
-                            {str(q): v for q, v in sorted(m.items())}
-                            for m in outcome.matches
-                        ],
-                        "candidates": outcome.candidate_count,
-                    }
-                )
-    except GatewayRejected as exc:
-        print(
-            f"gateway rejected request ({exc.code}): {exc.reason}",
-            file=sys.stderr,
-        )
-        return 2
-    except GatewayError as exc:
-        print(f"gateway error: {exc}", file=sys.stderr)
-        return 1
+    with _gateway(args) as gateway:
+        for path, query in zip(args.queries, queries):
+            table, expanded = gateway.query(client.prepare_query(query))
+            outcome = client.process_answer(query, table, expanded)
+            results.append(
+                {
+                    "query": str(path),
+                    "matches": [
+                        {str(q): v for q, v in sorted(m.items())}
+                        for m in outcome.matches
+                    ],
+                    "candidates": outcome.candidate_count,
+                }
+            )
     print(json.dumps(results, indent=2))
     return 0
 
@@ -521,51 +451,31 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     """
     from repro.obs import ExplainReport, export_chrome_trace
 
+    if args.port is not None and _given(args, *SHARDS):
+        args.parser.error(
+            "--shards/--shard-backend shape a local cloud; "
+            "with --port the gateway's server answers"
+        )
     graph = load_graph(args.graph)
     query = load_graph(args.query)
 
     trace: Trace | None
     if args.port is not None:
-        from repro.exceptions import GatewayError, GatewayRejected
-        from repro.gateway import SyncGatewayClient
-
         client = QueryClient(graph, *load_client_side(args.deployment))
-        anonymized = client.prepare_query(query)
-        try:
-            with SyncGatewayClient(
-                args.host,
-                args.port,
-                client_id=args.client_id,
-                token=args.token,
-                timeout=args.timeout,
-            ) as gateway:
-                traced = gateway.submit_traced([anonymized])
-        except GatewayRejected as exc:
-            print(
-                f"gateway rejected request ({exc.code}): {exc.reason}",
-                file=sys.stderr,
-            )
-            return 2
-        except GatewayError as exc:
-            print(f"gateway error: {exc}", file=sys.stderr)
-            return 1
+        with _gateway(args) as gateway:
+            traced = gateway.submit_traced([client.prepare_query(query)])
         for table, expanded in traced.answers:
             client.process_answer(query, table, expanded)
         trace = traced.trace
         report = ExplainReport.from_trace(trace, query_id=traced.query_id)
     else:
         system = PrivacyPreservingSystem.load(
-            args.deployment,
-            graph,
-            shards=args.shards,
-            shard_backend=args.shard_backend,
+            args.deployment, graph, **_given(args, *SHARDS)
         )
-        try:
+        with system.cloud:
             outcome = system.submit(
                 [query], options=QueryOptions(explain=True)
             ).outcomes[0]
-        finally:
-            system.cloud.close()
         trace, report = outcome.trace, outcome.explain
 
     if args.json:
@@ -582,100 +492,124 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    """Quantify a deployment's privacy posture (paper Sections 3-5).
+    """Re-prove a deployment's privacy guarantees (paper Sections 3-5).
 
-    With a deployment directory, audits the on-disk artifacts (AVT
-    candidate sets vs ``k``, LCT label groups vs ``theta``, outsourced
-    fraction); add ``--graph``/``--queries`` to also run queries and
-    report Algorithm 3's false-positive ratio.  Without a deployment,
-    audits the paper's running example end to end.  Exit status is 0
-    only when every guarantee holds.
+    Audits the ``Gk`` the cloud half stands for — the graph itself for
+    BAS, ``Go`` recovered through the AVT otherwise, so tampering with
+    ``Go`` cannot silently weaken the bound: it is k-automorphic under
+    the AVT (else ``VerificationError``, status 2), and the degree and
+    neighbourhood attacks on ``--sample`` targets succeed with
+    probability at most ``1/k``.  Beside them: AVT candidate sets vs
+    ``k``, LCT label groups vs ``theta``, the outsourced fraction and,
+    with ``--graph``/``--queries``, Algorithm 3's false-positive ratio.
+    Without a deployment, audits the paper's running example end to
+    end.  Exit status is 0 only when every guarantee holds.
     """
-    from repro.obs.audit import audit_system, build_audit, format_audit
+    from repro.attacks import degree_attack, neighborhood_attack
+    from repro.kauto.verify import verify_k_automorphism
+    from repro.obs.audit import build_audit, format_audit
+
+    if args.deployment is None:
+        if args.graph or args.queries:
+            args.parser.error("--graph/--queries run queries on a deployment: name it")
+    elif _given(args, *PUBLISH, "queries_count"):
+        args.parser.error(
+            "--k/--theta/--method/--queries-count publish the running example; "
+            "a deployment's parameters are on disk"
+        )
+    elif bool(args.graph) != bool(args.queries):
+        args.parser.error("--graph and --queries go together")
+    if args.sample < 1:
+        args.parser.error("--sample must be >= 1")
 
     obs = Observability()
-    outcomes = []
+    system, outcomes = None, []
     if args.deployment is None:
-        # demo mode: the paper's running example, end to end
-        graph, schema = example_social_network()
-        system = PrivacyPreservingSystem.setup(
-            graph,
-            schema,
-            SystemConfig(k=args.k, theta=args.theta),
-            obs=obs,
+        system, outcomes = _example_system(args, obs)
+    elif args.queries:
+        system = PrivacyPreservingSystem.load(
+            args.deployment, load_graph(args.graph), obs=obs
         )
-        for _ in range(args.queries_count):
-            outcomes.append(system.query(example_query()))
-        report = audit_system(system, outcomes=outcomes)
-        title = "privacy audit: running example"
+        with system.cloud:
+            outcomes = system.submit([load_graph(path) for path in args.queries]).outcomes
+    if system is None:
+        cloud_graph, avt, centers, expand = load_cloud_side(args.deployment)
+        lct, _ = load_client_side(args.deployment)
     else:
-        if args.graph and args.queries:
-            system = PrivacyPreservingSystem.load(
-                args.deployment, load_graph(args.graph), obs=obs
-            )
-            cloud = system.cloud
-            try:
-                outcomes = system.submit(
-                    [load_graph(path) for path in args.queries]
-                ).outcomes
-            finally:
-                cloud.close()
-            cloud_graph, avt, lct = cloud.graph, cloud.avt, system.client.lct
-            centers, expand = cloud.center_vertices, cloud.expand_in_cloud
-        else:
-            cloud_graph, avt, centers, expand = load_cloud_side(
-                args.deployment
-            )
-            lct, _ = load_client_side(args.deployment)
-        report = build_audit(
-            avt,
-            lct,
-            theta=lct.theta,
-            gk_edges=_served_gk(cloud_graph, avt, centers, expand).edge_count,
-            outsourced_edges=cloud_graph.edge_count,
-            outcomes=outcomes,
-            registry=obs.metrics if outcomes else None,
-        )
-        title = f"privacy audit: {args.deployment}"
+        cloud, lct = system.cloud, system.client.lct
+        cloud_graph, avt = cloud.graph, cloud.avt
+        centers, expand = cloud.center_vertices, cloud.expand_in_cloud
+
+    gk = _served_gk(cloud_graph, avt, centers, expand)
+    verify_k_automorphism(gk, avt)
+    sample = sorted(gk.vertex_ids())[:: max(1, gk.vertex_count // args.sample)][
+        : args.sample
+    ]
+    worst = max(
+        (
+            attack(gk, target).success_probability
+            for target in sample
+            for attack in (degree_attack, neighborhood_attack)
+        ),
+        default=0.0,
+    )
+    bound = 1.0 / avt.k
+    report = build_audit(
+        avt,
+        lct,
+        theta=lct.theta,
+        gk_edges=gk.edge_count,
+        outsourced_edges=cloud_graph.edge_count,
+        outcomes=outcomes,
+        registry=obs.metrics if outcomes else None,
+    )
+    ok = report.ok and worst <= bound + 1e-9
 
     if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        doc = report.to_dict()
+        doc.update(
+            k_automorphism="verified",
+            sampled_targets=len(sample),
+            worst_attack_probability=worst,
+            bound=bound,
+            ok=ok,
+        )
+        print(json.dumps(doc, indent=2, sort_keys=True))
     else:
+        title = f"privacy audit: {args.deployment or 'running example'}"
         print(format_audit(report, title=title))
+        print(f"k-automorphism of Gk  verified ({gk.vertex_count} vertices)")
+        print(
+            f"attack probability    {worst:.4f} worst of {len(sample)} sampled "
+            f"targets, bound 1/k = {bound:.4f}: {'PASS' if ok else 'FAIL'}"
+        )
     if args.prometheus:
         from repro.obs import write_prometheus
 
         report.register(obs.metrics)
         write_prometheus(obs.metrics, args.prometheus)
         print(f"metrics written to {args.prometheus}", file=sys.stderr)
-    return 0 if report.ok else 1
+    return 0 if ok else 1
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
     """Run the invariant linter (``repro.analysis``) over source trees.
 
     Exit status: 0 when clean at the ``--fail-on`` threshold (default:
-    ``error``), 1 when gating findings exist, 2 on a bad ``--rule`` or
-    unusable ``--baseline``.  ``--json`` emits the machine-readable
-    findings document (the CI artifact format); ``--out`` writes it to
-    a file as well; ``--sarif`` writes a SARIF 2.1.0 report.  A
-    ``.lint-baseline.json`` in the working directory (or ``--baseline``)
-    subtracts accepted findings before the gate; ``--update-baseline``
-    rewrites it from the current findings.  See
+    ``error``), 1 when gating findings exist, 2 on a bad ``--rule``.
+    ``--json`` emits the machine-readable findings document (the CI
+    artifact format); ``--out`` writes it to a file as well;
+    ``--sarif`` writes a SARIF 2.1.0 report.  See
     ``docs/static-analysis.md`` for the rule catalog.
     """
     from repro.analysis import (
         Severity,
         all_rules,
-        apply_baseline,
         lint_paths,
-        load_baseline,
         render_json,
         render_sarif,
         render_text,
-        write_baseline,
     )
-    from repro.analysis.baseline import BASELINE_NAME, BaselineError
 
     rules = all_rules()
     if args.list_rules:
@@ -698,22 +632,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         rules = [rule for rule in rules if rule.id in wanted]
     result = lint_paths(args.paths, rules=rules)
 
-    baseline_path = (
-        Path(args.baseline) if args.baseline else Path(BASELINE_NAME)
-    )
-    if args.update_baseline:
-        count = write_baseline(baseline_path, result)
-        print(f"baseline: recorded {count} finding(s) in {baseline_path}")
-        return 0
-    suppressed = 0
-    if not args.no_baseline and (args.baseline or baseline_path.is_file()):
-        try:
-            accepted = load_baseline(baseline_path)
-        except BaselineError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        result, suppressed = apply_baseline(result, accepted)
-
     if args.out:
         out_path = Path(args.out)
         out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -726,8 +644,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         print(render_json(result))
     else:
         print(render_text(result, verbose=args.verbose))
-        if suppressed:
-            print(f"({suppressed} baselined finding(s) suppressed)")
     fail_on = Severity(args.fail_on)
     return 1 if result.failed(fail_on) else 0
 
@@ -742,20 +658,10 @@ def _cmd_datasets(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_shard_options(parser: argparse.ArgumentParser) -> None:
-    """``--shards`` / ``--shard-backend``: the cloud topology options."""
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="partition the cloud graph over N shard servers (1 = single)",
-    )
-    parser.add_argument(
-        "--shard-backend",
-        default="serial",
-        choices=BACKENDS,
-        help="scatter backend of the sharded cloud",
-    )
+def _options(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """A parent parser: options declared once, shared by the commands
+    listing it (and by the parents built on it)."""
+    return argparse.ArgumentParser(add_help=False, parents=list(parents))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -765,109 +671,140 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    demo = sub.add_parser("demo", help="run the paper's running example")
-    demo.add_argument("--k", type=int, default=2)
-    demo.add_argument("--method", default="EFF", choices=["EFF", "RAN", "FSIM", "BAS"])
-    demo.add_argument("--trace", default=None, help="write a JSON trace file")
-    demo.set_defaults(func=_cmd_demo)
+    def command(name, func, help, *parents):
+        command_parser = sub.add_parser(name, help=help, parents=list(parents))
+        command_parser.set_defaults(func=func, parser=command_parser)
+        return command_parser
 
-    publish = sub.add_parser("publish", help="anonymize and publish a graph")
+    target = _options()
+    target.add_argument("deployment", help="deployment directory from 'publish'")
+    target.add_argument("graph", help="original graph JSON (client side)")
+    one_query = _options()
+    one_query.add_argument("query", help="query graph JSON")
+    query_files = _options()
+    query_files.add_argument("queries", nargs="+", help="query graph JSON file(s)")
+
+    trace = _options()
+    trace.add_argument("--trace", metavar="PATH", help="write a JSON trace file")
+    json_out = _options()
+    json_out.add_argument("--json", action="store_true", help="print JSON, not text")
+    prometheus = _options()
+    prometheus.add_argument(
+        "--prometheus",
+        metavar="PATH",
+        help="also write the metrics registry (audit: its gauges) "
+        "in Prometheus text format",
+    )
+    repeat = _options()
+    repeat.add_argument(
+        "--repeat",
+        type=int,
+        default=1,
+        help="run the workload N times (with --star-cache, later passes hit the cache)",
+    )
+
+    endpoint = _options()
+    endpoint.add_argument(
+        "--host",
+        default="127.0.0.1",
+        help="serve: the address to bind; call/explain: the gateway's",
+    )
+    endpoint.add_argument(
+        "--port",
+        type=int,
+        help="call/explain: the gateway's TCP port (explain runs locally "
+        "without it); serve: the telemetry port (unset or 0: OS-assigned)",
+    )
+    gateway_client = _options(endpoint)
+    gateway_client.add_argument(
+        "--client-id", default="cli", help="client identity for middleware"
+    )
+    gateway_client.add_argument(
+        "--token", default="", help="auth token for the hello frame"
+    )
+    gateway_client.add_argument(
+        "--timeout", type=float, default=60.0, help="seconds to wait per gateway call"
+    )
+
+    shards = _options()
+    shards.add_argument(
+        "--shards",
+        type=int,
+        help=f"partition the cloud graph over N shard servers (default {SystemConfig.shards})",
+    )
+    shards.add_argument(
+        "--shard-backend",
+        choices=BACKENDS,
+        help=f"scatter backend of the sharded cloud (default {SystemConfig.shard_backend})",
+    )
+    topology = _options(shards)
+    topology.add_argument(
+        "--star-cache",
+        dest="star_cache_size",
+        type=int,
+        metavar="N",
+        help=f"shared star-match LRU capacity (default {SystemConfig.star_cache_size}; "
+        "0 disables)",
+    )
+
+    publish_params = _options()
+    publish_params.add_argument(
+        "--k", type=int, help=f"k of k-automorphism (default {SystemConfig.k})"
+    )
+    publish_params.add_argument(
+        "--theta", type=int, help=f"labels per label group (default {SystemConfig.theta})"
+    )
+    publish_params.add_argument(
+        "--method", choices=METHOD_NAMES, help="publishing method (default EFF)"
+    )
+    example = _options(publish_params)
+    example.add_argument(
+        "--queries-count",
+        type=int,
+        metavar="N",
+        help="answer the running example's query N times (default 1)",
+    )
+
+    demo = command("demo", _cmd_demo, "run the paper's running example", example, trace)
+    demo.add_argument(
+        "--profile",
+        action="store_true",
+        help="cProfile each phase; print the span summary and hottest functions",
+    )
+
+    publish = command("publish", _cmd_publish, "anonymize and publish a graph", publish_params)
     publish.add_argument("graph", help="input graph JSON")
     publish.add_argument("out", help="output deployment directory")
-    publish.add_argument("--k", type=int, default=2)
-    publish.add_argument("--theta", type=int, default=2)
-    publish.add_argument(
-        "--method", default="EFF", choices=["EFF", "RAN", "FSIM", "BAS"]
-    )
-    publish.set_defaults(func=_cmd_publish)
 
-    query = sub.add_parser("query", help="answer a query via a deployment")
-    query.add_argument("deployment", help="deployment directory from 'publish'")
-    query.add_argument("graph", help="original graph JSON (client side)")
-    query.add_argument("query", help="query graph JSON")
-    query.add_argument("--trace", default=None, help="write a JSON trace file")
-    query.set_defaults(func=_cmd_query)
+    command("query", _cmd_query, "answer a query via a deployment", target, one_query, trace)
 
-    batch = sub.add_parser(
-        "batch", help="answer a workload of queries in one batch"
+    batch = command(
+        "batch",
+        _cmd_batch,
+        "answer a workload of queries in one batch",
+        target, query_files, topology, repeat, trace, prometheus,
     )
-    batch.add_argument("deployment", help="deployment directory from 'publish'")
-    batch.add_argument("graph", help="original graph JSON (client side)")
-    batch.add_argument("queries", nargs="+", help="query graph JSON file(s)")
-    batch.add_argument(
-        "--workers", type=int, default=None, help="process pool width (default: one per core)"
-    )
+    batch.add_argument("--workers", type=int, help="process pool width (default: one per core)")
     batch.add_argument(
         "--backend",
         default="serial",
         choices=BACKENDS,
         help="batch backend (serial = the plain loop, process = fork pool)",
     )
-    batch.add_argument(
-        "--star-cache",
-        type=int,
-        default=256,
-        help="shared star-match LRU capacity (0 disables)",
-    )
-    _add_shard_options(batch)
-    batch.add_argument(
-        "--repeat",
-        type=int,
-        default=1,
-        help="repeat the workload N times (warms the shared cache)",
-    )
-    batch.add_argument("--trace", default=None, help="write a JSON trace file")
-    batch.add_argument(
-        "--prometheus",
-        default=None,
-        help="write the metrics registry in Prometheus text format",
-    )
-    batch.set_defaults(func=_cmd_batch)
 
-    profile = sub.add_parser(
-        "profile", help="trace + cProfile a demo workload, print a summary"
-    )
-    profile.add_argument("--k", type=int, default=2)
-    profile.add_argument(
-        "--method", default="EFF", choices=["EFF", "RAN", "FSIM", "BAS"]
-    )
-    profile.add_argument(
-        "--queries", type=int, default=5, help="how many demo queries to run"
-    )
-    profile.add_argument("--trace", default=None, help="write a JSON trace file")
-    profile.set_defaults(func=_cmd_profile)
-
-    verify = sub.add_parser(
-        "verify", help="audit a deployment's privacy guarantees"
-    )
-    verify.add_argument("deployment", help="deployment directory from 'publish'")
-    verify.add_argument("--sample", type=int, default=50, help="attack targets")
-    verify.set_defaults(func=_cmd_verify)
-
-    serve = sub.add_parser(
+    serve = command(
         "serve",
-        help="answer a workload while exposing /metrics, /healthz, "
-        "/readyz and /traces over HTTP",
+        _cmd_serve,
+        "answer a workload while exposing /metrics, /healthz, /readyz and /traces over HTTP",
+        target, endpoint, topology, repeat,
     )
-    serve.add_argument("deployment", help="deployment directory from 'publish'")
-    serve.add_argument("graph", help="original graph JSON (client side)")
     serve.add_argument(
         "queries",
         nargs="*",
-        help="query graph JSON file(s); omit to read JSON graphs "
-        "from stdin, one per line",
-    )
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument(
-        "--port", type=int, default=0, help="0 = OS-assigned free port"
+        help="query graph JSON file(s); omit to read JSON graphs from stdin, one per line",
     )
     serve.add_argument(
-        "--port-file",
-        default=None,
-        help="write the bound port here once listening (for harnesses)",
-    )
-    serve.add_argument(
-        "--repeat", type=int, default=1, help="repeat the workload N times"
+        "--port-file", help="write the bound port here once listening (for harnesses)"
     )
     serve.add_argument(
         "--linger",
@@ -875,12 +812,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.0,
         help="keep the endpoint up N seconds after the workload drains",
     )
-    serve.add_argument(
-        "--events", default=None, help="JSONL structured event log path"
-    )
-    serve.add_argument(
-        "--event-level", default="info", choices=["info", "debug"]
-    )
+    serve.add_argument("--events", help="JSONL structured event log path")
+    serve.add_argument("--event-level", default="info", choices=["info", "debug"])
     serve.add_argument(
         "--sample-rate",
         type=float,
@@ -888,53 +821,27 @@ def build_parser() -> argparse.ArgumentParser:
         help="fraction of queries whose events are logged",
     )
     serve.add_argument(
-        "--window",
-        type=int,
-        default=1024,
-        help="sliding SLO window capacity (observations)",
+        "--window", type=int, default=1024, help="sliding SLO window capacity (observations)"
     )
     serve.add_argument(
-        "--trace-ring",
-        type=int,
-        default=64,
-        help="how many recent query traces /traces retains",
+        "--trace-ring", type=int, default=64, help="how many recent query traces /traces retains"
     )
-    serve.add_argument(
-        "--star-cache",
-        type=int,
-        default=256,
-        help="shared star-match LRU capacity (0 disables)",
-    )
-    _add_shard_options(serve)
     serve.add_argument(
         "--gateway-port",
         type=int,
-        default=None,
         help="also serve the frame-protocol gateway on this TCP port "
         "(0 = OS-assigned free port; omit to disable)",
     )
     serve.add_argument(
-        "--gateway-port-file",
-        default=None,
-        help="write the gateway's bound port here once listening",
+        "--gateway-port-file", help="write the gateway's bound port here once listening"
     )
     serve.add_argument(
-        "--gateway-token",
-        default=None,
-        help="require this auth token on gateway hello frames",
-    )
-    serve.add_argument(
-        "--gateway-workers",
-        type=int,
-        default=None,
-        help="gateway dispatch pool size (default: cpu count)",
+        "--gateway-token", help="require this auth token on gateway hello frames"
     )
     serve.add_argument(
         "--slo-seconds",
         type=float,
-        default=None,
-        help="arm gateway load shedding when the sliding-window p99 "
-        "exceeds this many seconds",
+        help="arm gateway load shedding when the sliding-window p99 exceeds this many seconds",
     )
     serve.add_argument(
         "--gateway-max-inflight",
@@ -942,114 +849,44 @@ def build_parser() -> argparse.ArgumentParser:
         default=64,
         help="global cap on concurrently admitted gateway requests",
     )
-    serve.set_defaults(func=_cmd_serve)
 
-    call = sub.add_parser(
+    command(
         "call",
-        help="send queries to a running 'serve --gateway-port' gateway",
+        _cmd_call,
+        "send queries to a running 'serve --gateway-port' gateway",
+        target, query_files, gateway_client,
     )
-    call.add_argument("deployment", help="deployment directory from 'publish'")
-    call.add_argument("graph", help="original graph JSON (client side)")
-    call.add_argument("queries", nargs="+", help="query graph JSON file(s)")
-    call.add_argument("--host", default="127.0.0.1")
-    call.add_argument(
-        "--port", type=int, required=True, help="gateway TCP port"
-    )
-    call.add_argument(
-        "--client-id", default="cli", help="client identity for middleware"
-    )
-    call.add_argument(
-        "--token", default="", help="auth token for the hello frame"
-    )
-    call.add_argument(
-        "--timeout",
-        type=float,
-        default=60.0,
-        help="seconds to wait per gateway call",
-    )
-    call.set_defaults(func=_cmd_call)
 
-    explain = sub.add_parser(
+    explain = command(
         "explain",
-        help="run one traced query and render its EXPLAIN report",
+        _cmd_explain,
+        "run one traced query and render its EXPLAIN report",
+        target, one_query, shards, gateway_client, json_out,
     )
     explain.add_argument(
-        "deployment", help="deployment directory from 'publish'"
+        "--chrome", help="also write the trace as Chrome/Perfetto trace-event JSON"
     )
-    explain.add_argument("graph", help="original graph JSON (client side)")
-    explain.add_argument("query", help="query graph JSON")
-    _add_shard_options(explain)  # local mode only; --port ignores them
-    explain.add_argument("--host", default="127.0.0.1")
-    explain.add_argument(
-        "--port",
-        type=int,
-        default=None,
-        help="query a running gateway on this TCP port instead of "
-        "running locally (the report covers the stitched trace)",
-    )
-    explain.add_argument(
-        "--client-id", default="cli", help="client identity for middleware"
-    )
-    explain.add_argument(
-        "--token", default="", help="auth token for the hello frame"
-    )
-    explain.add_argument(
-        "--timeout",
-        type=float,
-        default=60.0,
-        help="seconds to wait per gateway call",
-    )
-    explain.add_argument(
-        "--json", action="store_true", help="emit the report as JSON"
-    )
-    explain.add_argument(
-        "--chrome",
-        default=None,
-        help="also write the trace as Chrome/Perfetto trace-event JSON",
-    )
-    explain.set_defaults(func=_cmd_explain)
 
-    audit = sub.add_parser(
-        "audit", help="quantify a deployment's privacy posture"
+    audit = command(
+        "audit",
+        _cmd_audit,
+        "re-prove a deployment's privacy guarantees",
+        example, json_out, prometheus,
     )
     audit.add_argument(
         "deployment",
         nargs="?",
-        default=None,
         help="deployment directory (omit to audit the running example)",
     )
+    audit.add_argument("--graph", help="original graph JSON (client side)")
     audit.add_argument(
-        "--graph", default=None, help="original graph JSON (client side)"
+        "--queries", nargs="*", help="query graph JSON file(s) for the false-positive audit"
     )
     audit.add_argument(
-        "--queries",
-        nargs="*",
-        default=None,
-        help="query graph JSON file(s) for the false-positive audit",
+        "--sample", type=int, default=50, help="attack targets sampled for the 1/k bound"
     )
-    audit.add_argument("--k", type=int, default=2, help="demo-mode k")
-    audit.add_argument(
-        "--theta", type=int, default=2, help="demo-mode theta"
-    )
-    audit.add_argument(
-        "--queries-count",
-        type=int,
-        default=3,
-        help="demo-mode: how many example queries to audit",
-    )
-    audit.add_argument(
-        "--json", action="store_true", help="emit the report as JSON"
-    )
-    audit.add_argument(
-        "--prometheus",
-        default=None,
-        help="also write the audit gauges in Prometheus text format",
-    )
-    audit.set_defaults(func=_cmd_audit)
 
-    lint = sub.add_parser(
-        "lint", help="check the codebase's architectural invariants"
-    )
+    lint = command("lint", _cmd_lint, "check the codebase's architectural invariants", json_out)
     lint.add_argument(
         "paths",
         nargs="*",
@@ -1059,52 +896,23 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--rule",
         action="append",
-        default=None,
         help="run only these rule ids (comma-separated, repeatable)",
     )
-    lint.add_argument(
-        "--json", action="store_true", help="emit findings as JSON"
-    )
-    lint.add_argument(
-        "--out", default=None, help="also write the JSON findings here"
-    )
-    lint.add_argument(
-        "--sarif", default=None, help="also write a SARIF 2.1.0 report here"
-    )
+    lint.add_argument("--out", help="also write the JSON findings here")
+    lint.add_argument("--sarif", help="also write a SARIF 2.1.0 report here")
     lint.add_argument(
         "--fail-on",
         choices=["error", "warning", "info"],
         default="error",
         help="lowest severity that fails the run (default: error)",
     )
-    lint.add_argument(
-        "--baseline",
-        default=None,
-        help="accepted-findings file (default: ./.lint-baseline.json if present)",
-    )
-    lint.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file",
-    )
-    lint.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="record the current findings as the accepted baseline and exit",
-    )
-    lint.add_argument(
-        "--verbose", action="store_true", help="print per-finding fix hints"
-    )
-    lint.add_argument(
-        "--list-rules", action="store_true", help="list the rule catalog"
-    )
-    lint.set_defaults(func=_cmd_lint)
+    lint.add_argument("--verbose", action="store_true", help="print per-finding fix hints")
+    lint.add_argument("--list-rules", action="store_true", help="list the rule catalog")
 
-    datasets = sub.add_parser("datasets", help="generate a dataset analogue")
+    datasets = command("datasets", _cmd_datasets, "generate a dataset analogue")
     datasets.add_argument("name", choices=sorted(DATASETS))
     datasets.add_argument("out", help="output graph JSON path")
     datasets.add_argument("--scale", type=float, default=0.25)
-    datasets.set_defaults(func=_cmd_datasets)
     return parser
 
 
@@ -1113,6 +921,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except GatewayRejected as exc:
+        print(f"gateway rejected request ({exc.code}): {exc.reason}", file=sys.stderr)
+        return 2
+    except GatewayError as exc:
+        print(f"gateway error: {exc}", file=sys.stderr)
+        return 1
     except ReproError as exc:
         # a typed failure (bad query, unreadable deployment, tripped
         # budget) is the user's to fix, not a crash: one line, status 2

@@ -44,28 +44,23 @@ VertexBits = list[int] | dict[int, int]
 
 @dataclass
 class GraphCSR:
-    """Compressed sparse-row adjacency + inverted label/type indexes.
+    """Flat vertex, edge and label indexes of one graph.
 
-    The flat companion to a published graph: neighbor lists
-    concatenated into one int64 ``indices`` array (each per-vertex
-    slice **ascending**, matching ``sorted(graph.neighbors(v))``),
-    packed sorted edge keys for bulk edge-membership tests, and sorted
-    vertex-id arrays per vertex type and per ``(attribute, group)``
-    label so a query vertex's full candidate set is a chain of sorted
-    intersections instead of per-vertex ``matches`` calls.
+    The client's companion to its own ``G`` (Algorithm 3): a dense
+    vertex-existence mask, packed sorted edge keys for bulk
+    edge-membership tests, and sorted vertex-id arrays per vertex type
+    and per ``(attribute, group)`` label so a query vertex's full
+    candidate set is a chain of sorted intersections instead of
+    per-vertex ``matches`` calls.
 
     Only built when numpy is available and the id space is dense
-    enough for the position LUT and small enough for 63-bit packed
+    enough for the existence mask and small enough for 63-bit packed
     edge keys (:meth:`build` returns ``None`` otherwise) — every
     consumer treats a missing CSR as "use the tuple kernels".
     """
 
     source: AttributedGraph
-    ids: Any  # sorted vertex ids, int64
-    pos: Any  # dense id -> row LUT (-1 = unknown vertex)
     exists: Any  # dense id -> is a vertex (bounds-guarded reads)
-    indptr: Any
-    indices: Any  # neighbor ids, ascending within each row slice
     edge_keys: Any  # sorted packed min*stride+max keys
     stride: int
     type_ids: dict[str, Any]
@@ -78,8 +73,8 @@ class GraphCSR:
         Eligibility: numpy importable, all vertex ids non-negative and
         below both :data:`repro.matching.vec.PACKED_ID_LIMIT` (packed
         edge keys stay within int64) and
-        :data:`repro.matching.vec.DENSE_LUT_LIMIT` (the dense position
-        LUT stays small).
+        :data:`repro.matching.vec.DENSE_LUT_LIMIT` (the dense existence
+        mask stays small).
         """
         if not vec.HAVE_NUMPY:
             return None
@@ -90,41 +85,30 @@ class GraphCSR:
             or ids[-1] >= min(vec.PACKED_ID_LIMIT, vec.DENSE_LUT_LIMIT)
         ):
             return None
-        max_id = ids[-1] if ids else -1
-        stride = max_id + 1 if max_id >= 0 else 1
-        ids_arr = np.asarray(ids, dtype=np.int64)
-        pos = np.full(max_id + 1, -1, dtype=np.int64)
-        pos[ids_arr] = np.arange(len(ids), dtype=np.int64)
+        stride = ids[-1] + 1 if ids else 1
+        exists = np.zeros(ids[-1] + 1 if ids else 0, dtype=bool)
+        exists[ids] = True
+        # edges() yields each edge once as (min, max)
+        edge_keys = np.fromiter(
+            (u * stride + v for u, v in graph.edges()),
+            dtype=np.int64,
+            count=graph.edge_count,
+        )
+        edge_keys.sort()
 
-        indptr = np.zeros(len(ids) + 1, dtype=np.int64)
-        flat_neighbors: list[int] = []
+        # ids are walked in ascending order, so every inverted list
+        # comes out sorted and unique
         type_lists: dict[str, list[int]] = {}
         label_lists: dict[GroupBitKey, list[int]] = {}
-        for row, vid in enumerate(ids):
-            flat_neighbors.extend(sorted(graph.neighbors(vid)))
-            indptr[row + 1] = len(flat_neighbors)
+        for vid in ids:
             data = graph.vertex(vid)
             type_lists.setdefault(data.vertex_type, []).append(vid)
             for attr, groups in data.labels.items():
                 for group in groups:
                     label_lists.setdefault((attr, group), []).append(vid)
-        indices = np.asarray(flat_neighbors, dtype=np.int64)
-
-        # each edge once, from its lower end: rows and row slices both
-        # ascend, so the packed keys come out sorted
-        rows = np.repeat(ids_arr, np.diff(indptr))
-        lower = rows < indices
-        edge_keys = rows[lower] * stride + indices[lower]
-
-        # ids were walked in ascending order, so every inverted list is
-        # already sorted and unique
         return cls(
             source=graph,
-            ids=ids_arr,
-            pos=pos,
-            exists=pos >= 0,
-            indptr=indptr,
-            indices=indices,
+            exists=exists,
             edge_keys=edge_keys,
             stride=stride,
             type_ids={

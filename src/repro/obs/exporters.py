@@ -9,7 +9,7 @@ Three formats cover the consumers named in the evaluation plan:
   scraping a long-running serving process;
 * :func:`format_summary` — a fixed-width per-phase table (count,
   total, mean, share of wall time), for terminals and the
-  ``python -m repro profile`` command;
+  ``python -m repro demo --profile`` command;
 * :func:`export_chrome_trace` — the Chrome/Perfetto trace-event JSON
   (``chrome://tracing``, https://ui.perfetto.dev) with one lane per
   (process, thread), so a stitched cross-process trace renders as

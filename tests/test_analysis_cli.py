@@ -100,59 +100,6 @@ def test_lint_fail_on_lowers_the_gate(capsys):
     assert code == 1
 
 
-def test_lint_update_baseline_then_gate_passes(tmp_path, capsys):
-    baseline = tmp_path / "accepted.json"
-    target = str(FIXTURES / "r1_violation.py")
-    code, out, _ = run_cli(
-        capsys,
-        "lint",
-        target,
-        "--baseline",
-        str(baseline),
-        "--update-baseline",
-    )
-    assert code == 0
-    assert "recorded" in out
-    doc = json.loads(baseline.read_text(encoding="utf-8"))
-    assert doc["version"] == 1 and doc["entries"]
-    # baselined findings no longer gate ...
-    code, out, _ = run_cli(
-        capsys, "lint", target, "--baseline", str(baseline)
-    )
-    assert code == 0
-    assert "baselined finding(s) suppressed" in out
-    # ... but --no-baseline restores the raw verdict
-    code, _, _ = run_cli(
-        capsys,
-        "lint",
-        target,
-        "--baseline",
-        str(baseline),
-        "--no-baseline",
-    )
-    assert code == 1
-
-
-def test_lint_unreadable_baseline_exits_two(tmp_path, capsys):
-    baseline = tmp_path / "bad.json"
-    baseline.write_text("[]", encoding="utf-8")
-    code, _, err = run_cli(
-        capsys, "lint", "src", "--baseline", str(baseline)
-    )
-    assert code == 2
-    assert "baseline" in err
-
-
-def test_lint_shipped_baseline_is_empty():
-    doc = json.loads(
-        (REPO / ".lint-baseline.json").read_text(encoding="utf-8")
-    )
-    assert doc == {"entries": [], "version": 1}, (
-        "the shipped baseline must stay empty: fix findings, do not "
-        "grandfather them"
-    )
-
-
 def test_lint_sarif_artifact(tmp_path, capsys):
     sarif_path = tmp_path / "report" / "lint.sarif"
     code, _, _ = run_cli(

@@ -1,10 +1,11 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.graph import example_query, example_social_network, save_graph
 
 
@@ -66,6 +67,8 @@ class TestPublishAndQuery:
                     backend,
                     "--repeat",
                     "2",
+                    "--star-cache",
+                    "16",
                 ]
             )
             == 0
@@ -104,6 +107,8 @@ class TestPublishAndQuery:
 
 
 class TestVerify:
+    """``audit <deployment>`` re-proves what the ``verify`` command did."""
+
     def test_verify_healthy_deployment(self, tmp_path, capsys):
         graph, _ = example_social_network()
         graph_path = tmp_path / "g.json"
@@ -112,11 +117,19 @@ class TestVerify:
         assert main(["publish", str(graph_path), str(deployment), "--k", "3"]) == 0
         capsys.readouterr()
 
-        assert main(["verify", str(deployment)]) == 0
+        assert main(["audit", str(deployment), "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["ok"] is True
         assert report["k"] == 3
+        assert report["k_automorphism"] == "verified"
+        assert report["sampled_targets"] > 0
+        assert report["bound"] == pytest.approx(1 / 3)
         assert report["worst_attack_probability"] <= report["bound"] + 1e-9
+
+        assert main(["audit", str(deployment), "--sample", "4"]) == 0
+        out = capsys.readouterr().out
+        assert "k-automorphism of Gk  verified" in out
+        assert "worst of 4 sampled targets" in out and out.rstrip().endswith("PASS")
 
     def test_verify_detects_broken_symmetry(self, tmp_path, capsys):
         graph, _ = example_social_network()
@@ -149,7 +162,7 @@ class TestVerify:
         _save(published, published_path)
 
         # a typed failure is one line on stderr and status 2, not a traceback
-        assert main(["verify", str(deployment)]) == 2
+        assert main(["audit", str(deployment)]) == 2
         assert "repro: VerificationError:" in capsys.readouterr().err
 
 
@@ -332,19 +345,30 @@ class TestRemovedThreadTier:
 
 
 class TestProfile:
+    """``demo --profile`` is what the ``profile`` command printed."""
+
     def test_profile_prints_table_and_hot_functions(self, capsys):
-        assert main(["profile", "--queries", "2"]) == 0
+        assert main(["demo", "--profile", "--queries-count", "2"]) == 0
         out = capsys.readouterr().out
-        assert "span summary" in out or "profile: demo workload" in out
+        assert "matches (2)" in out
+        assert "profile: demo workload" in out
         assert "% wall" in out
         assert "hottest functions of" in out
 
     def test_profile_trace_file(self, tmp_path, capsys):
         trace_path = tmp_path / "profile.json"
-        assert main(["profile", "--queries", "1", "--trace", str(trace_path)]) == 0
+        assert main(["demo", "--profile", "--trace", str(trace_path)]) == 0
         doc = json.loads(trace_path.read_text(encoding="utf-8"))
         spans = doc["trace"]["spans"]
         assert any("profile" in span["attributes"] for span in spans)
+        assert sum(span["name"] == "query" for span in spans) == 1
+
+    def test_queries_count_runs_the_example_query_that_often(self, tmp_path, capsys):
+        trace_path = tmp_path / "demo.json"
+        assert main(["demo", "--queries-count", "3", "--trace", str(trace_path)]) == 0
+        spans = json.loads(trace_path.read_text(encoding="utf-8"))["trace"]["spans"]
+        assert sum(span["name"] == "query" for span in spans) == 3
+        assert not any("profile" in span["attributes"] for span in spans)
 
 
 class TestAudit:
@@ -574,6 +598,160 @@ class TestParser:
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+def subcommands() -> dict[str, argparse.ArgumentParser]:
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+class TestOneParser:
+    """Each option is declared once, in a parent parser its commands
+    share, and the argvs the benchmark and CI run keep parsing."""
+
+    def test_an_option_on_several_commands_is_one_action(self):
+        owners: dict[str, dict[str, argparse.Action]] = {}
+        for name, command in subcommands().items():
+            for action in command._actions:
+                if not isinstance(action, argparse._HelpAction):
+                    for option in action.option_strings:
+                        owners.setdefault(option, {})[name] = action
+        shared = {option: actions for option, actions in owners.items() if len(actions) > 1}
+        assert {"--port", "--host", "--k", "--star-cache", "--json", "--trace"} <= set(shared)
+        for option, actions in shared.items():
+            assert len({id(a) for a in actions.values()}) == 1, f"{option} declared twice"
+
+    def test_ten_commands_and_at_most_88_settable_arguments(self):
+        commands = subcommands()
+        assert sorted(commands) == [
+            "audit", "batch", "call", "datasets", "demo",
+            "explain", "lint", "publish", "query", "serve",
+        ]
+        settable = sum(
+            not isinstance(action, argparse._HelpAction)
+            for command in commands.values()
+            for action in command._actions
+        )
+        assert settable <= 88
+
+    def test_the_benchmark_gateway_argv(self):
+        """``benchmarks/e2e/gateway.py`` starts exactly this."""
+        args = build_parser().parse_args(
+            [
+                "serve", "dep", "graph.json",
+                "--gateway-port", "0", "--gateway-port-file", "gport.txt",
+                "--port", "0", "--port-file", "port.txt",
+                "--star-cache", "0",
+            ]
+        )
+        assert (args.command, args.deployment, args.graph, args.queries) == (
+            "serve", "dep", "graph.json", []
+        )
+        assert (args.gateway_port, args.gateway_port_file) == (0, "gport.txt")
+        assert (args.port, args.port_file, args.star_cache_size) == (0, "port.txt", 0)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "publish smoke/graph.json smoke/dep --k 2",
+            "serve smoke/dep smoke/graph.json smoke/query.json --repeat 20 "
+            "--events smoke/events.jsonl --port 0 --port-file smoke/port.txt --linger 20",
+            "serve smoke/dep smoke/graph.json smoke/query.json --port 0 "
+            "--port-file smoke/port.txt --gateway-port 0 --gateway-port-file "
+            "smoke/gateway-port.txt --gateway-max-inflight 64 --linger 90",
+            "serve smoke/dep smoke/graph.json smoke/query.json --shards 2 "
+            "--shard-backend process --star-cache 0 --port 0 --port-file smoke/port2.txt "
+            "--gateway-port 0 --gateway-port-file smoke/gateway-port2.txt --linger 90",
+            "explain smoke/dep smoke/graph.json smoke/query.json --port 4242 "
+            "--client-id ci-traced --json --chrome smoke/query.chrome.json",
+            "lint src tests benchmarks --fail-on error --out lint-report.json "
+            "--sarif lint-report.sarif",
+        ],
+        ids=["publish", "serve-smoke", "gateway-smoke", "traced-serve", "traced-explain", "lint"],
+    )
+    def test_the_ci_argvs(self, argv):
+        assert build_parser().parse_args(argv.split()).command == argv.split()[0]
+
+    def test_unset_cloud_options_leave_the_system_config_defaults(self, tmp_path, capsys):
+        from repro.core.config import SystemConfig
+
+        dep, graph_path, query_paths = publish_files(
+            tmp_path, capsys, example_social_network()[0], [example_query()]
+        )
+        assert main(["batch", dep, graph_path, *query_paths, "--repeat", "2"]) == 0
+        cache = json.loads(capsys.readouterr().out)["cache"]
+        assert SystemConfig().star_cache_size == 0
+        assert cache["hits"] == cache["misses"] == 0
+
+
+class TestIgnoredOptionsAreRejected:
+    """An option the command would drop in the mode it runs in is a
+    usage error, raised before any file is read."""
+
+    @pytest.mark.parametrize(
+        "argv,complaint",
+        [
+            ("explain dep g.json q.json --port 1 --shards 2", "--shards/--shard-backend"),
+            ("explain dep g.json q.json --port 1 --shard-backend process", "--shards/"),
+            ("audit dep --k 3", "--k/--theta/--method/--queries-count"),
+            ("audit dep --theta 3", "--k/--theta/--method/--queries-count"),
+            ("audit dep --queries-count 2", "--k/--theta/--method/--queries-count"),
+            ("audit --graph g.json --queries q.json", "name it"),
+            ("audit dep --queries q.json", "--graph and --queries go together"),
+            ("audit dep --sample 0", "--sample must be >= 1"),
+            ("call dep g.json q.json", "the following arguments are required: --port"),
+        ],
+    )
+    def test_usage_error(self, capsys, argv, complaint):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv.split())
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"repro {argv.split()[0]}: error:" in err and complaint in err
+
+
+class TestGatewayClients:
+    """``call`` and ``explain --port`` open one kind of session, and
+    its failures leave ``main`` the same way."""
+
+    @pytest.fixture
+    def served(self, tmp_path, capsys):
+        from repro.core.system import PrivacyPreservingSystem
+        from repro.gateway import AuthTokenMiddleware, QueryGateway
+        from repro.obs import Observability
+
+        graph = example_social_network()[0]
+        dep, graph_path, query_paths = publish_files(tmp_path, capsys, graph, [example_query()])
+        system = PrivacyPreservingSystem.load(dep, graph)
+        with QueryGateway(
+            system.cloud,
+            middlewares=[AuthTokenMiddleware(token="s3cret")],
+            obs=Observability(),
+        ) as gateway:
+            yield [dep, graph_path, query_paths[0], "--port", str(gateway.port)]
+
+    def test_call(self, served, capsys):
+        assert main(["call", *served, "--token", "s3cret"]) == 0
+        (result,) = json.loads(capsys.readouterr().out)
+        assert len(result["matches"]) == 2 and result["candidates"] >= 2
+
+    def test_explain_through_the_gateway(self, served, capsys):
+        assert main(["explain", *served, "--token", "s3cret", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["query_id"] and report["stars"] > 0 and report["rin_size"] > 0
+        assert "gateway.request" in {phase["name"] for phase in report["phases"]}
+
+    @pytest.mark.parametrize("command", ["call", "explain"])
+    def test_a_rejection_exits_two(self, served, capsys, command):
+        assert main([command, *served, "--token", "wrong"]) == 2
+        assert capsys.readouterr().err.startswith("gateway rejected request (unauthorized)")
+
+    @pytest.mark.parametrize("command", ["call", "explain"])
+    def test_a_dead_gateway_exits_one(self, served, capsys, command):
+        dead = [*served[:3], "--port", "1"]  # nothing listens there
+        assert main([command, *dead, "--timeout", "5"]) == 1
+        assert capsys.readouterr().err.startswith("gateway error: ")
 
 
 def publish_files(tmp_path, capsys, graph, queries, *flags):

@@ -48,17 +48,15 @@ EQUIV = settings(
 # references (the replaced implementations, verbatim)
 # ----------------------------------------------------------------------
 class _ReferenceCSR(GraphCSR):
-    """``GraphCSR`` with the neighbour slices the CSR arm read."""
+    """``GraphCSR`` with the neighbour slices the CSR arm read, built
+    here: the client's CSR keeps no adjacency."""
 
     def neighbor_slice(self, vid: int) -> Any:
         """The ascending neighbor-id array of ``vid`` (empty if unknown)."""
         np = vec.np
-        if vid < 0 or vid >= len(self.pos):
+        if vid not in self.source.vertex_id_view():
             return np.empty(0, dtype=np.int64)
-        row = int(self.pos[vid])
-        if row < 0:
-            return np.empty(0, dtype=np.int64)
-        return self.indices[self.indptr[row] : self.indptr[row + 1]]
+        return np.asarray(sorted(self.source.neighbors(vid)), dtype=np.int64)
 
 
 def _reference_from_flat_rows(
