@@ -1,30 +1,32 @@
 """Shard-count scaling: ``ShardedCloud`` vs the single-server cloud.
 
 Not a paper figure — this measures the scatter-gather extension of the
-cloud engine (ISSUE 6).  One BAS-style identity-AVT deployment (k=1
-alignment rows, so no k-automorphism build and the graph can be
-serving-sized) answers a fixed random-walk query:
+cloud engine.  One BAS-style identity-AVT deployment (k=1 alignment
+rows, so no k-automorphism build and the graph can be serving-sized)
+answers a fixed random-walk query:
 
 * ``single``  — the paper's :class:`~repro.cloud.server.CloudServer`;
 * ``shards=N`` — :class:`~repro.cloud.sharding.ShardedCloud` over the
-  same graph, scattering the star plan with the ``serial`` loop and
-  the fork-``process`` backend.
+  same graph and index, its candidate centers split into N position
+  ranges, scattering the star plan with the ``serial`` loop and the
+  fork-``process`` backend.
 
 The cell is *scan-bound* star matching: selective labels keep the
 emitted tables small while every candidate center's neighbourhood is
 scanned, which is the regime sharding parallelizes (the positional
 hash join always runs centrally and is excluded from the speedup by
-timing ``star_stats.seconds``).  The process arms are timed *warm*:
+timing ``star_stats.seconds``; the whole ``answer`` and each arm's
+construction are reported beside it).  The process arms are timed *warm*:
 the first answer forks the persistent scatter pool
-(:class:`~repro.cloud.parallel.PersistentProcessPool`) and repays the
-children's copy-on-write faulting; steady-state serving is what the
-cell measures.
+(:class:`~repro.cloud.parallel.PersistentProcessPool`), and the first
+few repay the children's copy-on-write faulting; steady-state serving
+is what the cell measures.
 
 Assertions: every arm is *bit-identical* to the single server (same
-rows, same order — the merge-by-global-center-position guarantee), and
+rows, same order — the shard tables concatenate in range order), and
 — at full scale (``REPRO_BENCH_SCALE >= 1``) on hosts with >= 4 usable
-cores, the host ROADMAP item 3 asks its verdict from — a >= 1.5x
-star-phase gain at 4 shards with the process backend.  The report cell
+cores — a >= 1.5x star-phase gain at 4 shards with the process
+backend.  The report cell
 always writes ``BENCH_sharding.json`` at the repo root, host block
 included (the CI shard-scaling smoke uploads it).
 """
@@ -32,6 +34,7 @@ included (the CI shard-scaling smoke uploads it).
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -53,6 +56,9 @@ SHARD_COUNTS = (1, 2, 4)
 GATE_SHARDS = 4
 GATE_CORES = 4
 REPEATS = 3
+#: Answers before timing: a fork child faults in the heap of whichever
+#: range the pool hands it, so one answer leaves a child cold on the other.
+WARMUP = 5
 RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_sharding.json"
 
 
@@ -103,13 +109,25 @@ def _assert_identical(answer, expected) -> None:
     assert answer.star_stats.result_sizes == expected.star_stats.result_sizes
 
 
-def _star_seconds(cloud, query) -> float:
-    """Best-of-``REPEATS`` star-phase seconds, after one warmup answer."""
-    cloud.answer(query)  # fork/warm pools, caches, allocators
-    best = float("inf")
+def _built(make):
+    """``make()`` and its wall seconds: the arm's construction cost."""
+    started = time.perf_counter()
+    cloud = make()
+    return cloud, time.perf_counter() - started
+
+
+def _timed(cloud, query) -> tuple[float, float]:
+    """Best-of-``REPEATS`` (star-phase, whole-``answer``) seconds, after
+    ``WARMUP`` answers."""
+    for _ in range(WARMUP):  # fork/warm pools, caches, allocators
+        cloud.answer(query)
+    star = whole = float("inf")
     for _ in range(REPEATS):
-        best = min(best, cloud.answer(query).star_stats.seconds)
-    return best
+        started = time.perf_counter()
+        answer = cloud.answer(query)
+        whole = min(whole, time.perf_counter() - started)
+        star = min(star, answer.star_stats.seconds)
+    return star, whole
 
 
 def test_shard_counts_bit_identical(deployment):
@@ -141,54 +159,76 @@ def test_shard_scatter_cell(benchmark, deployment):
 def test_report_shard_scaling(deployment):
     """Scaling report + ``BENCH_sharding.json``; the full-scale gate."""
     graph, avt, centers, query = deployment
-    single = CloudServer(graph, avt, centers, expand_in_cloud=False)
+    single, single_build = _built(
+        lambda: CloudServer(graph, avt, centers, expand_in_cloud=False)
+    )
     expected = single.answer(query)
-    single_star = _star_seconds(single, query)
+    single_star, single_answer = _timed(single, query)
 
     arms = []
     rows = [
         [
             "single",
             "-",
+            f"{single_build:.2f}",
             ms(single_star),
+            "1.00x",
+            ms(single_answer),
             "1.00x",
             len(expected.table),
         ]
     ]
     for shards in SHARD_COUNTS:
         for backend in BACKENDS:
-            with _sharded(deployment, shards, backend) as cloud:
+            cloud, build = _built(lambda: _sharded(deployment, shards, backend))
+            with cloud:
                 answer = cloud.answer(query)
                 _assert_identical(answer, expected)
-                star = _star_seconds(cloud, query)
+                star, whole = _timed(cloud, query)
             speedup = single_star / star if star else float("inf")
+            answer_speedup = single_answer / whole
             arms.append(
                 {
                     "shards": shards,
                     "backend": backend,
+                    "build_seconds": build,
                     "star_seconds": star,
                     "speedup": round(speedup, 3),
+                    "answer_seconds": whole,
+                    "answer_speedup": round(answer_speedup, 3),
                 }
             )
             rows.append(
                 [
                     f"shards={shards}",
                     backend,
+                    f"{build:.2f}",
                     ms(star),
                     f"{speedup:.2f}x",
+                    ms(whole),
+                    f"{answer_speedup:.2f}x",
                     len(answer.table),
                 ]
             )
 
     print_report(
         format_table(
-            ["arm", "backend", "star ms", "speedup", "rows"],
+            [
+                "arm",
+                "backend",
+                "build s",
+                "star ms",
+                "speedup",
+                "answer ms",
+                "speedup",
+                "rows",
+            ],
             rows,
             title=(
                 f"shard-count scaling — n={_cell_vertices()}, "
                 f"deg~{2 * CELL['edges_per_vertex']}, "
                 f"labels={CELL['labels']}, |E(Q)|={CELL['query_edges']}, "
-                f"star phase, best of {REPEATS}"
+                f"star phase and whole answer, best of {REPEATS}"
             ),
         )
     )
@@ -208,7 +248,9 @@ def test_report_shard_scaling(deployment):
                 "bit_identical": True,
                 "speedup": best,
                 "cell": {**CELL, "n": _cell_vertices()},
+                "single_build_seconds": single_build,
                 "single_star_seconds": single_star,
+                "single_answer_seconds": single_answer,
                 "arms": arms,
             },
             indent=2,

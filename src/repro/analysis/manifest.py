@@ -34,11 +34,6 @@ LAYERS: dict[str, tuple[str, ...]] = {
         "repro.matching",  # star/match data structures + engines
         "repro.anonymize.cost_model",  # cloud-side cardinality estimation
         "repro.kauto.avt",  # the *published* Alignment Vertex Table
-        # the multilevel partitioner is a pure structural algorithm over
-        # whatever graph it is handed; the sharded cloud runs it on the
-        # published Go it already stores, so no owner/client secret
-        # crosses the boundary (labels/LCT are never consulted).
-        "repro.kauto.partition",
         "repro.obs",  # observability (names, tracing, metrics)
         "repro.core.protocol",  # the wire the cloud legitimately sees
         "repro.outsource",  # Go + delta structures the owner uploads
@@ -58,7 +53,6 @@ LAYERS: dict[str, tuple[str, ...]] = {
         "repro.matching",
         "repro.anonymize.cost_model",
         "repro.kauto.avt",
-        "repro.kauto.partition",
         "repro.obs",
         "repro.core.protocol",
         "repro.core.options",  # per-call knobs (no graph data)

@@ -730,7 +730,7 @@ def build_parser() -> argparse.ArgumentParser:
     shards.add_argument(
         "--shards",
         type=int,
-        help=f"partition the cloud graph over N shard servers (default {SystemConfig.shards})",
+        help=f"split the candidate star centers over N shards (default {SystemConfig.shards})",
     )
     shards.add_argument(
         "--shard-backend",

@@ -10,13 +10,7 @@ from repro.cloud.result_join import (
     join_star_tables,
 )
 from repro.cloud.server import CloudAnswer, CloudServer
-from repro.cloud.sharding import (
-    CloudShard,
-    ShardedCloud,
-    build_cloud,
-    build_shards,
-    merge_star_tables,
-)
+from repro.cloud.sharding import ShardedCloud, build_cloud, center_ranges
 from repro.cloud.star_matching import StarMatchStats, match_star_table
 from repro.cloud.vertex_cover import (
     cover_cost,
@@ -35,10 +29,8 @@ __all__ = [
     "CloudServer",
     "CloudAnswer",
     "ShardedCloud",
-    "CloudShard",
     "build_cloud",
-    "build_shards",
-    "merge_star_tables",
+    "center_ranges",
     "decompose_query",
     "estimate_all_stars",
     "match_star_table",

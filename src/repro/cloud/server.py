@@ -85,13 +85,15 @@ def match_plan(
     graph: AttributedGraph,
     max_results: int | None,
     tracer: NullTracer,
+    within: int = -1,
 ) -> dict[int, MatchTable]:
     """Algorithm 1 for every star of one plan.
 
-    The one star loop of the cloud: the single server runs it over the
-    whole of ``Go``, every shard of a
-    :class:`~repro.cloud.sharding.ShardedCloud` over its slice.  Tables
-    are columnar (schema ``(center, *leaves)``).  Each star runs the
+    The one star loop of the cloud: the single server runs it over
+    every indexed center, each shard of a
+    :class:`~repro.cloud.sharding.ShardedCloud` over the center
+    positions set in ``within`` (its range).  Tables are columnar
+    (schema ``(center, *leaves)``).  Each star runs the
     kernel under its own ``cloud.star_match`` span.  The star cache sits
     in front of the topology (:meth:`CloudServer.answer`), so only its
     misses get here.
@@ -100,7 +102,7 @@ def match_plan(
     for star in stars:
         with tracer.span(names.CLOUD_STAR_MATCH, center=star.center) as span:
             table = match_star_table(
-                query, star, index, graph, max_results=max_results
+                query, star, index, graph, max_results=max_results, within=within
             )
             span.set(results=len(table))
         results[star.center] = table
@@ -134,10 +136,10 @@ class CloudServer:
         hit/miss counters are exported as pull-gauges on its registry.
 
     :class:`~repro.cloud.sharding.ShardedCloud` subclasses this server
-    and replaces exactly two stages — how the index is built
-    (:meth:`_build_index`) and how the star tables the cache lacks are
-    produced (:meth:`_match_stars`); everything else on this class,
-    the star cache included, is the one pipeline both topologies run.
+    and replaces how the star tables the cache lacks are produced
+    (:meth:`_match_stars`); everything else on this class, the index
+    and the star cache included, is the one pipeline both topologies
+    run.
     """
 
     def __init__(

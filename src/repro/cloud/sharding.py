@@ -1,53 +1,37 @@
-"""Sharded scatter-gather cloud: ``Go`` partitioned across N servers.
+"""Sharded scatter-gather cloud: the candidate centers split into ranges.
 
-The paper's cloud holds all of ``Go`` in one machine.  This module
-scales the same engine horizontally, the way STwig partitions billion
-node graphs over Trinity: the coordinator splits ``Go`` into ``N``
-shards with the multilevel partitioner
-(:func:`repro.kauto.partition.partition_graph` — the privacy argument:
-the partitioner is a pure structural algorithm run on the *published*
-graph the cloud already stores, so no owner/client secret is
-consulted), scatters each query's star plan to every shard, and joins
-the gathered per-shard tables centrally.  The coordinator's one star
-cache sits in front of the scatter: only the stars it lacks are sent,
-and a plan it holds in full scatters nothing.
+The paper's cloud holds ``Go`` and one VBV/LBV index over the candidate
+centers in one machine.  :class:`ShardedCloud` keeps both and splits
+only the work, the way STwig explores locally, ships a flat block and
+joins centrally: shard ``i`` is a contiguous range ``[lo, hi)`` of
+positions in that one index (``center_vertices[lo:hi]``), and its star
+tables are Algorithm 1 with the candidate-center mask ANDed with the
+range's bits.  The coordinator's one star cache sits in front of the
+scatter: only the stars it lacks are sent, and a plan it holds in full
+scatters nothing.
 
-**Halo construction.**  A star anchored at center ``c`` touches only
-``c`` and its direct neighbours, so shard ``i`` stores its centers
-(``block_i ∩ center_vertices``) plus a one-hop *halo* of every
-neighbour of those centers.  Within the shard subgraph each local
-center then has exactly its ``Go`` neighbourhood — star matching
-against the shard is bit-identical to matching the same center against
-the full graph.  Halo vertices are storage overlap only: they are
-never indexed as centers, so each candidate center lives in exactly
-one shard.
-
-**Bit-identity.**  Single-server star tables list centers in
-``center_vertices`` order (the VBV yields candidates in ascending bit
-position) with a deterministic DFS row block per center.  Shard-local
-center lists preserve the global order, so gathering is a stable merge
-of the per-shard tables keyed by each row's global center position —
-followed by a defensive dedupe — and reproduces the single-server
-table exactly, rows and order.  Decomposition, the central join,
-budget enforcement and telemetry are not re-implemented here at all:
+**Bit-identity.**  The kernel emits centers in ascending index
+position, each with a deterministic DFS row block.  The ranges are
+disjoint, ascending and cover every position once, so concatenating
+the shard tables in range order *is* the single server's table, rows
+and order.  Decomposition, the index, the central join, budget
+enforcement and telemetry are not re-implemented here at all:
 :class:`ShardedCloud` *is* a :class:`~repro.cloud.server.CloudServer`
-that overrides how the index is built and how the star tables the
-cache lacks are produced, making :meth:`ShardedCloud.answer` bit-identical to the
-single-server path for every shard count and scatter backend.
+that overrides how the star tables the cache lacks are produced,
+making :meth:`ShardedCloud.answer` bit-identical to the single-server
+path for every shard count and scatter backend.
 
 The handoff between coordinator and shards is in-memory: the serial
-loop, or a warm fork pool whose pipe carries the plan out and the
-tables back.
+loop, or a warm fork pool whose children inherit the index
+copy-on-write and whose pipe carries the plan out and the tables back.
 """
 
 from __future__ import annotations
 
 import threading
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from repro.analysis.markers import hot_path
 from repro.cloud.index import CloudIndex
 from repro.cloud.parallel import (
     PersistentProcessPool,
@@ -60,162 +44,72 @@ from repro.core.protocol import TraceContext
 from repro.exceptions import ResultBudgetExceeded
 from repro.graph.attributed import AttributedGraph
 from repro.kauto.avt import AlignmentVertexTable
-from repro.kauto.partition import partition_graph
 from repro.matching.star import Star
-from repro.matching.table import MatchTable, Row, dedupe_rows
+from repro.matching.table import MatchTable, Row
 from repro.obs import NULL_TRACER, Observability, names
 from repro.obs.tracing import NullSpan, Span, Trace, Tracer
 
 
-@dataclass
-class CloudShard:
-    """One shard server: a slice of ``Go`` with its own index.
+def center_ranges(count: int, shards: int) -> list[range]:
+    """The shards over ``count`` index positions.
 
-    ``centers`` is this shard's subsequence of the global
-    ``center_vertices`` list (global order preserved — the merge step
-    depends on it); ``graph`` is the induced subgraph over the centers
-    plus their one-hop halo; ``index`` is built over it as a standalone
-    :class:`~repro.cloud.server.CloudServer` builds its own.
-    """
-
-    shard_id: int
-    centers: list[int]
-    graph: AttributedGraph
-    index: CloudIndex
-
-    def index_size_bytes(self) -> int:
-        return self.index.size_bytes()
-
-    def match(
-        self,
-        query: AttributedGraph,
-        stars: Sequence[Star],
-        max_results: int | None,
-    ) -> dict[int, MatchTable]:
-        """The star tables over this shard's slice of ``Go``.
-
-        The same star loop the single server runs.  Untraced: the
-        coordinator records one ``cloud.shard_match`` span per shard,
-        not one per star.
-        """
-        return match_plan(
-            query, stars, self.index, self.graph, max_results, NULL_TRACER
-        )
-
-
-def halo_vertices(graph: AttributedGraph, centers: Sequence[int]) -> set[int]:
-    """The shard's vertex set: centers plus every direct neighbour.
-
-    One hop suffices: a star match binds the center and vertices
-    adjacent to it, and leaf label checks only read vertex data — no
-    leaf-to-leaf edges are ever consulted (those belong to other stars
-    of the decomposition).
-    """
-    keep: set[int] = set(centers)
-    for center in centers:
-        keep |= graph.neighbors(center)
-    return keep
-
-
-def build_shards(
-    graph: AttributedGraph,
-    center_vertices: Sequence[int],
-    shards: int,
-    seed: int = 0,
-) -> list[CloudShard]:
-    """Partition ``graph`` and stand up one :class:`CloudShard` per block.
-
-    Blocks that receive no candidate centers are dropped (they would
-    answer every request with empty tables), so the returned list may
-    be shorter than ``shards`` on small graphs.
+    At most ``shards`` non-empty, contiguous, ascending ranges of
+    near-equal size that cover ``range(count)`` exactly once — fewer
+    when there are fewer positions than shards.
     """
     if shards < 1:
         raise ValueError("shards must be >= 1")
-    position = {vid: i for i, vid in enumerate(center_vertices)}
-    if shards == 1:
-        blocks = [list(center_vertices)]
-    else:
-        blocks = partition_graph(graph, shards, seed=seed)
-    built: list[CloudShard] = []
-    for block in blocks:
-        members = set(block)
-        centers = [vid for vid in center_vertices if vid in members]
-        if not centers:
-            continue
-        shard_graph = graph.induced_subgraph(
-            halo_vertices(graph, centers), name=f"shard-{len(built)}"
-        )
-        built.append(
-            CloudShard(
-                shard_id=len(built),
-                centers=centers,
-                graph=shard_graph,
-                index=CloudIndex.build(shard_graph, centers),
-            )
-        )
-    # re-assert the global invariant the merge relies on: every center
-    # in exactly one shard, in global order within each
-    assert sum(len(s.centers) for s in built) == len(position)
-    return built
+    parts = min(shards, count)
+    return [
+        range(count * i // parts, count * (i + 1) // parts) for i in range(parts)
+    ]
 
 
-@hot_path
-def merge_star_tables(
-    star: Star, tables: Sequence[MatchTable], position: dict[int, int]
-) -> MatchTable:
-    """Gather one star's per-shard tables into the single-server table.
+def match_range(
+    query: AttributedGraph,
+    stars: Sequence[Star],
+    index: CloudIndex,
+    graph: AttributedGraph,
+    centers: range,
+    max_results: int | None,
+) -> dict[int, MatchTable]:
+    """One shard's star tables: :func:`match_plan` over ``centers``' positions.
 
-    Rows are keyed by the global position of their center (column 0 of
-    the star schema); each shard's rows arrive already ordered by it,
-    and shard center sets are disjoint, so a stable sort reconstructs
-    exactly the order the full-graph kernel emits.  The trailing dedupe
-    is defensive — halo vertices are never indexed, so duplicates can
-    only come from a misbehaving shard reply.
+    Untraced: the coordinator records one ``cloud.shard_match`` span
+    per shard, not one per star.
     """
-    schema = (star.center, *star.leaves)
-    rows: list[Row] = []
-    for table in tables:
-        if table.schema == schema:
-            rows.extend(table.rows)
-        else:
-            rows.extend(table.project_rows(schema))
-    rows.sort(key=lambda row: position[row[0]])
-    return MatchTable(schema, dedupe_rows(rows))
+    within = ((1 << len(centers)) - 1) << centers.start
+    return match_plan(
+        query, stars, index, graph, max_results, NULL_TRACER, within=within
+    )
 
 
-#: One scatter task: (shard position, query, star plan, trace-context doc).
-ScatterPayload = tuple[int, AttributedGraph, tuple[Star, ...], dict | None]
+#: One scatter task: (shard id, its range, query, star plan, trace-context doc).
+ScatterPayload = tuple[int, range, AttributedGraph, tuple[Star, ...], dict | None]
 #: Its reply: the shard's star tables and, when traced, the child's trace doc.
 ScatterReply = tuple[dict[int, MatchTable], dict | None]
 
 
 class ShardedCloud(CloudServer):
-    """Scatter-gather coordinator over ``N`` :class:`CloudShard` servers.
+    """Scatter-gather coordinator over ``N`` ranges of candidate centers.
 
-    A :class:`~repro.cloud.server.CloudServer` (the coordinator still
-    holds the full published graph — it is the data the owner uploaded;
-    the shards are the cloud's *internal* layout) that overrides two
-    stages of the pipeline: :meth:`_build_index` partitions the graph
-    into shard servers, and :meth:`_match_stars` scatters the stars the
-    star cache lacks to them and merges the gathered tables.
-    Decomposition, the star cache, join, budget, telemetry and
-    ``apply_delta`` are inherited.
+    A :class:`~repro.cloud.server.CloudServer` that overrides one stage
+    of the pipeline: :meth:`_match_stars` scatters the stars the star
+    cache lacks to the shards and concatenates the gathered tables.
+    The index, decomposition, the star cache, join, budget, telemetry
+    and ``apply_delta`` are inherited.
     Construction takes the server's parameters plus:
 
     shards:
-        Requested shard count.  Shards whose partition block holds no
-        candidate center are dropped; ``len(cloud.shards)`` is the
-        effective count.
+        Requested shard count; ``len(cloud.shards)`` is the effective
+        count (lower only when there are fewer candidate centers).
     backend / max_workers:
         How star-match requests are scattered: ``"serial"`` (default)
         visits the shards in a loop; ``"process"`` scatters through a
         persistent :class:`~repro.cloud.parallel.PersistentProcessPool`
-        — children inherit the shard state copy-on-write at first use
-        and stay warm across answers (so the page-faulting cost of the
+        — children inherit the index copy-on-write at first use and
+        stay warm across answers (so the page-faulting cost of the
         inherited heap is paid once, not per query).
-    partition_seed:
-        Seed of the multilevel partitioner (answers are bit-identical
-        for every seed; the seed only shapes the shard layout).
     """
 
     def __init__(
@@ -230,7 +124,6 @@ class ShardedCloud(CloudServer):
         decomposition_strategy: str = "optimal",
         backend: str = "serial",
         max_workers: int | None = None,
-        partition_seed: int = 0,
         obs: Observability | None = None,
     ) -> None:
         if shards < 1:
@@ -239,16 +132,13 @@ class ShardedCloud(CloudServer):
         self.shard_count = shards
         self.backend = backend
         self.max_workers = max_workers
-        self.partition_seed = partition_seed
         # created before super().__init__(): its _build_index() takes it
         self._state_lock = threading.Lock()
-        self._shards: list[CloudShard] = []  #: guarded by _state_lock
         # persistent fork pool of the process backend: forked lazily on
         # the first process scatter and reused across answers so the
-        # children's copy-on-write faulting of the shard heap is paid
-        # once, not per query.  Dropped (under the lock that swaps the
-        # shards) whenever the state it snapshotted changes, when a
-        # child dies, and by close().
+        # children's copy-on-write faulting of the index is paid once,
+        # not per query.  Dropped whenever the index it snapshotted is
+        # rebuilt, when a child dies, and by close().
         self._scatter_pool: PersistentProcessPool | None = None  #: guarded by _state_lock
         super().__init__(
             graph,
@@ -261,70 +151,54 @@ class ShardedCloud(CloudServer):
             obs=obs,
         )
 
-    # ------------------------------------------------------------------
-    # shard state
-    # ------------------------------------------------------------------
     def _build_index(self) -> None:
-        """Partition the stored graph into shard servers.
+        """Index the stored graph and drain a stale scatter pool.
 
-        Each shard gets its own index.  A scatter pool forked over the
-        previous shards is drained: its children hold the old graph
-        copy-on-write and would answer against it forever.
+        A pool forked over the previous index holds it copy-on-write
+        and would answer against it forever.
         """
-        rebuilt = build_shards(
-            self.graph,
-            self.center_vertices,
-            self.shard_count,
-            seed=self.partition_seed,
-        )
-        self._center_position = {
-            vid: i for i, vid in enumerate(self.center_vertices)
-        }
+        super()._build_index()
         with self._state_lock:
-            self._shards = rebuilt
             stale, self._scatter_pool = self._scatter_pool, None
         if stale is not None:
             stale.close()
 
     @property
-    def shards(self) -> list[CloudShard]:
-        """A snapshot of the current shard servers."""
-        with self._state_lock:
-            return list(self._shards)
+    def shards(self) -> list[range]:
+        """The shards: position ranges over the current index."""
+        return center_ranges(len(self.index.indexed_vertices), self.shard_count)
 
     # ------------------------------------------------------------------
     # scatter / gather
     # ------------------------------------------------------------------
-    def _make_scatter_worker(
-        self, shards: list[CloudShard]
-    ) -> Callable[[ScatterPayload], ScatterReply]:
+    def _make_scatter_worker(self) -> Callable[[ScatterPayload], ScatterReply]:
         """The fixed callable a persistent scatter pool is bound to.
 
-        Captures an explicit shard snapshot rather than reading
-        ``self._shards`` so the forked children never touch the
-        coordinator's state lock (a lock inherited mid-acquisition
-        would deadlock the child); per task only the payload tuple
-        crosses the pipe.  When the payload carries a trace-context
-        doc, the child records its shard-match span on a private
-        tracer and ships the trace doc back with the tables — the
-        coordinator absorbs it under its ``cloud.star_matching`` span,
-        making fork-child work visible in the stitched trace.
+        Captures the current index and graph rather than reading
+        ``self`` so the forked children never touch the coordinator's
+        state lock (a lock inherited mid-acquisition would deadlock the
+        child); per task only the payload tuple crosses the pipe.  When
+        the payload carries a trace-context doc, the child records its
+        shard-match span on a private tracer and ships the trace doc
+        back with the tables — the coordinator absorbs it under its
+        ``cloud.star_matching`` span, making fork-child work visible in
+        the stitched trace.
         """
+        index, graph = self.index, self.graph
         budget = self.max_intermediate_results
 
         def run(payload: ScatterPayload) -> ScatterReply:
-            position, query, stars, ctx_doc = payload
-            shard = shards[position]
+            shard_id, centers, query, stars, ctx_doc = payload
             if ctx_doc is None:
-                return shard.match(query, stars, budget), None
+                return match_range(query, stars, index, graph, centers, budget), None
             context = TraceContext.from_doc(ctx_doc)
             child_tracer = Tracer(query_id=context.query_id)
             with child_tracer.span(
                 names.CLOUD_SHARD_MATCH,
-                shard=shard.shard_id,
+                shard=shard_id,
                 ctx_parent=context.parent_span_id,
             ) as span:
-                tables = shard.match(query, stars, budget)
+                tables = match_range(query, stars, index, graph, centers, budget)
                 span.set(results=sum(len(t) for t in tables.values()))
             return tables, child_tracer.take_trace().to_dict()
 
@@ -337,7 +211,7 @@ class ShardedCloud(CloudServer):
 
         ``None`` whenever forking cannot pay or cannot happen: serial
         backend, one shard, one worker, no fork on this platform.  The
-        pool is forked lazily, over the shards current at that moment.
+        pool is forked lazily, over the index current at that moment.
         """
         if self.backend != "process" or shard_count <= 1:
             return None
@@ -347,7 +221,7 @@ class ShardedCloud(CloudServer):
         with self._state_lock:
             if self._scatter_pool is None:
                 self._scatter_pool = PersistentProcessPool(
-                    self._make_scatter_worker(list(self._shards)), workers
+                    self._make_scatter_worker(), workers
                 )
             return self._scatter_pool
 
@@ -365,17 +239,16 @@ class ShardedCloud(CloudServer):
         obs: Observability,
         span: "Span | NullSpan",
     ) -> dict[int, MatchTable]:
-        """Scatter ``stars``, gather and merge the shard tables.
+        """Scatter ``stars``, gather the shard tables in range order.
 
-        Returns the merged per-star tables — the single server's, rows
-        and order.  Shard work parents under ``span``, the coordinator's
-        ``cloud.star_matching``; the raw pre-merge shard result count
-        goes to the ``shard_star_matches_total`` counter.
+        Returns the per-star tables — the single server's, rows and
+        order.  Shard work parents under ``span``, the coordinator's
+        ``cloud.star_matching``.
         """
         tracer = obs.tracer
         budget = self.max_intermediate_results
-        with self._state_lock:
-            shards = list(self._shards)
+        index = self.index
+        shards = center_ranges(len(index.indexed_vertices), self.shard_count)
         span.set(shards=len(shards))
 
         per_shard: list[dict[int, MatchTable]] | None = None
@@ -395,8 +268,8 @@ class ShardedCloud(CloudServer):
             try:
                 shipped = pool.map(
                     [
-                        (position, query, plan, ctx_doc)
-                        for position in range(len(shards))
+                        (shard_id, centers, query, plan, ctx_doc)
+                        for shard_id, centers in enumerate(shards)
                     ]
                 )
             except BrokenProcessPool:
@@ -413,42 +286,30 @@ class ShardedCloud(CloudServer):
                         tracer.absorb(Trace.from_dict(trace_doc), parent=span)
         if per_shard is None:
             per_shard = []
-            for shard in shards:
+            for shard_id, centers in enumerate(shards):
                 with tracer.span(
-                    names.CLOUD_SHARD_MATCH, parent=span, shard=shard.shard_id
+                    names.CLOUD_SHARD_MATCH, parent=span, shard=shard_id
                 ) as shard_span:
-                    tables = shard.match(query, stars, budget)
+                    tables = match_range(
+                        query, stars, index, self.graph, centers, budget
+                    )
                     shard_span.set(results=sum(len(t) for t in tables.values()))
                 per_shard.append(tables)
 
         with tracer.span(names.CLOUD_GATHER) as gather_span:
             results: dict[int, MatchTable] = {}
-            shard_results = 0
             for star in stars:
-                tables = [
-                    shard_tables[star.center]
-                    for shard_tables in per_shard
-                    if star.center in shard_tables
-                ]
-                shard_results += sum(len(table) for table in tables)
-                merged = merge_star_tables(star, tables, self._center_position)
-                if budget is not None and len(merged) > budget:
+                rows: list[Row] = []
+                for tables in per_shard:
+                    rows.extend(tables[star.center].rows)
+                if budget is not None and len(rows) > budget:
                     # a shard-local trip would already have raised in the
                     # scatter; this catches unions that only exceed the
-                    # budget once merged — exactly the queries the single
-                    # server rejects.
-                    raise ResultBudgetExceeded(
-                        "star matching", len(merged), budget
-                    )
-                results[star.center] = merged
-            gather_span.set(
-                rs_size=sum(len(table) for table in results.values()),
-                shard_results=shard_results,
-            )
-        obs.metrics.counter(
-            names.M_SHARD_MATCHES,
-            help="Per-shard star matches gathered (pre-merge).",
-        ).inc(shard_results)
+                    # budget once gathered — exactly the queries the
+                    # single server rejects.
+                    raise ResultBudgetExceeded("star matching", len(rows), budget)
+                results[star.center] = MatchTable((star.center, *star.leaves), rows)
+            gather_span.set(rs_size=sum(len(table) for table in results.values()))
         return results
 
     def close(self) -> None:
@@ -458,19 +319,6 @@ class ShardedCloud(CloudServer):
         if stale is not None:
             stale.close()
 
-    # ------------------------------------------------------------------
-    # accounting
-    # ------------------------------------------------------------------
-    def index_size_bytes(self) -> int:
-        """Total bytes across every shard's VBV/LBV tables."""
-        with self._state_lock:
-            return sum(shard.index_size_bytes() for shard in self._shards)
-
-    def index_build_seconds(self) -> float:
-        """Summed shard index build time (they build sequentially)."""
-        with self._state_lock:
-            return sum(shard.index.build_seconds for shard in self._shards)
-
 
 def build_cloud(
     graph: AttributedGraph,
@@ -479,7 +327,6 @@ def build_cloud(
     *,
     shards: int = 1,
     shard_backend: str = "serial",
-    partition_seed: int = 0,
     expand_in_cloud: bool = True,
     max_intermediate_results: int | None = None,
     star_cache_size: int = 0,
@@ -502,7 +349,6 @@ def build_cloud(
             max_intermediate_results=max_intermediate_results,
             star_cache_size=star_cache_size,
             backend=shard_backend,
-            partition_seed=partition_seed,
             obs=obs,
         )
     return CloudServer(

@@ -53,13 +53,16 @@ def match_star_table(
     index: CloudIndex,
     data: AttributedGraph,
     max_results: int | None = None,
+    within: int = -1,
 ) -> MatchTable:
     """``R(S, data)`` as a columnar table (Algorithm 1).
 
     The table schema is ``star.vertex_order`` (center first, then the
-    sorted leaves).  Centers are drawn from the index; ``max_results``
-    is an optional resource quota — exceeding it raises
-    :class:`ResultBudgetExceeded` rather than exhausting the cloud's RAM.
+    sorted leaves).  Centers are drawn from the index, at the positions
+    whose bit is set in ``within`` (default: every position; a shard
+    passes its range).  ``max_results`` is an optional resource quota —
+    exceeding it raises :class:`ResultBudgetExceeded` rather than
+    exhausting the cloud's RAM.
     ``data`` is the graph ``index`` was built over.
 
     Lines 4 and 6 are one AND over all indexed vertices (the VBVs of
@@ -74,7 +77,7 @@ def match_star_table(
     """
     schema = (star.center, *star.leaves)
 
-    center_mask = index.candidate_center_mask(query.vertex(star.center))
+    center_mask = index.candidate_center_mask(query.vertex(star.center)) & within
     if center_mask and star.leaves:
         center_mask &= index.neighborhood_mask(
             query.vertex(leaf) for leaf in star.leaves

@@ -85,9 +85,9 @@ class SystemConfig:
     # callers of a serving gateway.
     star_cache_size: int = 0
     # number of cloud shards: 1 (default) deploys the paper's single
-    # CloudServer; N > 1 deploys a ShardedCloud that partitions Go over
-    # N shard servers and scatter-gathers each query.  Answers are
-    # bit-identical at every shard count.
+    # CloudServer; N > 1 deploys a ShardedCloud that splits the one
+    # index's candidate centers into N ranges and scatter-gathers each
+    # query over them.  Answers are bit-identical at every shard count.
     shards: int = 1
     # scatter backend of the sharded cloud ("serial" or "process");
     # ignored when shards == 1.

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any
 
-from repro.cloud.parallel import validate_backend
+from repro.cloud.parallel import BACKENDS
 from repro.exceptions import ConfigError
 
 
@@ -38,10 +38,6 @@ class QueryOptions:
         ``trace=False`` is a configuration error.
     max_results:
         Cap on returned matches per query (``None`` = unlimited).
-    shards:
-        Expected shard count; validated against the deployed topology
-        so a caller scripted for a 4-shard deployment fails loudly on
-        a mismatched single-server system.  ``None`` skips the check.
     """
 
     backend: str = "serial"
@@ -49,10 +45,12 @@ class QueryOptions:
     trace: bool = True
     explain: bool = False
     max_results: int | None = None
-    shards: int | None = None
 
     def __post_init__(self) -> None:
-        validate_backend(self.backend)
+        if self.backend not in BACKENDS:
+            raise ConfigError(
+                f"backend must be one of {BACKENDS}, got {self.backend!r}"
+            )
         if self.explain and not self.trace:
             raise ConfigError(
                 "explain=True requires trace=True (the report is derived "
@@ -64,8 +62,6 @@ class QueryOptions:
             raise ConfigError(
                 f"max_results must be >= 0, got {self.max_results}"
             )
-        if self.shards is not None and self.shards < 1:
-            raise ConfigError(f"shards must be >= 1, got {self.shards}")
 
     def evolve(self, **changes: Any) -> "QueryOptions":
         """A copy with ``changes`` applied (re-validated)."""

@@ -54,7 +54,7 @@ from repro.core.protocol import (
 )
 from repro.core.query_client import QueryClient
 from repro.core.storage import load_client_side, load_cloud_side
-from repro.exceptions import ConfigError, ProtocolError
+from repro.exceptions import ProtocolError
 from repro.graph.attributed import AttributedGraph
 from repro.graph.schema import GraphSchema
 from repro.graph.validation import validate_query
@@ -396,16 +396,16 @@ class PrivacyPreservingSystem:
         component_obs = _component_scope(obs)
         tracer = scope.tracer
         with tracer.span(names.CLOUD_INDEX_BUILD) as span:
-            # shards == 1: the paper's single server; N > 1: Go
-            # partitioned over N shard servers behind a scatter-gather
-            # coordinator, answers bit-identical to the single server.
+            # shards == 1: the paper's single server; N > 1: the
+            # candidate centers split into N ranges behind a
+            # scatter-gather coordinator, answers bit-identical to the
+            # single server.
             cloud = build_cloud(
                 cloud_graph,
                 cloud_avt,
                 center_vertices,
                 shards=config.shards,
                 shard_backend=config.shard_backend,
-                partition_seed=config.seed,
                 expand_in_cloud=expand_in_cloud,
                 max_intermediate_results=config.max_intermediate_results,
                 star_cache_size=config.star_cache_size,
@@ -452,13 +452,6 @@ class PrivacyPreservingSystem:
         forces the disabled scope regardless (raw-throughput serving).
         """
         options = options if options is not None else DEFAULT_OPTIONS
-        if options.shards is not None:
-            deployed = max(1, self.config.shards)
-            if options.shards != deployed:
-                raise ConfigError(
-                    f"options.shards={options.shards} does not match the "
-                    f"deployed topology of {deployed} shard(s)"
-                )
         if not options.trace:
             base = Observability.disabled()
         else:

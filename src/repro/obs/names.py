@@ -84,7 +84,7 @@ CLOUD_EXPAND = "cloud.expand"
 # with per-shard match -> gather; a plan the cache holds in full
 # scatters nothing:
 #   cloud.shard_match  one per shard; shard, results
-#   cloud.gather       rs_size, shard_results
+#   cloud.gather       rs_size
 CLOUD_SHARD_MATCH = "cloud.shard_match"
 CLOUD_GATHER = "cloud.gather"
 
@@ -131,7 +131,6 @@ M_MATCHES = "matches_total"
 M_CANDIDATES = "candidates_total"
 M_FALSE_POSITIVES = "false_positives_filtered_total"
 M_STAR_MATCHES = "star_matches_total"
-M_SHARD_MATCHES = "shard_star_matches_total"
 M_CACHE_HITS = "star_cache_hits_total"
 M_CACHE_MISSES = "star_cache_misses_total"
 M_NETWORK_BYTES = "network_bytes_total"

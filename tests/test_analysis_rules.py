@@ -71,8 +71,18 @@ def test_rule_fails_on_seeded_violation(rule_id):
 
 def test_r1_flags_each_seeded_import():
     lines = {f.line for f in findings_for("r1_violation.py", "R1")}
-    # three top-level imports + the function-nested relative import
-    assert lines == {4, 5, 6, 11}
+    # four top-level imports + the function-nested relative import
+    assert lines == {4, 5, 6, 7, 12}
+
+
+def test_r1_flags_the_partitioner_in_the_cloud():
+    """The cloud splits centers, not graphs: no partitioner import."""
+    found = [
+        f
+        for f in findings_for("r1_violation.py", "R1")
+        if "repro.kauto.partition" in f.message
+    ]
+    assert [f.line for f in found] == [7]
 
 
 def test_r2_flags_all_four_shapes():

@@ -80,7 +80,7 @@ class TestPoolHelpers:
         remaining = r"serial.*process"
         with pytest.raises(ValueError, match=remaining):
             validate_backend("thread")
-        with pytest.raises(ValueError, match=remaining):
+        with pytest.raises(ConfigError, match=remaining):
             QueryOptions(backend="thread")
         with pytest.raises(ConfigError, match=remaining):
             SystemConfig(shard_backend="thread")

@@ -1,13 +1,14 @@
 """Equivalence suite: the sharded cloud is bit-identical to one server.
 
-``ShardedCloud`` partitions ``Go`` over N shard servers (each with its
-own halo and VBV/LBV index) and scatter-gathers the stars its one star
-cache lacks.  These tests pin its core contract — for every shard
-count and scatter backend, :meth:`ShardedCloud.answer` returns exactly
-what :meth:`CloudServer.answer` returns: same table schema, same rows,
-same row order, same per-star result sizes, same budget trips.
-Structural invariants (halo completeness, center disjointness) and the
-cache/telemetry surfaces are covered alongside.
+``ShardedCloud`` splits the positions of its one VBV/LBV index into N
+contiguous ranges of candidate centers and scatter-gathers the stars
+its one star cache lacks over them.  These tests pin its core contract
+— for every shard count and scatter backend, :meth:`ShardedCloud.answer`
+returns exactly what :meth:`CloudServer.answer` returns: same table
+schema, same rows, same row order, same per-star result sizes, same
+budget trips.  The range invariants (exact, ascending, non-empty
+cover; a shard's table is the single server's rows in its range) and
+the cache/telemetry surfaces are covered alongside.
 """
 
 from __future__ import annotations
@@ -21,16 +22,24 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cloud import CloudServer, ShardedCloud, build_shards, fork_available
+from repro.cloud import (
+    CloudServer,
+    ShardedCloud,
+    center_ranges,
+    decompose_query,
+    fork_available,
+)
 from repro.cloud.parallel import BACKENDS, map_batch
-from repro.cloud.sharding import halo_vertices, merge_star_tables
+from repro.cloud.sharding import match_range
 from repro.core.config import SystemConfig
 from repro.core.options import QueryOptions
 from repro.core.system import PrivacyPreservingSystem
-from repro.exceptions import ConfigError, ResultBudgetExceeded
+from repro.exceptions import ConfigError, QueryError, ResultBudgetExceeded
 from repro.graph import make_schema, random_attributed_graph
 from repro.kauto import build_k_automorphic_graph
-from repro.obs import Observability
+from repro.kauto.dynamic import DynamicRelease
+from repro.matching import vec
+from repro.obs import NULL_SPAN, Observability
 from repro.outsource import build_outsourced_graph
 from repro.workloads import generate_workload, load_dataset, random_walk_query
 
@@ -91,7 +100,7 @@ def assert_answers_identical(reference, candidate) -> None:
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("shards", [1, 2, 4])
+    @pytest.mark.parametrize("shards", [1, 2, 3, 4])
     @EQUIV
     @given(**PARAMS)
     def test_answer_matches_single_server(self, shards, seed, n, k, edges):
@@ -105,13 +114,6 @@ class TestBitIdentity:
         dep = deployment(7, 40, 2, 3)
         reference = single_server(dep).answer(dep.query)
         with sharded(dep, 4, backend=backend) as cloud:
-            assert_answers_identical(reference, cloud.answer(dep.query))
-
-    def test_partition_seed_does_not_change_answers(self):
-        dep = deployment(3, 36, 2, 3)
-        reference = single_server(dep).answer(dep.query)
-        for seed in (0, 1, 99):
-            cloud = sharded(dep, 3, partition_seed=seed)
             assert_answers_identical(reference, cloud.answer(dep.query))
 
     def test_query_batch_matches_serial_answers(self):
@@ -139,62 +141,135 @@ class TestBitIdentity:
         )
 
 
+#: Vector arms of the join (star matching itself is arm-free).
+ARMS = ("rows",) + (("numpy",) if vec.HAVE_NUMPY else ())
+
+
+def _published(seed: int, n: int, k: int, edges: int):
+    """A published system, its graph and an anonymized query over it."""
+    schema = make_schema(2, 1, 2)
+    graph = random_attributed_graph(schema, n, edges_per_vertex=2, seed=seed)
+    system = PrivacyPreservingSystem.setup(graph, schema, SystemConfig(k=k, seed=seed))
+    try:
+        query = random_walk_query(graph, edges, seed + 1, keep_label_probability=0.5)
+    except QueryError:
+        query = random_walk_query(graph, 1, seed + 1)
+    return system, graph, system.client.prepare_query(query)
+
+
+def _one_edge_delta(system, graph):
+    """The ``Go`` delta of one inserted edge."""
+    release = DynamicRelease(
+        graph.copy(), system.published.transform, system.published.lct
+    )
+    vertices = sorted(release.original.vertex_ids())
+    u, v = next(
+        (u, v)
+        for u in vertices
+        for v in vertices
+        if u < v and not release.original.has_edge(u, v)
+    )
+    return release.go_delta(release.insert_edge(u, v))
+
+
 class TestShardStructure:
-    def test_halo_gives_every_center_its_full_neighborhood(self):
-        dep = deployment(9, 40, 2, 2)
-        graph = dep.outsourced.graph
-        shards = build_shards(graph, dep.outsourced.block_vertices, 4)
-        for shard in shards:
-            for center in shard.centers:
-                assert shard.graph.neighbors(center) == graph.neighbors(center)
+    @given(count=st.integers(0, 200), shards=st.integers(1, 8))
+    def test_ranges_cover_every_position_once(self, count, shards):
+        ranges = center_ranges(count, shards)
+        assert len(ranges) == min(count, shards)
+        assert all(len(r) > 0 for r in ranges)
+        # with no range empty, this is: contiguous, ascending, every
+        # position exactly once
+        assert [p for r in ranges for p in r] == list(range(count))
+        # near-equal sizes
+        assert max(map(len, ranges), default=0) - min(map(len, ranges), default=0) <= 1
 
     def test_centers_partition_exactly(self):
         dep = deployment(13, 36, 3, 2)
         centers = dep.outsourced.block_vertices
-        shards = build_shards(dep.outsourced.graph, centers, 3)
-        seen: list[int] = []
-        for shard in shards:
-            # shard-local order is the global order, restricted
-            assert shard.centers == [
-                vid for vid in centers if vid in set(shard.centers)
-            ]
-            seen.extend(shard.centers)
-        assert sorted(seen) == sorted(centers)
-        assert len(seen) == len(set(seen))
+        with sharded(dep, 3) as cloud:
+            seen = [cloud.index.indexed_vertices[p] for r in cloud.shards for p in r]
+            assert len(cloud.shards) == 3
+        # every center in exactly one shard, in the global order
+        assert seen == list(centers)
 
-    def test_halo_vertices_closed_over_neighbors(self):
-        dep = deployment(17, 30, 2, 2)
-        graph = dep.outsourced.graph
-        centers = dep.outsourced.block_vertices[:5]
-        halo = halo_vertices(graph, centers)
-        for center in centers:
-            assert graph.neighbors(center) <= halo
+    def test_fewer_centers_than_shards(self):
+        dep = deployment(19, 30, 2, 2)
+        few = dep.outsourced.block_vertices[:2]
+        reference = CloudServer(dep.outsourced.graph, dep.avt, few)
+        with ShardedCloud(dep.outsourced.graph, dep.avt, few, shards=4) as cloud:
+            assert cloud.shards == [range(0, 1), range(1, 2)]
+            assert_answers_identical(
+                reference.answer(dep.query), cloud.answer(dep.query)
+            )
 
     def test_single_shard_holds_all_centers(self):
         dep = deployment(19, 30, 2, 2)
-        shards = build_shards(
-            dep.outsourced.graph, dep.outsourced.block_vertices, 1
-        )
-        assert len(shards) == 1
-        assert shards[0].centers == list(dep.outsourced.block_vertices)
+        with sharded(dep, 1) as cloud:
+            assert cloud.shards == [range(len(dep.outsourced.block_vertices))]
 
-    def test_merge_reconstructs_global_order(self):
-        from repro.matching import MatchTable
-        from repro.matching.star import Star
-
-        star = Star(center=0, leaves=(1,))
-        position = {10: 0, 20: 1, 30: 2}
-        shard_a = MatchTable((0, 1), [(10, 99), (30, 98)])
-        shard_b = MatchTable((0, 1), [(20, 97), (20, 96)])
-        merged = merge_star_tables(star, [shard_a, shard_b], position)
-        assert merged.rows == [(10, 99), (20, 97), (20, 96), (30, 98)]
+    def test_one_index_for_every_topology(self):
+        dep = deployment(31, 30, 2, 2)
+        reference = single_server(dep)
+        for shards in (2, 4):
+            with sharded(dep, shards) as cloud:
+                assert cloud.index_size_bytes() == reference.index_size_bytes()
+                assert cloud.index.indexed_vertices == reference.index.indexed_vertices
 
     def test_rejects_zero_shards(self):
         dep = deployment(1, 20, 2, 1)
         with pytest.raises(ValueError):
             sharded(dep, 0)
         with pytest.raises(ValueError):
-            build_shards(dep.outsourced.graph, dep.outsourced.block_vertices, 0)
+            center_ranges(10, 0)
+
+    @pytest.mark.parametrize("arm", ARMS)
+    @EQUIV
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(12, 48),
+        k=st.integers(2, 4),
+        edges=st.integers(1, 4),
+        shards=st.integers(1, 4),
+    )
+    def test_a_shard_table_is_the_single_servers_rows_in_its_range(
+        self, arm, seed, n, k, edges, shards
+    ):
+        """Before and after a delta: every shard's star table is the
+        single server's, restricted to centers at its positions, and the
+        gathered answer is the single server's."""
+        with vec.override(arm):
+            system, graph, qo = _published(seed, n, k, edges)
+            reference = system.cloud
+            cloud = ShardedCloud(
+                reference.graph.copy(),
+                reference.avt,
+                reference.center_vertices,
+                shards=shards,
+            )
+            with reference, cloud:
+                for step in ("before", "after"):
+                    if step == "after":
+                        delta = _one_edge_delta(system, graph)
+                        reference.apply_delta(delta)
+                        cloud.apply_delta(delta)
+                    stars = decompose_query(qo, reference.estimator).stars
+                    single = reference._match_stars(
+                        qo, stars, reference.obs, NULL_SPAN
+                    )
+                    position = reference.index.position
+                    for centers in cloud.shards:
+                        tables = match_range(
+                            qo, stars, cloud.index, cloud.graph, centers, None
+                        )
+                        for star in stars:
+                            assert tables[star.center].schema == single[star.center].schema
+                            assert tables[star.center].rows == [
+                                row
+                                for row in single[star.center].rows
+                                if position[row[0]] in centers
+                            ]
+                    assert_answers_identical(reference.answer(qo), cloud.answer(qo))
 
 
 class TestBudgetParity:
@@ -240,14 +315,6 @@ class TestCacheAndTelemetry:
         cloud = sharded(dep, 2, star_cache_size=64)
         assert_answers_identical(reference, cloud.answer(dep.query))
         assert_answers_identical(reference, cloud.answer(dep.query))
-
-    def test_accounting_sums_over_shards(self):
-        dep = deployment(31, 30, 2, 2)
-        with sharded(dep, 3) as cloud:
-            assert cloud.index_size_bytes() == sum(
-                shard.index_size_bytes() for shard in cloud.shards
-            )
-            assert cloud.index_build_seconds() > 0.0
 
     def test_one_cache_surface_for_every_topology(self):
         """Counters and EXPLAIN's cache line read alike at shards 1,
@@ -414,6 +481,28 @@ class TestPersistentScatterPool:
         finally:
             cloud.close()
         assert not any(child.is_alive() for child in children)
+
+    @pytest.mark.parametrize("arm", ARMS)
+    @pytest.mark.parametrize("shards", [2, 3, 4])
+    def test_process_scatter_before_and_after_a_delta(self, arm, shards):
+        with vec.override(arm):
+            system, graph, qo = _published(11, 40, 2, 3)
+            reference = system.cloud
+            cloud = ShardedCloud(
+                reference.graph.copy(),
+                reference.avt,
+                reference.center_vertices,
+                shards=shards,
+                backend="process",
+                max_workers=2,  # fork even on a one-core host
+            )
+            with reference, cloud:
+                assert_answers_identical(reference.answer(qo), cloud.answer(qo))
+                assert cloud._scatter_pool is not None
+                delta = _one_edge_delta(system, graph)
+                reference.apply_delta(delta)
+                cloud.apply_delta(delta)
+                assert_answers_identical(reference.answer(qo), cloud.answer(qo))
 
     def test_apply_delta_replaces_stale_pool(self):
         from repro.anonymize import (
