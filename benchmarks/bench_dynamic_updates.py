@@ -20,7 +20,7 @@ from conftest import bench_scale
 
 from repro.anonymize import build_lct, cost_based_grouping
 from repro.bench import format_table, ms, print_report
-from repro.cloud import build_cloud
+from repro.cloud import CloudServer
 from repro.core import DataOwner, SystemConfig
 from repro.core.protocol import encode_upload
 from repro.graph import compute_statistics
@@ -70,7 +70,7 @@ def test_report_dynamic_update_cost(benchmark):
         for k in (2, 3, 5):
             dataset, release = _release("DBpedia", k)
             outsourced = release.refresh_outsourced()
-            server = build_cloud(
+            server = CloudServer(
                 outsourced.graph.copy(), release.avt, list(outsourced.block_vertices)
             )
             vertices = sorted(release.original.vertex_ids())
@@ -97,7 +97,7 @@ def test_report_dynamic_update_cost(benchmark):
 
             verify_k_automorphism(release.gk, release.avt)
             # the patched server is the server of the patched Go
-            fresh = build_cloud(
+            fresh = CloudServer(
                 outsourced.graph.copy(), release.avt, list(outsourced.block_vertices)
             )
             probe = release.lct.apply_to_graph(

@@ -5,11 +5,12 @@ to batch serving (ISSUE 1).  A workload of 8+ anonymized queries (k=3)
 is answered both ways on one published system:
 
 * ``serial``  — the paper's loop, one query after another (the
-  default backend; the steady-state and tracing rows run on it);
-* ``process`` — ``query_batch`` on a fork-based process pool (the
+  default, ``workers=None``; the steady-state and tracing rows run on
+  it);
+* ``process`` — ``query_batch`` with ``workers=4``: a fork pool (the
   CPU-bound scaling path; skipped where fork is unavailable).
 
-Assertions: both backends return *bit-identical* match sets in
+Assertions: both ways return *bit-identical* match sets in
 submission order, and — at full scale (``REPRO_BENCH_SCALE >= 1``) on
 hosts with >= 2 usable cores — a >= 1.5x throughput gain over the
 serial wall time with 4 workers.  Below that the speedup assertion is
@@ -54,15 +55,13 @@ def _match_sets(outcomes):
 
 
 def test_batch_backends_bit_identical(sweep):
-    """Every backend returns exactly the serial loop's match lists."""
+    """The fork pool returns exactly the serial loop's match lists."""
     system, queries = _batch_workload(sweep)
-    serial = system.query_batch(queries, options=QueryOptions(backend="serial"))
+    serial = system.query_batch(queries)
     expected = _match_sets(serial.outcomes)
 
     if fork_available():
-        forked = system.query_batch(
-            queries, options=QueryOptions(workers=WORKERS, backend="process")
-        )
+        forked = system.query_batch(queries, options=QueryOptions(workers=WORKERS))
         assert _match_sets(forked.outcomes) == expected
 
 
@@ -85,11 +84,11 @@ def test_batch_throughput_cell(benchmark, sweep):
 def test_report_parallel_engine(sweep):
     system, queries = _batch_workload(sweep)
 
-    serial = system.query_batch(queries, options=QueryOptions(backend="serial"))
+    serial = system.query_batch(queries)
     serial_wall = serial.metrics.wall_seconds
     expected = _match_sets(serial.outcomes)
 
-    # cache_hit_rate is None for the process backend (children own the
+    # cache_hit_rate is None for a forked batch (children own the
     # cache copies, the parent-side delta reads zero) — format_percent
     # renders that as "n/a" instead of blowing up in a %-format.
     rows = [
@@ -104,9 +103,7 @@ def test_report_parallel_engine(sweep):
     ]
     speedup = None
     if fork_available():
-        batch = system.query_batch(
-            queries, options=QueryOptions(workers=WORKERS, backend="process")
-        )
+        batch = system.query_batch(queries, options=QueryOptions(workers=WORKERS))
         assert _match_sets(batch.outcomes) == expected
         speedup = batch.metrics.speedup_vs(serial_wall)
         rows.append(
@@ -122,7 +119,7 @@ def test_report_parallel_engine(sweep):
 
     print_report(
         format_table(
-            ["backend", "workers", "wall ms", "qps", "speedup", "hit rate"],
+            ["arm", "workers", "wall ms", "qps", "speedup", "hit rate"],
             rows,
             title=(
                 f"batched engine — {len(queries)} queries, "
@@ -156,7 +153,7 @@ def test_report_tracing_overhead(sweep):
     must stay within noise of the on run — tracing is pay-as-you-go).
     """
     system, queries = _batch_workload(sweep)
-    options = QueryOptions(backend="serial")
+    options = QueryOptions()
 
     silent = Observability.disabled()
     untraced = system.query_batch(queries, options=options, obs=silent)
@@ -196,7 +193,7 @@ def test_report_tracing_overhead(sweep):
             ],
             title=(
                 f"tracing overhead — {len(queries)} queries, "
-                f"k={BATCH_K}, serial backend"
+                f"k={BATCH_K}, serial loop"
             ),
         )
     )
@@ -242,7 +239,7 @@ def test_report_steady_state_latency(sweep):
             ],
             title=(
                 f"steady-state query latency — {len(queries)} queries, "
-                f"k={BATCH_K}, |E(Q)|={BATCH_EDGES}, serial backend"
+                f"k={BATCH_K}, |E(Q)|={BATCH_EDGES}, serial loop"
             ),
         )
     )

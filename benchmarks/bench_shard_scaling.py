@@ -1,4 +1,4 @@
-"""Shard-count scaling: ``ShardedCloud`` vs the single-server cloud.
+"""Shard-count scaling: a sharded ``CloudServer`` vs the single server.
 
 Not a paper figure — this measures the scatter-gather extension of the
 cloud engine.  One BAS-style identity-AVT deployment (k=1 alignment
@@ -6,17 +6,16 @@ rows, so no k-automorphism build and the graph can be serving-sized)
 answers a fixed random-walk query:
 
 * ``single``  — the paper's :class:`~repro.cloud.server.CloudServer`;
-* ``shards=N`` — :class:`~repro.cloud.sharding.ShardedCloud` over the
-  same graph and index, its candidate centers split into N position
-  ranges, scattering the star plan with the ``serial`` loop and the
-  fork-``process`` backend.
+* ``shards=N`` — ``CloudServer(shards=N)`` over the same graph and
+  index, its candidate centers split into N position ranges, scattering
+  the star plan over a warm pool of N forked workers.
 
 The cell is *scan-bound* star matching: selective labels keep the
 emitted tables small while every candidate center's neighbourhood is
 scanned, which is the regime sharding parallelizes (the positional
 hash join always runs centrally and is excluded from the speedup by
 timing ``star_stats.seconds``; the whole ``answer`` and each arm's
-construction are reported beside it).  The process arms are timed *warm*:
+construction are reported beside it).  The sharded arms are timed *warm*:
 the first answer forks the persistent scatter pool
 (:class:`~repro.cloud.parallel.PersistentProcessPool`), and the first
 few repay the children's copy-on-write faulting; steady-state serving
@@ -25,8 +24,7 @@ is what the cell measures.
 Assertions: every arm is *bit-identical* to the single server (same
 rows, same order — the shard tables concatenate in range order), and
 — at full scale (``REPRO_BENCH_SCALE >= 1``) on hosts with >= 4 usable
-cores — a >= 1.5x star-phase gain at 4 shards with the process
-backend.  The report cell
+cores — a >= 1.5x star-phase gain at 4 shards.  The report cell
 always writes ``BENCH_sharding.json`` at the repo root, host block
 included (the CI shard-scaling smoke uploads it).
 """
@@ -41,8 +39,7 @@ import pytest
 from conftest import bench_host, bench_scale
 
 from repro.bench import format_table, ms, print_report
-from repro.cloud import CloudServer, ShardedCloud
-from repro.cloud.parallel import BACKENDS
+from repro.cloud import CloudServer
 from repro.graph import make_schema, random_attributed_graph
 from repro.kauto import AlignmentVertexTable
 from repro.workloads import random_walk_query
@@ -52,7 +49,7 @@ from repro.workloads import random_walk_query
 #: every candidate center is scanned.  The CI smoke runs SCALE=0.1.
 CELL = dict(seed=7, n=20_000, edges_per_vertex=12, labels=6, query_edges=2)
 MIN_VERTICES = 2_000
-SHARD_COUNTS = (1, 2, 4)
+SHARD_COUNTS = (2, 4)
 GATE_SHARDS = 4
 GATE_CORES = 4
 REPEATS = 3
@@ -91,16 +88,9 @@ def deployment():
     return _deployment()
 
 
-def _sharded(deployment, shards: int, backend: str) -> ShardedCloud:
+def _sharded(deployment, shards: int) -> CloudServer:
     graph, avt, centers, _ = deployment
-    return ShardedCloud(
-        graph,
-        avt,
-        centers,
-        shards=shards,
-        backend=backend,
-        expand_in_cloud=False,
-    )
+    return CloudServer(graph, avt, centers, expand_in_cloud=False, shards=shards)
 
 
 def _assert_identical(answer, expected) -> None:
@@ -131,10 +121,10 @@ def _timed(cloud, query) -> tuple[float, float]:
 
 
 def test_shard_counts_bit_identical(deployment):
-    """N=1/2/4 shards reproduce the single server's table exactly.
+    """N=2/4 shards reproduce the single server's table exactly.
 
-    This is the CI shard-scaling smoke: every shard count and every
-    scatter backend against one seeded workload.
+    This is the CI shard-scaling smoke: every shard count, forked,
+    against one seeded workload.
     """
     graph, avt, centers, query = deployment
     expected = CloudServer(graph, avt, centers, expand_in_cloud=False).answer(
@@ -142,15 +132,14 @@ def test_shard_counts_bit_identical(deployment):
     )
     assert expected.table.rows, "cell must produce matches to compare"
     for shards in SHARD_COUNTS:
-        for backend in BACKENDS:
-            with _sharded(deployment, shards, backend) as cloud:
-                _assert_identical(cloud.answer(query), expected)
+        with _sharded(deployment, shards) as cloud:
+            _assert_identical(cloud.answer(query), expected)
 
 
 def test_shard_scatter_cell(benchmark, deployment):
     """Timed cell: one warm scatter-gather answer at 4 shards."""
     graph, avt, centers, query = deployment
-    with _sharded(deployment, GATE_SHARDS, "process") as cloud:
+    with _sharded(deployment, GATE_SHARDS) as cloud:
         cloud.answer(query)  # warm the persistent pool
         answer = benchmark(lambda: cloud.answer(query))
         assert answer.table.rows
@@ -169,7 +158,6 @@ def test_report_shard_scaling(deployment):
     rows = [
         [
             "single",
-            "-",
             f"{single_build:.2f}",
             ms(single_star),
             "1.00x",
@@ -179,43 +167,39 @@ def test_report_shard_scaling(deployment):
         ]
     ]
     for shards in SHARD_COUNTS:
-        for backend in BACKENDS:
-            cloud, build = _built(lambda: _sharded(deployment, shards, backend))
-            with cloud:
-                answer = cloud.answer(query)
-                _assert_identical(answer, expected)
-                star, whole = _timed(cloud, query)
-            speedup = single_star / star if star else float("inf")
-            answer_speedup = single_answer / whole
-            arms.append(
-                {
-                    "shards": shards,
-                    "backend": backend,
-                    "build_seconds": build,
-                    "star_seconds": star,
-                    "speedup": round(speedup, 3),
-                    "answer_seconds": whole,
-                    "answer_speedup": round(answer_speedup, 3),
-                }
-            )
-            rows.append(
-                [
-                    f"shards={shards}",
-                    backend,
-                    f"{build:.2f}",
-                    ms(star),
-                    f"{speedup:.2f}x",
-                    ms(whole),
-                    f"{answer_speedup:.2f}x",
-                    len(answer.table),
-                ]
-            )
+        cloud, build = _built(lambda: _sharded(deployment, shards))
+        with cloud:
+            answer = cloud.answer(query)
+            _assert_identical(answer, expected)
+            star, whole = _timed(cloud, query)
+        speedup = single_star / star if star else float("inf")
+        answer_speedup = single_answer / whole
+        arms.append(
+            {
+                "shards": shards,
+                "build_seconds": build,
+                "star_seconds": star,
+                "speedup": round(speedup, 3),
+                "answer_seconds": whole,
+                "answer_speedup": round(answer_speedup, 3),
+            }
+        )
+        rows.append(
+            [
+                f"shards={shards}",
+                f"{build:.2f}",
+                ms(star),
+                f"{speedup:.2f}x",
+                ms(whole),
+                f"{answer_speedup:.2f}x",
+                len(answer.table),
+            ]
+        )
 
     print_report(
         format_table(
             [
                 "arm",
-                "backend",
                 "build s",
                 "star ms",
                 "speedup",
@@ -233,11 +217,7 @@ def test_report_shard_scaling(deployment):
         )
     )
 
-    best = max(
-        a["speedup"]
-        for a in arms
-        if a["shards"] == GATE_SHARDS and a["backend"] == "process"
-    )
+    best = max(a["speedup"] for a in arms if a["shards"] == GATE_SHARDS)
     host = bench_host()
     RESULT_PATH.write_text(
         json.dumps(

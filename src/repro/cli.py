@@ -14,7 +14,7 @@ Commands
     deployment, using the original graph for client-side filtering.
 ``batch``
     Answer a whole workload of query graphs through the batched
-    engine (``--backend serial|process``, ``--workers``).
+    engine (``--workers N`` forks a pool of N workers).
 ``serve``
     Answer a workload through a deployment while exposing ``/metrics``,
     ``/healthz``, ``/readyz`` and ``/traces`` over HTTP (with optional
@@ -56,7 +56,6 @@ import sys
 from pathlib import Path
 from typing import Any
 
-from repro.cloud.parallel import BACKENDS
 from repro.core.config import METHOD_NAMES, SystemConfig
 from repro.core.data_owner import DataOwner
 from repro.core.options import QueryOptions
@@ -71,8 +70,7 @@ from repro.workloads.datasets import DATASETS, load_dataset
 
 # the options that set the SystemConfig field of the same name
 PUBLISH = ("k", "theta", "method")
-SHARDS = ("shards", "shard_backend")
-TOPOLOGY = (*SHARDS, "star_cache_size")
+TOPOLOGY = ("shards", "star_cache_size")
 
 
 def _given(args: argparse.Namespace, *fields: str) -> dict[str, Any]:
@@ -188,14 +186,13 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     with system.cloud:
         batch = system.submit(
             [load_graph(path) for path in args.queries] * args.repeat,
-            options=QueryOptions(backend=args.backend, workers=args.workers),
+            options=QueryOptions(workers=args.workers),
         )
     metrics = batch.metrics
     print(
         json.dumps(
             {
                 "queries": metrics.query_count,
-                "backend": metrics.backend,
                 "workers": metrics.worker_count,
                 "wall_seconds": metrics.wall_seconds,
                 "throughput_qps": metrics.throughput_qps,
@@ -451,10 +448,9 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     """
     from repro.obs import ExplainReport, export_chrome_trace
 
-    if args.port is not None and _given(args, *SHARDS):
+    if args.port is not None and args.shards is not None:
         args.parser.error(
-            "--shards/--shard-backend shape a local cloud; "
-            "with --port the gateway's server answers"
+            "--shards shapes a local cloud; with --port the gateway's server answers"
         )
     graph = load_graph(args.graph)
     query = load_graph(args.query)
@@ -470,7 +466,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         report = ExplainReport.from_trace(trace, query_id=traced.query_id)
     else:
         system = PrivacyPreservingSystem.load(
-            args.deployment, graph, **_given(args, *SHARDS)
+            args.deployment, graph, **_given(args, "shards")
         )
         with system.cloud:
             outcome = system.submit(
@@ -730,12 +726,8 @@ def build_parser() -> argparse.ArgumentParser:
     shards.add_argument(
         "--shards",
         type=int,
-        help=f"split the candidate star centers over N shards (default {SystemConfig.shards})",
-    )
-    shards.add_argument(
-        "--shard-backend",
-        choices=BACKENDS,
-        help=f"scatter backend of the sharded cloud (default {SystemConfig.shard_backend})",
+        help="split the candidate star centers over N shards, scattered over N "
+        f"forked workers (default {SystemConfig.shards})",
     )
     topology = _options(shards)
     topology.add_argument(
@@ -784,12 +776,8 @@ def build_parser() -> argparse.ArgumentParser:
         "answer a workload of queries in one batch",
         target, query_files, topology, repeat, trace, prometheus,
     )
-    batch.add_argument("--workers", type=int, help="process pool width (default: one per core)")
     batch.add_argument(
-        "--backend",
-        default="serial",
-        choices=BACKENDS,
-        help="batch backend (serial = the plain loop, process = fork pool)",
+        "--workers", type=int, help="fork a pool of N workers (default: the plain loop)"
     )
 
     serve = command(

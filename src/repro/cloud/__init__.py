@@ -3,14 +3,14 @@
 from repro.cloud.cache import StarMatchCache, star_signature
 from repro.cloud.decomposition import decompose_query, estimate_all_stars
 from repro.cloud.index import CloudIndex
-from repro.cloud.parallel import BACKENDS, fork_available, map_batch
+from repro.cloud.parallel import fork_available, map_batch
 from repro.cloud.result_join import (
     JoinStats,
     expand_star_table,
     join_star_tables,
 )
 from repro.cloud.server import CloudAnswer, CloudServer
-from repro.cloud.sharding import ShardedCloud, build_cloud, center_ranges
+from repro.cloud.sharding import center_ranges
 from repro.cloud.star_matching import StarMatchStats, match_star_table
 from repro.cloud.vertex_cover import (
     cover_cost,
@@ -23,13 +23,10 @@ __all__ = [
     "StarMatchCache",
     "star_signature",
     "CloudIndex",
-    "BACKENDS",
     "fork_available",
     "map_batch",
     "CloudServer",
     "CloudAnswer",
-    "ShardedCloud",
-    "build_cloud",
     "center_ranges",
     "decompose_query",
     "estimate_all_stars",

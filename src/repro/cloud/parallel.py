@@ -1,23 +1,18 @@
 """Worker-pool plumbing for the parallel batched query engine.
 
-The cloud of the paper answers each ``Qo`` serially.  A production
-deployment serves a *workload*: many anonymized queries in flight at
-once, sharing one immutable VBV/LBV index and one (locked)
-:class:`repro.cloud.cache.StarMatchCache`.  This module centralizes the
-``concurrent.futures`` mechanics behind
-:meth:`repro.core.system.PrivacyPreservingSystem.submit`:
+The cloud of the paper answers each ``Qo`` serially.  Parallelism is
+a count at each of two levels, and a fork pool is its only parallel
+path: ``QueryOptions(workers=N)`` runs a batch ``submit`` on
+:func:`map_batch`'s pool, ``CloudServer(shards=N)`` scatters star
+matching over a :class:`PersistentProcessPool`.  The forked workers
+inherit the server copy-on-write (never pickled); only the per-task
+payloads and answers cross the pipe.
 
-* ``backend="serial"`` — a plain loop (the default: the fastest arm
-  on small queries, and the fallback for 0/1 workers or 0/1 tasks);
-* ``backend="process"`` — a fork-based :class:`ProcessPoolExecutor`
-  for CPU-bound workloads on multi-core clouds.  The server is
-  inherited copy-on-write by the forked workers (never pickled); only
-  the per-task payloads and answers cross the pipe.  Falls back to
-  the serial loop where fork is unavailable (e.g. Windows/macOS-spawn).
-
-Both backends return results **in input order** and re-raise the first
-task exception (e.g. :class:`repro.exceptions.ResultBudgetExceeded`),
-so callers observe exactly the semantics of the serial loop.
+A count of ``None`` or 1, a single task, or a platform without fork
+runs the plain loop instead.  The pool returns results **in input
+order** and re-raises the first task exception (e.g.
+:class:`repro.exceptions.ResultBudgetExceeded`), so callers observe
+exactly the semantics of the loop.
 """
 
 from __future__ import annotations
@@ -26,18 +21,16 @@ import itertools
 import multiprocessing
 import os
 import threading
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
 
-BACKENDS = ("serial", "process")
-
-#: Default pool width when ``max_workers`` is not given: every core,
-#: but never fewer than 2 so a batch ``submit`` exercises the concurrent
-#: path even on single-core hosts (correctness there is what the stress
-#: tests pin down; speed needs real cores).
+#: Default width of the gateway's dispatch thread pool: every core, but
+#: never fewer than 2, so concurrent requests overlap even on a
+#: single-core host.
 DEFAULT_MAX_WORKERS = max(2, os.cpu_count() or 1)
 
 
@@ -46,20 +39,19 @@ def fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-def effective_workers(max_workers: int | None, task_count: int) -> int:
-    """Clamp the requested pool width to something sensible."""
-    workers = DEFAULT_MAX_WORKERS if max_workers is None else int(max_workers)
-    return max(1, min(workers, max(task_count, 1)))
+def effective_workers(workers: int | None, task_count: int) -> int:
+    """How many forked workers ``workers`` over ``task_count`` tasks run.
 
-
-def validate_backend(backend: str) -> str:
-    if backend not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-    return backend
+    1 means the plain loop: no count (``None``), a count of 1, at most
+    one task, or no fork on this platform.
+    """
+    if workers is None or not fork_available():
+        return 1
+    return max(1, min(int(workers), task_count))
 
 
 # ----------------------------------------------------------------------
-# fork-shared callable registry (process backend)
+# fork-shared callable registry
 # ----------------------------------------------------------------------
 # ``ProcessPoolExecutor`` pickles the submitted callable.  Bound methods
 # of a CloudServer would drag the whole graph + index through the pipe
@@ -68,11 +60,11 @@ def validate_backend(backend: str) -> str:
 # copy-on-write and look it up by token.  Only the token + payload are
 # pickled per task.
 _FORK_REGISTRY: dict[int, Callable] = {}  #: guarded by _FORK_LOCK
-# R3 (lock discipline): concurrent process-backend batches — two
-# ShardedCloud answers, or a sharded answer inside a process batch —
-# register and pop tokens from different threads; the registry dict is
-# shared module state and every parent-side mutation (all of them in
-# PersistentProcessPool) holds this lock.
+# R3 (lock discipline): concurrent pools — two sharded answers, or a
+# forked batch beside a sharded answer — register and pop tokens from
+# different threads; the registry dict is shared module state and every
+# parent-side mutation (all of them in PersistentProcessPool) holds
+# this lock.
 _FORK_LOCK = threading.Lock()
 _FORK_TOKENS = itertools.count(1)
 
@@ -92,17 +84,23 @@ class PersistentProcessPool:
     the inherited heap — refcount updates dirty every object page a
     worker touches, which for a graph-scanning task costs about as much
     as the scan itself.  Callers that scatter over the same immutable
-    state once per query (:class:`repro.cloud.sharding.ShardedCloud`)
-    keep one of these alive instead: children fork once, fault their
-    share of the heap once, and stay warm for every later call.
+    state once per query (a sharded
+    :class:`~repro.cloud.server.CloudServer`) keep one of these alive
+    instead: children fork once, fault their share of the heap once,
+    and stay warm for every later call.
 
     The callable is parked in the fork registry *before* the pool is
     created and stays registered for the pool's lifetime (popped by
     :meth:`close`).  Per call only the payload items and results cross
-    the pipe.
+    the pipe.  With an ``owner``, the pool also closes when the owner is
+    garbage: the registry then lets go of the callable (and of whatever
+    it captured) however the owner was dropped.  ``fn`` must not
+    capture the owner, or the owner is never garbage.
     """
 
-    def __init__(self, fn: Callable[[Any], Any], max_workers: int) -> None:
+    def __init__(
+        self, fn: Callable[[Any], Any], max_workers: int, owner: object = None
+    ) -> None:
         if not fork_available():  # pragma: no cover - non-fork platforms
             raise RuntimeError(
                 "PersistentProcessPool requires the fork start method"
@@ -113,6 +111,9 @@ class PersistentProcessPool:
         context = multiprocessing.get_context("fork")
         self._pool: ProcessPoolExecutor | None = ProcessPoolExecutor(
             max_workers=max(1, int(max_workers)), mp_context=context
+        )
+        self._owner_alive = (
+            weakref.finalize(owner, self.close) if owner is not None else None
         )
 
     def map(self, items: Sequence[Any]) -> list[Any]:
@@ -134,6 +135,8 @@ class PersistentProcessPool:
 
     def close(self) -> None:
         """Shut the workers down and unregister the callable (idempotent)."""
+        if self._owner_alive is not None:
+            self._owner_alive.detach()
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
@@ -150,25 +153,17 @@ class PersistentProcessPool:
 def map_batch(
     fn: Callable[[T], R],
     items: Sequence[T] | Iterable[T],
-    max_workers: int | None = None,
-    backend: str = "serial",
+    workers: int | None = None,
 ) -> list[R]:
     """Apply ``fn`` to every item; results in input order.
 
-    The workhorse of a batch ``submit``.  ``backend``/``max_workers``
-    choose the pool; degenerate cases (one item, one worker, serial
-    backend, no fork on this platform) run the plain loop so the
+    The workhorse of a batch ``submit``: ``workers`` forked workers, or
+    the plain loop whenever :func:`effective_workers` says 1, so the
     parallel path is *bit-identical* to it by construction.
     """
-    validate_backend(backend)
     items = list(items)
-    workers = effective_workers(max_workers, len(items))
-    if (
-        backend == "serial"
-        or workers <= 1
-        or len(items) <= 1
-        or not fork_available()
-    ):
+    workers = effective_workers(workers, len(items))
+    if workers <= 1:
         return [fn(item) for item in items]
 
     with PersistentProcessPool(fn, workers) as pool:

@@ -4,12 +4,17 @@ One :class:`CloudServer` instance plays the role of the paper's cloud
 machine.  It receives a published graph (``Go`` + AVT for the optimized
 methods, or the full ``Gk`` for the BAS baseline), builds the VBV/LBV
 index offline, and answers anonymized subgraph queries ``Qo`` with the
-decompose → star-match → join pipeline of Section 4.2.1.
+decompose → star-match → join pipeline of Section 4.2.1.  With
+``shards=N`` it scatters the star matching over N ranges of that one
+index through a warm fork pool (:mod:`repro.cloud.sharding`).
 """
 
 from __future__ import annotations
 
+import os
+import threading
 import weakref
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -20,17 +25,20 @@ from repro.anonymize.cost_model import (
 from repro.cloud.cache import StarMatchCache
 from repro.cloud.decomposition import decompose_query
 from repro.cloud.index import CloudIndex
-from repro.analysis.markers import hot_path
+from repro.cloud.parallel import PersistentProcessPool, effective_workers
 from repro.cloud.result_join import JoinStats, join_star_tables
-from repro.cloud.star_matching import StarMatchStats, match_star_table
+from repro.cloud.sharding import center_ranges, scatter_worker
+from repro.cloud.star_matching import StarMatchStats, match_plan
+from repro.core.protocol import TraceContext
+from repro.exceptions import ResultBudgetExceeded
 from repro.graph.attributed import AttributedGraph
 from repro.graph.stats import compute_statistics
 from repro.kauto.avt import AlignmentVertexTable
 from repro.matching.match import Match
 from repro.matching.star import Decomposition, Star
-from repro.matching.table import MatchTable
+from repro.matching.table import MatchTable, Row
 from repro.obs import Observability, SlidingWindow, names
-from repro.obs.tracing import NullSpan, NullTracer, Span, Trace
+from repro.obs.tracing import NullSpan, Span, Trace
 from repro.outsource.delta import GoDelta
 
 
@@ -77,38 +85,6 @@ class CloudAnswer:
         return self.star_stats.total_results
 
 
-@hot_path
-def match_plan(
-    query: AttributedGraph,
-    stars: Sequence[Star],
-    index: CloudIndex,
-    graph: AttributedGraph,
-    max_results: int | None,
-    tracer: NullTracer,
-    within: int = -1,
-) -> dict[int, MatchTable]:
-    """Algorithm 1 for every star of one plan.
-
-    The one star loop of the cloud: the single server runs it over
-    every indexed center, each shard of a
-    :class:`~repro.cloud.sharding.ShardedCloud` over the center
-    positions set in ``within`` (its range).  Tables are columnar
-    (schema ``(center, *leaves)``).  Each star runs the
-    kernel under its own ``cloud.star_match`` span.  The star cache sits
-    in front of the topology (:meth:`CloudServer.answer`), so only its
-    misses get here.
-    """
-    results: dict[int, MatchTable] = {}
-    for star in stars:
-        with tracer.span(names.CLOUD_STAR_MATCH, center=star.center) as span:
-            table = match_star_table(
-                query, star, index, graph, max_results=max_results, within=within
-            )
-            span.set(results=len(table))
-        results[star.center] = table
-    return results
-
-
 class CloudServer:
     """Honest-but-curious cloud: stores published data, answers queries.
 
@@ -134,12 +110,16 @@ class CloudServer:
         for full traces, or ``Observability.disabled()`` for a no-op
         hot path (telemetry fields then read ``0.0``).  The star-cache
         hit/miss counters are exported as pull-gauges on its registry.
-
-    :class:`~repro.cloud.sharding.ShardedCloud` subclasses this server
-    and replaces how the star tables the cache lacks are produced
-    (:meth:`_match_stars`); everything else on this class, the index
-    and the star cache included, is the one pipeline both topologies
-    run.
+    shards:
+        How many ranges of candidate centers the star matching is split
+        into; ``len(server.shards)`` is the effective count (lower only
+        when there are fewer candidate centers).  At ``N >= 2`` the
+        stars the cache lacks are scattered over a persistent fork pool
+        of one worker per range: forked lazily at the first scatter,
+        the children inherit the index copy-on-write and stay warm
+        across answers.  1, a platform without fork, a fork child of
+        this server, or a pool whose child died answer through the
+        single-server loop instead — bit-identical either way.
     """
 
     def __init__(
@@ -152,9 +132,22 @@ class CloudServer:
         star_cache_size: int = 0,
         decomposition_strategy: str = "optimal",
         obs: Observability | None = None,
+        shards: int = 1,
     ) -> None:
         if decomposition_strategy not in ("optimal", "greedy"):
             raise ValueError("decomposition_strategy must be 'optimal' or 'greedy'")
+        if shards < 1:
+            raise ValueError("shards must be >= 1")
+        self.shard_count = shards
+        # the warm scatter pool: forked lazily by the first scatter,
+        # reused across answers, dropped when the index it snapshotted
+        # is rebuilt, when a child dies, by close(), and when this
+        # server is garbage.  Only the process that built the server
+        # scatters: a fork child (a forked batch worker) inherits the
+        # pool object but not its workers.
+        self._state_lock = threading.Lock()
+        self._scatter_pool: PersistentProcessPool | None = None  #: guarded by _state_lock
+        self._home_pid = os.getpid()
         self.graph = graph
         self.avt = avt
         self.center_vertices = list(center_vertices)
@@ -202,11 +195,19 @@ class CloudServer:
         )
 
     def _build_index(self) -> None:
-        """Index the stored graph.
+        """Index the stored graph and drain a stale scatter pool.
 
-        Runs at construction and again after every :meth:`apply_delta`.
+        Runs at construction and again after every :meth:`apply_delta`:
+        a pool forked over the previous index holds it copy-on-write
+        and would answer against it forever.
         """
         self.index = CloudIndex.build(self.graph, self.center_vertices)
+        self.close()
+
+    @property
+    def shards(self) -> list[range]:
+        """The shards: position ranges over the current index."""
+        return center_ranges(len(self.index.indexed_vertices), self.shard_count)
 
     def _build_estimator(self) -> StarCardinalityEstimator:
         if self.expand_in_cloud:
@@ -325,10 +326,44 @@ class CloudServer:
     ) -> dict[int, MatchTable]:
         """The star tables of ``stars`` (the cache's misses), by center.
 
-        The stage a topology supplies.  Here: :func:`match_plan` over
-        the whole stored graph.  ``span`` is the enclosing
-        ``cloud.star_matching`` span, for topology attributes.
+        Scattered over the shards when there is a pool to scatter
+        through, else :func:`match_plan` over the whole stored graph.
+        ``span`` is the enclosing ``cloud.star_matching`` span: shard
+        work parents under it.
         """
+        pool = self._warm_scatter_pool()
+        if pool is not None:
+            shards = self.shards
+            tracer = obs.tracer
+            # when tracing, each child records its shard-match span on a
+            # private tracer and ships the trace back for absorption
+            # under the star-matching span (fresh local ids — child
+            # counters all start at 1 and would collide)
+            ctx_doc = None
+            if tracer.recording and span.span_id:
+                ctx_doc = TraceContext(
+                    query_id=tracer.query_id, parent_span_id=span.span_id
+                ).to_doc()
+            plan = tuple(stars)
+            try:
+                shipped = pool.map(
+                    [
+                        (shard_id, centers, query, plan, ctx_doc)
+                        for shard_id, centers in enumerate(shards)
+                    ]
+                )
+            except BrokenProcessPool:
+                # a child died (OOM kill, crash).  The pool is unusable
+                # for good: drop it, answer this plan through the loop
+                # below — bit-identical by construction — and let the
+                # next answer fork a fresh pool.
+                self._drop_scatter_pool(pool)
+            else:
+                span.set(shards=len(shards))
+                for _, trace_doc in shipped:
+                    if trace_doc is not None:
+                        tracer.absorb(Trace.from_dict(trace_doc), parent=span)
+                return self._gather(stars, [tables for tables, _ in shipped], obs)
         return match_plan(
             query,
             stars,
@@ -337,6 +372,65 @@ class CloudServer:
             self.max_intermediate_results,
             obs.tracer,
         )
+
+    def _gather(
+        self,
+        stars: Sequence[Star],
+        per_shard: list[dict[int, MatchTable]],
+        obs: Observability,
+    ) -> dict[int, MatchTable]:
+        """Concatenate the shard tables in range order: the single
+        server's rows and order."""
+        budget = self.max_intermediate_results
+        with obs.tracer.span(names.CLOUD_GATHER) as gather_span:
+            results: dict[int, MatchTable] = {}
+            for star in stars:
+                rows: list[Row] = []
+                for tables in per_shard:
+                    rows.extend(tables[star.center].rows)
+                if budget is not None and len(rows) > budget:
+                    # a shard-local trip would already have raised in the
+                    # scatter; this catches unions that only exceed the
+                    # budget once gathered — exactly the queries the
+                    # single server rejects.
+                    raise ResultBudgetExceeded("star matching", len(rows), budget)
+                results[star.center] = MatchTable((star.center, *star.leaves), rows)
+            gather_span.set(rs_size=sum(len(table) for table in results.values()))
+        return results
+
+    def _warm_scatter_pool(self) -> PersistentProcessPool | None:
+        """The warm fork pool to scatter the shards over, or ``None``
+        for the single-server loop.
+
+        ``None`` whenever a scatter cannot happen: one range, no fork on
+        this platform, or this process is a fork child of the one that
+        built the server.  The pool is forked lazily, over the index
+        current at that moment, with one worker per range.
+        """
+        if self.shard_count <= 1 or os.getpid() != self._home_pid:
+            return None
+        workers = effective_workers(
+            self.shard_count, len(self.index.indexed_vertices)
+        )
+        if workers <= 1:
+            return None
+        with self._state_lock:
+            if self._scatter_pool is None:
+                self._scatter_pool = PersistentProcessPool(
+                    scatter_worker(
+                        self.index, self.graph, self.max_intermediate_results
+                    ),
+                    workers,
+                    owner=self,
+                )
+            return self._scatter_pool
+
+    def _drop_scatter_pool(self, pool: PersistentProcessPool) -> None:
+        """Drop ``pool`` (a child died); the next answer forks afresh."""
+        with self._state_lock:
+            if self._scatter_pool is pool:
+                self._scatter_pool = None
+        pool.close()
 
     # ------------------------------------------------------------------
     # maintenance
@@ -371,10 +465,14 @@ class CloudServer:
         self.estimator = self._build_estimator()
 
     def close(self) -> None:
-        """Release what the server holds beyond memory (idempotent).
+        """Tear down the scatter pool, if one was forked (idempotent).
 
-        Nothing on a single server; a sharded one drains its fork pool.
+        Also happens when the server is garbage.
         """
+        with self._state_lock:
+            stale, self._scatter_pool = self._scatter_pool, None
+        if stale is not None:
+            stale.close()
 
     def __enter__(self) -> "CloudServer":
         return self

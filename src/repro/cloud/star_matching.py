@@ -23,6 +23,7 @@ budget before :class:`~repro.exceptions.ResultBudgetExceeded` fires.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.analysis.markers import hot_path
 from repro.cloud.cache import leaf_order
@@ -31,6 +32,8 @@ from repro.exceptions import ResultBudgetExceeded
 from repro.graph.attributed import AttributedGraph
 from repro.matching.star import Star
 from repro.matching.table import MatchTable, Row
+from repro.obs import names
+from repro.obs.tracing import NullTracer
 
 
 @dataclass
@@ -170,3 +173,35 @@ def match_star_table(
                 depth -= 1
                 used.discard(row_buf[leaf_cols[depth]])
     return MatchTable(schema, rows)
+
+
+@hot_path
+def match_plan(
+    query: AttributedGraph,
+    stars: Sequence[Star],
+    index: CloudIndex,
+    graph: AttributedGraph,
+    max_results: int | None,
+    tracer: NullTracer,
+    within: int = -1,
+) -> dict[int, MatchTable]:
+    """Algorithm 1 for every star of one plan.
+
+    The one star loop of the cloud: a single server runs it over every
+    indexed center, each shard of a sharded one
+    (:func:`~repro.cloud.sharding.match_range`) over the center
+    positions set in ``within`` (its range).  Tables are columnar
+    (schema ``(center, *leaves)``).  Each star runs the kernel under
+    its own ``cloud.star_match`` span.  The star cache sits in front of
+    the topology (:meth:`~repro.cloud.server.CloudServer.answer`), so
+    only its misses get here.
+    """
+    results: dict[int, MatchTable] = {}
+    for star in stars:
+        with tracer.span(names.CLOUD_STAR_MATCH, center=star.center) as span:
+            table = match_star_table(
+                query, star, index, graph, max_results=max_results, within=within
+            )
+            span.set(results=len(table))
+        results[star.center] = table
+    return results

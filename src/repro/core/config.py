@@ -84,14 +84,12 @@ class SystemConfig:
     # internally locked, so it is safe to share between the concurrent
     # callers of a serving gateway.
     star_cache_size: int = 0
-    # number of cloud shards: 1 (default) deploys the paper's single
-    # CloudServer; N > 1 deploys a ShardedCloud that splits the one
-    # index's candidate centers into N ranges and scatter-gathers each
-    # query over them.  Answers are bit-identical at every shard count.
+    # number of cloud shards: 1 (default) is the paper's single
+    # CloudServer loop; N > 1 splits the one index's candidate centers
+    # into N ranges and scatters the star matching of each query over
+    # a warm fork pool of N workers.  Answers are bit-identical at
+    # every shard count.
     shards: int = 1
-    # scatter backend of the sharded cloud ("serial" or "process");
-    # ignored when shards == 1.
-    shard_backend: str = "serial"
     # -- serving telemetry (repro.obs.events / repro.obs.windows) -------
     # JSONL event-log destination.  None (default) disables structured
     # event logging entirely; a path makes PrivacyPreservingSystem
@@ -143,14 +141,6 @@ class SystemConfig:
             raise ConfigError(f"shards must be an int, got {self.shards!r}")
         if self.shards < 1:
             raise ConfigError("shards must be >= 1")
-        # validated against a literal so importing repro.core.config
-        # does not pull the whole cloud package; must stay in sync with
-        # repro.cloud.parallel.BACKENDS (pinned by tests).
-        if self.shard_backend not in ("serial", "process"):
-            raise ConfigError(
-                "shard_backend must be 'serial' or 'process', "
-                f"got {self.shard_backend!r}"
-            )
         if self.event_log_level not in ("debug", "info"):
             raise ConfigError(
                 f"event_log_level must be 'debug' or 'info', "

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any
 
-from repro.cloud.parallel import BACKENDS
 from repro.exceptions import ConfigError
 
 
@@ -21,13 +20,11 @@ class QueryOptions:
 
     Parameters
     ----------
-    backend:
-        Batch execution backend: ``"serial"`` (default, the plain
-        loop) or ``"process"`` (a fork pool, for CPU-bound batches on
-        multi-core hosts); single-query submits run serially
-        regardless.
     workers:
-        Batch worker cap (``None`` = backend default).
+        Forked workers a batch runs on: ``None`` (default) or 1 is the
+        plain loop; ``N >= 2`` is a fork pool of up to N workers, for
+        CPU-bound batches on multi-core hosts.  Single-query submits,
+        and platforms without fork, run the loop regardless.
     trace:
         ``False`` disables span/metric recording for this call even
         when the system has observability attached.
@@ -40,17 +37,12 @@ class QueryOptions:
         Cap on returned matches per query (``None`` = unlimited).
     """
 
-    backend: str = "serial"
     workers: int | None = None
     trace: bool = True
     explain: bool = False
     max_results: int | None = None
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKENDS:
-            raise ConfigError(
-                f"backend must be one of {BACKENDS}, got {self.backend!r}"
-            )
         if self.explain and not self.trace:
             raise ConfigError(
                 "explain=True requires trace=True (the report is derived "

@@ -18,8 +18,8 @@ Usage::
 
 Each query runs on its own recording tracer (``obs.for_query()``), so
 concurrent batch queries never interleave spans and every trace is
-self-contained and picklable (the ``process`` batch backend ships them
-back from forked children).  Pass ``obs=Observability.disabled()`` to
+self-contained and picklable (a forked batch ships them back from its
+workers).  Pass ``obs=Observability.disabled()`` to
 :meth:`~PrivacyPreservingSystem.setup` for a no-op hot path — metrics
 and traces then read empty.
 """
@@ -39,7 +39,6 @@ from repro.anonymize.lct import LabelCorrespondenceTable
 from repro.client.expansion import expand_rin_table
 from repro.cloud.parallel import effective_workers, map_batch
 from repro.cloud.server import CloudServer
-from repro.cloud.sharding import build_cloud
 from repro.core.config import SystemConfig
 from repro.core.data_owner import DataOwner, PublishedData
 from repro.core.options import DEFAULT_OPTIONS, QueryOptions
@@ -128,8 +127,8 @@ class QueryOutcome:
 class BatchOutcome:
     """A ``query_batch`` run: per-query outcomes + batch telemetry.
 
-    ``trace`` carries the batch-level ``batch`` span (backend, worker
-    count, wall time); the per-query traces live on the individual
+    ``trace`` carries the batch-level ``batch`` span (worker count,
+    wall time); the per-query traces live on the individual
     outcomes.
     """
 
@@ -342,9 +341,9 @@ class PrivacyPreservingSystem:
         determine — ``k`` from the AVT, ``theta`` and the grouping
         strategy from the LCT, BAS from a cloud half that is ``Gk``;
         ``serving`` supplies the :class:`SystemConfig` fields a saved
-        deployment leaves open (``shards``, ``shard_backend``,
-        ``star_cache_size``, the telemetry fields).  Runs with the
-        cyclic collector paused, as :meth:`setup` does.
+        deployment leaves open (``shards``, ``star_cache_size``, the
+        telemetry fields).  Runs with the cyclic collector paused, as
+        :meth:`setup` does.
         """
         with _collector_paused():
             _, avt, _, expand_in_cloud = cloud_half = load_cloud_side(directory)
@@ -396,20 +395,15 @@ class PrivacyPreservingSystem:
         component_obs = _component_scope(obs)
         tracer = scope.tracer
         with tracer.span(names.CLOUD_INDEX_BUILD) as span:
-            # shards == 1: the paper's single server; N > 1: the
-            # candidate centers split into N ranges behind a
-            # scatter-gather coordinator, answers bit-identical to the
-            # single server.
-            cloud = build_cloud(
+            cloud = CloudServer(
                 cloud_graph,
                 cloud_avt,
                 center_vertices,
-                shards=config.shards,
-                shard_backend=config.shard_backend,
                 expand_in_cloud=expand_in_cloud,
                 max_intermediate_results=config.max_intermediate_results,
                 star_cache_size=config.star_cache_size,
                 obs=component_obs,
+                shards=config.shards,
             )
             span.set(
                 index_bytes=cloud.index_size_bytes(),
@@ -443,10 +437,11 @@ class PrivacyPreservingSystem:
         through here; the wire, trace and cache plumbing lives in this
         one method.  A single-element
         workload runs inline (no batch span, exactly the per-query
-        trace shape of :meth:`query`); larger workloads run on the
-        ``options.backend`` backend (the serial loop, or a fork pool)
-        with a ``batch`` span and event wrapping the run.  Outcomes
-        come back in submission order, bit-identical to a serial loop.
+        trace shape of :meth:`query`); larger workloads run on
+        ``options.workers`` forked workers (the plain loop when that is
+        ``None`` or 1) with a ``batch`` span and event wrapping the
+        run.  Outcomes come back in submission order, bit-identical to
+        a serial loop.
 
         ``obs`` overrides the system scope; ``options.trace=False``
         forces the disabled scope regardless (raw-throughput serving).
@@ -459,31 +454,25 @@ class PrivacyPreservingSystem:
 
         queries = list(queries)
         hits_before, misses_before = self.cloud.star_cache.counters()
+        worker_count = effective_workers(options.workers, len(queries))
 
         if len(queries) == 1:
             started = time.perf_counter()
             outcome = self._run_one(queries[0], options=options, obs=base)
             wall_seconds = time.perf_counter() - started
             outcomes = [outcome]
-            worker_count = 1
-            cache_shared = True
             trace = None
         else:
-            worker_count = effective_workers(options.workers, len(queries))
-            cache_shared = options.backend != "process"
             scope = base.for_query()
             run_one = functools.partial(
                 self._run_one, options=options, obs=base
             )
             with scope.tracer.span(names.BATCH) as span:
                 started = time.perf_counter()
-                outcomes = map_batch(
-                    run_one, queries, options.workers, options.backend
-                )
+                outcomes = map_batch(run_one, queries, options.workers)
                 wall_seconds = time.perf_counter() - started
                 span.set(
-                    backend=options.backend,
-                    workers=1 if options.backend == "serial" else worker_count,
+                    workers=worker_count,
                     queries=len(queries),
                     wall_seconds=wall_seconds,
                 )
@@ -493,25 +482,18 @@ class PrivacyPreservingSystem:
             if scope.events.enabled:
                 scope.events.emit(
                     names.BATCH,
-                    backend=options.backend,
-                    workers=1 if options.backend == "serial" else worker_count,
+                    workers=worker_count,
                     queries=len(queries),
                     seconds=wall_seconds,
                 )
 
         hits_after, misses_after = self.cloud.star_cache.counters()
         metrics = BatchMetrics(
-            backend=options.backend,
-            worker_count=(
-                1
-                if len(queries) == 1 or options.backend == "serial"
-                else worker_count
-            ),
+            worker_count=worker_count,
             wall_seconds=wall_seconds,
             per_query=[outcome.metrics for outcome in outcomes],
             cache_hits=hits_after - hits_before,
             cache_misses=misses_after - misses_before,
-            cache_shared=cache_shared,
         )
         return BatchOutcome(outcomes=outcomes, metrics=metrics, trace=trace)
 
@@ -643,12 +625,11 @@ class PrivacyPreservingSystem:
 
         A thin delegate of :meth:`submit`: every query runs the full
         pipeline — anonymize, encode, decompose, star-match, join,
-        decode, expand, filter.  ``QueryOptions.backend`` is
-        ``"serial"`` (default: the plain loop; the star cache is shared,
-        so repeated star shapes across the batch are matched once) or
-        ``"process"`` (``options.workers`` forked workers, default one
-        per core, for CPU-bound batches on multi-core hosts;
-        cache/channel/registry updates stay in the children — per-query
+        decode, expand, filter.  ``QueryOptions.workers`` is ``None``
+        (default: the plain loop; the star cache is shared, so repeated
+        star shapes across the batch are matched once) or ``N >= 2``
+        forked workers, for CPU-bound batches on multi-core hosts
+        (cache/channel/registry updates stay in the children — per-query
         *traces* still come back, pickled inside each outcome).  Match
         sets are bit-identical to a loop of :meth:`query` calls either
         way.

@@ -6,10 +6,9 @@ against one outsourced graph.  This package provides that front end:
 
 - :class:`QueryGateway` — an asyncio server speaking the
   length-prefixed frames of :mod:`repro.core.protocol`, dispatching
-  into a deployed :class:`~repro.cloud.server.CloudServer` /
-  :class:`~repro.cloud.sharding.ShardedCloud` through a bounded worker
-  pool, with admission control, SLO-driven load shedding and
-  duplicate-query coalescing.
+  into a deployed :class:`~repro.cloud.server.CloudServer` (single or
+  sharded) through a bounded worker pool, with admission control,
+  SLO-driven load shedding and duplicate-query coalescing.
 - :class:`Middleware` / :class:`MiddlewareChain` — pluggable
   request/response hooks, with stock auth-token, rate-limit,
   audit-log and privacy-budget middlewares.

@@ -128,7 +128,7 @@ class Observability:
 
         Per-query tracers keep concurrent batch queries from
         interleaving spans in one buffer and make ``QueryOutcome.trace``
-        self-contained (and picklable, for the process backend).  Each
+        self-contained (and picklable, for a forked batch).  Each
         scope carries a ``query_id`` (allocated here unless supplied)
         stamped onto every span it records and onto the structured
         events derived from them.

@@ -42,7 +42,7 @@ appends)::
     network.upload                simulated_seconds, bytes
     cloud.index_build             index_bytes, build_seconds
 
-``batch`` wraps one ``query_batch`` run (backend, workers, queries).
+``batch`` wraps one ``query_batch`` run (workers, queries).
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ be parented explicitly (``tracer.span(name, parent=span)``) which is
 how per-shard spans attach to the ``cloud.star_matching`` span, and
 gateway dispatch work to the span opened on the event loop.
 
-Fork-awareness (the ``process`` batch backend): a tracer detects that
+Fork-awareness (forked batches and shard scatters): a tracer detects that
 it is running in a forked child (pid change) and resets its buffer and
 stacks before recording, so the child starts from a clean trace
 instead of appending to a copy of the parent's.  Traces produced in
@@ -172,50 +172,6 @@ class Trace:
 
     def extend(self, other: "Trace") -> "Trace":
         self.spans.extend(other.spans)
-        return self
-
-    def merge(self, other: "Trace", *, parent_id: int | None = None) -> "Trace":
-        """Graft ``other``'s spans into this trace under fresh span ids.
-
-        Unlike :meth:`extend` (a naive concatenation), ``merge`` is
-        safe across id spaces: every tracer counts span ids from 1, so
-        a fork child's or remote process's ids collide with the local
-        ones.  All of ``other``'s ids are remapped past this trace's
-        maximum, internal ``parent_id`` links are rewritten through the
-        mapping, and ``other``'s root spans (``parent_id is None``) are
-        re-parented under ``parent_id`` when given — stitching the
-        remote tree under a local span.  ``other`` is not mutated.
-        """
-        base = max((span.span_id for span in self.spans), default=0)
-        if parent_id:
-            base = max(base, parent_id)
-        parent = None
-        if parent_id:
-            parent = next(
-                (s for s in self.spans if s.span_id == parent_id), None
-            )
-        base_depth = parent.depth + 1 if parent is not None else 0
-        mapping = {
-            span.span_id: base + offset
-            for offset, span in enumerate(other.spans, start=1)
-        }
-        for span in other.spans:
-            new_parent = (
-                mapping.get(span.parent_id)
-                if span.parent_id is not None
-                else None
-            )
-            if new_parent is None:
-                new_parent = parent_id if parent_id else None
-            self.spans.append(
-                replace(
-                    span,
-                    span_id=mapping[span.span_id],
-                    parent_id=new_parent,
-                    depth=span.depth + base_depth,
-                    attributes=dict(span.attributes),
-                )
-            )
         return self
 
     def to_dict(self) -> dict[str, Any]:

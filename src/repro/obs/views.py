@@ -26,8 +26,8 @@ from repro.obs.tracing import Trace
 def format_percent(value: float | None, missing: str = "n/a") -> str:
     """``0.421 -> '42.1%'``; ``None -> 'n/a'``.
 
-    The shared-cache hit rate is ``None`` for the process batch backend
-    (the children own the cache copies), so every printer of a rate
+    The shared-cache hit rate is ``None`` for a forked batch (the
+    workers own the cache copies), so every printer of a rate
     must go through this instead of ``f"{rate:.1%}"`` — formatting
     ``None`` raises ``TypeError`` (regression-tested).
     """
@@ -191,18 +191,22 @@ class BatchMetrics:
     ``throughput_qps`` / ``speedup_vs(serial_wall)`` quantify by how
     much.  Cache counters are deltas over the batch, measured on the
     shared (locked) star cache, i.e. the hit rate *under contention*;
-    with the process backend the children own the cache copies, so the
-    parent-side delta reads zero and the field is reported as ``None``
-    (format it with :func:`format_percent`, never ``%``-style).
+    with forked workers the children own the cache copies, so the
+    parent-side delta reads zero and the hit rate is reported as
+    ``None`` (format it with :func:`format_percent`, never
+    ``%``-style).
     """
 
-    backend: str = "serial"
     worker_count: int = 1
     wall_seconds: float = 0.0
     per_query: list[QueryMetrics] = field(default_factory=list)
     cache_hits: int = 0
     cache_misses: int = 0
-    cache_shared: bool = True
+
+    @property
+    def cache_shared(self) -> bool:
+        """True when the batch ran in this process, on its one cache."""
+        return self.worker_count == 1
 
     @property
     def query_count(self) -> int:
@@ -248,13 +252,11 @@ class BatchMetrics:
 
     def to_dict(self) -> dict[str, Any]:
         return {
-            "backend": self.backend,
             "worker_count": self.worker_count,
             "wall_seconds": self.wall_seconds,
             "per_query": [run.to_dict() for run in self.per_query],
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
-            "cache_shared": self.cache_shared,
         }
 
     @classmethod

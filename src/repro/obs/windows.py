@@ -19,7 +19,7 @@ closest ranks, ``h = (n-1) q``) — identical to
 tests pin down.
 
 Windows are picklable (the lock is dropped and re-created) and
-mergeable: the fork-based batch backend observes into per-child
+mergeable: a forked batch observes into per-child
 windows whose merged union is exactly the window a shared-memory run
 would have produced.
 """
@@ -247,7 +247,7 @@ class SlidingWindow:
         The merged ring holds the newest ``capacity`` entries of the
         union — exactly what one shared window observing both streams
         would retain.  Used to combine per-child windows shipped back
-        from the fork-based batch backend.
+        from a forked batch.
         """
         with other._lock:
             theirs = list(other._entries)

@@ -41,8 +41,10 @@ class TestPublishAndQuery:
         assert len(query_out["matches"]) == 2
         assert query_out["candidates"] >= 2
 
-    @pytest.mark.parametrize("backend", ["serial", "process"])
-    def test_publish_then_batch(self, tmp_path, capsys, backend):
+    @pytest.mark.parametrize(
+        "workers", [pytest.param("1", id="serial"), pytest.param("2", id="process")]
+    )
+    def test_publish_then_batch(self, tmp_path, capsys, workers):
         graph, _ = example_social_network()
         graph_path = tmp_path / "g.json"
         query_path = tmp_path / "q.json"
@@ -62,9 +64,7 @@ class TestPublishAndQuery:
                     str(query_path),
                     str(query_path),
                     "--workers",
-                    "2",
-                    "--backend",
-                    backend,
+                    workers,
                     "--repeat",
                     "2",
                     "--star-cache",
@@ -75,13 +75,13 @@ class TestPublishAndQuery:
         )
         batch_out = json.loads(capsys.readouterr().out)
         assert batch_out["queries"] == 4
-        assert batch_out["backend"] == backend
+        assert "backend" not in batch_out
         assert batch_out["wall_seconds"] >= 0
         assert len(batch_out["per_query"]) == 4
         assert all(entry["matches"] == 2 for entry in batch_out["per_query"])
         # the repeated workload must warm the shared star cache; fork
         # children warm their own copies, invisible to the parent
-        assert (batch_out["cache"]["hits"] > 0) == (backend == "serial")
+        assert (batch_out["cache"]["hits"] > 0) == (batch_out["workers"] == 1)
 
     def test_publish_with_method(self, tmp_path, capsys):
         graph, _ = example_social_network()
@@ -287,8 +287,8 @@ class TestTraceExport:
                     str(query_path),
                     "--repeat",
                     "2",
-                    "--backend",
-                    "process",
+                    "--workers",
+                    "2",
                 ]
             )
             == 0
@@ -320,13 +320,13 @@ class TestTraceExport:
 
 
 class TestRemovedThreadTier:
-    """The removed values and flag are refused by argparse itself."""
+    """The removed flags are refused by argparse itself."""
 
     @pytest.mark.parametrize(
         "flags,complaint",
         [
-            (["--backend", "thread"], "invalid choice: 'thread'"),
-            (["--shard-backend", "thread"], "invalid choice: 'thread'"),
+            (["--backend", "process"], "unrecognized arguments: --backend"),
+            (["--shard-backend", "process"], "unrecognized arguments: --shard-backend"),
             (["--star-workers", "2"], "unrecognized arguments: --star-workers"),
         ],
     )
@@ -338,10 +338,12 @@ class TestRemovedThreadTier:
 
     @pytest.mark.parametrize("command", ["serve", "explain"])
     def test_shard_backend_choices_are_shared(self, capsys, command):
+        """Every command that took ``--shard-backend`` refuses it alike:
+        ``--shards N`` alone decides the scatter."""
         with pytest.raises(SystemExit) as exit_info:
-            main([command, "dep", "g.json", "q.json", "--shard-backend", "thread"])
+            main([command, "dep", "g.json", "q.json", "--shard-backend", "process"])
         assert exit_info.value.code == 2
-        assert "'serial', 'process'" in capsys.readouterr().err
+        assert "unrecognized arguments: --shard-backend" in capsys.readouterr().err
 
 
 class TestProfile:
@@ -661,7 +663,7 @@ class TestOneParser:
             "--port-file smoke/port.txt --gateway-port 0 --gateway-port-file "
             "smoke/gateway-port.txt --gateway-max-inflight 64 --linger 90",
             "serve smoke/dep smoke/graph.json smoke/query.json --shards 2 "
-            "--shard-backend process --star-cache 0 --port 0 --port-file smoke/port2.txt "
+            "--star-cache 0 --port 0 --port-file smoke/port2.txt "
             "--gateway-port 0 --gateway-port-file smoke/gateway-port2.txt --linger 90",
             "explain smoke/dep smoke/graph.json smoke/query.json --port 4242 "
             "--client-id ci-traced --json --chrome smoke/query.chrome.json",
@@ -692,8 +694,7 @@ class TestIgnoredOptionsAreRejected:
     @pytest.mark.parametrize(
         "argv,complaint",
         [
-            ("explain dep g.json q.json --port 1 --shards 2", "--shards/--shard-backend"),
-            ("explain dep g.json q.json --port 1 --shard-backend process", "--shards/"),
+            ("explain dep g.json q.json --port 1 --shards 2", "--shards shapes a local cloud"),
             ("audit dep --k 3", "--k/--theta/--method/--queries-count"),
             ("audit dep --theta 3", "--k/--theta/--method/--queries-count"),
             ("audit dep --queries-count 2", "--k/--theta/--method/--queries-count"),
@@ -900,7 +901,6 @@ class TestTheCloudIsClosedOnFailure:
         def load_with_a_budget_that_tightens(*args, **kwargs):
             system = load(*args, **kwargs)
             cloud = system.cloud
-            cloud.max_workers = 2  # a one-core host would scatter serially
             answer = cloud.answer
 
             def answer_then_tighten(query, obs=None):
@@ -919,8 +919,7 @@ class TestTheCloudIsClosedOnFailure:
         assert (
             main(
                 [
-                    "batch", dep, graph_path, *query_paths * 2,
-                    "--shards", "2", "--shard-backend", "process",
+                    "batch", dep, graph_path, *query_paths * 2, "--shards", "2",
                 ]
             )
             == 2

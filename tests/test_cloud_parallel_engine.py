@@ -1,6 +1,6 @@
 """Tests for the batched query engine (ISSUE 1, reduced by ISSUE 14).
 
-Covers: the serial/process backends of `map_batch` (also over a bare
+Covers: `map_batch`'s plain loop and fork pool (also over a bare
 `CloudServer.answer`), `PrivacyPreservingSystem.query_batch` +
 `BatchMetrics`, exception propagation, and thread-safety stress tests
 of concurrent callers (the gateway's dispatch threads) sharing one
@@ -24,19 +24,21 @@ from repro import (
     QueryOptions,
     SystemConfig,
 )
-from repro.cloud import CloudServer, fork_available
+from repro.cloud import CloudServer, fork_available, parallel
 from repro.cloud.parallel import (
-    BACKENDS,
     PersistentProcessPool,
     effective_workers,
     map_batch,
-    validate_backend,
 )
 from repro.exceptions import ConfigError, ResultBudgetExceeded
 from repro.graph import example_query, example_social_network
 from repro.matching import match_key
 from repro.obs import names
 from repro.workloads import generate_workload, load_dataset
+
+
+#: A batch's worker counts: the plain loop, and a fork pool.
+WORKERS = (None, 4)
 
 
 def match_lists(outcomes) -> list[list[tuple]]:
@@ -61,34 +63,31 @@ def build_system(dataset, workload, **config_kwargs) -> PrivacyPreservingSystem:
 
 
 class TestPoolHelpers:
-    def test_effective_workers_clamps(self):
+    def test_effective_workers_clamps(self, monkeypatch):
         assert effective_workers(8, 3) == 3
         assert effective_workers(2, 100) == 2
         assert effective_workers(0, 5) == 1
-        assert effective_workers(None, 1) == 1
-        assert effective_workers(None, 100) >= 2
-
-    def test_validate_backend(self):
-        assert BACKENDS == ("serial", "process")
-        for backend in BACKENDS:
-            assert validate_backend(backend) == backend
-        with pytest.raises(ValueError):
-            validate_backend("gpu")
+        assert effective_workers(4, 1) == 1
+        # no count is the plain loop, not a default pool
+        assert effective_workers(None, 100) == 1
+        monkeypatch.setattr(parallel, "fork_available", lambda: False)
+        assert effective_workers(8, 3) == 1
 
     def test_thread_backend_is_gone_at_every_level(self):
-        """The removed value fails typed, naming the two that remain."""
-        remaining = r"serial.*process"
-        with pytest.raises(ValueError, match=remaining):
-            validate_backend("thread")
-        with pytest.raises(ConfigError, match=remaining):
+        """The backend knob itself is gone: a count is the only setting."""
+        with pytest.raises(TypeError):
             QueryOptions(backend="thread")
-        with pytest.raises(ConfigError, match=remaining):
+        with pytest.raises(TypeError):
             SystemConfig(shard_backend="thread")
+        with pytest.raises(TypeError):
+            map_batch(abs, [1], 2, "process")
+        with pytest.raises(ConfigError):
+            QueryOptions(workers=0)
 
     def test_map_batch_preserves_order(self):
         items = list(range(20))
-        for backend in BACKENDS:
-            assert map_batch(lambda x: x * x, items, 4, backend) == [
+        for workers in WORKERS:
+            assert map_batch(lambda x: x * x, items, workers) == [
                 x * x for x in items
             ]
 
@@ -98,9 +97,9 @@ class TestPoolHelpers:
                 raise ValueError("task 3 failed")
             return x
 
-        for backend in BACKENDS:
+        for workers in WORKERS:
             with pytest.raises(ValueError, match="task 3 failed"):
-                map_batch(boom, list(range(6)), 3, backend)
+                map_batch(boom, list(range(6)), workers)
 
 
 @pytest.mark.skipif(not fork_available(), reason="fork start method required")
@@ -194,8 +193,8 @@ class TestCloudQueryBatch:
         )
         queries = [pipe.qo] * 6
         expected = [[match_key(m) for m in server.answer(q).matches] for q in queries]
-        for backend in BACKENDS:
-            answers = map_batch(server.answer, queries, 4, backend)
+        for workers in WORKERS:
+            answers = map_batch(server.answer, queries, workers)
             assert [[match_key(m) for m in a.matches] for a in answers] == expected
         default = map_batch(server.answer, queries)
         assert [[match_key(m) for m in a.matches] for a in default] == expected
@@ -212,19 +211,20 @@ class TestCloudQueryBatch:
         queries = [pipe.qo] * 4
         expected = [[match_key(m) for m in server.answer(q).matches] for q in queries]
         hits, misses = server.star_cache.counters()
-        answers = map_batch(server.answer, queries, 2, "process")
+        answers = map_batch(server.answer, queries, 2)
         assert [[match_key(m) for m in a.matches] for a in answers] == expected
         # the children own their cache copies: the parent's is untouched
         assert server.star_cache.counters() == (hits, misses)
 
     def test_unknown_backend_rejected(self, figure1_pipeline):
+        """No backend is accepted at all: the knob is gone."""
         pipe = figure1_pipeline
         server = CloudServer(
             pipe.outsourced.graph,
             pipe.transform.avt,
             pipe.outsourced.block_vertices,
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             map_batch(server.answer, [pipe.qo], backend="quantum")
 
     def test_budget_exceeded_propagates_from_batch(self, figure1_pipeline):
@@ -235,9 +235,9 @@ class TestCloudQueryBatch:
             pipe.outsourced.block_vertices,
             max_intermediate_results=0,
         )
-        for backend in BACKENDS:
+        for workers in WORKERS:
             with pytest.raises(ResultBudgetExceeded):
-                map_batch(server.answer, [pipe.qo] * 3, 2, backend)
+                map_batch(server.answer, [pipe.qo] * 3, workers)
 
     def test_close_is_idempotent(self, figure1_pipeline):
         pipe = figure1_pipeline
@@ -254,13 +254,12 @@ class TestSystemQueryBatch:
     def test_batch_outcome_shape_and_metrics(self, dataset_workload):
         dataset, workload = dataset_workload
         system = build_system(dataset, workload, star_cache_size=64)
-        batch = system.query_batch(workload, options=QueryOptions(workers=4))
+        batch = system.query_batch(workload)
         assert isinstance(batch, BatchOutcome)
         assert len(batch.outcomes) == len(workload)
         metrics = batch.metrics
-        assert metrics.backend == "serial"  # the default
         assert metrics.query_count == len(workload)
-        assert metrics.worker_count == 1  # the serial loop ignores workers
+        assert metrics.worker_count == 1  # the default: the plain loop
         assert metrics.wall_seconds > 0
         assert metrics.throughput_qps > 0
         assert len(metrics.per_query) == len(workload)
@@ -274,9 +273,9 @@ class TestSystemQueryBatch:
         dataset, workload = dataset_workload
         system = build_system(dataset, workload, star_cache_size=64)
         serial = [system.query(q) for q in workload]
-        for backend in BACKENDS:
+        for workers in WORKERS:
             batch = system.query_batch(
-                workload, options=QueryOptions(workers=4, backend=backend)
+                workload, options=QueryOptions(workers=workers)
             )
             assert match_lists(batch.outcomes) == match_lists(serial)
             # submission order: per-query metrics line up with the inputs
@@ -294,30 +293,17 @@ class TestSystemQueryBatch:
             ),
             sample_workload=workload,
         )
-        expected = match_lists(
-            system.query_batch(
-                workload, options=QueryOptions(backend="serial")
-            ).outcomes
-        )
-        forked = system.query_batch(
-            workload, options=QueryOptions(workers=3, backend="process")
-        )
+        expected = match_lists(system.query_batch(workload).outcomes)
+        forked = system.query_batch(workload, options=QueryOptions(workers=3))
         assert match_lists(forked.outcomes) == expected
 
     @pytest.mark.skipif(not fork_available(), reason="fork start method unavailable")
     def test_process_backend_reports_unshared_cache(self, dataset_workload):
         dataset, workload = dataset_workload
         system = build_system(dataset, workload, star_cache_size=64)
-        expected = match_lists(
-            system.query_batch(
-                workload, options=QueryOptions(backend="serial")
-            ).outcomes
-        )
-        batch = system.query_batch(
-            workload[:4], options=QueryOptions(workers=2, backend="process")
-        )
+        expected = match_lists(system.query_batch(workload).outcomes)
+        batch = system.query_batch(workload[:4], options=QueryOptions(workers=2))
         assert match_lists(batch.outcomes) == expected[:4]
-        assert batch.metrics.backend == "process"
         assert batch.metrics.worker_count == 2
         assert batch.metrics.cache_shared is False
         assert batch.metrics.cache_hit_rate is None
@@ -350,9 +336,7 @@ class TestSharedCacheStress:
         # small LRU + repeated workload = constant eviction churn under
         # concurrency; every thread must still see identical matches
         stress = (workload * 3)[: max(12, len(workload))]
-        serial = system.query_batch(
-            stress, options=QueryOptions(backend="serial")
-        ).outcomes
+        serial = system.query_batch(stress).outcomes
         reference = match_lists(serial)
         stars = sum(
             outcome.trace.attr(names.CLOUD_DECOMPOSE, "stars")

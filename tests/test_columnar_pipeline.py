@@ -25,7 +25,6 @@ from repro.client.filtering import ClientFilter
 from repro.cloud import (
     CloudIndex,
     CloudServer,
-    ShardedCloud,
     decompose_query,
     expand_star_table,
     join_star_tables,
@@ -48,6 +47,7 @@ from tests.oracle import (
     join_star_matches,
     match_star,
 )
+from tests.test_sharded_cloud import scattered_inline
 
 #: The representation arms: tuple reference kernels and (when
 #: installed) the numpy vector kernels forced on regardless of input
@@ -806,22 +806,19 @@ class TestThreeWayEquivalence:
 
     @pytest.mark.parametrize("shards", [1, 4])
     def test_shard_topologies_arms_agree(self, shards):
-        """1-shard and 4-shard scatter-gather return the single-server
-        answer in every arm, with identical per-star result sizes."""
+        """1-shard and 4-shard scatter-gather (run inline) return the
+        single-server answer in every arm, with identical per-star
+        result sizes."""
         dep = deployment(21, 36, 2, 3)
         reference = CloudServer(
             dep.outsourced.graph, dep.avt, dep.outsourced.block_vertices
         ).answer(dep.query)
         for arm in ARMS:
             with vec.override(arm):
-                with ShardedCloud(
-                    dep.outsourced.graph,
-                    dep.avt,
-                    dep.outsourced.block_vertices,
-                    shards=shards,
-                    backend="serial",
-                ) as cloud:
-                    answer = cloud.answer(dep.query)
+                cloud = CloudServer(
+                    dep.outsourced.graph, dep.avt, dep.outsourced.block_vertices
+                )
+                answer = scattered_inline(cloud, shards).answer(dep.query)
                 assert answer.table.schema == reference.table.schema
                 assert answer.table.rows == reference.table.rows
                 assert (

@@ -17,7 +17,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.cloud import build_cloud, fork_available
+from repro.cloud import CloudServer, fork_available, parallel
 from repro.core.protocol import (
     FRAME_HEADER,
     decode_frame_header,
@@ -73,13 +73,12 @@ def dep():
     return deployment()
 
 
-def make_cloud(dep, shards: int = 1, backend: str = "serial"):
-    return build_cloud(
+def make_cloud(dep, shards: int = 1):
+    return CloudServer(
         dep.outsourced.graph,
         dep.avt,
         dep.outsourced.block_vertices,
         shards=shards,
-        shard_backend=backend,
     )
 
 
@@ -317,16 +316,15 @@ class TestCoalescer:
 # ----------------------------------------------------------------------
 # the gateway over real sockets
 # ----------------------------------------------------------------------
+#: (how the shards are answered, shard count): "serial" is the
+#: single-server loop — one shard, or the fallback of a sharded cloud
+#: on a platform without fork — and "process" the fork scatter.
+_FORKS = pytest.mark.skipif(not fork_available(), reason="fork start method required")
 TOPOLOGIES = [
     ("serial", 1),
     ("serial", 4),
-    pytest.param(
-        "process",
-        4,
-        marks=pytest.mark.skipif(
-            not fork_available(), reason="fork start method required"
-        ),
-    ),
+    pytest.param("process", 2, marks=_FORKS),
+    pytest.param("process", 4, marks=_FORKS),
 ]
 
 
@@ -353,18 +351,21 @@ class CountingCloud:
 
 class TestGatewayRoundTrip:
     @pytest.mark.parametrize("backend,shards", TOPOLOGIES)
-    def test_bit_identity_across_topologies(self, dep, backend, shards):
-        cloud = make_cloud(dep, shards=shards, backend=backend)
-        expected = reference_bytes(cloud, dep.query)
-        with QueryGateway(cloud) as gateway:
-            with SyncGatewayClient(
-                gateway.host, gateway.port, client_id="matrix"
-            ) as client:
-                table, expanded = client.query(dep.query)
+    def test_bit_identity_across_topologies(self, dep, backend, shards, monkeypatch):
+        """Gateway answers are the in-process single server's bytes."""
+        if backend == "serial":
+            monkeypatch.setattr(parallel, "fork_available", lambda: False)
+        expected = reference_bytes(make_cloud(dep), dep.query)
+        with make_cloud(dep, shards=shards) as cloud:
+            assert reference_bytes(cloud, dep.query) == expected
+            with QueryGateway(cloud) as gateway:
+                with SyncGatewayClient(
+                    gateway.host, gateway.port, client_id="matrix"
+                ) as client:
+                    table, expanded = client.query(dep.query)
+            assert (cloud._scatter_pool is not None) == (backend == "process")
         order = sorted(dep.query.vertex_ids())
         assert wire_bytes(table, order, expanded) == expected
-        if hasattr(cloud, "close"):
-            cloud.close()
 
     def test_many_concurrent_queries_zero_drops(self, dep):
         cloud = make_cloud(dep)
@@ -494,7 +495,7 @@ class TestDistributedTracing:
         fork-child spans all resolve parent links up to the client's
         ``client.submit`` root span, with unique span ids and spans
         from more than one OS process."""
-        cloud = make_cloud(dep, shards=2, backend="process")
+        cloud = make_cloud(dep, shards=2)
         obs = Observability()
         with QueryGateway(cloud, obs=obs) as gateway:
             with SyncGatewayClient(

@@ -16,10 +16,12 @@ hanging off one).  No ``repro.*`` instance may be among it.
 from __future__ import annotations
 
 import gc
+import weakref
 
 import pytest
 
-from repro.cloud import CloudServer
+from repro.cloud import CloudServer, fork_available
+from repro.cloud import parallel
 from repro.core.config import SystemConfig
 from repro.core.options import QueryOptions
 from repro.core.storage import save_published
@@ -124,6 +126,22 @@ class TestDroppedSystem:
         holder = [system]
         del system, published, release, delta
         assert cyclic_leftovers(holder) == []
+
+
+@pytest.mark.skipif(not fork_available(), reason="fork start method required")
+def test_a_dropped_sharded_system_frees_its_index(dataset):
+    """The scatter pool's fork-registry entry captures the index and
+    ``Go``; dropping the system must release both without ``close()``."""
+    system = stand_up(dataset, 2)
+    system.submit(dataset[1][:1])
+    token = system.cloud._scatter_pool._token
+    assert token in parallel._FORK_REGISTRY
+    index = weakref.ref(system.cloud.index)
+    holder = [system]
+    del system
+    assert cyclic_leftovers(holder) == []
+    assert token not in parallel._FORK_REGISTRY
+    assert index() is None
 
 
 def test_the_probe_sees_a_cycle():

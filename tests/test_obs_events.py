@@ -198,15 +198,14 @@ class TestSystemIntegration:
     def test_batch_emits_batch_event(self, tmp_path):
         path = tmp_path / "events.jsonl"
         system = _demo_system(event_log_path=str(path))
-        system.query_batch(
-            [example_query()] * 3, options=QueryOptions(backend="serial")
-        )
+        system.query_batch([example_query()] * 3)
         system.obs.events.close()
         events = read_events(path)
         batch_events = [e for e in events if e["event"] == names.BATCH]
         assert len(batch_events) == 1
         assert batch_events[0]["queries"] == 3
-        assert batch_events[0]["backend"] == "serial"
+        assert batch_events[0]["workers"] == 1
+        assert "backend" not in batch_events[0]
 
     def test_config_validation_rejects_bad_values(self):
         from repro.exceptions import ConfigError

@@ -41,7 +41,6 @@ def _stitched_trace() -> Trace:
                 candidates=4, results=2, dropped=2,
                 dropped_vertex=0, dropped_edge=1, dropped_label=1, anchored=True,
             )
-    trace = tracer.take_trace()
     # shard lanes arrive from fork children (other pids), absorbed in
     # arbitrary order — from_trace must sort them by shard index
     for shard, pid, results in ((1, 7002, 3), (0, 7001, 6)):
@@ -51,11 +50,8 @@ def _stitched_trace() -> Trace:
         doc = child.take_trace().to_dict()
         for span_doc in doc["spans"]:
             span_doc["pid"] = pid
-        trace.merge(
-            Trace.from_dict(doc),
-            parent_id=trace.first(names.CLOUD_ANSWER).span_id,
-        )
-    return trace
+        tracer.absorb(Trace.from_dict(doc), parent=cloud)
+    return tracer.take_trace()
 
 
 class TestFromTrace:

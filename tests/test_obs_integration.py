@@ -2,8 +2,8 @@
 
 These tests exercise the tentpole acceptance criteria of the
 observability redesign: publish and query traces contain every phase
-named in :mod:`repro.obs.names`, nesting survives both batch
-backends, span durations account for the query wall
+named in :mod:`repro.obs.names`, nesting survives the plain batch
+loop and a forked batch, span durations account for the query wall
 time, and the legacy metric views are derivable from the trace alone.
 """
 
@@ -146,14 +146,15 @@ class TestBatchBackends:
         return [example_query() for _ in range(4)]
 
     @pytest.mark.parametrize(
-        "backend",
-        ["serial"] + (["process"] if fork_available() else []),
+        "workers",
+        [pytest.param(1, id="serial")]
+        + ([pytest.param(2, id="process")] if fork_available() else []),
     )
-    def test_each_outcome_has_its_own_trace(self, deployment, backend):
+    def test_each_outcome_has_its_own_trace(self, deployment, workers):
         batch = deployment.query_batch(
-            self._queries(), options=QueryOptions(workers=2, backend=backend)
+            self._queries(), options=QueryOptions(workers=workers)
         )
-        assert batch.metrics.backend == backend
+        assert batch.metrics.worker_count == workers
         for outcome in batch.outcomes:
             trace = outcome.trace
             assert trace is not None
@@ -164,16 +165,14 @@ class TestBatchBackends:
             assert trace.first(names.CLOUD_ANSWER) is not None
         batch_span = batch.trace.first(names.BATCH)
         assert batch_span is not None
-        assert batch_span.attributes["backend"] == backend
+        assert batch_span.attributes["workers"] == workers
         assert batch_span.attributes["queries"] == 4
 
     def test_batch_dict_round_trip(self, deployment):
-        batch = deployment.query_batch(
-            self._queries(), options=QueryOptions(backend="serial")
-        )
+        batch = deployment.query_batch(self._queries())
         restored = BatchOutcome.from_dict(batch.to_dict())
         assert restored.matches == batch.matches
-        assert restored.metrics.backend == "serial"
+        assert restored.metrics.worker_count == 1
         assert restored.metrics.query_count == 4
 
 

@@ -8,7 +8,6 @@ import urllib.request
 import pytest
 
 from repro.core.config import SystemConfig
-from repro.core.options import QueryOptions
 from repro.core.system import PrivacyPreservingSystem
 from repro.graph.generators import example_query, example_social_network
 from repro.obs import (
@@ -178,9 +177,7 @@ class TestScrapeUnderLoad:
         def workload():
             try:
                 for _ in range(4):
-                    system.query_batch(
-                        [example_query()] * 4, options=QueryOptions(workers=2)
-                    )
+                    system.query_batch([example_query()] * 4)
             finally:
                 done.set()
 

@@ -244,11 +244,11 @@ class TestProfilerHook:
 
 
 class TestTraceStitching:
-    """Trace.merge / Tracer.absorb: cross-id-space grafting.
+    """Tracer.absorb: cross-id-space grafting.
 
     Every tracer counts span ids from 1, so fork children and remote
     processes produce ids that collide with the local tracer's.  The
-    stitching primitives must remap every foreign id to a fresh local
+    stitching primitive must remap every foreign id to a fresh local
     one, rewrite internal parent links through the mapping, and re-root
     foreign roots under the local parent span.
     """
@@ -260,40 +260,6 @@ class TestTraceStitching:
             with tracer.span(f"{label}.child"):
                 pass
         return tracer.take_trace()
-
-    def test_merge_remaps_colliding_ids(self):
-        local = Tracer()
-        with local.span("local.root"):
-            pass
-        trace = local.take_trace()
-        foreign = self._foreign_trace("remote")
-        # both tracers allocated ids starting at 1: guaranteed overlap
-        assert {s.span_id for s in trace} & {s.span_id for s in foreign}
-        merged = trace.merge(
-            foreign, parent_id=trace.first("local.root").span_id
-        )
-        ids = [span.span_id for span in merged]
-        assert len(ids) == len(set(ids)) == 3
-
-    def test_merge_preserves_parent_links_and_depths(self):
-        local = Tracer()
-        with local.span("local.root"):
-            pass
-        trace = local.take_trace()
-        root_id = trace.first("local.root").span_id
-        trace.merge(self._foreign_trace("remote"), parent_id=root_id)
-        remote_root = trace.first("remote.root")
-        remote_child = trace.first("remote.child")
-        assert remote_root.parent_id == root_id
-        assert remote_child.parent_id == remote_root.span_id
-        assert remote_root.depth == trace.first("local.root").depth + 1
-        assert remote_child.depth == remote_root.depth + 1
-
-    def test_merge_does_not_mutate_the_input(self):
-        foreign = self._foreign_trace("remote")
-        before = [(s.span_id, s.parent_id) for s in foreign]
-        Trace().merge(foreign, parent_id=None)
-        assert [(s.span_id, s.parent_id) for s in foreign] == before
 
     def test_fork_children_with_colliding_ids_absorb_uniquely(self):
         """Regression: two fork children both count span ids from 1;
@@ -326,12 +292,16 @@ class TestTraceStitching:
 
     def test_absorbed_ids_never_collide_with_later_local_spans(self):
         local = Tracer()
+        foreign = self._foreign_trace("remote")
+        before = [(s.span_id, s.parent_id, s.depth) for s in foreign]
         with local.span("local.root") as root:
-            local.absorb(self._foreign_trace("remote"), parent=root)
+            local.absorb(foreign, parent=root)
             with local.span("local.later"):
                 pass
         ids = [span.span_id for span in local.trace()]
         assert len(ids) == len(set(ids))
+        # the grafted spans are copies: the input trace is not mutated
+        assert [(s.span_id, s.parent_id, s.depth) for s in foreign] == before
 
     def test_absorb_is_noop_on_measure_only_tracer(self):
         tracer = Tracer(record=False)

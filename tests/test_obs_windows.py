@@ -2,8 +2,8 @@
 
 The quantile property tests pin the window's inclusive method to the
 stdlib's ``statistics.quantiles(..., method="inclusive")`` cut points,
-and the fork test proves per-child windows shipped back from the
-``process`` backend merge into exactly the window a shared-memory run
+and the fork test proves per-child windows shipped back from a
+forked batch merge into exactly the window a shared-memory run
 would have produced.
 """
 
@@ -161,7 +161,7 @@ class TestMerge:
 
     @pytest.mark.skipif(not fork_available(), reason="needs fork")
     def test_fork_process_children_merge_correctly(self):
-        # the process backend pickles per-child windows back to the
+        # a forked batch pickles per-child windows back to the
         # parent; their merge must equal one window fed all values.
         rng = random.Random(42)
         chunks = [
@@ -175,7 +175,7 @@ class TestMerge:
                 window.observe(value, now=ts)
             return window
 
-        children = map_batch(child, chunks, max_workers=4, backend="process")
+        children = map_batch(child, chunks, workers=4)
         merged = SlidingWindow(capacity=256)
         for window in children:
             merged.merge(window)

@@ -9,7 +9,7 @@ budget-exception point, not merely equivalent ones; the dict oracle
 (:mod:`tests.oracle`), which shares no code with either, must agree.
 
 The third part pins the argument the cloud no longer checks with a sort:
-what :func:`~repro.cloud.server.match_plan` yields is anchored in
+what :func:`~repro.cloud.star_matching.match_plan` yields is anchored in
 ``B1`` and duplicate-free, so its expansion and the join of such tables
 are duplicate-free too.
 """
@@ -38,6 +38,7 @@ from repro.matching import MatchTable, vec
 from repro.obs import NULL_SPAN
 from repro.workloads import extract_shape_query, random_walk_query
 from tests.oracle import expand_rin, filter_candidates
+from tests.test_sharded_cloud import scattered_inline
 
 needs_numpy = pytest.mark.skipif(
     not vec.HAVE_NUMPY, reason="the replaced kernels are the numpy arm's"
@@ -486,8 +487,9 @@ class TestTheorem3HoldsWithoutTheSort:
     ):
         with vec.override(arm):
             graph, system, query, _ = _deployment(
-                seed, n, 2, k, "walk", edges, 0.5, method=method, shards=shards
+                seed, n, 2, k, "walk", edges, 0.5, method=method
             )
+            scattered_inline(system.cloud, shards)
             with system.cloud:
                 assert _assert_duplicate_free(system, query, method == "EFF") > 0
                 if method == "BAS":

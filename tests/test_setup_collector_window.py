@@ -56,13 +56,13 @@ class TestTheCallersStateComesBack:
 
     def test_it_is_off_while_setup_runs(self, figure1, collector, monkeypatch):
         seen = []
-        real = system_module.build_cloud
+        real = system_module.CloudServer
 
         def spying(*args, **kwargs):
             seen.append(gc.isenabled())
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(system_module, "build_cloud", spying)
+        monkeypatch.setattr(system_module, "CloudServer", spying)
         collector(True)
         PrivacyPreservingSystem.setup(*figure1, a_config())
         assert seen == [False]
@@ -83,7 +83,7 @@ class TestTheCallersStateComesBack:
         def broken(*args, **kwargs):
             raise RuntimeError("no cloud today")
 
-        monkeypatch.setattr(system_module, "build_cloud", broken)
+        monkeypatch.setattr(system_module, "CloudServer", broken)
         collector(enabled)
         with pytest.raises(RuntimeError, match="no cloud today"):
             PrivacyPreservingSystem.setup(*figure1, a_config())
@@ -116,14 +116,14 @@ class TestLoadRunsInTheSameWindow:
 
             monkeypatch.setattr(system_module, name, spy)
 
-        for name in ("load_cloud_side", "load_client_side", "build_cloud"):
+        for name in ("load_cloud_side", "load_client_side", "CloudServer"):
             spying(name)
         collector(True)
         PrivacyPreservingSystem.load(saved, figure1[0])
         assert seen == [
             ("load_cloud_side", False),
             ("load_client_side", False),
-            ("build_cloud", False),
+            ("CloudServer", False),
         ]
 
     @pytest.mark.parametrize("enabled", [True, False])

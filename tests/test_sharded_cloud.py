@@ -1,14 +1,20 @@
-"""Equivalence suite: the sharded cloud is bit-identical to one server.
+"""Equivalence suite: a sharded cloud is bit-identical to one server.
 
-``ShardedCloud`` splits the positions of its one VBV/LBV index into N
-contiguous ranges of candidate centers and scatter-gathers the stars
-its one star cache lacks over them.  These tests pin its core contract
-— for every shard count and scatter backend, :meth:`ShardedCloud.answer`
-returns exactly what :meth:`CloudServer.answer` returns: same table
-schema, same rows, same row order, same per-star result sizes, same
-budget trips.  The range invariants (exact, ascending, non-empty
-cover; a shard's table is the single server's rows in its range) and
-the cache/telemetry surfaces are covered alongside.
+``CloudServer(shards=N)`` splits the positions of its one VBV/LBV index
+into N contiguous ranges of candidate centers and scatters the stars
+its one star cache lacks over them through a warm fork pool.  These
+tests pin its core contract — for every shard count, on the fork path
+and on its fallbacks, a sharded answer is exactly the single server's:
+same table schema, same rows, same row order, same per-star result
+sizes, same budget trips.  The range invariants (exact, ascending,
+non-empty cover; a shard's table is the single server's rows in its
+range) and the cache/telemetry surfaces are covered alongside.
+
+No hypothesis example forks: the properties run the scatter inline
+(:func:`gathered`, :func:`scattered_inline`) — ``match_range`` over
+each range, concatenated by the server's own gather, which is what the
+fork children compute.  The fork path itself has the fixed examples of
+:class:`TestPersistentScatterPool` and ``TestBitIdentity``.
 """
 
 from __future__ import annotations
@@ -24,13 +30,14 @@ from hypothesis import strategies as st
 
 from repro.cloud import (
     CloudServer,
-    ShardedCloud,
     center_ranges,
     decompose_query,
     fork_available,
+    parallel,
 )
-from repro.cloud.parallel import BACKENDS, map_batch
+from repro.cloud.parallel import map_batch
 from repro.cloud.sharding import match_range
+from repro.cloud.star_matching import match_plan
 from repro.core.config import SystemConfig
 from repro.core.options import QueryOptions
 from repro.core.system import PrivacyPreservingSystem
@@ -39,7 +46,7 @@ from repro.graph import make_schema, random_attributed_graph
 from repro.kauto import build_k_automorphic_graph
 from repro.kauto.dynamic import DynamicRelease
 from repro.matching import vec
-from repro.obs import NULL_SPAN, Observability
+from repro.obs import NULL_SPAN, NULL_TRACER, Observability
 from repro.outsource import build_outsourced_graph
 from repro.workloads import generate_workload, load_dataset, random_walk_query
 
@@ -78,14 +85,41 @@ def single_server(dep: SimpleNamespace, **kwargs) -> CloudServer:
     )
 
 
-def sharded(dep: SimpleNamespace, shards: int, **kwargs) -> ShardedCloud:
-    return ShardedCloud(
-        dep.outsourced.graph,
-        dep.avt,
-        dep.outsourced.block_vertices,
-        shards=shards,
-        **kwargs,
+def sharded(dep: SimpleNamespace, shards: int, **kwargs) -> CloudServer:
+    return single_server(dep, shards=shards, **kwargs)
+
+
+def gathered(cloud: CloudServer, query, stars, shards: int):
+    """What a ``shards``-way scatter over ``cloud`` gathers, run inline.
+
+    :func:`match_range` over each of :func:`center_ranges`, as the fork
+    children compute it, concatenated by the server's own gather.
+    """
+    budget = cloud.max_intermediate_results
+    per_shard = [
+        match_range(query, stars, cloud.index, cloud.graph, centers, budget)
+        for centers in center_ranges(len(cloud.index.indexed_vertices), shards)
+    ]
+    return cloud._gather(stars, per_shard, Observability.disabled())
+
+
+def scattered_inline(cloud: CloudServer, shards: int) -> CloudServer:
+    """``cloud`` with its star stage replaced by :func:`gathered`: whole
+    answers of a ``shards``-way scatter, without forking."""
+    cloud._match_stars = lambda query, stars, obs, span: gathered(
+        cloud, query, stars, shards
     )
+    return cloud
+
+
+def assert_ranges_are_the_single_server(cloud: CloudServer, query, stars) -> None:
+    """At 1–4 shards, the ranges' tables concatenate to the single
+    server's, rows and order."""
+    single = match_plan(query, stars, cloud.index, cloud.graph, None, NULL_TRACER)
+    expected = [(single[s.center].schema, single[s.center].rows) for s in stars]
+    for shards in range(1, 5):
+        tables = gathered(cloud, query, stars, shards)
+        assert [(tables[s.center].schema, tables[s.center].rows) for s in stars] == expected
 
 
 def assert_answers_identical(reference, candidate) -> None:
@@ -106,32 +140,43 @@ class TestBitIdentity:
     def test_answer_matches_single_server(self, shards, seed, n, k, edges):
         dep = deployment(seed, n, k, edges)
         reference = single_server(dep).answer(dep.query)
-        cloud = sharded(dep, shards, backend="serial")
+        cloud = scattered_inline(single_server(dep), shards)
         assert_answers_identical(reference, cloud.answer(dep.query))
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_every_backend_identical(self, backend):
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_every_backend_identical(self, backend, monkeypatch):
+        """The fork scatter ("process") and its fallback on a platform
+        without fork ("serial") answer alike."""
+        if backend == "serial":
+            monkeypatch.setattr(parallel, "fork_available", lambda: False)
+        elif not fork_available():
+            pytest.skip("fork start method required")
         dep = deployment(7, 40, 2, 3)
         reference = single_server(dep).answer(dep.query)
-        with sharded(dep, 4, backend=backend) as cloud:
+        with sharded(dep, 4) as cloud:
             assert_answers_identical(reference, cloud.answer(dep.query))
+            assert (cloud._scatter_pool is not None) == (backend == "process")
 
     def test_query_batch_matches_serial_answers(self):
+        """A forked batch over a sharded cloud: each batch worker answers
+        through the single-server loop (only the process that built the
+        cloud scatters), bit-identically."""
         dep = deployment(5, 32, 2, 2)
         queries = [dep.query] * 3
-        cloud = sharded(dep, 2)
-        serial = [cloud.answer(query) for query in queries]
-        for backend in BACKENDS:
-            batched = map_batch(cloud.answer, queries, backend=backend)
-            for one, other in zip(serial, batched):
-                assert_answers_identical(one, other)
+        with sharded(dep, 2) as cloud:
+            serial = [cloud.answer(query) for query in queries]
+            for workers in (None, 2):
+                batched = map_batch(cloud.answer, queries, workers)
+                for one, other in zip(serial, batched):
+                    assert_answers_identical(one, other)
 
     @pytest.mark.parametrize("shards", [2, 4])
     def test_telemetry_fields_equal_single_server(self, shards):
-        """The inherited answer body reports what the single server does."""
+        """A sharded answer reports what the single server does."""
         dep = deployment(7, 40, 2, 3)
         reference = single_server(dep).answer(dep.query)
-        answer = sharded(dep, shards).answer(dep.query)
+        with sharded(dep, shards) as cloud:
+            answer = cloud.answer(dep.query)
         assert answer.rs_size == reference.rs_size
         assert answer.expanded == reference.expanded
         assert answer.decomposition == reference.decomposition
@@ -197,7 +242,7 @@ class TestShardStructure:
         dep = deployment(19, 30, 2, 2)
         few = dep.outsourced.block_vertices[:2]
         reference = CloudServer(dep.outsourced.graph, dep.avt, few)
-        with ShardedCloud(dep.outsourced.graph, dep.avt, few, shards=4) as cloud:
+        with CloudServer(dep.outsourced.graph, dep.avt, few, shards=4) as cloud:
             assert cloud.shards == [range(0, 1), range(1, 2)]
             assert_answers_identical(
                 reference.answer(dep.query), cloud.answer(dep.query)
@@ -237,39 +282,28 @@ class TestShardStructure:
     ):
         """Before and after a delta: every shard's star table is the
         single server's, restricted to centers at its positions, and the
-        gathered answer is the single server's."""
+        ranges at 1–4 shards concatenate to the single server's."""
         with vec.override(arm):
             system, graph, qo = _published(seed, n, k, edges)
-            reference = system.cloud
-            cloud = ShardedCloud(
-                reference.graph.copy(),
-                reference.avt,
-                reference.center_vertices,
-                shards=shards,
-            )
-            with reference, cloud:
-                for step in ("before", "after"):
-                    if step == "after":
-                        delta = _one_edge_delta(system, graph)
-                        reference.apply_delta(delta)
-                        cloud.apply_delta(delta)
-                    stars = decompose_query(qo, reference.estimator).stars
-                    single = reference._match_stars(
-                        qo, stars, reference.obs, NULL_SPAN
+            cloud = system.cloud
+            for step in ("before", "after"):
+                if step == "after":
+                    cloud.apply_delta(_one_edge_delta(system, graph))
+                stars = decompose_query(qo, cloud.estimator).stars
+                single = cloud._match_stars(qo, stars, cloud.obs, NULL_SPAN)
+                position = cloud.index.position
+                for centers in center_ranges(len(cloud.index.indexed_vertices), shards):
+                    tables = match_range(
+                        qo, stars, cloud.index, cloud.graph, centers, None
                     )
-                    position = reference.index.position
-                    for centers in cloud.shards:
-                        tables = match_range(
-                            qo, stars, cloud.index, cloud.graph, centers, None
-                        )
-                        for star in stars:
-                            assert tables[star.center].schema == single[star.center].schema
-                            assert tables[star.center].rows == [
-                                row
-                                for row in single[star.center].rows
-                                if position[row[0]] in centers
-                            ]
-                    assert_answers_identical(reference.answer(qo), cloud.answer(qo))
+                    for star in stars:
+                        assert tables[star.center].schema == single[star.center].schema
+                        assert tables[star.center].rows == [
+                            row
+                            for row in single[star.center].rows
+                            if position[row[0]] in centers
+                        ]
+                assert_ranges_are_the_single_server(cloud, qo, stars)
 
 
 class TestBudgetParity:
@@ -281,7 +315,9 @@ class TestBudgetParity:
         dep = deployment(seed, n, k, edges)
         budget = 5
         reference = single_server(dep, max_intermediate_results=budget)
-        cloud = sharded(dep, 2, max_intermediate_results=budget)
+        cloud = scattered_inline(
+            single_server(dep, max_intermediate_results=budget), 2
+        )
         try:
             expected = reference.answer(dep.query)
         except ResultBudgetExceeded:
@@ -294,11 +330,11 @@ class TestBudgetParity:
 class TestCacheAndTelemetry:
     def test_cache_counters_aggregate_across_shards(self):
         dep = deployment(23, 36, 2, 3)
-        cloud = sharded(dep, 3, star_cache_size=64)
-        first = cloud.answer(dep.query)
-        hits_after_first, misses_after_first = cloud.star_cache.counters()
-        assert misses_after_first > 0
-        second = cloud.answer(dep.query)
+        with sharded(dep, 3, star_cache_size=64) as cloud:
+            first = cloud.answer(dep.query)
+            hits_after_first, misses_after_first = cloud.star_cache.counters()
+            assert misses_after_first > 0
+            second = cloud.answer(dep.query)
         hits_after_second, misses_after_second = cloud.star_cache.counters()
         # the repeat resolves entirely from the coordinator's cache
         assert misses_after_second == misses_after_first
@@ -312,29 +348,24 @@ class TestCacheAndTelemetry:
     def test_cached_answers_stay_identical_to_single_server(self):
         dep = deployment(29, 32, 2, 3)
         reference = single_server(dep).answer(dep.query)
-        cloud = sharded(dep, 2, star_cache_size=64)
-        assert_answers_identical(reference, cloud.answer(dep.query))
-        assert_answers_identical(reference, cloud.answer(dep.query))
+        with sharded(dep, 2, star_cache_size=64) as cloud:
+            assert_answers_identical(reference, cloud.answer(dep.query))
+            assert_answers_identical(reference, cloud.answer(dep.query))
 
     def test_one_cache_surface_for_every_topology(self):
-        """Counters and EXPLAIN's cache line read alike at shards 1,
-        2-serial and 2-process; a repeated query hits every star and
-        scatters nothing."""
+        """Counters and EXPLAIN's cache line read alike at shards 1 and
+        2; a repeated query hits every star and scatters nothing."""
         dataset = load_dataset("DBpedia", scale=0.25, seed=3)
         workload = generate_workload(dataset.graph, 4, 6, seed=5)
         counters = []
-        for shards, backend in ((1, "serial"), (2, "serial"), (2, "process")):
+        for shards in (1, 2):
             system = PrivacyPreservingSystem.setup(
                 dataset.graph,
                 dataset.schema,
-                SystemConfig(
-                    k=3, star_cache_size=64, shards=shards, shard_backend=backend
-                ),
+                SystemConfig(k=3, star_cache_size=64, shards=shards),
                 obs=Observability(),
             )
             with system.cloud as cloud:
-                if shards > 1:
-                    cloud.max_workers = 2  # a one-core host would loop
                 for repeat in range(3):
                     for query in workload:
                         report = system.query(
@@ -344,13 +375,13 @@ class TestCacheAndTelemetry:
                         if repeat:
                             assert report.cache_hits == report.stars
                             assert report.per_shard == [] and report.shards == 0
-                        elif report.cache_misses and shards > 1:
+                        elif report.cache_misses and shards > 1 and fork_available():
                             assert report.shards == len(cloud.shards)
                 counters.append(cloud.star_cache.counters())
-                if backend == "process" and fork_available():
+                if shards > 1 and fork_available():
                     assert cloud._scatter_pool is not None
         assert counters[0][0] > 0
-        assert counters == [counters[0]] * 3
+        assert counters == [counters[0]] * 2
 
 
 class TestSystemPlumbing:
@@ -362,33 +393,26 @@ class TestSystemPlumbing:
         shard = PrivacyPreservingSystem.setup(
             graph, schema, SystemConfig(k=2, shards=3)
         )
-        assert isinstance(shard.cloud, ShardedCloud)
-        for query in queries:
-            expected = base.query(query)
-            got = shard.query(query)
-            key = lambda matches: sorted(
-                tuple(sorted(m.items())) for m in matches
-            )
-            assert key(got.matches) == key(expected.matches)
+        assert type(shard.cloud) is CloudServer
+        assert len(shard.cloud.shards) == 3
+        with shard.cloud:
+            for query in queries:
+                expected = base.query(query)
+                got = shard.query(query)
+                key = lambda matches: sorted(
+                    tuple(sorted(m.items())) for m in matches
+                )
+                assert key(got.matches) == key(expected.matches)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             SystemConfig(shards=0)
         with pytest.raises(ConfigError):
             SystemConfig(shards=True)
-        with pytest.raises(ConfigError):
-            SystemConfig(shard_backend="gpu")
-        with pytest.raises(ConfigError, match="'serial' or 'process'"):
-            SystemConfig(shard_backend="thread")
-        assert SystemConfig(shards=4, shard_backend="process").shards == 4
-
-    def test_config_backends_stay_in_sync_with_parallel(self):
-        from repro.cloud.parallel import BACKENDS, map_batch
-
-        # config validates against a literal tuple to avoid importing
-        # the cloud package; this pin keeps the two lists in lockstep.
-        for backend in BACKENDS:
-            assert SystemConfig(shard_backend=backend)
+        # the scatter backend is gone: shards >= 2 always forks
+        with pytest.raises(TypeError):
+            SystemConfig(shard_backend="process")
+        assert SystemConfig(shards=4).shards == 4
 
 
 class TestDeltaParity:
@@ -419,7 +443,7 @@ class TestDeltaParity:
             release.avt,
             list(outsourced.block_vertices),
         )
-        cloud = ShardedCloud(
+        cloud = CloudServer(
             outsourced.graph.copy(),
             release.avt,
             list(outsourced.block_vertices),
@@ -430,19 +454,20 @@ class TestDeltaParity:
         cloud.apply_delta(delta)
         query = random_walk_query(graph, 2, seed=5)
         anonymized = anonymize_query(query, release.lct)
-        assert_answers_identical(
-            reference.answer(anonymized), cloud.answer(anonymized)
-        )
+        with cloud:
+            assert_answers_identical(
+                reference.answer(anonymized), cloud.answer(anonymized)
+            )
 
 
 @pytest.mark.skipif(not fork_available(), reason="fork start method required")
 class TestPersistentScatterPool:
-    """The process backend's warm fork pool: reuse, staleness, teardown."""
+    """The warm scatter pool: reuse, staleness, teardown."""
 
     def test_pool_forked_once_and_reused(self):
         dep = deployment(7, 40, 2, 3)
         reference = single_server(dep).answer(dep.query)
-        with sharded(dep, 4, backend="process") as cloud:
+        with sharded(dep, 4) as cloud:
             assert cloud._scatter_pool is None  # forked lazily
             assert_answers_identical(reference, cloud.answer(dep.query))
             pool = cloud._scatter_pool
@@ -451,17 +476,11 @@ class TestPersistentScatterPool:
             assert cloud._scatter_pool is pool
         assert pool.closed
 
-    def test_serial_backend_never_forks(self):
-        dep = deployment(7, 32, 2, 2)
-        with sharded(dep, 2, backend="serial") as cloud:
-            cloud.answer(dep.query)
-            assert cloud._scatter_pool is None
-
     def test_killed_child_is_survived_and_replaced(self):
         """A dead fork child must not brick the deployment."""
         dep = deployment(7, 40, 2, 3)
         reference = single_server(dep).answer(dep.query)
-        cloud = sharded(dep, 4, backend="process")
+        cloud = sharded(dep, 4)
         try:
             assert_answers_identical(reference, cloud.answer(dep.query))
             broken = cloud._scatter_pool
@@ -469,7 +488,7 @@ class TestPersistentScatterPool:
             os.kill(children[0].pid, signal.SIGKILL)
             children[0].join(timeout=10)
             # the answer that meets the broken pool is still served —
-            # through the serial scatter — and the pool is dropped
+            # through the single-server loop — and the pool is dropped
             assert_answers_identical(reference, cloud.answer(dep.query))
             assert broken.closed
             assert cloud._scatter_pool is None
@@ -488,13 +507,11 @@ class TestPersistentScatterPool:
         with vec.override(arm):
             system, graph, qo = _published(11, 40, 2, 3)
             reference = system.cloud
-            cloud = ShardedCloud(
+            cloud = CloudServer(
                 reference.graph.copy(),
                 reference.avt,
                 reference.center_vertices,
                 shards=shards,
-                backend="process",
-                max_workers=2,  # fork even on a one-core host
             )
             with reference, cloud:
                 assert_answers_identical(reference.answer(qo), cloud.answer(qo))
@@ -534,12 +551,11 @@ class TestPersistentScatterPool:
         query = anonymize_query(
             random_walk_query(graph, 2, seed=5), release.lct
         )
-        with ShardedCloud(
+        with CloudServer(
             outsourced.graph.copy(),
             release.avt,
             list(outsourced.block_vertices),
             shards=2,
-            backend="process",
         ) as cloud:
             assert_answers_identical(
                 reference.answer(query), cloud.answer(query)

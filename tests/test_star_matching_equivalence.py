@@ -21,11 +21,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import PrivacyPreservingSystem, SystemConfig
-from repro.cloud import build_cloud, decompose_query
+from repro.cloud import CloudServer, decompose_query
 from repro.cloud.cache import StarMatchCache, leaf_order
 from repro.cloud.index import CloudIndex, GraphCSR, GroupBitKey, _bit_vector
-from repro.cloud.server import match_plan
-from repro.cloud.star_matching import match_star_table
+from repro.cloud.star_matching import match_plan, match_star_table
 from repro.exceptions import QueryError, ResultBudgetExceeded
 from repro.graph import AttributedGraph, VertexData, make_schema, random_attributed_graph
 from repro.kauto.dynamic import DynamicRelease
@@ -34,6 +33,7 @@ from repro.matching.star import Star
 from repro.matching.table import Row
 from repro.obs import NULL_SPAN, NULL_TRACER
 from repro.workloads import random_walk_query
+from tests.test_sharded_cloud import scattered_inline
 
 ARMS = ("rows",) + (("numpy",) if vec.HAVE_NUMPY else ())
 
@@ -642,14 +642,17 @@ def _a_delta(system, graph):
 
 
 def _cloud_like(cloud, shards, star_cache_size=0):
-    """A cloud over a copy of ``cloud``'s stored half."""
-    return build_cloud(
-        cloud.graph.copy(),
-        cloud.avt,
-        cloud.center_vertices,
-        shards=shards,
-        expand_in_cloud=cloud.expand_in_cloud,
-        star_cache_size=star_cache_size,
+    """A cloud over a copy of ``cloud``'s stored half, its star stage
+    the ``shards``-way scatter run inline (no fork)."""
+    return scattered_inline(
+        CloudServer(
+            cloud.graph.copy(),
+            cloud.avt,
+            cloud.center_vertices,
+            expand_in_cloud=cloud.expand_in_cloud,
+            star_cache_size=star_cache_size,
+        ),
+        shards,
     )
 
 
