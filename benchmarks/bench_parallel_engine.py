@@ -210,9 +210,9 @@ def test_report_steady_state_latency(sweep):
     """Steady-state per-query latency through the SLO window.
 
     Feeds every outcome's end-to-end seconds into a ``SlidingWindow``
-    (the same structure ``repro serve`` exports as
-    ``repro_query_seconds_window_*``) and prints the p50/p95/p99 row a
-    serving deployment would expose.  The untraced throughput cell
+    (the structure the serving gateway exports as
+    ``repro_gateway_seconds_window_*``) and prints the p50/p95/p99 row
+    a serving deployment would expose.  The untraced throughput cell
     above stays the authoritative raw-engine number; this row is the
     tail-latency view of the same workload.
     """

@@ -27,7 +27,7 @@ metrics*.  This package machine-checks them on every commit:
 ``R6`` privacy-taint
     Per-module taint dataflow: plaintext labels, the original graph,
     credentials and gateway-internal error text must never flow into a
-    wire codec, the network channel, the event log or a
+    wire codec, the network channel, the trace ring or a
     boundary-crossing exception without passing a declared sanitizer
     (:mod:`repro.analysis.rules.privacy_taint`).
 ``R7`` async-safety

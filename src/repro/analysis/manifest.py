@@ -208,8 +208,8 @@ TAINT_SANITIZERS: dict[str, str] = {
 
 #: Calls whose result is declared taint-free even when handed tainted
 #: arguments: they return metadata/verdicts, never embedded content.
-#: (``before``/``after`` are the reviewed middleware-chain hooks — a
-#: rejection they return carries policy text, not request payloads.)
+#: (``before`` is the reviewed middleware-chain hook — a rejection it
+#: returns carries policy text, not request payloads.)
 TAINT_NEUTRAL_CALLS: frozenset[str] = frozenset(
     {
         "len",
@@ -224,7 +224,6 @@ TAINT_NEUTRAL_CALLS: frozenset[str] = frozenset(
         "hash",
         "compare_digest",
         "before",
-        "after",
     }
 )
 
@@ -259,12 +258,11 @@ TAINT_SINKS: tuple[TaintSink, ...] = (
         allows=(),
         what="the simulated network channel",
     ),
-    TaintSink("emit", via_attr=True, allows=(), what="the JSONL event log"),
     TaintSink(
-        "emit_query", via_attr=True, allows=(), what="the JSONL event log"
-    ),
-    TaintSink(
-        "emit_spans", via_attr=True, allows=(), what="the JSONL event log"
+        "push",
+        via_attr=True,
+        allows=(),
+        what="the trace ring (/traces and the serve --events log)",
     ),
 )
 

@@ -1,7 +1,7 @@
 """R2: span/metric names must reference ``repro.obs.names`` constants.
 
-The exporters, the legacy metric views, the event log's span allowlist
-and the privacy-audit gauges all key off the canonical taxonomy in
+The exporters, the legacy metric views, the EXPLAIN report and the
+privacy-audit gauges all key off the canonical taxonomy in
 :mod:`repro.obs.names`.  A literal ``"cloud.star_matching"`` (or an
 f-string ``f"network.{direction}"``) compiles fine and silently
 produces an empty metric the day the phase is renamed.  R2 flags:
@@ -86,7 +86,7 @@ class CanonicalNamesRule(Rule):
     name = "canonical-names"
     hint = (
         "use the constant from repro.obs.names (e.g. names.CLOUD_ANSWER) "
-        "so exporters, views and the event log stay in lockstep"
+        "so exporters, views and EXPLAIN stay in lockstep"
     )
 
     def _applies(self, module: ModuleInfo) -> bool:

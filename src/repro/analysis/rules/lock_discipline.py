@@ -1,8 +1,8 @@
 """R3: ``#: guarded by <lock>`` attributes are only touched under it.
 
 The thread-shared state of this codebase — the star-match LRU, the
-sliding SLO windows, the trace ring, the metrics registry, the cloud
-server's lazily built pools — relies on a *convention*: every access
+gateway's sliding SLO window, the trace ring, the metrics registry,
+the cloud server's lazily built pools — relies on a *convention*: every access
 to the shared attribute happens inside ``with self._lock:``.  The
 convention only fails at runtime, under contention, rarely and
 unreproducibly.  R3 makes it fail at lint time.

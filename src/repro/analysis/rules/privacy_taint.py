@@ -8,8 +8,9 @@ polices the dataflow.  Per module it propagates taint from the
 declared sources (raw ``AttributedGraph`` label accessors in
 owner/client modules, ``DataOwner``-held plaintext, credentials,
 broad-``except`` error text in the gateway) to the declared sinks
-(every ``encode_*`` codec, ``NetworkChannel.transmit``, the JSONL
-event log, trust-boundary exception messages), with the paper's own
+(every ``encode_*`` codec, ``NetworkChannel.transmit``, the trace
+ring's ``push`` that feeds ``/traces`` and the ``serve --events`` log,
+trust-boundary exception messages), with the paper's own
 transformations (LCT grouping, AVT remap, k-automorphism, hashing)
 clearing taint.  The source/sink/sanitizer manifest lives in
 :mod:`repro.analysis.manifest`; the propagation engine in

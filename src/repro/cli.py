@@ -17,8 +17,8 @@ Commands
     engine (``--workers N`` forks a pool of N workers).
 ``serve``
     Answer a workload through a deployment while exposing ``/metrics``,
-    ``/healthz``, ``/readyz`` and ``/traces`` over HTTP (with optional
-    JSONL event logging and sliding-window SLO gauges).  With
+    ``/healthz``, ``/readyz`` and ``/traces`` over HTTP; ``--events``
+    also logs each ``/traces`` document as one JSON line.  With
     ``--gateway-port`` it also stands up the :mod:`repro.gateway`
     frame server so remote clients can query the same cloud engine.
 ``call``
@@ -256,8 +256,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     ``/healthz``, ``/readyz``, ``/traces``), loads the published
     deployment into one system, then answers the workload through it:
     query-graph files (optionally ``--repeat``-ed) or, with no files,
-    one JSON graph document per stdin line.  ``--linger`` keeps the
-    endpoint up after the workload drains so scrapers can collect.
+    one JSON graph document per stdin line.  Every served query and
+    gateway request is pushed to the trace ring behind ``/traces``;
+    with ``--events`` the ring appends each document to that file as
+    one JSON line.  ``--linger`` keeps the endpoint up after the
+    workload drains so scrapers can collect.
     """
     import time
 
@@ -266,7 +269,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     obs = Observability()
     state = {"ready": False, "served": 0}
-    ring = TraceRing(capacity=args.trace_ring)
+    ring = TraceRing(capacity=args.trace_ring, log=args.events)
     telemetry = TelemetryServer(
         obs.metrics,
         ready=lambda: state["ready"],
@@ -277,9 +280,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         traces=ring,
         host=args.host,
         port=args.port or 0,
-    ).start()
+    )
     system = gateway = None
     try:
+        telemetry.start()
         _write_port_file(args.port_file, telemetry.port)
         print(f"telemetry listening on {telemetry.url}", file=sys.stderr)
 
@@ -288,27 +292,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             load_graph(args.graph),
             obs=obs,
             **_given(args, *TOPOLOGY),
-            slo_window_size=args.window,
-            event_log_path=args.events,
-            event_log_level=args.event_level,
-            event_sample_rate=args.sample_rate,
         )
         cloud = system.cloud
         if args.gateway_port is not None:
             from repro.gateway import (
                 AdmissionPolicy,
-                AuditLogMiddleware,
                 AuthTokenMiddleware,
                 QueryGateway,
             )
 
-            middlewares: list = []
-            if args.gateway_token:
-                middlewares.append(
-                    AuthTokenMiddleware(token=args.gateway_token)
-                )
-            if obs.events.enabled:
-                middlewares.append(AuditLogMiddleware(obs.events))
+            middlewares = (
+                [AuthTokenMiddleware(token=args.gateway_token)]
+                if args.gateway_token
+                else []
+            )
             gateway = QueryGateway(
                 cloud,
                 host=args.host,
@@ -339,13 +336,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             registry=obs.metrics,
         ).register(obs.metrics)
         state["ready"] = True  # index built: /readyz flips to 200
-        if obs.events.enabled:
-            obs.events.emit(
-                "serve",
-                deployment=str(args.deployment),
-                url=telemetry.url,
-                k=system.config.k,
-            )
 
         if args.queries:
             queries = [load_graph(path) for path in args.queries] * args.repeat
@@ -368,8 +358,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             "deployment": str(args.deployment),
             "url": telemetry.url,
             "queries_served": state["served"],
-            "window": system.query_window.snapshot(),
-            "events_emitted": obs.events.emitted,
         }
         print(json.dumps(summary, indent=2), file=sys.stderr)
         if args.linger > 0:
@@ -385,7 +373,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         telemetry.stop()
         if system is not None:
             system.cloud.close()
-        obs.events.close()
+        ring.close()
 
 
 def _gateway(args: argparse.Namespace) -> Any:
@@ -800,16 +788,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.0,
         help="keep the endpoint up N seconds after the workload drains",
     )
-    serve.add_argument("--events", help="JSONL structured event log path")
-    serve.add_argument("--event-level", default="info", choices=["info", "debug"])
     serve.add_argument(
-        "--sample-rate",
-        type=float,
-        default=1.0,
-        help="fraction of queries whose events are logged",
-    )
-    serve.add_argument(
-        "--window", type=int, default=1024, help="sliding SLO window capacity (observations)"
+        "--events", help="append each /traces document to this file as one JSON line"
     )
     serve.add_argument(
         "--trace-ring", type=int, default=64, help="how many recent query traces /traces retains"

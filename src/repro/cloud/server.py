@@ -37,7 +37,7 @@ from repro.kauto.avt import AlignmentVertexTable
 from repro.matching.match import Match
 from repro.matching.star import Decomposition, Star
 from repro.matching.table import MatchTable, Row
-from repro.obs import Observability, SlidingWindow, names
+from repro.obs import Observability, names
 from repro.obs.tracing import NullSpan, Span, Trace
 from repro.outsource.delta import GoDelta
 
@@ -184,15 +184,6 @@ class CloudServer:
             lambda: float(server.star_cache.misses),
             help="Star-cache misses since server start (or last clear).",
         )
-        # sliding-window SLO view of the cloud phase: quantiles are
-        # computed at scrape time only (pull callbacks), the answer path
-        # pays one deque append — and none at all under a null scope.
-        self.latency_window = SlidingWindow(capacity=1024)
-        self.latency_window.register(
-            self.obs.metrics,
-            names.W_CLOUD_WINDOW,
-            help="Cloud-side answer seconds over the SLO window.",
-        )
 
     def _build_index(self) -> None:
         """Index the stored graph and drain a stale scatter pool.
@@ -304,8 +295,6 @@ class CloudServer:
             names.M_CLOUD_SECONDS,
             help="Cloud-side wall seconds per query.",
         ).observe(root.duration)
-        if obs.enabled:
-            self.latency_window.observe(root.duration)
 
         return CloudAnswer(
             table=rin_table,

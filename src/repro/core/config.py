@@ -50,6 +50,17 @@ class MethodConfig:
 METHOD_NAMES = ("EFF", "RAN", "FSIM", "BAS")
 
 
+def check_int(
+    name: str, value: object, minimum: int, *, optional: bool = False
+) -> None:
+    """``ConfigError`` unless ``value`` is an int (a bool is not) of at
+    least ``minimum``; ``None`` passes when the field is ``optional``."""
+    if value is None and optional:
+        return
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{name} must be an int >= {minimum}, got {value!r}")
+
+
 @dataclass(kw_only=True)
 class SystemConfig:
     """Full configuration of one publish-and-query experiment.
@@ -90,23 +101,6 @@ class SystemConfig:
     # a warm fork pool of N workers.  Answers are bit-identical at
     # every shard count.
     shards: int = 1
-    # -- serving telemetry (repro.obs.events / repro.obs.windows) -------
-    # JSONL event-log destination.  None (default) disables structured
-    # event logging entirely; a path makes PrivacyPreservingSystem
-    # attach an EventLog emitting one event per traced phase boundary.
-    event_log_path: str | None = None
-    # "info" records phase boundaries; "debug" additionally records
-    # per-star detail (one event per star per query — high volume).
-    event_log_level: str = "info"
-    # fraction of queries whose events are written, decided
-    # deterministically per query_id.  0.0 writes nothing and costs a
-    # single predicate call per query (NullTracer-grade).
-    event_sample_rate: float = 1.0
-    # sliding-window SLO views (p50/p95/p99 + rate on /metrics):
-    # ring capacity and optional time bound in seconds (None = purely
-    # count-bounded).
-    slo_window_size: int = 1024
-    slo_window_seconds: float | None = None
 
     def __post_init__(self) -> None:
         if isinstance(self.method, str):
@@ -118,45 +112,13 @@ class SystemConfig:
                 f"method must be a MethodConfig or a method name, "
                 f"got {type(self.method).__name__}"
             )
-        if not isinstance(self.k, int) or isinstance(self.k, bool):
-            raise ConfigError(f"k must be an int, got {self.k!r}")
-        if self.k < 2:
-            raise ConfigError("k must be >= 2 for any privacy")
-        if not isinstance(self.theta, int) or isinstance(self.theta, bool):
-            raise ConfigError(f"theta must be an int, got {self.theta!r}")
-        if self.theta < 1:
-            raise ConfigError("theta must be >= 1")
+        check_int("k", self.k, 2)  # k = 1 is no privacy
+        check_int("theta", self.theta, 1)
         if self.expansion_site not in ("client", "cloud"):
             raise ConfigError("expansion_site must be 'client' or 'cloud'")
-        if self.max_intermediate_results is not None and (
-            self.max_intermediate_results < 0
-        ):
-            # 0 is legal: "no intermediate results allowed" (every
-            # non-empty star/join trips the budget) — the bench harness
-            # uses it to exercise the skip path.
-            raise ConfigError("max_intermediate_results must be >= 0 or None")
-        if self.star_cache_size < 0:
-            raise ConfigError("star_cache_size must be >= 0")
-        if not isinstance(self.shards, int) or isinstance(self.shards, bool):
-            raise ConfigError(f"shards must be an int, got {self.shards!r}")
-        if self.shards < 1:
-            raise ConfigError("shards must be >= 1")
-        if self.event_log_level not in ("debug", "info"):
-            raise ConfigError(
-                f"event_log_level must be 'debug' or 'info', "
-                f"got {self.event_log_level!r}"
-            )
-        if not 0.0 <= float(self.event_sample_rate) <= 1.0:
-            raise ConfigError("event_sample_rate must be in [0.0, 1.0]")
-        if not isinstance(self.slo_window_size, int) or isinstance(
-            self.slo_window_size, bool
-        ):
-            raise ConfigError(
-                f"slo_window_size must be an int, got {self.slo_window_size!r}"
-            )
-        if self.slo_window_size < 1:
-            raise ConfigError("slo_window_size must be >= 1")
-        if self.slo_window_seconds is not None and not (
-            self.slo_window_seconds > 0
-        ):
-            raise ConfigError("slo_window_seconds must be positive or None")
+        # 0 is legal: "no intermediate results allowed" (every non-empty
+        # star/join trips the budget) — the bench harness uses it to
+        # exercise the skip path.
+        check_int("max_intermediate_results", self.max_intermediate_results, 0, optional=True)
+        check_int("star_cache_size", self.star_cache_size, 0)
+        check_int("shards", self.shards, 1)

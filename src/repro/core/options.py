@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any
 
+from repro.core.config import check_int
 from repro.exceptions import ConfigError
 
 
@@ -48,12 +49,8 @@ class QueryOptions:
                 "explain=True requires trace=True (the report is derived "
                 "from the query's spans)"
             )
-        if self.workers is not None and self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.max_results is not None and self.max_results < 0:
-            raise ConfigError(
-                f"max_results must be >= 0, got {self.max_results}"
-            )
+        check_int("workers", self.workers, 1, optional=True)
+        check_int("max_results", self.max_results, 0, optional=True)
 
     def evolve(self, **changes: Any) -> "QueryOptions":
         """A copy with ``changes`` applied (re-validated)."""

@@ -61,11 +61,9 @@ from repro.kauto.avt import AlignmentVertexTable
 from repro.matching.match import Match
 from repro.obs import (
     BatchMetrics,
-    EventLog,
     Observability,
     PublishMetrics,
     QueryMetrics,
-    SlidingWindow,
     names,
 )
 from repro.obs.explain import ExplainReport
@@ -86,8 +84,8 @@ class QueryOutcome:
     metrics: QueryMetrics
     trace: Trace | None = field(default=None)
     #: id of the per-query scope the query ran on; also stamped onto
-    #: every span of ``trace`` and onto the structured events derived
-    #: from it ("" when the system ran with observability disabled).
+    #: every span of ``trace`` ("" when the system ran with
+    #: observability disabled).
     query_id: str = ""
     #: per-query EXPLAIN view over ``trace``; populated only when the
     #: call ran with ``QueryOptions(explain=True)``.
@@ -224,44 +222,6 @@ class PrivacyPreservingSystem:
         self.channel = channel
         self.publish_metrics = publish_metrics
         self.obs = obs if obs is not None else Observability()
-        # -- serving telemetry (config-driven, off by default) ----------
-        if (
-            config.event_log_path is not None
-            and self.obs.enabled
-            and not self.obs.events.enabled
-        ):
-            self.obs.events = EventLog(
-                config.event_log_path,
-                level=config.event_log_level,
-                sample_rate=config.event_sample_rate,
-            )
-        # sliding window behind the `query_seconds_window_*` pull gauges
-        # (p50/p95/p99/rate/count on /metrics); null-obs systems skip the
-        # registration so the disabled hot path stays flat.
-        self.query_window = SlidingWindow(
-            capacity=config.slo_window_size,
-            window_seconds=config.slo_window_seconds,
-        )
-        if self.obs.enabled:
-            self.query_window.register(
-                self.obs.metrics,
-                names.W_QUERY_WINDOW,
-                help="End-to-end query seconds over the SLO window.",
-            )
-        if (
-            self.obs.events.enabled
-            and published is not None
-            and published.trace is not None
-        ):
-            # one "publish" record so the event log is self-describing:
-            # every later query event refers back to this deployment.
-            self.obs.events.emit(
-                names.PUBLISH,
-                method=config.method.name,
-                k=config.k,
-                theta=config.theta,
-                spans=len(published.trace),
-            )
 
     # ------------------------------------------------------------------
     # standing a deployment up: publish it (setup) or reload it (load)
@@ -341,8 +301,8 @@ class PrivacyPreservingSystem:
         determine — ``k`` from the AVT, ``theta`` and the grouping
         strategy from the LCT, BAS from a cloud half that is ``Gk``;
         ``serving`` supplies the :class:`SystemConfig` fields a saved
-        deployment leaves open (``shards``, ``star_cache_size``, the
-        telemetry fields).  Runs with the cyclic collector paused, as
+        deployment leaves open (``shards``, ``star_cache_size``,
+        ``max_intermediate_results``, ``expansion_site``).  Runs with the cyclic collector paused, as
         :meth:`setup` does.
         """
         with _collector_paused():
@@ -439,8 +399,7 @@ class PrivacyPreservingSystem:
         workload runs inline (no batch span, exactly the per-query
         trace shape of :meth:`query`); larger workloads run on
         ``options.workers`` forked workers (the plain loop when that is
-        ``None`` or 1) with a ``batch`` span and event wrapping the
-        run.  Outcomes come back in submission order, bit-identical to
+        ``None`` or 1) with a ``batch`` span wrapping the run.  Outcomes come back in submission order, bit-identical to
         a serial loop.
 
         ``obs`` overrides the system scope; ``options.trace=False``
@@ -479,13 +438,6 @@ class PrivacyPreservingSystem:
             trace = (
                 scope.tracer.take_trace() if scope.tracer.recording else None
             )
-            if scope.events.enabled:
-                scope.events.emit(
-                    names.BATCH,
-                    workers=worker_count,
-                    queries=len(queries),
-                    seconds=wall_seconds,
-                )
 
         hits_after, misses_after = self.cloud.star_cache.counters()
         metrics = BatchMetrics(
@@ -591,17 +543,8 @@ class PrivacyPreservingSystem:
             names.M_QUERY_SECONDS,
             help="End-to-end wall seconds per query (excl. simulated wire).",
         ).observe(root.duration)
-        if scope.enabled:
-            self.query_window.observe(root.duration)
 
         trace = tracer.take_trace() if tracer.recording else None
-        if scope.events.enabled and trace is not None:
-            scope.events.emit_query(
-                trace,
-                scope.query_id,
-                method=self.config.method.name,
-                matches=len(outcome.matches),
-            )
         return QueryOutcome(
             matches=outcome.matches,
             metrics=QueryMetrics.from_trace(trace),

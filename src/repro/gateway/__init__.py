@@ -10,8 +10,9 @@ against one outsourced graph.  This package provides that front end:
   sharded) through a bounded worker pool, with admission control,
   SLO-driven load shedding and duplicate-query coalescing.
 - :class:`Middleware` / :class:`MiddlewareChain` — pluggable
-  request/response hooks, with stock auth-token, rate-limit,
-  audit-log and privacy-budget middlewares.
+  request hooks, with stock auth-token, rate-limit and privacy-budget
+  middlewares (a request's record is its trace document on the
+  :class:`~repro.obs.TraceRing`).
 - :class:`GatewayClient` / :class:`SyncGatewayClient` — the matching
   clients; answers decode to the same columnar
   :class:`~repro.matching.table.MatchTable` frames the in-process
@@ -27,10 +28,8 @@ from repro.gateway.admission import (
 )
 from repro.gateway.client import GatewayClient, SyncGatewayClient, TracedSubmit
 from repro.gateway.middleware import (
-    AuditLogMiddleware,
     AuthTokenMiddleware,
     GatewayRequest,
-    GatewayResponse,
     Middleware,
     MiddlewareChain,
     PrivacyBudgetMiddleware,
@@ -46,10 +45,8 @@ __all__ = [
     "Middleware",
     "MiddlewareChain",
     "GatewayRequest",
-    "GatewayResponse",
     "AuthTokenMiddleware",
     "RateLimitMiddleware",
-    "AuditLogMiddleware",
     "PrivacyBudgetMiddleware",
     "AdmissionPolicy",
     "AdmissionController",

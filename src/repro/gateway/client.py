@@ -36,8 +36,7 @@ from repro.exceptions import GatewayError, GatewayRejected, ProtocolError
 from repro.graph.attributed import AttributedGraph
 from repro.matching.table import MatchTable
 from repro.obs import names
-from repro.obs.events import new_query_id
-from repro.obs.tracing import Trace, Tracer
+from repro.obs.tracing import Trace, Tracer, new_query_id
 
 T = TypeVar("T")
 

@@ -1,17 +1,17 @@
-"""Pluggable request/response middleware for the serving gateway.
+"""Pluggable request middleware for the serving gateway.
 
 A :class:`Middleware` sees every request before the gateway admits it
-(:meth:`Middleware.on_request`) and every response on the way out
-(:meth:`Middleware.on_response`).  ``on_request`` may raise
+(:meth:`Middleware.on_request`) and may raise
 :class:`~repro.exceptions.GatewayRejected` to short-circuit the chain:
-later middlewares never see the request, the caller receives a typed
-reject frame, and the ``on_response`` hooks of the middlewares that
-*did* run still fire (in reverse order) so auditing stays complete.
+later middlewares never see the request and the caller receives a typed
+reject frame.  What happened to a request — client, request id, query
+count, final status — is recorded on its ``gateway.request`` span, so
+the gateway's trace document (``/traces`` and the ``serve --events``
+log) is its audit record.
 
 Stock middlewares cover the serving concerns the related cloud-service
 papers call out: per-client auth tokens, token-bucket rate limiting,
-JSONL audit logging through :class:`repro.obs.events.EventLog`, and a
-per-client privacy budget capping how many anonymized queries one
+and a per-client privacy budget capping how many anonymized queries one
 client may issue against the outsourced graph.
 """
 
@@ -20,12 +20,10 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from repro.exceptions import GatewayRejected
 from repro.graph.attributed import AttributedGraph
-from repro.obs import names
-from repro.obs.events import EventLog
 
 
 @dataclass
@@ -38,33 +36,11 @@ class GatewayRequest:
     token: str = ""
 
 
-@dataclass
-class GatewayResponse:
-    """The outcome the ``on_response`` hooks observe."""
-
-    status: str  # "ok" or the reject code
-    answers: int = 0
-    message: str = ""
-
-    @classmethod
-    def ok(cls, answers: int) -> "GatewayResponse":
-        return cls(status="ok", answers=answers)
-
-    @classmethod
-    def from_rejection(cls, rejection: GatewayRejected) -> "GatewayResponse":
-        return cls(status=rejection.code, message=rejection.reason)
-
-
 class Middleware:
-    """Base middleware: override either hook; both default to no-ops."""
+    """Base middleware: override :meth:`on_request`."""
 
     def on_request(self, request: GatewayRequest) -> None:
         """Inspect/veto ``request``; raise ``GatewayRejected`` to refuse."""
-
-    def on_response(
-        self, request: GatewayRequest, response: GatewayResponse
-    ) -> None:
-        """Observe the response (runs in reverse registration order)."""
 
 
 class MiddlewareChain:
@@ -73,61 +49,15 @@ class MiddlewareChain:
     def __init__(self, middlewares: Iterable[Middleware] = ()) -> None:
         self.middlewares: tuple[Middleware, ...] = tuple(middlewares)
 
-    def before(
-        self, request: GatewayRequest
-    ) -> tuple[list[Middleware], GatewayRejected | None]:
-        """Run ``on_request`` hooks in order until one refuses.
-
-        Returns the middlewares that accepted (they are owed an
-        ``on_response`` call) and the rejection, if any.  The refusing
-        middleware is *not* in the entered list — its own ``on_request``
-        never completed.
-        """
-        entered: list[Middleware] = []
+    def before(self, request: GatewayRequest) -> GatewayRejected | None:
+        """Run ``on_request`` hooks in order until one refuses; return
+        that rejection (``None`` when every middleware accepted)."""
         for middleware in self.middlewares:
             try:
                 middleware.on_request(request)
             except GatewayRejected as rejection:
-                return entered, rejection
-            entered.append(middleware)
-        return entered, None
-
-    def after(
-        self,
-        entered: Sequence[Middleware],
-        request: GatewayRequest,
-        response: GatewayResponse,
-    ) -> None:
-        """Run ``on_response`` hooks of ``entered``, innermost first."""
-        for middleware in reversed(entered):
-            middleware.on_response(request, response)
-
-    def process(
-        self,
-        request: GatewayRequest,
-        handler: Callable[[GatewayRequest], GatewayResponse],
-    ) -> GatewayResponse:
-        """Synchronous convenience: before -> handler -> after.
-
-        Used by the tests (and any in-process embedding); the async
-        gateway composes :meth:`before`/:meth:`after` itself around the
-        admission and dispatch steps.  A rejection — from a middleware
-        or from ``handler`` — still reaches the ``on_response`` hooks
-        before re-raising.
-        """
-        entered, rejection = self.before(request)
-        if rejection is None:
-            try:
-                response = handler(request)
-            except GatewayRejected as exc:
-                rejection = exc
-        if rejection is not None:
-            self.after(
-                entered, request, GatewayResponse.from_rejection(rejection)
-            )
-            raise rejection
-        self.after(entered, request, response)
-        return response
+                return rejection
+        return None
 
 
 # ----------------------------------------------------------------------
@@ -202,31 +132,6 @@ class RateLimitMiddleware(Middleware):
             self._buckets[request.client_id] = (level - 1.0, now)
 
 
-class AuditLogMiddleware(Middleware):
-    """Emit one JSONL audit record per finished request.
-
-    Records land in a :class:`repro.obs.events.EventLog` under the
-    canonical ``gateway.request`` event name: client, request id,
-    query count and final status — the audit trail the honest-but-
-    curious deployment model wants on the serving path.
-    """
-
-    def __init__(self, events: EventLog) -> None:
-        self.events = events
-
-    def on_response(
-        self, request: GatewayRequest, response: GatewayResponse
-    ) -> None:
-        self.events.emit(
-            names.GATEWAY_REQUEST,
-            query_id=request.request_id,
-            client_id=request.client_id,
-            queries=len(request.queries),
-            status=response.status,
-            answers=response.answers,
-        )
-
-
 @dataclass
 class _Budget:
     remaining: int
@@ -268,11 +173,9 @@ class PrivacyBudgetMiddleware(Middleware):
 
 __all__ = [
     "GatewayRequest",
-    "GatewayResponse",
     "Middleware",
     "MiddlewareChain",
     "AuthTokenMiddleware",
     "RateLimitMiddleware",
-    "AuditLogMiddleware",
     "PrivacyBudgetMiddleware",
 ]

@@ -16,6 +16,11 @@ sharded) through a bounded thread pool.  Per request it runs, in order:
    frame; every refusal ships as a typed reject frame instead — the
    gateway degrades by shedding, never by collapsing.
 
+The request's trace, its ``gateway.request`` span carrying client id,
+request id, query count and final status, is pushed to the
+:class:`~repro.obs.TraceRing` when one is given: that document is the
+request's record on ``/traces`` and in the ``serve --events`` log.
+
 Each connection transmits on its own
 :meth:`~repro.core.protocol.NetworkChannel.scope` child channel, so
 concurrent sessions get isolated byte accounting that still rolls up
@@ -52,12 +57,7 @@ from repro.gateway.admission import (
     QueryCoalescer,
     coalesce_key,
 )
-from repro.gateway.middleware import (
-    GatewayRequest,
-    GatewayResponse,
-    Middleware,
-    MiddlewareChain,
-)
+from repro.gateway.middleware import GatewayRequest, Middleware, MiddlewareChain
 from repro.graph.attributed import AttributedGraph
 from repro.matching.table import MatchTable
 from repro.obs import Observability, SlidingWindow, TraceRing, names
@@ -105,7 +105,7 @@ class QueryGateway:
         Bind address; ``port=0`` picks a free port (read it back from
         :attr:`port` after :meth:`start`).
     middlewares:
-        The request/response chain, outermost first.
+        The request chain, outermost first.
     policy:
         Admission knobs; ``policy.slo_seconds`` arms latency shedding
         off the gateway's own sliding window.
@@ -410,7 +410,7 @@ class QueryGateway:
                 # the returned trace via Tracer.absorb.
                 root.set(ctx_parent=context.parent_span_id)
             conn.channel.transmit("gateway_query", payload, obs=scope)
-            entered, rejection = self.middleware.before(request)
+            rejection = self.middleware.before(request)
             admitted = False
             if rejection is None:
                 try:
@@ -437,7 +437,7 @@ class QueryGateway:
                         self.admission.release(conn.client_id)
 
             if rejection is None:
-                response = GatewayResponse.ok(len(answers))
+                status = "ok"
                 return_trace = self._return_trace(context, scope, root)
                 answer_payload = encode_gateway_answer(
                     request_id, answers, trace=return_trace
@@ -447,30 +447,26 @@ class QueryGateway:
                 )
                 await conn.send("answer", answer_payload)
             else:
-                response = GatewayResponse.from_rejection(rejection)
+                status = rejection.code
                 await conn.send(
                     "reject",
                     encode_gateway_reject(
                         request_id, rejection.code, rejection.reason
                     ),
                 )
-            try:
-                self.middleware.after(entered, request, response)
-            except Exception:  # noqa: BLE001 - audit must not kill the reply
-                pass
-            root.set(status=response.status)
+            root.set(status=status)
 
         if self.traces is not None and tracer.recording:
             self.traces.push(
                 tracer.take_trace(),
                 query_id=scope.query_id,
                 client_id=conn.client_id,
-                status=response.status,
+                status=status,
             )
         scope.metrics.counter(
             names.M_GATEWAY_REQUESTS,
             help="Gateway requests by final status.",
-        ).inc(status=response.status)
+        ).inc(status=status)
         if rejection is not None and rejection.code in SHED_CODES:
             scope.metrics.counter(
                 names.M_GATEWAY_SHED,

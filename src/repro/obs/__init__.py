@@ -8,6 +8,9 @@ measures: where the time and the bytes go.  The pieces:
 * :class:`~repro.obs.registry.MetricsRegistry` — named counters /
   gauges / histograms (cache hits, candidates, wire bytes, peaks);
 * exporters — JSON trace files, Prometheus text format, human tables;
+* :class:`~repro.obs.serve.TraceRing` — the one record of a finished
+  query: the trace document ``/traces`` serves and ``repro serve
+  --events`` logs;
 * :mod:`~repro.obs.views` — the legacy metric dataclasses
   (``PublishMetrics`` …), now computed from spans instead of
   hand-threaded assignments;
@@ -26,7 +29,6 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.obs import names
-from repro.obs.events import NULL_EVENTS, EventLog, NullEventLog, new_query_id
 from repro.obs.explain import ExplainReport
 from repro.obs.exporters import (
     chrome_trace_dict,
@@ -54,6 +56,7 @@ from repro.obs.tracing import (
     Span,
     Trace,
     Tracer,
+    new_query_id,
 )
 from repro.obs.serve import TelemetryServer, TraceRing
 from repro.obs.views import (
@@ -79,9 +82,6 @@ class Observability:
     profile:
         ``True`` profiles every top-level span with :mod:`cProfile`;
         an iterable of span names profiles just those.
-    events:
-        Optional :class:`~repro.obs.events.EventLog` sink shared by
-        every scope forked from this one (default: the null sink).
     """
 
     def __init__(
@@ -92,7 +92,6 @@ class Observability:
         registry: MetricsRegistry | None = None,
         tracer: Tracer | NullTracer | None = None,
         max_spans: int = 100_000,
-        events: "EventLog | NullEventLog | None" = None,
     ) -> None:
         if profile is True:
             self.profiler: SpanProfiler | None = SpanProfiler()
@@ -102,7 +101,6 @@ class Observability:
             self.profiler = None
         self.metrics = registry if registry is not None else MetricsRegistry()
         self.max_spans = max_spans
-        self.events = events if events is not None else NULL_EVENTS
         self.tracer = (
             tracer
             if tracer is not None
@@ -130,10 +128,9 @@ class Observability:
         interleaving spans in one buffer and make ``QueryOutcome.trace``
         self-contained (and picklable, for a forked batch).  Each
         scope carries a ``query_id`` (allocated here unless supplied)
-        stamped onto every span it records and onto the structured
-        events derived from them.
+        stamped onto every span it records.
         """
-        scope = Observability(
+        return Observability(
             registry=self.metrics,
             tracer=Tracer(
                 record=True,
@@ -142,9 +139,7 @@ class Observability:
                 query_id=query_id or new_query_id(),
             ),
             profile=None,
-            events=self.events,
         )
-        return scope
 
     @classmethod
     def disabled(cls) -> "Observability":
@@ -161,9 +156,7 @@ class _NullObservability(Observability):
     """Fully disabled: shared null tracer + null registry, no per-query forks."""
 
     def __init__(self) -> None:
-        super().__init__(
-            registry=NULL_REGISTRY, tracer=NULL_TRACER, events=NULL_EVENTS
-        )
+        super().__init__(registry=NULL_REGISTRY, tracer=NULL_TRACER)
 
     @property
     def enabled(self) -> bool:
@@ -193,9 +186,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "SpanProfiler",
-    "EventLog",
-    "NullEventLog",
-    "NULL_EVENTS",
     "new_query_id",
     "SlidingWindow",
     "quantile_inclusive",

@@ -146,8 +146,6 @@ M_GATEWAY_COALESCED = "gateway_coalesced_total"
 #: Serialized trace bytes shipped back on gateway answer frames.
 M_TRACE_BYTES = "trace_bytes_total"
 
-# -- sliding-window SLO view prefixes (repro.obs.windows) ---------------
-# Each expands into pull gauges `<prefix>_{p50,p95,p99,rate,count}`.
-W_QUERY_WINDOW = "query_seconds_window"
-W_CLOUD_WINDOW = "cloud_seconds_window"
+# -- the gateway's sliding-window SLO view (repro.obs.windows) ----------
+# Expands into pull gauges `<prefix>_{p50,p95,p99,rate,count}`.
 W_GATEWAY_WINDOW = "gateway_seconds_window"

@@ -9,8 +9,8 @@ operator tails ``/traces`` for the last N query traces as JSON.
 :class:`TelemetryServer` wraps a :class:`http.server.ThreadingHTTPServer`
 running on a daemon thread.  Everything it serves is computed at
 request time from the live :class:`~repro.obs.registry.MetricsRegistry`
-(including the pull-style window callbacks of
-:mod:`repro.obs.windows`), so the query hot path never notices a
+(including the pull-style callbacks of the gateway's
+:mod:`repro.obs.windows` window), so the query hot path never notices a
 scrape.
 
 Endpoints
@@ -31,6 +31,11 @@ Endpoints
 ``GET /traces/<query_id>``
     The newest retained trace for one query id; ``404`` with a JSON
     error body when the ring holds no trace for that id.
+
+The trace document is the one record of a finished query or gateway
+request: a ring built with ``log=path`` (``repro serve --events``) also
+appends every document it retains to that file as one JSON line, so a
+log line and the ``/traces/<query_id>`` response are the same text.
 """
 
 from __future__ import annotations
@@ -40,7 +45,8 @@ import threading
 import time
 from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable
+from pathlib import Path
+from typing import IO, Any, Callable
 
 from repro.obs import names
 from repro.obs.exporters import prometheus_text
@@ -51,16 +57,36 @@ PROM_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 DEFAULT_TRACE_RING_CAPACITY = 64
 
 
-class TraceRing:
-    """Thread-safe ring buffer of the last N query traces (as dicts)."""
+def _dumps(doc: dict[str, Any]) -> str:
+    """The one JSON encoding of a document, on ``/traces`` and in the log."""
+    return json.dumps(doc, sort_keys=True, default=str)
 
-    def __init__(self, capacity: int = DEFAULT_TRACE_RING_CAPACITY) -> None:
+
+class TraceRing:
+    """Thread-safe ring buffer of the last N query traces (as dicts).
+
+    With ``log`` set, every pushed document is also appended to that
+    file (opened in append mode, parents created) as one JSON line and
+    flushed, so the log can be tailed; :meth:`close` closes it.
+    """
+
+    def __init__(
+        self,
+        capacity: int = DEFAULT_TRACE_RING_CAPACITY,
+        *,
+        log: str | Path | None = None,
+    ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self._entries: deque[dict[str, Any]] = deque(maxlen=capacity)  #: guarded by _lock
         self._pushed = 0  #: guarded by _lock
         self._lock = threading.Lock()
+        self._log: IO[str] | None = None  #: guarded by _lock
+        if log is not None:
+            path = Path(log)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            self._log = path.open("a", encoding="utf-8")
 
     def push(
         self,
@@ -82,6 +108,16 @@ class TraceRing:
         with self._lock:
             self._entries.append(doc)
             self._pushed += 1
+            if self._log is not None:
+                self._log.write(_dumps(doc) + "\n")
+                self._log.flush()
+
+    def close(self) -> None:
+        """Close the log file, if any (idempotent); the ring stays readable."""
+        with self._lock:
+            log, self._log = self._log, None
+        if log is not None:
+            log.close()
 
     def snapshot(self) -> list[dict[str, Any]]:
         """Oldest-to-newest copies of the retained trace documents."""
@@ -129,9 +165,7 @@ class _TelemetryHandler(BaseHTTPRequestHandler):
 
     def _send_json(self, status: int, doc: dict[str, Any]) -> None:
         self._send(
-            status,
-            json.dumps(doc, sort_keys=True, default=str).encode("utf-8"),
-            "application/json; charset=utf-8",
+            status, _dumps(doc).encode("utf-8"), "application/json; charset=utf-8"
         )
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API

@@ -37,8 +37,14 @@ import itertools
 import os
 import threading
 import time
+import uuid
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Iterator
+
+
+def new_query_id() -> str:
+    """A fresh, process-unique query identifier (``"q-" + 12 hex``)."""
+    return "q-" + uuid.uuid4().hex[:12]
 
 
 @dataclass
@@ -259,9 +265,9 @@ class Tracer(NullTracer):
         spans carry a ``profile`` attribute with their hottest frames.
     query_id:
         Identifier stamped onto every recorded span — set by
-        ``Observability.for_query`` so one query's spans (and the
-        structured events derived from them) are correlatable across
-        traces, the event log and the ``/traces`` endpoint.
+        ``Observability.for_query`` so one query's spans are
+        correlatable across traces, the ``/traces`` endpoint and the
+        ``serve --events`` log.
     """
 
     enabled = True

@@ -10,9 +10,9 @@ def leak_label_rows(lct, channel, rows, obs):
     return payload
 
 
-def log_credentials(client, log):
-    # the credential lands verbatim in the JSONL event log
-    log.emit("auth_attempt", token=client.token)
+def log_credentials(client, ring):
+    # the credential lands verbatim in the trace log
+    ring.push(None, token=client.token)
 
 
 def frame_reject(reason):

@@ -44,8 +44,8 @@ def test_label_attr_is_a_source_only_in_plaintext_modules():
 
 def test_token_is_a_source_everywhere():
     source = """\
-def audit(client, log):
-    log.emit("auth", token=client.token)
+def audit(client, ring):
+    ring.push(None, token=client.token)
 """
     for module in ("repro.cloud.engine", "repro.gateway.server"):
         found = r6(source, module)
@@ -74,8 +74,8 @@ def publish(lct, gid, channel, obs):
 
 def test_fstring_formatting_does_not_sanitize():
     source = """\
-def ship(lct, gid, log):
-    log.emit("expansion", detail=f"labels={lct.members(gid)}")
+def ship(lct, gid, ring):
+    ring.push(None, detail=f"labels={lct.members(gid)}")
 """
     found = r6(source, "repro.client.expansion")
     assert len(found) == 1
@@ -110,8 +110,8 @@ def identity(value):
     return value
 
 
-def ship(lct, gid, log):
-    log.emit("labels", data=identity(lct.members(gid)))
+def ship(lct, gid, ring):
+    ring.push(None, data=identity(lct.members(gid)))
 """
     assert r6(source, "repro.core.data_owner")
 
@@ -149,9 +149,9 @@ def guard(request):
 
 def test_hello_frame_may_carry_the_credential_but_log_may_not():
     source = """\
-def connect(conn, log):
+def connect(conn, ring):
     frame = encode_gateway_hello(conn.client_id, conn.token)
-    log.emit("hello_sent", frame=frame)
+    ring.push(None, frame=frame)
 """
     # allows=("secret",) on the hello codec: the encode is legitimate
     # AND commits the credential to the frame — the frame itself no

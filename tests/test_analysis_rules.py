@@ -128,14 +128,14 @@ def _by_line(found: list[Finding]) -> dict[int, Finding]:
 def test_r6_flags_each_seeded_flow_at_its_sink_line():
     found = _by_line(findings_for("r6_violation.py", "R6"))
     # line 8: LCT.members -> encode_upload; line 9: the tainted payload
-    # travels on into the channel; line 15: credential -> event log;
+    # travels on into the channel; line 15: credential -> trace log;
     # line 28: error text through the frame_reject summary; line 36:
     # error text into a boundary exception.
     assert set(found) == {8, 9, 15, 28, 36}
     assert "plaintext label values" in found[8].message
     assert "'encode_upload'" in found[8].message
     assert "a credential" in found[15].message
-    assert "JSONL event log" in found[15].message
+    assert "the trace ring" in found[15].message
     assert "via 'frame_reject'" in found[28].message
     assert "internal exception text" in found[36].message
     assert "'GatewayError'" in found[36].message

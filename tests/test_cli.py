@@ -485,7 +485,7 @@ class TestServe:
         assert set(scraped) == {"/metrics", "/healthz", "/readyz", "/traces"}
         for line in scraped["/metrics"].strip().splitlines():
             assert PROM_LINE_RE.match(line), f"unparseable: {line!r}"
-        assert "repro_query_seconds_window_p95" in scraped["/metrics"]
+        assert "repro_query_seconds_bucket" in scraped["/metrics"]
         assert "repro_privacy_audit_k" in scraped["/metrics"]
         assert json.loads(scraped["/readyz"]) == {"ready": True}
         health = json.loads(scraped["/healthz"])
@@ -493,52 +493,77 @@ class TestServe:
         traces = json.loads(scraped["/traces"])
         assert traces["count"] >= 1
         assert all(t["query_id"].startswith("q-") for t in traces["traces"])
-        # the JSONL event log was written with matching query ids
-        events = [
-            json.loads(line)
-            for line in events_path.read_text().splitlines()
-            if line.strip()
-        ]
-        assert {e["event"] for e in events} >= {"serve", "span", "query"}
-        logged_ids = {e["query_id"] for e in events if "query_id" in e}
+        # the trace log holds one /traces document per served query
+        logged = [json.loads(line) for line in events_path.read_text().splitlines()]
+        assert len(logged) == 3
+        assert all(doc["query_id"].startswith("q-") and doc["spans"] for doc in logged)
         ring_ids = {t["query_id"] for t in traces["traces"]}
-        assert ring_ids <= logged_ids
+        assert ring_ids <= {doc["query_id"] for doc in logged}
 
-    def test_serve_sample_rate_zero_logs_no_query_events(
-        self, tmp_path, capsys
+    def test_serve_events_logs_each_traces_document(
+        self, tmp_path, capsys, monkeypatch
     ):
+        """Queries on stdin: one log line each, equal to the document
+        ``/traces/<query_id>`` serves for that query."""
+        import io
+        import sys
+        import threading
+        import time
+        import urllib.request
+
+        from repro.graph.io import graph_to_json
+
         graph, _ = example_social_network()
         graph_path = tmp_path / "g.json"
-        query_path = tmp_path / "q.json"
         save_graph(graph, graph_path)
-        save_graph(example_query(), query_path)
         deployment = tmp_path / "dep"
         assert main(["publish", str(graph_path), str(deployment)]) == 0
         capsys.readouterr()
-
-        events_path = tmp_path / "events.jsonl"
-        assert (
-            main(
-                [
-                    "serve",
-                    str(deployment),
-                    str(graph_path),
-                    str(query_path),
-                    "--events",
-                    str(events_path),
-                    "--sample-rate",
-                    "0.0",
-                ]
-            )
-            == 0
+        count = 3
+        monkeypatch.setattr(
+            sys, "stdin", io.StringIO((graph_to_json(example_query()) + "\n") * count)
         )
-        events = [
-            json.loads(line)
-            for line in events_path.read_text().splitlines()
-            if line.strip()
-        ]
-        # only the non-query "serve" lifecycle event is written
-        assert {e["event"] for e in events} == {"serve"}
+        port_file = tmp_path / "port.txt"
+        events_path = tmp_path / "events.jsonl"
+        served: dict[str, dict] = {}
+
+        def scrape():
+            deadline = time.monotonic() + 30
+            while not (port_file.is_file() and port_file.read_text().strip()):
+                assert time.monotonic() < deadline
+                time.sleep(0.05)
+            base = f"http://127.0.0.1:{int(port_file.read_text())}/traces/"
+            lines: list[str] = []
+            while len(lines) < count:
+                assert time.monotonic() < deadline
+                time.sleep(0.05)
+                lines = events_path.read_text().splitlines()
+            for line in lines:
+                query_id = json.loads(line)["query_id"]
+                with urllib.request.urlopen(base + query_id, timeout=5) as rsp:
+                    served[query_id] = json.loads(rsp.read())
+
+        scraper = threading.Thread(target=scrape, daemon=True)
+        scraper.start()
+        code = main(
+            [
+                "serve",
+                str(deployment),
+                str(graph_path),
+                "--events",
+                str(events_path),
+                "--port-file",
+                str(port_file),
+                "--linger",
+                "3",
+            ]
+        )
+        scraper.join(timeout=30)
+        assert code == 0
+        logged = [json.loads(line) for line in events_path.read_text().splitlines()]
+        assert len({doc["query_id"] for doc in logged}) == len(logged) == count
+        assert logged == [served[doc["query_id"]] for doc in logged]
+        assert all(doc["matches"] == 2 and doc["spans"] for doc in logged)
 
 
 class TestExplain:
@@ -820,10 +845,8 @@ class TestEveryLocalCommandGoesThroughSubmit:
             main(["serve", dep, graph_path, *query_paths, "--events", str(events_path)])
             == 0
         )
-        events = [json.loads(line) for line in events_path.read_text().splitlines()]
-        assert [e["matches"] for e in events if e["event"] == "query"] == [
-            len(matches) for matches in expected
-        ]
+        logged = [json.loads(line) for line in events_path.read_text().splitlines()]
+        assert [doc["matches"] for doc in logged] == [len(matches) for matches in expected]
 
     @pytest.mark.parametrize("shards", ["1", "2"])
     def test_explain(self, case, capsys, shards):

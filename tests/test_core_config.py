@@ -4,6 +4,7 @@ import pytest
 
 from repro.anonymize import STRATEGIES
 from repro.core import METHOD_NAMES, MethodConfig, SystemConfig
+from repro.core.options import QueryOptions
 from repro.exceptions import ConfigError, ReproError
 
 
@@ -93,3 +94,16 @@ class TestSystemConfig:
         """0 = 'no intermediate results allowed' (bench skip path)."""
         config = SystemConfig(max_intermediate_results=0)
         assert config.max_intermediate_results == 0
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [(SystemConfig, "star_cache_size"), (SystemConfig, "max_intermediate_results"),
+     (SystemConfig, "shards"), (QueryOptions, "workers"), (QueryOptions, "max_results")],
+)
+@pytest.mark.parametrize("bad", [2.5, True, "8"])
+def test_integer_fields_reject_a_non_int(make, field, bad):
+    """Every integer field of both config classes takes an int only: a
+    float, a bool or a string is a ConfigError, never a TypeError."""
+    with pytest.raises(ConfigError, match=f"{field} must be an int"):
+        make(**{field: bad})

@@ -278,11 +278,11 @@ class TestLoad:
         system = PrivacyPreservingSystem.setup(graph, schema, SystemConfig(k=3))
         save_published(system.published, tmp_path)
         loaded = PrivacyPreservingSystem.load(
-            tmp_path, graph, shards=2, star_cache_size=8, slo_window_size=16
+            tmp_path, graph, shards=2, star_cache_size=8, max_intermediate_results=500
         )
         assert (loaded.config.k, loaded.config.shards) == (3, 2)
         assert loaded.cloud.star_cache_size == 8
-        assert loaded.query_window.capacity == 16
+        assert loaded.cloud.max_intermediate_results == 500
         # only load's own work is on the publish record
         assert loaded.publish_metrics.index_bytes > 0
         assert loaded.publish_metrics.upload_bytes == 0

@@ -1,9 +1,13 @@
 """Telemetry exposition endpoint: /metrics, /healthz, /readyz, /traces."""
 
 import json
+import os
+import subprocess
+import sys
 import threading
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +77,44 @@ class TestTraceRing:
         assert {span["query_id"] for span in doc["spans"]} == {
             outcome.query_id
         }
+
+    def test_log_appends_every_document_as_one_json_line(self, tmp_path):
+        path = tmp_path / "logs" / "traces.jsonl"  # parents are created
+        ring = TraceRing(capacity=1, log=path)
+        ring.push(None, query_id="q-1", matches=1)
+        ring.push(None, query_id="q-2", matches=2)
+        # flushed per line: readable while the ring is still open
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [doc["query_id"] for doc in lines] == ["q-1", "q-2"]
+        assert lines[-1] == ring.find("q-2")  # eviction spares the log
+        ring.close()
+        ring.close()  # idempotent
+        ring.push(None, query_id="q-3")  # a closed log stops logging
+        assert len(path.read_text().splitlines()) == 2
+        assert ring.find("q-3") is not None
+
+    @pytest.mark.parametrize("close", [True, False])
+    def test_close_closes_the_log_file(self, tmp_path, close):
+        # a file dropped unclosed warns when it is collected; run in a
+        # fresh interpreter with that warning made an error
+        script = (
+            "import gc, sys\n"
+            "from repro.obs import TraceRing\n"
+            "ring = TraceRing(log=sys.argv[1])\n"
+            "ring.push(None, query_id='q-1')\n"
+            f"if {close}: ring.close()\n"
+            "del ring\n"
+            "gc.collect()\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-W", "error::ResourceWarning", "-c", script,
+             str(tmp_path / "t.jsonl")],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert ("ResourceWarning" in done.stderr) is not close
 
 
 class TestEndpoints:
