@@ -1,7 +1,7 @@
 """R2: span/metric names must reference ``repro.obs.names`` constants.
 
-The exporters, the legacy metric views, the EXPLAIN report and the
-privacy-audit gauges all key off the canonical taxonomy in
+The exporters, the metric views (``QueryMetrics`` is also the EXPLAIN
+report) and the privacy-audit gauges all key off the canonical taxonomy in
 :mod:`repro.obs.names`.  A literal ``"cloud.star_matching"`` (or an
 f-string ``f"network.{direction}"``) compiles fine and silently
 produces an empty metric the day the phase is renamed.  R2 flags:
@@ -54,11 +54,11 @@ def _canonical_values() -> tuple[frozenset[str], frozenset[str], dict[str, str]]
     """(dotted span names, metric names, value -> constant name)."""
     by_value: dict[str, str] = {}
     for key in dir(obs_names):
-        if key.isupper() and key != "ALL_SPANS":
+        if key.isupper():
             value = getattr(obs_names, key)
             if isinstance(value, str):
                 by_value.setdefault(value, key)
-    spans = frozenset(v for v in obs_names.ALL_SPANS if "." in v)
+    spans = frozenset(v for v in obs_names.PIPELINE if "." in v)
     metrics = frozenset(
         value
         for key, value in ((k, getattr(obs_names, k)) for k in dir(obs_names))

@@ -434,7 +434,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     spans in one tree).  ``--chrome PATH`` additionally writes the
     trace as Chrome/Perfetto trace-event JSON.
     """
-    from repro.obs import ExplainReport, export_chrome_trace
+    from repro.obs import QueryMetrics, export_chrome_trace
 
     if args.port is not None and args.shards is not None:
         args.parser.error(
@@ -448,22 +448,23 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         client = QueryClient(graph, *load_client_side(args.deployment))
         with _gateway(args) as gateway:
             traced = gateway.submit_traced([client.prepare_query(query)])
+        # the client's expand and filter spans join the stitched trace
+        scope = Observability().for_query(traced.query_id)
+        scope.tracer.absorb(traced.trace)
         for table, expanded in traced.answers:
-            client.process_answer(query, table, expanded)
-        trace = traced.trace
-        report = ExplainReport.from_trace(trace, query_id=traced.query_id)
+            client.process_answer(query, table, expanded, obs=scope)
+        trace = scope.tracer.take_trace()
+        report = QueryMetrics.from_trace(trace)
     else:
         system = PrivacyPreservingSystem.load(
             args.deployment, graph, **_given(args, "shards")
         )
         with system.cloud:
-            outcome = system.submit(
-                [query], options=QueryOptions(explain=True)
-            ).outcomes[0]
-        trace, report = outcome.trace, outcome.explain
+            outcome = system.submit([query]).outcomes[0]
+        trace, report = outcome.trace, outcome.metrics
 
     if args.json:
-        print(report.to_json())
+        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
         print(report.render_text())
     if args.chrome:

@@ -12,7 +12,6 @@ from dataclasses import dataclass, replace
 from typing import Any
 
 from repro.core.config import check_int
-from repro.exceptions import ConfigError
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -29,26 +28,15 @@ class QueryOptions:
     trace:
         ``False`` disables span/metric recording for this call even
         when the system has observability attached.
-    explain:
-        ``True`` derives an :class:`~repro.obs.explain.ExplainReport`
-        from each query's trace and attaches it to the outcome.
-        Explain needs the spans, so ``explain=True`` with
-        ``trace=False`` is a configuration error.
     max_results:
         Cap on returned matches per query (``None`` = unlimited).
     """
 
     workers: int | None = None
     trace: bool = True
-    explain: bool = False
     max_results: int | None = None
 
     def __post_init__(self) -> None:
-        if self.explain and not self.trace:
-            raise ConfigError(
-                "explain=True requires trace=True (the report is derived "
-                "from the query's spans)"
-            )
         check_int("workers", self.workers, 1, optional=True)
         check_int("max_results", self.max_results, 0, optional=True)
 

@@ -66,7 +66,6 @@ from repro.obs import (
     QueryMetrics,
     names,
 )
-from repro.obs.explain import ExplainReport
 from repro.obs.tracing import Trace
 
 
@@ -75,9 +74,9 @@ class QueryOutcome:
     """Final exact results plus the full per-phase cost breakdown.
 
     ``metrics`` is derived from ``trace`` (see
-    :meth:`~repro.obs.views.QueryMetrics.from_trace`); both are
-    ``None``-safe and round-trip through :meth:`to_dict` /
-    :meth:`from_dict`.
+    :meth:`~repro.obs.views.QueryMetrics.from_trace`) and renders as
+    the query's EXPLAIN report; both are ``None``-safe and round-trip
+    through :meth:`to_dict` / :meth:`from_dict`.
     """
 
     matches: list[Match]
@@ -87,9 +86,6 @@ class QueryOutcome:
     #: every span of ``trace`` ("" when the system ran with
     #: observability disabled).
     query_id: str = ""
-    #: per-query EXPLAIN view over ``trace``; populated only when the
-    #: call ran with ``QueryOptions(explain=True)``.
-    explain: ExplainReport | None = field(default=None)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -97,15 +93,11 @@ class QueryOutcome:
             "metrics": self.metrics.to_dict(),
             "trace": self.trace.to_dict() if self.trace is not None else None,
             "query_id": self.query_id,
-            "explain": (
-                self.explain.to_dict() if self.explain is not None else None
-            ),
         }
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "QueryOutcome":
         trace = data.get("trace")
-        explain = data.get("explain")
         return cls(
             matches=[
                 {int(q): int(v) for q, v in match} for match in data["matches"]
@@ -113,11 +105,6 @@ class QueryOutcome:
             metrics=QueryMetrics.from_dict(data["metrics"]),
             trace=Trace.from_dict(trace) if trace is not None else None,
             query_id=data.get("query_id", ""),
-            explain=(
-                ExplainReport.from_dict(explain)
-                if explain is not None
-                else None
-            ),
         )
 
 
@@ -550,11 +537,6 @@ class PrivacyPreservingSystem:
             metrics=QueryMetrics.from_trace(trace),
             trace=trace,
             query_id=scope.query_id,
-            explain=(
-                ExplainReport.from_trace(trace, query_id=scope.query_id)
-                if options.explain
-                else None
-            ),
         )
 
     def query_batch(

@@ -11,9 +11,10 @@ measures: where the time and the bytes go.  The pieces:
 * :class:`~repro.obs.serve.TraceRing` — the one record of a finished
   query: the trace document ``/traces`` serves and ``repro serve
   --events`` logs;
-* :mod:`~repro.obs.views` — the legacy metric dataclasses
-  (``PublishMetrics`` …), now computed from spans instead of
-  hand-threaded assignments;
+* :mod:`~repro.obs.views` — :func:`layers`, the one span-name to
+  seconds mapping, and the records derived from a trace:
+  ``QueryMetrics`` (also the EXPLAIN report), ``PublishMetrics`` and
+  their batch aggregates;
 * :class:`Observability` — the facade components carry around.
 
 Cost model: the default ``Observability()`` records spans at *phase*
@@ -29,7 +30,6 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.obs import names
-from repro.obs.explain import ExplainReport
 from repro.obs.exporters import (
     chrome_trace_dict,
     export_chrome_trace,
@@ -65,6 +65,7 @@ from repro.obs.views import (
     PublishMetrics,
     QueryMetrics,
     format_percent,
+    layers,
 )
 from repro.obs.windows import SlidingWindow, quantile_inclusive
 
@@ -192,7 +193,6 @@ __all__ = [
     "TelemetryServer",
     "TraceRing",
     "names",
-    "ExplainReport",
     "chrome_trace_dict",
     "export_chrome_trace",
     "export_dict",
@@ -205,4 +205,5 @@ __all__ = [
     "BatchMetrics",
     "AggregatedMetrics",
     "format_percent",
+    "layers",
 ]

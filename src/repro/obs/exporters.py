@@ -20,11 +20,13 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from pathlib import Path
 from typing import Any, Mapping
 
 from repro.obs.registry import Histogram, MetricsRegistry
 from repro.obs.tracing import Trace
+from repro.obs.views import layers
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_]")
 PROM_PREFIX = "repro"
@@ -228,26 +230,18 @@ def format_summary(
 ) -> str:
     """A fixed-width per-phase table, grouped by span name."""
     wall = trace.total_seconds
-    groups: dict[str, tuple[int, float]] = {}
-    order: list[str] = []
-    for span in trace:
-        if span.name not in groups:
-            groups[span.name] = (0, 0.0)
-            order.append(span.name)
-        count, total = groups[span.name]
-        groups[span.name] = (count + 1, total + span.duration)
+    counts = Counter(span.name for span in trace)
 
     headers = ["span", "count", "total ms", "mean ms", "% wall"]
     rows = []
-    for name in order:
-        count, total = groups[name]
+    for name, total in layers(trace).items():
         share = (100.0 * total / wall) if wall > 0 else 0.0
         rows.append(
             [
                 name,
-                str(count),
+                str(counts[name]),
                 f"{total * 1000:.3f}",
-                f"{total * 1000 / count:.3f}",
+                f"{total * 1000 / counts[name]:.3f}",
                 f"{share:5.1f}",
             ]
         )

@@ -1,8 +1,8 @@
 """Canonical span and metric names of the observability taxonomy.
 
 Every pipeline phase the paper's evaluation (Section 6) accounts for
-emits exactly one span with one of these names; the legacy metric
-views (:mod:`repro.obs.views`) and the exporters key off them.  Use
+emits exactly one span with one of these names; the metric views
+(:mod:`repro.obs.views`) and the exporters key off them.  Use
 the constants instead of string literals so a renamed phase fails at
 import time rather than silently producing an empty metric.
 
@@ -118,11 +118,46 @@ NETWORK_SPANS = {
     "gateway_answer": NETWORK_GATEWAY_ANSWER,
 }
 
-#: Every span name above, for validation and documentation tests.
-ALL_SPANS = tuple(
-    value
-    for key, value in sorted(globals().items())
-    if key.isupper() and isinstance(value, str) and key != "ALL_SPANS"
+#: Every span name above, in pipeline order: the owner's publish and
+#: upload, then one query from the gateway client's submit to the
+#: client filter.  :func:`repro.obs.layers` reports phases in this
+#: order; the lint rules read the span names from it.
+PIPELINE = (
+    PUBLISH,
+    PUBLISH_LCT,
+    ANON_GROUPING,
+    PUBLISH_KAUTO,
+    KAUTO_PARTITION,
+    KAUTO_ALIGNMENT,
+    KAUTO_EDGE_COPY,
+    PUBLISH_OUTSOURCE,
+    ENCODE_UPLOAD,
+    NETWORK_UPLOAD,
+    CLOUD_INDEX_BUILD,
+    BATCH,
+    CLIENT_SUBMIT,
+    GATEWAY_REQUEST,
+    NETWORK_GATEWAY_QUERY,
+    GATEWAY_DISPATCH,
+    QUERY,
+    CLIENT_ANONYMIZE,
+    ENCODE_QUERY,
+    NETWORK_QUERY,
+    DECODE_QUERY,
+    CLOUD_ANSWER,
+    CLOUD_DECOMPOSE,
+    CLOUD_STAR_MATCHING,
+    CLOUD_STAR_MATCH,
+    CLOUD_SHARD_MATCH,
+    CLOUD_GATHER,
+    CLOUD_JOIN,
+    CLOUD_EXPAND,
+    ENCODE_ANSWER,
+    NETWORK_ANSWER,
+    DECODE_ANSWER,
+    NETWORK_GATEWAY_ANSWER,
+    CLIENT_EXPAND,
+    CLIENT_FILTER,
 )
 
 # -- registry metric names ---------------------------------------------

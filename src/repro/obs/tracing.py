@@ -144,25 +144,6 @@ class Trace:
                 return span
         return None
 
-    def duration(self, name: str) -> float:
-        """Total wall seconds spent in spans called ``name``."""
-        return sum(span.duration for span in self.spans if span.name == name)
-
-    def attr(self, name: str, key: str, default: Any = None) -> Any:
-        """The attribute ``key`` of the first span called ``name``."""
-        span = self.first(name)
-        if span is None:
-            return default
-        return span.attributes.get(key, default)
-
-    def sum_attr(self, name: str, key: str) -> float:
-        """Sum attribute ``key`` over every span called ``name``."""
-        return sum(
-            span.attributes.get(key, 0) or 0
-            for span in self.spans
-            if span.name == name
-        )
-
     def roots(self) -> list[Span]:
         return [span for span in self.spans if span.parent_id is None]
 

@@ -319,17 +319,17 @@ def _spans_used_in_tree() -> set[str]:
 
 
 def test_all_spans_matches_span_names_opened_in_codebase():
-    """``names.ALL_SPANS`` is exactly the set of spans the code opens.
+    """``names.PIPELINE`` is exactly the set of spans the code opens.
 
     A span constant nobody opens is dead taxonomy; a span opened under
-    a name missing from ``ALL_SPANS`` silently vanishes from the event
-    log's allowlist.  Both directions must be empty.
+    a name missing from ``PIPELINE`` falls out of ``layers()``' pipeline
+    order and R2's span set.  Both directions must be empty.
     """
     used = _spans_used_in_tree()
     # span names resolved through a local variable the extractor cannot
     # follow would show up here — keep the sets exactly equal instead
     # of subset-checking so that failure mode is loud.
-    declared = set(names.ALL_SPANS)
+    declared = set(names.PIPELINE)
     assert used == declared, (
         f"opened but undeclared: {sorted(used - declared)}; "
         f"declared but never opened: {sorted(declared - used)}"
@@ -337,7 +337,7 @@ def test_all_spans_matches_span_names_opened_in_codebase():
 
 
 def test_dotted_spans_cover_every_namespaced_name():
-    assert DOTTED_SPANS == {v for v in names.ALL_SPANS if "." in v}
+    assert DOTTED_SPANS == {v for v in names.PIPELINE if "." in v}
 
 
 def _codec_basenames(path: Path, prefix: str) -> set[str]:

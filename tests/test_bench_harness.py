@@ -10,6 +10,7 @@ from repro.bench import (
     format_table,
     ms,
 )
+from repro.obs import names
 from repro.obs.views import AggregatedMetrics, QueryMetrics
 from repro.workloads import load_dataset
 
@@ -43,8 +44,9 @@ class TestReporting:
 class TestAggregatedMetrics:
     def test_means(self):
         agg = AggregatedMetrics()
-        agg.add(QueryMetrics(cloud_seconds=1.0, client_seconds=0.2, rs_size=10))
-        agg.add(QueryMetrics(cloud_seconds=3.0, client_seconds=0.4, rs_size=20))
+        for cloud, client, rs_size in ((1.0, 0.2, 10), (3.0, 0.4, 20)):
+            phases = {names.CLOUD_ANSWER: cloud, names.CLIENT_FILTER: client}
+            agg.add(QueryMetrics(phases=phases, rs_size=rs_size))
         assert agg.cloud_seconds == pytest.approx(2.0)
         assert agg.client_seconds == pytest.approx(0.3)
         assert agg.rs_size == pytest.approx(15.0)

@@ -610,9 +610,8 @@ class TestExplain:
         report = json.loads(capsys.readouterr().out)
         assert report["query_id"].startswith("q-")
         assert report["span_count"] > 0
-        assert report["total_seconds"] > 0
-        phase_names = [phase["name"] for phase in report["phases"]]
-        assert "query" in phase_names
+        assert report["wall_seconds"] > 0
+        assert "query" in report["phases"]
         chrome = json.loads(chrome_path.read_text(encoding="utf-8"))
         events = chrome["traceEvents"]
         assert any(e["ph"] == "X" for e in events)
@@ -766,7 +765,9 @@ class TestGatewayClients:
         assert main(["explain", *served, "--token", "s3cret", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["query_id"] and report["stars"] > 0 and report["rin_size"] > 0
-        assert "gateway.request" in {phase["name"] for phase in report["phases"]}
+        assert "gateway.request" in report["phases"]
+        # the client's filter joins the stitched trace
+        assert report["result_count"] == 2 and report["candidate_count"] >= 2
 
     @pytest.mark.parametrize("command", ["call", "explain"])
     def test_a_rejection_exits_two(self, served, capsys, command):
@@ -853,7 +854,7 @@ class TestEveryLocalCommandGoesThroughSubmit:
         dep, graph_path, query_paths, expected = case
         for path, matches in zip(query_paths, expected):
             assert main(["explain", dep, graph_path, path, "--json", "--shards", shards]) == 0
-            assert json.loads(capsys.readouterr().out)["results"] == len(matches)
+            assert json.loads(capsys.readouterr().out)["result_count"] == len(matches)
 
     def test_audit(self, case, capsys):
         dep, graph_path, query_paths, expected = case

@@ -33,7 +33,6 @@ from repro.cloud.parallel import (
 from repro.exceptions import ConfigError, ResultBudgetExceeded
 from repro.graph import example_query, example_social_network
 from repro.matching import match_key
-from repro.obs import names
 from repro.workloads import generate_workload, load_dataset
 
 
@@ -338,10 +337,7 @@ class TestSharedCacheStress:
         stress = (workload * 3)[: max(12, len(workload))]
         serial = system.query_batch(stress).outcomes
         reference = match_lists(serial)
-        stars = sum(
-            outcome.trace.attr(names.CLOUD_DECOMPOSE, "stars")
-            for outcome in serial
-        )
+        stars = sum(outcome.metrics.stars for outcome in serial)
         system.cloud.star_cache.clear()
         diverged: list[int] = []
         barrier = threading.Barrier(4)

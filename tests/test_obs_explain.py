@@ -1,21 +1,28 @@
-"""Per-query EXPLAIN reports (`repro.obs.explain`).
+"""Per-query EXPLAIN: :class:`~repro.obs.QueryMetrics` over one trace.
 
-The report is a total derivation over a (possibly stitched) trace:
+The record is a total derivation over a (possibly stitched) trace:
 every field reads named spans of the canonical taxonomy, missing spans
-degrade to zeros, and the renderers must always produce output — even
-for an untraced run.
+degrade to zeros, and the renderer must always produce output — even
+for an untraced run.  :func:`~repro.obs.layers` is the one span-name
+to seconds mapping every view reads.
 """
 
 import json
 
-import pytest
-
-from repro.core.config import ConfigError, SystemConfig
+from repro.core.config import SystemConfig
 from repro.core.options import QueryOptions
 from repro.core.system import PrivacyPreservingSystem
 from repro.graph.generators import example_query, example_social_network
-from repro.obs import ExplainReport, Observability, Trace, Tracer, names
-from repro.obs.explain import PHASE_SPANS, PhaseTiming, ShardWork
+from repro.obs import (
+    Observability,
+    PublishMetrics,
+    QueryMetrics,
+    Trace,
+    Tracer,
+    format_summary,
+    layers,
+    names,
+)
 
 
 def _stitched_trace() -> Trace:
@@ -54,18 +61,27 @@ def _stitched_trace() -> Trace:
     return tracer.take_trace()
 
 
+def _gateway_only_trace(status: str) -> Trace:
+    """A gateway request that never reached the dispatch pool."""
+    tracer = Tracer(query_id="q-c")
+    with tracer.span(names.GATEWAY_REQUEST) as gw:
+        gw.set(status=status)
+    return tracer.take_trace()
+
+
 class TestFromTrace:
     def test_empty_inputs_degrade_to_zeros(self):
         for report in (
-            ExplainReport.from_trace(None),
-            ExplainReport.from_trace(Trace()),
+            QueryMetrics.from_trace(None),
+            QueryMetrics.from_trace(Trace()),
         ):
             assert report.query_id == ""
-            assert report.phases == [] and report.per_shard == []
+            assert report.phases == {} and report.per_shard == []
+            assert report.total_seconds == 0.0
             assert report.render_text()  # still renders
 
     def test_derives_plan_sizes_and_status(self):
-        report = ExplainReport.from_trace(_stitched_trace())
+        report = QueryMetrics.from_trace(_stitched_trace())
         assert report.query_id == "q-42"  # inferred from the spans
         assert report.status == "ok"
         assert report.stars == 3
@@ -73,65 +89,73 @@ class TestFromTrace:
         assert report.dispatched is True
         assert report.rs_size == 9 and report.rin_size == 4
         assert report.matches == 4
-        assert report.candidates == 4 and report.results == 2
+        assert report.candidate_count == 4 and report.result_count == 2
         assert (report.dropped_vertex, report.dropped_edge, report.dropped_label) == (0, 1, 1)
         assert report.anchored is True
         assert report.cache_hits == 1 and report.cache_misses == 2
 
     def test_bytes_per_direction(self):
-        report = ExplainReport.from_trace(_stitched_trace())
+        report = QueryMetrics.from_trace(_stitched_trace())
         assert report.bytes_by_direction == {
             "gateway_query": 120,
             "gateway_answer": 340,
         }
+        # the simulated in-process wire was not used
+        assert report.query_bytes == 0 and report.answer_bytes == 0
 
     def test_per_shard_lanes_sorted_with_pids(self):
-        report = ExplainReport.from_trace(_stitched_trace())
-        assert [work.shard for work in report.per_shard] == [0, 1]
-        assert [work.results for work in report.per_shard] == [6, 3]
-        assert [work.pid for work in report.per_shard] == [7001, 7002]
+        report = QueryMetrics.from_trace(_stitched_trace())
+        assert [lane["shard"] for lane in report.per_shard] == [0, 1]
+        assert [lane["results"] for lane in report.per_shard] == [6, 3]
+        assert [lane["pid"] for lane in report.per_shard] == [7001, 7002]
         assert report.process_count >= 2
 
     def test_phases_follow_pipeline_order(self):
-        report = ExplainReport.from_trace(_stitched_trace())
-        rendered = [phase.name for phase in report.phases]
-        assert rendered == [
-            name for name in PHASE_SPANS if name in rendered
-        ]
+        trace = _stitched_trace()
+        report = QueryMetrics.from_trace(trace)
+        rendered = list(report.phases)
+        assert rendered == [name for name in names.PIPELINE if name in rendered]
         assert names.CLIENT_SUBMIT in rendered
-        assert names.CLOUD_SHARD_MATCH in rendered
-        shard_phase = next(
-            phase
-            for phase in report.phases
-            if phase.name == names.CLOUD_SHARD_MATCH
+        assert report.phases[names.CLOUD_SHARD_MATCH] == sum(
+            span.duration for span in trace.named(names.CLOUD_SHARD_MATCH)
         )
-        assert shard_phase.count == 2
+        # the paper's per-phase seconds read the same entries
+        assert report.star_matching_seconds == report.phases[names.CLOUD_STAR_MATCHING]
+        assert report.cloud_seconds == report.phases[names.CLOUD_ANSWER]
+        assert report.client_seconds == report.phases[names.CLIENT_FILTER]
 
     def test_missing_query_id_falls_back_to_argument(self):
         tracer = Tracer()  # no query id stamped
         with tracer.span(names.QUERY):
             pass
-        report = ExplainReport.from_trace(
+        report = QueryMetrics.from_trace(
             tracer.take_trace(), query_id="q-given"
         )
         assert report.query_id == "q-given"
 
     def test_coalesced_request_has_no_dispatch(self):
-        tracer = Tracer(query_id="q-c")
-        with tracer.span(names.GATEWAY_REQUEST) as gw:
-            gw.set(status="ok")
-        report = ExplainReport.from_trace(tracer.take_trace())
+        report = QueryMetrics.from_trace(_gateway_only_trace("ok"))
         assert report.dispatched is False
         assert "[coalesced]" in report.render_text()
+
+    def test_refused_request_is_not_coalesced(self):
+        for status in ("unauthorized", "shed"):
+            report = QueryMetrics.from_trace(_gateway_only_trace(status))
+            assert report.dispatched is False
+            text = report.render_text()
+            assert f"status={status}" in text
+            assert "[coalesced]" not in text
 
 
 class TestRenderers:
     def test_text_report_names_the_load_bearing_numbers(self):
-        text = ExplainReport.from_trace(_stitched_trace()).render_text()
+        text = QueryMetrics.from_trace(_stitched_trace()).render_text()
         assert "EXPLAIN query q-42" in text
         assert "status=ok" in text
         assert "3 star(s) over 2 shard(s)" in text
+        assert "[coalesced]" not in text
         assert "|RS|=9" in text and "|Rin|=4" in text
+        assert "candidates=4  results=2" in text
         assert "gateway_answer=340" in text and "gateway_query=120" in text
         assert "shard 0: results=6  pid=7001" in text
         assert "shard 1: results=3  pid=7002" in text
@@ -139,47 +163,87 @@ class TestRenderers:
         assert "dropped vertex=0  edge=1  label=1  rin=anchored" in text
 
     def test_json_round_trips(self):
-        report = ExplainReport.from_trace(_stitched_trace())
-        restored = ExplainReport.from_dict(json.loads(report.to_json()))
+        report = QueryMetrics.from_trace(_stitched_trace())
+        restored = QueryMetrics.from_dict(
+            json.loads(json.dumps(report.to_dict(), sort_keys=True))
+        )
         assert restored == report
 
     def test_dict_round_trip_rehydrates_nested_types(self):
-        report = ExplainReport(
+        report = QueryMetrics(
             query_id="q-1",
-            phases=[PhaseTiming(name="query", seconds=0.5)],
-            per_shard=[ShardWork(shard=0, results=3, seconds=0.1)],
+            phases={names.QUERY: 0.5},
+            per_shard=[{"shard": 0, "results": 3, "seconds": 0.1, "pid": 0}],
+            bytes_by_direction={"answer": 12},
         )
-        restored = ExplainReport.from_dict(report.to_dict())
-        assert isinstance(restored.phases[0], PhaseTiming)
-        assert isinstance(restored.per_shard[0], ShardWork)
+        restored = QueryMetrics.from_dict(report.to_dict())
         assert restored == report
+        assert restored.answer_bytes == 12
+
+
+class TestLayers:
+    def test_stitched_trace_in_pipeline_order_with_lanes_summed(self):
+        trace = _stitched_trace()
+        seconds = layers(trace)
+        assert set(seconds) == {span.name for span in trace}
+        assert list(seconds) == [name for name in names.PIPELINE if name in seconds]
+        lanes = trace.named(names.CLOUD_SHARD_MATCH)
+        assert len(lanes) == 2
+        assert seconds[names.CLOUD_SHARD_MATCH] == lanes[0].duration + lanes[1].duration
+
+    def test_names_outside_the_pipeline_follow_in_first_seen_order(self):
+        tracer = Tracer()
+        for name in ("zeta", names.QUERY, "alpha", "zeta"):
+            with tracer.span(name):
+                pass
+        assert list(layers(tracer.take_trace())) == [names.QUERY, "zeta", "alpha"]
+        assert layers(None) == {} and layers(Trace()) == {}
+
+    def test_summary_total_column_reads_layers(self):
+        trace = _stitched_trace()
+        seconds = layers(trace)
+        rows = format_summary(trace).splitlines()[3:-1]
+        assert [row.split()[0] for row in rows] == list(seconds)
+        assert [row.split()[2] for row in rows] == [
+            f"{value * 1000:.3f}" for value in seconds.values()
+        ]
+
+    def test_publish_metrics_read_layers(self):
+        graph, schema = example_social_network()
+        system = PrivacyPreservingSystem.setup(graph, schema, SystemConfig(k=2))
+        trace = system.published.trace
+        seconds = layers(trace)
+        assert list(seconds)[0] == names.PUBLISH
+        metrics = PublishMetrics.from_trace(trace)
+        assert metrics.lct_seconds == seconds[names.PUBLISH_LCT]
+        assert metrics.gk_seconds == seconds[names.PUBLISH_KAUTO]
+        assert metrics.go_seconds == seconds[names.PUBLISH_OUTSOURCE]
+
+    def test_pipeline_names_every_span_once(self):
+        assert len(set(names.PIPELINE)) == len(names.PIPELINE)
 
 
 class TestQueryOptionsSurface:
-    def test_explain_requires_trace(self):
-        with pytest.raises(ConfigError):
-            QueryOptions(trace=False, explain=True)
-
     def test_outcome_carries_report_when_asked(self):
+        """Tracing is the ask: a traced outcome's metrics are its
+        EXPLAIN report; an untraced one reads empty."""
         graph, schema = example_social_network()
         system = PrivacyPreservingSystem.setup(
             graph, schema, SystemConfig(k=2), obs=Observability()
         )
-        plain = system.query(example_query())
-        assert plain.explain is None
-        outcome = system.query(
-            example_query(), options=QueryOptions(explain=True)
-        )
-        report = outcome.explain
-        assert report is not None
+        plain = system.query(example_query(), options=QueryOptions(trace=False))
+        assert plain.trace is None and plain.metrics == QueryMetrics()
+        outcome = system.query(example_query())
+        report = outcome.metrics
         assert report.query_id == outcome.query_id
-        assert report.results == len(outcome.matches)
+        assert report.result_count == len(outcome.matches)
         assert report.anchored  # the honest cloud's Rin streams
         assert (
             report.dropped_vertex + report.dropped_edge + report.dropped_label
-            == report.candidates - report.results
+            == report.candidate_count - report.result_count
         )
-        assert report.total_seconds > 0.0
+        assert report.wall_seconds > 0.0
+        assert f"EXPLAIN query {outcome.query_id}" in report.render_text()
         # the report survives the outcome's own dict round trip
         restored = type(outcome).from_dict(outcome.to_dict())
-        assert restored.explain == report
+        assert restored.metrics == report

@@ -4,7 +4,7 @@ These tests exercise the tentpole acceptance criteria of the
 observability redesign: publish and query traces contain every phase
 named in :mod:`repro.obs.names`, nesting survives the plain batch
 loop and a forked batch, span durations account for the query wall
-time, and the legacy metric views are derivable from the trace alone.
+time, and the metric views are derivable from the trace alone.
 """
 
 import pytest
@@ -138,7 +138,7 @@ class TestStarWorkerNesting:
         assert stars, "no per-star spans recorded"
         assert all(s.parent_id == matching.span_id for s in stars)
         assert all(s.depth == matching.depth + 1 for s in stars)
-        assert len(stars) == trace.attr(names.CLOUD_DECOMPOSE, "stars")
+        assert len(stars) == outcome.metrics.stars
 
 
 class TestBatchBackends:

@@ -193,13 +193,11 @@ class TestTraceHelpers:
                 pass
         return tracer.trace()
 
-    def test_named_first_attr_sum(self):
+    def test_named_and_first(self):
         trace = self._trace()
-        assert len(trace.named("leaf")) == 2
+        assert [span.attributes["bytes"] for span in trace.named("leaf")] == [10, 5]
         assert trace.first("root").attributes["k"] == 2
-        assert trace.attr("leaf", "bytes") == 10  # first leaf
-        assert trace.sum_attr("leaf", "bytes") == 15
-        assert trace.attr("missing", "bytes", 7) == 7
+        assert trace.first("missing") is None
 
     def test_total_seconds_counts_roots_only(self):
         trace = self._trace()

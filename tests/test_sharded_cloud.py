@@ -39,7 +39,6 @@ from repro.cloud.parallel import map_batch
 from repro.cloud.sharding import match_range
 from repro.cloud.star_matching import match_plan
 from repro.core.config import SystemConfig
-from repro.core.options import QueryOptions
 from repro.core.system import PrivacyPreservingSystem
 from repro.exceptions import ConfigError, QueryError, ResultBudgetExceeded
 from repro.graph import make_schema, random_attributed_graph
@@ -368,9 +367,7 @@ class TestCacheAndTelemetry:
             with system.cloud as cloud:
                 for repeat in range(3):
                     for query in workload:
-                        report = system.query(
-                            query, options=QueryOptions(explain=True)
-                        ).explain
+                        report = system.query(query).metrics
                         assert report.cache_hits + report.cache_misses == report.stars
                         if repeat:
                             assert report.cache_hits == report.stars
