@@ -28,12 +28,11 @@ SIZE = 6
 def direct_answer(gk, built: list, query) -> SimpleNamespace:
     """Plain bitset matching over ``Gk``, tabulated in wire order; the
     matcher is built lazily, inside the first query's time."""
-    started = time.perf_counter()
     if not built:
         built.append(BitsetMatcher(gk))
     matches = built[0].find_matches(query)
     table = MatchTable.from_matches(matches, sorted(query.vertex_ids()))
-    return SimpleNamespace(table=table, cloud_seconds=time.perf_counter() - started)
+    return SimpleNamespace(table=table)
 
 
 def _setup(dataset_name: str):
@@ -73,8 +72,9 @@ def test_report_ablation_bas_engine(benchmark):
                 total = 0.0
                 keys = []
                 for query in queries:
+                    started = time.perf_counter()
                     answer = answer_query(query)
-                    total += answer.cloud_seconds
+                    total += time.perf_counter() - started
                     order = sorted(query.vertex_ids())
                     keys.append(frozenset(answer.table.project_rows(order)))
                 seconds[name] = total

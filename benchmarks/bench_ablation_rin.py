@@ -35,7 +35,6 @@ def full_answer(server: CloudServer, query) -> SimpleNamespace:
     """The straightforward strategy, composed from the server's own
     kernels: every star table expanded up front, then joined as-is."""
     budget = server.max_intermediate_results
-    started = time.perf_counter()
     stars = decompose_query(query, server.estimator).stars
     tables = {
         star.center: expand_star_table(
@@ -47,7 +46,7 @@ def full_answer(server: CloudServer, query) -> SimpleNamespace:
     table, _ = join_star_tables(
         stars, tables, server.avt, expand=False, max_intermediate=budget
     )
-    return SimpleNamespace(table=table, expanded=True, cloud_seconds=time.perf_counter() - started)
+    return SimpleNamespace(table=table, expanded=True)
 
 
 def _setup(dataset_name: str, k: int):
@@ -86,8 +85,9 @@ def test_report_ablation_rin_vs_full(benchmark):
                     out_bytes = 0
                     tuples = 0
                     for query in queries:
+                        started = time.perf_counter()
                         answer = answer_query(query)
-                        seconds += answer.cloud_seconds
+                        seconds += time.perf_counter() - started
                         order = sorted(query.vertex_ids())
                         out_bytes += len(
                             encode_answer_table(

@@ -201,7 +201,7 @@ def test_report_gateway_qps(deployment):
         overload = asyncio.run(
             _open_loop(gateway.port, query, overload_rate, DURATION_SECONDS)
         )
-        admitted_window = gateway.window.snapshot()
+        admitted_p99 = gateway.window.quantile(0.99)
     shed_total = obs.metrics.counter(names.M_GATEWAY_SHED).total
 
     steady["arm"] = "steady"
@@ -258,7 +258,7 @@ def test_report_gateway_qps(deployment):
                     "shed_total_metric": shed_total,
                     "answered": overload["completed"],
                     "errors": overload["errors"],
-                    "admitted_p99_seconds": admitted_window["p99"],
+                    "admitted_p99_seconds": admitted_p99,
                 },
                 "arms": arms,
             },
@@ -278,6 +278,6 @@ def test_report_gateway_qps(deployment):
 
     if bench_scale() < 1:
         pytest.skip("tail-latency gate runs at full scale only")
-    assert admitted_window["p99"] <= slo_seconds, (
+    assert admitted_p99 <= slo_seconds, (
         "admitted tail breached the armed SLO under overload"
     )

@@ -21,6 +21,7 @@ fork alone costs more) but the equality checks still run.
 from __future__ import annotations
 
 import os
+from statistics import mean
 
 import pytest
 from conftest import bench_queries, bench_scale
@@ -223,18 +224,18 @@ def test_report_steady_state_latency(sweep):
     for outcome in batch.outcomes:
         window.observe(outcome.metrics.total_seconds)
 
-    snap = window.snapshot()
+    p50, p95, p99 = (window.quantile(q) for q in (0.5, 0.95, 0.99))
     ms = lambda v: f"{v * 1000:.2f}"  # noqa: E731
     print_report(
         format_table(
             ["queries", "p50 ms", "p95 ms", "p99 ms", "mean ms"],
             [
                 [
-                    int(snap["count"]),
-                    ms(snap["p50"]),
-                    ms(snap["p95"]),
-                    ms(snap["p99"]),
-                    ms(snap["mean"]),
+                    window.count(),
+                    ms(p50),
+                    ms(p95),
+                    ms(p99),
+                    ms(mean(window.values())),
                 ]
             ],
             title=(
@@ -244,5 +245,5 @@ def test_report_steady_state_latency(sweep):
         )
     )
 
-    assert snap["count"] == len(queries)
-    assert 0.0 < snap["p50"] <= snap["p95"] <= snap["p99"]
+    assert window.count() == len(queries)
+    assert 0.0 < p50 <= p95 <= p99

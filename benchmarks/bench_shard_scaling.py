@@ -14,8 +14,8 @@ The cell is *scan-bound* star matching: selective labels keep the
 emitted tables small while every candidate center's neighbourhood is
 scanned, which is the regime sharding parallelizes (the positional
 hash join always runs centrally and is excluded from the speedup by
-timing ``star_stats.seconds``; the whole ``answer`` and each arm's
-construction are reported beside it).  The sharded arms are timed *warm*:
+timing the ``cloud.star_matching`` span; the whole ``cloud.answer``
+span and each arm's construction are reported beside it).  The sharded arms are timed *warm*:
 the first answer forks the persistent scatter pool
 (:class:`~repro.cloud.parallel.PersistentProcessPool`), and the first
 few repay the children's copy-on-write faulting; steady-state serving
@@ -42,6 +42,7 @@ from repro.bench import format_table, ms, print_report
 from repro.cloud import CloudServer
 from repro.graph import make_schema, random_attributed_graph
 from repro.kauto import AlignmentVertexTable
+from repro.obs import Observability, layers, names
 from repro.workloads import random_walk_query
 
 #: Full-scale cell (REPRO_BENCH_SCALE=1): ~20k vertices, degree ~24,
@@ -108,15 +109,16 @@ def _built(make):
 
 def _timed(cloud, query) -> tuple[float, float]:
     """Best-of-``REPEATS`` (star-phase, whole-``answer``) seconds, after
-    ``WARMUP`` answers."""
+    ``WARMUP`` answers: span durations of a recording scope."""
     for _ in range(WARMUP):  # fork/warm pools, caches, allocators
         cloud.answer(query)
     star = whole = float("inf")
     for _ in range(REPEATS):
-        started = time.perf_counter()
-        answer = cloud.answer(query)
-        whole = min(whole, time.perf_counter() - started)
-        star = min(star, answer.star_stats.seconds)
+        scope = Observability().for_query()
+        cloud.answer(query, obs=scope)
+        seconds = layers(scope.tracer.take_trace())
+        whole = min(whole, seconds[names.CLOUD_ANSWER])
+        star = min(star, seconds[names.CLOUD_STAR_MATCHING])
     return star, whole
 
 

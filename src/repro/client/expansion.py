@@ -14,7 +14,6 @@ that choice.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from repro.analysis.markers import hot_path
@@ -24,10 +23,9 @@ from repro.matching.table import MatchTable
 
 @dataclass
 class TableExpansionResult:
-    """``R(Qo, Gk)`` as a table, with the expansion's timing and sizes."""
+    """``R(Qo, Gk)`` as a table, with the expansion's sizes."""
 
     table: MatchTable
-    seconds: float
     rin_size: int
     rout_size: int
 
@@ -38,18 +36,16 @@ def expand_rin_table(
 ) -> TableExpansionResult:
     """Lines 1-5: ``R(Qo, Gk) = Rin ∪ F_1(Rin) ∪ ... ∪ F_{k-1}(Rin)``.
 
-    A timed :meth:`~repro.kauto.avt.AlignmentVertexTable
-    .expand_known_table`: rows referencing vertices unknown to the AVT
+    :meth:`~repro.kauto.avt.AlignmentVertexTable.expand_known_table`
+    with its sizes: rows referencing vertices unknown to the AVT
     are dropped up front (an honest cloud never produces them — every
     ``Go`` vertex is in the AVT — and they could never survive the
     client filter anyway), repeated rows are dropped, and the ``k``
     images are concatenated in shift order.
     """
-    started = time.perf_counter()
     full = avt.expand_known_table(rin)
     return TableExpansionResult(
         table=full,
-        seconds=time.perf_counter() - started,
         rin_size=len(rin),
         rout_size=len(full) - len(rin),
     )

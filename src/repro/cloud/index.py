@@ -28,7 +28,6 @@ or all of ``Gk`` for the BAS baseline.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -222,7 +221,6 @@ class CloudIndex:
     #: groups no indexed vertex or neighbour carries) and, above them,
     #: one per vertex type
     mask_bit: dict[GroupBitKey | str, int]
-    build_seconds: float = 0.0
 
     # ------------------------------------------------------------------
     # construction
@@ -239,7 +237,6 @@ class CloudIndex:
         optimized method that is ``Go``, which contains every ``Gk``
         edge incident to ``B1``, so LBVs are complete.
         """
-        started = time.perf_counter()
         vertices = list(indexed_vertices)
         size = len(vertices)
         position = {vid: p for p, vid in enumerate(vertices)}
@@ -292,7 +289,7 @@ class CloudIndex:
                     nbv[key] = nbv.get(key, 0) | row
 
         vertex_bits, mask_bit = _vertex_masks(graph, group_bit)
-        index = cls(
+        return cls(
             indexed_vertices=vertices,
             position=position,
             type_bits=type_bits,
@@ -302,8 +299,6 @@ class CloudIndex:
             vertex_bits=vertex_bits,
             mask_bit=mask_bit,
         )
-        index.build_seconds = time.perf_counter() - started
-        return index
 
     # ------------------------------------------------------------------
     # Algorithm 1 primitives

@@ -22,7 +22,6 @@ natural join of duplicate-free tables.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -38,7 +37,6 @@ from repro.matching.table import MatchTable, Row, row_getter
 class JoinStats:
     """Telemetry of one Algorithm-2 run."""
 
-    seconds: float = 0.0
     anchor_center: int | None = None
     intermediate_sizes: list[int] = field(default_factory=list)
     rin_size: int = 0
@@ -293,7 +291,6 @@ def join_star_tables(
     if missing:
         raise QueryError(f"star matches missing for centers {missing}")
     stats = JoinStats()
-    started = time.perf_counter()
 
     remaining = sorted(stars, key=lambda s: (len(star_tables[s.center]), s.center))
     anchor = remaining.pop(0)
@@ -321,5 +318,4 @@ def join_star_tables(
             break
 
     stats.rin_size = len(current)
-    stats.seconds = time.perf_counter() - started
     return current, stats

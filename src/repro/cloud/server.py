@@ -51,22 +51,15 @@ class CloudAnswer:
     dict-form :attr:`matches` view is a read-only convenience for the
     system boundary, materialized on first access, so the serving path
     (the system pipeline, the gateway, the CLI) never pays the
-    conversion.
-
-    ``cloud_seconds`` is the wall time of the cloud-side pipeline (the
-    ``cloud.answer`` span's duration); ``trace``, when the caller
-    passed a recording :class:`~repro.obs.Observability`, holds every
-    span the answer produced.
+    conversion.  Its phase times are the spans of the scope passed to
+    :meth:`CloudServer.answer` (read them with :func:`repro.obs.layers`).
     """
 
     table: MatchTable
     expanded: bool
     decomposition: Decomposition
-    decomposition_seconds: float
     star_stats: StarMatchStats
     join_stats: JoinStats
-    cloud_seconds: float
-    trace: Trace | None = None
     _matches: list[Match] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -104,11 +97,8 @@ class CloudServer:
         graph in full and are joined directly.
     obs:
         The :class:`~repro.obs.Observability` scope the server reports
-        into.  Default: a measure-only scope (span durations fill the
-        :class:`CloudAnswer` telemetry, nothing is retained — same cost
-        as the hand-rolled timing it replaced).  Pass a recording scope
-        for full traces, or ``Observability.disabled()`` for a no-op
-        hot path (telemetry fields then read ``0.0``).  The star-cache
+        into.  Default: ``Observability.disabled()`` (no spans, no
+        metrics).  Pass a recording scope for traces; the star-cache
         hit/miss counters are exported as pull-gauges on its registry.
     shards:
         How many ranges of candidate centers the star matching is split
@@ -160,13 +150,8 @@ class CloudServer:
         # is internally locked, so one instance is shared by all
         # concurrent queries.
         self.star_cache_size = star_cache_size
-        self.obs = obs if obs is not None else Observability.measuring()
-        with self.obs.tracer.span(names.CLOUD_INDEX_BUILD) as span:
-            self._build_index()
-            span.set(
-                index_bytes=self.index_size_bytes(),
-                build_seconds=self.index_build_seconds(),
-            )
+        self.obs = obs if obs is not None else Observability.disabled()
+        self._build_index()
         self.star_cache = StarMatchCache(star_cache_size)
         self.estimator = self._build_estimator()
         # pull-style gauges: the cache already counts hits/misses under
@@ -224,8 +209,8 @@ class CloudServer:
         ``obs`` overrides the server's own observability scope for this
         one query — :class:`repro.core.system.PrivacyPreservingSystem`
         passes each query's private recording scope here so the spans
-        land in that query's trace.  Every timing the answer reports is
-        a span duration; no hand-rolled ``perf_counter`` pairs remain.
+        land in that query's trace; its phase times are those spans'
+        durations.
         """
         if obs is None:
             obs = self.obs
@@ -260,7 +245,6 @@ class CloudServer:
                     cache_hits=hits,
                     cache_misses=len(stars) - hits,
                 )
-            star_stats.seconds = matching_span.duration
             with tracer.span(names.CLOUD_JOIN) as join_span:
                 rin_table, join_stats = join_star_tables(
                     decomposition.stars,
@@ -291,19 +275,18 @@ class CloudServer:
             names.M_INTERMEDIATE_PEAK,
             help="Largest join intermediate seen by any query.",
         ).set_max(max(join_stats.intermediate_sizes, default=0))
-        metrics.histogram(
-            names.M_CLOUD_SECONDS,
-            help="Cloud-side wall seconds per query.",
-        ).observe(root.duration)
+        if tracer.enabled:  # a span is the only clock
+            metrics.histogram(
+                names.M_CLOUD_SECONDS,
+                help="Cloud-side wall seconds per query.",
+            ).observe(root.duration)
 
         return CloudAnswer(
             table=rin_table,
             expanded=not self.expand_in_cloud,
             decomposition=decomposition,
-            decomposition_seconds=decompose_span.duration,
             star_stats=star_stats,
             join_stats=join_stats,
-            cloud_seconds=root.duration,
         )
 
     def _match_stars(
@@ -329,7 +312,7 @@ class CloudServer:
             # under the star-matching span (fresh local ids — child
             # counters all start at 1 and would collide)
             ctx_doc = None
-            if tracer.recording and span.span_id:
+            if tracer.enabled and span.span_id:
                 ctx_doc = TraceContext(
                     query_id=tracer.query_id, parent_span_id=span.span_id
                 ).to_doc()
@@ -474,6 +457,3 @@ class CloudServer:
     # ------------------------------------------------------------------
     def index_size_bytes(self) -> int:
         return self.index.size_bytes()
-
-    def index_build_seconds(self) -> float:
-        return self.index.build_seconds

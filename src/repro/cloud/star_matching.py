@@ -40,7 +40,6 @@ from repro.obs.tracing import NullTracer
 class StarMatchStats:
     """Per-query star-matching telemetry (Figures 18 and 19)."""
 
-    seconds: float = 0.0
     result_sizes: dict[int, int] = field(default_factory=dict)
 
     @property

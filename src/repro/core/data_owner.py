@@ -57,10 +57,11 @@ class PublishedData:
 class DataOwner:
     """Holds ``G`` and orchestrates anonymized publication.
 
-    ``obs`` is the owner's default observability scope.  Publishing is
-    one-shot (never on a hot path), so :meth:`publish` always records
-    its spans — into a fresh scope derived from ``obs`` — unless the
-    caller hands it an explicit scope of its own.
+    ``obs`` is the owner's default observability scope (a recording
+    ``Observability()`` unless given).  Publishing is one-shot (never
+    on a hot path), so :meth:`publish` always records its spans — into
+    a fresh scope derived from ``obs`` — unless the caller hands it an
+    explicit scope of its own.
     """
 
     def __init__(
@@ -74,7 +75,7 @@ class DataOwner:
         self.schema = schema
         self.sample_workload = list(sample_workload or [])
         self._graph_stats: GraphStatistics | None = None
-        self.obs = obs if obs is not None else Observability.measuring()
+        self.obs = obs if obs is not None else Observability()
 
     @property
     def graph_stats(self) -> GraphStatistics:
@@ -175,7 +176,7 @@ class DataOwner:
                     full_gk=config.method.upload_full_gk,
                 )
 
-        trace = tracer.trace() if tracer.recording else None
+        trace = tracer.trace() if tracer.enabled else None
         return PublishedData(
             lct=lct,
             transform=transform,

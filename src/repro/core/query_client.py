@@ -8,8 +8,7 @@ false positives against ``G``.
 
 Each phase emits a span (``client.anonymize`` / ``client.expand`` /
 ``client.filter``) on the :class:`~repro.obs.Observability` scope
-passed in; the :class:`ClientOutcome` timing fields are those spans'
-durations.
+passed in; the phase times are those spans' durations.
 """
 
 from __future__ import annotations
@@ -26,28 +25,22 @@ from repro.matching.match import Match
 from repro.matching.table import MatchTable
 from repro.obs import Observability, names
 from repro.obs.audit import register_live_false_positive_ratio
+from repro.obs.tracing import NULL_SPAN, NullSpan, Span
 
 
 @dataclass
 class ClientOutcome:
-    """Final results of one query plus the client-side timings."""
+    """Final results of one query and how many candidates it took."""
 
     matches: list[Match]
-    expansion_seconds: float = 0.0
-    filter_seconds: float = 0.0
     candidate_count: int = 0
-
-    @property
-    def client_seconds(self) -> float:
-        """Total client-side wall seconds (expansion + filtering)."""
-        return self.expansion_seconds + self.filter_seconds
 
 
 class QueryClient:
     """A client authorized to query ``G`` through the cloud.
 
-    ``obs`` is the client's default observability scope (measure-only
-    unless overridden); :class:`~repro.core.system.
+    ``obs`` is the client's default observability scope (disabled
+    unless given); :class:`~repro.core.system.
     PrivacyPreservingSystem` passes a per-query recording scope to
     :meth:`prepare_query` / :meth:`process_answer` instead.
 
@@ -67,7 +60,7 @@ class QueryClient:
         self.graph = original_graph
         self.lct = lct
         self.avt = avt
-        self.obs = obs if obs is not None else Observability.measuring()
+        self.obs = obs if obs is not None else Observability.disabled()
         # the CSR of G behind the column filter kernel: built by the first
         # query whose candidate table is large enough to want it, then
         # shared by every later ClientFilter of this client
@@ -126,7 +119,7 @@ class QueryClient:
             )
         tracer = obs.tracer
         client_filter = ClientFilter(self.graph, query, self._graph_csr)
-        expand_span = None
+        expand_span: Span | NullSpan = NULL_SPAN
         if not already_expanded:
             with tracer.span(
                 names.CLIENT_EXPAND, rin_size=len(matches)
@@ -146,18 +139,9 @@ class QueryClient:
                 dropped_label=result.dropped_label,
                 anchored=result.anchored,
             )
-        expansion_seconds = 0.0
-        if expand_span is not None:
-            # the single pass ran inside the first span: the checks'
-            # share of it belongs to the second
-            expand_span.cede(result.seconds, span)
-            expansion_seconds = expand_span.duration
-        outcome = ClientOutcome(
-            matches=exact,
-            expansion_seconds=expansion_seconds,
-            filter_seconds=span.duration,
-            candidate_count=result.candidates,
-        )
+        # an unexpanded Rin's single pass ran inside the first span: the
+        # checks' share of it belongs to the second
+        expand_span.cede(result.seconds, span)
         metrics = obs.metrics
         metrics.counter(
             names.M_CANDIDATES,
@@ -171,8 +155,9 @@ class QueryClient:
             names.M_MATCHES,
             help="Exact matches returned to clients across all queries.",
         ).inc(len(exact))
-        metrics.histogram(
-            names.M_CLIENT_SECONDS,
-            help="Client-side wall seconds per query.",
-        ).observe(outcome.client_seconds)
-        return outcome
+        if tracer.enabled:  # a span is the only clock
+            metrics.histogram(
+                names.M_CLIENT_SECONDS,
+                help="Client-side wall seconds per query.",
+            ).observe(expand_span.duration + span.duration)
+        return ClientOutcome(matches=exact, candidate_count=result.candidates)

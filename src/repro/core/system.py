@@ -66,7 +66,7 @@ from repro.obs import (
     QueryMetrics,
     names,
 )
-from repro.obs.tracing import Trace
+from repro.obs.tracing import NULL_TRACER, Trace
 
 
 @dataclass
@@ -173,13 +173,11 @@ def _collector_paused() -> Iterator[None]:
 
 
 def _component_scope(obs: Observability) -> Observability:
-    """The measure-only scope the owner, cloud and client default to.
-
-    It shares the system registry: standalone calls on a component stay
-    cheap, while system-driven calls receive the per-query recording
-    scope.
+    """The scope the owner, cloud and client are built with: the system
+    registry (their pull gauges land on ``/metrics``) and no tracer —
+    system-driven calls receive the per-query recording scope.
     """
-    return Observability(record=False, registry=obs.metrics)
+    return Observability(registry=obs.metrics, tracer=NULL_TRACER)
 
 
 class PrivacyPreservingSystem:
@@ -335,8 +333,9 @@ class PrivacyPreservingSystem:
         The tail :meth:`setup` and :meth:`load` share; the halves have
         the shapes ``load_cloud_side`` / ``load_client_side`` return.
         ``scope`` is the recording scope of the run: its trace (the
-        publish spans, when there are any, plus the index build) becomes
-        ``publish_metrics``.
+        publish spans, when there are any, plus one ``cloud.index_build``
+        span over the whole cloud construction, index and Section 5
+        estimator) becomes ``publish_metrics``.
         """
         cloud_graph, cloud_avt, center_vertices, expand_in_cloud = cloud_half
         component_obs = _component_scope(obs)
@@ -352,13 +351,10 @@ class PrivacyPreservingSystem:
                 obs=component_obs,
                 shards=config.shards,
             )
-            span.set(
-                index_bytes=cloud.index_size_bytes(),
-                build_seconds=cloud.index_build_seconds(),
-            )
+            span.set(index_bytes=cloud.index_size_bytes())
         client = QueryClient(graph, *client_half, obs=component_obs)
 
-        trace = tracer.take_trace() if tracer.recording else None
+        trace = tracer.take_trace() if tracer.enabled else None
         metrics = PublishMetrics.from_trace(trace)
         if published is not None:
             published.trace = trace
@@ -417,13 +413,9 @@ class PrivacyPreservingSystem:
                 started = time.perf_counter()
                 outcomes = map_batch(run_one, queries, options.workers)
                 wall_seconds = time.perf_counter() - started
-                span.set(
-                    workers=worker_count,
-                    queries=len(queries),
-                    wall_seconds=wall_seconds,
-                )
+                span.set(workers=worker_count, queries=len(queries))
             trace = (
-                scope.tracer.take_trace() if scope.tracer.recording else None
+                scope.tracer.take_trace() if scope.tracer.enabled else None
             )
 
         hits_after, misses_after = self.cloud.star_cache.counters()
@@ -531,7 +523,7 @@ class PrivacyPreservingSystem:
             help="End-to-end wall seconds per query (excl. simulated wire).",
         ).observe(root.duration)
 
-        trace = tracer.take_trace() if tracer.recording else None
+        trace = tracer.take_trace() if tracer.enabled else None
         return QueryOutcome(
             matches=outcome.matches,
             metrics=QueryMetrics.from_trace(trace),

@@ -108,7 +108,8 @@ class QueryGateway:
         The request chain, outermost first.
     policy:
         Admission knobs; ``policy.slo_seconds`` arms latency shedding
-        off the gateway's own sliding window.
+        off the gateway's own sliding window, which is fed request span
+        durations — so it needs an enabled ``obs``.
     workers:
         Dispatch pool size (bounds concurrent cloud computations).
     expansion_site:
@@ -156,6 +157,11 @@ class QueryGateway:
         self.traces = traces
         self.middleware = MiddlewareChain(middlewares)
         self.policy = policy if policy is not None else AdmissionPolicy()
+        if self.policy.slo_seconds is not None and not self.obs.enabled:
+            raise GatewayError(
+                "slo_seconds needs an enabled obs: the latency window "
+                "observes request spans, and a disabled scope has none"
+            )
         self.window = SlidingWindow(capacity=1024)
         if self.obs.enabled:
             self.window.register(
@@ -456,7 +462,7 @@ class QueryGateway:
                 )
             root.set(status=status)
 
-        if self.traces is not None and tracer.recording:
+        if self.traces is not None and tracer.enabled:
             self.traces.push(
                 tracer.take_trace(),
                 query_id=scope.query_id,
@@ -491,7 +497,7 @@ class QueryGateway:
         dropped, never the answer) and byte-accounted.
         """
         tracer = scope.tracer
-        if context is None or not context.sampled or not tracer.recording:
+        if context is None or not context.sampled or not tracer.enabled:
             return None
         trace = tracer.trace()
         if isinstance(root, Span):

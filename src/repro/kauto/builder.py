@@ -20,7 +20,6 @@ DataOwner` pipeline generalizes first.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -48,7 +47,6 @@ class KAutomorphismResult:
     crossing_noise_edges: list[tuple[int, int]] = field(default_factory=list)
     original_vertex_count: int = 0
     original_edge_count: int = 0
-    build_seconds: float = 0.0
 
     @property
     def noise_edge_count(self) -> int:
@@ -92,7 +90,6 @@ def build_k_automorphic_graph(
     if k < 2:
         raise PartitionError("k-automorphism requires k >= 2")
     tracer = obs.tracer if obs is not None else NULL_TRACER
-    started = time.perf_counter()
 
     with tracer.span(names.KAUTO_PARTITION) as span:
         if partitioner is None:
@@ -129,7 +126,6 @@ def build_k_automorphic_graph(
         crossing_noise_edges=crossing_edges,
         original_vertex_count=graph.vertex_count,
         original_edge_count=graph.edge_count,
-        build_seconds=time.perf_counter() - started,
     )
 
 

@@ -18,11 +18,10 @@ measures: where the time and the bytes go.  The pieces:
 * :class:`Observability` — the facade components carry around.
 
 Cost model: the default ``Observability()`` records spans at *phase*
-granularity only (a dozen per query — the same perf-counter pairs the
-hand-rolled timing used).  ``Observability(record=False)`` measures
-without retaining (standalone components).  ``Observability.disabled()``
-is a true no-op — the hot path sees a shared null span and a null
-registry, nothing else.
+granularity only (a dozen per query).  ``Observability.disabled()`` is
+a true no-op — the hot path sees a shared null span and a null
+registry, nothing else.  Spans are the only clock: every phase time
+the package reports is a span duration.
 """
 
 from __future__ import annotations
@@ -75,11 +74,6 @@ class Observability:
 
     Parameters
     ----------
-    record:
-        ``True`` (default): the tracer retains spans and
-        :meth:`for_query` hands each query its own recording tracer.
-        ``False``: spans are timed but not retained (standalone
-        component default — costs what the replaced hand timing cost).
     profile:
         ``True`` profiles every top-level span with :mod:`cProfile`;
         an iterable of span names profiles just those.
@@ -88,7 +82,6 @@ class Observability:
     def __init__(
         self,
         *,
-        record: bool = True,
         profile: bool | Iterable[str] | None = None,
         registry: MetricsRegistry | None = None,
         tracer: Tracer | NullTracer | None = None,
@@ -105,17 +98,13 @@ class Observability:
         self.tracer = (
             tracer
             if tracer is not None
-            else Tracer(record=record, max_spans=max_spans, profiler=self.profiler)
+            else Tracer(max_spans=max_spans, profiler=self.profiler)
         )
 
     @property
     def enabled(self) -> bool:
         """False only for the null (fully disabled) instance."""
         return True
-
-    @property
-    def recording(self) -> bool:
-        return self.tracer.recording
 
     @property
     def query_id(self) -> str:
@@ -134,7 +123,6 @@ class Observability:
         return Observability(
             registry=self.metrics,
             tracer=Tracer(
-                record=True,
                 max_spans=self.max_spans,
                 profiler=self.profiler,
                 query_id=query_id or new_query_id(),
@@ -146,11 +134,6 @@ class Observability:
     def disabled(cls) -> "Observability":
         """The shared no-op instance: null tracer, null registry."""
         return NULL_OBS
-
-    @classmethod
-    def measuring(cls) -> "Observability":
-        """Measure-only: real span durations, nothing retained."""
-        return Observability(record=False)
 
 
 class _NullObservability(Observability):

@@ -40,7 +40,7 @@ appends)::
     └── publish.outsource         Gk -> Go extraction (or Gk passthrough)
     protocol.encode_upload        bytes=|payload|
     network.upload                simulated_seconds, bytes
-    cloud.index_build             index_bytes, build_seconds
+    cloud.index_build             index_bytes (index + Section 5 estimator)
 
 ``batch`` wraps one ``query_batch`` run (workers, queries).
 """

@@ -1,18 +1,14 @@
 """Nested spans: the timing substrate of the observability layer.
 
-Three tracer grades cover the whole cost/fidelity spectrum:
+Spans are the only clock: a phase's seconds exist as a span duration,
+and a caller who wants a time passes a recording scope and reads
+:func:`repro.obs.layers` of its trace.  Two tracer grades:
 
-* :class:`Tracer` (``record=True``) — full tracing: spans carry ids,
-  parent links, depths and thread attribution, and are retained in an
-  in-order buffer that :meth:`Tracer.trace` snapshots.  This is what
+* :class:`Tracer` — full tracing: spans carry ids, parent links,
+  depths and thread attribution, and are retained in an in-order
+  buffer that :meth:`Tracer.trace` snapshots.  This is what
   ``PrivacyPreservingSystem.query`` uses per query (one fresh tracer
   per query, so concurrent batch queries never interleave spans).
-* :class:`Tracer` (``record=False``) — *measure-only*: ``span()``
-  still returns a real :class:`Span` whose ``duration`` is set on
-  exit (components read it to fill their telemetry), but nothing is
-  retained, no ids are allocated and no locks are taken.  This is the
-  default for standalone components and costs exactly what the
-  hand-rolled ``time.perf_counter()`` pairs it replaced cost.
 * :class:`NullTracer` — a true no-op: ``span()`` hands back a shared
   :class:`NullSpan` context manager.  Zero allocations, zero clock
   reads; the hot path stays flat (``Observability.disabled()``).
@@ -182,10 +178,9 @@ class _SpanContext:
     def __enter__(self) -> Span:
         tracer = self._tracer
         span = self.span
-        if tracer._record:
-            tracer._open(span)
-            if tracer._profiler is not None:
-                self._profile = tracer._profiler.enter(span)
+        tracer._open(span)
+        if tracer._profiler is not None:
+            self._profile = tracer._profiler.enter(span)
         span.started_at = time.perf_counter() - tracer._epoch
         return span
 
@@ -193,16 +188,14 @@ class _SpanContext:
         tracer = self._tracer
         span = self.span
         span.duration = time.perf_counter() - tracer._epoch - span.started_at
-        if tracer._record:
-            if self._profile is not None:
-                tracer._profiler.exit(span, self._profile)
-            tracer._close(span)
+        if self._profile is not None:
+            tracer._profiler.exit(span, self._profile)
+        tracer._close(span)
 
 
 class NullTracer:
     """The no-op tracer: every ``span()`` is the shared :class:`NullSpan`."""
 
-    recording = False
     enabled = False
     query_id = ""
 
@@ -231,13 +224,10 @@ NULL_TRACER = NullTracer()
 
 
 class Tracer(NullTracer):
-    """Produces nested spans; see the module docstring for the grades.
+    """Produces and retains nested spans (the recording grade).
 
     Parameters
     ----------
-    record:
-        ``True`` retains completed spans for :meth:`trace`; ``False``
-        (measure-only) just times them.
     max_spans:
         Retention cap; the oldest spans are dropped past it so a
         long-lived tracer cannot grow without bound.
@@ -256,12 +246,10 @@ class Tracer(NullTracer):
     def __init__(
         self,
         *,
-        record: bool = True,
         max_spans: int = 100_000,
         profiler: "Any | None" = None,
         query_id: str = "",
     ) -> None:
-        self._record = record
         self._max_spans = max_spans
         self._profiler = profiler
         self.query_id = query_id
@@ -273,10 +261,6 @@ class Tracer(NullTracer):
         self._epoch = time.perf_counter()
 
     # -- public surface -------------------------------------------------
-    @property
-    def recording(self) -> bool:  # type: ignore[override]
-        return self._record
-
     def span(
         self, name: str, parent: "Span | NullSpan | None" = None, **attrs: Any
     ) -> _SpanContext:
@@ -285,12 +269,6 @@ class Tracer(NullTracer):
         ``parent`` overrides the implicit (thread-local) parent — pass
         the enclosing span when the body runs on a worker thread.
         """
-        if not self._record:
-            # measure-only: a bare span, no ids, no retention, no locks
-            span = Span(name)
-            if attrs:
-                span.attributes.update(attrs)
-            return _SpanContext(self, span)
         if os.getpid() != self._pid:
             self._reset_for_fork()
         span = Span(
@@ -342,10 +320,8 @@ class Tracer(NullTracer):
         internal ``parent_id`` links are rewritten through the id
         mapping, and the remote roots are re-parented under ``parent``
         when given.  Returns the grafted copies; the input trace is not
-        mutated.  No-op (empty list) on a measure-only tracer.
+        mutated.
         """
-        if not self._record:
-            return []
         parent_id = (
             parent.span_id if parent is not None and parent.span_id else None
         )

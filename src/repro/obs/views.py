@@ -115,7 +115,7 @@ class PublishMetrics:
             upload_network_seconds=_attrs(index, names.NETWORK_UPLOAD).get(
                 "simulated_seconds", 0.0
             ),
-            index_seconds=built.get("build_seconds", 0.0),
+            index_seconds=seconds.get(names.CLOUD_INDEX_BUILD, 0.0),
             original_vertices=attrs.get("original_vertices", 0),
             original_edges=attrs.get("original_edges", 0),
             gk_vertices=kattrs.get("gk_vertices", 0),

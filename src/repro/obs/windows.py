@@ -57,13 +57,6 @@ def quantile_inclusive(data: list[float], q: float) -> float:
     return lower + (float(ordered[hi]) - lower) * (h - lo)
 
 
-def _rate(entries: list[tuple[float, float]]) -> float:
-    if len(entries) < 2:
-        return 0.0
-    spread = entries[-1][0] - entries[0][0]
-    return len(entries) / spread if spread > 0 else 0.0
-
-
 class SlidingWindow:
     """Bounded ring of timestamped observations with SLO views.
 
@@ -76,8 +69,6 @@ class SlidingWindow:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self._entries: deque[tuple[float, float]] = deque(maxlen=capacity)  #: guarded by _lock
-        #: guarded by _lock
-        self._total = 0  # lifetime observation count (survives eviction)
         self._lock = threading.Lock()
 
     # -- observe --------------------------------------------------------
@@ -86,7 +77,6 @@ class SlidingWindow:
         ts = time.monotonic()
         with self._lock:
             self._entries.append((ts, float(value)))
-            self._total += 1
 
     # -- views ----------------------------------------------------------
     def _current(self) -> list[tuple[float, float]]:
@@ -100,27 +90,8 @@ class SlidingWindow:
         """Observations currently inside the window."""
         return len(self)
 
-    @property
-    def total_observations(self) -> int:
-        """Lifetime observations, including those evicted from the ring."""
-        with self._lock:
-            return self._total
-
-    def mean(self) -> float:
-        values = self.values()
-        return sum(values) / len(values) if values else 0.0
-
     def quantile(self, q: float) -> float:
         return quantile_inclusive(self.values(), q)
-
-    def p50(self) -> float:
-        return self.quantile(0.5)
-
-    def p95(self) -> float:
-        return self.quantile(0.95)
-
-    def p99(self) -> float:
-        return self.quantile(0.99)
 
     def rate(self) -> float:
         """Observations per second over the observed span.
@@ -128,20 +99,11 @@ class SlidingWindow:
         The count over newest - oldest timestamp; 0.0 when fewer than
         two observations exist.
         """
-        return _rate(self._current())
-
-    def snapshot(self) -> dict[str, float]:
-        """All views at once (one copy of the ring)."""
         entries = self._current()
-        values = [value for _, value in entries]
-        return {
-            "count": float(len(values)),
-            "mean": sum(values) / len(values) if values else 0.0,
-            "p50": quantile_inclusive(values, 0.5),
-            "p95": quantile_inclusive(values, 0.95),
-            "p99": quantile_inclusive(values, 0.99),
-            "rate": _rate(entries),
-        }
+        if len(entries) < 2:
+            return 0.0
+        spread = entries[-1][0] - entries[0][0]
+        return len(entries) / spread if spread > 0 else 0.0
 
     # -- SLO breach probing ---------------------------------------------
     def breached(
@@ -209,6 +171,3 @@ class SlidingWindow:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SlidingWindow(capacity={self.capacity}, len={len(self)})"

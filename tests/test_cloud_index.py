@@ -139,8 +139,3 @@ class TestAccounting:
             pipe.outsourced.graph, pipe.outsourced.block_vertices
         )
         assert block_only.size_bytes() < full.size_bytes()
-
-    def test_build_time_recorded(self):
-        graph, block = indexed_graph()
-        index = CloudIndex.build(graph, block)
-        assert index.build_seconds >= 0.0

@@ -77,7 +77,6 @@ class TestAnswerShapes:
             pipe.outsourced.block_vertices,
         )
         answer = server.answer(pipe.qo)
-        assert answer.cloud_seconds >= 0
         assert answer.rs_size == sum(answer.star_stats.result_sizes.values())
         assert answer.join_stats.rin_size == len(answer.matches)
         assert len(answer.decomposition.stars) >= 1
@@ -111,4 +110,3 @@ class TestAccounting:
             pipe.outsourced.block_vertices,
         )
         assert server.index_size_bytes() == server.index.size_bytes()
-        assert server.index_build_seconds() == server.index.build_seconds

@@ -277,9 +277,6 @@ def single_pass(dep: SimpleNamespace, rin: list, limit: int | None = None):
     # two shares of one pass, still in order and never negative
     assert expand.duration >= 0.0 and checks.duration >= 0.0
     assert checks.started_at >= expand.started_at + expand.duration - 1e-9
-    assert (outcome.expansion_seconds, outcome.filter_seconds) == (
-        expand.duration, checks.duration
-    )
     attrs = checks.attributes
     assert expand.attributes["candidates"] == attrs["candidates"]
     assert attrs["candidates"] == outcome.candidate_count

@@ -535,6 +535,15 @@ class TestGatewayShedding:
         requests = obs.metrics.counter(names.M_GATEWAY_REQUESTS)
         assert requests.value(status="overloaded") == 1
 
+    def test_slo_with_a_disabled_scope_is_refused(self, dep):
+        """The window observes request spans; a disabled scope opens
+        none, so it would stay empty and never shed."""
+        policy = AdmissionPolicy(slo_seconds=1e-9, min_window_count=1)
+        with pytest.raises(GatewayError, match="slo_seconds"):
+            QueryGateway(
+                make_cloud(dep), policy=policy, obs=Observability.disabled()
+            )
+
     def test_connection_survives_a_shed(self, dep):
         cloud = make_cloud(dep)
         expected = reference_bytes(cloud, dep.query)

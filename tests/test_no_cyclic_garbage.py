@@ -167,12 +167,15 @@ def test_a_registry_with_the_live_ratio_gauge():
 
 
 def test_a_bare_cloud_server(figure1_pipeline):
+    """A registry that records registers the star cache's pull gauges,
+    whose callbacks must not tie the server into a cycle."""
     pipeline = figure1_pipeline
     server = CloudServer(
         pipeline.outsourced.graph.copy(),
         pipeline.transform.avt,
         list(pipeline.outsourced.block_vertices),
         star_cache_size=8,
+        obs=Observability(),
     )
     server.obs.metrics.snapshot()
     holder = [server]
@@ -184,7 +187,7 @@ def test_a_dead_servers_cache_gauges_leave_the_scrape(figure1_pipeline):
     """A registry that outlives its server stops reporting that server's
     gauges (``MetricsRegistry.callbacks`` skips a callback that raises)."""
     pipeline = figure1_pipeline
-    obs = Observability.measuring()
+    obs = Observability()
     server = CloudServer(
         pipeline.outsourced.graph.copy(),
         pipeline.transform.avt,

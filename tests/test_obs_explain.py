@@ -219,6 +219,17 @@ class TestLayers:
         assert metrics.gk_seconds == seconds[names.PUBLISH_KAUTO]
         assert metrics.go_seconds == seconds[names.PUBLISH_OUTSOURCE]
 
+    def test_index_seconds_is_the_one_index_build_span(self):
+        """One clock: the index time is the span's duration, not a
+        second timer inside it."""
+        graph, schema = example_social_network()
+        system = PrivacyPreservingSystem.setup(graph, schema, SystemConfig(k=2))
+        trace = system.published.trace
+        assert len(trace.named(names.CLOUD_INDEX_BUILD)) == 1
+        index_seconds = layers(trace)[names.CLOUD_INDEX_BUILD]
+        assert index_seconds > 0.0
+        assert system.publish_metrics.index_seconds == index_seconds
+
     def test_pipeline_names_every_span_once(self):
         assert len(set(names.PIPELINE)) == len(names.PIPELINE)
 

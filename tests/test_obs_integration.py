@@ -221,3 +221,20 @@ class TestRegistryAggregation:
             name in (names.M_CACHE_HITS, names.M_CACHE_MISSES)
             for name, _value, _help in registry.callbacks()
         )
+
+    def test_seconds_histograms_observe_span_durations_only(self):
+        """Spans are the only clock: a component called outside a
+        recording scope has no seconds to report, so it observes none."""
+        graph, schema = example_social_network()
+        obs = Observability()
+        system = PrivacyPreservingSystem.setup(
+            graph, schema, SystemConfig(k=2), obs=obs
+        )
+        query = example_query()
+        system.query(query)
+        answer = system.cloud.answer(system.client.prepare_query(query))
+        system.client.process_answer(query, answer.table, answer.expanded)
+        for name in (names.M_CLOUD_SECONDS, names.M_CLIENT_SECONDS):
+            histogram = obs.metrics.histogram(name)
+            assert histogram.count() == 1
+            assert histogram.sum() > 0.0

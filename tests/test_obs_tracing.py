@@ -1,12 +1,14 @@
 """Unit tests for the tracing substrate (`repro.obs.tracing`).
 
-Covers the three tracer grades (recording, measure-only, null), span
+Covers the two tracer grades (recording, null), span
 nesting across threads, explicit cross-thread parenting, fork resets,
 retention caps and the cProfile hook.
 """
 
+import re
 import threading
 import time
+from pathlib import Path
 
 from repro.obs import NULL_SPAN, NULL_TRACER, Observability, Span, Trace, Tracer
 from repro.obs.profiling import SpanProfiler
@@ -154,24 +156,6 @@ class TestRecordingTracer:
         assert names == ["child-span"]
 
 
-class TestMeasureOnlyTracer:
-    def test_durations_without_retention(self):
-        tracer = Tracer(record=False)
-        with tracer.span("phase") as span:
-            time.sleep(0.001)
-        assert span.duration > 0.0
-        assert span.span_id == 0  # no ids allocated
-        assert len(tracer.trace()) == 0
-        assert tracer.recording is False
-
-    def test_parent_kwarg_is_inert(self):
-        tracer = Tracer(record=False)
-        fake_parent = Span("outer")  # span_id == 0
-        with tracer.span("inner", parent=fake_parent) as span:
-            pass
-        assert span.parent_id is None
-
-
 class TestNullTracer:
     def test_shared_null_span(self):
         assert NULL_TRACER.span("anything") is NULL_SPAN
@@ -179,7 +163,6 @@ class TestNullTracer:
             assert span.set(a=1) is span
         assert NULL_SPAN.attributes == {}
         assert len(NULL_TRACER.trace()) == 0
-        assert NULL_TRACER.recording is False
         assert NULL_TRACER.enabled is False
 
 
@@ -301,11 +284,6 @@ class TestTraceStitching:
         # the grafted spans are copies: the input trace is not mutated
         assert [(s.span_id, s.parent_id, s.depth) for s in foreign] == before
 
-    def test_absorb_is_noop_on_measure_only_tracer(self):
-        tracer = Tracer(record=False)
-        assert tracer.absorb(self._foreign_trace("remote")) == []
-        assert len(tracer.trace()) == 0
-
     def test_snapshot_of_open_span_has_live_duration(self):
         tracer = Tracer()
         with tracer.span("gateway.request") as root:
@@ -322,7 +300,7 @@ class TestObservabilityFacade:
         scope = obs.for_query()
         assert scope.metrics is obs.metrics
         assert scope.tracer is not obs.tracer
-        assert scope.recording
+        assert scope.tracer.enabled
 
     def test_disabled_is_shared_noop(self):
         disabled = Observability.disabled()
@@ -334,9 +312,19 @@ class TestObservabilityFacade:
         disabled.metrics.counter("c").inc(5)
         assert disabled.metrics.counter("c").total == 0.0
 
-    def test_measuring_times_without_retaining(self):
-        obs = Observability.measuring()
-        with obs.tracer.span("phase") as span:
-            pass
-        assert span.duration >= 0.0
-        assert len(obs.tracer.trace()) == 0
+
+def test_src_reads_the_clock_in_three_places():
+    """Spans are the only clock: ``perf_counter`` is read by the tracer,
+    by ``submit`` (an untraced batch's wall) and by ``filter_rin`` (the
+    checks timer that splits one pass between two spans), nowhere else."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    readers = sorted(
+        str(path.relative_to(src))
+        for path in src.rglob("*.py")
+        if re.search(r"\bperf_counter\b", path.read_text())
+    )
+    assert readers == [
+        "repro/client/filtering.py",
+        "repro/core/system.py",
+        "repro/obs/tracing.py",
+    ]

@@ -62,7 +62,6 @@ class TestSlidingWindow:
             window.observe(value)
         assert window.values() == [2.0, 3.0, 4.0]
         assert len(window) == 3
-        assert window.total_observations == 4
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -80,17 +79,17 @@ class TestSlidingWindow:
         window.observe(1.0)
         assert window.rate() == pytest.approx(2 / 2.0)
 
-    def test_snapshot_views_agree(self):
+    def test_quantile_matches_statistics_inclusive_cut_points(self):
         window = SlidingWindow(capacity=64)
-        values = [float(v) for v in range(1, 11)]
+        rng = random.Random(7)
+        values = [rng.expovariate(20.0) for _ in range(10)]
         for value in values:
             window.observe(value)
-        snap = window.snapshot()
-        assert snap["count"] == 10.0
-        assert snap["mean"] == pytest.approx(statistics.mean(values))
-        assert snap["p50"] == pytest.approx(statistics.median(values))
-        assert snap["p95"] == window.p95()
-        assert snap["p99"] == window.p99()
+        assert window.count() == 10
+        assert window.quantile(0.5) == pytest.approx(statistics.median(values))
+        cuts = statistics.quantiles(values, n=20, method="inclusive")
+        for i, cut in enumerate(cuts, start=1):
+            assert window.quantile(i / 20) == pytest.approx(cut)
 
     def test_register_exposes_pull_gauges(self):
         registry = MetricsRegistry()

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import os
 import signal
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -179,10 +178,7 @@ class TestBitIdentity:
         assert answer.rs_size == reference.rs_size
         assert answer.expanded == reference.expanded
         assert answer.decomposition == reference.decomposition
-        # everything Algorithm 2 reports but its wall time
-        assert replace(answer.join_stats, seconds=0.0) == replace(
-            reference.join_stats, seconds=0.0
-        )
+        assert answer.join_stats == reference.join_stats
 
 
 #: Vector arms of the join (star matching itself is arm-free).

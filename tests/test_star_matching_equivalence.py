@@ -11,7 +11,6 @@ order and the same :class:`ResultBudgetExceeded` point on every arm.
 from __future__ import annotations
 
 import random
-import time
 from array import array
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
@@ -102,7 +101,6 @@ class _ReferenceIndex:
         optimized method that is ``Go``, which contains every ``Gk``
         edge incident to ``B1``, so LBVs are complete.
         """
-        started = time.perf_counter()
         vertices = list(indexed_vertices)
         position = {vid: p for p, vid in enumerate(vertices)}
 
@@ -149,7 +147,6 @@ class _ReferenceIndex:
             csr=_ReferenceCSR.build(graph),
         )
         index._full_mask = (1 << len(vertices)) - 1
-        index.build_seconds = time.perf_counter() - started
         return index
 
     # ------------------------------------------------------------------
