@@ -39,12 +39,7 @@ from conftest import bench_scale
 from repro.bench import format_table, ms, print_report
 from repro.cloud import CloudServer
 from repro.exceptions import GatewayError, GatewayRejected
-from repro.gateway import (
-    AdmissionPolicy,
-    GatewayClient,
-    QueryGateway,
-    SHED_CODES,
-)
+from repro.gateway import GatewayClient, QueryGateway, SHED_CODES
 from repro.graph import make_schema, random_attributed_graph
 from repro.kauto import AlignmentVertexTable
 from repro.obs import Observability, names
@@ -162,10 +157,7 @@ def test_report_gateway_qps(deployment):
     cloud, query = deployment
 
     # steady arm: generous budget, no SLO probe.
-    with QueryGateway(
-        cloud,
-        policy=AdmissionPolicy(max_inflight=64, max_client_inflight=64),
-    ) as gateway:
+    with QueryGateway(cloud, max_inflight=64) as gateway:
         base_latency = max(_calibrate(gateway.port, query), 1e-4)
         steady_rate = max(2.0, 0.5 / base_latency)
         steady = asyncio.run(
@@ -190,13 +182,8 @@ def test_report_gateway_qps(deployment):
         cloud,
         obs=obs,
         workers=1,
-        policy=AdmissionPolicy(
-            max_inflight=OVERLOAD_BUDGET,
-            max_client_inflight=OVERLOAD_BUDGET,
-            slo_seconds=slo_seconds,
-            slo_quantile=0.99,
-            min_window_count=16,
-        ),
+        max_inflight=OVERLOAD_BUDGET,
+        slo_seconds=slo_seconds,
     ) as gateway:
         overload = asyncio.run(
             _open_loop(gateway.port, query, overload_rate, DURATION_SECONDS)

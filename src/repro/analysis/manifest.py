@@ -208,8 +208,6 @@ TAINT_SANITIZERS: dict[str, str] = {
 
 #: Calls whose result is declared taint-free even when handed tainted
 #: arguments: they return metadata/verdicts, never embedded content.
-#: (``before`` is the reviewed middleware-chain hook — a rejection it
-#: returns carries policy text, not request payloads.)
 TAINT_NEUTRAL_CALLS: frozenset[str] = frozenset(
     {
         "len",
@@ -223,7 +221,6 @@ TAINT_NEUTRAL_CALLS: frozenset[str] = frozenset(
         "isinstance",
         "hash",
         "compare_digest",
-        "before",
     }
 )
 

@@ -71,6 +71,8 @@ from repro.workloads.datasets import DATASETS, load_dataset
 # the options that set the SystemConfig field of the same name
 PUBLISH = ("k", "theta", "method")
 TOPOLOGY = ("shards", "star_cache_size")
+# serve's options that only the gateway (--gateway-port) reads
+GATEWAY = ("gateway_port_file", "gateway_token", "slo_seconds", "max_inflight")
 
 
 def _given(args: argparse.Namespace, *fields: str) -> dict[str, Any]:
@@ -267,6 +269,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.obs import TelemetryServer, TraceRing
     from repro.obs.audit import build_audit
 
+    gateway_options = _given(args, *GATEWAY)
+    if args.gateway_port is None and gateway_options:
+        args.parser.error(
+            "--gateway-port-file/--gateway-token/--slo-seconds/--gateway-max-inflight "
+            "configure the gateway: add --gateway-port"
+        )
+    if gateway_options.get("gateway_token") == "":
+        args.parser.error("--gateway-token must not be empty")
+    if gateway_options.get("max_inflight", 1) < 1:
+        args.parser.error("--gateway-max-inflight must be >= 1")
+    if not gateway_options.get("slo_seconds", 1) > 0:
+        args.parser.error("--slo-seconds must be positive")
+
     obs = Observability()
     state = {"ready": False, "served": 0}
     ring = TraceRing(capacity=args.trace_ring, log=args.events)
@@ -295,29 +310,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         cloud = system.cloud
         if args.gateway_port is not None:
-            from repro.gateway import (
-                AdmissionPolicy,
-                AuthTokenMiddleware,
-                QueryGateway,
-            )
+            from repro.gateway import QueryGateway
 
-            middlewares = (
-                [AuthTokenMiddleware(token=args.gateway_token)]
-                if args.gateway_token
-                else []
-            )
             gateway = QueryGateway(
                 cloud,
                 host=args.host,
                 port=args.gateway_port,
-                middlewares=middlewares,
-                policy=AdmissionPolicy(
-                    max_inflight=args.gateway_max_inflight,
-                    max_client_inflight=args.gateway_max_inflight,
-                    slo_seconds=args.slo_seconds,
-                ),
+                token=args.gateway_token,
+                slo_seconds=args.slo_seconds,
                 obs=obs,
                 traces=ring,
+                **_given(args, "max_inflight"),
             ).start()
             _write_port_file(args.gateway_port_file, gateway.port)
             print(
@@ -379,7 +382,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _gateway(args: argparse.Namespace) -> Any:
     """A session with the gateway at ``--host``/``--port``.  What it
     raises leaves :func:`main` as one stderr line: a typed rejection
-    (auth, rate limit, shedding) with status 2, a failed transport 1."""
+    (a refused token, shedding) with status 2, a failed transport 1."""
     from repro.gateway import SyncGatewayClient
 
     return SyncGatewayClient(
@@ -702,7 +705,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     gateway_client = _options(endpoint)
     gateway_client.add_argument(
-        "--client-id", default="cli", help="client identity for middleware"
+        "--client-id",
+        default="cli",
+        help="client identity the gateway records on each request's trace",
     )
     gateway_client.add_argument(
         "--token", default="", help="auth token for the hello frame"
@@ -814,9 +819,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--gateway-max-inflight",
+        dest="max_inflight",
         type=int,
-        default=64,
-        help="global cap on concurrently admitted gateway requests",
+        metavar="N",
+        help="global cap on concurrently admitted gateway requests (default 64)",
     )
 
     command(

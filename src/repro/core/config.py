@@ -76,10 +76,6 @@ class SystemConfig:
         default_factory=lambda: MethodConfig.from_name("EFF")
     )
     seed: int = 0
-    # where Rin is expanded to R(Qo, Gk): "client" (default, minimizes
-    # communication) or "cloud" (minimizes client CPU) — Section 4.2.2
-    # discusses both placements.  Ignored by BAS (already expanded).
-    expansion_site: str = "client"
     allow_small_label_groups: bool = True
     # per-query cloud resource quota: a star-match or join intermediate
     # exceeding it raises ResultBudgetExceeded instead of exhausting
@@ -114,8 +110,6 @@ class SystemConfig:
             )
         check_int("k", self.k, 2)  # k = 1 is no privacy
         check_int("theta", self.theta, 1)
-        if self.expansion_site not in ("client", "cloud"):
-            raise ConfigError("expansion_site must be 'client' or 'cloud'")
         # 0 is legal: "no intermediate results allowed" (every non-empty
         # star/join trips the budget) — the bench harness uses it to
         # exercise the skip path.

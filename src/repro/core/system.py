@@ -36,7 +36,6 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from repro.anonymize.lct import LabelCorrespondenceTable
-from repro.client.expansion import expand_rin_table
 from repro.cloud.parallel import effective_workers, map_batch
 from repro.cloud.server import CloudServer
 from repro.core.config import SystemConfig
@@ -287,8 +286,8 @@ class PrivacyPreservingSystem:
         strategy from the LCT, BAS from a cloud half that is ``Gk``;
         ``serving`` supplies the :class:`SystemConfig` fields a saved
         deployment leaves open (``shards``, ``star_cache_size``,
-        ``max_intermediate_results``, ``expansion_site``).  Runs with the cyclic collector paused, as
-        :meth:`setup` does.
+        ``max_intermediate_results``).  Runs with the cyclic collector
+        paused, as :meth:`setup` does.
         """
         with _collector_paused():
             _, avt, _, expand_in_cloud = cloud_half = load_cloud_side(directory)
@@ -479,25 +478,13 @@ class PrivacyPreservingSystem:
                 cloud_query = decode_query(query_payload)
             answer = self.cloud.answer(cloud_query, obs=scope)
 
-            # the result set stays tabular from the cloud join to the
-            # client filter; dicts are only materialized for the final
-            # (small) exact results.
-            order = sorted(query.vertex_ids())
-            table, expanded = answer.table, answer.expanded
-            if self.config.expansion_site == "cloud" and not expanded:
-                # Section 4.2.2: the expansion step may run in the
-                # cloud to spare the client, at higher communication
-                # cost.
-                with tracer.span(
-                    names.CLOUD_EXPAND, rin_size=len(table)
-                ) as span:
-                    table = expand_rin_table(table, self.cloud.avt).table
-                    expanded = True
-                    span.set(candidates=len(table))
-
-            # wire: ship the answer
+            # wire: ship the answer.  The result set stays tabular from
+            # the cloud join to the client filter; dicts are only
+            # materialized for the final (small) exact results.
             with tracer.span(names.ENCODE_ANSWER) as span:
-                answer_payload = encode_answer_table(table, order, expanded)
+                answer_payload = encode_answer_table(
+                    answer.table, sorted(query.vertex_ids()), answer.expanded
+                )
                 span.set(bytes=len(answer_payload))
             self.channel.transmit("answer", answer_payload, obs=scope)
 

@@ -54,11 +54,10 @@ class GatewayRejected(GatewayError):
 
     Carried on the wire as a typed reject frame; the client re-raises
     it with the machine-readable ``code`` (``"overloaded"``,
-    ``"unauthorized"``, ``"rate_limited"``, ``"budget_exhausted"``,
-    ``"queue_full"``, ``"bad_request"``, ``"internal"``), the
+    ``"unauthorized"``, ``"bad_request"``, ``"internal"``), the
     human-readable ``reason`` and the ``request_id`` it answers.  A
-    reject is load shedding or policy, not a crash: the connection
-    stays usable and the client may retry later.
+    reject is load shedding, a refused token or a bad frame, not a
+    crash: the connection stays usable and the client may retry later.
     """
 
     def __init__(self, code: str, reason: str, request_id: str = ""):

@@ -7,12 +7,10 @@ against one outsourced graph.  This package provides that front end:
 - :class:`QueryGateway` — an asyncio server speaking the
   length-prefixed frames of :mod:`repro.core.protocol`, dispatching
   into a deployed :class:`~repro.cloud.server.CloudServer` (single or
-  sharded) through a bounded worker pool, with admission control,
-  SLO-driven load shedding and duplicate-query coalescing.
-- :class:`Middleware` / :class:`MiddlewareChain` — pluggable
-  request hooks, with stock auth-token, rate-limit and privacy-budget
-  middlewares (a request's record is its trace document on the
-  :class:`~repro.obs.TraceRing`).
+  sharded) through a bounded worker pool, with an optional shared
+  auth token, admission control, SLO-driven load shedding and
+  duplicate-query coalescing (a request's record is its trace
+  document on the :class:`~repro.obs.TraceRing`).
 - :class:`GatewayClient` / :class:`SyncGatewayClient` — the matching
   clients; answers decode to the same columnar
   :class:`~repro.matching.table.MatchTable` frames the in-process
@@ -21,20 +19,11 @@ against one outsourced graph.  This package provides that front end:
 
 from repro.gateway.admission import (
     AdmissionController,
-    AdmissionPolicy,
     QueryCoalescer,
     coalesce_key,
     query_signature,
 )
 from repro.gateway.client import GatewayClient, SyncGatewayClient, TracedSubmit
-from repro.gateway.middleware import (
-    AuthTokenMiddleware,
-    GatewayRequest,
-    Middleware,
-    MiddlewareChain,
-    PrivacyBudgetMiddleware,
-    RateLimitMiddleware,
-)
 from repro.gateway.server import SHED_CODES, QueryGateway
 
 __all__ = [
@@ -42,13 +31,6 @@ __all__ = [
     "GatewayClient",
     "SyncGatewayClient",
     "TracedSubmit",
-    "Middleware",
-    "MiddlewareChain",
-    "GatewayRequest",
-    "AuthTokenMiddleware",
-    "RateLimitMiddleware",
-    "PrivacyBudgetMiddleware",
-    "AdmissionPolicy",
     "AdmissionController",
     "QueryCoalescer",
     "coalesce_key",

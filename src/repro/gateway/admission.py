@@ -2,12 +2,12 @@
 
 The gateway never queues unboundedly and never collapses under load:
 an :class:`AdmissionController` enforces a global concurrency budget
-and a per-client in-flight cap, and — when wired to a live
-:class:`~repro.obs.windows.SlidingWindow` through
-:meth:`~repro.obs.windows.SlidingWindow.shed_probe` — sheds new work
-the moment the admitted-traffic tail latency breaches the SLO.  Every
-refusal is a typed :class:`~repro.exceptions.GatewayRejected` that the
-server turns into a reject frame; admitted requests are unaffected.
+and — when wired to a live :class:`~repro.obs.windows.SlidingWindow`
+through :meth:`~repro.obs.windows.SlidingWindow.shed_probe` — sheds new
+work the moment the admitted-traffic tail latency breaches the SLO.
+Every refusal is a typed :class:`~repro.exceptions.GatewayRejected`
+(code ``"overloaded"``) that the server turns into a reject frame;
+admitted requests are unaffected.
 
 The :class:`QueryCoalescer` deduplicates identical in-flight work: two
 concurrent requests carrying structurally identical query workloads
@@ -20,108 +20,70 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import Future
-from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.cloud.cache import vertex_constraint
-from repro.exceptions import GatewayRejected
+from repro.exceptions import GatewayError, GatewayRejected
 from repro.graph.attributed import AttributedGraph
 
-
-@dataclass(frozen=True, kw_only=True)
-class AdmissionPolicy:
-    """Knobs for :class:`AdmissionController`.
-
-    ``slo_seconds`` is the p-quantile latency bound on *admitted*
-    requests; ``None`` disables latency shedding (the concurrency caps
-    still apply).  ``min_window_count`` keeps a cold window from
-    shedding before it has a statistically meaningful tail.
-    """
-
-    max_inflight: int = 64
-    max_client_inflight: int = 16
-    slo_seconds: float | None = None
-    slo_quantile: float = 0.99
-    min_window_count: int = 32
-
-    def __post_init__(self) -> None:
-        if self.max_inflight < 1:
-            raise ValueError("max_inflight must be >= 1")
-        if self.max_client_inflight < 1:
-            raise ValueError("max_client_inflight must be >= 1")
-        if self.slo_seconds is not None and self.slo_seconds <= 0:
-            raise ValueError("slo_seconds must be positive or None")
-        if not 0.0 < self.slo_quantile <= 1.0:
-            raise ValueError("slo_quantile must be in (0, 1]")
-        if self.min_window_count < 1:
-            raise ValueError("min_window_count must be >= 1")
+#: The latency quantile ``slo_seconds`` bounds on admitted requests.
+SLO_QUANTILE = 0.99
+#: Admitted requests the window must hold before it may shed: a cold
+#: window has no statistically meaningful tail.
+MIN_WINDOW_COUNT = 32
 
 
 class AdmissionController:
-    """Bounded admission: concurrency caps + SLO-driven load shedding.
+    """Bounded admission: one concurrency cap + SLO-driven load shedding.
 
     ``shed_probe`` is a zero-argument callable (typically
-    ``window.shed_probe(policy.slo_seconds, ...)``) evaluated on every
-    admission attempt; ``True`` refuses with code ``"overloaded"``.
-    :meth:`admit` either raises :class:`GatewayRejected` or reserves a
-    slot the caller must give back via :meth:`release` (the gateway
-    wraps the pair in ``try/finally``).
+    ``window.shed_probe(slo_seconds, ...)``) evaluated on every
+    admission attempt; ``True`` refuses with code ``"overloaded"``, as
+    does a full budget of ``max_inflight`` requests.  :meth:`admit`
+    either raises :class:`GatewayRejected` or reserves a slot the
+    caller must give back via :meth:`release` (the gateway wraps the
+    pair in ``try/finally``).
     """
 
     def __init__(
         self,
-        policy: AdmissionPolicy | None = None,
+        max_inflight: int = 64,
         shed_probe: Callable[[], bool] | None = None,
     ) -> None:
-        self.policy = policy if policy is not None else AdmissionPolicy()
+        if max_inflight < 1:
+            raise GatewayError(f"max_inflight must be >= 1, got {max_inflight!r}")
+        self.max_inflight = max_inflight
         self.shed_probe = shed_probe
         self._inflight = 0  #: guarded by _lock
-        self._per_client: dict[str, int] = {}  #: guarded by _lock
         self._lock = threading.Lock()
 
-    def admit(self, client_id: str, request_id: str = "") -> None:
-        """Reserve one slot for ``client_id`` or raise ``GatewayRejected``."""
+    def admit(self, request_id: str = "") -> None:
+        """Reserve one slot or raise ``GatewayRejected``."""
         if self.shed_probe is not None and self.shed_probe():
             raise GatewayRejected(
                 "overloaded",
-                f"tail latency over the p{int(self.policy.slo_quantile * 100)}"
-                " SLO; shedding new work",
+                f"tail latency over the p{int(SLO_QUANTILE * 100)} SLO; "
+                "shedding new work",
                 request_id,
             )
         with self._lock:
-            if self._inflight >= self.policy.max_inflight:
+            if self._inflight >= self.max_inflight:
                 raise GatewayRejected(
                     "overloaded",
-                    f"global concurrency budget of "
-                    f"{self.policy.max_inflight} requests is full",
-                    request_id,
-                )
-            mine = self._per_client.get(client_id, 0)
-            if mine >= self.policy.max_client_inflight:
-                raise GatewayRejected(
-                    "queue_full",
-                    f"client {client_id!r} already has {mine} requests "
-                    "in flight",
+                    f"global concurrency budget of {self.max_inflight} "
+                    "requests is full",
                     request_id,
                 )
             self._inflight += 1
-            self._per_client[client_id] = mine + 1
 
-    def release(self, client_id: str) -> None:
+    def release(self) -> None:
         """Give back a slot reserved by :meth:`admit`."""
         with self._lock:
             self._inflight = max(0, self._inflight - 1)
-            mine = self._per_client.get(client_id, 0)
-            if mine <= 1:
-                self._per_client.pop(client_id, None)
-            else:
-                self._per_client[client_id] = mine - 1
 
-    def inflight(self, client_id: str | None = None) -> int:
+    def inflight(self) -> int:
         with self._lock:
-            if client_id is None:
-                return self._inflight
-            return self._per_client.get(client_id, 0)
+            return self._inflight
 
 
 # ----------------------------------------------------------------------
@@ -183,7 +145,8 @@ class QueryCoalescer:
 
 
 __all__ = [
-    "AdmissionPolicy",
+    "SLO_QUANTILE",
+    "MIN_WINDOW_COUNT",
     "AdmissionController",
     "QueryCoalescer",
     "query_signature",

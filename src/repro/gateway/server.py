@@ -6,10 +6,10 @@ envelope of :mod:`repro.core.protocol`, and dispatches anonymized
 queries into a :class:`~repro.cloud.server.CloudServer` (single or
 sharded) through a bounded thread pool.  Per request it runs, in order:
 
-1. the middleware chain's ``on_request`` hooks (auth, rate limit,
-   privacy budget — any may refuse),
-2. admission control (global + per-client concurrency caps, SLO-driven
-   load shedding off the live ``gateway_seconds_window`` gauges),
+1. the auth check of the connection's hello token against the
+   gateway's shared ``token``, when one is set,
+2. admission control (one global concurrency cap, SLO-driven load
+   shedding off the live ``gateway_seconds_window`` gauges),
 3. duplicate-query coalescing (identical in-flight workloads share one
    cloud computation),
 4. the cloud computation itself on a pool worker, then the answer
@@ -30,10 +30,11 @@ into the deployment's channel totals on disconnect.
 from __future__ import annotations
 
 import asyncio
+import hmac
 import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.cloud.parallel import DEFAULT_MAX_WORKERS
 from repro.cloud.server import CloudServer
@@ -52,20 +53,20 @@ from repro.core.protocol import (
 )
 from repro.exceptions import GatewayError, GatewayRejected, ProtocolError
 from repro.gateway.admission import (
+    MIN_WINDOW_COUNT,
+    SLO_QUANTILE,
     AdmissionController,
-    AdmissionPolicy,
     QueryCoalescer,
     coalesce_key,
 )
-from repro.gateway.middleware import GatewayRequest, Middleware, MiddlewareChain
 from repro.graph.attributed import AttributedGraph
 from repro.matching.table import MatchTable
 from repro.obs import Observability, SlidingWindow, TraceRing, names
 from repro.obs.tracing import NullSpan, Span, Trace
 
 #: Reject codes counted as *load shedding* (``gateway_shed_total``);
-#: other rejections (auth, rate limit, budget, bad frames) are policy.
-SHED_CODES = ("overloaded", "queue_full")
+#: the other rejections (auth, bad frames, internal) are not.
+SHED_CODES = ("overloaded",)
 
 #: One answer entry: the result table, its column order, and whether
 #: the rows are already expanded through the AVT.
@@ -104,18 +105,21 @@ class QueryGateway:
     host, port:
         Bind address; ``port=0`` picks a free port (read it back from
         :attr:`port` after :meth:`start`).
-    middlewares:
-        The request chain, outermost first.
-    policy:
-        Admission knobs; ``policy.slo_seconds`` arms latency shedding
-        off the gateway's own sliding window, which is fed request span
-        durations — so it needs an enabled ``obs``.
+    token:
+        Shared secret every request's hello token must equal (compared
+        in constant time); a mismatch is refused with ``unauthorized``
+        and the connection stays usable.  ``None`` admits any token.
+    max_inflight:
+        Global cap on concurrently admitted requests; past it a request
+        is refused with ``overloaded``.
+    slo_seconds:
+        Arms latency shedding: once the gateway's own sliding window
+        holds ``MIN_WINDOW_COUNT`` admitted requests and its
+        ``SLO_QUANTILE`` exceeds this bound, new requests are refused
+        with ``overloaded``.  The window is fed request span durations,
+        so it needs an enabled ``obs``.
     workers:
         Dispatch pool size (bounds concurrent cloud computations).
-    expansion_site:
-        ``"cloud"`` expands ``Rin`` through the AVT before framing the
-        answer (mirrors ``SystemConfig.expansion_site``); ``"client"``
-        ships ``Rin`` as-is.
     channel:
         The deployment's byte-accounting channel; each connection
         transmits on a :meth:`~NetworkChannel.scope` child of it.
@@ -135,48 +139,42 @@ class QueryGateway:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        middlewares: Iterable[Middleware] = (),
-        policy: AdmissionPolicy | None = None,
+        token: str | None = None,
+        max_inflight: int = 64,
+        slo_seconds: float | None = None,
         workers: int | None = None,
-        expansion_site: str = "client",
         channel: NetworkChannel | None = None,
         obs: Observability | None = None,
         traces: TraceRing | None = None,
     ) -> None:
-        if expansion_site not in ("client", "cloud"):
-            raise GatewayError(
-                f"expansion_site must be 'client' or 'cloud', "
-                f"got {expansion_site!r}"
-            )
+        if slo_seconds is not None and not slo_seconds > 0:
+            raise GatewayError(f"slo_seconds must be positive or None, got {slo_seconds!r}")
         self.cloud = cloud
         self.host = host
         self.port = port
-        self.expansion_site = expansion_site
+        self.token = token
         self.channel = channel if channel is not None else NetworkChannel()
         self.obs = obs if obs is not None else Observability()
         self.traces = traces
-        self.middleware = MiddlewareChain(middlewares)
-        self.policy = policy if policy is not None else AdmissionPolicy()
-        if self.policy.slo_seconds is not None and not self.obs.enabled:
+        if slo_seconds is not None and not self.obs.enabled:
             raise GatewayError(
                 "slo_seconds needs an enabled obs: the latency window "
                 "observes request spans, and a disabled scope has none"
             )
         self.window = SlidingWindow(capacity=1024)
+        shed_probe = None
+        if slo_seconds is not None:
+            shed_probe = self.window.shed_probe(
+                slo_seconds, quantile=SLO_QUANTILE, min_count=MIN_WINDOW_COUNT
+            )
+        # validates max_inflight before the window's gauges are registered
+        self.admission = AdmissionController(max_inflight, shed_probe)
         if self.obs.enabled:
             self.window.register(
                 self.obs.metrics,
                 names.W_GATEWAY_WINDOW,
                 help="Admitted gateway request seconds over the SLO window.",
             )
-        shed_probe = None
-        if self.policy.slo_seconds is not None:
-            shed_probe = self.window.shed_probe(
-                self.policy.slo_seconds,
-                quantile=self.policy.slo_quantile,
-                min_count=self.policy.min_window_count,
-            )
-        self.admission = AdmissionController(self.policy, shed_probe)
         self.coalescer = QueryCoalescer()
         self._workers = workers if workers is not None else DEFAULT_MAX_WORKERS
         self._pool: ThreadPoolExecutor | None = None
@@ -394,12 +392,6 @@ class QueryGateway:
             context.query_id if context is not None and context.query_id else None
         )
         tracer = scope.tracer
-        request = GatewayRequest(
-            client_id=conn.client_id,
-            request_id=request_id,
-            queries=queries,
-            token=conn.token,
-        )
         rejection: GatewayRejected | None = None
         answers: list[AnswerEntry] = []
 
@@ -416,11 +408,18 @@ class QueryGateway:
                 # the returned trace via Tracer.absorb.
                 root.set(ctx_parent=context.parent_span_id)
             conn.channel.transmit("gateway_query", payload, obs=scope)
-            rejection = self.middleware.before(request)
+            if self.token is not None and not hmac.compare_digest(
+                conn.token.encode("utf-8"), self.token.encode("utf-8")
+            ):
+                rejection = GatewayRejected(
+                    "unauthorized",
+                    f"invalid token for client {conn.client_id!r}",
+                    request_id,
+                )
             admitted = False
             if rejection is None:
                 try:
-                    self.admission.admit(conn.client_id, request_id)
+                    self.admission.admit(request_id)
                     admitted = True
                 except GatewayRejected as exc:
                     rejection = exc
@@ -440,7 +439,7 @@ class QueryGateway:
                     )
                 finally:
                     if admitted:
-                        self.admission.release(conn.client_id)
+                        self.admission.release()
 
             if rejection is None:
                 status = "ok"
@@ -562,16 +561,7 @@ class QueryGateway:
         out: list[AnswerEntry] = []
         for query in queries:
             answer = self.cloud.answer(query, obs=scope)
-            order = sorted(query.vertex_ids())
-            table, expanded = answer.table, answer.expanded
-            if self.expansion_site == "cloud" and not expanded:
-                # the same three-step kernel as the client's Rin
-                # expansion (known rows -> AVT expansion -> dedupe),
-                # via the AVT so the gateway layer never reaches into
-                # repro.client (vectorized when the backend allows).
-                table = self.cloud.avt.expand_known_table(table)
-                expanded = True
-            out.append((table, order, expanded))
+            out.append((answer.table, sorted(query.vertex_ids()), answer.expanded))
         return out
 
 

@@ -6,7 +6,7 @@ emits exactly one span with one of these names; the metric views
 the constants instead of string literals so a renamed phase fails at
 import time rather than silently producing an empty metric.
 
-Span tree (one ``query``, client expansion site)::
+Span tree (one ``query``)::
 
     query
     ├── client.anonymize          Q -> Qo through the private LCT
@@ -19,7 +19,6 @@ Span tree (one ``query``, client expansion site)::
     │   │   └── cloud.star_match  (one per star the cache lacks;
     │   │                          center, results)
     │   └── cloud.join            rin_size, intermediate_peak
-    ├── cloud.expand              (expansion_site="cloud" only)
     ├── protocol.encode_answer    bytes=|payload|
     ├── network.answer            simulated_seconds, bytes
     ├── protocol.decode_answer
@@ -76,7 +75,6 @@ CLOUD_DECOMPOSE = "cloud.decompose"
 CLOUD_STAR_MATCHING = "cloud.star_matching"
 CLOUD_STAR_MATCH = "cloud.star_match"
 CLOUD_JOIN = "cloud.join"
-CLOUD_EXPAND = "cloud.expand"
 
 # -- sharded cloud phases (repro.cloud.sharding) ------------------------
 # Under ``cloud.star_matching`` (which then also carries ``shards``), a
@@ -151,7 +149,6 @@ PIPELINE = (
     CLOUD_SHARD_MATCH,
     CLOUD_GATHER,
     CLOUD_JOIN,
-    CLOUD_EXPAND,
     ENCODE_ANSWER,
     NETWORK_ANSWER,
     DECODE_ANSWER,

@@ -189,7 +189,7 @@ class QueryMetrics:
     process_count: int = 0
 
     # the paper's per-phase seconds (Figures 14-21), read off ``phases``
-    cloud_seconds = _phase_seconds(names.CLOUD_ANSWER, names.CLOUD_EXPAND)
+    cloud_seconds = _phase_seconds(names.CLOUD_ANSWER)
     decomposition_seconds = _phase_seconds(names.CLOUD_DECOMPOSE)
     star_matching_seconds = _phase_seconds(names.CLOUD_STAR_MATCHING)
     join_seconds = _phase_seconds(names.CLOUD_JOIN)

@@ -566,6 +566,53 @@ class TestServe:
         assert all(doc["matches"] == 2 and doc["spans"] for doc in logged)
 
 
+    def test_serve_gateway_token_end_to_end(self, tmp_path, capsys):
+        """``serve --gateway-token``: ``call`` with the token answers,
+        a wrong token exits with ``unauthorized``, and the request
+        counter records the refusal."""
+        import threading
+        import time
+        import urllib.request
+
+        dep, graph_path, (query_path,) = publish_files(
+            tmp_path, capsys, example_social_network()[0], [example_query()]
+        )
+        port_file, gport_file = tmp_path / "port.txt", tmp_path / "gport.txt"
+        seen: dict[str, object] = {}
+
+        def client():
+            deadline = time.monotonic() + 30
+            while not all(f.is_file() and f.read_text().strip() for f in (port_file, gport_file)):
+                assert time.monotonic() < deadline
+                time.sleep(0.05)
+            call = ["call", dep, graph_path, query_path, "--port", gport_file.read_text()]
+            seen["right"] = main([*call, "--token", "s3cret"])
+            seen["wrong"] = main([*call, "--token", "wrong"])
+            url = f"http://127.0.0.1:{port_file.read_text()}/metrics"
+            with urllib.request.urlopen(url, timeout=5) as rsp:
+                seen["metrics"] = rsp.read().decode("utf-8")
+
+        caller = threading.Thread(target=client, daemon=True)
+        caller.start()
+        code = main(
+            [
+                "serve", dep, graph_path, query_path,
+                "--port", "0", "--port-file", str(port_file),
+                "--gateway-port", "0", "--gateway-port-file", str(gport_file),
+                "--gateway-token", "s3cret", "--linger", "3",
+            ]
+        )
+        caller.join(timeout=30)
+        assert code == 0
+        assert (seen["right"], seen["wrong"]) == (0, 2)
+        out, err = capsys.readouterr()
+        answer, _ = json.JSONDecoder().raw_decode(out)
+        assert len(answer[0]["matches"]) == 2
+        assert "gateway rejected request (unauthorized)" in err
+        assert 'repro_gateway_requests_total{status="unauthorized"} 1' in seen["metrics"]
+        assert 'repro_gateway_requests_total{status="ok"} 1' in seen["metrics"]
+
+
 class TestExplain:
     def _deployment(self, tmp_path, capsys):
         graph, _ = example_social_network()
@@ -685,7 +732,8 @@ class TestOneParser:
             "--events smoke/events.jsonl --port 0 --port-file smoke/port.txt --linger 20",
             "serve smoke/dep smoke/graph.json smoke/query.json --port 0 "
             "--port-file smoke/port.txt --gateway-port 0 --gateway-port-file "
-            "smoke/gateway-port.txt --gateway-max-inflight 64 --linger 90",
+            "smoke/gateway-port.txt --gateway-token ci-s3cret --gateway-max-inflight 64 "
+            "--linger 90",
             "serve smoke/dep smoke/graph.json smoke/query.json --shards 2 "
             "--star-cache 0 --port 0 --port-file smoke/port2.txt "
             "--gateway-port 0 --gateway-port-file smoke/gateway-port2.txt --linger 90",
@@ -726,6 +774,18 @@ class TestIgnoredOptionsAreRejected:
             ("audit dep --queries q.json", "--graph and --queries go together"),
             ("audit dep --sample 0", "--sample must be >= 1"),
             ("call dep g.json q.json", "the following arguments are required: --port"),
+            (
+                "serve dep g.json q.json --gateway-token x --gateway-max-inflight 3 "
+                "--slo-seconds 0.5",
+                "configure the gateway: add --gateway-port",
+            ),
+            ("serve dep g.json --gateway-port-file p.txt", "add --gateway-port"),
+            (
+                "serve dep g.json --gateway-port 0 --gateway-max-inflight 0",
+                "--gateway-max-inflight must be >= 1",
+            ),
+            ("serve dep g.json --gateway-port 0 --slo-seconds -1", "--slo-seconds must be positive"),
+            ("serve dep g.json --gateway-port 0 --gateway-token=", "--gateway-token must not be empty"),
         ],
     )
     def test_usage_error(self, capsys, argv, complaint):
@@ -743,17 +803,13 @@ class TestGatewayClients:
     @pytest.fixture
     def served(self, tmp_path, capsys):
         from repro.core.system import PrivacyPreservingSystem
-        from repro.gateway import AuthTokenMiddleware, QueryGateway
+        from repro.gateway import QueryGateway
         from repro.obs import Observability
 
         graph = example_social_network()[0]
         dep, graph_path, query_paths = publish_files(tmp_path, capsys, graph, [example_query()])
         system = PrivacyPreservingSystem.load(dep, graph)
-        with QueryGateway(
-            system.cloud,
-            middlewares=[AuthTokenMiddleware(token="s3cret")],
-            obs=Observability(),
-        ) as gateway:
+        with QueryGateway(system.cloud, token="s3cret", obs=Observability()) as gateway:
             yield [dep, graph_path, query_paths[0], "--port", str(gateway.port)]
 
     def test_call(self, served, capsys):

@@ -37,7 +37,6 @@ class TestSystemConfig:
         assert config.k == 2
         assert config.theta == 2
         assert config.method.name == "EFF"
-        assert config.expansion_site == "client"
 
     def test_invalid_k(self):
         with pytest.raises(ReproError):
@@ -46,10 +45,6 @@ class TestSystemConfig:
     def test_invalid_theta(self):
         with pytest.raises(ReproError):
             SystemConfig(theta=0)
-
-    def test_invalid_expansion_site(self):
-        with pytest.raises(ReproError):
-            SystemConfig(expansion_site="moon")
 
     def test_keyword_only(self):
         """Positional construction is a TypeError, not a silent k=3."""

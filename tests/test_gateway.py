@@ -1,4 +1,4 @@
-"""The serving gateway: middleware, admission, coalescing, bit-identity.
+"""The serving gateway: auth token, admission, coalescing, bit-identity.
 
 The contract under test: a query answered through the TCP gateway is
 *byte-identical* (at the ``encode_answer_table`` wire layer) to the
@@ -30,21 +30,15 @@ from repro.core.protocol import (
 from repro.exceptions import GatewayError, GatewayRejected
 from repro.gateway import (
     AdmissionController,
-    AdmissionPolicy,
-    AuthTokenMiddleware,
     GatewayClient,
-    GatewayRequest,
-    Middleware,
-    MiddlewareChain,
-    PrivacyBudgetMiddleware,
     QueryCoalescer,
     QueryGateway,
-    RateLimitMiddleware,
     SHED_CODES,
     SyncGatewayClient,
     coalesce_key,
     query_signature,
 )
+from repro.gateway.admission import MIN_WINDOW_COUNT
 from repro.graph import make_schema, random_attributed_graph
 from repro.kauto import build_k_automorphic_graph
 from repro.obs import Observability, TraceRing, names
@@ -89,147 +83,76 @@ def reference_bytes(cloud, query) -> bytes:
     return wire_bytes(answer.table, sorted(query.vertex_ids()), answer.expanded)
 
 
-def request(client="alice", rid="alice-1", queries=(), token="") -> GatewayRequest:
-    return GatewayRequest(
-        client_id=client, request_id=rid, queries=list(queries), token=token
-    )
-
-
 # ----------------------------------------------------------------------
-# middleware chain
+# the shared token
 # ----------------------------------------------------------------------
-class Recorder(Middleware):
-    def __init__(self, name: str, log: list, reject: str | None = None):
-        self.name = name
-        self.log = log
-        self.reject = reject
-
-    def on_request(self, req: GatewayRequest) -> None:
-        if self.reject is not None:
-            raise GatewayRejected(self.reject, "refused", req.request_id)
-        self.log.append(("request", self.name))
-
-
-class TestMiddlewareChain:
-    def test_hooks_run_in_order(self):
-        log: list = []
-        chain = MiddlewareChain(
-            [Recorder("a", log), Recorder("b", log), Recorder("c", log)]
-        )
-        assert chain.before(request()) is None
-        assert log == [("request", "a"), ("request", "b"), ("request", "c")]
-
-    def test_rejection_short_circuits_later_middlewares(self):
-        log: list = []
-        chain = MiddlewareChain(
-            [
-                Recorder("a", log),
-                Recorder("b", log, reject="unauthorized"),
-                Recorder("c", log),
-            ]
-        )
-        rejection = chain.before(request())
-        assert rejection is not None and rejection.code == "unauthorized"
-        assert log == [("request", "a")]
-
-
 class TestStockMiddlewares:
-    def test_auth_shared_token(self):
-        auth = AuthTokenMiddleware(token="s3cret")
-        auth.on_request(request(token="s3cret"))
-        with pytest.raises(GatewayRejected, match="unauthorized"):
-            auth.on_request(request(token="wrong"))
+    """The gateway's one auth path: ``QueryGateway(token=)``."""
 
-    def test_auth_per_client_roster(self):
-        auth = AuthTokenMiddleware(tokens={"alice": "a", "bob": "b"})
-        auth.on_request(request(client="alice", token="a"))
-        with pytest.raises(GatewayRejected, match="unauthorized"):
-            auth.on_request(request(client="alice", token="b"))
-        with pytest.raises(GatewayRejected, match="unauthorized"):
-            auth.on_request(request(client="mallory", token="a"))
+    def test_auth_shared_token(self, dep):
+        def codes(gateway, tokens):
+            out = []
+            for token in tokens:
+                with SyncGatewayClient(
+                    gateway.host, gateway.port, client_id="c", token=token
+                ) as client:
+                    try:
+                        client.query(dep.query)
+                        out.append("ok")
+                    except GatewayRejected as exc:
+                        out.append(exc.code)
+            return out
 
-    def test_auth_requires_exactly_one_config(self):
-        with pytest.raises(ValueError):
-            AuthTokenMiddleware()
-        with pytest.raises(ValueError):
-            AuthTokenMiddleware(token="x", tokens={"a": "y"})
-
-    def test_rate_limit_token_bucket(self):
-        clock = SimpleNamespace(now=0.0)
-        limiter = RateLimitMiddleware(
-            rate=1.0, burst=2, clock=lambda: clock.now
-        )
-        limiter.on_request(request(client="alice"))
-        limiter.on_request(request(client="alice"))
-        with pytest.raises(GatewayRejected, match="rate_limited"):
-            limiter.on_request(request(client="alice"))
-        # other clients have their own bucket
-        limiter.on_request(request(client="bob"))
-        # refill after a second of simulated time
-        clock.now = 1.0
-        limiter.on_request(request(client="alice"))
-
-    def test_privacy_budget_counts_queries(self, figure1_query):
-        budget = PrivacyBudgetMiddleware(budget=3)
-        budget.on_request(request(queries=[figure1_query] * 2))
-        assert budget.remaining("alice") == 1
-        with pytest.raises(GatewayRejected, match="budget_exhausted"):
-            budget.on_request(request(queries=[figure1_query] * 2))
-        budget.on_request(request(queries=[figure1_query]))
-        assert budget.remaining("alice") == 0
-
+        cloud = make_cloud(dep)
+        with QueryGateway(cloud) as gateway:  # no token: any hello passes
+            assert codes(gateway, ["", "anything"]) == ["ok", "ok"]
+        with QueryGateway(cloud, token="s3cret") as gateway:
+            assert codes(gateway, ["s3cret", "wrong", ""]) == [
+                "ok", "unauthorized", "unauthorized"
+            ]
 
 
 # ----------------------------------------------------------------------
 # admission + coalescing units
 # ----------------------------------------------------------------------
 class TestAdmissionController:
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            AdmissionPolicy(max_inflight=0)
-        with pytest.raises(ValueError):
-            AdmissionPolicy(slo_seconds=-1.0)
-        with pytest.raises(ValueError):
-            AdmissionPolicy(slo_quantile=1.5)
+    def test_policy_validation(self, dep):
+        with pytest.raises(GatewayError, match="max_inflight"):
+            AdmissionController(max_inflight=0)
+        cloud = make_cloud(dep)
+        obs = Observability()
+        with pytest.raises(GatewayError, match="max_inflight"):
+            QueryGateway(cloud, max_inflight=0, obs=obs)
+        assert obs.metrics.callbacks() == []  # nothing registered
+        for bad in (0.0, -1.0, float("nan")):
+            with pytest.raises(GatewayError, match="slo_seconds"):
+                QueryGateway(cloud, slo_seconds=bad)
 
     def test_global_cap_sheds_overloaded(self):
-        control = AdmissionController(AdmissionPolicy(max_inflight=2))
-        control.admit("a")
-        control.admit("b")
+        control = AdmissionController(max_inflight=2)
+        control.admit()
+        control.admit()
         with pytest.raises(GatewayRejected, match="overloaded"):
-            control.admit("c")
-        control.release("a")
-        control.admit("c")
-
-    def test_per_client_cap_sheds_queue_full(self):
-        control = AdmissionController(
-            AdmissionPolicy(max_inflight=10, max_client_inflight=1)
-        )
-        control.admit("alice")
-        with pytest.raises(GatewayRejected, match="queue_full"):
-            control.admit("alice")
-        control.admit("bob")  # other clients unaffected
-        control.release("alice")
-        control.admit("alice")
+            control.admit()
+        control.release()
+        control.admit()
 
     def test_shed_probe_refuses_before_caps(self):
-        control = AdmissionController(
-            AdmissionPolicy(max_inflight=10), shed_probe=lambda: True
-        )
+        control = AdmissionController(max_inflight=10, shed_probe=lambda: True)
         with pytest.raises(GatewayRejected) as info:
-            control.admit("alice")
+            control.admit("r-1")
         assert info.value.code == "overloaded"
-        assert info.value.code in SHED_CODES
+        assert info.value.request_id == "r-1"
+        assert SHED_CODES == ("overloaded",)
+        assert control.inflight() == 0
 
     def test_inflight_accounting(self):
         control = AdmissionController()
-        control.admit("alice")
-        control.admit("alice")
-        control.admit("bob")
+        for _ in range(3):
+            control.admit()
         assert control.inflight() == 3
-        assert control.inflight("alice") == 2
-        control.release("alice")
-        assert control.inflight("alice") == 1
+        control.release()
+        assert control.inflight() == 2
 
 
 class TestCoalescer:
@@ -285,10 +208,6 @@ class CountingCloud:
             time.sleep(self._delay)
         return self._inner.answer(query, obs=obs, **kwargs)
 
-    @property
-    def avt(self):
-        return self._inner.avt
-
 
 class TestGatewayRoundTrip:
     @pytest.mark.parametrize("backend,shards", TOPOLOGIES)
@@ -312,8 +231,6 @@ class TestGatewayRoundTrip:
         cloud = make_cloud(dep)
         expected = reference_bytes(cloud, dep.query)
         order = sorted(dep.query.vertex_ids())
-        policy = AdmissionPolicy(max_inflight=64, max_client_inflight=64)
-
         async def main():
             async with GatewayClient(
                 "127.0.0.1", gateway.port, client_id="herd"
@@ -322,7 +239,7 @@ class TestGatewayRoundTrip:
                     *(client.query(dep.query) for _ in range(20))
                 )
 
-        with QueryGateway(cloud, policy=policy) as gateway:
+        with QueryGateway(cloud, max_inflight=64) as gateway:
             answers = asyncio.run(main())
         assert len(answers) == 20
         for table, expanded in answers:
@@ -517,11 +434,8 @@ class TestGatewayShedding:
     def test_saturated_window_sheds_with_typed_reject(self, dep):
         cloud = make_cloud(dep)
         obs = Observability()
-        policy = AdmissionPolicy(
-            slo_seconds=0.01, slo_quantile=0.5, min_window_count=1
-        )
-        with QueryGateway(cloud, policy=policy, obs=obs) as gateway:
-            for _ in range(8):
+        with QueryGateway(cloud, slo_seconds=0.01, obs=obs) as gateway:
+            for _ in range(MIN_WINDOW_COUNT):
                 gateway.window.observe(1.0)  # tail far over the SLO
             with SyncGatewayClient(
                 gateway.host, gateway.port, client_id="shed"
@@ -538,29 +452,26 @@ class TestGatewayShedding:
     def test_slo_with_a_disabled_scope_is_refused(self, dep):
         """The window observes request spans; a disabled scope opens
         none, so it would stay empty and never shed."""
-        policy = AdmissionPolicy(slo_seconds=1e-9, min_window_count=1)
         with pytest.raises(GatewayError, match="slo_seconds"):
             QueryGateway(
-                make_cloud(dep), policy=policy, obs=Observability.disabled()
+                make_cloud(dep), slo_seconds=1e-9, obs=Observability.disabled()
             )
 
     def test_connection_survives_a_shed(self, dep):
         cloud = make_cloud(dep)
         expected = reference_bytes(cloud, dep.query)
         order = sorted(dep.query.vertex_ids())
-        policy = AdmissionPolicy(
-            slo_seconds=10.0, slo_quantile=0.5, min_window_count=1
-        )
-        with QueryGateway(cloud, policy=policy) as gateway:
-            gateway.window.observe(100.0)
+        with QueryGateway(cloud, slo_seconds=10.0) as gateway:
+            for _ in range(MIN_WINDOW_COUNT):
+                gateway.window.observe(100.0)
             with SyncGatewayClient(
                 gateway.host, gateway.port, client_id="retry"
             ) as client:
                 with pytest.raises(GatewayRejected):
                     client.query(dep.query)
-                # load drains: the same connection serves the retry
-                gateway.window.observe(0.001)
-                for _ in range(40):
+                # load drains: a full window of fast requests, and the
+                # same connection serves the retry
+                for _ in range(gateway.window.capacity):
                     gateway.window.observe(0.001)
                 table, expanded = client.query(dep.query)
         assert wire_bytes(table, order, expanded) == expected
@@ -569,8 +480,7 @@ class TestGatewayShedding:
 class TestGatewayPolicyOverWire:
     def test_auth_token_enforced_per_request(self, dep):
         cloud = make_cloud(dep)
-        middlewares = [AuthTokenMiddleware(token="letmein")]
-        with QueryGateway(cloud, middlewares=middlewares) as gateway:
+        with QueryGateway(cloud, token="letmein") as gateway:
             with SyncGatewayClient(
                 gateway.host, gateway.port, client_id="ok", token="letmein"
             ) as client:
@@ -590,10 +500,7 @@ class TestGatewayPolicyOverWire:
         # a logging ring writes it, whatever became of the request
         path = tmp_path / "traces.jsonl"
         ring = TraceRing(log=path)
-        middlewares = [AuthTokenMiddleware(token="letmein")]
-        with QueryGateway(
-            make_cloud(dep), middlewares=middlewares, traces=ring
-        ) as gateway:
+        with QueryGateway(make_cloud(dep), token="letmein", traces=ring) as gateway:
             for client_id, token in (("ok", "letmein"), ("bad", "nope")):
                 with SyncGatewayClient(
                     gateway.host, gateway.port, client_id=client_id, token=token
@@ -617,19 +524,6 @@ class TestGatewayPolicyOverWire:
             (root,) = [s for s in doc["spans"] if s["name"] == names.GATEWAY_REQUEST]
             assert root["attributes"]["status"] == doc["status"]
             assert root["attributes"]["queries"] == 1
-
-    def test_privacy_budget_exhausts_over_wire(self, dep):
-        cloud = make_cloud(dep)
-        middlewares = [PrivacyBudgetMiddleware(budget=2)]
-        with QueryGateway(cloud, middlewares=middlewares) as gateway:
-            with SyncGatewayClient(
-                gateway.host, gateway.port, client_id="spender"
-            ) as client:
-                client.query(dep.query)
-                client.query(dep.query)
-                with pytest.raises(GatewayRejected) as info:
-                    client.query(dep.query)
-        assert info.value.code == "budget_exhausted"
 
     def test_garbage_frames_get_bad_request(self, dep):
         cloud = make_cloud(dep)

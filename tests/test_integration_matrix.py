@@ -63,7 +63,6 @@ def test_cell_with_all_extensions_on(corpus, dataset_name):
             label_aware_alignment=True,
             star_cache_size=128,
             max_intermediate_results=500_000,
-            expansion_site="cloud",
         ),
         sample_workload=workload,
     )
