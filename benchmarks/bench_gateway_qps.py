@@ -50,7 +50,7 @@ MIN_VERTICES = 800
 WARMUP = 3
 CALIBRATION = 10
 DURATION_SECONDS = 3.0
-OVERLOAD_FACTOR = 4.0  # offered load vs single-worker capacity
+OVERLOAD_FACTOR = 4.0  # offered load vs single-stream capacity
 OVERLOAD_BUDGET = 4  # max_inflight during the overload arm
 OVERLOAD_SLO_SECONDS = 0.25  # the armed bound on the admitted tail
 RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_gateway.json"
@@ -164,15 +164,15 @@ def test_report_gateway_qps(deployment):
             _open_loop(gateway.port, query, steady_rate, DURATION_SECONDS)
         )
 
-    # overload arm: a single dispatch worker (capacity ~1/base_latency),
-    # offered load at OVERLOAD_FACTOR times that, and a tiny admission
-    # budget with the SLO probe armed.  Shed, never collapse.  The tail
-    # gate reads the *gateway's own* sliding window (seconds each
+    # overload arm: the gateway computes on its one event-loop thread
+    # (capacity ~1/base_latency), offered load at OVERLOAD_FACTOR times
+    # that, and a tiny admission budget with the SLO probe armed.
+    # Shed, never collapse.  The tail gate reads the *gateway's own* sliding window (seconds each
     # admitted request spent being served) — the client-observed
     # latencies also include the open-loop generator's event-loop
     # backlog, which is the load generator's congestion, not the
     # server's.  The admitted backlog is bounded by design
-    # (OVERLOAD_BUDGET requests deep on one worker), so the armed SLO
+    # (OVERLOAD_BUDGET requests deep on one thread), so the armed SLO
     # is an absolute bound the admitted tail must honor while the rest
     # of the offered load bounces off admission control.
     overload_rate = max(20.0, OVERLOAD_FACTOR / base_latency)
@@ -181,7 +181,6 @@ def test_report_gateway_qps(deployment):
     with QueryGateway(
         cloud,
         obs=obs,
-        workers=1,
         max_inflight=OVERLOAD_BUDGET,
         slo_seconds=slo_seconds,
     ) as gateway:

@@ -1,25 +1,28 @@
-"""R7: nothing blocks the gateway event loop.
+"""R7: the gateway event loop computes, but never waits.
 
-The gateway's whole degradation story — admission control, SLO-driven
-shedding, coalescing — assumes the asyncio loop keeps turning: a
-single synchronous stall freezes *every* connection's framing and the
-shed probe that is supposed to relieve the overload.  Inside any
-``async def`` in ``repro.gateway.*`` (and any function reachable from
-one through same-module synchronous calls) R7 flags:
+The gateway answers each request on its event-loop thread: under the
+GIL a thread pool gives pure-Python matching no parallelism, only a
+thread hop each way, so CPU work on the loop is the design.  What the
+loop must never do is *wait* — on a clock, a child process, a file, a
+socket or another thread: while it idles, every connection's framing,
+admission and shed probe stall for nothing.  Inside any ``async def``
+in ``repro.gateway.*`` (and any function reachable from one through
+same-module synchronous calls) R7 flags:
 
 * ``time.sleep`` — use ``await asyncio.sleep``;
-* ``subprocess.*`` / ``os.system`` — run it on the executor;
+* ``subprocess.*`` / ``os.system``;
 * synchronous file I/O (builtin ``open``, ``Path.read_text`` family);
 * synchronous sockets (``socket.socket``, ``socket.create_connection``);
 * ``Future.result()`` / zero-argument ``.join()`` — await the future
-  or wrap it (``asyncio.wrap_future``) instead of blocking on it;
+  instead of blocking on it;
 * calls into ``@hot_path`` CPU kernels (local ``@hot_path`` functions
   and names imported from R4's hot modules) made directly on the loop
-  — heuristic, so ``WARNING``: dispatch them via ``run_in_executor``.
+  — heuristic, so ``WARNING``: gateway code reaches the engine through
+  ``CloudServer.answer``, whose spans and budget a bare kernel call
+  skips.
 
 Functions only *referenced* (e.g. passed to ``run_in_executor``) are
-not reachable — scheduling a blocking function onto the pool is the
-sanctioned pattern, calling it inline is the bug.
+not reachable: only a call runs on the loop.
 """
 
 from __future__ import annotations
@@ -141,7 +144,7 @@ class _BlockingCallChecker(ast.NodeVisitor):
                 self._flag(
                     node,
                     f"direct call into @hot_path kernel '{func.id}' "
-                    "(dispatch it via run_in_executor)",
+                    "(reach the engine through cloud.answer)",
                     severity=Severity.WARNING,
                 )
         elif isinstance(func, ast.Attribute):
@@ -157,8 +160,7 @@ class _BlockingCallChecker(ast.NodeVisitor):
             elif func.attr == "result" and not node.args:
                 self._flag(
                     node,
-                    "Future.result() blocks the event loop "
-                    "(await it, or asyncio.wrap_future it)",
+                    "Future.result() blocks the event loop (await it)",
                 )
             elif func.attr == "join" and not node.args and not node.keywords:
                 self._flag(
@@ -170,14 +172,14 @@ class _BlockingCallChecker(ast.NodeVisitor):
 
 
 class AsyncSafetyRule(Rule):
-    """Gateway coroutines (and their sync callees) must never block."""
+    """Gateway coroutines (and their sync callees) must never wait."""
 
     id = "R7"
     name = "async-safety"
     hint = (
-        "move the blocking work onto the dispatch pool "
-        "(loop.run_in_executor) or use the asyncio-native equivalent; "
-        "the event loop must only ever frame, admit and await"
+        "use the asyncio-native equivalent (await asyncio.sleep, an "
+        "awaited future, asyncio streams); the loop may compute, but "
+        "a wait on it stalls every connection"
     )
 
     def check(self, module: ModuleInfo) -> Iterable[Finding]:

@@ -1,25 +1,28 @@
 """Admission control and duplicate-query coalescing for the gateway.
 
 The gateway never queues unboundedly and never collapses under load:
-an :class:`AdmissionController` enforces a global concurrency budget
-and — when wired to a live :class:`~repro.obs.windows.SlidingWindow`
-through :meth:`~repro.obs.windows.SlidingWindow.shed_probe` — sheds new
-work the moment the admitted-traffic tail latency breaches the SLO.
-Every refusal is a typed :class:`~repro.exceptions.GatewayRejected`
-(code ``"overloaded"``) that the server turns into a reject frame;
-admitted requests are unaffected.
+an :class:`AdmissionController`, consulted as each request frame is
+read, caps the requests read but not yet answered and — when wired to
+a live :class:`~repro.obs.windows.SlidingWindow` through
+:meth:`~repro.obs.windows.SlidingWindow.shed_probe` — sheds new work
+while the admitted-traffic tail latency breaches the SLO and another
+request is still pending.  Every refusal is a typed
+:class:`~repro.exceptions.GatewayRejected` (code ``"overloaded"``)
+that the server turns into a reject frame; admitted requests are
+unaffected.
 
-The :class:`QueryCoalescer` deduplicates identical in-flight work: two
-concurrent requests carrying structurally identical query workloads
-share one cloud computation (the same canonical vertex-constraint
-codec the :class:`~repro.cloud.cache.StarMatchCache` keys on), so a
-thundering herd of one hot query costs one star-matching pass.
+The :class:`QueryCoalescer` deduplicates identical queued work: two
+requests carrying structurally identical query workloads, read before
+the first starts computing, share one cloud computation (the same
+canonical vertex-constraint codec the
+:class:`~repro.cloud.cache.StarMatchCache` keys on), so a thundering
+herd of one hot query costs one star-matching pass.
 """
 
 from __future__ import annotations
 
+import asyncio
 import threading
-from concurrent.futures import Future
 from typing import Any, Callable, Sequence
 
 from repro.cloud.cache import vertex_constraint
@@ -37,12 +40,15 @@ class AdmissionController:
     """Bounded admission: one concurrency cap + SLO-driven load shedding.
 
     ``shed_probe`` is a zero-argument callable (typically
-    ``window.shed_probe(slo_seconds, ...)``) evaluated on every
-    admission attempt; ``True`` refuses with code ``"overloaded"``, as
-    does a full budget of ``max_inflight`` requests.  :meth:`admit`
-    either raises :class:`GatewayRejected` or reserves a slot the
-    caller must give back via :meth:`release` (the gateway wraps the
-    pair in ``try/finally``).
+    ``window.shed_probe(slo_seconds, ...)``) evaluated on an admission
+    attempt while an admitted request is still pending; ``True``
+    refuses with code ``"overloaded"``, as does a full budget of
+    ``max_inflight`` requests.  An idle controller always admits: only
+    admitted requests feed the window, so shedding on an idle gateway
+    would never let a breached window refresh.  :meth:`admit` either
+    raises :class:`GatewayRejected` or reserves a slot the caller must
+    give back via :meth:`release` (the gateway does, in a ``finally``,
+    once the request is computed).
     """
 
     def __init__(
@@ -59,14 +65,14 @@ class AdmissionController:
 
     def admit(self, request_id: str = "") -> None:
         """Reserve one slot or raise ``GatewayRejected``."""
-        if self.shed_probe is not None and self.shed_probe():
-            raise GatewayRejected(
-                "overloaded",
-                f"tail latency over the p{int(SLO_QUANTILE * 100)} SLO; "
-                "shedding new work",
-                request_id,
-            )
         with self._lock:
+            if self._inflight and self.shed_probe is not None and self.shed_probe():
+                raise GatewayRejected(
+                    "overloaded",
+                    f"tail latency over the p{int(SLO_QUANTILE * 100)} SLO; "
+                    "shedding new work",
+                    request_id,
+                )
             if self._inflight >= self.max_inflight:
                 raise GatewayRejected(
                     "overloaded",
@@ -111,37 +117,36 @@ def coalesce_key(queries: Sequence[AttributedGraph]) -> tuple:
 
 
 class QueryCoalescer:
-    """Share one in-flight computation among identical requests.
+    """Share one queued computation among identical requests.
 
     The first requester of a key becomes the *leader* (it computes and
-    must call :meth:`complete`); concurrent requesters of the same key
-    are *followers* and await the leader's future.  Keys are retired on
+    must call :meth:`complete`); later requesters of the same key are
+    *followers* and await the leader's future.  Keys are retired on
     completion, so a later identical request computes afresh — the
     coalescer is a thundering-herd guard, not a result cache.
+
+    Loop-confined: every call runs on the one event-loop thread that
+    owns the futures, so nothing here takes a lock.
     """
 
     def __init__(self) -> None:
-        self._inflight: dict[tuple, Future[Any]] = {}  #: guarded by _lock
-        self._lock = threading.Lock()
+        self._inflight: dict[tuple, asyncio.Future[Any]] = {}
 
-    def lease(self, key: tuple) -> tuple[bool, Future[Any]]:
-        """Return ``(leader, future)`` for ``key``."""
-        with self._lock:
-            existing = self._inflight.get(key)
-            if existing is not None:
-                return False, existing
-            future: Future[Any] = Future()
-            self._inflight[key] = future
-            return True, future
+    def lease(self, key: tuple) -> tuple[bool, asyncio.Future[Any]]:
+        """Return ``(leader, future)`` for ``key`` (inside a running loop)."""
+        existing = self._inflight.get(key)
+        if existing is not None:
+            return False, existing
+        future = asyncio.get_running_loop().create_future()
+        self._inflight[key] = future
+        return True, future
 
     def complete(self, key: tuple) -> None:
         """Retire ``key`` (leader-only, after resolving its future)."""
-        with self._lock:
-            self._inflight.pop(key, None)
+        self._inflight.pop(key, None)
 
     def inflight_count(self) -> int:
-        with self._lock:
-            return len(self._inflight)
+        return len(self._inflight)
 
 
 __all__ = [

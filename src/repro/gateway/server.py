@@ -2,19 +2,23 @@
 
 :class:`QueryGateway` listens on a TCP socket (``asyncio.start_server``
 on a dedicated background thread), speaks the length-prefixed frame
-envelope of :mod:`repro.core.protocol`, and dispatches anonymized
-queries into a :class:`~repro.cloud.server.CloudServer` (single or
-sharded) through a bounded thread pool.  Per request it runs, in order:
+envelope of :mod:`repro.core.protocol`, and answers anonymized
+queries with a :class:`~repro.cloud.server.CloudServer` (single or
+sharded) on that same event-loop thread: under the GIL a thread pool
+gives pure-Python matching no parallelism, only a thread hop each way.
+As each request frame is read it runs, in order:
 
 1. the auth check of the connection's hello token against the
    gateway's shared ``token``, when one is set,
-2. admission control (one global concurrency cap, SLO-driven load
-   shedding off the live ``gateway_seconds_window`` gauges),
-3. duplicate-query coalescing (identical in-flight workloads share one
-   cloud computation),
-4. the cloud computation itself on a pool worker, then the answer
-   frame; every refusal ships as a typed reject frame instead — the
-   gateway degrades by shedding, never by collapsing.
+2. admission control (one global cap on requests read but not yet
+   answered, SLO-driven load shedding off the live
+   ``gateway_seconds_window`` gauges while any request is pending),
+3. the duplicate-query lease (identical requests read before their
+   leader starts computing share its one cloud computation).
+
+The request then queues as a task: tasks compute in read order, each
+ending in the answer frame; every refusal ships as a typed reject
+frame instead — the gateway degrades by shedding, never by collapsing.
 
 The request's trace, its ``gateway.request`` span carrying client id,
 request id, query count and final status, is pushed to the
@@ -33,10 +37,8 @@ import asyncio
 import hmac
 import json
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
-from repro.cloud.parallel import DEFAULT_MAX_WORKERS
 from repro.cloud.server import CloudServer
 from repro.core.protocol import (
     FRAME_HEADER,
@@ -71,6 +73,10 @@ SHED_CODES = ("overloaded",)
 #: One answer entry: the result table, its column order, and whether
 #: the rows are already expanded through the AVT.
 AnswerEntry = tuple[MatchTable, list[int], bool]
+
+#: A coalescing lease: the workload key, whether this request leads
+#: (computes), and the future the leader's answers are shared through.
+Lease = tuple[tuple, bool, "asyncio.Future[list[AnswerEntry]]"]
 
 
 class _Connection:
@@ -110,16 +116,15 @@ class QueryGateway:
         in constant time); a mismatch is refused with ``unauthorized``
         and the connection stays usable.  ``None`` admits any token.
     max_inflight:
-        Global cap on concurrently admitted requests; past it a request
-        is refused with ``overloaded``.
+        Global cap on requests read but not yet answered (queued or
+        computing); past it a request is refused with ``overloaded``.
     slo_seconds:
         Arms latency shedding: once the gateway's own sliding window
         holds ``MIN_WINDOW_COUNT`` admitted requests and its
-        ``SLO_QUANTILE`` exceeds this bound, new requests are refused
-        with ``overloaded``.  The window is fed request span durations,
-        so it needs an enabled ``obs``.
-    workers:
-        Dispatch pool size (bounds concurrent cloud computations).
+        ``SLO_QUANTILE`` exceeds this bound, a request read while
+        another is pending is refused with ``overloaded`` (an idle
+        gateway always admits, so the window refreshes).  The window
+        is fed request span durations, so it needs an enabled ``obs``.
     channel:
         The deployment's byte-accounting channel; each connection
         transmits on a :meth:`~NetworkChannel.scope` child of it.
@@ -142,7 +147,6 @@ class QueryGateway:
         token: str | None = None,
         max_inflight: int = 64,
         slo_seconds: float | None = None,
-        workers: int | None = None,
         channel: NetworkChannel | None = None,
         obs: Observability | None = None,
         traces: TraceRing | None = None,
@@ -176,8 +180,6 @@ class QueryGateway:
                 help="Admitted gateway request seconds over the SLO window.",
             )
         self.coalescer = QueryCoalescer()
-        self._workers = workers if workers is not None else DEFAULT_MAX_WORKERS
-        self._pool: ThreadPoolExecutor | None = None
         self._thread: threading.Thread | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._shutdown: asyncio.Event | None = None
@@ -191,9 +193,6 @@ class QueryGateway:
         """Bind and serve on a background thread; returns once listening."""
         if self._thread is not None:
             raise GatewayError("gateway already started")
-        self._pool = ThreadPoolExecutor(
-            max_workers=self._workers, thread_name_prefix="repro-gateway"
-        )
         self._startup_error = None
         self._started = threading.Event()
         self._thread = threading.Thread(
@@ -215,9 +214,6 @@ class QueryGateway:
         if self._thread is not None:
             self._thread.join(timeout=10)
             self._thread = None
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
         self._loop = None
         self._shutdown = None
 
@@ -328,9 +324,10 @@ class QueryGateway:
                         encode_gateway_reject("", "bad_request", str(exc)),
                     )
                     continue
+                verdict = self._accept(conn, request_id, queries)
                 task = asyncio.create_task(
                     self._serve_request(
-                        conn, request_id, queries, payload, context
+                        conn, request_id, queries, payload, context, verdict
                     )
                 )
                 tasks.add(task)
@@ -377,13 +374,45 @@ class QueryGateway:
     # ------------------------------------------------------------------
     # request serving
     # ------------------------------------------------------------------
+    def _accept(
+        self,
+        conn: _Connection,
+        request_id: str,
+        queries: Sequence[AttributedGraph],
+    ) -> tuple[GatewayRejected | None, Lease | None]:
+        """Read-time checks: the token, admission, the coalescing lease.
+
+        Run as the frame is read, so ``max_inflight`` counts queued
+        requests too and identical requests read together share a
+        lease.  A refusal carries only a code and a constant reason
+        (for ``internal``, the exception's type name).
+        """
+        if self.token is not None and not hmac.compare_digest(
+            conn.token.encode("utf-8"), self.token.encode("utf-8")
+        ):
+            return GatewayRejected("unauthorized", "invalid token", request_id), None
+        try:
+            self.admission.admit(request_id)
+        except GatewayRejected as exc:
+            return exc, None
+        try:
+            key = coalesce_key(queries)
+        except Exception as exc:  # noqa: BLE001 - refuse, never collapse
+            # a frame can decode yet carry labels no canonical order
+            # sorts; R6: only the exception type crosses the wire
+            self.admission.release()
+            return GatewayRejected("internal", type(exc).__name__, request_id), None
+        leader, future = self.coalescer.lease(key)
+        return None, (key, leader, future)
+
     async def _serve_request(
         self,
         conn: _Connection,
         request_id: str,
         queries: list[AttributedGraph],
         payload: bytes,
-        context: TraceContext | None = None,
+        context: TraceContext | None,
+        verdict: tuple[GatewayRejected | None, Lease | None],
     ) -> None:
         # a propagated context re-uses the client's query id so every
         # gateway/cloud/shard span of this request is correlatable with
@@ -392,7 +421,7 @@ class QueryGateway:
             context.query_id if context is not None and context.query_id else None
         )
         tracer = scope.tracer
-        rejection: GatewayRejected | None = None
+        rejection, lease = verdict
         answers: list[AnswerEntry] = []
 
         with tracer.span(names.GATEWAY_REQUEST) as root:
@@ -408,24 +437,9 @@ class QueryGateway:
                 # the returned trace via Tracer.absorb.
                 root.set(ctx_parent=context.parent_span_id)
             conn.channel.transmit("gateway_query", payload, obs=scope)
-            if self.token is not None and not hmac.compare_digest(
-                conn.token.encode("utf-8"), self.token.encode("utf-8")
-            ):
-                rejection = GatewayRejected(
-                    "unauthorized",
-                    f"invalid token for client {conn.client_id!r}",
-                    request_id,
-                )
-            admitted = False
-            if rejection is None:
+            if lease is not None:
                 try:
-                    self.admission.admit(request_id)
-                    admitted = True
-                except GatewayRejected as exc:
-                    rejection = exc
-            if rejection is None:
-                try:
-                    answers = await self._dispatch(queries, scope, root)
+                    answers = await self._dispatch(lease, queries, scope)
                 except GatewayRejected as exc:
                     rejection = exc
                 except Exception as exc:  # noqa: BLE001 - shed, never collapse
@@ -438,8 +452,7 @@ class QueryGateway:
                         "internal", type(exc).__name__, request_id
                     )
                 finally:
-                    if admitted:
-                        self.admission.release()
+                    self.admission.release()
 
             if rejection is None:
                 status = "ok"
@@ -514,44 +527,38 @@ class QueryGateway:
 
     async def _dispatch(
         self,
+        lease: Lease,
         queries: Sequence[AttributedGraph],
         scope: Observability,
-        root: Span | NullSpan,
     ) -> list[AnswerEntry]:
-        """Run the cloud computation on the pool, coalescing duplicates."""
-        assert self._pool is not None
-        key = coalesce_key(queries)
-        leader, future = self.coalescer.lease(key)
+        """Compute on the loop as the leader, or await the leader's answer."""
+        key, leader, future = lease
         if not leader:
             scope.metrics.counter(
                 names.M_GATEWAY_COALESCED,
                 help="Requests that shared another request's computation.",
             ).inc()
-            return await asyncio.wrap_future(future)
-
-        tracer = scope.tracer
-
-        def compute() -> list[AnswerEntry]:
-            # explicit parent: the pool thread has no implicit span
-            # stack, but everything the cloud opens below nests under
-            # this dispatch span via the worker's own stack.
-            with tracer.span(names.GATEWAY_DISPATCH, parent=root) as span:
+            return await future
+        # one yield: the requests read in the same batch open their
+        # request spans (their queueing time) before this one computes
+        await asyncio.sleep(0)
+        try:
+            with scope.tracer.span(names.GATEWAY_DISPATCH) as span:
                 result = self._answer_all(queries, scope)
                 span.set(
                     queries=len(queries),
                     rows=sum(len(table) for table, _, _ in result),
                 )
-            return result
-
-        loop = asyncio.get_running_loop()
-        try:
-            result = await loop.run_in_executor(self._pool, compute)
         except BaseException as exc:
             future.set_exception(exc)
-            self.coalescer.complete(key)
+            # retrieved here: followers re-raise it, and with none asyncio
+            # would log it as never retrieved
+            future.exception()
             raise
-        future.set_result(result)
-        self.coalescer.complete(key)
+        else:
+            future.set_result(result)
+        finally:
+            self.coalescer.complete(key)
         return result
 
     def _answer_all(

@@ -16,8 +16,7 @@ and a caller who wants a time passes a recording scope and reads
 Thread-safety: each thread nests spans on its own ``threading.local``
 stack; the completed-span buffer is appended under a lock.  A span may
 be parented explicitly (``tracer.span(name, parent=span)``) which is
-how per-shard spans attach to the ``cloud.star_matching`` span, and
-gateway dispatch work to the span opened on the event loop.
+how per-shard spans attach to the ``cloud.star_matching`` span.
 
 Fork-awareness (forked batches and shard scatters): a tracer detects that
 it is running in a forked child (pid change) and resets its buffer and
@@ -29,18 +28,23 @@ inside each ``QueryOutcome``.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import os
 import threading
 import time
 import uuid
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Iterator
 
 
 def new_query_id() -> str:
     """A fresh, process-unique query identifier (``"q-" + 12 hex``)."""
     return "q-" + uuid.uuid4().hex[:12]
+
+
+#: Attribute value types :meth:`Span.to_dict` passes through uncopied.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
 @dataclass
@@ -76,7 +80,28 @@ class Span:
             to.duration += seconds
 
     def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
+        """The ``dataclasses.asdict`` document, built field by field.
+
+        Every traced request is serialized (trace ring, ``/traces``,
+        returned and shipped traces), and ``asdict``'s generic
+        recursion costs an order of magnitude more; only ``attributes``
+        can hold containers, so only it is deep-copied.
+        """
+        return {
+            "name": self.name,
+            "span_id": self.span_id,
+            "parent_id": self.parent_id,
+            "depth": self.depth,
+            "started_at": self.started_at,
+            "duration": self.duration,
+            "thread": self.thread,
+            "pid": self.pid,
+            "query_id": self.query_id,
+            "attributes": {
+                key: value if type(value) in _SCALARS else copy.deepcopy(value)
+                for key, value in self.attributes.items()
+            },
+        }
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "Span":

@@ -3,8 +3,9 @@
 The contract under test: a query answered through the TCP gateway is
 *byte-identical* (at the ``encode_answer_table`` wire layer) to the
 same query answered in-process, for every engine topology; overload
-degrades by shedding typed rejects, never by collapsing; and two
-identical concurrent requests share one cloud computation.
+degrades by shedding typed rejects, never by collapsing; and
+identical requests read before their leader computes share one cloud
+computation.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from repro.cloud import CloudServer, fork_available, parallel
 from repro.core.protocol import (
     FRAME_HEADER,
     decode_frame_header,
+    decode_gateway_answer,
+    decode_gateway_reject,
     encode_answer_table,
     encode_frame,
     encode_gateway_answer,
@@ -84,6 +87,68 @@ def reference_bytes(cloud, query) -> bytes:
 
 
 # ----------------------------------------------------------------------
+# raw connections: several request frames in one write
+# ----------------------------------------------------------------------
+async def read_frame(reader):
+    header = await reader.readexactly(FRAME_HEADER.size)
+    kind, length = decode_frame_header(header)
+    payload = await reader.readexactly(length) if length else b""
+    return kind, payload
+
+
+async def open_raw(port, client_id="raw"):
+    """A connected, handshaken ``(reader, writer)`` pair."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(encode_frame("hello", encode_gateway_hello(client_id)))
+    await writer.drain()
+    await read_frame(reader)  # hello ack
+    return reader, writer
+
+
+async def close_raw(writer):
+    writer.write(encode_frame("bye", b""))
+    await writer.drain()
+    writer.close()
+    await writer.wait_closed()
+
+
+def request_frames(*requests) -> bytes:
+    """``(request_id, query)`` pairs as back-to-back request frames."""
+    return b"".join(
+        encode_frame("request", encode_gateway_request(request_id, [query]))
+        for request_id, query in requests
+    )
+
+
+async def read_replies(reader, count):
+    """``{request_id: ("answer", (table, expanded)) | ("reject", code)}``."""
+    replies = {}
+    for _ in range(count):
+        kind, payload = await read_frame(reader)
+        if kind == "answer":
+            request_id, answers, _ = decode_gateway_answer(payload)
+            replies[request_id] = ("answer", answers[0])
+        else:
+            request_id, code, _ = decode_gateway_reject(payload)
+            replies[request_id] = ("reject", code)
+    return replies
+
+
+def exchange(gateway, *requests):
+    """Send ``requests`` in one write on a fresh connection; the replies."""
+
+    async def main():
+        reader, writer = await open_raw(gateway.port)
+        writer.write(request_frames(*requests))
+        await writer.drain()
+        replies = await read_replies(reader, len(requests))
+        await close_raw(writer)
+        return replies
+
+    return asyncio.run(main())
+
+
+# ----------------------------------------------------------------------
 # the shared token
 # ----------------------------------------------------------------------
 class TestStockMiddlewares:
@@ -138,13 +203,28 @@ class TestAdmissionController:
         control.admit()
 
     def test_shed_probe_refuses_before_caps(self):
-        control = AdmissionController(max_inflight=10, shed_probe=lambda: True)
+        shedding: list[bool] = []
+        control = AdmissionController(
+            max_inflight=1, shed_probe=lambda: bool(shedding)
+        )
+        control.admit("r-0")
+        shedding.append(True)
         with pytest.raises(GatewayRejected) as info:
-            control.admit("r-1")
+            control.admit("r-1")  # the cap is full too: the probe answers first
         assert info.value.code == "overloaded"
+        assert "tail latency" in info.value.reason
         assert info.value.request_id == "r-1"
         assert SHED_CODES == ("overloaded",)
-        assert control.inflight() == 0
+        assert control.inflight() == 1
+
+    def test_idle_controller_admits_whatever_the_probe_says(self):
+        control = AdmissionController(max_inflight=2, shed_probe=lambda: True)
+        control.admit("r-1")  # nothing pending: the probe is not consulted
+        with pytest.raises(GatewayRejected, match="tail latency"):
+            control.admit("r-2")
+        control.release()
+        control.admit("r-3")
+        assert control.inflight() == 1
 
     def test_inflight_accounting(self):
         control = AdmissionController()
@@ -163,18 +243,21 @@ class TestCoalescer:
         assert query_signature(dep.query) != query_signature(different.query)
 
     def test_lease_and_complete(self, dep):
-        coalescer = QueryCoalescer()
-        key = coalesce_key([dep.query])
-        leader, future = coalescer.lease(key)
-        assert leader
-        follower, shared = coalescer.lease(key)
-        assert not follower
-        assert shared is future
-        future.set_result(["answer"])
-        coalescer.complete(key)
-        assert coalescer.inflight_count() == 0
-        leader, _ = coalescer.lease(key)  # key reusable after completion
-        assert leader
+        async def main():  # the coalescer lives on the gateway's loop
+            coalescer = QueryCoalescer()
+            key = coalesce_key([dep.query])
+            leader, future = coalescer.lease(key)
+            assert leader
+            follower, shared = coalescer.lease(key)
+            assert not follower
+            assert shared is future
+            future.set_result(["answer"])
+            coalescer.complete(key)
+            assert coalescer.inflight_count() == 0
+            leader, _ = coalescer.lease(key)  # key reusable after completion
+            assert leader
+
+        asyncio.run(main())
 
 
 # ----------------------------------------------------------------------
@@ -246,24 +329,49 @@ class TestGatewayRoundTrip:
             assert wire_bytes(table, order, expanded) == expected
 
     def test_coalescing_shares_one_computation(self, dep):
-        counting = CountingCloud(make_cloud(dep), delay=0.3)
-
-        async def main():
-            async with GatewayClient(
-                "127.0.0.1", gateway.port, client_id="dup"
-            ) as client:
-                return await asyncio.gather(
-                    client.query(dep.query), client.query(dep.query)
-                )
-
+        """Two identical frames in one write are read before the first
+        computes, so the second shares its computation."""
+        counting = CountingCloud(make_cloud(dep))
         obs = Observability()
         with QueryGateway(counting, obs=obs) as gateway:
-            (t1, e1), (t2, e2) = asyncio.run(main())
+            replies = exchange(gateway, ("a", dep.query), ("b", dep.query))
+        (kind1, (t1, e1)), (kind2, (t2, e2)) = replies["a"], replies["b"]
+        assert kind1 == kind2 == "answer"
         order = sorted(dep.query.vertex_ids())
         assert wire_bytes(t1, order, e1) == wire_bytes(t2, order, e2)
         assert counting.calls == 1
         coalesced = obs.metrics.counter(names.M_GATEWAY_COALESCED)
         assert coalesced.total == 1
+
+    def test_herd_queued_behind_a_slow_request_shares_one_computation(self, dep):
+        """While a slow request holds the loop, two identical requests
+        arrive in separate writes; they are read together afterwards
+        and compute once."""
+        other = deployment(seed=99)
+        counting = CountingCloud(make_cloud(dep), delay=0.3)
+
+        async def main():
+            reader, writer = await open_raw(gateway.port, "herd")
+            writer.write(request_frames(("slow", other.query)))
+            await writer.drain()
+            while counting.calls == 0:  # the slow request is computing
+                await asyncio.sleep(0.005)
+            for request_id in ("d1", "d2"):
+                writer.write(request_frames((request_id, dep.query)))
+                await writer.drain()
+            replies = await read_replies(reader, 3)
+            await close_raw(writer)
+            return replies
+
+        obs = Observability()
+        with QueryGateway(counting, obs=obs) as gateway:
+            replies = asyncio.run(main())
+        assert {kind for kind, _ in replies.values()} == {"answer"}
+        order = sorted(dep.query.vertex_ids())
+        (t1, e1), (t2, e2) = replies["d1"][1], replies["d2"][1]
+        assert wire_bytes(t1, order, e1) == wire_bytes(t2, order, e2)
+        assert counting.calls == 2
+        assert obs.metrics.counter(names.M_GATEWAY_COALESCED).total == 1
 
     def test_distinct_queries_do_not_coalesce(self, dep):
         other = deployment(seed=99)
@@ -313,26 +421,10 @@ class TestDistributedTracing:
         )
 
         async def main():
-            reader, writer = await asyncio.open_connection(
-                "127.0.0.1", gateway.port
-            )
-
-            async def read_frame():
-                header = await reader.readexactly(FRAME_HEADER.size)
-                kind, length = decode_frame_header(header)
-                payload = await reader.readexactly(length) if length else b""
-                return kind, payload
-
-            writer.write(encode_frame("hello", encode_gateway_hello("old")))
+            reader, writer = await open_raw(gateway.port, "old")
+            writer.write(request_frames(("old-1", dep.query)))
             await writer.drain()
-            await read_frame()  # hello ack
-            writer.write(
-                encode_frame(
-                    "request", encode_gateway_request("old-1", [dep.query])
-                )
-            )
-            await writer.drain()
-            kind, payload = await read_frame()
+            kind, payload = await read_frame(reader)
             writer.close()
             await writer.wait_closed()
             return kind, payload
@@ -432,22 +524,22 @@ class TestDistributedTracing:
 
 class TestGatewayShedding:
     def test_saturated_window_sheds_with_typed_reject(self, dep):
+        """With the window over the SLO, a request read while another
+        is pending is shed; the pending one is answered."""
         cloud = make_cloud(dep)
         obs = Observability()
         with QueryGateway(cloud, slo_seconds=0.01, obs=obs) as gateway:
             for _ in range(MIN_WINDOW_COUNT):
                 gateway.window.observe(1.0)  # tail far over the SLO
-            with SyncGatewayClient(
-                gateway.host, gateway.port, client_id="shed"
-            ) as client:
-                with pytest.raises(GatewayRejected) as info:
-                    client.query(dep.query)
-        assert info.value.code == "overloaded"
-        assert info.value.code in SHED_CODES
+            replies = exchange(gateway, ("a", dep.query), ("b", dep.query))
+        assert replies["a"][0] == "answer"
+        assert replies["b"] == ("reject", "overloaded")
+        assert "overloaded" in SHED_CODES
         shed = obs.metrics.counter(names.M_GATEWAY_SHED)
         assert shed.value(reason="overloaded") == 1
         requests = obs.metrics.counter(names.M_GATEWAY_REQUESTS)
         assert requests.value(status="overloaded") == 1
+        assert requests.value(status="ok") == 1
 
     def test_slo_with_a_disabled_scope_is_refused(self, dep):
         """The window observes request spans; a disabled scope opens
@@ -461,20 +553,48 @@ class TestGatewayShedding:
         cloud = make_cloud(dep)
         expected = reference_bytes(cloud, dep.query)
         order = sorted(dep.query.vertex_ids())
+
+        async def main():
+            reader, writer = await open_raw(gateway.port, "retry")
+            writer.write(request_frames(("a", dep.query), ("b", dep.query)))
+            await writer.drain()
+            shed = await read_replies(reader, 2)
+            # the gateway is idle again: the same connection serves the retry
+            writer.write(request_frames(("retry", dep.query)))
+            await writer.drain()
+            retry = await read_replies(reader, 1)
+            await close_raw(writer)
+            return shed, retry
+
+        with QueryGateway(cloud, slo_seconds=10.0) as gateway:
+            for _ in range(MIN_WINDOW_COUNT):
+                gateway.window.observe(100.0)
+            shed, retry = asyncio.run(main())
+        assert shed["b"] == ("reject", "overloaded")
+        kind, (table, expanded) = retry["retry"]
+        assert kind == "answer"
+        assert wire_bytes(table, order, expanded) == expected
+
+    def test_a_breached_window_refreshes_through_idle_admissions(self, dep):
+        """Only admitted requests feed the window, so a gateway that
+        shed while idle would shed forever: an idle gateway answers,
+        and a window of fast answers lets it admit under load again."""
+        cloud = make_cloud(dep)
+        expected = reference_bytes(cloud, dep.query)
+        order = sorted(dep.query.vertex_ids())
         with QueryGateway(cloud, slo_seconds=10.0) as gateway:
             for _ in range(MIN_WINDOW_COUNT):
                 gateway.window.observe(100.0)
             with SyncGatewayClient(
-                gateway.host, gateway.port, client_id="retry"
+                gateway.host, gateway.port, client_id="idle"
             ) as client:
-                with pytest.raises(GatewayRejected):
-                    client.query(dep.query)
-                # load drains: a full window of fast requests, and the
-                # same connection serves the retry
-                for _ in range(gateway.window.capacity):
-                    gateway.window.observe(0.001)
                 table, expanded = client.query(dep.query)
-        assert wire_bytes(table, order, expanded) == expected
+                assert wire_bytes(table, order, expanded) == expected
+                for _ in range(gateway.window.capacity):
+                    client.query(dep.query)
+            assert gateway.window.quantile(0.99) < 10.0
+            replies = exchange(gateway, ("a", dep.query), ("b", dep.query))
+        assert {kind for kind, _ in replies.values()} == {"answer"}
 
 
 class TestGatewayPolicyOverWire:
@@ -524,6 +644,36 @@ class TestGatewayPolicyOverWire:
             (root,) = [s for s in doc["spans"] if s["name"] == names.GATEWAY_REQUEST]
             assert root["attributes"]["status"] == doc["status"]
             assert root["attributes"]["queries"] == 1
+
+    def test_an_unkeyable_request_is_an_internal_reject(self, dep):
+        """A frame that decodes but whose labels no canonical order
+        sorts is refused as ``internal`` at read time; its admission
+        slot is given back and the connection stays usable."""
+        doc = json.loads(encode_gateway_request("bad", [dep.query]))
+        vertex = doc["queries"][0]["vertices"][0]
+        vertex["labels"] = {"mixed": ["x", 1]}
+        cloud = make_cloud(dep)
+        expected = reference_bytes(cloud, dep.query)
+        order = sorted(dep.query.vertex_ids())
+
+        async def main():
+            reader, writer = await open_raw(gateway.port)
+            writer.write(
+                encode_frame("request", json.dumps(doc).encode("utf-8"))
+                + request_frames(("good", dep.query))
+            )
+            await writer.drain()
+            replies = await read_replies(reader, 2)
+            await close_raw(writer)
+            return replies
+
+        with QueryGateway(cloud, max_inflight=1) as gateway:
+            replies = asyncio.run(main())
+            assert gateway.admission.inflight() == 0
+        assert replies["bad"] == ("reject", "internal")
+        kind, (table, expanded) = replies["good"]
+        assert kind == "answer"
+        assert wire_bytes(table, order, expanded) == expected
 
     def test_garbage_frames_get_bad_request(self, dep):
         cloud = make_cloud(dep)

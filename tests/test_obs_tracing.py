@@ -5,6 +5,7 @@ nesting across threads, explicit cross-thread parenting, fork resets,
 retention caps and the cProfile hook.
 """
 
+import dataclasses
 import re
 import threading
 import time
@@ -24,6 +25,26 @@ class TestSpan:
         span = Span("phase", span_id=3, parent_id=1, depth=2, duration=0.5)
         span.set(bytes=17)
         assert Span.from_dict(span.to_dict()) == span
+
+    def test_to_dict_is_asdict_and_a_copy(self):
+        span = Span(
+            "phase", span_id=4, parent_id=2, depth=1, started_at=0.25,
+            duration=0.5, thread="t", pid=9, query_id="q-1",
+        )
+        span.set(
+            rows=3, ratio=0.5, flag=True, none=None, text="x",
+            nested={"a": [1, {"b": [2, 3]}], "c": {"d": "e"}},
+            frames=["f1", ["f2", {"g": 1}]],
+        )
+        doc = span.to_dict()
+        assert doc == dataclasses.asdict(span)
+        assert list(doc) == [f.name for f in dataclasses.fields(Span)]
+        doc["attributes"]["nested"]["a"][1]["b"].append(4)
+        doc["attributes"]["frames"][1][1]["g"] = 0
+        doc["attributes"]["rows"] = 0
+        assert span.attributes["nested"] == {"a": [1, {"b": [2, 3]}], "c": {"d": "e"}}
+        assert span.attributes["frames"] == ["f1", ["f2", {"g": 1}]]
+        assert span.attributes["rows"] == 3
 
     def test_cede_keeps_two_adjacent_spans_tiling_their_interval(self):
         """Two phases that interleaved inside the first span's block:
