@@ -33,7 +33,8 @@ STEPS: list[tuple[str, list[str], str | None]] = [
         "ruff",
     ),
     (
-        "mypy (typed core: repro.core, repro.cloud, repro.obs)",
+        "mypy (typed core: repro.core, repro.cloud, repro.obs, repro.matching, "
+        "repro.gateway)",
         ["mypy"],
         "mypy",
     ),

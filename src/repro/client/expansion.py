@@ -6,10 +6,9 @@ functions ``F_1 .. F_{k-1}`` (Theorem 3 guarantees this yields exactly
 ``R(Qo, Gk)``).  A client answering a query does not build that table:
 :meth:`repro.client.filtering.ClientFilter.filter_rin` checks one image
 at a time and keeps only the exact matches.  :func:`expand_rin_table`
-materializes it for whoever needs the whole of it — the paper notes the
-step can equally run in the cloud, trading client CPU for communication
-volume, and :class:`repro.core.system.PrivacyPreservingSystem` exposes
-that choice.
+materializes it for whoever needs the whole of it.  The paper notes the
+step could equally run in the cloud, trading client CPU for
+communication volume; this reproduction always expands on the client.
 """
 
 from __future__ import annotations

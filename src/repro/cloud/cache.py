@@ -16,8 +16,8 @@ own cold run emits (:func:`in_cold_order`), so a hit is that cold run,
 rows and order.
 
 The cache is safe to share between concurrent callers of one server
-(the gateway's dispatch threads):
-every operation holds an internal lock, and entries are defensively
+(threads a caller runs over it; the gateway itself answers on one
+event loop): every operation holds an internal lock, and entries are defensively
 copied on both :meth:`StarMatchCache.put` and
 :meth:`StarMatchCache.get`, so no caller ever holds a reference to the
 live stored list — mutating a hit (or a list later ``put``) cannot

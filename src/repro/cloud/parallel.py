@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
-import os
 import threading
 import weakref
 from concurrent.futures import ProcessPoolExecutor
@@ -27,11 +26,6 @@ from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-#: Default width of the gateway's dispatch thread pool: every core, but
-#: never fewer than 2, so concurrent requests overlap even on a
-#: single-core host.
-DEFAULT_MAX_WORKERS = max(2, os.cpu_count() or 1)
 
 
 def fork_available() -> bool:

@@ -29,7 +29,6 @@ from repro.obs.views import (
 )
 from repro.core.protocol import (
     NetworkChannel,
-    TransferRecord,
     decode_answer_table,
     decode_query,
     decode_upload,
@@ -65,7 +64,6 @@ __all__ = [
     "Trace",
     "MetricsRegistry",
     "NetworkChannel",
-    "TransferRecord",
     "encode_upload",
     "decode_upload",
     "encode_query",

@@ -52,17 +52,12 @@ _DECODE_ERRORS = (
 
 
 @dataclass
-class TransferRecord:
-    """One message on the simulated wire."""
-
-    direction: str  # "upload", "query", "answer"
-    payload_bytes: int
-    seconds: float
-
-
-@dataclass
 class NetworkChannel:
-    """Byte counter + linear latency/bandwidth cost model.
+    """Per-direction byte totals + linear latency/bandwidth cost model.
+
+    The channel keeps one running byte total per message direction, so
+    its accounting stays constant-size however many messages a
+    long-lived deployment carries.
 
     :meth:`transmit` optionally reports into an
     :class:`~repro.obs.Observability` scope: one ``network.<direction>``
@@ -73,99 +68,44 @@ class NetworkChannel:
 
     bandwidth_bytes_per_sec: float = DEFAULT_BANDWIDTH_BYTES_PER_SEC
     latency_seconds: float = DEFAULT_LATENCY_SECONDS
-    transfers: list[TransferRecord] = field(default_factory=list)  #: guarded by _lock
     # R3 (lock discipline): query_batch workers transmit concurrently;
-    # an unlocked append racing reset()/total_bytes() mid-batch produced
-    # torn accounting.  All transfers-ledger access goes through _lock.
+    # an unlocked read-modify-write racing reset()/total_bytes()
+    # mid-batch would tear the totals.  All access goes through _lock.
+    #: guarded by _lock
+    _bytes: dict[str, int] = field(default_factory=dict, repr=False, compare=False)
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
-    # scope() bookkeeping: the parent this child merges into on close,
-    # and whether the merge already happened (close is idempotent).
-    _parent: "NetworkChannel | None" = field(
-        default=None, repr=False, compare=False
-    )
-    _closed: bool = field(default=False, repr=False, compare=False)  #: guarded by _lock
 
     def transmit(
         self, direction: str, payload: bytes, obs: Observability | None = None
     ) -> float:
-        """Record a message; returns the simulated transmission time."""
-        seconds = self.latency_seconds + len(payload) / self.bandwidth_bytes_per_sec
+        """Count a message; returns the simulated transmission time."""
+        size = len(payload)
+        seconds = self.latency_seconds + size / self.bandwidth_bytes_per_sec
         with self._lock:
-            self.transfers.append(TransferRecord(direction, len(payload), seconds))
+            self._bytes[direction] = self._bytes.get(direction, 0) + size
         if obs is not None:
             # R2: span names come from the canonical taxonomy, never
             # from runtime data (the direction is validated en route).
             span_name = names.NETWORK_SPANS[direction]
             with obs.tracer.span(span_name) as span:
-                span.set(bytes=len(payload), simulated_seconds=seconds)
+                span.set(bytes=size, simulated_seconds=seconds)
             obs.metrics.counter(
                 names.M_NETWORK_BYTES,
                 help="Bytes on the simulated wire, by message direction.",
-            ).inc(len(payload), direction=direction)
+            ).inc(size, direction=direction)
         return seconds
 
     def total_bytes(self, direction: str | None = None) -> int:
         with self._lock:
-            return sum(
-                t.payload_bytes
-                for t in self.transfers
-                if direction is None or t.direction == direction
-            )
-
-    def total_seconds(self, direction: str | None = None) -> float:
-        with self._lock:
-            return sum(
-                t.seconds
-                for t in self.transfers
-                if direction is None or t.direction == direction
-            )
+            if direction is None:
+                return sum(self._bytes.values())
+            return self._bytes.get(direction, 0)
 
     def reset(self) -> None:
         with self._lock:
-            self.transfers.clear()
-
-    # -- per-connection scoping -----------------------------------------
-    def scope(self) -> "NetworkChannel":
-        """An isolated child channel that merges into this one on close.
-
-        Concurrent gateway connections each transmit on their own child
-        so per-connection accounting never interleaves in one shared
-        ``transfers`` list; :meth:`close` folds the child's records
-        into the parent exactly once, keeping the parent's lifetime
-        totals complete.  Children share the parent's cost model.
-        """
-        return NetworkChannel(
-            bandwidth_bytes_per_sec=self.bandwidth_bytes_per_sec,
-            latency_seconds=self.latency_seconds,
-            _parent=self,
-        )
-
-    def _absorb(self, records: list[TransferRecord]) -> None:
-        """Fold a closed child's transfer records into this ledger."""
-        with self._lock:
-            self.transfers.extend(records)
-
-    def close(self) -> None:
-        """Merge this scope's transfers into its parent (idempotent).
-
-        A no-op for root channels and for already-closed scopes; the
-        child stays readable after close (its own ledger is kept), it
-        just stops being mergeable twice.
-        """
-        with self._lock:
-            if self._parent is None or self._closed:
-                return
-            self._closed = True
-            records = list(self.transfers)
-        self._parent._absorb(records)
-
-    def __enter__(self) -> "NetworkChannel":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+            self._bytes.clear()
 
 
 # ----------------------------------------------------------------------

@@ -25,10 +25,9 @@ request id, query count and final status, is pushed to the
 :class:`~repro.obs.TraceRing` when one is given: that document is the
 request's record on ``/traces`` and in the ``serve --events`` log.
 
-Each connection transmits on its own
-:meth:`~repro.core.protocol.NetworkChannel.scope` child channel, so
-concurrent sessions get isolated byte accounting that still rolls up
-into the deployment's channel totals on disconnect.
+Every connection transmits on the gateway's one
+:class:`~repro.core.protocol.NetworkChannel`, whose per-direction byte
+totals are live while connections are still open.
 """
 
 from __future__ import annotations
@@ -80,18 +79,13 @@ Lease = tuple[tuple, bool, "asyncio.Future[list[AnswerEntry]]"]
 
 
 class _Connection:
-    """Per-connection state: identity, write lock, scoped channel."""
+    """Per-connection state: identity and write lock."""
 
     def __init__(
-        self,
-        client_id: str,
-        token: str,
-        channel: NetworkChannel,
-        writer: asyncio.StreamWriter,
+        self, client_id: str, token: str, writer: asyncio.StreamWriter
     ) -> None:
         self.client_id = client_id
         self.token = token
-        self.channel = channel
         self.writer = writer
         self.write_lock = asyncio.Lock()
 
@@ -125,9 +119,6 @@ class QueryGateway:
         another is pending is refused with ``overloaded`` (an idle
         gateway always admits, so the window refreshes).  The window
         is fed request span durations, so it needs an enabled ``obs``.
-    channel:
-        The deployment's byte-accounting channel; each connection
-        transmits on a :meth:`~NetworkChannel.scope` child of it.
     obs:
         Observability root; every request runs on its own
         ``obs.for_query()`` scope.
@@ -147,7 +138,6 @@ class QueryGateway:
         token: str | None = None,
         max_inflight: int = 64,
         slo_seconds: float | None = None,
-        channel: NetworkChannel | None = None,
         obs: Observability | None = None,
         traces: TraceRing | None = None,
     ) -> None:
@@ -157,7 +147,7 @@ class QueryGateway:
         self.host = host
         self.port = port
         self.token = token
-        self.channel = channel if channel is not None else NetworkChannel()
+        self.channel = NetworkChannel()
         self.obs = obs if obs is not None else Observability()
         self.traces = traces
         if slo_seconds is not None and not self.obs.enabled:
@@ -285,10 +275,9 @@ class QueryGateway:
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        conn_channel = self.channel.scope()
         tasks: set[asyncio.Task[None]] = set()
         try:
-            conn = await self._handshake(reader, writer, conn_channel)
+            conn = await self._handshake(reader, writer)
             if conn is None:
                 return
             while True:
@@ -335,7 +324,6 @@ class QueryGateway:
         finally:
             if tasks:
                 await asyncio.gather(*tasks, return_exceptions=True)
-            conn_channel.close()
             writer.close()
             try:
                 await writer.wait_closed()
@@ -346,7 +334,6 @@ class QueryGateway:
         self,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
-        conn_channel: NetworkChannel,
     ) -> _Connection | None:
         try:
             kind, payload = await self._read_frame(reader)
@@ -367,7 +354,7 @@ class QueryGateway:
             except (ConnectionError, OSError):
                 pass
             return None
-        conn = _Connection(client_id, token, conn_channel, writer)
+        conn = _Connection(client_id, token, writer)
         await conn.send("hello", encode_gateway_hello("gateway"))
         return conn
 
@@ -436,7 +423,7 @@ class QueryGateway:
                 # ids live in a different space; the client re-roots
                 # the returned trace via Tracer.absorb.
                 root.set(ctx_parent=context.parent_span_id)
-            conn.channel.transmit("gateway_query", payload, obs=scope)
+            self.channel.transmit("gateway_query", payload, obs=scope)
             if lease is not None:
                 try:
                     answers = await self._dispatch(lease, queries, scope)
@@ -460,7 +447,7 @@ class QueryGateway:
                 answer_payload = encode_gateway_answer(
                     request_id, answers, trace=return_trace
                 )
-                conn.channel.transmit(
+                self.channel.transmit(
                     "gateway_answer", answer_payload, obs=scope
                 )
                 await conn.send("answer", answer_payload)

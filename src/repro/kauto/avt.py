@@ -323,8 +323,9 @@ class AlignmentVertexTable:
     def expand_known_table(self, table: MatchTable) -> MatchTable:
         """Known rows → ``F_0..F_{k-1}`` expansion → dedupe, as a table.
 
-        The three-step kernel shared by the client's Rin expansion and
-        the gateway's cloud-side expansion.  Known-row filter and
+        The three-step kernel behind the client's Rin expansion
+        (:func:`~repro.client.expansion.expand_rin_table`) and the
+        client filter's unanchored fallback.  Known-row filter and
         dedupe run on ``table`` itself (:meth:`anchored_rin`); an
         anchored table's ``k`` images are then just concatenated, and
         only an unanchored one pays a dedupe of the whole expansion.

@@ -101,8 +101,8 @@ NETWORK_GATEWAY_ANSWER = "network.gateway_answer"
 # -- gateway serving path (repro.gateway) -------------------------------
 # One ``gateway.request`` root per request frame a gateway connection
 # handles (client_id, queries, status); ``gateway.dispatch`` wraps the
-# bounded-pool cloud computation under it (coalesced followers skip
-# the dispatch span — they await the leader's result).
+# cloud computation it runs on the event loop (coalesced followers
+# skip the dispatch span — they await the leader's result).
 GATEWAY_REQUEST = "gateway.request"
 GATEWAY_DISPATCH = "gateway.dispatch"
 

@@ -1,7 +1,9 @@
 """Tests for the command-line interface."""
 
 import argparse
+import gc
 import json
+import time
 
 import pytest
 
@@ -197,8 +199,22 @@ class TestTraceExport:
         """Acceptance: span durations sum within 20% of the query wall."""
         graph_path, query_path, deployment = self._deployment(tmp_path, capsys)
         trace_path = tmp_path / "out.json"
-        assert (
-            main(
+        # every cyclic-collector pass inside the call, as (generation,
+        # ms): a pause inside the query span but between its phases is
+        # the suspected cause when the sum misses the wall
+        passes = []
+        started = []
+
+        def on_gc(phase, info):
+            if phase == "start":
+                started.append(time.perf_counter())
+            elif started:
+                ms = (time.perf_counter() - started.pop()) * 1000
+                passes.append((info["generation"], round(ms, 3)))
+
+        gc.callbacks.append(on_gc)
+        try:
+            status = main(
                 [
                     "query",
                     str(deployment),
@@ -208,8 +224,9 @@ class TestTraceExport:
                     str(trace_path),
                 ]
             )
-            == 0
-        )
+        finally:
+            gc.callbacks.remove(on_gc)
+        assert status == 0
         doc = json.loads(trace_path.read_text(encoding="utf-8"))
         from repro.obs import Trace
 
@@ -232,7 +249,9 @@ class TestTraceExport:
         )
         # 20% relative, with a 2 ms absolute floor: the phases are
         # sub-millisecond, so scheduler noise is a visible fraction
-        assert phase_total == pytest.approx(root.duration, rel=0.20, abs=0.002)
+        assert phase_total == pytest.approx(root.duration, rel=0.20, abs=0.002), (
+            f"cyclic-collector passes during the query (generation, ms): {passes}"
+        )
         assert doc["metrics"]["matches_total"]["series"][0]["value"] == 2.0
 
     def test_demo_trace_file(self, tmp_path, capsys):

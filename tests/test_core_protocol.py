@@ -3,6 +3,7 @@
 import base64
 import json
 import random
+import tracemalloc
 from array import array
 from pathlib import Path
 
@@ -63,7 +64,26 @@ class TestChannel:
         assert channel.total_bytes("query") == 3
         assert channel.total_bytes("answer") == 5
         assert channel.total_bytes() == 8
-        assert channel.total_seconds() > 0
+
+    def test_totals_are_constant_size(self):
+        """10 000 messages leave per-direction totals, not a ledger."""
+        channel = NetworkChannel()
+        payload = b"x" * 100
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot()
+            for i in range(10_000):
+                channel.transmit(("query", "answer")[i % 2], payload)
+            after = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        grown = sum(
+            stat.size_diff
+            for stat in after.compare_to(before, "filename")
+            if stat.traceback[0].filename == protocol.__file__
+        )
+        assert grown < 8 * 1024
+        assert channel.total_bytes("query") == channel.total_bytes("answer") == 500_000
 
     def test_reset(self):
         channel = NetworkChannel()

@@ -11,13 +11,17 @@ computation.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import threading
 import time
+import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import repro
 from repro.cloud import CloudServer, fork_available, parallel
 from repro.core.protocol import (
     FRAME_HEADER,
@@ -693,7 +697,7 @@ class TestGatewayPolicyOverWire:
             data = asyncio.run(main())
         assert b"bad_request" in data
 
-    def test_channel_totals_roll_up_on_disconnect(self, dep):
+    def test_channel_totals_are_live_while_connected(self, dep):
         cloud = make_cloud(dep)
         with QueryGateway(cloud) as gateway:
             assert gateway.channel.total_bytes() == 0
@@ -701,16 +705,13 @@ class TestGatewayPolicyOverWire:
                 gateway.host, gateway.port, client_id="acct"
             ) as client:
                 client.query(dep.query)
-            deadline = time.monotonic() + 5.0
-            while (
-                gateway.channel.total_bytes() == 0
-                and time.monotonic() < deadline
-            ):
-                time.sleep(0.01)
-        queried = gateway.channel.total_bytes("gateway_query")
-        answered = gateway.channel.total_bytes("gateway_answer")
-        assert queried > 0
-        assert answered > 0
+                # counted before the answer frame is sent, so already
+                # visible while the connection stays open
+                queried = gateway.channel.total_bytes("gateway_query")
+                answered = gateway.channel.total_bytes("gateway_answer")
+                assert queried > 0
+                assert answered > 0
+            assert gateway.channel.total_bytes() == queried + answered
 
     def test_connect_to_dead_port_raises_gateway_error(self):
         async def main():
@@ -719,3 +720,31 @@ class TestGatewayPolicyOverWire:
 
         with pytest.raises(GatewayError, match="cannot reach gateway"):
             asyncio.run(main())
+
+
+class TestBoundedServingState:
+    def test_one_connection_retains_nothing_per_request(self, dep):
+        """Requests 200..600 on one connection leave ``src/repro`` flat."""
+        package = str(Path(repro.__file__).parent)
+        with QueryGateway(make_cloud(dep), obs=Observability.disabled()) as gateway:
+            with SyncGatewayClient(
+                gateway.host, gateway.port, client_id="soak"
+            ) as client:
+                for _ in range(200):
+                    client.query(dep.query)
+                gc.collect()
+                tracemalloc.start()
+                try:
+                    before = tracemalloc.take_snapshot()
+                    for _ in range(400):
+                        client.query(dep.query)
+                    gc.collect()
+                    after = tracemalloc.take_snapshot()
+                finally:
+                    tracemalloc.stop()
+        grown = sum(
+            stat.size_diff
+            for stat in after.compare_to(before, "filename")
+            if stat.traceback[0].filename.startswith(package)
+        )
+        assert grown < 32 * 1024

@@ -1,4 +1,4 @@
-"""The binary frame envelope and per-connection channel scoping.
+"""The binary frame envelope.
 
 The gateway's wire is the length-prefixed frame layer of
 :mod:`repro.core.protocol` (magic + kind code + payload length); the
@@ -6,9 +6,7 @@ JSON gateway payload codecs are fuzzed alongside the rest of the
 protocol in ``test_protocol_malformed.py``, but binary frames cannot
 ride that JSON corruption corpus — this suite drives the envelope
 through its own corruption families (bad magic, unknown codes,
-truncation, oversize declarations) plus the
-:meth:`~repro.core.protocol.NetworkChannel.scope` child-channel
-semantics the gateway relies on for isolated byte accounting.
+truncation, oversize declarations).
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from repro.core.protocol import (
     FRAME_KINDS,
     FRAME_MAGIC,
     MAX_FRAME_PAYLOAD,
-    NetworkChannel,
     decode_frame,
     decode_frame_header,
     encode_frame,
@@ -103,73 +100,3 @@ class TestFrameDecodeErrors:
             decode_frame(data)
         except ProtocolError:
             pass
-
-
-class TestChannelScope:
-    def test_child_is_isolated_until_close(self):
-        parent = NetworkChannel()
-        child = parent.scope()
-        child.transmit("query", b"x" * 10)
-        assert parent.total_bytes() == 0
-        assert child.total_bytes() == 10
-
-    def test_close_merges_into_parent(self):
-        parent = NetworkChannel()
-        parent.transmit("upload", b"x" * 5)
-        child = parent.scope()
-        child.transmit("query", b"x" * 10)
-        child.transmit("answer", b"x" * 20)
-        child.close()
-        assert parent.total_bytes() == 35
-        assert parent.total_bytes("query") == 10
-        assert parent.total_bytes("answer") == 20
-
-    def test_close_is_idempotent(self):
-        parent = NetworkChannel()
-        child = parent.scope()
-        child.transmit("query", b"x" * 10)
-        child.close()
-        child.close()
-        assert parent.total_bytes() == 10
-
-    def test_root_close_is_a_no_op(self):
-        root = NetworkChannel()
-        root.transmit("query", b"x" * 10)
-        root.close()
-        assert root.total_bytes() == 10
-
-    def test_context_manager_merges(self):
-        parent = NetworkChannel()
-        with parent.scope() as child:
-            child.transmit("query", b"x" * 7)
-        assert parent.total_bytes() == 7
-
-    def test_child_inherits_cost_model(self):
-        parent = NetworkChannel(
-            bandwidth_bytes_per_sec=100.0, latency_seconds=0.5
-        )
-        child = parent.scope()
-        assert child.bandwidth_bytes_per_sec == 100.0
-        assert child.latency_seconds == 0.5
-        assert child.transmit("query", b"x" * 100) == pytest.approx(1.5)
-
-    def test_sibling_scopes_do_not_interfere(self):
-        parent = NetworkChannel()
-        left, right = parent.scope(), parent.scope()
-        left.transmit("query", b"x" * 3)
-        right.transmit("query", b"x" * 4)
-        left.close()
-        assert parent.total_bytes() == 3
-        right.close()
-        assert parent.total_bytes() == 7
-
-    def test_nested_scopes_roll_up(self):
-        root = NetworkChannel()
-        child = root.scope()
-        grandchild = child.scope()
-        grandchild.transmit("query", b"x" * 9)
-        grandchild.close()
-        assert child.total_bytes() == 9
-        assert root.total_bytes() == 0
-        child.close()
-        assert root.total_bytes() == 9
