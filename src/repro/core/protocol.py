@@ -3,15 +3,19 @@
 The paper reports communication overhead (Figure 33: network
 transmission time) as a first-class cost.  Since this reproduction runs
 client and cloud in one process, the wire is simulated: every message
-is actually serialized to JSON bytes, and a :class:`NetworkChannel`
+is actually serialized to bytes, and a :class:`NetworkChannel`
 converts byte counts into transmission time with a configurable
 bandwidth/latency model (defaults approximate the paper's LAN-to-Azure
 setting: results of a few KiB transmit in single-digit milliseconds).
+
+Messages without tables are JSON documents.  The three that carry
+tables (the answer, the gateway answer and the upload) are one binary
+*table frame*: a little-endian ``u32`` header length, a UTF-8 JSON
+header, and the tables' raw cells as the tail (:func:`_pack_frame`).
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import struct
 import sys
@@ -21,7 +25,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.analysis.markers import hot_path
 from repro.exceptions import GraphError, ProtocolError, VerificationError
@@ -115,9 +119,10 @@ def encode_upload(graph: AttributedGraph, avt: AlignmentVertexTable) -> bytes:
     """The data owner's one-time upload: published graph + AVT.
 
     The distinct ``(type, label groups)`` pairs travel once, as plain
-    JSON ``profiles``; the ``(id, profile)`` vertex rows, the edges and
-    the AVT rows are packed tables (:func:`_pack_rows`), so only
-    integers are inside base64.  Same graph, same bytes, however built.
+    JSON ``profiles`` in the header; the ``(id, profile)`` vertex rows,
+    the edges and the AVT rows are the frame's three tables
+    (:func:`_pack_frame`), in that order.  Same graph, same bytes,
+    however built.
     """
     profile_of: dict[tuple[str, frozenset[Any]], int] = {}
     profiles: list[dict[str, Any]] = []
@@ -130,7 +135,7 @@ def encode_upload(graph: AttributedGraph, avt: AlignmentVertexTable) -> bytes:
         index = profile_of.get(key)
         if index is None:
             index = profile_of[key] = len(profiles)
-            labels = {a: sorted(v) for a, v in data.labels.items()}
+            labels = {a: sorted(v) for a, v in sorted(data.labels.items())}
             profiles.append({"type": data.vertex_type, "labels": labels})
         ids.append(data.vertex_id)
         picks.append(index)
@@ -138,19 +143,12 @@ def encode_upload(graph: AttributedGraph, avt: AlignmentVertexTable) -> bytes:
         del above[: bisect_right(above, data.vertex_id)]
         lows += [data.vertex_id] * len(above)
         highs += above
-    return json.dumps(
-        {
-            "graph": {
-                "name": graph.name,
-                "profiles": profiles,
-                "vertices": _pack_table([ids, picks]),
-                "edges": _pack_table([lows, highs]),
-            },
-            "avt": {"k": avt.k, "rows": _pack_table(list(zip(*avt.rows())))},
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    ).encode("utf-8")
+    vertices, v_cells = _pack_table([ids, picks])
+    edges, e_cells = _pack_table([lows, highs])
+    rows, a_cells = _pack_table(list(zip(*avt.rows())))
+    graph_doc = {"name": graph.name, "profiles": profiles, "vertices": vertices, "edges": edges}
+    doc = {"graph": graph_doc, "avt": {"k": avt.k, "rows": rows}}
+    return _pack_frame(doc, [v_cells, e_cells, a_cells])
 
 
 def _profile(entry: Any) -> VertexData:
@@ -166,31 +164,38 @@ def _profile(entry: Any) -> VertexData:
     return VertexData(-1, vertex_type).with_labels(labels)
 
 
+def _upload_tables(data: dict[str, Any], size: int) -> list[tuple[Any, Any]]:
+    """The ``(schema, table)`` entries of a ``size``-byte upload's header."""
+    doc, avt_doc = data["graph"], data["avt"]
+    k = avt_doc["k"]
+    # a row holds k cells of at least a byte each
+    if type(k) is not int or not 0 < k <= size:
+        raise ValueError("'k' must be a positive integer")
+    return [([0, 1], doc["vertices"]), ([0, 1], doc["edges"]), (list(range(k)), avt_doc["rows"])]
+
+
 def decode_upload(payload: bytes) -> tuple[AttributedGraph, AlignmentVertexTable]:
     """Inverse of :func:`encode_upload` for untrusted input: anything but
     a well-typed frame holding a simple graph (distinct ids, known
     profiles, no self loop, dangling or repeated edge) and a valid AVT
     is a :class:`ProtocolError`."""
     try:
-        data = json.loads(payload.decode("utf-8"))
-        doc, avt_doc = data["graph"], data["avt"]
+        data, (vertices, edge_table, avt_rows) = _unpack_frame(
+            payload, lambda data: _upload_tables(data, len(payload))
+        )
+        doc = data["graph"]
         if type(doc["name"]) is not str:
             raise ValueError("graph 'name' must be a string")
         profiles = [_profile(entry) for entry in doc["profiles"]]
         graph = AttributedGraph(doc["name"])
-        for vid, index in _unpack_rows([0, 1], doc["vertices"]).rows:
+        for vid, index in vertices.rows:
             if not 0 <= index < len(profiles):
                 raise ValueError(f"vertex {vid} names unknown profile {index}")
             graph.add_vertex_like(vid, profiles[index])
-        edges = _unpack_rows([0, 1], doc["edges"]).rows
+        edges = edge_table.rows
         if len(graph.add_edges(edges)) != len(edges):
             raise ValueError("duplicate edge")
-        k = avt_doc["k"]
-        # a row holds k cells of at least a byte each
-        if type(k) is not int or not 0 < k <= len(payload):
-            raise ValueError("'k' must be a positive integer")
-        avt = AlignmentVertexTable(_unpack_rows(list(range(k)), avt_doc["rows"]).rows)
-        return graph, avt
+        return graph, AlignmentVertexTable(avt_rows.rows)
     except _DECODE_ERRORS as exc:
         raise ProtocolError(f"malformed upload message: {exc}") from exc
 
@@ -208,15 +213,15 @@ def decode_query(payload: bytes) -> AttributedGraph:
 
 
 # ----------------------------------------------------------------------
-# packed table rows (shared by the answer and gateway-answer frames)
+# table frames (the answer, gateway-answer and upload messages)
 # ----------------------------------------------------------------------
-# A table travels as ``{"n": N, "w": W, "cols": "<base64>"}``: the
-# columns in schema order, column-major, each N little-endian signed
-# W-byte integers, W the narrowest of 1/2/4/8 that holds every cell.
-# It is base64 inside the JSON document rather than a binary tail so
-# that a frame stays one JSON value: gateway answers nest it, the
-# optional ``trace`` field rides beside it, and the malformed-frame
-# suites and lint R8 treat every codec alike.
+# A table frame is ``u32 LE header length | UTF-8 JSON header | tail``.
+# Each table is ``{"n": N, "w": W}`` in the header beside its schema;
+# the tail is the tables' cells in header order, each column-major in
+# schema order, each cell W little-endian two's-complement bytes (W the
+# narrowest of 1/2/4/8 holding every cell).  Offsets are implicit: the
+# tail is exactly sum(N * len(schema) * W) bytes, checked before any
+# allocation, so no table can point past the end or into another.
 
 #: Cell width in bytes -> ``array`` typecode of that signed width.
 _CELL_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
@@ -224,6 +229,9 @@ _CELL_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
 #: The stdlib arm packs native-endian ``array`` cells; on a big-endian
 #: host it byteswaps them to the little-endian wire order.
 _BYTESWAP = sys.byteorder == "big"
+
+#: The table frame's prefix: the JSON header's length in bytes.
+_HEADER_LENGTH = struct.Struct("<I")
 
 
 def _cell_width(low: int, high: int) -> int:
@@ -233,17 +241,15 @@ def _cell_width(low: int, high: int) -> int:
     for width in _CELL_CODES:
         if bits < 8 * width:
             return width
-    raise ProtocolError(
-        "cannot encode table: a cell does not fit a signed 64-bit integer"
-    )
+    raise ProtocolError("cannot encode table: a cell does not fit a signed 64-bit integer")
 
 
 @hot_path
-def _pack_rows(table: MatchTable, order: Sequence[int]) -> dict[str, Any]:
-    """The ``rows`` field of a table frame, columns in ``order``.
+def _pack_rows(table: MatchTable, order: Sequence[int]) -> tuple[dict[str, int], Any]:
+    """One table, columns in ``order``: its header entry and its cells.
 
     From :data:`repro.matching.vec.MIN_VECTOR_ROWS` rows upward (with
-    numpy) the columns go straight to bytes; below that, and without
+    numpy) the columns are cast into one array; below that, and without
     numpy, the cells pass through a stdlib ``array`` — same bytes.
     """
     n = len(table)
@@ -251,24 +257,21 @@ def _pack_rows(table: MatchTable, order: Sequence[int]) -> dict[str, Any]:
         raise ProtocolError("cannot encode table: rows without columns")
     cols = table.as_columns() if n and vec.vectorize(n) else None
     if cols is not None:
-        np = vec.np
         picked = [cols[table.column_of(q)] for q in order]
-        width = _cell_width(
-            min(int(col.min()) for col in picked),
-            max(int(col.max()) for col in picked),
-        )
-        raw = np.concatenate(picked).astype(f"<i{width}").tobytes()
+        low, high = min(int(col.min()) for col in picked), max(int(col.max()) for col in picked)
+        width = _cell_width(low, high)
+        # every cell fits ``width``, so the unchecked cast is exact
+        cells = vec.np.concatenate(picked, dtype=f"<i{width}", casting="unsafe")
     else:
-        cells = list(chain.from_iterable(zip(*table.project_rows(order))))
-        width = _cell_width(min(cells), max(cells)) if cells else 1
-        packed = array(_CELL_CODES[width], cells)
+        flat = list(chain.from_iterable(zip(*table.project_rows(order))))
+        width = _cell_width(min(flat), max(flat)) if flat else 1
+        cells = array(_CELL_CODES[width], flat)
         if _BYTESWAP:
-            packed.byteswap()
-        raw = packed.tobytes()
-    return {"n": n, "w": width, "cols": base64.b64encode(raw).decode("ascii")}
+            cells.byteswap()
+    return {"n": n, "w": width}, cells
 
 
-def _pack_table(columns: Sequence[Sequence[int]]) -> dict[str, Any]:
+def _pack_table(columns: Sequence[Sequence[int]]) -> tuple[dict[str, int], Any]:
     """Integer columns through :func:`_pack_rows`: schema = column numbers."""
     schema = range(len(columns))
     n = len(columns[0])
@@ -281,38 +284,70 @@ def _pack_table(columns: Sequence[Sequence[int]]) -> dict[str, Any]:
     return _pack_rows(MatchTable(schema, list(zip(*columns))), schema)
 
 
-@hot_path
-def _unpack_rows(order: Any, packed: Any) -> MatchTable:
-    """Inverse of :func:`_pack_rows` for untrusted input.
+def _pack_frame(doc: dict[str, Any], tails: Sequence[Any], cap: int = 0) -> bytes:
+    """``doc`` as the JSON header, then the :func:`_pack_rows` cells
+    ``tails`` in header order; past a nonzero ``cap`` bytes, a
+    :class:`ProtocolError` before the tail is joined."""
+    header = json.dumps(doc, separators=(",", ":")).encode("utf-8")
+    size = _HEADER_LENGTH.size + len(header)
+    size += sum(memoryview(cells).nbytes for cells in tails)
+    if cap and size > cap:
+        raise ProtocolError(f"a {size}-byte table frame exceeds the {cap}-byte cap")
+    return b"".join([_HEADER_LENGTH.pack(len(header)), header, *tails])
 
-    Every field is checked before any per-row storage exists: the
-    schema is a list of distinct exact ints, ``n``/``w`` are exact ints
-    in range, ``cols`` is strict base64, and its decoded length is
-    exactly ``n * len(order) * w`` — so a lying ``n`` costs nothing,
-    and the cells are integers by construction.  Raises ``ValueError``/
-    ``KeyError``/``TypeError``; the decoders' envelope wraps them.
+
+def _unpack_frame(
+    payload: bytes, locate: Callable[[dict[str, Any]], list[tuple[Any, Any]]]
+) -> tuple[dict[str, Any], list[MatchTable]]:
+    """Inverse of :func:`_pack_frame` for untrusted input: the header and
+    the tables ``locate(header)`` lists as ``(schema, entry)`` pairs.
+
+    The header length, the header, every schema and entry, and the exact
+    tail length are checked before any per-row storage exists, so a
+    lying ``n`` costs nothing; cells are read through a ``memoryview``,
+    never a copy of the tail.  Raises ``ValueError``/``KeyError``/
+    ``TypeError``; the decoders' envelope wraps them.
     """
-    if not isinstance(order, list) or not {*map(type, order)} <= {int}:
-        raise ValueError("table schema must be a list of integer vertex ids")
-    if len(set(order)) != len(order):
-        raise ValueError("duplicate query vertex in table schema")
-    if not isinstance(packed, dict):
-        raise ValueError("'rows' must be a packed-column object")
-    n, width, cols = packed["n"], packed["w"], packed["cols"]
+    view = memoryview(payload)
+    # a frame shorter than the prefix fails the next check too
+    length = int.from_bytes(view[: _HEADER_LENGTH.size], "little")
+    end = _HEADER_LENGTH.size + length
+    if end > len(view):
+        raise ValueError(f"header length {length} runs past a {len(view)}-byte frame")
+    header = json.loads(str(view[_HEADER_LENGTH.size : end], "utf-8"))
+    if not isinstance(header, dict):
+        raise ValueError("frame header must be a JSON object")
+    shapes = [_table_shape(order, entry) for order, entry in locate(header)]
+    tail = view[end:]
+    declared = sum(n * len(order) * width for order, n, width in shapes)
+    if len(tail) != declared:
+        raise ValueError(f"tail holds {len(tail)} bytes, header declares {declared}")
+    tables = []
+    for order, n, width in shapes:
+        tables.append(_unpack_rows(order, n, width, tail[: n * len(order) * width]))
+        tail = tail[n * len(order) * width :]
+    return header, tables
+
+
+def _table_shape(order: Any, entry: Any) -> tuple[list[int], int, int]:
+    """One table's ``(schema, n, w)`` after the header-level checks."""
+    if not isinstance(order, list) or {*map(type, order)} - {int} or len({*order}) < len(order):
+        raise ValueError("table schema must be a list of distinct integer vertex ids")
+    if not isinstance(entry, dict) or entry.keys() != {"n", "w"}:
+        raise ValueError("a table entry must be exactly {'n', 'w'}")
+    n, width = entry["n"], entry["w"]
     if type(n) is not int or n < 0:
         raise ValueError("'n' must be a non-negative integer")
     if type(width) is not int or width not in _CELL_CODES:
         raise ValueError("'w' must be 1, 2, 4 or 8")
-    if not isinstance(cols, str):
-        raise ValueError("'cols' must be a base64 string")
     if n and not order:
         raise ValueError("rows without columns")
-    raw = base64.b64decode(cols, validate=True)
-    if len(raw) != n * len(order) * width:
-        raise ValueError(
-            f"'cols' holds {len(raw)} bytes, expected "
-            f"{n} x {len(order)} x {width}"
-        )
+    return order, n, width
+
+
+@hot_path
+def _unpack_rows(order: list[int], n: int, width: int, raw: memoryview) -> MatchTable:
+    """A checked table's ``n * len(order) * width`` tail bytes as a table."""
     # cell offset of each column in the column-major block
     starts = range(0, n * len(order), n or 1)
     if vec.vectorize(n):
@@ -329,38 +364,30 @@ def _unpack_rows(order: Any, packed: Any) -> MatchTable:
     return MatchTable(order, list(zip(*[values[i : i + n] for i in starts])))
 
 
-def encode_answer_table(
-    table: MatchTable,
-    query_order: list[int],
-    expanded: bool,
-) -> bytes:
+def encode_answer_table(table: MatchTable, query_order: list[int], expanded: bool) -> bytes:
     """The cloud's answer: ``Rin`` (or full candidates for BAS).
 
-    The matches travel as packed columns re-ordered to ``query_order``
-    (see :func:`_pack_rows`) — compact and measurable in bytes for the
-    communication experiments.
+    A table frame (:func:`_pack_frame`) whose header is ``{"order",
+    "rows": {"n", "w"}, "expanded"}`` and whose tail is the matches'
+    columns re-ordered to ``query_order`` — compact and measurable in
+    bytes for the communication experiments.
     """
-    return json.dumps(
-        {
-            "order": query_order,
-            "rows": _pack_rows(table, query_order),
-            "expanded": expanded,
-        },
-        separators=(",", ":"),
-    ).encode("utf-8")
+    rows, cells = _pack_rows(table, query_order)
+    doc = {"order": query_order, "rows": rows, "expanded": expanded}
+    return _pack_frame(doc, [cells])
 
 
 def decode_answer_table(payload: bytes) -> tuple[MatchTable, bool]:
     """Inverse of :func:`encode_answer_table`; the rows stay tabular.
 
-    The table's schema is the message's ``order``; a schema that is not
-    a list of distinct ints, or a ``rows`` field that is anything but a
-    consistent packed-column object, is a :class:`ProtocolError` (see
-    :func:`_unpack_rows`).
+    The table's schema is the message's ``order``; anything but a
+    consistent table frame is a :class:`ProtocolError` (see
+    :func:`_unpack_frame`).
     """
     try:
-        data = json.loads(payload.decode("utf-8"))
-        table = _unpack_rows(data["order"], data["rows"])
+        data, (table,) = _unpack_frame(
+            payload, lambda data: [(data["order"], data["rows"])]
+        )
         return table, bool(data["expanded"])
     except _DECODE_ERRORS as exc:
         raise ProtocolError(f"malformed answer message: {exc}") from exc
@@ -415,27 +442,6 @@ class TraceContext:
             parent_span_id=parent_span_id,
             sampled=bool(sampled),
         )
-
-
-def _context_from_field(data: dict[str, Any]) -> TraceContext | None:
-    """Decode the optional embedded ``ctx`` field of a request frame.
-
-    Raises the raw field errors (the caller's envelope wraps them), so
-    a corrupted context fails the whole frame instead of silently
-    degrading to an untraced request.
-    """
-    doc = data.get("ctx")
-    if doc is None:
-        return None
-    return TraceContext.from_doc(doc)
-
-
-def _trace_from_field(data: dict[str, Any]) -> Trace | None:
-    """Decode the optional embedded ``trace`` field of an answer frame."""
-    doc = data.get("trace")
-    if doc is None:
-        return None
-    return Trace.from_dict(doc)
 
 
 # ----------------------------------------------------------------------
@@ -578,7 +584,9 @@ def decode_gateway_request(
         return (
             request_id,
             [graph_from_dict(entry) for entry in queries],
-            _context_from_field(data),
+            # a corrupted context fails the whole frame, never
+            # degrading silently to an untraced request
+            None if data.get("ctx") is None else TraceContext.from_doc(data["ctx"]),
         )
     except _DECODE_ERRORS as exc:
         raise ProtocolError(f"malformed gateway request message: {exc}") from exc
@@ -592,49 +600,39 @@ def encode_gateway_answer(
 ) -> bytes:
     """Answers for one request, one table per query.
 
-    Each entry has exactly the :func:`encode_answer_table` document
-    shape (``order``/``rows``/``expanded``), so a gateway answer is
-    byte-for-byte the in-process wire encoding wrapped in a request
-    envelope — the bit-identity tests compare at this layer.  ``trace``
-    optionally carries the gateway-side trace back to the client (the
-    key is absent when ``None``, so untraced answers keep the exact
-    pre-trace bytes).
+    A table frame whose header is ``{"id", "answers"}``, each entry the
+    :func:`encode_answer_table` header, and whose tail is the entries'
+    tails in order — an entry and its cells are byte-for-byte the
+    in-process answer's.  ``trace`` optionally carries the gateway-side
+    trace back (the key is absent when ``None``).  An answer past
+    :data:`MAX_FRAME_PAYLOAD` is a :class:`ProtocolError`.
     """
-    doc: dict[str, Any] = {
-        "id": request_id,
-        "answers": [
-            {
-                "order": order,
-                "rows": _pack_rows(table, order),
-                "expanded": expanded,
-            }
-            for table, order, expanded in answers
-        ],
-    }
+    packed = [_pack_rows(table, order) for table, order, _ in answers]
+    entries = [
+        {"order": order, "rows": rows, "expanded": expanded}
+        for (_, order, expanded), (rows, _) in zip(answers, packed)
+    ]
+    doc: dict[str, Any] = {"id": request_id, "answers": entries}
     if trace is not None:
         doc["trace"] = trace.to_dict()
-    return json.dumps(doc, separators=(",", ":")).encode("utf-8")
+    return _pack_frame(doc, [cells for _, cells in packed], cap=MAX_FRAME_PAYLOAD)
+
+
+def _answer_tables(data: dict[str, Any]) -> list[tuple[Any, Any]]:
+    """A gateway answer header's ``(schema, table)`` entries."""
+    if not isinstance(data["id"], str) or not isinstance(data["answers"], list):
+        raise ValueError("'id' must be a string and 'answers' a list")
+    return [(entry["order"], entry["rows"]) for entry in data["answers"]]
 
 
 def decode_gateway_answer(
     payload: bytes,
 ) -> tuple[str, list[tuple[MatchTable, bool]], Trace | None]:
     try:
-        data = json.loads(payload.decode("utf-8"))
-        request_id = data["id"]
-        if not isinstance(request_id, str):
-            raise ValueError("'id' must be a string")
-        answers = data["answers"]
-        if not isinstance(answers, list):
-            raise ValueError("'answers' must be a list")
-        decoded = [
-            (
-                _unpack_rows(entry["order"], entry["rows"]),
-                bool(entry["expanded"]),
-            )
-            for entry in answers
-        ]
-        return request_id, decoded, _trace_from_field(data)
+        data, tables = _unpack_frame(payload, _answer_tables)
+        entries = zip(tables, data["answers"])
+        trace = None if data.get("trace") is None else Trace.from_dict(data["trace"])
+        return data["id"], [(t, bool(entry["expanded"])) for t, entry in entries], trace
     except _DECODE_ERRORS as exc:
         raise ProtocolError(f"malformed gateway answer message: {exc}") from exc
 

@@ -442,11 +442,18 @@ class QueryGateway:
                     self.admission.release()
 
             if rejection is None:
+                try:
+                    answer_payload = encode_gateway_answer(
+                        request_id,
+                        answers,
+                        trace=self._return_trace(context, scope, root),
+                    )
+                except Exception as exc:  # noqa: BLE001 - e.g. past the frame cap
+                    rejection = GatewayRejected(
+                        "internal", type(exc).__name__, request_id
+                    )
+            if rejection is None:
                 status = "ok"
-                return_trace = self._return_trace(context, scope, root)
-                answer_payload = encode_gateway_answer(
-                    request_id, answers, trace=return_trace
-                )
                 self.channel.transmit(
                     "gateway_answer", answer_payload, obs=scope
                 )

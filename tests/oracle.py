@@ -18,7 +18,6 @@ pipeline's intermediate results.  Tests import it; nothing under
 
 from __future__ import annotations
 
-import binascii
 import json
 import struct
 from dataclasses import dataclass
@@ -274,13 +273,14 @@ def filter_candidates(
 _STRUCT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
-def pack_matches(matches: list[Match], order: list[int]) -> dict:
-    """The packed-column ``rows`` object of a table frame, from dicts.
+def pack_matches(matches: list[Match], order: list[int]) -> tuple[dict, bytes]:
+    """One table of a table frame, from dicts: its header entry
+    ``{"n", "w"}`` and its tail bytes.
 
     Column-major in ``order``, little-endian signed cells of the
-    narrowest width (1/2/4/8 bytes) that holds every value, base64.
-    Written against the format's description, with ``struct`` where
-    the library uses ``array``/numpy.
+    narrowest width (1/2/4/8 bytes) that holds every value.  Written
+    against the format's description, with ``struct`` where the
+    library uses ``array``/numpy.
     """
     cells = [match[q] for q in order for match in matches]
     width = next(
@@ -288,25 +288,31 @@ def pack_matches(matches: list[Match], order: list[int]) -> dict:
         for w in _STRUCT_CODES
         if all(-(2 ** (8 * w - 1)) <= c <= 2 ** (8 * w - 1) - 1 for c in cells)
     )
-    raw = struct.pack(f"<{len(cells)}{_STRUCT_CODES[width]}", *cells)
-    return {
-        "n": len(matches),
-        "w": width,
-        "cols": binascii.b2a_base64(raw, newline=False).decode("ascii"),
-    }
+    tail = struct.pack(f"<{len(cells)}{_STRUCT_CODES[width]}", *cells)
+    return {"n": len(matches), "w": width}, tail
 
 
-def unpack_matches(packed: dict, order: list[int]) -> list[Match]:
-    """Inverse of :func:`pack_matches`, for well-formed objects only."""
-    n = packed["n"]
-    raw = binascii.a2b_base64(packed["cols"])
-    cells = struct.unpack(
-        f"<{n * len(order)}{_STRUCT_CODES[packed['w']]}", raw
-    )
+def unpack_matches(entry: dict, order: list[int], tail: bytes) -> list[Match]:
+    """Inverse of :func:`pack_matches`, for well-formed tables only."""
+    n = entry["n"]
+    cells = struct.unpack(f"<{n * len(order)}{_STRUCT_CODES[entry['w']]}", tail)
     return [
         {q: cells[column * n + row] for column, q in enumerate(order)}
         for row in range(n)
     ]
+
+
+def join_frame(header: dict, tail: bytes) -> bytes:
+    """A table frame: ``u32`` little-endian header length, the compact
+    JSON header, the tail."""
+    text = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    return struct.pack("<I", len(text)) + text + tail
+
+
+def split_frame(payload: bytes) -> tuple[dict, bytes]:
+    """Inverse of :func:`join_frame`: ``(header, tail)``."""
+    (length,) = struct.unpack_from("<I", payload)
+    return json.loads(payload[4 : 4 + length].decode("utf-8")), payload[4 + length :]
 
 
 def encode_answer(
@@ -314,17 +320,28 @@ def encode_answer(
 ) -> bytes:
     """The answer frame built from dicts; the table codec's bytes must
     equal this."""
-    return json.dumps(
-        {
-            "order": query_order,
-            "rows": pack_matches(matches, query_order),
-            "expanded": expanded,
-        },
-        separators=(",", ":"),
-    ).encode("utf-8")
+    rows, tail = pack_matches(matches, query_order)
+    return join_frame(
+        {"order": query_order, "rows": rows, "expanded": expanded}, tail
+    )
 
 
 def decode_answer(payload: bytes) -> tuple[list[Match], bool]:
     """Inverse of :func:`encode_answer`, for well-formed frames only."""
-    data = json.loads(payload.decode("utf-8"))
-    return unpack_matches(data["rows"], data["order"]), bool(data["expanded"])
+    data, tail = split_frame(payload)
+    return unpack_matches(data["rows"], data["order"], tail), bool(data["expanded"])
+
+
+def encode_gateway_answer(
+    request_id: str, answers: list[tuple[list[Match], list[int], bool]]
+) -> bytes:
+    """An untraced gateway answer frame built from dicts: the entries
+    are :func:`encode_answer` headers, the tail their tails in order."""
+    packed = [pack_matches(matches, order) for matches, order, _ in answers]
+    entries = [
+        {"order": order, "rows": rows, "expanded": expanded}
+        for (_, order, expanded), (rows, _) in zip(answers, packed)
+    ]
+    return join_frame(
+        {"id": request_id, "answers": entries}, b"".join(t for _, t in packed)
+    )

@@ -1,7 +1,5 @@
 """Unit tests for the wire protocol and network accounting."""
 
-import base64
-import json
 import random
 import tracemalloc
 from array import array
@@ -33,7 +31,7 @@ from tests import oracle
 
 ARMS = ("auto", "rows") + (("numpy",) if vec.HAVE_NUMPY else ())
 
-UPLOAD_GOLDEN = Path(__file__).parent / "data" / "upload_golden.json"
+UPLOAD_GOLDEN = Path(__file__).parent / "data" / "upload_golden.bin"
 
 
 def example_upload():
@@ -105,7 +103,7 @@ class TestUploadMessage:
             decode_upload(b'{"nope": 1}')
 
     def test_frame_is_the_committed_golden_bytes(self):
-        """``tests/data/upload_golden.json``: the running example at
+        """``tests/data/upload_golden.bin``: the running example at
         k = 2, seed 0.  The numpy leg and the tuple-row leg of CI both
         compare against this one file, which is how they prove to emit
         the same upload."""
@@ -113,15 +111,22 @@ class TestUploadMessage:
         assert encode_upload(graph, avt) == UPLOAD_GOLDEN.read_bytes()
 
     def test_frame_anatomy(self):
-        """A profile table of plain strings, three packed integer tables."""
+        """A profile table of plain strings, three integer tables whose
+        cells are the tail: vertices, edges, AVT rows, in that order."""
         graph, avt = example_upload()
-        frame = json.loads(encode_upload(graph, avt))
-        assert sorted(frame) == ["avt", "graph"]
-        assert sorted(frame["graph"]) == ["edges", "name", "profiles", "vertices"]
-        assert sorted(frame["avt"]) == ["k", "rows"]
+        frame, tail = oracle.split_frame(encode_upload(graph, avt))
+        assert list(frame) == ["graph", "avt"]
+        assert list(frame["graph"]) == ["name", "profiles", "vertices", "edges"]
+        assert list(frame["avt"]) == ["k", "rows"]
         tables = (frame["graph"]["vertices"], frame["graph"]["edges"], frame["avt"]["rows"])
-        for table, rows in zip(tables, (graph.vertex_count, graph.edge_count, avt.row_count)):
-            assert sorted(table) == ["cols", "n", "w"] and table["n"] == rows
+        counts = (graph.vertex_count, graph.edge_count, avt.row_count)
+        for table, rows in zip(tables, counts):
+            assert sorted(table) == ["n", "w"] and table["n"] == rows
+        widths = (2, 2, avt.k)
+        assert len(tail) == sum(t["n"] * c * t["w"] for t, c in zip(tables, widths))
+        vertex_cells = tail[: 2 * tables[0]["n"] * tables[0]["w"]]
+        vertices = oracle.unpack_matches(tables[0], [0, 1], vertex_cells)
+        assert [row[0] for row in vertices] == sorted(graph.vertex_ids())
         profiles = {
             (entry["type"], tuple((a, tuple(g)) for a, g in entry["labels"].items()))
             for entry in frame["graph"]["profiles"]
@@ -245,8 +250,13 @@ class TestAnswerMessage:
 
 
 def packed(payload: bytes) -> dict:
-    """The ``rows`` object of an answer frame."""
-    return json.loads(payload)["rows"]
+    """The ``rows`` entry of an answer frame's header."""
+    return oracle.split_frame(payload)[0]["rows"]
+
+
+def tail(payload: bytes) -> bytes:
+    """The cells of an answer frame."""
+    return oracle.split_frame(payload)[1]
 
 
 class TestPackedRows:
@@ -295,7 +305,7 @@ class TestPackedRows:
         with vec.override(arm):
             payload = encode_answer_table(MatchTable((3, 4)), [3, 4], True)
             decoded, expanded = decode_answer_table(payload)
-        assert packed(payload) == {"n": 0, "w": 1, "cols": ""}
+        assert packed(payload) == {"n": 0, "w": 1} and tail(payload) == b""
         assert decoded.schema == (3, 4) and decoded.rows == [] and expanded
 
     def test_rows_without_columns_are_refused_both_ways(self):
@@ -303,7 +313,9 @@ class TestPackedRows:
             encode_answer_table(MatchTable((), [(), ()]), [], False)
         with pytest.raises(ProtocolError, match="rows without columns"):
             decode_answer_table(
-                b'{"order":[],"rows":{"n":2,"w":1,"cols":""},"expanded":false}'
+                oracle.join_frame(
+                    {"order": [], "rows": {"n": 2, "w": 1}, "expanded": False}, b""
+                )
             )
         decoded, _ = decode_answer_table(
             encode_answer_table(MatchTable(()), [], False)
@@ -318,7 +330,7 @@ class TestPackedRows:
             decoded, _ = decode_answer_table(payload)
         assert decoded.schema == (9, 5, 7)
         assert decoded.rows == [(1000 + i, i, 100 + i) for i in range(80)]
-        raw = base64.b64decode(packed(payload)["cols"])
+        raw = tail(payload)
         # column-major, little-endian: column 9 first, then 5, then 7
         assert raw[:4] == (1000).to_bytes(2, "little") + (1001).to_bytes(2, "little")
         assert len(raw) == 80 * 3 * 2
@@ -358,29 +370,65 @@ class TestPackedRows:
 
     def test_big_endian_hosts_byteswap_to_the_same_wire_bytes(self, monkeypatch):
         """Forcing the flag on this host swaps twice: the round trip must
-        hold, and the wire bytes are the native cells byte-reversed."""
+        hold, and the wire cells are the reference's byte-reversed."""
         table = MatchTable((0, 1), [(1, 300), (-2, 40_000)])
+        reference = oracle.encode_answer(table.to_matches(), [0, 1], False)
         with vec.override("rows"):
             native = encode_answer_table(table, [0, 1], False)
             monkeypatch.setattr(protocol, "_BYTESWAP", not protocol._BYTESWAP)
             swapped = encode_answer_table(table, [0, 1], False)
             decoded, _ = decode_answer_table(swapped)
+        assert native == reference
         assert decoded == table
         cells = array("i")
-        cells.frombytes(base64.b64decode(packed(native)["cols"]))
+        cells.frombytes(tail(reference))
         cells.byteswap()
-        assert base64.b64decode(packed(swapped)["cols"]) == cells.tobytes()
+        assert packed(swapped) == packed(reference)
+        assert tail(swapped) == cells.tobytes()
 
     def test_both_answer_frames_carry_the_same_rows_object(self):
+        """The same header entry and the same tail bytes, and both equal
+        the reference packer's."""
         table = MatchTable((0, 1), [(i, 500 + i) for i in range(70)])
         matches = table.to_matches()
-        rows = oracle.pack_matches(matches, [0, 1])
-        assert packed(encode_answer_table(table, [0, 1], True)) == rows
-        gateway = json.loads(encode_gateway_answer("r", [(table, [0, 1], True)]))
-        assert gateway["answers"] == [
-            json.loads(oracle.encode_answer(matches, [0, 1], True))
-        ]
-        _, answers, _ = decode_gateway_answer(
-            encode_gateway_answer("r", [(table, [0, 1], True)])
-        )
+        rows, cells = oracle.pack_matches(matches, [0, 1])
+        answer = encode_answer_table(table, [0, 1], True)
+        assert packed(answer) == rows and tail(answer) == cells
+        gateway = encode_gateway_answer("r", [(table, [0, 1], True)])
+        header, gateway_cells = oracle.split_frame(gateway)
+        assert header["answers"] == [oracle.split_frame(answer)[0]]
+        assert gateway_cells == cells
+        assert gateway == oracle.encode_gateway_answer("r", [(matches, [0, 1], True)])
+        _, answers, _ = decode_gateway_answer(gateway)
         assert answers == [(table, True)]
+
+    @pytest.mark.parametrize("arm", ARMS)
+    def test_the_frame_is_the_prefix_the_header_and_exactly_its_cells(self, arm):
+        """4 bytes of header length + the header + n * |order| * w."""
+        table = MatchTable((0, 1, 2), [(i, -i, 70_000 + i) for i in range(200)])
+        with vec.override(arm):
+            payload = encode_answer_table(table, [2, 0, 1], False)
+        header_length = int.from_bytes(payload[:4], "little")
+        rows = packed(payload)
+        assert rows == {"n": 200, "w": 4}
+        assert len(payload) == 4 + header_length + 200 * 3 * 4
+
+    def test_gateway_answer_tails_concatenate_in_entry_order(self):
+        first = MatchTable((0, 1), [(i, i + 1) for i in range(100)])
+        second = MatchTable((5,), [(-1,), (300,)])
+        answers = [(first, [0, 1], False), (second, [5], True)]
+        payload = encode_gateway_answer("r", answers)
+        assert payload == oracle.encode_gateway_answer(
+            "r", [(t.to_matches(), o, e) for t, o, e in answers]
+        )
+        _, decoded, _ = decode_gateway_answer(payload)
+        assert decoded == [(first, False), (second, True)]
+
+    def test_a_gateway_answer_past_the_frame_cap_is_refused_at_encode(self, monkeypatch):
+        table = MatchTable((0,), [(i,) for i in range(1000)])
+        size = len(encode_gateway_answer("r", [(table, [0], False)]))
+        monkeypatch.setattr(protocol, "MAX_FRAME_PAYLOAD", size - 1)
+        with pytest.raises(ProtocolError, match="exceeds"):
+            encode_gateway_answer("r", [(table, [0], False)])
+        monkeypatch.setattr(protocol, "MAX_FRAME_PAYLOAD", size)
+        assert len(encode_gateway_answer("r", [(table, [0], False)])) == size

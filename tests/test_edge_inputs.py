@@ -107,6 +107,6 @@ class TestUnicodeLabels:
         system = PrivacyPreservingSystem.setup(graph, schema, SystemConfig(k=2))
         payload = encode_upload(
             system.published.upload_graph, system.published.transform.avt
-        ).decode("utf-8")
-        assert "太郎" not in payload
-        assert "花子" not in payload
+        )
+        assert "太郎".encode("utf-8") not in payload
+        assert "花子".encode("utf-8") not in payload

@@ -23,6 +23,7 @@ import pytest
 
 import repro
 from repro.cloud import CloudServer, fork_available, parallel
+from repro.core import protocol
 from repro.core.protocol import (
     FRAME_HEADER,
     decode_frame_header,
@@ -678,6 +679,48 @@ class TestGatewayPolicyOverWire:
         kind, (table, expanded) = replies["good"]
         assert kind == "answer"
         assert wire_bytes(table, order, expanded) == expected
+
+    def test_an_answer_past_the_frame_cap_is_an_internal_reject(
+        self, dep, monkeypatch
+    ):
+        """An answer too big for one frame is refused as ``internal``
+        (the reason is the exception's type name) instead of leaving the
+        client waiting; it is counted under that status, its bytes are
+        never counted as sent, and the connection stays usable."""
+        cloud = make_cloud(dep)
+        reference = cloud.answer(dep.query)
+        order = sorted(dep.query.vertex_ids())
+        entry = [(reference.table, order, reference.expanded)]
+        request = len(encode_gateway_request("big", [dep.query]))
+        answer = len(encode_gateway_answer("big", entry))
+        assert request < answer
+        obs = Observability()
+
+        async def main():
+            reader, writer = await open_raw(gateway.port)
+            monkeypatch.setattr(protocol, "MAX_FRAME_PAYLOAD", (request + answer) // 2)
+            writer.write(request_frames(("big", dep.query)))
+            await writer.drain()
+            refused = await asyncio.wait_for(read_frame(reader), 5.0)
+            monkeypatch.undo()
+            writer.write(request_frames(("next", dep.query)))
+            await writer.drain()
+            replies = await asyncio.wait_for(read_replies(reader, 1), 5.0)
+            await close_raw(writer)
+            return refused, replies
+
+        with QueryGateway(cloud, obs=obs) as gateway:
+            (kind, payload), replies = asyncio.run(main())
+            sent = gateway.channel.total_bytes("gateway_answer")
+        assert kind == "reject"
+        assert decode_gateway_reject(payload) == ("big", "internal", "ProtocolError")
+        kind, (table, expanded) = replies["next"]
+        assert kind == "answer"
+        assert wire_bytes(table, order, expanded) == reference_bytes(cloud, dep.query)
+        assert sent == len(encode_gateway_answer("next", entry))
+        requests = obs.metrics.counter(names.M_GATEWAY_REQUESTS)
+        assert requests.value(status="internal") == 1
+        assert requests.value(status="ok") == 1
 
     def test_garbage_frames_get_bad_request(self, dep):
         cloud = make_cloud(dep)

@@ -12,15 +12,14 @@ without it:
   the documented limit of the threat model).
 
 Tampered answers enter the client the way a real one does — encoded as
-a packed-column frame and decoded by :func:`decode_answer_table` — so a
-frame that is not a table of integers over the query's vertices is a
-typed error before the filter ever sees it.
+a table frame and decoded by :func:`decode_answer_table` — so a frame
+that is not a table of integers over the query's vertices is a typed
+error before the filter ever sees it.
 """
 
-import base64
 import json
 import random
-from array import array
+import struct
 
 import pytest
 
@@ -29,6 +28,7 @@ from repro.core.protocol import decode_answer_table, encode_answer_table
 from repro.exceptions import ProtocolError
 from repro.graph import example_query, example_social_network
 from repro.matching import MatchTable, find_subgraph_matches, match_key, vec
+from tests.oracle import join_frame, split_frame
 
 
 @pytest.fixture(scope="module")
@@ -51,25 +51,23 @@ def received(query, matches):
 
 
 def tampered_frame(query, matches, cells: list[int]) -> bytes:
-    """An honest answer frame whose column bytes were rewritten in flight.
+    """An honest answer frame whose tail cells were rewritten in flight.
 
-    ``cells`` overwrite the tail of the (column-major) cell block; the
-    block is re-packed as 8-byte cells so any id fits, and ``n``/``w``
+    ``cells`` overwrite the last cells of the (column-major) tail; the
+    tail is re-packed as 8-byte cells so any id fits, and ``n``/``w``
     are kept consistent — the frame is well-formed, only its content
     lies.
     """
     order = sorted(query.vertex_ids())
-    frame = json.loads(
+    header, tail = split_frame(
         encode_answer_table(MatchTable.from_matches(matches, order), order, False)
     )
-    rows = frame["rows"]
-    honest = array({1: "b", 2: "h", 4: "i", 8: "q"}[rows["w"]])
-    honest.frombytes(base64.b64decode(rows["cols"]))
-    block = array("q", honest)
-    block[len(block) - len(cells) :] = array("q", cells)
+    rows = header["rows"]
+    code = {1: "b", 2: "h", 4: "i", 8: "q"}[rows["w"]]
+    block = list(struct.unpack(f"<{len(tail) // rows['w']}{code}", tail))
+    block[len(block) - len(cells) :] = cells
     rows["w"] = 8
-    rows["cols"] = base64.b64encode(block.tobytes()).decode("ascii")
-    return json.dumps(frame).encode("utf-8")
+    return join_frame(header, struct.pack(f"<{len(block)}q", *block))
 
 
 def client_output(system, query, matches, expanded=False):
@@ -169,11 +167,11 @@ class TestSoundnessAgainstTampering:
     ):
         graph, system, query, oracle, answer = deployment
         honest = sorted(query.vertex_ids())
-        frame = json.loads(encode_answer_table(answer.table, honest, False))
+        frame, tail = split_frame(encode_answer_table(answer.table, honest, False))
         assert len(order) == len(honest)
         frame["order"] = order
         with pytest.raises(ProtocolError, match="malformed answer message"):
-            decode_answer_table(json.dumps(frame).encode("utf-8"))
+            decode_answer_table(join_frame(frame, tail))
 
     def test_a_schema_that_is_not_the_querys_vertex_set_is_a_typed_error(
         self, deployment

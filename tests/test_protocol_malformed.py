@@ -11,13 +11,20 @@ invalid UTF-8, non-object JSON, missing fields, wrong-typed fields)
 plus a hypothesis fuzz of arbitrary byte strings, asserting the
 decoder either succeeds or raises ``ProtocolError`` — never a raw
 ``KeyError``/``TypeError``/``AttributeError``/``ValueError``.
+
+The three table frames (answer, gateway answer, upload) are a JSON
+header plus a binary tail; their corruptions are made on the parts
+:func:`tests.oracle.split_frame` cuts them into, so the header stays a
+well-formed prefix unless a case says otherwise.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import struct
 from itertools import chain
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -45,6 +52,7 @@ from repro.graph import example_social_network, graph_to_dict
 from repro.kauto import build_k_automorphic_graph
 from repro.matching import MatchTable
 from repro.outsource import build_outsourced_graph
+from tests import oracle
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +95,72 @@ DECODERS = {
 #: there is one answer codec per frame kind.
 KINDS = {**DECODERS, "answer": decode_answer_table}
 
+#: The kinds that travel as a table frame (JSON header + binary tail).
+TABLE_FRAMES = {"upload", "answer", "answer_table", "gateway_answer"}
+
+
+class Table(NamedTuple):
+    """One table of a table frame: its header entry and its tail cells."""
+
+    entry: object
+    cells: bytes
+
+
+def split(kind: str, payload: bytes) -> tuple[dict, bytes | None]:
+    """``(document, tail)``; the tail is ``None`` for a plain JSON kind."""
+    if kind in TABLE_FRAMES:
+        return oracle.split_frame(payload)
+    return json.loads(payload.decode("utf-8")), None
+
+
+def join(doc: object, tail: bytes | None) -> bytes:
+    """Inverse of :func:`split`."""
+    if tail is None:
+        return json.dumps(doc).encode("utf-8")
+    return oracle.join_frame(doc, tail)
+
+
+def table_paths(kind: str, doc: dict) -> list[tuple[tuple, int]]:
+    """A table frame's ``(path to the entry, column count)``, tail order."""
+    if kind == "upload":
+        columns = (2, 2, doc["avt"]["k"])
+        paths = (("graph", "vertices"), ("graph", "edges"), ("avt", "rows"))
+        return list(zip(paths, columns))
+    if kind == "gateway_answer":
+        return [
+            (("answers", i, "rows"), len(entry["order"]))
+            for i, entry in enumerate(doc["answers"])
+        ]
+    return [(("rows",), len(doc["order"]))]
+
+
+def at(doc: dict, path: tuple) -> object:
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def tables(kind: str, payload: bytes) -> tuple[dict, dict[tuple, Table]]:
+    """A valid table frame's header and its tables by entry path."""
+    doc, tail = split(kind, payload)
+    found, start = {}, 0
+    for path, columns in table_paths(kind, doc):
+        entry = at(doc, path)
+        size = entry["n"] * columns * entry["w"]
+        found[path] = Table(entry, tail[start : start + size])
+        start += size
+    assert start == len(tail)
+    return doc, found
+
+
+def with_table(kind: str, payload: bytes, path: tuple, table: Table) -> bytes:
+    """``payload`` with the table whose entry sits at ``path`` replaced:
+    its entry in the header and its cells in the tail."""
+    doc, found = tables(kind, payload)
+    found[path] = table
+    at(doc, path[:-1])[path[-1]] = table.entry
+    return join(doc, b"".join(t.cells for t in found.values()))
+
 
 def _answer_entry(rows: list) -> list[dict]:
     """A one-entry gateway ``answers`` list carrying ``rows``."""
@@ -104,19 +178,17 @@ BAD_CELLS = {
 }
 
 
-def packed(*columns: list[int]) -> dict:
-    """A packed-column object of one-byte cells, by hand (not by the codec)."""
+def packed(*columns: list[int]) -> Table:
+    """A table of one-byte cells, by hand (not by the codec)."""
     raw = bytes(cell & 0xFF for cell in chain(*columns))
-    return {
-        "n": len(columns[0]),
-        "w": 1,
-        "cols": base64.b64encode(raw).decode("ascii"),
-    }
+    return Table({"n": len(columns[0]), "w": 1}, raw)
 
 
 #: Field corruptions per message type: (id, path, replacement) triples.
-#: The path indexes into the decoded JSON object; the replacement is a
-#: wrong-typed value the decoder must reject as ProtocolError.  The
+#: The path indexes into the decoded JSON object (a table frame's
+#: header); the replacement is a wrong-typed value — or a whole
+#: :class:`Table`, entry and cells — the decoder must reject as
+#: ProtocolError.  The
 #: test id is ``<kind>-<id>``, spelled out because pytest's default
 #: (the case's position in the flattened list) would rename every
 #: later case whenever one is added or dropped; the ``pathN`` ids are
@@ -129,9 +201,9 @@ WRONG_TYPED: dict[str, list[tuple[str, tuple, object]]] = {
         # a bad AVT used to escape as a raw VerificationError; the valid
         # rows are (4, 5), (0, 2), (1, 3), (6, 7)
         ("avt-duplicate-vertex", ("avt", "rows"), packed([4, 0, 1, 6], [5, 2, 3, 4])),
-        ("avt-ragged-row", ("avt", "rows"), {"n": 4, "w": 1, "cols": "BAABBgUCAw=="}),
+        ("avt-ragged-row", ("avt", "rows"), Table({"n": 4, "w": 1}, b"\4\0\1\6\5\2\3")),
         ("avt-k-not-the-row-width", ("avt", "k"), 3),
-        ("avt-empty", ("avt", "rows"), {"n": 0, "w": 1, "cols": ""}),
+        ("avt-empty", ("avt", "rows"), Table({"n": 0, "w": 1}, b"")),
         ("avt-k-zero", ("avt", "k"), 0),
         ("avt-k-negative", ("avt", "k"), -2),
         ("avt-k-true", ("avt", "k"), True),
@@ -202,8 +274,8 @@ WRONG_TYPED: dict[str, list[tuple[str, tuple, object]]] = {
     ],
 }
 
-#: Where each packed table sits: ``site -> (kind, path to the object
-#: holding it, its key there, the key of its schema beside it)``.  An
+#: Where each table sits: ``site -> (kind, path to the object holding
+#: its entry, its key there, the key of its schema beside it)``.  An
 #: upload's three tables have no schema field: their columns are
 #: numbered, two of them in this fixture (id/profile, low/high, k = 2).
 TABLE_SITES: dict[str, tuple[str, tuple, str, str | None]] = {
@@ -216,40 +288,51 @@ TABLE_SITES: dict[str, tuple[str, tuple, str, str | None]] = {
 SCHEMA_SITES = sorted(site for site, entry in TABLE_SITES.items() if entry[3])
 UPLOAD_SITES = sorted(site for site, entry in TABLE_SITES.items() if not entry[3])
 
-_A_KB = "A" * 1024
+#: The valid answer table ``{"n": 2, "w": 1}`` + these cells: two
+#: columns, four one-byte cells.
+VALID_CELLS = b"\3\5\4\6"
+VALID_ENTRY = {"n": 2, "w": 1}
 
-#: Hostile ``rows`` objects against the valid one ``{"n": 2, "w": 1,
-#: "cols": "AwUEBg=="}`` (two columns, four one-byte cells): every one
-#: must be a ProtocolError before any per-row storage is allocated.
-HOSTILE_ROWS: dict[str, object] = {
-    "old-format-list": [[3, 4], [5, 6]],
-    "old-format-empty-list": [],
-    "null": None,
-    "string": "AwUEBg==",
-    "missing-n": {"w": 1, "cols": "AwUEBg=="},
-    "missing-w": {"n": 2, "cols": "AwUEBg=="},
-    "missing-cols": {"n": 2, "w": 1},
-    "non-alphabet-base64": {"n": 2, "w": 1, "cols": "Aw*EBg=="},
-    "whitespace-in-base64": {"n": 2, "w": 1, "cols": "AwUE Bg=="},
-    "unpadded-base64": {"n": 2, "w": 1, "cols": "AwUEBg"},
-    "overpadded-base64": {"n": 2, "w": 1, "cols": "AwUEBg==="},
-    "cols-not-a-string": {"n": 2, "w": 1, "cols": [3, 5, 4, 6]},
-    "one-byte-short": {"n": 2, "w": 1, "cols": "AwUE"},
-    "one-byte-long": {"n": 2, "w": 1, "cols": "AwUEBgc="},
-    "w-0": {"n": 2, "w": 0, "cols": "AwUEBg=="},
-    "w-3": {"n": 2, "w": 3, "cols": "AwUEBg=="},
-    "w-16": {"n": 2, "w": 16, "cols": "AwUEBg=="},
-    "w-true": {"n": 2, "w": True, "cols": "AwUEBg=="},
-    "w-string": {"n": 1, "w": "2", "cols": "AwUEBg=="},
-    "w-float": {"n": 1, "w": 2.0, "cols": "AwUEBg=="},
-    "n-negative": {"n": -2, "w": 1, "cols": "AwUEBg=="},
-    "n-true": {"n": True, "w": 2, "cols": "AwUEBg=="},
-    "n-float": {"n": 2.0, "w": 1, "cols": "AwUEBg=="},
-    "n-string": {"n": "2", "w": 1, "cols": "AwUEBg=="},
-    "n-lies-high": {"n": 10**12, "w": 1, "cols": "AwUEBg=="},
-    "n-lies-low": {"n": 1, "w": 1, "cols": "AwUEBg=="},
-    "width-lies": {"n": 2, "w": 2, "cols": "AwUEBg=="},
-    "kilobyte-for-two-rows": {"n": 2, "w": 1, "cols": _A_KB},
+#: Hostile tables against the valid one: every one must be a
+#: ProtocolError before any per-row storage is allocated.  The cases
+#: named after base64 are what a peer of the base64-in-JSON layout
+#: sends: an entry that still carries its ``cols`` string (malformed
+#: or not) is refused whatever the tail holds; the ``cells-*`` and
+#: ``tail-*`` cases are their binary counterparts.
+HOSTILE_ROWS: dict[str, Table] = {
+    "old-format-list": Table([[3, 4], [5, 6]], VALID_CELLS),
+    "old-format-empty-list": Table([], VALID_CELLS),
+    "null": Table(None, VALID_CELLS),
+    "string": Table("AwUEBg==", VALID_CELLS),
+    "missing-n": Table({"w": 1}, VALID_CELLS),
+    "missing-w": Table({"n": 2}, VALID_CELLS),
+    "missing-cols": Table(VALID_ENTRY, b""),
+    "non-alphabet-base64": Table({**VALID_ENTRY, "cols": "Aw*EBg=="}, VALID_CELLS),
+    "whitespace-in-base64": Table({**VALID_ENTRY, "cols": "AwUE Bg=="}, VALID_CELLS),
+    "unpadded-base64": Table({**VALID_ENTRY, "cols": "AwUEBg"}, VALID_CELLS),
+    "overpadded-base64": Table({**VALID_ENTRY, "cols": "AwUEBg==="}, VALID_CELLS),
+    "cols-not-a-string": Table({**VALID_ENTRY, "cols": [3, 5, 4, 6]}, VALID_CELLS),
+    "cells-in-the-header": Table({**VALID_ENTRY, "cells": [3, 5, 4, 6]}, b""),
+    "cells-offset-field": Table({**VALID_ENTRY, "offset": 0}, VALID_CELLS),
+    "tail-short-by-a-row": Table(VALID_ENTRY, VALID_CELLS[:2]),
+    "tail-long-by-a-row": Table(VALID_ENTRY, VALID_CELLS + b"\7\7"),
+    "tail-in-two-byte-cells": Table(VALID_ENTRY, struct.pack("<4h", 3, 5, 4, 6)),
+    "one-byte-short": Table(VALID_ENTRY, VALID_CELLS[:-1]),
+    "one-byte-long": Table(VALID_ENTRY, VALID_CELLS + b"\7"),
+    "w-0": Table({"n": 2, "w": 0}, VALID_CELLS),
+    "w-3": Table({"n": 2, "w": 3}, VALID_CELLS),
+    "w-16": Table({"n": 2, "w": 16}, VALID_CELLS),
+    "w-true": Table({"n": 2, "w": True}, VALID_CELLS),
+    "w-string": Table({"n": 1, "w": "2"}, VALID_CELLS),
+    "w-float": Table({"n": 1, "w": 2.0}, VALID_CELLS),
+    "n-negative": Table({"n": -2, "w": 1}, VALID_CELLS),
+    "n-true": Table({"n": True, "w": 2}, VALID_CELLS),
+    "n-float": Table({"n": 2.0, "w": 1}, VALID_CELLS),
+    "n-string": Table({"n": "2", "w": 1}, VALID_CELLS),
+    "n-lies-high": Table({"n": 10**12, "w": 1}, VALID_CELLS),
+    "n-lies-low": Table({"n": 1, "w": 1}, VALID_CELLS),
+    "width-lies": Table({"n": 2, "w": 2}, VALID_CELLS),
+    "kilobyte-for-two-rows": Table(VALID_ENTRY, b"A" * 1024),
 }
 
 #: Hostile schemas (the ``order`` / ``schema`` field beside ``rows``).
@@ -270,19 +353,20 @@ HOSTILE_SCHEMAS: dict[str, object] = {
 RAW_ERRORS = (KeyError, ValueError, TypeError, AttributeError, IndexError)
 
 
-def corrupt(payload: bytes, path: tuple, value: object) -> bytes:
-    data = json.loads(payload.decode("utf-8"))
-    target = data
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = value
-    return json.dumps(data).encode("utf-8")
+def corrupt(kind: str, payload: bytes, path: tuple, value: object) -> bytes:
+    """``payload`` with the field at ``path`` replaced; a :class:`Table`
+    value replaces a table frame's entry and its cells."""
+    if isinstance(value, Table):
+        return with_table(kind, payload, path, value)
+    data, tail = split(kind, payload)
+    at(data, path[:-1])[path[-1]] = value
+    return join(data, tail)
 
 
-def drop_field(payload: bytes, field: str) -> bytes:
-    data = json.loads(payload.decode("utf-8"))
+def drop_field(kind: str, payload: bytes, field: str) -> bytes:
+    data, tail = split(kind, payload)
     data.pop(field, None)
-    return json.dumps(data).encode("utf-8")
+    return join(data, tail)
 
 
 def assert_protocol_error(decoder, payload: bytes) -> None:
@@ -325,9 +409,9 @@ class TestCorruptionFamilies:
     def test_missing_fields(self, wire, kind):
         # dropping an *optional* field may legally still decode; what
         # must never happen is a raw KeyError escaping the envelope.
-        data = json.loads(wire[kind].decode("utf-8"))
+        data, _ = split(kind, wire[kind])
         for field in data:
-            payload = drop_field(wire[kind], field)
+            payload = drop_field(kind, wire[kind], field)
             try:
                 KINDS[kind](payload)
             except ProtocolError as exc:
@@ -348,45 +432,40 @@ class TestCorruptionFamilies:
     )
     def test_wrong_typed_fields(self, wire, kind, path, value):
         assert_protocol_error(
-            KINDS[kind], corrupt(wire[kind], path, value)
+            KINDS[kind], corrupt(kind, wire[kind], path, value)
         )
 
 
-def with_table_field(payload: bytes, site: str, field: str, value: object) -> bytes:
-    """``payload`` with ``field`` of the table at ``site`` replaced."""
+def site_path(site: str, field: str) -> tuple:
+    """The header path of the table at ``site``'s entry or schema."""
     _, path, rows_key, schema_key = TABLE_SITES[site]
-    key = schema_key if field == "schema" else rows_key
-    return corrupt(payload, (*path, key), value)
+    return (*path, schema_key if field == "schema" else rows_key)
 
 
 def site_case(wire, site: str, field: str, value: object):
     """``(decoder, corrupted payload)`` for one hostile table field."""
     kind = TABLE_SITES[site][0]
-    return DECODERS[kind], with_table_field(wire[kind], site, field, value)
+    return DECODERS[kind], corrupt(kind, wire[kind], site_path(site, field), value)
 
 
 class TestHostilePackedFrames:
-    """The packed-column ``rows`` object under attack, wherever one travels."""
+    """A table's header entry and tail cells under attack, wherever one travels."""
 
     @pytest.mark.parametrize("kind", SCHEMA_SITES)
     def test_the_valid_rows_object_is_what_the_cases_deviate_from(self, wire, kind):
-        _, path, rows_key, _ = TABLE_SITES[kind]
-        target = json.loads(wire[kind])
-        for key in path:
-            target = target[key]
-        assert target[rows_key] == {"n": 2, "w": 1, "cols": "AwUEBg=="}
+        _, found = tables(kind, wire[kind])
+        valid = Table(VALID_ENTRY, VALID_CELLS)
+        assert found[site_path(kind, "rows")] == valid
+        assert corrupt(kind, wire[kind], site_path(kind, "rows"), valid) == wire[kind]
 
     @pytest.mark.parametrize("site", UPLOAD_SITES)
     def test_the_upload_tables_are_two_one_byte_columns_too(self, wire, site):
         """So every hostile case deviates from them as it does from the
         answer's ``rows``: none happens to be a valid table here."""
-        _, path, rows_key, _ = TABLE_SITES[site]
-        target = json.loads(wire["upload"])
-        for key in path:
-            target = target[key]
-        table = target[rows_key]
-        assert table["w"] == 1 and table["n"] > 2
-        assert len(base64.b64decode(table["cols"])) == 2 * table["n"]
+        _, found = tables("upload", wire["upload"])
+        table = found[site_path(site, "rows")]
+        assert table.entry["w"] == 1 and table.entry["n"] > 2
+        assert len(table.cells) == 2 * table.entry["n"]
 
     @pytest.mark.parametrize("case", sorted(HOSTILE_ROWS))
     @pytest.mark.parametrize("kind", sorted(TABLE_SITES))
@@ -407,17 +486,101 @@ class TestHostilePackedFrames:
     def test_a_lying_n_with_an_empty_schema_allocates_nothing(self, wire, kind, n):
         """No column carries the row count, so ``n`` alone would size the
         table: it must be refused, not materialized as ``n`` empty rows."""
-        payload = with_table_field(wire[kind], kind, "schema", [])
-        payload = with_table_field(
-            payload, kind, "rows", {"n": n, "w": 1, "cols": ""}
-        )
-        assert_protocol_error(DECODERS[kind], payload)
+        doc, _ = split(kind, wire[kind])
+        for field, value in (("schema", []), ("rows", {"n": n, "w": 1})):
+            path = site_path(kind, field)
+            at(doc, path[:-1])[path[-1]] = value
+        assert_protocol_error(DECODERS[kind], join(doc, b""))
 
     @pytest.mark.parametrize("site", UPLOAD_SITES)
     def test_a_lying_n_with_an_empty_column_block_allocates_nothing(self, wire, site):
         assert_protocol_error(
-            *site_case(wire, site, "rows", {"n": 10**12, "w": 1, "cols": ""})
+            *site_case(wire, site, "rows", Table({"n": 10**12, "w": 1}, b""))
         )
+
+
+def legacy(kind: str, payload: bytes) -> bytes:
+    """``payload`` in the base64-in-JSON layout this frame replaced: each
+    entry carries its cells as a ``cols`` string, and there is no tail."""
+    doc, found = tables(kind, payload)
+    for path, table in found.items():
+        cols = base64.b64encode(table.cells).decode("ascii")
+        at(doc, path[:-1])[path[-1]] = {**table.entry, "cols": cols}
+    return json.dumps(doc, separators=(",", ":")).encode("utf-8")
+
+
+def framed(header: bytes, tail: bytes = b"") -> bytes:
+    """Raw header bytes behind a correct length prefix."""
+    return struct.pack("<I", len(header)) + header + tail
+
+
+FRAME_KINDS = ["answer_table", "gateway_answer", "upload"]
+
+
+class TestTableFrameLayout:
+    """The frame around the tables: length prefix, header, exact tail."""
+
+    @pytest.mark.parametrize("kind", FRAME_KINDS)
+    def test_the_frame_is_the_prefix_the_header_and_the_tail(self, wire, kind):
+        header, tail = oracle.split_frame(wire[kind])
+        _, found = tables(kind, wire[kind])
+        assert tail == b"".join(table.cells for table in found.values())
+        assert oracle.join_frame(header, tail) == wire[kind]
+
+    @pytest.mark.parametrize("kind", FRAME_KINDS)
+    def test_header_length_past_the_end(self, wire, kind):
+        payload = wire[kind]
+        for length in (len(payload) - 3, 2**32 - 1):
+            assert_protocol_error(
+                DECODERS[kind], struct.pack("<I", length) + payload[4:]
+            )
+
+    @pytest.mark.parametrize("kind", FRAME_KINDS)
+    def test_a_frame_shorter_than_its_length_prefix(self, wire, kind):
+        for payload in (b"", b"\0", b"\0\0\0"):
+            assert_protocol_error(DECODERS[kind], payload)
+
+    @pytest.mark.parametrize("kind", FRAME_KINDS)
+    def test_header_not_utf8(self, wire, kind):
+        header, tail = oracle.split_frame(wire[kind])
+        text = json.dumps(header).encode("utf-16")
+        assert_protocol_error(DECODERS[kind], framed(text, tail))
+        assert_protocol_error(DECODERS[kind], framed(b'{"\xff": 1}', tail))
+
+    @pytest.mark.parametrize("kind", FRAME_KINDS)
+    def test_header_not_json(self, wire, kind):
+        _, tail = oracle.split_frame(wire[kind])
+        assert_protocol_error(DECODERS[kind], framed(b"{not json", tail))
+
+    @pytest.mark.parametrize("kind", FRAME_KINDS)
+    @pytest.mark.parametrize("header", [b"[]", b'"text"', b"42", b"null", b"true"])
+    def test_header_not_an_object(self, wire, kind, header):
+        _, tail = oracle.split_frame(wire[kind])
+        assert_protocol_error(DECODERS[kind], framed(header, tail))
+
+    @pytest.mark.parametrize("kind", FRAME_KINDS)
+    def test_a_zero_length_header(self, wire, kind):
+        _, tail = oracle.split_frame(wire[kind])
+        assert_protocol_error(DECODERS[kind], framed(b"", tail))
+
+    @pytest.mark.parametrize("kind", FRAME_KINDS)
+    @pytest.mark.parametrize("extra", [b"\0", b"\0" * 4, b"A" * 1024])
+    def test_trailing_bytes_after_the_last_table(self, wire, kind, extra):
+        assert_protocol_error(DECODERS[kind], wire[kind] + extra)
+
+    @pytest.mark.parametrize("kind", FRAME_KINDS)
+    def test_a_big_endian_length_prefix(self, wire, kind):
+        payload = wire[kind]
+        (length,) = struct.unpack_from("<I", payload)
+        assert_protocol_error(
+            DECODERS[kind], struct.pack(">I", length) + payload[4:]
+        )
+
+    @pytest.mark.parametrize("kind", FRAME_KINDS)
+    def test_a_legacy_base64_frame(self, wire, kind):
+        old = legacy(kind, wire[kind])
+        assert b'"cols":"' in old and old.startswith(b"{")
+        assert_protocol_error(DECODERS[kind], old)
 
 
 #: Well-typed uploads that describe no simple graph.  The fixture's
@@ -425,7 +588,7 @@ class TestHostilePackedFrames:
 #: (0,1) (0,4) (0,6) (0,7) (1,4) (1,6) (2,6).
 _IDS, _PROFILES = [0, 1, 2, 4, 6, 7], [0, 1, 0, 2, 3, 3]
 _LOWS, _HIGHS = [0, 0, 0, 0, 1, 1, 2], [1, 4, 6, 7, 4, 6, 6]
-NO_SIMPLE_GRAPH: dict[str, tuple[str, dict]] = {
+NO_SIMPLE_GRAPH: dict[str, tuple[str, Table]] = {
     "profile-index-negative": ("vertices", packed(_IDS, [0, 1, 0, 2, 3, -1])),
     "profile-index-past-the-table": ("vertices", packed(_IDS, [0, 1, 0, 2, 3, 4])),
     "duplicate-vertex-id": ("vertices", packed([0, 1, 2, 4, 6, 6], _PROFILES)),
@@ -440,16 +603,16 @@ class TestUploadSemantics:
     """Refused by the decoder, before any server is built on them."""
 
     def test_the_cases_deviate_from_the_valid_tables(self, wire):
-        graph = json.loads(wire["upload"])["graph"]
-        assert graph["vertices"] == packed(_IDS, _PROFILES)
-        assert graph["edges"] == packed(_LOWS, _HIGHS)
-        assert len(graph["profiles"]) == 4
+        graph, found = tables("upload", wire["upload"])
+        assert found[("graph", "vertices")] == packed(_IDS, _PROFILES)
+        assert found[("graph", "edges")] == packed(_LOWS, _HIGHS)
+        assert len(graph["graph"]["profiles"]) == 4
 
     @pytest.mark.parametrize("case", sorted(NO_SIMPLE_GRAPH))
     def test_no_simple_graph(self, wire, case):
         key, table = NO_SIMPLE_GRAPH[case]
         assert_protocol_error(
-            decode_upload, corrupt(wire["upload"], ("graph", key), table)
+            decode_upload, corrupt("upload", wire["upload"], ("graph", key), table)
         )
 
     def test_the_list_of_pairs_upload_format_is_refused(self):
@@ -498,6 +661,29 @@ class TestFuzz:
             except ProtocolError:
                 pass
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        header=st.recursive(
+            st.none() | st.booleans() | st.integers() | st.text(max_size=8),
+            lambda inner: st.lists(inner, max_size=4)
+            | st.dictionaries(
+                st.sampled_from(["order", "rows", "n", "w", "answers", "id", "graph", "avt"]),
+                inner,
+                max_size=4,
+            ),
+            max_leaves=12,
+        ),
+        tail=st.binary(max_size=16),
+    )
+    def test_arbitrary_framed_headers_never_leak_raw_errors(self, header, tail):
+        """A correct length prefix in front of any JSON header and tail."""
+        payload = framed(json.dumps(header).encode("utf-8"), tail)
+        for kind in FRAME_KINDS:
+            try:
+                DECODERS[kind](payload)
+            except ProtocolError:
+                pass
+
 
 class TestTraceContext:
     """The context document: round trip + corruption only -> ProtocolError."""
@@ -530,7 +716,9 @@ class TestTraceContext:
     def test_arbitrary_docs_only_raise_protocol_error(self, wire, doc):
         """A request frame's ``ctx`` is where a context document arrives."""
         try:
-            decode_gateway_request(corrupt(wire["gateway_request"], ("ctx",), doc))
+            decode_gateway_request(
+                corrupt("gateway_request", wire["gateway_request"], ("ctx",), doc)
+            )
         except ProtocolError:
             pass
 
