@@ -30,7 +30,7 @@ from repro.bench import format_table, print_report
 from repro.cloud.parallel import fork_available
 from repro.core.options import QueryOptions
 from repro.matching import match_key
-from repro.obs import Observability, SlidingWindow, format_percent
+from repro.obs import Observability, SlidingWindow
 
 WORKERS = 4
 BATCH_K = 3
@@ -89,9 +89,6 @@ def test_report_parallel_engine(sweep):
     serial_wall = serial.metrics.wall_seconds
     expected = _match_sets(serial.outcomes)
 
-    # cache_hit_rate is None for a forked batch (children own the
-    # cache copies, the parent-side delta reads zero) — format_percent
-    # renders that as "n/a" instead of blowing up in a %-format.
     rows = [
         [
             "serial",
@@ -99,7 +96,6 @@ def test_report_parallel_engine(sweep):
             f"{serial_wall * 1000:.1f}",
             f"{serial.metrics.throughput_qps:.1f}",
             "1.00x",
-            format_percent(serial.metrics.cache_hit_rate),
         ]
     ]
     speedup = None
@@ -114,13 +110,12 @@ def test_report_parallel_engine(sweep):
                 f"{batch.metrics.wall_seconds * 1000:.1f}",
                 f"{batch.metrics.throughput_qps:.1f}",
                 f"{speedup:.2f}x",
-                format_percent(batch.metrics.cache_hit_rate),
             ]
         )
 
     print_report(
         format_table(
-            ["arm", "workers", "wall ms", "qps", "speedup", "hit rate"],
+            ["arm", "workers", "wall ms", "qps", "speedup"],
             rows,
             title=(
                 f"batched engine — {len(queries)} queries, "

@@ -26,7 +26,7 @@ Commands
     over TCP and finish them client-side (expand + filter) locally.
 ``explain``
     Run one traced query and render its EXPLAIN report (phase
-    timings, per-shard work, wire bytes, cache hits).  With ``--port``
+    timings, per-shard work, wire bytes).  With ``--port``
     the query goes through a running gateway and the report covers the
     stitched cross-process trace.
 ``audit``
@@ -65,12 +65,16 @@ from repro.core.system import PrivacyPreservingSystem
 from repro.exceptions import GatewayError, GatewayRejected, ReproError
 from repro.graph.generators import example_query, example_social_network, schema_from_graph
 from repro.graph.io import load_graph, save_graph
-from repro.obs import Observability, Trace, export_json, format_percent, names
+from repro.obs import Observability, Trace, export_json, names
 from repro.workloads.datasets import DATASETS, load_dataset
 
 # the options that set the SystemConfig field of the same name
 PUBLISH = ("k", "theta", "method")
-TOPOLOGY = ("shards", "star_cache_size")
+# serve's per-query cloud quota: a star-match or join intermediate past
+# it is a typed ResultBudgetExceeded (a gateway reject), never an
+# unbounded allocation.  No query of the e2e benchmark's workloads
+# comes near it.
+SERVE_MAX_INTERMEDIATE_RESULTS = 500_000
 # serve's options that only the gateway (--gateway-port) reads
 GATEWAY = ("gateway_port_file", "gateway_token", "slo_seconds", "max_inflight")
 
@@ -183,7 +187,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     """Serve a workload of queries through the batched engine."""
     obs = Observability()
     system = PrivacyPreservingSystem.load(
-        args.deployment, load_graph(args.graph), obs=obs, **_given(args, *TOPOLOGY)
+        args.deployment, load_graph(args.graph), obs=obs, **_given(args, "shards")
     )
     with system.cloud:
         batch = system.submit(
@@ -198,12 +202,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                 "workers": metrics.worker_count,
                 "wall_seconds": metrics.wall_seconds,
                 "throughput_qps": metrics.throughput_qps,
-                "cache": {
-                    "hits": metrics.cache_hits,
-                    "misses": metrics.cache_misses,
-                    "hit_rate": metrics.cache_hit_rate,
-                    "hit_rate_text": format_percent(metrics.cache_hit_rate),
-                },
                 "per_query": [
                     {
                         "matches": len(outcome.matches),
@@ -256,9 +254,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     Starts the :class:`~repro.obs.serve.TelemetryServer` (``/metrics``,
     ``/healthz``, ``/readyz``, ``/traces``), loads the published
-    deployment into one system, then answers the workload through it:
-    query-graph files (optionally ``--repeat``-ed) or, with no files,
-    one JSON graph document per stdin line.  Every served query and
+    deployment into one system under the
+    :data:`SERVE_MAX_INTERMEDIATE_RESULTS` quota, then answers the
+    workload through it: query-graph files (optionally
+    ``--repeat``-ed) or, with no files, one JSON graph document per
+    stdin line.  Every served query and
     gateway request is pushed to the trace ring behind ``/traces``;
     with ``--events`` the ring appends each document to that file as
     one JSON line.  ``--linger`` keeps the endpoint up after the
@@ -281,6 +281,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         args.parser.error("--gateway-max-inflight must be >= 1")
     if not gateway_options.get("slo_seconds", 1) > 0:
         args.parser.error("--slo-seconds must be positive")
+    if args.star_cache not in (None, 0):
+        args.parser.error("--star-cache: the star cache was removed; only 0 is accepted")
 
     obs = Observability()
     state = {"ready": False, "served": 0}
@@ -306,7 +308,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             args.deployment,
             load_graph(args.graph),
             obs=obs,
-            **_given(args, *TOPOLOGY),
+            max_intermediate_results=SERVE_MAX_INTERMEDIATE_RESULTS,
+            **_given(args, "shards"),
         )
         cloud = system.cloud
         if args.gateway_port is not None:
@@ -688,7 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--repeat",
         type=int,
         default=1,
-        help="run the workload N times (with --star-cache, later passes hit the cache)",
+        help="run the workload N times",
     )
 
     endpoint = _options()
@@ -722,15 +725,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         help="split the candidate star centers over N shards, scattered over N "
         f"forked workers (default {SystemConfig.shards})",
-    )
-    topology = _options(shards)
-    topology.add_argument(
-        "--star-cache",
-        dest="star_cache_size",
-        type=int,
-        metavar="N",
-        help=f"shared star-match LRU capacity (default {SystemConfig.star_cache_size}; "
-        "0 disables)",
     )
 
     publish_params = _options()
@@ -768,7 +762,7 @@ def build_parser() -> argparse.ArgumentParser:
         "batch",
         _cmd_batch,
         "answer a workload of queries in one batch",
-        target, query_files, topology, repeat, trace, prometheus,
+        target, query_files, shards, repeat, trace, prometheus,
     )
     batch.add_argument(
         "--workers", type=int, help="fork a pool of N workers (default: the plain loop)"
@@ -778,7 +772,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         _cmd_serve,
         "answer a workload while exposing /metrics, /healthz, /readyz and /traces over HTTP",
-        target, endpoint, topology, repeat,
+        target, endpoint, shards, repeat,
     )
     serve.add_argument(
         "queries",
@@ -816,6 +810,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--slo-seconds",
         type=float,
         help="arm gateway load shedding when the sliding-window p99 exceeds this many seconds",
+    )
+    serve.add_argument(
+        "--star-cache",
+        type=int,
+        metavar="0",
+        help="removed (the cloud keeps no star cache); only 0 is accepted",
     )
     serve.add_argument(
         "--gateway-max-inflight",

@@ -1,6 +1,5 @@
 """Cloud-side query engine (Section 4.2.1)."""
 
-from repro.cloud.cache import StarMatchCache, star_signature
 from repro.cloud.decomposition import decompose_query, estimate_all_stars
 from repro.cloud.index import CloudIndex
 from repro.cloud.parallel import fork_available, map_batch
@@ -20,8 +19,6 @@ from repro.cloud.vertex_cover import (
 )
 
 __all__ = [
-    "StarMatchCache",
-    "star_signature",
     "CloudIndex",
     "fork_available",
     "map_batch",

@@ -278,12 +278,11 @@ def join_star_tables(
     mutated here, and the returned table is freshly allocated (its rows
     are immutable tuples, possibly shared with the inputs, which is
     safe) unless the decomposition is a single star, whose own table
-    is then the answer.  That makes it safe to feed this join tables that other
-    concurrent queries may also be holding (e.g. out of the shared
-    star cache).  The join is also deterministic: star order, anchor
-    choice, and bucket iteration are all keyed on sizes with vertex-id
-    tie-breaks, so serial and parallel star matching yield bit-identical
-    ``Rin`` tables.
+    is then the answer.  That makes it safe to feed this join tables
+    that other concurrent queries may also be holding.  The join is
+    also deterministic: star order, anchor choice, and bucket iteration
+    are all keyed on sizes with vertex-id tie-breaks, so serial and
+    parallel star matching yield bit-identical ``Rin`` tables.
     """
     if not stars:
         raise QueryError("cannot join an empty decomposition")

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import os
 import threading
-import weakref
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -22,7 +21,6 @@ from repro.anonymize.cost_model import (
     StarCardinalityEstimator,
     estimator_from_outsourced,
 )
-from repro.cloud.cache import StarMatchCache
 from repro.cloud.decomposition import decompose_query
 from repro.cloud.index import CloudIndex
 from repro.cloud.parallel import PersistentProcessPool, effective_workers
@@ -98,13 +96,12 @@ class CloudServer:
     obs:
         The :class:`~repro.obs.Observability` scope the server reports
         into.  Default: ``Observability.disabled()`` (no spans, no
-        metrics).  Pass a recording scope for traces; the star-cache
-        hit/miss counters are exported as pull-gauges on its registry.
+        metrics).  Pass a recording scope for traces.
     shards:
         How many ranges of candidate centers the star matching is split
         into; ``len(server.shards)`` is the effective count (lower only
         when there are fewer candidate centers).  At ``N >= 2`` the
-        stars the cache lacks are scattered over a persistent fork pool
+        stars are scattered over a persistent fork pool
         of one worker per range: forked lazily at the first scatter,
         the children inherit the index copy-on-write and stay warm
         across answers.  1, a platform without fork, a fork child of
@@ -119,7 +116,6 @@ class CloudServer:
         center_vertices: list[int],
         expand_in_cloud: bool = True,
         max_intermediate_results: int | None = None,
-        star_cache_size: int = 0,
         decomposition_strategy: str = "optimal",
         obs: Observability | None = None,
         shards: int = 1,
@@ -144,31 +140,9 @@ class CloudServer:
         self.expand_in_cloud = expand_in_cloud
         self.max_intermediate_results = max_intermediate_results
         self.decomposition_strategy = decomposition_strategy
-        # capacity of the LRU over star match sets, keyed by the star's
-        # canonical constraint signature — different queries sharing a
-        # star shape reuse its R(S, Go).  0 disables caching.  A cache
-        # is internally locked, so one instance is shared by all
-        # concurrent queries.
-        self.star_cache_size = star_cache_size
         self.obs = obs if obs is not None else Observability.disabled()
         self._build_index()
-        self.star_cache = StarMatchCache(star_cache_size)
         self.estimator = self._build_estimator()
-        # pull-style gauges: the cache already counts hits/misses under
-        # its own lock, so the registry reads them at snapshot time
-        # instead of double-counting on the hot path — through a weak
-        # proxy: server -> obs -> registry -> callback must not loop back.
-        server = weakref.proxy(self)
-        self.obs.metrics.register_callback(
-            names.M_CACHE_HITS,
-            lambda: float(server.star_cache.hits),
-            help="Star-cache hits since server start (or last clear).",
-        )
-        self.obs.metrics.register_callback(
-            names.M_CACHE_MISSES,
-            lambda: float(server.star_cache.misses),
-            help="Star-cache misses since server start (or last clear).",
-        )
 
     def _build_index(self) -> None:
         """Index the stored graph and drain a stale scatter pool.
@@ -227,24 +201,14 @@ class CloudServer:
             with tracer.span(
                 names.CLOUD_STAR_MATCHING, stars=len(stars)
             ) as matching_span:
-                star_tables, hits = self.star_cache.plan_tables(
-                    query,
-                    stars,
-                    lambda misses: self._match_stars(
-                        query, misses, obs, matching_span
-                    ),
-                )
+                star_tables = self._match_stars(query, stars, obs, matching_span)
                 star_stats = StarMatchStats(
                     result_sizes={
                         star.center: len(star_tables[star.center])
                         for star in stars
                     }
                 )
-                matching_span.set(
-                    rs_size=star_stats.total_results,
-                    cache_hits=hits,
-                    cache_misses=len(stars) - hits,
-                )
+                matching_span.set(rs_size=star_stats.total_results)
             with tracer.span(names.CLOUD_JOIN) as join_span:
                 rin_table, join_stats = join_star_tables(
                     decomposition.stars,
@@ -296,7 +260,7 @@ class CloudServer:
         obs: Observability,
         span: "Span | NullSpan",
     ) -> dict[int, MatchTable]:
-        """The star tables of ``stars`` (the cache's misses), by center.
+        """The star tables of ``stars``, by center.
 
         Scattered over the shards when there is a pool to scatter
         through, else :func:`match_plan` over the whole stored graph.
@@ -411,7 +375,7 @@ class CloudServer:
         """Apply a :class:`repro.outsource.GoDelta` from the data owner.
 
         Updates the stored graph, extends the AVT with any shipped
-        rows, rebuilds the index and invalidates caches — everything a
+        rows, rebuilds the index and the estimator — everything a
         real cloud would do on an incremental update.  Only meaningful
         for ``Go`` deployments (``expand_in_cloud=True``); a BAS cloud
         stores ``Gk`` verbatim and is re-uploaded instead.
@@ -431,9 +395,6 @@ class CloudServer:
             rows.extend(delta.added_avt_rows)
             self.avt = AlignmentVertexTable(rows)
         self._build_index()
-        # a fresh cache rather than a cleared one: a query still running
-        # on the old release stores into the cache it started with
-        self.star_cache = StarMatchCache(self.star_cache_size)
         self.estimator = self._build_estimator()
 
     def close(self) -> None:

@@ -2,7 +2,7 @@
 
 The observability layer itself lives in :mod:`repro.obs`; the pieces a
 deployment typically touches — :class:`~repro.obs.Observability`, the
-metric views, :func:`~repro.obs.exporters.format_percent` — are
+metric views — are
 re-exported here (and from the top-level ``repro`` package) so
 ``from repro import Tracer, MetricsRegistry`` works.
 """
@@ -25,7 +25,6 @@ from repro.obs.views import (
     BatchMetrics,
     PublishMetrics,
     QueryMetrics,
-    format_percent,
 )
 from repro.core.protocol import (
     NetworkChannel,
@@ -58,7 +57,6 @@ __all__ = [
     "QueryMetrics",
     "AggregatedMetrics",
     "BatchMetrics",
-    "format_percent",
     "Observability",
     "Tracer",
     "Trace",

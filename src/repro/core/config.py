@@ -85,12 +85,6 @@ class SystemConfig:
     # row-union widens label groups less (lower delta(k), smaller
     # search space).  Off by default = the paper's pure-BFS alignment.
     label_aware_alignment: bool = False
-    # LRU cache of star match sets in the cloud, keyed by the star's
-    # constraint signature; entries are reused across queries sharing
-    # star shapes.  0 (default) disables caching.  The cache is
-    # internally locked, so it is safe to share between the concurrent
-    # callers of a serving gateway.
-    star_cache_size: int = 0
     # number of cloud shards: 1 (default) is the paper's single
     # CloudServer loop; N > 1 splits the one index's candidate centers
     # into N ranges and scatters the star matching of each query over
@@ -114,5 +108,4 @@ class SystemConfig:
         # star/join trips the budget) — the bench harness uses it to
         # exercise the skip path.
         check_int("max_intermediate_results", self.max_intermediate_results, 0, optional=True)
-        check_int("star_cache_size", self.star_cache_size, 0)
         check_int("shards", self.shards, 1)

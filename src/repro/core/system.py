@@ -285,7 +285,7 @@ class PrivacyPreservingSystem:
         determine — ``k`` from the AVT, ``theta`` and the grouping
         strategy from the LCT, BAS from a cloud half that is ``Gk``;
         ``serving`` supplies the :class:`SystemConfig` fields a saved
-        deployment leaves open (``shards``, ``star_cache_size``,
+        deployment leaves open (``shards``,
         ``max_intermediate_results``).  Runs with the cyclic collector
         paused, as :meth:`setup` does.
         """
@@ -346,7 +346,6 @@ class PrivacyPreservingSystem:
                 center_vertices,
                 expand_in_cloud=expand_in_cloud,
                 max_intermediate_results=config.max_intermediate_results,
-                star_cache_size=config.star_cache_size,
                 obs=component_obs,
                 shards=config.shards,
             )
@@ -376,7 +375,7 @@ class PrivacyPreservingSystem:
 
         Every way into a system, published or loaded — :meth:`query`,
         :meth:`query_batch`, each local ``repro`` command — routes
-        through here; the wire, trace and cache plumbing lives in this
+        through here; the wire and trace plumbing lives in this
         one method.  A single-element
         workload runs inline (no batch span, exactly the per-query
         trace shape of :meth:`query`); larger workloads run on
@@ -394,7 +393,6 @@ class PrivacyPreservingSystem:
             base = obs if obs is not None else self.obs
 
         queries = list(queries)
-        hits_before, misses_before = self.cloud.star_cache.counters()
         worker_count = effective_workers(options.workers, len(queries))
 
         if len(queries) == 1:
@@ -417,13 +415,10 @@ class PrivacyPreservingSystem:
                 scope.tracer.take_trace() if scope.tracer.enabled else None
             )
 
-        hits_after, misses_after = self.cloud.star_cache.counters()
         metrics = BatchMetrics(
             worker_count=worker_count,
             wall_seconds=wall_seconds,
             per_query=[outcome.metrics for outcome in outcomes],
-            cache_hits=hits_after - hits_before,
-            cache_misses=misses_after - misses_before,
         )
         return BatchOutcome(outcomes=outcomes, metrics=metrics, trace=trace)
 
@@ -530,10 +525,9 @@ class PrivacyPreservingSystem:
         A thin delegate of :meth:`submit`: every query runs the full
         pipeline — anonymize, encode, decompose, star-match, join,
         decode, expand, filter.  ``QueryOptions.workers`` is ``None``
-        (default: the plain loop; the star cache is shared, so repeated
-        star shapes across the batch are matched once) or ``N >= 2``
-        forked workers, for CPU-bound batches on multi-core hosts
-        (cache/channel/registry updates stay in the children — per-query
+        (default: the plain loop) or ``N >= 2`` forked workers, for
+        CPU-bound batches on multi-core hosts (channel/registry updates
+        stay in the children — per-query
         *traces* still come back, pickled inside each outcome).  Match
         sets are bit-identical to a loop of :meth:`query` calls either
         way.

@@ -13,10 +13,8 @@ unaffected.
 
 The :class:`QueryCoalescer` deduplicates identical queued work: two
 requests carrying structurally identical query workloads, read before
-the first starts computing, share one cloud computation (the same
-canonical vertex-constraint codec the
-:class:`~repro.cloud.cache.StarMatchCache` keys on), so a thundering
-herd of one hot query costs one star-matching pass.
+the first starts computing, share one cloud computation, so a
+thundering herd of one hot query costs one star-matching pass.
 """
 
 from __future__ import annotations
@@ -25,9 +23,8 @@ import asyncio
 import threading
 from typing import Any, Callable, Sequence
 
-from repro.cloud.cache import vertex_constraint
 from repro.exceptions import GatewayError, GatewayRejected
-from repro.graph.attributed import AttributedGraph
+from repro.graph.attributed import AttributedGraph, VertexData
 
 #: The latency quantile ``slo_seconds`` bounds on admitted requests.
 SLO_QUANTILE = 0.99
@@ -95,11 +92,19 @@ class AdmissionController:
 # ----------------------------------------------------------------------
 # duplicate-query coalescing
 # ----------------------------------------------------------------------
+def vertex_constraint(vertex: VertexData) -> tuple:
+    """Canonical form of one query vertex's matching constraint:
+    ``(type, ((attr, (group, ...)), ...))``."""
+    labels = tuple(
+        (attr, tuple(sorted(values))) for attr, values in sorted(vertex.labels.items())
+    )
+    return (vertex.vertex_type, labels)
+
+
 def query_signature(query: AttributedGraph) -> tuple:
     """Canonical structural signature of one anonymized query.
 
-    Built from the same per-vertex constraint codec the star cache
-    keys on (:func:`repro.cloud.cache.vertex_constraint`) plus the
+    Every vertex's constraint (:func:`vertex_constraint`) plus the
     edge set, so two requests coalesce exactly when the cloud would
     compute identical answers for them.
     """

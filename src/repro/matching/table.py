@@ -101,7 +101,7 @@ class MatchTable:
 
     The two are interchangeable: reading :attr:`rows` on a
     flat-column table materializes the tuple rows (as Python ints, so
-    hashing and the cache codecs are bit-identical to the tuple
+    hashing and the wire codecs are bit-identical to the tuple
     pipeline) and the table stays rows-backed from then on.
     The constructor **trusts** its arguments on the hot path — rows
     must already be tuples of the schema's width (use

@@ -6,7 +6,7 @@ measures: where the time and the bytes go.  The pieces:
 * :class:`~repro.obs.tracing.Tracer` — nested spans (context-manager
   API, thread-safe, fork-aware) around every pipeline phase;
 * :class:`~repro.obs.registry.MetricsRegistry` — named counters /
-  gauges / histograms (cache hits, candidates, wire bytes, peaks);
+  gauges / histograms (candidates, wire bytes, peaks);
 * exporters — JSON trace files, Prometheus text format, human tables;
 * :class:`~repro.obs.serve.TraceRing` — the one record of a finished
   query: the trace document ``/traces`` serves and ``repro serve
@@ -63,7 +63,6 @@ from repro.obs.views import (
     BatchMetrics,
     PublishMetrics,
     QueryMetrics,
-    format_percent,
     layers,
 )
 from repro.obs.windows import SlidingWindow, quantile_inclusive
@@ -187,6 +186,5 @@ __all__ = [
     "QueryMetrics",
     "BatchMetrics",
     "AggregatedMetrics",
-    "format_percent",
     "layers",
 ]

@@ -39,7 +39,7 @@ PROM_LINE_RE = re.compile(
 
 
 def prom_name(name: str) -> str:
-    """``cloud.star_cache_hits_total`` -> ``repro_cloud_star_cache_hits_total``."""
+    """``cloud.star_matches_total`` -> ``repro_cloud_star_matches_total``."""
     return f"{PROM_PREFIX}_{_NAME_RE.sub('_', name)}"
 
 

@@ -15,9 +15,8 @@ Span tree (one ``query``)::
     ├── protocol.decode_query
     ├── cloud.answer              rs_size, rin_size
     │   ├── cloud.decompose       stars
-    │   ├── cloud.star_matching   rs_size, cache_hits, cache_misses
-    │   │   └── cloud.star_match  (one per star the cache lacks;
-    │   │                          center, results)
+    │   ├── cloud.star_matching   stars, rs_size
+    │   │   └── cloud.star_match  (one per star; center, results)
     │   └── cloud.join            rin_size, intermediate_peak
     ├── protocol.encode_answer    bytes=|payload|
     ├── network.answer            simulated_seconds, bytes
@@ -78,9 +77,8 @@ CLOUD_JOIN = "cloud.join"
 
 # -- sharded cloud phases (repro.cloud.sharding) ------------------------
 # Under ``cloud.star_matching`` (which then also carries ``shards``), a
-# sharded deployment replaces the per-star loop over the cache's misses
-# with per-shard match -> gather; a plan the cache holds in full
-# scatters nothing:
+# sharded deployment replaces the per-star loop with per-shard
+# match -> gather:
 #   cloud.shard_match  one per shard; shard, results
 #   cloud.gather       rs_size
 CLOUD_SHARD_MATCH = "cloud.shard_match"
@@ -163,8 +161,6 @@ M_MATCHES = "matches_total"
 M_CANDIDATES = "candidates_total"
 M_FALSE_POSITIVES = "false_positives_filtered_total"
 M_STAR_MATCHES = "star_matches_total"
-M_CACHE_HITS = "star_cache_hits_total"
-M_CACHE_MISSES = "star_cache_misses_total"
 M_NETWORK_BYTES = "network_bytes_total"
 M_INTERMEDIATE_PEAK = "join_intermediate_peak"
 M_QUERY_SECONDS = "query_seconds"

@@ -1,7 +1,7 @@
 """Named counters, gauges and histograms with pluggable export.
 
 A :class:`MetricsRegistry` is the process-wide (or system-wide) home
-of the quantities the paper's evaluation charts: cache hits, candidate
+of the quantities the paper's evaluation charts: candidate
 counts, false positives filtered, bytes on the wire, intermediate
 result peaks.  Metrics support optional label sets (e.g.
 ``network_bytes_total{direction="answer"}``), are thread-safe, and are
@@ -9,8 +9,9 @@ updated only at phase granularity — never inside matching inner loops
 — so the serving hot path stays flat.
 
 Pull-style *callbacks* cover values a component already tracks itself
-(the star cache's hit/miss counters): the callable is evaluated at
-snapshot/export time and costs nothing in between.
+(the audit's live false-positive ratio, the gateway's sliding window):
+the callable is evaluated at snapshot/export time and costs nothing in
+between.
 
 :class:`NullRegistry` is the no-op twin used by
 ``Observability.disabled()``.

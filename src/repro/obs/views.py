@@ -51,19 +51,6 @@ def _attrs(index: dict[str, list[Span]], name: str) -> dict[str, Any]:
     return spans[0].attributes if spans else {}
 
 
-def format_percent(value: float | None, missing: str = "n/a") -> str:
-    """``0.421 -> '42.1%'``; ``None -> 'n/a'``.
-
-    The shared-cache hit rate is ``None`` for a forked batch (the
-    workers own the cache copies), so every printer of a rate
-    must go through this instead of ``f"{rate:.1%}"`` — formatting
-    ``None`` raises ``TypeError`` (regression-tested).
-    """
-    if value is None:
-        return missing
-    return f"{value * 100:.1f}%"
-
-
 @dataclass
 class PublishMetrics:
     """One data-owner publish run (Figures 10, 11, 12, 13)."""
@@ -174,8 +161,6 @@ class QueryMetrics:
     dropped_edge: int = 0
     dropped_label: int = 0
     anchored: bool = False
-    cache_hits: int = 0
-    cache_misses: int = 0
     # -- wire: the channel's *simulated* transmission seconds, the
     # paper's accounting, not the wall time of the transmit call
     bytes_by_direction: dict[str, int] = field(default_factory=dict)
@@ -252,8 +237,6 @@ class QueryMetrics:
             dropped_edge=client.get("dropped_edge", 0),
             dropped_label=client.get("dropped_label", 0),
             anchored=client.get("anchored", False),
-            cache_hits=matching.get("cache_hits", 0),
-            cache_misses=matching.get("cache_misses", 0),
             bytes_by_direction={
                 direction: sum(span.attributes.get("bytes", 0) for span in index[name])
                 for direction, name in names.NETWORK_SPANS.items()
@@ -287,8 +270,6 @@ class QueryMetrics:
             f"  client: dropped vertex={self.dropped_vertex}  "
             f"edge={self.dropped_edge}  label={self.dropped_label}  "
             f"rin={'anchored' if self.anchored else 'unanchored or pre-expanded'}",
-            f"  cache: {self.cache_hits} hit(s) / "
-            f"{self.cache_misses} miss(es)",
         ]
         if self.bytes_by_direction:
             parts = "  ".join(
@@ -329,24 +310,12 @@ class BatchMetrics:
     ``wall_seconds`` is the real elapsed time of the whole batch — with
     a worker pool it is *less* than the sum of per-query times, and
     ``throughput_qps`` / ``speedup_vs(serial_wall)`` quantify by how
-    much.  Cache counters are deltas over the batch, measured on the
-    shared (locked) star cache, i.e. the hit rate *under contention*;
-    with forked workers the children own the cache copies, so the
-    parent-side delta reads zero and the hit rate is reported as
-    ``None`` (format it with :func:`format_percent`, never
-    ``%``-style).
+    much.
     """
 
     worker_count: int = 1
     wall_seconds: float = 0.0
     per_query: list[QueryMetrics] = field(default_factory=list)
-    cache_hits: int = 0
-    cache_misses: int = 0
-
-    @property
-    def cache_shared(self) -> bool:
-        """True when the batch ran in this process, on its one cache."""
-        return self.worker_count == 1
 
     @property
     def query_count(self) -> int:
@@ -358,14 +327,6 @@ class BatchMetrics:
         if self.wall_seconds <= 0.0:
             return 0.0
         return self.query_count / self.wall_seconds
-
-    @property
-    def cache_hit_rate(self) -> float | None:
-        """Batch-wide hit rate on the shared cache (None if not shared)."""
-        if not self.cache_shared:
-            return None
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
 
     def speedup_vs(self, serial_wall_seconds: float) -> float:
         """How much faster than a serial loop that took ``serial_wall_seconds``."""
@@ -385,8 +346,6 @@ class BatchMetrics:
             "worker_count": self.worker_count,
             "wall_seconds": self.wall_seconds,
             "per_query": [run.to_dict() for run in self.per_query],
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
         }
 
     @classmethod

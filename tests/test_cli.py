@@ -69,21 +69,16 @@ class TestPublishAndQuery:
                     workers,
                     "--repeat",
                     "2",
-                    "--star-cache",
-                    "16",
                 ]
             )
             == 0
         )
         batch_out = json.loads(capsys.readouterr().out)
         assert batch_out["queries"] == 4
-        assert "backend" not in batch_out
+        assert "backend" not in batch_out and "cache" not in batch_out
         assert batch_out["wall_seconds"] >= 0
         assert len(batch_out["per_query"]) == 4
         assert all(entry["matches"] == 2 for entry in batch_out["per_query"])
-        # the repeated workload must warm the shared star cache; fork
-        # children warm their own copies, invisible to the parent
-        assert (batch_out["cache"]["hits"] > 0) == (batch_out["workers"] == 1)
 
     def test_publish_with_method(self, tmp_path, capsys):
         graph, _ = example_social_network()
@@ -290,53 +285,6 @@ class TestTraceExport:
             assert PROM_LINE_RE.match(line), f"unparseable line: {line!r}"
         assert trace_path.exists()
 
-    def test_batch_process_backend_reports_na_hit_rate(self, tmp_path, capsys):
-        """Regression: None hit rate must serialize, not crash a %-format."""
-        from repro.cloud.parallel import fork_available
-
-        if not fork_available():
-            pytest.skip("fork unavailable")
-        graph_path, query_path, deployment = self._deployment(tmp_path, capsys)
-        assert (
-            main(
-                [
-                    "batch",
-                    str(deployment),
-                    str(graph_path),
-                    str(query_path),
-                    "--repeat",
-                    "2",
-                    "--workers",
-                    "2",
-                ]
-            )
-            == 0
-        )
-        out = json.loads(capsys.readouterr().out)
-        assert out["cache"]["hit_rate"] is None
-        assert out["cache"]["hit_rate_text"] == "n/a"
-
-    def test_batch_serial_backend_reports_numeric_hit_rate(
-        self, tmp_path, capsys
-    ):
-        graph_path, query_path, deployment = self._deployment(tmp_path, capsys)
-        assert (
-            main(
-                [
-                    "batch",
-                    str(deployment),
-                    str(graph_path),
-                    str(query_path),
-                    "--repeat",
-                    "2",
-                ]
-            )
-            == 0
-        )
-        out = json.loads(capsys.readouterr().out)
-        assert out["cache"]["hit_rate"] is not None
-        assert out["cache"]["hit_rate_text"].endswith("%")
-
 
 class TestRemovedThreadTier:
     """The removed flags are refused by argparse itself."""
@@ -347,6 +295,7 @@ class TestRemovedThreadTier:
             (["--backend", "process"], "unrecognized arguments: --backend"),
             (["--shard-backend", "process"], "unrecognized arguments: --shard-backend"),
             (["--star-workers", "2"], "unrecognized arguments: --star-workers"),
+            (["--star-cache", "0"], "unrecognized arguments: --star-cache"),
         ],
     )
     def test_batch_rejects(self, capsys, flags, complaint):
@@ -631,6 +580,62 @@ class TestServe:
         assert 'repro_gateway_requests_total{status="unauthorized"} 1' in seen["metrics"]
         assert 'repro_gateway_requests_total{status="ok"} 1' in seen["metrics"]
 
+    def test_serve_bounds_each_query_and_keeps_the_connection(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """``serve`` loads under ``SERVE_MAX_INTERMEDIATE_RESULTS``: a
+        query past it is a typed reject, and the next request on the
+        same connection is answered.  Budget 3 trips the running
+        example (4 join rows) but not its one-edge prefix (2 rows)."""
+        import io
+        import threading
+        import time
+
+        from repro import cli
+        from repro.core.query_client import QueryClient
+        from repro.core.storage import load_client_side
+        from repro.exceptions import GatewayRejected
+        from repro.gateway import SyncGatewayClient
+
+        monkeypatch.setattr(cli, "SERVE_MAX_INTERMEDIATE_RESULTS", 3)
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        graph = example_social_network()[0]
+        dep, graph_path, _ = publish_files(tmp_path, capsys, graph, [example_query()])
+        gport_file = tmp_path / "gport.txt"
+        seen: dict[str, object] = {}
+
+        def client():
+            deadline = time.monotonic() + 30
+            while not (gport_file.is_file() and gport_file.read_text().strip()):
+                assert time.monotonic() < deadline
+                time.sleep(0.05)
+            finisher = QueryClient(graph, *load_client_side(dep))
+            small = example_query().induced_subgraph([0, 1])
+            with SyncGatewayClient(
+                "127.0.0.1", int(gport_file.read_text()), timeout=30
+            ) as gateway:
+                try:
+                    gateway.query(finisher.prepare_query(example_query()))
+                except GatewayRejected as exc:
+                    seen["rejected"] = (exc.code, exc.reason)
+                table, expanded = gateway.query(finisher.prepare_query(small))
+                seen["answered"] = len(
+                    finisher.process_answer(small, table, expanded).matches
+                )
+
+        caller = threading.Thread(target=client, daemon=True)
+        caller.start()
+        code = main(
+            [
+                "serve", dep, graph_path, "--port", "0",
+                "--gateway-port", "0", "--gateway-port-file", str(gport_file),
+                "--linger", "3",
+            ]
+        )
+        caller.join(timeout=30)
+        assert code == 0
+        assert seen == {"rejected": ("internal", "ResultBudgetExceeded"), "answered": 2}
+
 
 class TestExplain:
     def _deployment(self, tmp_path, capsys):
@@ -710,7 +715,7 @@ class TestOneParser:
                     for option in action.option_strings:
                         owners.setdefault(option, {})[name] = action
         shared = {option: actions for option, actions in owners.items() if len(actions) > 1}
-        assert {"--port", "--host", "--k", "--star-cache", "--json", "--trace"} <= set(shared)
+        assert {"--port", "--host", "--k", "--shards", "--json", "--trace"} <= set(shared)
         for option, actions in shared.items():
             assert len({id(a) for a in actions.values()}) == 1, f"{option} declared twice"
 
@@ -741,7 +746,7 @@ class TestOneParser:
             "serve", "dep", "graph.json", []
         )
         assert (args.gateway_port, args.gateway_port_file) == (0, "gport.txt")
-        assert (args.port, args.port_file, args.star_cache_size) == (0, "port.txt", 0)
+        assert (args.port, args.port_file, args.star_cache) == (0, "port.txt", 0)
 
     @pytest.mark.parametrize(
         "argv",
@@ -754,7 +759,7 @@ class TestOneParser:
             "smoke/gateway-port.txt --gateway-token ci-s3cret --gateway-max-inflight 64 "
             "--linger 90",
             "serve smoke/dep smoke/graph.json smoke/query.json --shards 2 "
-            "--star-cache 0 --port 0 --port-file smoke/port2.txt "
+            "--port 0 --port-file smoke/port2.txt "
             "--gateway-port 0 --gateway-port-file smoke/gateway-port2.txt --linger 90",
             "explain smoke/dep smoke/graph.json smoke/query.json --port 4242 "
             "--client-id ci-traced --json --chrome smoke/query.chrome.json",
@@ -766,16 +771,36 @@ class TestOneParser:
     def test_the_ci_argvs(self, argv):
         assert build_parser().parse_args(argv.split()).command == argv.split()[0]
 
-    def test_unset_cloud_options_leave_the_system_config_defaults(self, tmp_path, capsys):
+    def test_unset_cloud_options_leave_the_system_config_defaults(
+        self, tmp_path, capsys, monkeypatch
+    ):
         from repro.core.config import SystemConfig
+        from repro.core.system import PrivacyPreservingSystem
 
         dep, graph_path, query_paths = publish_files(
             tmp_path, capsys, example_social_network()[0], [example_query()]
         )
+        loaded = []
+        load = PrivacyPreservingSystem.load
+
+        def recording_load(*args, **kwargs):
+            loaded.append(load(*args, **kwargs))
+            return loaded[-1]
+
+        monkeypatch.setattr(PrivacyPreservingSystem, "load", recording_load)
         assert main(["batch", dep, graph_path, *query_paths, "--repeat", "2"]) == 0
-        cache = json.loads(capsys.readouterr().out)["cache"]
-        assert SystemConfig().star_cache_size == 0
-        assert cache["hits"] == cache["misses"] == 0
+        (system,) = loaded
+        assert system.config.shards == SystemConfig().shards
+        assert system.config.max_intermediate_results is None
+
+    def test_serve_accepts_only_a_zero_star_cache(self, capsys):
+        """``--star-cache`` stays on ``serve`` so existing argvs parse;
+        anything but 0 names the removal."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "dep", "g.json", "--star-cache", "1"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "repro serve: error:" in err and "star cache was removed" in err
 
 
 class TestIgnoredOptionsAreRejected:

@@ -4,7 +4,7 @@ Covers: `map_batch`'s plain loop and fork pool (also over a bare
 `CloudServer.answer`), `PrivacyPreservingSystem.query_batch` +
 `BatchMetrics`, exception propagation, and thread-safety stress tests
 of concurrent callers (the gateway's dispatch threads) sharing one
-server and one star cache.
+server.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from repro.cloud.parallel import (
     map_batch,
 )
 from repro.exceptions import ConfigError, ResultBudgetExceeded
-from repro.graph import example_query, example_social_network
 from repro.matching import match_key
 from repro.workloads import generate_workload, load_dataset
 
@@ -149,21 +148,8 @@ class TestParallelStarMatching:
 
     ``star_workers`` never reached 1.0x on any workload
     (docs/performance.md, "Thread tier"), so the knob was removed at
-    every level; the loop that remains still matches equivalent stars
-    once.
+    every level.
     """
-
-    def test_equivalent_stars_still_share_cache_entries(self):
-        graph, schema = example_social_network()
-        system = PrivacyPreservingSystem.setup(
-            graph, schema, SystemConfig(k=2, star_cache_size=32)
-        )
-        query = example_query()
-        system.query(query)
-        hits_before, _ = system.cloud.star_cache.counters()
-        system.query(query)  # all stars must now be warm
-        hits_after, _ = system.cloud.star_cache.counters()
-        assert hits_after > hits_before
 
     def test_star_workers_validation(self, figure1_pipeline):
         """The removed knob is rejected wherever it used to be accepted."""
@@ -188,7 +174,6 @@ class TestCloudQueryBatch:
             pipe.outsourced.graph,
             pipe.transform.avt,
             pipe.outsourced.block_vertices,
-            star_cache_size=32,
         )
         queries = [pipe.qo] * 6
         expected = [[match_key(m) for m in server.answer(q).matches] for q in queries]
@@ -205,15 +190,11 @@ class TestCloudQueryBatch:
             pipe.outsourced.graph,
             pipe.transform.avt,
             pipe.outsourced.block_vertices,
-            star_cache_size=32,
         )
         queries = [pipe.qo] * 4
         expected = [[match_key(m) for m in server.answer(q).matches] for q in queries]
-        hits, misses = server.star_cache.counters()
         answers = map_batch(server.answer, queries, 2)
         assert [[match_key(m) for m in a.matches] for a in answers] == expected
-        # the children own their cache copies: the parent's is untouched
-        assert server.star_cache.counters() == (hits, misses)
 
     def test_unknown_backend_rejected(self, figure1_pipeline):
         """No backend is accepted at all: the knob is gone."""
@@ -252,7 +233,7 @@ class TestCloudQueryBatch:
 class TestSystemQueryBatch:
     def test_batch_outcome_shape_and_metrics(self, dataset_workload):
         dataset, workload = dataset_workload
-        system = build_system(dataset, workload, star_cache_size=64)
+        system = build_system(dataset, workload)
         batch = system.query_batch(workload)
         assert isinstance(batch, BatchOutcome)
         assert len(batch.outcomes) == len(workload)
@@ -262,15 +243,12 @@ class TestSystemQueryBatch:
         assert metrics.wall_seconds > 0
         assert metrics.throughput_qps > 0
         assert len(metrics.per_query) == len(workload)
-        assert metrics.cache_shared is True
-        assert metrics.cache_hits + metrics.cache_misses > 0
-        assert 0.0 <= metrics.cache_hit_rate <= 1.0
         aggregate = metrics.aggregated()
         assert len(aggregate.runs) == len(workload)
 
     def test_batch_matches_serial_loop_bit_identical(self, dataset_workload):
         dataset, workload = dataset_workload
-        system = build_system(dataset, workload, star_cache_size=64)
+        system = build_system(dataset, workload)
         serial = [system.query(q) for q in workload]
         for workers in WORKERS:
             batch = system.query_batch(
@@ -287,25 +265,12 @@ class TestSystemQueryBatch:
         system = PrivacyPreservingSystem.setup(
             dataset.graph,
             dataset.schema,
-            SystemConfig(
-                k=2, method=MethodConfig.from_name(method), star_cache_size=64
-            ),
+            SystemConfig(k=2, method=MethodConfig.from_name(method)),
             sample_workload=workload,
         )
         expected = match_lists(system.query_batch(workload).outcomes)
         forked = system.query_batch(workload, options=QueryOptions(workers=3))
         assert match_lists(forked.outcomes) == expected
-
-    @pytest.mark.skipif(not fork_available(), reason="fork start method unavailable")
-    def test_process_backend_reports_unshared_cache(self, dataset_workload):
-        dataset, workload = dataset_workload
-        system = build_system(dataset, workload, star_cache_size=64)
-        expected = match_lists(system.query_batch(workload).outcomes)
-        batch = system.query_batch(workload[:4], options=QueryOptions(workers=2))
-        assert match_lists(batch.outcomes) == expected[:4]
-        assert batch.metrics.worker_count == 2
-        assert batch.metrics.cache_shared is False
-        assert batch.metrics.cache_hit_rate is None
 
     def test_limit_is_honored_in_batches(self, dataset_workload):
         dataset, workload = dataset_workload
@@ -325,20 +290,16 @@ class TestSystemQueryBatch:
         assert batch.metrics.throughput_qps == 0.0
 
 
-class TestSharedCacheStress:
-    """Concurrent queries hammering one cache must be deterministic."""
+class TestSharedServerStress:
+    """Concurrent queries hammering one server must be deterministic."""
 
     def test_stress_batches_are_deterministic(self, dataset_workload):
-        """Raw threads through ``system.query``: what the gateway does."""
+        """Raw threads through ``system.query``: every thread must see
+        the serial loop's matches."""
         dataset, workload = dataset_workload
-        system = build_system(dataset, workload, star_cache_size=8)
-        # small LRU + repeated workload = constant eviction churn under
-        # concurrency; every thread must still see identical matches
+        system = build_system(dataset, workload)
         stress = (workload * 3)[: max(12, len(workload))]
-        serial = system.query_batch(stress).outcomes
-        reference = match_lists(serial)
-        stars = sum(outcome.metrics.stars for outcome in serial)
-        system.cloud.star_cache.clear()
+        reference = match_lists(system.query_batch(stress).outcomes)
         diverged: list[int] = []
         barrier = threading.Barrier(4)
 
@@ -349,10 +310,8 @@ class TestSharedCacheStress:
                 diverged.append(thread_id)
 
         threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
-        # the stress list has more distinct stars than the cache holds, so
-        # a thread only hits what another thread put there moments before:
         # at the default 5 ms switch interval one thread can run most of
-        # the list alone and every lookup misses
+        # the list alone; a short one interleaves the queries' phases
         switch_interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -363,11 +322,6 @@ class TestSharedCacheStress:
         finally:
             sys.setswitchinterval(switch_interval)
         assert not diverged
-        # one cache lookup per star per query: the locked counters must
-        # not lose an update under contention
-        hits, misses = system.cloud.star_cache.counters()
-        assert hits > 0 and misses > 0
-        assert hits + misses == 4 * stars
 
     def test_raw_threads_share_one_server(self, figure1_pipeline):
         """Belt and braces: hand-rolled threads, no pool abstraction."""
@@ -376,7 +330,6 @@ class TestSharedCacheStress:
             pipe.outsourced.graph,
             pipe.transform.avt,
             pipe.outsourced.block_vertices,
-            star_cache_size=4,
         )
         expected = [match_key(m) for m in server.answer(pipe.qo).matches]
         errors: list[str] = []
@@ -395,6 +348,3 @@ class TestSharedCacheStress:
         for thread in threads:
             thread.join()
         assert not errors
-        hits, misses = server.star_cache.counters()
-        assert hits > 0
-        assert hits + misses > 0

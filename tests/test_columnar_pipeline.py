@@ -12,7 +12,6 @@ path are covered at the end.
 
 from __future__ import annotations
 
-import json
 from types import SimpleNamespace
 
 import pytest
@@ -30,7 +29,6 @@ from repro.cloud import (
     join_star_tables,
     match_star_table,
 )
-from repro.cloud.cache import leaf_role_order, roles_to_table, table_to_roles
 from repro.core.protocol import encode_answer_table
 from repro.core.query_client import QueryClient
 from repro.exceptions import QueryError, ResultBudgetExceeded
@@ -568,8 +566,7 @@ def table_pipeline(dep: SimpleNamespace) -> SimpleNamespace:
 
     Runs star matching, the join, the AVT expansion and the client
     filter, then snapshots everything an arm could disagree on: rows,
-    telemetry counters, the cache codec's role tuples (and their JSON
-    bytes), and the answer's wire frame.
+    telemetry counters, and the answer's wire frame.
     """
     star_tables = {
         star.center: match_star_table(
@@ -581,16 +578,8 @@ def table_pipeline(dep: SimpleNamespace) -> SimpleNamespace:
     expanded = expand_rin_table(rin, dep.avt)
     filtered = ClientFilter(dep.graph, dep.query).filter_table(expanded.table)
     order = sorted(dep.query.vertex_ids())
-    roles = {
-        star.center: table_to_roles(
-            star_tables[star.center], star, leaf_role_order(dep.query, star)
-        )
-        for star in dep.stars
-    }
     return SimpleNamespace(
         star_rows={c: list(t.rows) for c, t in star_tables.items()},
-        roles=roles,
-        roles_bytes=json.dumps(roles, separators=(",", ":")).encode("utf-8"),
         rin_rows=list(rin.rows),
         rin_matches=rin.to_matches(),
         rin_size=stats.rin_size,
@@ -660,8 +649,6 @@ def assert_arms_identical(dep: SimpleNamespace) -> None:
     for arm in ARMS[1:]:
         out = outputs[arm]
         assert out.star_rows == baseline.star_rows
-        assert out.roles == baseline.roles
-        assert out.roles_bytes == baseline.roles_bytes
         assert out.rin_rows == baseline.rin_rows
         assert out.rin_size == baseline.rin_size
         assert out.intermediate_sizes == baseline.intermediate_sizes
@@ -823,25 +810,3 @@ class TestThreeWayEquivalence:
                     == reference.star_stats.result_sizes
                 )
 
-    @EQUIV
-    @given(**PARAMS)
-    def test_cache_codec_round_trips_in_every_arm(self, seed, n, k, edges):
-        """``roles_to_table(table_to_roles(t))`` is ``t`` in every arm,
-        and the role payload bytes never vary by representation."""
-        dep = deployment(seed, n, k, edges)
-        star = dep.stars[0]
-        order = leaf_role_order(dep.query, star)
-        payloads = set()
-        for arm in ARMS:
-            with vec.override(arm):
-                table = match_star_table(
-                    dep.query, star, dep.index, dep.outsourced.graph
-                )
-                roles = table_to_roles(table, star, order)
-                restored = roles_to_table(roles, star, order)
-                assert restored.schema == table.schema
-                assert restored.rows == table.rows
-                payloads.add(
-                    json.dumps(roles, separators=(",", ":")).encode("utf-8")
-                )
-        assert len(payloads) == 1

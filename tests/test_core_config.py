@@ -1,5 +1,7 @@
 """Unit tests for system/method configuration."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.anonymize import STRATEGIES
@@ -81,9 +83,12 @@ class TestSystemConfig:
 
     def test_negative_tuning_knobs_rejected(self):
         with pytest.raises(ConfigError):
-            SystemConfig(star_cache_size=-1)
-        with pytest.raises(ConfigError):
             SystemConfig(max_intermediate_results=-1)
+
+    def test_the_cloud_keeps_no_star_cache_field(self):
+        assert len(fields(SystemConfig)) == 8
+        with pytest.raises(TypeError):
+            SystemConfig(star_cache_size=0)
 
     def test_zero_budget_is_legal(self):
         """0 = 'no intermediate results allowed' (bench skip path)."""
@@ -93,8 +98,7 @@ class TestSystemConfig:
 
 @pytest.mark.parametrize(
     "make, field",
-    [(SystemConfig, "star_cache_size"), (SystemConfig, "max_intermediate_results"),
-     (SystemConfig, "shards"), (QueryOptions, "workers"), (QueryOptions, "max_results")],
+    [(SystemConfig, "max_intermediate_results"), (SystemConfig, "shards"), (QueryOptions, "workers"), (QueryOptions, "max_results")],
 )
 @pytest.mark.parametrize("bad", [2.5, True, "8"])
 def test_integer_fields_reject_a_non_int(make, field, bad):

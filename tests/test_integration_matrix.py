@@ -61,7 +61,6 @@ def test_cell_with_all_extensions_on(corpus, dataset_name):
         SystemConfig(
             k=3,
             label_aware_alignment=True,
-            star_cache_size=128,
             max_intermediate_results=500_000,
         ),
         sample_workload=workload,

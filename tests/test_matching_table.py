@@ -2,20 +2,12 @@
 
 import pytest
 
-from repro.cloud.cache import (
-    leaf_role_order,
-    roles_to_table,
-    star_signature,
-    table_to_roles,
-)
 from repro.core.protocol import decode_answer_table, encode_answer_table
 from repro.exceptions import ProtocolError
 from repro.matching import (
     MatchTable,
-    Star,
     dedupe_rows,
     row_getter,
-    star_of,
     vec,
 )
 from tests.oracle import decode_answer, encode_answer
@@ -173,52 +165,6 @@ class TestFlatColumnStorage:
             {1: 11, 2: 21},
             {1: 12, 2: 22},
         ]
-
-
-def _dict_roles(table, star, role_order):
-    """Role tuples built from the dict form: (center, leaves in order)."""
-    return [
-        (match[star.center], *(match[leaf] for leaf in role_order))
-        for match in table.to_matches()
-    ]
-
-
-class TestCacheCodecEquivalence:
-    """The columnar cache codec stores what the dict form spells."""
-
-    def _star_table(self, pipe):
-        star = star_of(pipe.qo, 1)
-        from repro.cloud import CloudIndex, match_star_table
-
-        index = CloudIndex.build(
-            pipe.outsourced.graph, pipe.outsourced.block_vertices
-        )
-        return star, match_star_table(
-            pipe.qo, star, index, pipe.outsourced.graph
-        )
-
-    def test_roles_match_dict_codec(self, figure1_pipeline):
-        pipe = figure1_pipeline
-        star, table = self._star_table(pipe)
-        role_order = leaf_role_order(pipe.qo, star)
-        roles = table_to_roles(table, star, role_order)
-        assert roles == _dict_roles(table, star, role_order)
-        # role-form round trip restores the canonical star schema
-        back = roles_to_table(roles, star, role_order)
-        assert back == table
-        assert _dict_roles(back, star, role_order) == roles
-
-    def test_relabeling_onto_equivalent_star(self, figure1_pipeline):
-        """Roles cached for one star re-label onto another star's ids."""
-        pipe = figure1_pipeline
-        star, table = self._star_table(pipe)
-        role_order = leaf_role_order(pipe.qo, star)
-        roles = table_to_roles(table, star, role_order)
-        renamed = Star(center=star.center, leaves=star.leaves)
-        assert star_signature(pipe.qo, renamed) == star_signature(pipe.qo, star)
-        relabeled = roles_to_table(roles, renamed, role_order)
-        assert relabeled.schema == (renamed.center, *renamed.leaves)
-        assert _dict_roles(relabeled, renamed, role_order) == roles
 
 
 class TestProtocolTableFraming:

@@ -27,7 +27,7 @@ from repro.core.options import QueryOptions
 from repro.core.storage import save_published
 from repro.core.system import PrivacyPreservingSystem
 from repro.kauto.dynamic import DynamicRelease
-from repro.obs import Observability, names
+from repro.obs import Observability
 from repro.obs.audit import register_live_false_positive_ratio
 from repro.obs.registry import MetricsRegistry
 from repro.workloads import generate_workload, load_dataset
@@ -66,7 +66,7 @@ def dataset():
 
 def stand_up(dataset, shards: int) -> PrivacyPreservingSystem:
     data, _ = dataset
-    config = SystemConfig(k=3, theta=2, seed=3, star_cache_size=16, shards=shards)
+    config = SystemConfig(k=3, theta=2, seed=3, shards=shards)
     return PrivacyPreservingSystem.setup(data.graph, data.schema, config)
 
 
@@ -74,7 +74,7 @@ def reloaded(dataset, shards: int, directory) -> PrivacyPreservingSystem:
     """The same deployment, saved and stood up again by ``load``."""
     save_published(stand_up(dataset, shards).published, directory)
     return PrivacyPreservingSystem.load(
-        directory, dataset[0].graph, star_cache_size=16, shards=shards
+        directory, dataset[0].graph, shards=shards
     )
 
 
@@ -167,35 +167,15 @@ def test_a_registry_with_the_live_ratio_gauge():
 
 
 def test_a_bare_cloud_server(figure1_pipeline):
-    """A registry that records registers the star cache's pull gauges,
-    whose callbacks must not tie the server into a cycle."""
+    """A server reporting into a recording registry leaves no cycle."""
     pipeline = figure1_pipeline
     server = CloudServer(
         pipeline.outsourced.graph.copy(),
         pipeline.transform.avt,
         list(pipeline.outsourced.block_vertices),
-        star_cache_size=8,
         obs=Observability(),
     )
     server.obs.metrics.snapshot()
     holder = [server]
     del server
     assert cyclic_leftovers(holder) == []
-
-
-def test_a_dead_servers_cache_gauges_leave_the_scrape(figure1_pipeline):
-    """A registry that outlives its server stops reporting that server's
-    gauges (``MetricsRegistry.callbacks`` skips a callback that raises)."""
-    pipeline = figure1_pipeline
-    obs = Observability()
-    server = CloudServer(
-        pipeline.outsourced.graph.copy(),
-        pipeline.transform.avt,
-        list(pipeline.outsourced.block_vertices),
-        obs=obs,
-    )
-    reported = {name for name, _, _ in obs.metrics.callbacks()}
-    assert {names.M_CACHE_HITS, names.M_CACHE_MISSES} <= reported
-    del server
-    reported = {name for name, _, _ in obs.metrics.callbacks()}
-    assert not {names.M_CACHE_HITS, names.M_CACHE_MISSES} & reported

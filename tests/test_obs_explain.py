@@ -38,7 +38,7 @@ def _stitched_trace() -> Trace:
                     with tracer.span(names.CLOUD_DECOMPOSE) as dec:
                         dec.set(stars=3)
                     with tracer.span(names.CLOUD_STAR_MATCHING) as sm:
-                        sm.set(cache_hits=1, cache_misses=2, shards=2)
+                        sm.set(shards=2)
         with tracer.span(names.NETWORK_GATEWAY_QUERY) as nq:
             nq.set(bytes=120)
         with tracer.span(names.NETWORK_GATEWAY_ANSWER) as na:
@@ -92,7 +92,6 @@ class TestFromTrace:
         assert report.candidate_count == 4 and report.result_count == 2
         assert (report.dropped_vertex, report.dropped_edge, report.dropped_label) == (0, 1, 1)
         assert report.anchored is True
-        assert report.cache_hits == 1 and report.cache_misses == 2
 
     def test_bytes_per_direction(self):
         report = QueryMetrics.from_trace(_stitched_trace())
@@ -159,7 +158,7 @@ class TestRenderers:
         assert "gateway_answer=340" in text and "gateway_query=120" in text
         assert "shard 0: results=6  pid=7001" in text
         assert "shard 1: results=3  pid=7002" in text
-        assert "1 hit(s) / 2 miss(es)" in text
+        assert "cache" not in text
         assert "dropped vertex=0  edge=1  label=1  rin=anchored" in text
 
     def test_json_round_trips(self):

@@ -216,11 +216,6 @@ class TestRegistryAggregation:
         assert registry.counter(names.M_MATCHES).total == 6.0  # 2 each
         assert registry.counter(names.M_NETWORK_BYTES).total > 0
         assert registry.histogram(names.M_QUERY_SECONDS).count() == 3
-        # the star-cache counters are pull-style callbacks
-        assert any(
-            name in (names.M_CACHE_HITS, names.M_CACHE_MISSES)
-            for name, _value, _help in registry.callbacks()
-        )
 
     def test_seconds_histograms_observe_span_durations_only(self):
         """Spans are the only clock: a component called outside a

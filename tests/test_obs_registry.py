@@ -126,14 +126,14 @@ class TestRegistry:
 
     def test_callback_evaluated_at_snapshot(self):
         registry = MetricsRegistry()
-        state = {"hits": 0}
+        state = {"depth": 0}
         registry.register_callback(
-            "star_cache_hits_total", lambda: state["hits"], "cache hits"
+            "queue_depth", lambda: state["depth"], "queued requests"
         )
-        state["hits"] = 7
+        state["depth"] = 7
         snapshot = registry.snapshot()
-        assert snapshot["star_cache_hits_total"]["series"][0]["value"] == 7.0
-        assert ("star_cache_hits_total", 7.0, "cache hits") in registry.callbacks()
+        assert snapshot["queue_depth"]["series"][0]["value"] == 7.0
+        assert ("queue_depth", 7.0, "queued requests") in registry.callbacks()
 
     def test_null_registry_accepts_everything_stores_nothing(self):
         NULL_REGISTRY.counter("c").inc(5)
@@ -194,7 +194,9 @@ def _golden_registry() -> MetricsRegistry:
     hist = registry.histogram("query_seconds", "end-to-end", buckets=(0.01, 0.1, 1.0))
     hist.observe(0.005)
     hist.observe(0.25)
-    registry.register_callback("star_cache_hits_total", lambda: 5, "cache hits")
+    registry.register_callback(
+        "gateway_seconds_window_count", lambda: 5, "observations inside the window"
+    )
     return registry
 
 
@@ -237,7 +239,7 @@ class TestPrometheusFormat:
         assert "repro_query_seconds_sum 0.255" in text
 
     def test_name_sanitization(self):
-        assert prom_name("cloud.star-cache hits") == "repro_cloud_star_cache_hits"
+        assert prom_name("cloud.star-match rows") == "repro_cloud_star_match_rows"
 
     def test_labels_escaped_and_sorted(self):
         registry = MetricsRegistry()
@@ -279,7 +281,7 @@ class TestSummaryTable:
         # inflate the wall figure
         assert "wall (root spans): 12.000 ms" in text
         assert "queries_total: 3" in text
-        assert "star_cache_hits_total: 5" in text
+        assert "gateway_seconds_window_count: 5" in text
 
     def test_empty_trace_renders(self):
         text = format_summary(Trace())

@@ -212,7 +212,7 @@ class TestScrapeUnderLoad:
         graph, schema = example_social_network()
         obs = Observability()
         system = PrivacyPreservingSystem.setup(
-            graph, schema, SystemConfig(k=2, star_cache_size=32), obs=obs
+            graph, schema, SystemConfig(k=2), obs=obs
         )
         done = threading.Event()
 

@@ -172,21 +172,6 @@ class TestCloudServerDelta:
         with pytest.raises(ValueError):
             server.apply_delta(GoDelta())
 
-    def test_delta_clears_star_cache(self, live, figure1_query):
-        release, outsourced, _ = live
-        server = CloudServer(
-            outsourced.graph.copy(),
-            release.avt,
-            list(outsourced.block_vertices),
-            star_cache_size=32,
-        )
-        anonymized = anonymize_query(figure1_query, release.lct)
-        server.answer(anonymized)
-        assert len(server.star_cache) > 0
-        log = release.insert_edge(0, 3)
-        server.apply_delta(release.go_delta(log))
-        assert len(server.star_cache) == 0
-
 
 class TestDeltaWire:
     def test_payload_round_trip(self, live):

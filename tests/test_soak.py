@@ -22,7 +22,7 @@ def test_moderate_scale_deployment(dataset_name):
     system = PrivacyPreservingSystem.setup(
         dataset.graph,
         dataset.schema,
-        SystemConfig(k=4, star_cache_size=128, max_intermediate_results=500_000),
+        SystemConfig(k=4, max_intermediate_results=500_000),
         sample_workload=workload,
     )
 

@@ -21,9 +21,8 @@ from hypothesis import strategies as st
 
 from repro import PrivacyPreservingSystem, SystemConfig
 from repro.cloud import CloudServer, decompose_query
-from repro.cloud.cache import StarMatchCache, leaf_order
 from repro.cloud.index import CloudIndex, GraphCSR, GroupBitKey, _bit_vector
-from repro.cloud.star_matching import match_plan, match_star_table
+from repro.cloud.star_matching import leaf_order, match_plan, match_star_table
 from repro.exceptions import QueryError, ResultBudgetExceeded
 from repro.graph import AttributedGraph, VertexData, make_schema, random_attributed_graph
 from repro.kauto.dynamic import DynamicRelease
@@ -596,7 +595,7 @@ class TestIndexTables:
 
 
 # ----------------------------------------------------------------------
-# whole plans: the star cache, four shards, a delta
+# whole plans: four shards, a delta
 # ----------------------------------------------------------------------
 PLAN_PARAMS = dict(
     seed=st.integers(0, 10_000),
@@ -604,9 +603,9 @@ PLAN_PARAMS = dict(
     k=st.integers(2, 4),
     edges=st.integers(1, 4),
 )
-#: Two of the plan's stars share a signature but not their query-id
-#: leaf order: a hit used to replay the other star's row order.
-SHARED_SIGNATURE = dict(seed=1666, n=26, k=2, edges=4)
+#: Two of the plan's stars carry equal constraints but not the same
+#: query-id leaf order.
+EQUAL_STARS = dict(seed=1666, n=26, k=2, edges=4)
 
 
 def _an_absent_edge(graph):
@@ -638,7 +637,7 @@ def _a_delta(system, graph):
     return release.go_delta(release.insert_edge(*_an_absent_edge(release.original)))
 
 
-def _cloud_like(cloud, shards, star_cache_size=0):
+def _cloud_like(cloud, shards):
     """A cloud over a copy of ``cloud``'s stored half, its star stage
     the ``shards``-way scatter run inline (no fork)."""
     return scattered_inline(
@@ -647,7 +646,6 @@ def _cloud_like(cloud, shards, star_cache_size=0):
             cloud.avt,
             cloud.center_vertices,
             expand_in_cloud=cloud.expand_in_cloud,
-            star_cache_size=star_cache_size,
         ),
         shards,
     )
@@ -666,28 +664,23 @@ def _assert_plans_equal_the_parent(system, sharded, query):
     qo = system.client.prepare_query(query)
     stars = decompose_query(qo, cloud.estimator).stars
     expected = _reference_tables(qo, stars, cloud)
-
-    def one_server(misses):
-        return match_plan(qo, misses, cloud.index, cloud.graph, None, NULL_TRACER)
-
-    def four_shards(misses):
-        return sharded._match_stars(qo, misses, sharded.obs, NULL_SPAN)
-
-    for topology in (one_server, four_shards):
-        for capacity in (0, 8):
-            cache = StarMatchCache(capacity)
-            for _ in range(2):  # the second pass reads what the first cached
-                tables, _ = cache.plan_tables(qo, stars, topology)
-                assert {c: t.rows for c, t in tables.items()} == expected
+    for tables in (
+        match_plan(qo, stars, cloud.index, cloud.graph, None, NULL_TRACER),
+        sharded._match_stars(qo, stars, sharded.obs, NULL_SPAN),
+    ):
+        assert {c: (t.schema, t.rows) for c, t in tables.items()} == {
+            star.center: ((star.center, *star.leaves), expected[star.center])
+            for star in stars
+        }
 
 
 class TestPlansEqualTheParentKernel:
     @pytest.mark.parametrize("arm", ARMS)
     @pytest.mark.parametrize("method", ["EFF", "BAS"])
     @settings(EQUIV, max_examples=10)
-    @example(**SHARED_SIGNATURE)
+    @example(**EQUAL_STARS)
     @given(**PLAN_PARAMS)
-    def test_cache_and_shards_before_and_after_a_delta(
+    def test_shards_before_and_after_a_delta(
         self, arm, method, seed, n, k, edges
     ):
         with vec.override(arm):
@@ -703,14 +696,12 @@ class TestPlansEqualTheParentKernel:
 
 
 def _observed(cloud, qo):
-    """What a cloud answers one plan with, twice: every star table
-    (schema, rows, order) and ``Rin``."""
+    """What a cloud answers one plan with, twice (a cold and a warm
+    pool): every star table (schema, rows, order) and ``Rin``."""
     stars = decompose_query(qo, cloud.estimator).stars
     seen = []
-    for _ in range(2):  # the second pass reads what the first cached
-        tables, _ = cloud.star_cache.plan_tables(
-            qo, stars, lambda misses: cloud._match_stars(qo, misses, cloud.obs, NULL_SPAN)
-        )
+    for _ in range(2):
+        tables = cloud._match_stars(qo, stars, cloud.obs, NULL_SPAN)
         rin = cloud.answer(qo).table
         seen.append(
             (
@@ -722,13 +713,13 @@ def _observed(cloud, qo):
     return seen
 
 
-class TestCacheOnEqualsCacheOff:
-    """A cache hit is the cold run: rows and order, every table."""
+class TestOneShardEqualsFour:
+    """Four shards are one: rows and order, every table, and ``Rin``."""
 
     @pytest.mark.parametrize("arm", ARMS)
     @pytest.mark.parametrize("method", ["EFF", "BAS"])
     @settings(EQUIV, max_examples=10)
-    @example(**SHARED_SIGNATURE)
+    @example(**EQUAL_STARS)
     @given(**PLAN_PARAMS)
     def test_star_tables_and_rin_at_one_and_four_shards(
         self, arm, method, seed, n, k, edges
@@ -736,23 +727,14 @@ class TestCacheOnEqualsCacheOff:
         with vec.override(arm):
             system, graph, query = _deployment(method, seed, n, k, edges)
             qo = system.client.prepare_query(query)
-            clouds = [
-                _cloud_like(system.cloud, shards, size)
-                for shards in (1, 4)
-                for size in (0, 8)
-            ]
-            try:
-                reference = _observed(clouds[0], qo)
-                for cloud in clouds[1:]:
-                    assert _observed(cloud, qo) == reference
+            with (
+                _cloud_like(system.cloud, 1) as one,
+                _cloud_like(system.cloud, 4) as four,
+            ):
+                assert _observed(four, qo) == _observed(one, qo)
                 if method == "BAS":
                     return  # a BAS cloud stores Gk verbatim: no deltas
                 delta = _a_delta(system, graph)
-                for cloud in clouds:
-                    cloud.apply_delta(delta)
-                reference = _observed(clouds[0], qo)
-                for cloud in clouds[1:]:
-                    assert _observed(cloud, qo) == reference
-            finally:
-                for cloud in clouds:
-                    cloud.close()
+                one.apply_delta(delta)
+                four.apply_delta(delta)
+                assert _observed(four, qo) == _observed(one, qo)
