@@ -1,13 +1,15 @@
 """Client-side false-positive filtering (Lines 6-23 of Algorithm 3).
 
 The candidate set ``R(Qo, Gk)`` over-approximates ``R(Q, G)`` in three
-ways, each removed by one hash-backed check:
+ways, each removed by one hash-backed check, run in this order so the
+costly edge lookups see only rows the cheap checks let through:
 
-1. a match may use a noise vertex absent from ``G``;
-2. a match may use a noise edge absent from ``G``;
-3. a match may rely on generalized labels — the data vertex carries the
+1. a match may use a noise vertex absent from ``G`` (or, in a corrupt
+   or hostile ``Rin``, put two query vertices on one data vertex);
+2. a match may rely on generalized labels — the data vertex carries the
    right label *group* but not the exact label the original query ``Q``
-   asked for.
+   asked for;
+3. a match may use a noise edge absent from ``G``.
 
 All checks are O(1) per vertex/edge, so the client's work is linear in
 the number of candidate matches — the property that makes outsourcing
@@ -145,9 +147,9 @@ class _Scan:
     (query edges as column pairs, per-column label memo or sorted
     candidate ids) is set up once; keeps and drop counters accumulate.
     A dropped row is counted once, under the first check it fails
-    (vertex, then edge, then label), and ``limit`` ends the scan
-    *after* the row producing the limit-th keep: later rows reach no
-    counter.
+    (vertex and injectivity, then label, then edge), and ``limit``
+    ends the scan *after* the row producing the limit-th keep: later
+    rows reach no counter.
     """
 
     def __init__(
@@ -198,27 +200,31 @@ class _Scan:
         for row in rows:
             if limit is not None and len(kept) >= limit:
                 break
-            # Lines 9-12: every matched vertex must exist in G.
+            # Lines 9-12: every matched vertex must exist in G, and no
+            # two query vertices may share one.
+            if len(set(row)) != len(row):
+                dropped_vertex += 1
+                continue
             for v in row:
                 if v not in vertex_ids:
                     dropped_vertex += 1
                     break
             else:
-                # Lines 15-18: every query edge must exist in G.
-                for c1, c2 in edge_pairs:
-                    if not has_edge(row[c1], row[c2]):
-                        dropped_edge += 1
+                # Lines 21-22: exact (raw) label containment against Q.
+                for i, query_vertex, memo in label_checks:
+                    v = row[i]
+                    hit = memo.get(v)
+                    if hit is None:
+                        hit = query_vertex.matches(data_vertex(v))
+                        memo[v] = hit
+                    if not hit:
+                        dropped_label += 1
                         break
                 else:
-                    # Lines 21-22: exact (raw) label containment against Q.
-                    for i, query_vertex, memo in label_checks:
-                        v = row[i]
-                        hit = memo.get(v)
-                        if hit is None:
-                            hit = query_vertex.matches(data_vertex(v))
-                            memo[v] = hit
-                        if not hit:
-                            dropped_label += 1
+                    # Lines 15-18: every query edge must exist in G.
+                    for c1, c2 in edge_pairs:
+                        if not has_edge(row[c1], row[c2]):
+                            dropped_edge += 1
                             break
                     else:
                         append(row)
@@ -232,32 +238,33 @@ class _Scan:
         """The checks as a cascade: each runs on the last one's survivors.
 
         Vertex existence is a bounds-guarded flag gather over every
-        column; its survivors are ids of ``G``, so a query edge is an
-        unguarded packed-key lookup in the CSR's sorted edge array and
-        a label check a lookup in the query vertex's sorted candidate
-        ids.  The counters are differences of survivor counts.
+        column, ANDed with the rows' injectivity; its survivors are ids
+        of ``G``, so a label check is a lookup in the query vertex's
+        sorted candidate ids and a query edge an unguarded packed-key
+        lookup in the CSR's sorted edge array.  The counters are
+        differences of survivor counts.
         """
         np, csr = vec.np, self.csr
         if csr is None or self.full:
             return
-        alive = vec.bounded_flags(csr.exists, cols[0])
-        for col in cols[1:]:
+        alive = vec.distinct_within_rows(cols)
+        for col in cols:
             alive &= vec.bounded_flags(csr.exists, col)
         in_graph = alive = np.flatnonzero(alive)
-        for c1, c2 in self.edge_pairs:
-            alive = alive[csr.edge_flags(cols[c1][alive], cols[c2][alive])]
-        connected = alive
         for col, ids in zip(cols, self.label_ids):
             alive = alive[vec.isin_sorted(col[alive], ids)]
+        labelled = alive
+        for c1, c2 in self.edge_pairs:
+            alive = alive[csr.edge_flags(cols[c1][alive], cols[c2][alive])]
         scanned = len(cols[0])
         if self.limit is not None and self.count + len(alive) >= self.limit:
             alive = alive[: self.limit - self.count]
             scanned = int(alive[-1]) + 1
             in_graph = in_graph[: np.searchsorted(in_graph, scanned)]
-            connected = connected[: np.searchsorted(connected, scanned)]
+            labelled = labelled[: np.searchsorted(labelled, scanned)]
         self.dropped_vertex += scanned - len(in_graph)
-        self.dropped_edge += len(in_graph) - len(connected)
-        self.dropped_label += len(connected) - len(alive)
+        self.dropped_label += len(in_graph) - len(labelled)
+        self.dropped_edge += len(labelled) - len(alive)
         self.kept.append([col[alive] for col in cols])
         self.count += len(alive)
 
@@ -266,23 +273,34 @@ class _Scan:
         """All ``k`` images of an anchored ``Rin`` in one pass over k-bit masks.
 
         Bit ``j`` of a row's mask says its image ``F_m`` is still a
-        candidate: the AND of its columns' ``vmask``, then of every
-        query edge's hashed pair mask, then of every query edge's exact
-        pair mask on what is left, then of its columns' label masks
-        (``F_m⁻¹`` of each query vertex's candidate ids); rows whose
-        mask reaches 0 leave.  Only surviving (row, image) pairs go
-        through ``F_m``, image-major and in row order, and the counters
-        are bit counts of the retained stage masks over the rows
-        ``limit`` lets the scan reach.
+        candidate.  One pass over every row ANDs its columns' ``vmask``
+        (zeroed for a row repeating a vertex: ``F_m`` is a bijection, so
+        one injectivity flag covers every image), then its columns'
+        label masks (``F_m⁻¹`` of each query vertex's candidate ids);
+        only the rows left nonzero go through every query edge's hashed
+        pair mask and then its exact one.  Surviving (row, image) pairs
+        alone go through ``F_m``, image-major and in row order, and the
+        counters are bit counts of the retained stage masks over the
+        rows ``limit`` lets the scan reach.
         """
         np = vec.np
         n = len(cols[0])
+        distinct = vec.distinct_within_rows(cols)
+        repeats = not distinct.all()
         for first, vmask, pair_keys, emask, hmask, shift, back in images.groups:
             in_graph = np.take(vmask, cols[0])
             for col in cols[1:]:
                 in_graph &= np.take(vmask, col)
-            rows = np.flatnonzero(in_graph)
-            mask = in_graph[rows]
+            if repeats:
+                in_graph[~distinct] = 0
+            labelled = in_graph.copy()
+            for col, ids in zip(cols, self.label_ids):
+                marks = np.zeros(images.size + 1, dtype=labelled.dtype)
+                for j, inverse in enumerate(back):
+                    marks[inverse[ids]] |= np.array(1 << j, dtype=marks.dtype)
+                labelled &= np.take(marks, col)
+            rows = np.flatnonzero(labelled)
+            mask = labelled[rows]
             for exact in (False, True):
                 for c1, c2 in self.edge_pairs:
                     a, b = cols[c1][rows], cols[c2][rows]
@@ -293,14 +311,6 @@ class _Scan:
                         mask &= np.take(hmask, vec.hash_slots(key, shift))
                     live = np.flatnonzero(mask)
                     rows, mask = rows[live], mask[live]
-            joined_rows, joined = rows, mask
-            for col, ids in zip(cols, self.label_ids):
-                labelled = np.zeros(images.size + 1, dtype=mask.dtype)
-                for j, inverse in enumerate(back):
-                    labelled[inverse[ids]] |= np.array(1 << j, dtype=mask.dtype)
-                mask = mask & np.take(labelled, col[rows])
-                live = np.flatnonzero(mask)
-                rows, mask = rows[live], mask[live]
             for j in range(len(back)):
                 if self.full:
                     return
@@ -310,11 +320,10 @@ class _Scan:
                     take = take[: self.limit - self.count]
                     scanned = int(take[-1]) + 1
                 alive = int(np.count_nonzero(in_graph[:scanned] & bit))
-                reached = joined[: np.searchsorted(joined_rows, scanned)]
-                connected = int(np.count_nonzero(reached & bit))
+                matched = int(np.count_nonzero(labelled[:scanned] & bit))
                 self.dropped_vertex += scanned - alive
-                self.dropped_edge += alive - connected
-                self.dropped_label += connected - len(take)
+                self.dropped_label += alive - matched
+                self.dropped_edge += matched - len(take)
                 lut = images.luts[first + j]
                 self.kept.append([np.take(lut, col[take]) for col in cols])
                 self.count += len(take)

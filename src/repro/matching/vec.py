@@ -179,33 +179,36 @@ def first_seen_row_indices(cols: Sequence[Any]) -> Any:
     ``dedupe_rows`` keeps them (first-seen order).
 
     When every value is a non-negative id small enough to pack all
-    columns into one 63-bit key, the dedupe is a single argsort of
-    that int64 key (an order of magnitude faster than sorting rows
-    lexicographically); otherwise a ``lexsort`` over the raw columns
-    does the same job for arbitrary values.
+    columns into one 63-bit key, one sort of that int64 key tells
+    whether any row repeats; a key without repeats (every honest
+    ``Rin``) is done there, and only one with repeats pays an argsort.
+    Otherwise a ``lexsort`` over the raw columns does the same job for
+    arbitrary values.
     """
     width = len(cols)
     n = len(cols[0]) if width else 0
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    if width == 1:
-        order = np.argsort(cols[0])
-        sorted_cols = [cols[0][order]]
+    key = cols[0] if width == 1 else None
+    if key is None and min(int(col.min()) for col in cols) >= 0:
+        stride = max(int(col.max()) for col in cols) + 1
+        if stride**width < 1 << 63:
+            # in place: a fresh temporary per step costs more than the arithmetic
+            key = cols[0] * stride
+            key += cols[1]
+            for col in cols[2:]:
+                key *= stride
+                key += col
+    if key is not None:
+        ordered = np.sort(key)
+        if not (ordered[1:] == ordered[:-1]).any():
+            return np.arange(n, dtype=np.int64)  # every row distinct
+        order = np.argsort(key)
+        sorted_cols = [key[order]]
     else:
-        order = None
-        low = min(int(col.min()) for col in cols)
-        if low >= 0:
-            stride = max(int(col.max()) for col in cols) + 1
-            if stride**width < 1 << 63:
-                key = cols[0]
-                for col in cols[1:]:
-                    key = key * stride + col
-                order = np.argsort(key)
-                sorted_cols = [key[order]]
-        if order is None:
-            # lexsort keys run least-significant first
-            order = np.lexsort(cols[::-1])
-            sorted_cols = [col[order] for col in cols]
+        # lexsort keys run least-significant first
+        order = np.lexsort(cols[::-1])
+        sorted_cols = [col[order] for col in cols]
     changed = sorted_cols[0][1:] != sorted_cols[0][:-1]
     for col in sorted_cols[1:]:
         changed |= col[1:] != col[:-1]
@@ -310,10 +313,13 @@ def intersect_sorted(a: Any, b: Any) -> Any:
 
 @hot_path
 def distinct_within_rows(cols: Sequence[Any]) -> Any:
-    """Per-row flag: all column values pairwise distinct (numpy-only)."""
-    width = len(cols)
+    """Per-row flag: all column values pairwise distinct (numpy-only).
+
+    One ``!=`` per column pair: no row sort and no stacked matrix.
+    """
     n = len(cols[0]) if cols else 0
-    if width <= 1:
-        return np.ones(n, dtype=bool)
-    mat = np.sort(np.column_stack(cols), axis=1)
-    return np.all(mat[:, 1:] != mat[:, :-1], axis=1)
+    flags = np.ones(n, dtype=bool)
+    for i, col in enumerate(cols):
+        for other in cols[i + 1 :]:
+            flags &= col != other
+    return flags

@@ -248,19 +248,22 @@ def filter_candidates(
     for match in candidates:
         if limit is not None and len(result.matches) >= limit:
             break
-        # Lines 9-12: every matched vertex must exist in G.
-        if any(v not in vertex_set for v in match.values()):
-            result.dropped_vertex += 1
-        # Lines 15-18: every query edge must exist in G.
-        elif any(
-            not graph.has_edge(match[q1], match[q2]) for q1, q2 in query_edges
+        # Lines 9-12: every matched vertex must exist in G, and a match
+        # is injective: no two query vertices on one data vertex.
+        if len(set(match.values())) != len(match) or any(
+            v not in vertex_set for v in match.values()
         ):
-            result.dropped_edge += 1
+            result.dropped_vertex += 1
         # Lines 21-22: exact (raw) label containment against Q.
         elif any(
             not query.vertex(q).matches(graph.vertex(v)) for q, v in match.items()
         ):
             result.dropped_label += 1
+        # Lines 15-18: every query edge must exist in G.
+        elif any(
+            not graph.has_edge(match[q1], match[q2]) for q1, q2 in query_edges
+        ):
+            result.dropped_edge += 1
         else:
             result.matches.append(match)
     return result

@@ -3,8 +3,12 @@
 import pytest
 
 from repro.client import ClientFilter, expand_rin_table
+from repro.graph import AttributedGraph
 from repro.kauto import AlignmentVertexTable
 from repro.matching import MatchTable, vec
+
+#: The tuple loop (``rows``); the column cascade and the k-bit image pass (``numpy``).
+ARMS = ("rows",) + (("numpy",) if vec.HAVE_NUMPY else ())
 
 
 def expand_rin(rin, avt):
@@ -126,6 +130,42 @@ class TestFiltering:
         result = filter_candidates(candidates, pipe.graph, pipe.query)
         assert result.candidates == 3
         assert len(result.table) + result.dropped == 3
+
+
+class TestCheckOrder:
+    """Vertex, then label, then edge: a drop counts under the first check it fails."""
+
+    @pytest.mark.parametrize("arm", ARMS)
+    def test_failing_label_and_edge_counts_as_label(self, figure1_pipeline, arm):
+        pipe = figure1_pipeline
+        graph, gk, avt = pipe.graph, pipe.transform.gk, pipe.transform.avt
+
+        def images(row):
+            return [row] + [avt.remap_rows([row], m)[0] for m in range(1, avt.k)]
+
+        # no Gk edge between a and b, hence none between any two of their
+        # images (each F_m is an automorphism of Gk), and every image in G
+        a, b = next(
+            (a, b)
+            for a in avt.first_block()
+            for b in sorted(gk.vertex_ids())
+            if a != b
+            and not gk.has_edge(a, b)
+            and all(v in graph for image in images((a, b)) for v in image)
+        )
+        query = AttributedGraph()
+        query.add_vertex(0, "no-such-type")  # no vertex of G has its label
+        query.add_vertex_like(1, graph.vertex(b))
+        query.add_edge(0, 1)
+        candidate = MatchTable((0, 1), [(a, b)])
+        with vec.override(arm):
+            table = ClientFilter(graph, query).filter_table(candidate)
+            rin = ClientFilter(graph, query).filter_rin(candidate, avt)
+        counters = (table.dropped_vertex, table.dropped_label, table.dropped_edge)
+        assert counters == (0, 1, 0)
+        assert rin.anchored and rin.table.rows == []
+        counters = (rin.dropped_vertex, rin.dropped_label, rin.dropped_edge)
+        assert counters == (0, avt.k, 0)
 
 
 class TestEndToEndClientStage:

@@ -32,7 +32,7 @@ from repro.cloud import (
     result_join,
 )
 from repro.exceptions import QueryError, ResultBudgetExceeded
-from repro.graph import make_schema, random_attributed_graph
+from repro.graph import AttributedGraph, make_schema, random_attributed_graph
 from repro.kauto.dynamic import DynamicRelease
 from repro.matching import MatchTable, vec
 from repro.obs import NULL_SPAN
@@ -379,6 +379,39 @@ class TestOnePassFilterOnHostileRin:
             got = _assert_filter_rin_equivalent(graph, system, query, rin, None)
             assert got.dropped_vertex > 0
 
+    @pytest.mark.parametrize("arm", ARMS)
+    def test_non_injective_rows(self, case, arm):
+        """Two query vertices on one data vertex: a vertex-check drop."""
+        graph, system, _, _ = case
+        avt = system.client.avt
+        u, v = next(
+            (u, v)
+            for u in avt.first_block()
+            if u in graph
+            for v in sorted(graph.neighbors(u))
+        )
+        # the path 0-1-2 with both ends like v: the row (v, u, v) passes
+        # the existence, label and edge checks
+        query = AttributedGraph()
+        query.add_vertex_like(0, graph.vertex(v))
+        query.add_vertex_like(1, graph.vertex(u))
+        query.add_vertex_like(2, graph.vertex(v))
+        query.add_edge(0, 1)
+        query.add_edge(1, 2)
+        row = (u, v, v)
+        anchored = MatchTable((1, 0, 2), [row])
+        unanchored = MatchTable((1, 0, 2), [row, *avt.remap_rows([row], 1)])
+        with vec.override(arm):
+            for rin, is_anchored in ((anchored, True), (unanchored, False)):
+                for limit in (None, 1):
+                    got = _assert_filter_rin_equivalent(
+                        graph, system, query, rin, limit, anchored=is_anchored
+                    )
+                    assert got.table.rows == []
+                    assert got.dropped_vertex == got.candidates == avt.k
+            outcome = system.client.process_answer(query, anchored, False)
+            assert outcome.matches == []
+
 
 # ----------------------------------------------------------------------
 # (ii) the column join's injectivity test
@@ -437,6 +470,30 @@ class TestPerColumnPairInjectivityEqualsBroadcastMask:
                 result_join._hash_join_rows, left, right, shared, None
             )
             assert new == rows
+
+
+@needs_numpy
+class TestRowDistinctnessByColumnPairs:
+    @settings(EQUIV, max_examples=60)
+    @given(
+        width=st.integers(1, 16),
+        rows=st.integers(0, 80),
+        high=st.integers(0, 40),
+        seed=st.integers(0, 2**32 - 1),
+        large=st.booleans(),
+    )
+    def test_flags_equal_a_set_per_row(self, width, rows, high, seed, large):
+        np = vec.np
+        n = rows * 100 if large else rows
+        matrix = np.random.default_rng(seed).integers(
+            -high, high + 1, size=(n, width), dtype=np.int64
+        )
+        cols = [np.ascontiguousarray(matrix[:, c]) for c in range(width)]
+        flags = vec.distinct_within_rows(cols)
+        assert flags.dtype == bool and len(flags) == n
+        assert flags.tolist() == [
+            len(set(row)) == len(row) for row in matrix.tolist()
+        ]
 
 
 # ----------------------------------------------------------------------
